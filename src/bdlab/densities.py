@@ -336,70 +336,75 @@ def _parse_params(chunk: str) -> dict:
         if not item:
             continue
         key, _, val = item.partition("=")
-        out[key.strip()] = float(val)
+        try:
+            out[key.strip()] = float(val)
+        except ValueError:
+            raise DensityError(f"malformed density parameter {item!r}") from None
     return out
 
 
-def catalog_density(spec_id: str) -> Density:
-    """Resolve a catalog id like "isotropic:trunc:a=1,M=1" to a Density."""
-    parts = spec_id.split(":")
-    head = parts[0]
-    if head == "isotropic":
-        kind = parts[1] if len(parts) > 1 else "id"
-        if kind == "id":
-            return density_isotropic(identity_profile())
-        if kind == "trunc":
-            p = _parse_params(parts[2]) if len(parts) > 2 else {}
-            return density_isotropic(truncated_profile(p.get("a", 1.0), p.get("M", 1.0)))
-        if kind == "const":
-            p = _parse_params(parts[2]) if len(parts) > 2 else {}
-            from .profiles import constant_profile
+def _catalog_builders() -> dict:
+    """(head, variant) -> (parameter names, builder(params) -> Density)."""
+    from .profiles import abs_profile, constant_profile, eta_profile, sqrt_profile
 
-            return density_isotropic(constant_profile(p.get("c", 1.0)))
-        if kind == "sqrt":
-            from .profiles import sqrt_profile
+    def dalmot(th):
+        return density_dalmot((th, th))
 
-            return density_isotropic(sqrt_profile())
-        raise DensityError(f"unknown isotropic variant {kind!r}")
-    if head == "product":
-        if len(parts) > 1 and parts[1] == "aniso1":
-            p = _parse_params(parts[2]) if len(parts) > 2 else {}
-            return anisotropic_normal_density(p.get("eps", 0.01))
-        raise DensityError(f"unknown product variant in {spec_id!r}")
-    if head == "aniso2":
-        p = _parse_params(parts[1]) if len(parts) > 1 else {}
-        return anisotropic_trace_density(p.get("eps", 1e-4))
-    if head == "dalmot":
-        kind = parts[1] if len(parts) > 1 else "abs"
-        from .profiles import abs_profile, eta_profile
-
-        if kind == "abs":
-            th = abs_profile()
-            return density_dalmot((th, th))
-        if kind == "trunc":
-            p = _parse_params(parts[2]) if len(parts) > 2 else {}
-            th = eta_profile(p.get("M", 1.0))
-            return density_dalmot((th, th))
-        raise DensityError(f"unknown dalmot variant {kind!r}")
-    if head == "frobenius":
-        if len(parts) > 1 and parts[1] == "trunc":
-            from .profiles import eta_profile
-
-            p = _parse_params(parts[2]) if len(parts) > 2 else {}
-            th = eta_profile(p.get("M", 1.0))
-            return density_dalmot((th, th))
-        return density_biconvex_frobenius()
-    if head == "normal":
-        K = SupportPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-        return density_normal_only(K)
-    if head == "mild":
-
+    def mild(p):
         def g(w):
             w = np.asarray(w, dtype=float)
             return 1.0 + 0.5 * np.minimum(np.linalg.norm(w, axis=-1), 1.0)
 
         return density_mild(g, name="mild[g]")
-    raise DensityError(f"unknown density id {spec_id!r}")
+
+    square = SupportPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    return {
+        ("isotropic", "id"): ((), lambda p: density_isotropic(identity_profile())),
+        ("isotropic", "trunc"): (
+            ("a", "M"),
+            lambda p: density_isotropic(truncated_profile(p.get("a", 1.0), p.get("M", 1.0))),
+        ),
+        ("isotropic", "const"): (
+            ("c",), lambda p: density_isotropic(constant_profile(p.get("c", 1.0)))
+        ),
+        ("isotropic", "sqrt"): ((), lambda p: density_isotropic(sqrt_profile())),
+        ("product", "aniso1"): (("eps",), lambda p: anisotropic_normal_density(p.get("eps", 0.01))),
+        ("aniso2", None): (("eps",), lambda p: anisotropic_trace_density(p.get("eps", 1e-4))),
+        ("dalmot", "abs"): ((), lambda p: dalmot(abs_profile())),
+        ("dalmot", "trunc"): (("M",), lambda p: dalmot(eta_profile(p.get("M", 1.0)))),
+        ("frobenius", None): ((), lambda p: density_biconvex_frobenius()),
+        ("frobenius", "trunc"): (("M",), lambda p: dalmot(eta_profile(p.get("M", 1.0)))),
+        ("normal", "polytopeK"): ((), lambda p: density_normal_only(square)),
+        ("mild", "g"): ((), mild),
+    }
+
+
+# variant implied by a bare head ("frobenius" alone is the plain norm)
+_DEFAULT_VARIANT = {"isotropic": "id", "dalmot": "abs", "normal": "polytopeK", "mild": "g"}
+
+
+def catalog_density(spec_id: str) -> Density:
+    """Resolve a catalog id like "isotropic:trunc:a=1,M=1" to a Density.
+
+    Unknown heads, variants, parameter names and trailing parts raise
+    DensityError.
+    """
+    head, *rest = spec_id.split(":")
+    if head == "aniso2":
+        variant = None
+    else:
+        variant = rest.pop(0) if rest else _DEFAULT_VARIANT.get(head)
+    entry = _catalog_builders().get((head, variant))
+    if entry is None:
+        raise DensityError(f"unknown density id {spec_id!r}")
+    names, build = entry
+    if len(rest) > (1 if names else 0):
+        raise DensityError(f"unexpected trailing parts in density id {spec_id!r}")
+    params = _parse_params(rest[0]) if rest else {}
+    unknown = set(params) - set(names)
+    if unknown:
+        raise DensityError(f"unknown parameters {sorted(unknown)} in density id {spec_id!r}")
+    return build(params)
 
 
 CATALOG_IDS = (

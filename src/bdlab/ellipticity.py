@@ -13,8 +13,6 @@ length, which is invariant under rescaling.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +20,7 @@ from scipy import optimize
 from scipy.stats import qmc
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
-from .energy import surface_energy
+from .energy import _clipped_pieces, integrate_jump_set, surface_energy
 from .functions import (
     FunctionError,
     PiecewiseRigid,
@@ -130,35 +128,35 @@ def counterexample2_competitor(lam: float, eps: float) -> PiecewiseRigid:
     )
 
 
-def _split_segments_by_normal(u: PiecewiseRigid, axis=E2, tol: float = 1e-9):
-    par, perp = [], []
-    for s in u.jump_segments():
-        c = abs(float(s.normal @ axis))
-        if abs(c - 1.0) <= tol:
-            par.append(s)
-        elif c <= tol:
-            perp.append(s)
-        else:
-            raise EllipticityError("unexpected oblique jump segment")
-    return par, perp
+def _parallel(seg) -> bool:
+    return abs(abs(float(seg.normal @ E2)) - 1.0) <= 1e-9
 
 
-def _segments_energy(segments, f: Density, tol: float = 1e-12, order: int = 15):
-    from .energy import _integrate_segment
+def _perpendicular(seg) -> bool:
+    return abs(float(seg.normal @ E2)) <= 1e-9
 
-    value, err = 0.0, 0.0
-    for seg in segments:
-        if seg.constant_traces:
-            value += seg.length * float(f(seg.plus_value0, seg.minus_value0, seg.normal))
-            continue
 
-        def integrand(t):
-            return f(seg.plus(t), seg.minus(t), seg.normal)
+def _parallel_at(y: float):
+    return lambda seg: _parallel(seg) and abs(0.5 * (seg.a[1] + seg.b[1]) - y) < 1e-9
 
-        v, e = _integrate_segment(seg, integrand, 0.0, seg.length, tol, order)
-        value += v
-        err += e
-    return value, err
+
+def _breakdown(u: PiecewiseRigid, f: Density, groups: dict) -> dict:
+    """Energy of each named group of jump pieces, their total and error.
+
+    `groups` maps names to predicates on jump segments; every piece must
+    satisfy exactly one of them, so the groups cover the jump set once.
+    """
+    pieces = _clipped_pieces(u, None, include_boundary=True)
+    if any(sum(pred(s) for pred in groups.values()) != 1 for s, _, _ in pieces):
+        raise EllipticityError("jump segment outside the breakdown groups")
+    out, err = {}, 0.0
+    for name, pred in groups.items():
+        res = integrate_jump_set([p for p in pieces if pred(p[0])], f, tol=1e-12, order=15)
+        out[name] = res.value
+        err += res.error_estimate
+    out["total"] = sum(out.values())
+    out["error_estimate"] = err
+    return out
 
 
 def ce1_energy_breakdown(lam: float = 1.0, eps: float = 0.01) -> dict:
@@ -167,19 +165,12 @@ def ce1_energy_breakdown(lam: float = 1.0, eps: float = 0.01) -> dict:
 
     u = counterexample1_competitor(lam)
     f = anisotropic_normal_density(eps)
-    par, perp = _split_segments_by_normal(u)
-    par_val, par_err = _segments_energy(par, f)
-    perp_val, perp_err = _segments_energy(perp, f)
-    straight = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
-    return {
-        "parallel": par_val,
-        "perpendicular": perp_val,
-        "total": par_val + perp_val,
-        "straight": straight,
-        "error_estimate": par_err + perp_err,
-        "parallel_length": sum(s.length for s in par),
-        "perpendicular_length": sum(s.length for s in perp),
-    }
+    out = _breakdown(u, f, {"parallel": _parallel, "perpendicular": _perpendicular})
+    out["straight"] = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
+    segs = u.jump_segments()
+    out["parallel_length"] = sum(s.length for s in segs if _parallel(s))
+    out["perpendicular_length"] = sum(s.length for s in segs if _perpendicular(s))
+    return out
 
 
 def ce2_energy_breakdown(lam: float = 1.0, eps: float = 1e-4) -> dict:
@@ -187,31 +178,17 @@ def ce2_energy_breakdown(lam: float = 1.0, eps: float = 1e-4) -> dict:
     from .densities import anisotropic_trace_density
 
     delta = eps ** 0.25
-    u = counterexample2_competitor(lam, eps)
     f = anisotropic_trace_density(eps)
-    par, perp = _split_segments_by_normal(u)
-    lower_edge = [s for s in par if abs(_seg_mid_y(s) + delta) < 1e-9]
-    upper_edge = [s for s in par if abs(_seg_mid_y(s) - delta) < 1e-9]
-    chord = [s for s in par if abs(_seg_mid_y(s)) < 1e-9]
-    lower_val, _ = _segments_energy(lower_edge, f)
-    upper_val, _ = _segments_energy(upper_edge, f)
-    chord_val, chord_err = _segments_energy(chord, f)
-    perp_val, perp_err = _segments_energy(perp, f)
-    straight = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
-    return {
-        "lower_edge": lower_val,
-        "upper_edge": upper_val,
-        "outer_chord": chord_val,
-        "perpendicular": perp_val,
-        "total": lower_val + upper_val + chord_val + perp_val,
-        "straight": straight,
-        "error_estimate": chord_err + perp_err,
-        "delta": delta,
+    groups = {
+        "lower_edge": _parallel_at(-delta),
+        "upper_edge": _parallel_at(delta),
+        "outer_chord": _parallel_at(0.0),
+        "perpendicular": _perpendicular,
     }
-
-
-def _seg_mid_y(seg):
-    return 0.5 * (seg.a[1] + seg.b[1])
+    out = _breakdown(counterexample2_competitor(lam, eps), f, groups)
+    out["straight"] = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
+    out["delta"] = delta
+    return out
 
 
 def tile_construction(
@@ -497,7 +474,7 @@ def _search_one(family, start, objective, maxfev):
         bounds=family.bounds,
         options={"maxfev": int(maxfev), "xatol": 1e-9, "fatol": 1e-12},
     )
-    return float(res.fun), tuple(np.asarray(res.x, dtype=float)), int(res.nfev)
+    return float(res.fun), tuple(np.asarray(res.x, dtype=float))
 
 
 def falsify(
@@ -540,7 +517,7 @@ def falsify(
             try:
                 comp = family.generator(params)
                 return surface_energy(comp, f, tol=search_tol).value
-            except (GeometryError, FunctionError, EllipticityError, ValueError):
+            except (GeometryError, FunctionError, EllipticityError):
                 return big
 
         return objective
@@ -557,22 +534,10 @@ def falsify(
             runs.append((fi, si, family, start))
 
     per_run = max(25, budget // max(len(runs), 1))
-    # serial and parallel mode execute the identical run set
-    runs = runs[: max(1, budget // per_run)]
     results = []
-
-    def execute(run):
-        fi, si, family, start = run
-        objective = make_objective(family)
-        val, params, nfev = _search_one(family, start, objective, per_run)
-        return (val, fi, si, params, family.name)
-
-    threads = int(os.environ.get("BDLAB_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute, runs))
-    else:
-        results = [execute(run) for run in runs]
+    for fi, si, family, start in runs[: max(1, budget // per_run)]:
+        val, params = _search_one(family, start, make_objective(family), per_run)
+        results.append((val, fi, si, params, family.name))
 
     best = min(results, key=lambda r: (r[0], r[1], r[2]))
     best_val, best_fi, _, best_params, best_name = best

@@ -1,9 +1,11 @@
 """Surface energies along jump sets, and the identities that certify them.
 
-Line integrals use adaptive Gauss-Legendre with breakpoints at the roots of
-the affine jump components (where norms and truncations kink); constant
-traces short-circuit to closed form.  Volume integrals use tensor Gauss
-rules on a triangulation with uniform-subdivision Richardson estimates.
+Energy, flux and the integration-by-parts jump term are all integrals over
+the jump set and share one kernel, `integrate_jump_set`: adaptive
+Gauss-Legendre with breakpoints at the roots of the affine jump components
+(where norms and truncations kink); constant traces short-circuit to closed
+form.  Volume integrals use tensor Gauss rules on a triangulation with
+uniform-subdivision Richardson estimates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .fields import ConservativeField
 from .functions import JumpSegment, PiecewiseAffine, compact_deviation
-from .geometry import Polygon, clip_segment_params, triangulate
+from .geometry import Polygon, clip_polygon, clip_segment_params, triangulate
 
 
 class EnergyError(ValueError):
@@ -67,9 +69,9 @@ def _adaptive_interval(fn, t0, t1, tol, order, depth=0, max_depth=48):
     return lv + rv, le + re_
 
 
-def _jump_breakpoints(seg: JumpSegment, t0: float, t1: float, field=None) -> list[float]:
+def _jump_breakpoints(seg: JumpSegment, t0: float, t1: float, kinks=None) -> list[float]:
     """Kink candidates in (t0, t1): roots of the affine jump components, plus
-    the field-profile thresholds along either trace when a field is given."""
+    the points `kinks(value0, slope)` reports along either trace."""
     dv = seg.plus_value0 - seg.minus_value0
     ds = seg.plus_slope - seg.minus_slope
     pts = []
@@ -78,17 +80,17 @@ def _jump_breakpoints(seg: JumpSegment, t0: float, t1: float, field=None) -> lis
             r = -dv[k] / ds[k]
             if t0 < r < t1:
                 pts.append(float(r))
-    if field is not None and field.trace_kinks is not None:
+    if kinks is not None:
         for v0, sl in ((seg.plus_value0, seg.plus_slope), (seg.minus_value0, seg.minus_slope)):
-            for r in field.trace_kinks(v0, sl):
+            for r in kinks(v0, sl):
                 if t0 < r < t1:
                     pts.append(float(r))
     return sorted(set(pts))
 
 
-def _integrate_segment(seg: JumpSegment, integrand, t0, t1, tol, order, field=None):
+def _integrate_segment(seg: JumpSegment, integrand, t0, t1, tol, order, kinks=None):
     """Integrate integrand(t-array) over [t0, t1] with kink breakpoints."""
-    cuts = [t0] + _jump_breakpoints(seg, t0, t1, field) + [t1]
+    cuts = [t0] + _jump_breakpoints(seg, t0, t1, kinks) + [t1]
     total, err = 0.0, 0.0
     n = len(cuts) - 1
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -112,6 +114,46 @@ def _clipped_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary
     return pieces
 
 
+def _finite(vals):
+    if not np.all(np.isfinite(vals)):
+        raise EnergyError("jump integrand returned a non-finite value")
+    return vals
+
+
+def integrate_jump_set(
+    pieces, integrand, tol: float, order: int, kinks=None, weight=None
+) -> QuadratureResult:
+    """Integral of integrand(trace+, trace-, normal) * weight(x) over the
+    (segment, t0, t1) pieces of a jump set.
+
+    The integrand is a density or a field pairing; `kinks(value0, slope)` adds
+    breakpoints along each trace (a field's `trace_kinks`).  Without a weight,
+    constant traces give the closed form length * integrand with zero error.
+    The tolerance is split among pieces in proportion to their length, and a
+    non-finite integrand value raises EnergyError.
+    """
+    total_len = sum(t1 - t0 for _, t0, t1 in pieces)
+    if total_len == 0.0:
+        return QuadratureResult(0.0, 0.0, 0)
+    value, err = 0.0, 0.0
+    for seg, t0, t1 in pieces:
+        L = t1 - t0
+        if weight is None and seg.constant_traces:
+            value += L * _finite(float(integrand(seg.plus_value0, seg.minus_value0, seg.normal)))
+            continue
+
+        def fn(t):
+            vals = integrand(seg.plus(t), seg.minus(t), seg.normal)
+            if weight is not None:
+                vals = vals * weight(seg.point(t))
+            return _finite(vals)
+
+        v, e = _integrate_segment(seg, fn, t0, t1, tol * L / total_len, order, kinks)
+        value += v
+        err += e
+    return QuadratureResult(value, err, len(pieces))
+
+
 def surface_energy(
     u: PiecewiseAffine,
     f,
@@ -126,30 +168,7 @@ def surface_energy(
     `include_boundary=False` drops jump pieces lying along the region boundary
     (used for open-region bookkeeping, e.g. per-tile energies).
     """
-    pieces = _clipped_pieces(u, region, include_boundary)
-    total_len = sum(t1 - t0 for _, t0, t1 in pieces)
-    if total_len == 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
-    value, err = 0.0, 0.0
-    for seg, t0, t1 in pieces:
-        L = t1 - t0
-        if seg.constant_traces:
-            fv = float(f(seg.plus_value0, seg.minus_value0, seg.normal))
-            if not np.isfinite(fv):
-                raise EnergyError("density returned a non-finite value")
-            value += L * fv
-            continue
-
-        def integrand(t):
-            vals = f(seg.plus(t), seg.minus(t), seg.normal)
-            if not np.all(np.isfinite(vals)):
-                raise EnergyError("density returned a non-finite value")
-            return vals
-
-        v, e = _integrate_segment(seg, integrand, t0, t1, tol * L / total_len, order)
-        value += v
-        err += e
-    return QuadratureResult(value, err, len(pieces))
+    return integrate_jump_set(_clipped_pieces(u, region, include_boundary), f, tol, order)
 
 
 def jump_flux(
@@ -161,25 +180,7 @@ def jump_flux(
 ) -> QuadratureResult:
     """Signed integral of <g(trace+) - g(trace-), normal> over the jump set."""
     pieces = _clipped_pieces(u, region, include_boundary=True)
-    total_len = sum(t1 - t0 for _, t0, t1 in pieces)
-    if total_len == 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
-    value, err = 0.0, 0.0
-    for seg, t0, t1 in pieces:
-        L = t1 - t0
-        if seg.constant_traces:
-            value += L * float(g.pairing(seg.plus_value0, seg.minus_value0, seg.normal))
-            continue
-
-        def integrand(t):
-            return g.pairing(seg.plus(t), seg.minus(t), seg.normal)
-
-        v, e = _integrate_segment(
-            seg, integrand, t0, t1, tol * L / total_len, order, field=g
-        )
-        value += v
-        err += e
-    return QuadratureResult(value, err, len(pieces))
+    return integrate_jump_set(pieces, g.pairing, tol, order, kinks=g.trace_kinks)
 
 
 def divergence_identity_residual(
@@ -371,28 +372,17 @@ def integration_by_parts_residual(
         if abs(float(phi.phi(p)[0])) > 1e-12:
             raise EnergyError("test function must vanish on the region boundary")
 
-    # jump term
-    jump_term = 0.0
-    pieces = _clipped_pieces(u, region, include_boundary=True)
-    total_len = sum(t1 - t0 for _, t0, t1 in pieces) or 1.0
-    for seg, t0, t1 in pieces:
-        L = t1 - t0
-
-        def integrand(t):
-            pts = seg.point(t)
-            return G.pairing(seg.plus(t), seg.minus(t), seg.normal) * phi.phi(pts)
-
-        v, _ = _integrate_segment(
-            seg, integrand, t0, t1, tol * L / total_len, line_order, field=G
-        )
-        jump_term += v
+    jump_term = integrate_jump_set(
+        _clipped_pieces(u, region, include_boundary=True),
+        G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi,
+    ).value
 
     # volume terms, cell by cell (clipped to a convex region if given)
     jac = _field_jacobian(G)
     vol_sym = 0.0
     vol_grad = 0.0
     for cell, piece in zip(u.partition.cells, u.pieces):
-        sub = _clip_cell(cell, region)
+        sub = clip_polygon(cell, region)
         if sub is None:
             continue
         E = 0.5 * (piece.A + piece.A.T)
@@ -414,24 +404,3 @@ def integration_by_parts_residual(
 
     return abs(jump_term + vol_sym + vol_grad)
 
-
-def _clip_cell(cell: Polygon, region: Polygon) -> Polygon | None:
-    """Cell clipped to a convex region (None if the overlap is negligible)."""
-    from .geometry import _convex_clip, signed_area
-
-    if region is None:
-        return cell
-    tol = 1e-12 * max(cell.diameter, region.diameter)
-    pts = _convex_clip(cell.vertices, region.vertices, tol)
-    if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
-        return None
-    # drop duplicate consecutive points produced by clipping
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > 1e-12 * region.diameter:
-            keep.append(p)
-    if np.linalg.norm(keep[0] - keep[-1]) <= 1e-12 * region.diameter:
-        keep.pop()
-    if len(keep) < 3:
-        return None
-    return Polygon(np.array(keep))

@@ -463,6 +463,24 @@ def _convex_clip(subject: np.ndarray, clip: np.ndarray, tol: float) -> np.ndarra
     return np.array(out) if out else np.zeros((0, 2))
 
 
+def clip_polygon(cell: Polygon, region: Polygon) -> Polygon | None:
+    """Cell clipped to a convex region (None if the overlap is negligible)."""
+    tol = 1e-12 * max(cell.diameter, region.diameter)
+    pts = _convex_clip(cell.vertices, region.vertices, tol)
+    if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
+        return None
+    # drop duplicate consecutive points produced by clipping
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if np.linalg.norm(p - keep[-1]) > 1e-12 * region.diameter:
+            keep.append(p)
+    if np.linalg.norm(keep[0] - keep[-1]) <= 1e-12 * region.diameter:
+        keep.pop()
+    if len(keep) < 3:
+        return None
+    return Polygon(np.array(keep))
+
+
 def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> float:
     """Area of the intersection, via pairwise triangle clipping."""
     if tol is None:

@@ -255,6 +255,17 @@ class TestCatalog:
         with pytest.raises(DensityError):
             catalog_density("bogus:thing")
 
+    def test_malformed_ids_raise(self):
+        bad = (
+            "frobenius:bogus", "normal:bogus", "mild:bogus", "isotropic:id:junk",
+            "isotropic:bogus", "dalmot:bogus", "product", "isotropic:",
+            "isotropic:trunc:a=1,M=1:x", "aniso2:eps=1e-4:x", "mild:g:x",
+            "isotropic:trunc:b=1", "isotropic:const:c=x", "aniso2:bogus",
+        )
+        for fid in bad:
+            with pytest.raises(DensityError):
+                catalog_density(fid)
+
     def test_symmetry_on_catalog(self):
         for fid in CATALOG_IDS:
             f = catalog_density(fid)

@@ -4,9 +4,10 @@ import pytest
 from bdlab.densities import (
     Density,
     anisotropic_normal_density,
+    anisotropic_trace_density,
     catalog_density,
 )
-from bdlab.energy import jump_flux, surface_energy, symmetric_jump_measure
+from bdlab.energy import EnergyError, jump_flux, surface_energy, symmetric_jump_measure
 from bdlab.fields import optimal_gbmc_field
 from bdlab.functions import compact_deviation, make_elementary
 from bdlab.geometry import OrientedSquare, validate_partition
@@ -100,6 +101,16 @@ class TestCounterexample2:
         assert b["upper_edge"] == pytest.approx(want, abs=1e-10)
         assert b["outer_chord"] == pytest.approx(8 * np.sqrt(1 + eps), abs=1e-10)
         assert b["total"] < 12 * np.sqrt(1 + eps)
+
+    def test_breakdown_totals_cover_the_jump_set_once(self):
+        for lam, eps in ((1.0, 1e-2), (0.5, 1e-3)):
+            b = ce1_energy_breakdown(lam, eps)
+            full = surface_energy(counterexample1_competitor(lam), anisotropic_normal_density(eps))
+            assert abs(b["total"] - full.value) <= 1e-12 * full.value
+        for lam, eps in ((1.0, 1e-4), (2.0, 1e-2)):
+            b = ce2_energy_breakdown(lam, eps)
+            full = surface_energy(counterexample2_competitor(lam, eps), anisotropic_trace_density(eps))
+            assert abs(b["total"] - full.value) <= 1e-12 * full.value
 
     def test_eps_bounds(self):
         with pytest.raises(EllipticityError):
@@ -274,13 +285,16 @@ class TestFalsify:
         assert v1.best_params == v2.best_params
         assert v1.budget_used == v2.budget_used
 
-    def test_parallel_mode_matches_serial(self, monkeypatch):
-        f = catalog_density("product:aniso1:eps=0.01")
-        serial = falsify(f, I_CE, J_CE, E2, budget=300, seed=5, keep_competitor=False)
-        monkeypatch.setenv("BDLAB_THREADS", "4")
-        parallel = falsify(f, I_CE, J_CE, E2, budget=300, seed=5, keep_competitor=False)
-        assert abs(parallel.best_energy - serial.best_energy) <= 1e-12
-        assert parallel.status == serial.status
+    def test_nan_density_raises_instead_of_no_violation(self):
+        gap = float(np.linalg.norm(J_CE - I_CE))
+
+        def evaluator(i, j, nu):
+            a = np.linalg.norm(i - j, axis=-1)
+            return np.where(np.abs(a - gap) < 1e-12, a, np.nan)
+
+        f = Density("nan-off-reference", evaluator)
+        with pytest.raises(EnergyError):
+            falsify(f, I_CE, J_CE, E2, budget=200, seed=0, keep_competitor=False)
 
     def test_generated_competitors_deviate_compactly(self):
         fams = default_families(I_CE, J_CE, E2)

@@ -6,6 +6,7 @@ from bdlab.energy import (
     EnergyError,
     bump_from_polygon,
     divergence_identity_residual,
+    integrate_jump_set,
     integrate_polygon,
     integration_by_parts_residual,
     jump_flux,
@@ -13,6 +14,7 @@ from bdlab.energy import (
     symmetric_jump_measure,
 )
 from bdlab.fields import (
+    ConservativeField,
     biconvex_truncated_field,
     optimal_gbmc_field,
     prototype_field,
@@ -137,6 +139,51 @@ class TestJumpFlux:
         g = zero_field()
         with pytest.raises(EnergyError):
             divergence_identity_residual(v, ref, g)
+
+
+    def test_non_finite_field_raises(self):
+        nan_field = ConservativeField(
+            "nan", lambda w: np.full_like(w, np.nan), lambda w: np.full(w.shape[:-1], np.nan)
+        )
+        with pytest.raises(EnergyError):
+            jump_flux(elementary(), nan_field)
+        dom = make_oriented_square(E2, 2.0)
+        part = PolygonalPartition(
+            [Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)]), Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])],
+            dom,
+        )
+        affine = PiecewiseRigid(part, [rigid_piece(1.0, (0, 0)), constant_piece((0, 0))])
+        with pytest.raises(EnergyError):
+            jump_flux(affine, nan_field)
+
+
+class TestIntegrateJumpSet:
+    def test_weight_skips_closed_form(self):
+        # jump (1, 0) across y = 0 for x in [-1/2, 1/2], isotropic |i - j| = 1
+        u = elementary()
+        f = density_isotropic(identity_profile())
+        pieces = [(s, 0.0, s.length) for s in u.jump_segments()]
+        plain = integrate_jump_set(pieces, f, 1e-12, 15)
+        assert plain.value == 1.0 and plain.error_estimate == 0.0
+        weighted = integrate_jump_set(pieces, f, 1e-12, 15, weight=lambda x: 1.0 + x[:, 0])
+        assert weighted.value == pytest.approx(1.0, abs=1e-14)
+        squared = integrate_jump_set(pieces, f, 1e-12, 15, weight=lambda x: x[:, 0] ** 2)
+        assert squared.value == pytest.approx(1.0 / 12.0, abs=1e-14)
+
+    def test_empty_and_zero_length(self):
+        u = elementary()
+        f = density_isotropic(identity_profile())
+        seg = u.jump_segments()[0]
+        for pieces in ([], [(seg, 0.3, 0.3)]):
+            res = integrate_jump_set(pieces, f, 1e-10, 15)
+            assert (res.value, res.error_estimate, res.segments_evaluated) == (0.0, 0.0, 0)
+
+    def test_non_finite_weight_raises(self):
+        u = elementary()
+        f = density_isotropic(identity_profile())
+        pieces = [(s, 0.0, s.length) for s in u.jump_segments()]
+        with pytest.raises(EnergyError):
+            integrate_jump_set(pieces, f, 1e-10, 15, weight=lambda x: np.full(len(x), np.inf))
 
 
 class TestSymmetricJumpMeasure:

@@ -5,6 +5,7 @@ from bdlab.geometry import (
     GeometryError,
     Polygon,
     PolygonalPartition,
+    clip_polygon,
     clip_segment_params,
     make_oriented_square,
     polygon_overlap_area,
@@ -210,6 +211,15 @@ class TestClipping:
         assert polygon_overlap_area(a, b) == pytest.approx(1.0, abs=1e-12)
         c = Polygon([(5, 5), (6, 5), (6, 6), (5, 6)])
         assert polygon_overlap_area(a, c) == 0.0
+
+    def test_clip_polygon(self):
+        region = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+        sub = clip_polygon(Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), region)
+        assert sub.area == pytest.approx(1.0, abs=1e-12)
+        assert clip_polygon(region, region).area == pytest.approx(4.0, abs=1e-12)
+        assert clip_polygon(Polygon([(5, 5), (6, 5), (6, 6), (5, 6)]), region) is None
+        # sharing only an edge leaves no area
+        assert clip_polygon(Polygon([(2, 0), (3, 0), (3, 2), (2, 2)]), region) is None
 
     def test_segment_clip(self):
         poly = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
