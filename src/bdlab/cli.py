@@ -3,17 +3,41 @@
 Subcommands mirror the library surface: density checks, energy evaluation,
 field verification, falsification, relaxation estimates, the two violation
 reproductions, rendering, and scenario files.  Exit codes: 0 success, 1 input
-error, 2 expected violation not found (repro modes).
+or usage error, 2 expected violation not found (repro modes).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from . import __version__
+from .densities import (
+    anisotropic_normal_density,
+    anisotropic_trace_density,
+    catalog_density,
+    symmetry_violation,
+)
+from .ellipticity import (
+    bv_necessary_report,
+    ce1_energy_breakdown,
+    ce2_energy_breakdown,
+    falsify,
+    relaxation_estimate,
+)
+from .energy import bump_from_polygon, integration_by_parts_residual, surface_energy
+from .fields import catalog_fields, check_conservative, prototype_field
+from .functions import AffinePiece, FunctionError, PiecewiseAffine, PiecewiseRigid
+from .geometry import Polygon, PolygonalPartition, make_oriented_square
+from .profiles import sin_profile
+from .render import render_svg
 
 
 def _vec(text: str) -> np.ndarray:
@@ -39,29 +63,24 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _report_shell(args, mode: str) -> dict:
-    return {
-        "mode": mode,
-        "inputs": {k: v for k, v in vars(args).items() if k not in ("func", "out")},
-        "versions": {"bdlab": _version()},
-    }
+def _load_function(path: str) -> PiecewiseAffine:
+    """A function JSON as PiecewiseRigid, or PiecewiseAffine if a piece is not skew."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return PiecewiseRigid.from_json(data)
+    except FunctionError:
+        return PiecewiseAffine.from_json(data)
 
 
-def _version() -> str:
-    from . import __version__
-
-    return __version__
+# Handlers take the parsed arguments and return (results, exit code); the
+# results of a command with a report mode go into the report that main writes.
 
 
-def cmd_density_check(args) -> int:
-    from .densities import catalog_density, symmetry_violation
-    from .ellipticity import bv_necessary_report
-
+def cmd_density_check(args):
     f = catalog_density(args.density)
-    t0 = time.time()
     rep = bv_necessary_report(f, samples=args.samples, seed=args.seed)
-    out = _report_shell(args, "density-check")
-    out["results"] = {
+    return {
         "density": f.name,
         "claimed_class": f.claimed_class,
         "symmetry_violation": symmetry_violation(f, samples=args.samples, seed=args.seed),
@@ -69,39 +88,17 @@ def cmd_density_check(args) -> int:
         "convexity_violation": rep.convexity_violation,
         "passes_necessary": rep.passes_necessary,
         "tolerance": 1e-10,
-    }
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0
+    }, 0
 
 
-def cmd_energy_eval(args) -> int:
-    from .densities import catalog_density
-    from .energy import surface_energy
-    from .functions import PiecewiseAffine, PiecewiseRigid
-
-    with open(args.function) as fh:
-        data = json.load(fh)
-    try:
-        u = PiecewiseRigid.from_json(data)
-    except Exception:
-        u = PiecewiseAffine.from_json(data)
-    f = catalog_density(args.density)
-    t0 = time.time()
-    res = surface_energy(u, f, tol=args.tol)
-    out = _report_shell(args, "energy-eval")
-    out["results"] = res.to_json()
-    out["results"]["tolerance"] = args.tol
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0
+def cmd_energy_eval(args):
+    u = _load_function(args.function)
+    res = surface_energy(u, catalog_density(args.density), tol=args.tol)
+    return {**res.to_json(), "tolerance": args.tol}, 0
 
 
-def cmd_fields_verify(args) -> int:
-    from .fields import catalog_fields, check_conservative
-
+def cmd_fields_verify(args):
     fam = catalog_fields()
-    t0 = time.time()
     rng = np.random.default_rng(args.seed)
     probe = rng.uniform(-8.0, 8.0, size=(512, 2))
     rows = []
@@ -125,161 +122,83 @@ def cmd_fields_verify(args) -> int:
             }
         )
         worst = max(worst, asym, resid)
-    out = _report_shell(args, "fields-verify")
-    out["results"] = {
-        "fields": rows,
-        "max_residual": worst,
-        "passed": worst < 1e-6 and bounds_ok,
+    return {"fields": rows, "max_residual": worst, "passed": worst < 1e-6 and bounds_ok}, 0
+
+
+def cmd_search(estimator, args):
+    f = catalog_density(args.density)
+    ijnu = (_vec(args.i), _vec(args.j), _vec(args.nu))
+    return estimator(f, *ijnu, budget=args.budget, seed=args.seed).to_json(), 0
+
+
+def _ce1_expected(lam: float, eps: float) -> dict:
+    return {
+        "parallel_expected": 8.0 * np.sqrt(2.0) * lam + 4.0 * lam,
+        "straight_expected": 12.0 * np.sqrt(2.0) * lam,
+        "tolerance": 1e-8,
     }
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0
 
 
-def cmd_falsify(args) -> int:
-    from .densities import catalog_density
-    from .ellipticity import falsify
-
-    f = catalog_density(args.density)
-    t0 = time.time()
-    verdict = falsify(
-        f, _vec(args.i), _vec(args.j), _vec(args.nu), budget=args.budget, seed=args.seed
-    )
-    out = _report_shell(args, "falsify")
-    out["results"] = verdict.to_json()
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0
+def _ce2_expected(lam: float, eps: float) -> dict:
+    delta = eps**0.25
+    return {
+        "lower_edge_expected": np.sqrt(eps) * 2.0 * lam / delta,
+        "upper_edge_expected": np.sqrt(eps)
+        * (lam / delta)
+        * (2.0 * delta**2 + 2.0 * (1.0 - delta) ** 2),
+        "chord_expected": 8.0 * np.sqrt(1.0 + eps) * lam,
+        "straight_expected": 12.0 * np.sqrt(1.0 + eps) * lam,
+        "tolerance": 1e-10,
+    }
 
 
-def cmd_relax(args) -> int:
-    from .densities import catalog_density
-    from .ellipticity import relaxation_estimate
+def cmd_repro(breakdown_fn, density_fn, expected_fn, args):
+    """A counterexample reproduction: the exact energy breakdown, the expected
+    values, and a falsify run at (0, 0) | (2 lam, 2 lam) across e2; with
+    --sweep-eps, a CSV row per eps."""
 
-    f = catalog_density(args.density)
-    t0 = time.time()
-    est = relaxation_estimate(
-        f, _vec(args.i), _vec(args.j), _vec(args.nu), budget=args.budget, seed=args.seed
-    )
-    out = _report_shell(args, "relax-estimate")
-    out["results"] = est.to_json()
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0
-
-
-def _sweep_csv(path: str, rows: list[dict]):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _run_eps_sweep(args, breakdown_fn, density_fn) -> list[dict]:
-    from .ellipticity import falsify
-
-    rows = []
-    for eps in (float(t) for t in args.sweep_eps.split(",")):
-        b = breakdown_fn(args.lam, eps)
-        v = falsify(
+    def search(eps, **kw):
+        return falsify(
             density_fn(eps),
             (0.0, 0.0),
             (2.0 * args.lam, 2.0 * args.lam),
             (0.0, 1.0),
             budget=args.budget,
             seed=args.seed,
-            keep_competitor=False,
+            **kw,
         )
-        rows.append(
-            {
-                "eps": eps,
-                "competitor_energy": b["total"],
-                "straight_energy": b["straight"],
-                "best_found_energy": v.best_energy,
-                "margin": v.margin,
-                "status": v.status,
-            }
-        )
-    return rows
 
-
-def cmd_repro_ce1(args) -> int:
-    from .densities import anisotropic_normal_density
-    from .ellipticity import ce1_energy_breakdown, falsify
-
-    t0 = time.time()
-    breakdown = ce1_energy_breakdown(args.lam, args.eps)
-    f = anisotropic_normal_density(args.eps)
-    verdict = falsify(
-        f,
-        (0.0, 0.0),
-        (2.0 * args.lam, 2.0 * args.lam),
-        (0.0, 1.0),
-        budget=args.budget,
-        seed=args.seed,
-    )
+    breakdown = breakdown_fn(args.lam, args.eps)
+    verdict = search(args.eps)
     if args.sweep_eps:
-        rows = _run_eps_sweep(args, ce1_energy_breakdown, anisotropic_normal_density)
-        _sweep_csv(args.csv or "ce1_sweep.csv", rows)
-    out = _report_shell(args, "repro-ce1")
-    out["results"] = {
+        rows = []
+        for eps in (float(t) for t in args.sweep_eps.split(",")):
+            b = breakdown_fn(args.lam, eps)
+            v = search(eps, keep_competitor=False)
+            rows.append(
+                {
+                    "eps": eps,
+                    "competitor_energy": b["total"],
+                    "straight_energy": b["straight"],
+                    "best_found_energy": v.best_energy,
+                    "margin": v.margin,
+                    "status": v.status,
+                }
+            )
+        path = args.csv or f"{args.command.removeprefix('repro-')}_sweep.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+    results = {
         "breakdown": breakdown,
-        "parallel_expected": 8.0 * np.sqrt(2.0) * args.lam + 4.0 * args.lam,
-        "straight_expected": 12.0 * np.sqrt(2.0) * args.lam,
-        "tolerance": 1e-8,
+        **expected_fn(args.lam, args.eps),
         "verdict": verdict.to_json(),
     }
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0 if verdict.status == "VIOLATION" else 2
+    return results, 0 if verdict.status == "VIOLATION" else 2
 
 
-def cmd_repro_ce2(args) -> int:
-    from .densities import anisotropic_trace_density
-    from .ellipticity import ce2_energy_breakdown, falsify
-
-    t0 = time.time()
-    breakdown = ce2_energy_breakdown(args.lam, args.eps)
-    delta = args.eps**0.25
-    f = anisotropic_trace_density(args.eps)
-    verdict = falsify(
-        f,
-        (0.0, 0.0),
-        (2.0 * args.lam, 2.0 * args.lam),
-        (0.0, 1.0),
-        budget=args.budget,
-        seed=args.seed,
-    )
-    if args.sweep_eps:
-        rows = _run_eps_sweep(args, ce2_energy_breakdown, anisotropic_trace_density)
-        _sweep_csv(args.csv or "ce2_sweep.csv", rows)
-    out = _report_shell(args, "repro-ce2")
-    out["results"] = {
-        "breakdown": breakdown,
-        "lower_edge_expected": np.sqrt(args.eps) * 2.0 * args.lam / delta,
-        "upper_edge_expected": np.sqrt(args.eps)
-        * (args.lam / delta)
-        * (2.0 * delta**2 + 2.0 * (1.0 - delta) ** 2),
-        "chord_expected": 8.0 * np.sqrt(1.0 + args.eps) * args.lam,
-        "straight_expected": 12.0 * np.sqrt(1.0 + args.eps) * args.lam,
-        "tolerance": 1e-10,
-        "verdict": verdict.to_json(),
-    }
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0 if verdict.status == "VIOLATION" else 2
-
-
-def cmd_ibp_check(args) -> int:
-    from .energy import bump_from_polygon, integration_by_parts_residual
-    from .fields import prototype_field
-    from .functions import AffinePiece, PiecewiseAffine
-    from .geometry import Polygon, PolygonalPartition, make_oriented_square
-    from .profiles import sin_profile
-
-    t0 = time.time()
+def cmd_ibp_check(args):
     rng = np.random.default_rng(args.seed)
     dom = make_oriented_square((0.0, 1.0), 2.0)
     bottom = Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)])
@@ -299,173 +218,155 @@ def cmd_ibp_check(args) -> int:
         res = integration_by_parts_residual(u, G, phi, tol=1e-10)
         rows.append({"case": k, "residual": res})
     worst = max(r["residual"] for r in rows)
-    out = _report_shell(args, "ibp-check")
-    out["results"] = {
+    return {
         "cases": rows,
         "max_residual": worst,
         "tolerance": 1e-7,
         "passed": worst < 1e-7,
         "unbounded_fields_admitted": "linear fields on bounded domains are "
         "outside the literal hypotheses and flagged by bounded=False",
-    }
-    out["wall_time_s"] = time.time() - t0
-    _write_report(out, args.out)
-    return 0
+    }, 0
 
 
-def cmd_render(args) -> int:
-    from .functions import PiecewiseAffine, PiecewiseRigid
-    from .render import render_svg
-
-    with open(args.function) as fh:
-        data = json.load(fh)
-    try:
-        u = PiecewiseRigid.from_json(data)
-    except Exception:
-        u = PiecewiseAffine.from_json(data)
-    svg = render_svg(u, width=args.width, style=args.style)
+def cmd_render(args):
+    svg = render_svg(_load_function(args.function), width=args.width, style=args.style)
     with open(args.out, "w") as fh:
         fh.write(svg)
-    return 0
+    return None, 0
 
 
-_SCENARIO_MODES = {
-    "eval": "energy-eval",
-    "falsify": "falsify",
-    "relax": "relax",
-    "fields-verify": "fields-verify",
-    "repro-ce1": "repro-ce1",
-    "repro-ce2": "repro-ce2",
-    "ibp-check": "ibp-check",
+def cmd_run(args):
+    """Run a scenario: "mode" names the subcommand, every other key is one of
+    its long options (sweep_eps -> --sweep-eps, lists joined by commas, null
+    for the default)."""
+    with open(args.scenario) as fh:
+        sc = json.load(fh)
+    mode = sc.pop("mode", None) if isinstance(sc, dict) else None
+    command = "energy-eval" if mode == "eval" else mode
+    if command not in COMMANDS or command == "run":
+        print(f"unknown scenario mode {mode!r}", file=sys.stderr)
+        return None, 1
+    flags = {flag for flag, _ in _options(COMMANDS[command])}
+    argv = [command]
+    for key, value in sc.items():
+        flag = f"--{key.replace('_', '-')}"
+        if flag not in flags:  # argparse alone would accept a prefix of a flag
+            print(f"unknown scenario key {key!r} for mode {mode!r}", file=sys.stderr)
+            return None, 1
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return None, main(argv)
+
+
+class Command(NamedTuple):
+    help: str
+    mode: str | None  # report mode; None for commands that write no report
+    handler: Callable
+    options: tuple  # (flag, add_argument keywords); reports also get --out
+
+
+def _repro_options(eps: float) -> tuple:
+    return (
+        ("--lam", dict(type=float, default=1.0)),
+        ("--eps", dict(type=float, default=eps)),
+        ("--budget", dict(type=int, default=600)),
+        ("--seed", dict(type=int, default=0)),
+        ("--sweep-eps", dict(help="comma-separated eps values for a CSV sweep")),
+        ("--csv", dict(help="CSV path for the sweep table")),
+    )
+
+
+_SEARCH_OPTIONS = (
+    ("--density", dict(required=True)),
+    ("--i", dict(required=True)),
+    ("--j", dict(required=True)),
+    ("--nu", dict(required=True)),
+    ("--budget", dict(type=int, default=2000)),
+    ("--seed", dict(type=int, required=True)),
+)
+
+COMMANDS = {
+    "density-check": Command(
+        "sampled necessary-condition checks", "density-check", cmd_density_check,
+        (("--density", dict(required=True)), ("--samples", dict(type=int, default=10_000)),
+         ("--seed", dict(type=int, default=0))),
+    ),
+    "energy-eval": Command(
+        "surface energy of a function JSON", "energy-eval", cmd_energy_eval,
+        (("--function", dict(required=True)), ("--density", dict(required=True)),
+         ("--tol", dict(type=float, default=1e-10))),
+    ),
+    "fields-verify": Command(
+        "conservativity checks for catalog fields", "fields-verify", cmd_fields_verify,
+        (("--samples", dict(type=int, default=150)), ("--seed", dict(type=int, default=0))),
+    ),
+    "falsify": Command(
+        "competitor search against a density", "falsify", partial(cmd_search, falsify),
+        _SEARCH_OPTIONS,
+    ),
+    "relax": Command(
+        "upper bound for the relaxed density", "relax-estimate",
+        partial(cmd_search, relaxation_estimate), _SEARCH_OPTIONS,
+    ),
+    "repro-ce1": Command(
+        "square-insert violation reproduction", "repro-ce1",
+        partial(cmd_repro, ce1_energy_breakdown, anisotropic_normal_density, _ce1_expected),
+        _repro_options(0.01),
+    ),
+    "repro-ce2": Command(
+        "thin-rectangle violation reproduction", "repro-ce2",
+        partial(cmd_repro, ce2_energy_breakdown, anisotropic_trace_density, _ce2_expected),
+        _repro_options(1e-4),
+    ),
+    "ibp-check": Command(
+        "integration-by-parts residual suite", "ibp-check", cmd_ibp_check,
+        (("--cases", dict(type=int, default=5)), ("--seed", dict(type=int, default=0))),
+    ),
+    "render": Command(
+        "SVG drawing of a function JSON", None, cmd_render,
+        (("--function", dict(required=True)), ("--out", dict(required=True)),
+         ("--width", dict(type=int, default=640)),
+         ("--style", dict(choices=("default", "plain"), default="default"))),
+    ),
+    "run": Command("execute a scenario JSON", None, cmd_run, (("scenario", {}),)),
 }
 
 
-def cmd_run(args) -> int:
-    with open(args.scenario) as fh:
-        sc = json.load(fh)
-    mode = sc.get("mode")
-    if mode not in _SCENARIO_MODES:
-        print(f"unknown scenario mode {mode!r}", file=sys.stderr)
-        return 1
-    argv = [_SCENARIO_MODES[mode]]
-    if mode == "eval":
-        argv += ["--function", sc["function"], "--density", sc["density"]]
-        if "tol" in sc:
-            argv += ["--tol", str(sc["tol"])]
-    elif mode in ("falsify", "relax"):
-        argv += [
-            "--density", sc["density"],
-            "--i", ",".join(map(str, sc["i"])),
-            "--j", ",".join(map(str, sc["j"])),
-            "--nu", ",".join(map(str, sc["nu"])),
-            "--budget", str(sc.get("budget", 2000)),
-            "--seed", str(sc["seed"]),
-        ]
-    elif mode in ("repro-ce1", "repro-ce2"):
-        argv += [
-            "--lam", str(sc.get("lam", 1.0)),
-            "--eps", str(sc.get("eps", 0.01 if mode == "repro-ce1" else 1e-4)),
-            "--budget", str(sc.get("budget", 600)),
-            "--seed", str(sc.get("seed", 0)),
-        ]
-    elif mode == "fields-verify":
-        argv += ["--samples", str(sc.get("samples", 120)), "--seed", str(sc.get("seed", 0))]
-    elif mode == "ibp-check":
-        argv += ["--cases", str(sc.get("cases", 5)), "--seed", str(sc.get("seed", 0))]
-    if sc.get("out"):
-        argv += ["--out", sc["out"]]
-    return main(argv)
+def _options(cmd: Command) -> tuple:
+    return cmd.options + ((("--out", {}),) if cmd.mode else ())
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bdlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density-check", help="sampled necessary-condition checks")
-    p.add_argument("--density", required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_density_check)
-
-    p = sub.add_parser("energy-eval", help="surface energy of a function JSON")
-    p.add_argument("--function", required=True)
-    p.add_argument("--density", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_energy_eval)
-
-    p = sub.add_parser("fields-verify", help="conservativity checks for catalog fields")
-    p.add_argument("--samples", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fields_verify)
-
-    p = sub.add_parser("falsify", help="competitor search against a density")
-    p.add_argument("--density", required=True)
-    p.add_argument("--i", required=True)
-    p.add_argument("--j", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_falsify)
-
-    p = sub.add_parser("relax", help="upper bound for the relaxed density")
-    p.add_argument("--density", required=True)
-    p.add_argument("--i", required=True)
-    p.add_argument("--j", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_relax)
-
-    p = sub.add_parser("repro-ce1", help="square-insert violation reproduction")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--budget", type=int, default=600)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweep-eps", help="comma-separated eps values for a CSV sweep")
-    p.add_argument("--csv", help="CSV path for the sweep table")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_repro_ce1)
-
-    p = sub.add_parser("repro-ce2", help="thin-rectangle violation reproduction")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--budget", type=int, default=600)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweep-eps", help="comma-separated eps values for a CSV sweep")
-    p.add_argument("--csv", help="CSV path for the sweep table")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_repro_ce2)
-
-    p = sub.add_parser("ibp-check", help="integration-by-parts residual suite")
-    p.add_argument("--cases", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ibp_check)
-
-    p = sub.add_parser("render", help="SVG drawing of a function JSON")
-    p.add_argument("--function", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--style", choices=("default", "plain"), default="default")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("run", help="execute a scenario JSON")
-    p.add_argument("scenario")
-    p.set_defaults(func=cmd_run)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag, kw in _options(cmd):
+            p.add_argument(flag, **kw)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        return 0 if exc.code == 0 else 1
+    cmd = COMMANDS[args.command]
+    try:
+        t0 = time.time()
+        results, code = cmd.handler(args)
+        if cmd.mode:
+            report = {
+                "mode": cmd.mode,
+                "inputs": {k: v for k, v in vars(args).items() if k != "out"},
+                "versions": {"bdlab": __version__},
+                "results": results,
+                "wall_time_s": time.time() - t0,
+            }
+            _write_report(report, args.out)
+        return code
     except FileNotFoundError as exc:
         print(f"input file not found: {exc.filename}", file=sys.stderr)
         return 1

@@ -13,7 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .profiles import SubadditiveProfile, identity_profile, truncated_profile
+from .profiles import (
+    SubadditiveProfile,
+    abs_profile,
+    constant_profile,
+    eta_profile,
+    identity_profile,
+    sqrt_profile,
+    truncated_profile,
+)
 
 CLASSES = ("symmetric-jointly-convex", "BD-elliptic", "BV-elliptic-only", "unknown")
 
@@ -343,80 +351,57 @@ def _parse_params(chunk: str) -> dict:
     return out
 
 
-def _catalog_builders() -> dict:
-    """(head, variant) -> (parameter names, builder(params) -> Density)."""
-    from .profiles import abs_profile, constant_profile, eta_profile, sqrt_profile
-
-    def dalmot(th):
-        return density_dalmot((th, th))
-
-    def mild(p):
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            return 1.0 + 0.5 * np.minimum(np.linalg.norm(w, axis=-1), 1.0)
-
-        return density_mild(g, name="mild[g]")
-
-    square = SupportPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-    return {
-        ("isotropic", "id"): ((), lambda p: density_isotropic(identity_profile())),
-        ("isotropic", "trunc"): (
-            ("a", "M"),
-            lambda p: density_isotropic(truncated_profile(p.get("a", 1.0), p.get("M", 1.0))),
-        ),
-        ("isotropic", "const"): (
-            ("c",), lambda p: density_isotropic(constant_profile(p.get("c", 1.0)))
-        ),
-        ("isotropic", "sqrt"): ((), lambda p: density_isotropic(sqrt_profile())),
-        ("product", "aniso1"): (("eps",), lambda p: anisotropic_normal_density(p.get("eps", 0.01))),
-        ("aniso2", None): (("eps",), lambda p: anisotropic_trace_density(p.get("eps", 1e-4))),
-        ("dalmot", "abs"): ((), lambda p: dalmot(abs_profile())),
-        ("dalmot", "trunc"): (("M",), lambda p: dalmot(eta_profile(p.get("M", 1.0)))),
-        ("frobenius", None): ((), lambda p: density_biconvex_frobenius()),
-        ("frobenius", "trunc"): (("M",), lambda p: dalmot(eta_profile(p.get("M", 1.0)))),
-        ("normal", "polytopeK"): ((), lambda p: density_normal_only(square)),
-        ("mild", "g"): ((), mild),
-    }
+def _split_id(spec_id: str) -> tuple[str, dict]:
+    """Split "isotropic:trunc:a=1,M=1" into "isotropic:trunc" and {"a": 1.0, "M": 1.0}."""
+    key, _, last = spec_id.rpartition(":")
+    if "=" not in last:
+        return spec_id, {}
+    return key, _parse_params(last)
 
 
-# variant implied by a bare head ("frobenius" alone is the plain norm)
-_DEFAULT_VARIANT = {"isotropic": "id", "dalmot": "abs", "normal": "polytopeK", "mild": "g"}
+def _mild_g(w):
+    w = np.asarray(w, dtype=float)
+    return 1.0 + 0.5 * np.minimum(np.linalg.norm(w, axis=-1), 1.0)
+
+
+def _square_polytope() -> SupportPolytope:
+    return SupportPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+
+
+# (catalog id with its default parameters, builder(**parameters) -> Density)
+_REGISTRY = (
+    ("isotropic:id", lambda: density_isotropic(identity_profile())),
+    ("isotropic:trunc:a=1,M=1", lambda a, M: density_isotropic(truncated_profile(a, M))),
+    ("isotropic:const:c=1", lambda c: density_isotropic(constant_profile(c))),
+    ("isotropic:sqrt", lambda: density_isotropic(sqrt_profile())),
+    ("product:aniso1:eps=0.01", anisotropic_normal_density),
+    ("aniso2:eps=1e-4", anisotropic_trace_density),
+    ("dalmot:abs", lambda: density_dalmot((abs_profile(),) * 2)),
+    ("frobenius", density_biconvex_frobenius),
+    ("frobenius:trunc:M=1", lambda M: density_dalmot((eta_profile(M),) * 2)),
+    ("normal:polytopeK", lambda: density_normal_only(_square_polytope())),
+    ("mild:g", lambda: density_mild(_mild_g, name="mild[g]")),
+)
+# catalog key ("isotropic:trunc") -> (default parameters, builder)
+_BUILDERS = {
+    key: (defaults, build)
+    for spec_id, build in _REGISTRY
+    for key, defaults in [_split_id(spec_id)]
+}
+CATALOG_IDS = tuple(spec_id for spec_id, _ in _REGISTRY)
 
 
 def catalog_density(spec_id: str) -> Density:
     """Resolve a catalog id like "isotropic:trunc:a=1,M=1" to a Density.
 
-    Unknown heads, variants, parameter names and trailing parts raise
-    DensityError.
+    Omitted parameters take the defaults written in CATALOG_IDS.  Unknown
+    ids, parameter names and trailing parts raise DensityError.
     """
-    head, *rest = spec_id.split(":")
-    if head == "aniso2":
-        variant = None
-    else:
-        variant = rest.pop(0) if rest else _DEFAULT_VARIANT.get(head)
-    entry = _catalog_builders().get((head, variant))
-    if entry is None:
+    key, params = _split_id(spec_id)
+    if key not in _BUILDERS:
         raise DensityError(f"unknown density id {spec_id!r}")
-    names, build = entry
-    if len(rest) > (1 if names else 0):
-        raise DensityError(f"unexpected trailing parts in density id {spec_id!r}")
-    params = _parse_params(rest[0]) if rest else {}
-    unknown = set(params) - set(names)
+    defaults, build = _BUILDERS[key]
+    unknown = set(params) - set(defaults)
     if unknown:
         raise DensityError(f"unknown parameters {sorted(unknown)} in density id {spec_id!r}")
-    return build(params)
-
-
-CATALOG_IDS = (
-    "isotropic:id",
-    "isotropic:trunc:a=1,M=1",
-    "isotropic:const:c=1",
-    "isotropic:sqrt",
-    "product:aniso1:eps=0.01",
-    "aniso2:eps=1e-4",
-    "dalmot:abs",
-    "frobenius",
-    "frobenius:trunc:M=1",
-    "normal:polytopeK",
-    "mild:g",
-)
+    return build(**{**defaults, **params})

@@ -1,12 +1,49 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bdlab.cli import main
-from bdlab.functions import make_elementary
-from bdlab.geometry import OrientedSquare
+from bdlab.functions import AffinePiece, PiecewiseAffine, constant_piece, make_elementary
+from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square
 from bdlab.render import render_svg
+
+# scenario mode -> (scenario keys, the same invocation as CLI arguments);
+# small budgets, and defaults left out on purpose
+SCENARIO_PAIRS = {
+    "eval": (
+        {"function": "u.json", "density": "isotropic:id"},
+        ["energy-eval", "--function", "u.json", "--density", "isotropic:id"],
+    ),
+    "energy-eval": (
+        {"function": "u.json", "density": "frobenius", "tol": 1e-8},
+        ["energy-eval", "--function", "u.json", "--density", "frobenius", "--tol", "1e-8"],
+    ),
+    "density-check": (
+        {"density": "frobenius", "samples": 300},
+        ["density-check", "--density", "frobenius", "--samples", "300"],
+    ),
+    "fields-verify": ({"seed": 1}, ["fields-verify", "--seed", "1"]),
+    "falsify": (
+        {"density": "product:aniso1:eps=0.01", "i": [0, 0], "j": [2, 2], "nu": [0, 1],
+         "budget": 60, "seed": 3},
+        ["falsify", "--density", "product:aniso1:eps=0.01", "--i", "0,0", "--j", "2,2",
+         "--nu", "0,1", "--budget", "60", "--seed", "3"],
+    ),
+    "relax": (
+        {"density": "isotropic:id", "i": [-1, 0], "j": [1, 1], "nu": [0, 1],
+         "budget": 60, "seed": 1},
+        ["relax", "--density", "isotropic:id", "--i=-1,0", "--j", "1,1", "--nu", "0,1",
+         "--budget", "60", "--seed", "1"],
+    ),
+    "repro-ce1": (
+        {"budget": 60, "sweep_eps": [0.01, 0.1], "csv": "sweep.csv"},
+        ["repro-ce1", "--budget", "60", "--sweep-eps", "0.01,0.1", "--csv", "sweep.csv"],
+    ),
+    "repro-ce2": ({"budget": 60}, ["repro-ce2", "--budget", "60"]),
+    "ibp-check": ({"cases": 2}, ["ibp-check", "--cases", "2"]),
+}
 
 
 @pytest.fixture
@@ -40,6 +77,23 @@ class TestEnergyEval:
     def test_unknown_density(self, elementary_json):
         path, _ = elementary_json
         assert main(["energy-eval", "--function", str(path), "--density", "nope"]) == 1
+
+    def test_non_skew_piece_loads_as_piecewise_affine(self, tmp_path):
+        dom = make_oriented_square((0.0, 1.0), 2.0)
+        bottom = Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)])
+        top = Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])
+        u = PiecewiseAffine(
+            PolygonalPartition([bottom, top], dom),
+            [AffinePiece([[1.0, 0.0], [0.0, 0.0]], (0.0, 0.0)), constant_piece((0, 0))],
+        )
+        path = tmp_path / "affine.json"
+        path.write_text(json.dumps(u.to_json()))
+        out = tmp_path / "report.json"
+        rc = main(["energy-eval", "--function", str(path), "--density", "isotropic:id",
+                   "--out", str(out)])
+        assert rc == 0
+        # jump (x, 0) on the chord y = 0, x in [-1, 1]: integral of |x| is 1
+        assert json.loads(out.read_text())["results"]["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDensityCheck:
@@ -120,6 +174,52 @@ class TestScenario:
         sc = tmp_path / "bad.json"
         sc.write_text(json.dumps({"mode": "dance"}))
         assert main(["run", str(sc)]) == 1
+
+    @pytest.mark.parametrize("mode", sorted(SCENARIO_PAIRS))
+    def test_run_matches_direct_cli(self, mode, elementary_json, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # elementary_json wrote u.json here
+        keys, argv = SCENARIO_PAIRS[mode]
+        Path("scenario.json").write_text(json.dumps({"mode": mode, **keys, "out": "run.json"}))
+        assert main(["run", "scenario.json"]) == main(argv + ["--out", "cli.json"])
+        reports = [json.loads(Path(p).read_text()) for p in ("run.json", "cli.json")]
+        for rep in reports:
+            rep.pop("wall_time_s")
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"mode": "ibp-check", "casez": 9},
+            {"mode": "ibp-check", "case": 2},  # a prefix of --cases
+            {"mode": "density-check", "density": "frobenius", "budget": 5},
+            # falsify without its required seed
+            {"mode": "falsify", "density": "frobenius", "i": [0, 0], "j": [1, 0], "nu": [0, 1]},
+            {"mode": "run", "scenario": "scenario.json"},
+            ["falsify"],
+        ],
+    )
+    def test_bad_scenario_exits_1(self, scenario, tmp_path):
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps(scenario))
+        assert main(["run", str(sc)]) == 1
+
+
+class TestUsage:
+    def test_missing_required_option_exits_1(self, capsys):
+        argv = ["falsify", "--density", "frobenius", "--i", "0,0", "--j", "1,0", "--nu", "0,1"]
+        assert main(argv) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["dance"], ["density-check", "--density", "frobenius", "--samples", "x"]]
+    )
+    def test_usage_errors_exit_1(self, argv):
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["falsify", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: bdlab" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -251,6 +251,35 @@ class TestCatalog:
             f = catalog_density(fid)
             assert isinstance(f, Density)
 
+    def test_catalog_ids_pinned(self):
+        # the density-scan benchmark workload iterates over this tuple
+        assert CATALOG_IDS == (
+            "isotropic:id",
+            "isotropic:trunc:a=1,M=1",
+            "isotropic:const:c=1",
+            "isotropic:sqrt",
+            "product:aniso1:eps=0.01",
+            "aniso2:eps=1e-4",
+            "dalmot:abs",
+            "frobenius",
+            "frobenius:trunc:M=1",
+            "normal:polytopeK",
+            "mild:g",
+        )
+
+    def test_omitted_parameters_take_catalog_defaults(self):
+        rng = np.random.default_rng(5)
+        i, j, nu = (rng.normal(size=(50, 2)) for _ in range(3))
+        for short, full in (
+            ("isotropic:trunc", "isotropic:trunc:a=1,M=1"),
+            ("isotropic:trunc:M=1", "isotropic:trunc:a=1,M=1"),
+            ("aniso2", "aniso2:eps=1e-4"),
+            ("product:aniso1", "product:aniso1:eps=0.01"),
+        ):
+            f, g = catalog_density(short), catalog_density(full)
+            assert f.name == g.name
+            assert np.array_equal(f(i, j, nu), g(i, j, nu))
+
     def test_unknown_id(self):
         with pytest.raises(DensityError):
             catalog_density("bogus:thing")
@@ -261,6 +290,8 @@ class TestCatalog:
             "isotropic:bogus", "dalmot:bogus", "product", "isotropic:",
             "isotropic:trunc:a=1,M=1:x", "aniso2:eps=1e-4:x", "mild:g:x",
             "isotropic:trunc:b=1", "isotropic:const:c=x", "aniso2:bogus",
+            # bare heads and the dalmot twin of frobenius:trunc are not ids
+            "isotropic", "dalmot", "normal", "mild", "dalmot:trunc",
         )
         for fid in bad:
             with pytest.raises(DensityError):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bdlab.densities import catalog_density, density_isotropic
+from bdlab.densities import CATALOG_IDS, catalog_density, density_isotropic
+from bdlab.ellipticity import default_families
 from bdlab.energy import (
     EnergyError,
     bump_from_polygon,
@@ -34,6 +37,7 @@ from bdlab.profiles import identity_profile, sin_profile
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 ZERO = np.array([0.0, 0.0])
+SYMMETRIC_IDS = [fid for fid in CATALOG_IDS if catalog_density(fid).symmetric]
 
 
 def elementary(i=(1.0, 0.0), j=(0.0, 0.0), nu=E2, side=1.0):
@@ -86,12 +90,27 @@ class TestSurfaceEnergy:
         assert res.value == pytest.approx(want, abs=1e-7)
         assert res.error_estimate < 1e-9
 
-    def test_orientation_invariance_for_symmetric_density(self):
-        u = elementary((2, 1), (0, 0), E2, 2.0)
-        f = catalog_density("frobenius")
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        fid=st.sampled_from(SYMMETRIC_IDS),
+        family=st.integers(0, 3),
+        unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        ij=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        angle=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_orientation_invariance_for_symmetric_density(
+        self, fid, family, unit_params, ij, angle
+    ):
+        # f(i, j, nu) = f(j, i, -nu) makes the energy independent of the
+        # orientation of the jump set, also for affine (rotational) traces
+        i, j = np.array(ij[:2]), np.array(ij[2:])
+        assume(np.linalg.norm(i - j) > 0.1)
+        fam = default_families(i, j, (np.cos(angle), np.sin(angle)))[family]
+        u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+        f = catalog_density(fid)
         a = surface_energy(u, f).value
         b = surface_energy(u.flipped(), f).value
-        assert a == pytest.approx(b, abs=1e-12)
+        assert b == pytest.approx(a, rel=1e-12)
 
     def test_kink_in_truncated_density_is_exact(self):
         # jump magnitude crosses the truncation level along the segment
