@@ -24,6 +24,7 @@ from .functions import (
     PiecewiseRigid,
     compact_deviation,
     constant_piece,
+    jump_square,
     make_elementary,
     rigid_piece,
     skew2,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from functools import partial
@@ -348,9 +349,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_negative_values(argv: list) -> list:
+    """'--i -1,0' -> '--i=-1,0': argparse takes a token that starts with '-'
+    for an option unless it is a plain negative number."""
+    out = []
+    for tok in argv:
+        if out and re.fullmatch(r"--[\w-]+", out[-1]) and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_glue_negative_values(argv))
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return 0 if exc.code == 0 else 1
     cmd = COMMANDS[args.command]

@@ -26,6 +26,8 @@ from .functions import (
     PiecewiseRigid,
     compact_deviation,
     constant_piece,
+    jump_sides,
+    jump_square,
     make_elementary,
     rigid_piece,
 )
@@ -33,9 +35,7 @@ from .geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
-    PolygonalPartition,
     frame_from_normal,
-    make_oriented_square,
     unit,
 )
 
@@ -44,20 +44,6 @@ E2 = np.array([0.0, 1.0])
 
 class EllipticityError(ValueError):
     """Invalid falsification input."""
-
-
-def _outer_cells(half_width: float, half_height: float, side: float, R: np.ndarray):
-    """Notched upper/lower halves of the side-`side` square around a centered
-    rectangular insert of the given half extents (frame coordinates)."""
-    s = 0.5 * side
-    hw, hh = half_width, half_height
-    top = np.array(
-        [[-s, 0], [-hw, 0], [-hw, hh], [hw, hh], [hw, 0], [s, 0], [s, s], [-s, s]]
-    )
-    bottom = np.array(
-        [[-s, -s], [s, -s], [s, 0], [hw, 0], [hw, -hh], [-hw, -hh], [-hw, 0], [-s, 0]]
-    )
-    return Polygon(bottom @ R.T), Polygon(top @ R.T)
 
 
 def insert_competitor(
@@ -73,23 +59,59 @@ def insert_competitor(
 ) -> PiecewiseRigid:
     """Piecewise rigid competitor: two-valued jump outside a rectangular
     insert carrying the given cells and pieces (frame coordinates)."""
-    i = np.asarray(i, dtype=float)
-    j = np.asarray(j, dtype=float)
-    nu = unit(nu)
     if not (0 < half_width < 0.5 * side and 0 < half_height < 0.5 * side):
         raise EllipticityError("insert must sit strictly inside the square")
-    R = frame_from_normal(nu)
-    bottom, top = _outer_cells(half_width, half_height, side, R)
-    minus_val, plus_val = (i, j) if i_side == "minus" else (j, i)
-    cells = [bottom, top] + [Polygon(np.asarray(c, float) @ R.T) for c in inner_cells_frame]
-    pieces = [constant_piece(minus_val), constant_piece(plus_val)] + list(inner_pieces)
-    domain = make_oriented_square(nu, side)
-    return PiecewiseRigid(PolygonalPartition(cells, domain), pieces)
+    return jump_square(
+        i, j, unit(nu), side, i_side=i_side,
+        hole=(half_width, -half_height, half_height),
+        cells=inner_cells_frame, pieces=inner_pieces,
+    )
 
 
-def _square_cells(s: float):
+# Insert layouts: params -> (cells in frame coordinates, pieces, half width,
+# half height), the arguments of insert_competitor after (i, j, nu).
+
+
+def _centered_square(h: float) -> np.ndarray:
+    return np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
+
+
+def _square_layout(s, omega, b1, b2):
+    """Side-s square carrying the rigid motion (omega, (b1, b2))."""
     h = 0.5 * s
-    return [np.array([[-h, -h], [h, -h], [h, h], [-h, h]])]
+    return [_centered_square(h)], [rigid_piece(omega, (b1, b2))], h, h
+
+
+def _rect_layout(delta, omega, b1, b2):
+    """2 x 2 delta rectangle carrying the rigid motion (omega, (b1, b2))."""
+    cells = [np.array([[-1, -delta], [1, -delta], [1, delta], [-1, delta]])]
+    return cells, [rigid_piece(omega, (b1, b2))], 1.0, delta
+
+
+def _checker_layout(s, v1, v2, w1, w2):
+    """Side-s square in four quarters alternating the values v and w."""
+    hh = 0.5 * s
+    vals = (np.array([v1, v2]), np.array([w1, w2]))
+    cells, pieces = [], []
+    for a in range(2):
+        for b in range(2):
+            x0, y0 = -hh + a * hh, -hh + b * hh
+            cells.append(np.array([[x0, y0], [x0 + hh, y0], [x0 + hh, y0 + hh], [x0, y0 + hh]]))
+            pieces.append(constant_piece(vals[(a + b) % 2]))
+    return cells, pieces, hh, hh
+
+
+def _nested_layout(s1, frac, om1, b11, b12, om2, b21, b22):
+    """Side-s1 square ring (four trapezoids, motion 1) around a centered
+    side-frac*s1 square (motion 2)."""
+    h1, h2 = 0.5 * s1, 0.5 * (frac * s1)
+    outer_sq, inner_sq = _centered_square(h1), _centered_square(h2)
+    cells = [inner_sq] + [
+        np.array([outer_sq[k], outer_sq[(k + 1) % 4], inner_sq[(k + 1) % 4], inner_sq[k]])
+        for k in range(4)
+    ]
+    pieces = [rigid_piece(om2, (b21, b22))] + [rigid_piece(om1, (b11, b12))] * 4
+    return cells, pieces, h1, h1
 
 
 def counterexample1_competitor(lam: float) -> PiecewiseRigid:
@@ -103,12 +125,8 @@ def counterexample1_competitor(lam: float) -> PiecewiseRigid:
     """
     if not lam > 0:
         raise EllipticityError("lam must be positive")
-    i = np.zeros(2)
-    j = np.array([2.0 * lam, 2.0 * lam])
-    return insert_competitor(
-        i, j, E2, _square_cells(2.0), [rigid_piece(lam, (lam, lam))],
-        half_width=1.0, half_height=1.0,
-    )
+    layout = _square_layout(2.0, lam, lam, lam)
+    return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
 def counterexample2_competitor(lam: float, eps: float) -> PiecewiseRigid:
@@ -119,13 +137,8 @@ def counterexample2_competitor(lam: float, eps: float) -> PiecewiseRigid:
     if not 0 < eps < 1:
         raise EllipticityError("eps must lie in (0, 1)")
     delta = eps ** 0.25
-    i = np.zeros(2)
-    j = np.array([2.0 * lam, 2.0 * lam])
-    cells = [np.array([[-1, -delta], [1, -delta], [1, delta], [-1, delta]], dtype=float)]
-    return insert_competitor(
-        i, j, E2, cells, [rigid_piece(lam / delta, (lam, lam / delta))],
-        half_width=1.0, half_height=delta,
-    )
+    layout = _rect_layout(delta, lam / delta, lam, lam / delta)
+    return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
 def _parallel(seg) -> bool:
@@ -211,8 +224,6 @@ def tile_construction(
     if h < 1 or int(h) != h:
         raise EllipticityError("tile count h must be a positive integer")
     h = int(h)
-    i = np.asarray(i, dtype=float)
-    j = np.asarray(j, dtype=float)
     nu = unit(nu)
     dom = v.partition.domain
     if abs(dom.area - 1.0) > 1e-9 or np.linalg.norm(dom.centroid) > 1e-9:
@@ -222,27 +233,17 @@ def tile_construction(
         raise EllipticityError("v must deviate compactly from the elementary jump")
 
     R = frame_from_normal(nu)
-    s = 0.5 * ambient_side
     inv_h = 1.0 / h
-    top = np.array(
-        [
-            [-s, 0], [-0.5, 0], [-0.5, inv_h], [0.5, inv_h], [0.5, 0],
-            [s, 0], [s, s], [-s, s],
-        ]
-    )
-    bottom = np.array([[-s, -s], [s, -s], [s, 0], [-s, 0]])
-    minus_val, plus_val = (i, j) if i_side == "minus" else (j, i)
-    cells = [Polygon(bottom @ R.T), Polygon(top @ R.T)]
-    pieces = [constant_piece(minus_val), constant_piece(plus_val)]
+    cells, pieces = [], []
     for n in range(h):
-        center_frame = np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h])
-        xn = R @ center_frame
+        xn = R @ np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h])
         for cell, piece in zip(v.partition.cells, v.pieces):
             cells.append(Polygon(xn + cell.vertices * inv_h))
             A = h * piece.A
             pieces.append(type(piece)(A, piece.b - A @ xn))
-    domain = make_oriented_square(nu, ambient_side)
-    return PiecewiseRigid(PolygonalPartition(cells, domain), pieces)
+    return jump_square(
+        i, j, nu, ambient_side, i_side=i_side, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
+    )
 
 
 def tiling_report(
@@ -255,7 +256,7 @@ def tiling_report(
     nu = unit(nu)
     R = frame_from_normal(nu)
     base = surface_energy(v, f, tol=1e-12)
-    minus_val, plus_val = (i, j) if i_side == "minus" else (j, i)
+    plus_val, minus_val = jump_sides(i, j, i_side)
     chord_density = float(f(plus_val, minus_val, nu))
     out = []
     for h in hs:
@@ -341,8 +342,9 @@ class EllipticityVerdict:
 
 
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
-    """Built-in families: square insert, thin rectangle, checkerboard,
-    and two nested squares with independent rigid motions."""
+    """Built-in families, one insert layout each: square insert, thin
+    rectangle, checkerboard, and two nested squares with independent rigid
+    motions."""
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     nu = unit(nu)
@@ -352,118 +354,37 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     lam = gap / (2.0 * np.sqrt(2.0))
     lo = np.minimum(i, j) - gap
     hi = np.maximum(i, j) + gap
-    wmax = 2.0 * gap
-
-    def clipb(params, bounds):
-        return tuple(
-            float(np.clip(p, b[0], b[1])) for p, b in zip(params, bounds)
-        )
-
-    sq_bounds = ((0.3, 5.6), (-wmax, wmax), (lo[0], hi[0]), (lo[1], hi[1]))
+    vec = ((lo[0], hi[0]), (lo[1], hi[1]))  # bounds of a value or a translation
+    omega = (-2.0 * gap, 2.0 * gap)
     mid = 0.5 * (i + j)
-
-    def gen_square(params):
-        s, omega, b1, b2 = params
-        return insert_competitor(
-            i, j, nu, _square_cells(s), [rigid_piece(omega, (b1, b2))],
-            half_width=0.5 * s, half_height=0.5 * s, side=side, i_side=i_side,
-        )
-
-    square = CompetitorFamily(
-        "square-insert",
-        sq_bounds,
-        gen_square,
-        suggestions=(
-            clipb((2.0, lam, mid[0], mid[1]), sq_bounds),
-            clipb((2.0, -lam, mid[0], mid[1]), sq_bounds),
-        ),
-    )
-
-    rect_bounds = ((0.02, 0.95), (-40 * gap, 40 * gap), (lo[0], hi[0]), (lo[1], hi[1]))
     R = frame_from_normal(nu)
 
-    def gen_rect(params):
-        delta, omega, b1, b2 = params
-        cells = [np.array([[-1, -delta], [1, -delta], [1, delta], [-1, delta]])]
-        return insert_competitor(
-            i, j, nu, cells, [rigid_piece(omega, (b1, b2))],
-            half_width=1.0, half_height=delta, side=side, i_side=i_side,
+    def family(name, layout, bounds, suggestions):
+        def generator(params):
+            return insert_competitor(i, j, nu, *layout(*params), side=side, i_side=i_side)
+
+        clipped = tuple(
+            tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
+            for start in suggestions
         )
+        return CompetitorFamily(name, bounds, generator, suggestions=clipped)
 
-    rect_suggestions = []
-    for delta in (0.05, 0.1, 0.2, 0.4):
-        b = i + R @ np.array([lam, lam / delta])
-        rect_suggestions.append(clipb((delta, lam / delta, b[0], b[1]), rect_bounds))
-    rect = CompetitorFamily(
-        "rect-insert", rect_bounds, gen_rect, suggestions=tuple(rect_suggestions)
-    )
-
-    chk_bounds = (
-        (0.3, 5.6),
-        (lo[0], hi[0]), (lo[1], hi[1]),
-        (lo[0], hi[0]), (lo[1], hi[1]),
-    )
-
-    def gen_checker(params):
-        s, v1, v2, w1, w2 = params
-        hh = 0.5 * s
-        cells = []
-        pieces = []
-        vals = (np.array([v1, v2]), np.array([w1, w2]))
-        for a in range(2):
-            for b in range(2):
-                x0, y0 = -hh + a * hh, -hh + b * hh
-                cells.append(
-                    np.array([[x0, y0], [x0 + hh, y0], [x0 + hh, y0 + hh], [x0, y0 + hh]])
-                )
-                pieces.append(constant_piece(vals[(a + b) % 2]))
-        return insert_competitor(
-            i, j, nu, cells, pieces,
-            half_width=hh, half_height=hh, side=side, i_side=i_side,
-        )
-
-    checker = CompetitorFamily(
-        "checkerboard",
-        chk_bounds,
-        gen_checker,
-        suggestions=(clipb((2.0, i[0], i[1], j[0], j[1]), chk_bounds),),
-    )
-
-    nested_bounds = (
-        (0.5, 5.6), (0.15, 0.85),
-        (-wmax, wmax), (lo[0], hi[0]), (lo[1], hi[1]),
-        (-wmax, wmax), (lo[0], hi[0]), (lo[1], hi[1]),
-    )
-
-    def gen_nested(params):
-        s1, frac, om1, b11, b12, om2, b21, b22 = params
-        s2 = frac * s1
-        h1, h2 = 0.5 * s1, 0.5 * s2
-        outer_sq = np.array([[-h1, -h1], [h1, -h1], [h1, h1], [-h1, h1]])
-        inner_sq = np.array([[-h2, -h2], [h2, -h2], [h2, h2], [-h2, h2]])
-        cells = [inner_sq]
-        pieces = [rigid_piece(om2, (b21, b22))]
-        for k in range(4):
-            quad = np.array(
-                [outer_sq[k], outer_sq[(k + 1) % 4], inner_sq[(k + 1) % 4], inner_sq[k]]
-            )
-            cells.append(quad)
-            pieces.append(rigid_piece(om1, (b11, b12)))
-        return insert_competitor(
-            i, j, nu, cells, pieces,
-            half_width=h1, half_height=h1, side=side, i_side=i_side,
-        )
-
-    nested = CompetitorFamily(
-        "nested-squares",
-        nested_bounds,
-        gen_nested,
-        suggestions=(
-            clipb((2.0, 0.5, lam, mid[0], mid[1], lam, mid[0], mid[1]), nested_bounds),
+    return [
+        family(
+            "square-insert", _square_layout, ((0.3, 5.6), omega, *vec),
+            [(2.0, lam, *mid), (2.0, -lam, *mid)],
         ),
-    )
-
-    return [square, rect, checker, nested]
+        family(
+            "rect-insert", _rect_layout, ((0.02, 0.95), (-40 * gap, 40 * gap), *vec),
+            [(d, lam / d, *(i + R @ np.array([lam, lam / d]))) for d in (0.05, 0.1, 0.2, 0.4)],
+        ),
+        family("checkerboard", _checker_layout, ((0.3, 5.6), *vec, *vec), [(2.0, *i, *j)]),
+        family(
+            "nested-squares", _nested_layout,
+            ((0.5, 5.6), (0.15, 0.85), omega, *vec, omega, *vec),
+            [(2.0, 0.5, lam, *mid, lam, *mid)],
+        ),
+    ]
 
 
 def _search_one(family, start, objective, maxfev):

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .profiles import eta_profile, tau_profile
+from .profiles import eta_profile, tau_profile, zero_profile
 
 
 class FieldError(ValueError):
@@ -34,10 +34,13 @@ class ConservativeField:
     func: Callable
     potential: Callable
     jacobian: Callable | None = None
-    bounded: bool = True
     bound: float = np.inf
     params: dict = field(default_factory=dict, repr=False)
     trace_kinks: Callable | None = None
+
+    @property
+    def bounded(self) -> bool:
+        return bool(np.isfinite(self.bound))
 
     def __call__(self, w):
         return self.func(np.asarray(w, dtype=float))
@@ -111,14 +114,8 @@ def family_density(family: FieldFamily, name: str | None = None):
 
 
 def zero_field(dim: int = 2) -> ConservativeField:
-    return ConservativeField(
-        "zero",
-        lambda w: np.zeros_like(w),
-        lambda w: np.zeros(w.shape[:-1]),
-        jacobian=lambda w: np.zeros(w.shape[:-1] + (w.shape[-1], w.shape[-1])),
-        bounded=True,
-        bound=0.0,
-        params={"dim": dim},
+    return _axis_field(
+        np.eye(dim), np.zeros(dim), (zero_profile(),) * dim, name="zero", params={"dim": dim}
     )
 
 
@@ -147,7 +144,6 @@ def _axis_field(
     bound = float(
         sum(abs(coeffs[k]) * profiles[k].bound for k in range(d) if active[k])
     )
-    finite = np.isfinite(bound)
 
     def args(w):
         y = w @ basis.T  # (..., d) coordinates in the basis
@@ -198,8 +194,7 @@ def _axis_field(
         return ts
 
     return ConservativeField(
-        name, func, potential, jacobian=jacobian, bounded=finite,
-        bound=bound if finite else np.inf, params=params or {},
+        name, func, potential, jacobian=jacobian, bound=bound, params=params or {},
         trace_kinks=trace_kinks,
     )
 
@@ -379,54 +374,25 @@ def optimal_dalmot_params(i, j, nu, thetas, basis=None):
 
 
 def normal_only_field(p, q, h: int) -> ConservativeField:
-    """g(w) = min{h |<w - p, q>|, 1} * sign-matched q, a support-function probe."""
+    """g(w) = min{h |<w - p, q>|, 1} q, a support-function probe: the eta[1]
+    addend along q/|q| with coefficient |q| and slope h|q|."""
     if h < 1:
         raise FieldError("sharpness h must be >= 1")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if np.linalg.norm(q) == 0.0:
+    norm = float(np.linalg.norm(q))
+    if norm == 0.0:
         raise FieldError("probe vertex q must be nonzero")
     h = int(h)
-
-    def theta(y):
-        # even ramp in [0, 1]; its primitive below is odd
-        return np.minimum(h * np.abs(y), 1.0)
-
-    def theta_prim(y):
-        a = np.abs(y)
-        return np.sign(y) * np.where(a <= 1.0 / h, 0.5 * h * a * a, a - 0.5 / h)
-
-    def theta_deriv(y):
-        return np.where(np.abs(y) < 1.0 / h, h * np.sign(y), 0.0)
-
-    def func(w):
-        y = (w - p) @ q
-        return theta(y)[..., None] * q
-
-    def potential(w):
-        y = (w - p) @ q
-        return theta_prim(y)
-
-    def jacobian(w):
-        y = (w - p) @ q
-        return theta_deriv(y)[..., None, None] * np.einsum("i,j->ij", q, q)
-
-    def trace_kinks(value0, slope):
-        a0 = float((value0 - p) @ q)
-        da = float(slope @ q)
-        if da == 0.0:
-            return []
-        return [(c - a0) / da for c in (-1.0 / h, 0.0, 1.0 / h)]
-
-    return ConservativeField(
-        f"normal-only[h={h}]",
-        func,
-        potential,
-        jacobian=jacobian,
-        bounded=True,
-        bound=float(np.linalg.norm(q)),
+    qh = q / norm
+    return _axis_field(
+        np.array([qh, [-qh[1], qh[0]]]),
+        np.array([norm, 0.0]),
+        (eta_profile(1.0),) * 2,
+        shifts=np.array([p @ qh, 0.0]),
+        scales=np.array([h * norm, 0.0]),
+        name=f"normal-only[h={h}]",
         params={"p": p, "q": q, "h": h},
-        trace_kinks=trace_kinks,
     )
 
 

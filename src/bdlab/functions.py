@@ -18,6 +18,7 @@ from .geometry import (
     OrientedSquare,
     Polygon,
     PolygonalPartition,
+    frame_from_normal,
     make_oriented_square,
     polygon_overlap_area,
 )
@@ -145,18 +146,6 @@ class JumpSegment:
             -self.plus_slope,
         )
 
-    def restricted(self, t0: float, t1: float) -> "JumpSegment":
-        d = self.direction
-        return JumpSegment(
-            self.a + t0 * d,
-            self.a + t1 * d,
-            self.normal,
-            self.plus(np.asarray(t0)),
-            self.plus_slope,
-            self.minus(np.asarray(t0)),
-            self.minus_slope,
-        )
-
 
 class PiecewiseAffine:
     """Function equal to one affine map on each cell of a polygonal partition."""
@@ -264,33 +253,63 @@ def total_jump_length(u: PiecewiseAffine) -> float:
     return sum(s.length for s in u.jump_segments())
 
 
-def make_elementary(
-    i, j, nu, square: OrientedSquare, i_side: str = "plus"
-) -> PiecewiseRigid:
-    """Two-valued jump across the mid-chord of an oriented square.
+def jump_sides(i, j, i_side: str):
+    """(plus value, minus value): i_side="plus" puts i on the side the normal
+    points into, i_side="minus" on the other."""
+    if i_side not in ("plus", "minus"):
+        raise FunctionError("i_side must be 'plus' or 'minus'")
+    return (i, j) if i_side == "plus" else (j, i)
 
-    With i_side="plus" the value i sits on the {<x-c, nu> > 0} half; the
-    counterexample constructions use i_side="minus".
+
+def jump_square(
+    i, j, nu, side: float, center=None, i_side: str = "plus",
+    hole=None, cells=(), pieces=(),
+) -> PiecewiseRigid:
+    """The two-valued jump across the mid-chord of the side-`side` square
+    oriented by the unit normal nu, changed only on a rectangular hole.
+
+    In frame coordinates (nu = e2) the two halves are {y < 0} and {y > 0};
+    hole=(half_width, low, high) notches {|x| < half_width, low < y < high}
+    out of them, and `cells` with `pieces` fill it: vertex arrays in frame
+    coordinates, or Polygons already in place.  center=None keeps the square
+    at the origin.
     """
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     if np.array_equal(i, j):
         raise FunctionError("elementary jump needs two distinct values")
-    if i_side not in ("plus", "minus"):
-        raise FunctionError("i_side must be 'plus' or 'minus'")
-    sq = square if isinstance(square, OrientedSquare) else OrientedSquare(*square)
-    from .geometry import frame_from_normal
+    plus_val, minus_val = jump_sides(i, j, i_side)
+    R = frame_from_normal(nu)
 
-    R = frame_from_normal(sq.normal)
-    h = 0.5 * sq.side
-    c = sq.center
-    lower = Polygon(np.array([[-h, -h], [h, -h], [h, 0.0], [-h, 0.0]]) @ R.T + c)
-    upper = Polygon(np.array([[-h, 0.0], [h, 0.0], [h, h], [-h, h]]) @ R.T + c)
-    domain = make_oriented_square(sq.normal, sq.side, c)
-    part = PolygonalPartition([lower, upper], domain)
-    plus_val, minus_val = (i, j) if i_side == "plus" else (j, i)
-    pieces = [constant_piece(minus_val), constant_piece(plus_val)]
-    return PiecewiseRigid(part, pieces)
+    def place(vertices):
+        v = np.asarray(vertices, dtype=float) @ R.T
+        # no zero shift at the origin: it would turn -0.0 coordinates into 0.0
+        return Polygon(v if center is None else v + center)
+
+    s = 0.5 * side
+    hw, low, high = (0.0, 0.0, 0.0) if hole is None else hole
+    lower_notch = [[hw, 0], [hw, low], [-hw, low], [-hw, 0]] if low < 0 else []
+    upper_notch = [[-hw, 0], [-hw, high], [hw, high], [hw, 0]] if high > 0 else []
+    lower = place([[-s, -s], [s, -s], [s, 0]] + lower_notch + [[-s, 0]])
+    upper = place([[-s, 0]] + upper_notch + [[s, 0], [s, s], [-s, s]])
+    inner = [c if isinstance(c, Polygon) else place(c) for c in cells]
+    domain = make_oriented_square(nu, side, (0.0, 0.0) if center is None else center)
+    part = PolygonalPartition([lower, upper] + inner, domain)
+    outer = [constant_piece(minus_val), constant_piece(plus_val)]
+    return PiecewiseRigid(part, outer + list(pieces))
+
+
+def make_elementary(
+    i, j, nu, square: OrientedSquare, i_side: str = "plus"
+) -> PiecewiseRigid:
+    """Two-valued jump across the mid-chord of an oriented square (its normal
+    is the square's).
+
+    With i_side="plus" the value i sits on the {<x-c, nu> > 0} half; the
+    counterexample constructions use i_side="minus".
+    """
+    sq = square if isinstance(square, OrientedSquare) else OrientedSquare(*square)
+    return jump_square(i, j, sq.normal, sq.side, center=sq.center, i_side=i_side)
 
 
 def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> bool:

@@ -37,12 +37,6 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def perp(v) -> np.ndarray:
-    """Rotate by +90 degrees: (x, y) -> (-y, x)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([-v[1], v[0]])
-
-
 def frame_from_normal(nu) -> np.ndarray:
     """Rotation matrix sending e2 to the unit vector nu (columns: nu^perp, nu)."""
     nu = _as_point(nu)
@@ -138,13 +132,6 @@ class Polygon:
         crossings = int(np.sum(cond & (xs > x[0])))
         return 1 if crossings % 2 == 1 else -1
 
-    def translated(self, t) -> "Polygon":
-        return Polygon(self.vertices + _as_point(t))
-
-    def scaled(self, s: float, center=(0.0, 0.0)) -> "Polygon":
-        c = _as_point(center)
-        return Polygon(c + s * (self.vertices - c))
-
     def to_json(self) -> list:
         return [[float(x), float(y)] for x, y in self.vertices]
 
@@ -228,9 +215,6 @@ class OrientedSquare:
         if not self.side > 0.0:
             raise GeometryError("square side must be positive")
 
-    def polygon(self) -> Polygon:
-        return make_oriented_square(self.normal, self.side, self.center)
-
 
 def make_oriented_square(nu, rho: float, center=(0.0, 0.0)) -> Polygon:
     """Counterclockwise square of side rho, centered, with two sides orthogonal to nu."""
@@ -264,10 +248,6 @@ class Interface:
     @property
     def direction(self) -> np.ndarray:
         return unit(self.b - self.a)
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.a + self.b)
 
     def flipped(self) -> "Interface":
         return Interface(self.b, self.a, self.right, self.left, -self.normal)
@@ -409,10 +389,7 @@ class PolygonalPartition:
         part.cells = self.cells
         part.domain = self.domain
         part.tol = self.tol
-        part.interfaces = [
-            Interface(i.b, i.a, left=i.right, right=i.left, normal=-i.normal)
-            for i in self.interfaces
-        ]
+        part.interfaces = [i.flipped() for i in self.interfaces]
         return part
 
     def to_json(self) -> dict:

@@ -30,9 +30,12 @@ class ScalarProfile:
     value: Callable
     primitive: Callable
     deriv: Callable
-    bounded: bool
     bound: float = np.inf
     kinks: tuple = ()
+
+    @property
+    def bounded(self) -> bool:
+        return bool(np.isfinite(self.bound))
 
     def __call__(self, t):
         return self.value(np.asarray(t, dtype=float))
@@ -55,7 +58,7 @@ def eta_profile(M: float) -> ScalarProfile:
         return np.where(np.abs(t) < M, np.sign(t), 0.0)
 
     return ScalarProfile(
-        f"eta[{M:g}]", value, primitive, deriv, bounded=True, bound=M, kinks=(-M, 0.0, M)
+        f"eta[{M:g}]", value, primitive, deriv, bound=M, kinks=(-M, 0.0, M)
     )
 
 
@@ -76,7 +79,7 @@ def tau_profile(M: float) -> ScalarProfile:
         return np.where(np.abs(t) < M, 1.0, 0.0)
 
     return ScalarProfile(
-        f"tau[{M:g}]", value, primitive, deriv, bounded=True, bound=M, kinks=(-M, M)
+        f"tau[{M:g}]", value, primitive, deriv, bound=M, kinks=(-M, M)
     )
 
 
@@ -87,7 +90,6 @@ def abs_profile() -> ScalarProfile:
         lambda t: np.abs(t),
         lambda t: 0.5 * t * np.abs(t),
         lambda t: np.sign(t),
-        bounded=False,
         kinks=(0.0,),
     )
 
@@ -99,7 +101,6 @@ def sin_profile(amplitude: float = 1.0, frequency: float = 1.0) -> ScalarProfile
         lambda t: a * np.sin(w * t),
         lambda t: a * (1.0 - np.cos(w * t)) / w,
         lambda t: a * w * np.cos(w * t),
-        bounded=True,
         bound=abs(a),
     )
 
@@ -110,7 +111,6 @@ def zero_profile() -> ScalarProfile:
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        bounded=True,
         bound=0.0,
     )
 
@@ -124,9 +124,12 @@ class SubadditiveProfile:
 
     name: str
     value: Callable
-    bounded: bool
     bound: float = np.inf
     validate: bool = field(default=True, repr=False)
+
+    @property
+    def bounded(self) -> bool:
+        return bool(np.isfinite(self.bound))
 
     def __post_init__(self):
         if not self.validate:
@@ -145,7 +148,7 @@ class SubadditiveProfile:
 
 
 def identity_profile() -> SubadditiveProfile:
-    return SubadditiveProfile("id", lambda t: np.asarray(t, dtype=float), bounded=False)
+    return SubadditiveProfile("id", lambda t: np.asarray(t, dtype=float))
 
 
 def constant_profile(c: float) -> SubadditiveProfile:
@@ -154,7 +157,7 @@ def constant_profile(c: float) -> SubadditiveProfile:
         raise ProfileError("constant profile must be nonnegative")
     return SubadditiveProfile(
         f"const[{c:g}]", lambda t: np.full_like(np.asarray(t, dtype=float), c),
-        bounded=True, bound=c,
+        bound=c,
     )
 
 
@@ -166,13 +169,12 @@ def truncated_profile(a: float, M: float) -> SubadditiveProfile:
     return SubadditiveProfile(
         f"trunc[a={a:g},M={M:g}]",
         lambda t: np.minimum(a * np.asarray(t, dtype=float), M),
-        bounded=True,
         bound=M,
     )
 
 
 def sqrt_profile() -> SubadditiveProfile:
-    return SubadditiveProfile("sqrt", lambda t: np.sqrt(np.abs(t)), bounded=False)
+    return SubadditiveProfile("sqrt", lambda t: np.sqrt(np.abs(t)))
 
 
 def table_profile(ts, gs, name: str = "table") -> SubadditiveProfile:
@@ -194,4 +196,4 @@ def table_profile(ts, gs, name: str = "table") -> SubadditiveProfile:
         t = np.asarray(t, dtype=float)
         return np.interp(t, ts, gs)  # constant extension beyond the last node
 
-    return SubadditiveProfile(name, value, bounded=True, bound=float(gs[-1]), validate=False)
+    return SubadditiveProfile(name, value, bound=float(gs[-1]), validate=False)

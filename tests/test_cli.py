@@ -222,6 +222,29 @@ class TestUsage:
         assert "usage: bdlab" in capsys.readouterr().out
 
 
+class TestNegativeValues:
+    def test_separate_negative_vector_value(self, tmp_path):
+        # "--i -1,0" reads like an option to argparse; main takes it as a value
+        argv = ["falsify", "--density", "isotropic:id", "--j", "1,1", "--nu", "0,1",
+                "--budget", "30", "--seed", "0"]
+        reports = []
+        for form in (["--i", "-1,0"], ["--i=-1,0"]):
+            out = tmp_path / "report.json"
+            assert main(argv + form + ["--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["inputs"]["i"] == "-1,0"
+        for rep in reports:
+            rep.pop("wall_time_s")
+        assert reports[0] == reports[1]
+
+    def test_leading_dot_value(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["relax", "--density", "isotropic:id", "--i", "-.5,0", "--j", "1,1",
+                "--nu", "0,1", "--budget", "30", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["inputs"]["i"] == "-.5,0"
+
+
 class TestDeterminism:
     def test_reports_reproduce(self, tmp_path):
         outs = []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdlab.densities import (
     Density,
@@ -9,7 +11,7 @@ from bdlab.densities import (
 )
 from bdlab.energy import EnergyError, jump_flux, surface_energy, symmetric_jump_measure
 from bdlab.fields import optimal_gbmc_field
-from bdlab.functions import compact_deviation, make_elementary
+from bdlab.functions import FunctionError, compact_deviation, make_elementary, rigid_piece
 from bdlab.geometry import OrientedSquare, validate_partition
 from bdlab.ellipticity import (
     EllipticityError,
@@ -20,6 +22,7 @@ from bdlab.ellipticity import (
     counterexample2_competitor,
     default_families,
     falsify,
+    insert_competitor,
     relaxation_estimate,
     tile_construction,
     tiling_report,
@@ -323,6 +326,35 @@ class TestFalsify:
         f = catalog_density("isotropic:id")
         with pytest.raises(EllipticityError):
             falsify(f, E1, E1, E2, budget=10)
+
+
+class TestJumpSquareBuilder:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        i_side=st.sampled_from(("plus", "minus")),
+        unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        angle=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_family_competitors_deviate_compactly(self, family, i_side, unit_params, angle):
+        # every layout over the builder is a valid partition that changes the
+        # elementary jump on the same square only away from its boundary
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+        assert validate_partition(u.partition).passed
+        ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, 6.0, (0, 0)), i_side=i_side)
+        assert compact_deviation(u, ref, margin=1e-3 * 6.0)
+
+    def test_bogus_i_side_raises(self):
+        cells = [np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])]
+        with pytest.raises(FunctionError):
+            insert_competitor(
+                I_CE, J_CE, E2, cells, [rigid_piece(1.0, (1.0, 1.0))], 1.0, 1.0, i_side="bogus"
+            )
+        v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
+        with pytest.raises(FunctionError):
+            tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side="bogus")
 
 
 class TestRelaxation:

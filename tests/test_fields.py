@@ -91,6 +91,18 @@ class TestPrototype:
         assert asym > 0.1  # rotation is far from conservative
 
 
+class TestBoundedness:
+    def test_bounded_follows_the_bound(self):
+        linear = ConservativeField(
+            "linear", lambda w: w, lambda w: 0.5 * np.sum(w * w, axis=-1)
+        )
+        assert linear.bounded is False
+        assert zero_field().bounded is True
+        assert normal_only_field(ZERO, E1, h=2).bounded is True
+        assert abs_profile().bounded is False
+        assert eta_profile(1.0).bounded is True
+
+
 class TestMapUnitVectors:
     def test_quarter_turn(self):
         B = map_unit_vectors(E1, E2)
@@ -285,6 +297,29 @@ class TestNormalOnly:
         asym, resid = check_conservative(g, samples=150, seed=10)
         assert asym < 1e-6
         assert resid < 1e-6
+
+    def test_matches_closed_form(self):
+        # g(w) = min(h |y|, 1) q with y = <w - p, q>, its odd potential, the
+        # Jacobian h sign(y) q q^T below saturation, |q| and the trace kinks
+        p, q, h = np.array([0.3, -0.4]), np.array([0.7, -1.1]), 3
+        g = normal_only_field(p, q, h=h)
+        w = np.random.default_rng(12).uniform(-3.0, 3.0, size=(400, 2))
+        y = (w - p) @ q
+        a = np.abs(y)
+
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        assert rel(g(w), np.minimum(h * a, 1.0)[:, None] * q) < 1e-14
+        prim = np.sign(y) * np.where(a <= 1.0 / h, 0.5 * h * a * a, a - 0.5 / h)
+        assert rel(g.potential(w), prim) < 1e-14
+        jac = np.where(a < 1.0 / h, h * np.sign(y), 0.0)[:, None, None] * np.outer(q, q)
+        assert rel(g.jacobian(w), jac) < 1e-14
+        assert g.bound == pytest.approx(np.linalg.norm(q), rel=1e-14) and g.bounded
+        v0, slope = np.array([0.2, 0.9]), np.array([-0.5, 0.8])
+        a0, da = float((v0 - p) @ q), float(slope @ q)
+        kinks = np.array([(c - a0) / da for c in (-1.0 / h, 0.0, 1.0 / h)])
+        assert rel(np.array(g.trace_kinks(v0, slope)), kinks) < 1e-14
 
 
 class TestBiconvexTruncated:
