@@ -39,7 +39,6 @@ class Density:
     symmetric: bool = True
     one_homogeneous_in_nu: bool = True
     bounded: bool = False
-    translational_invariant: bool = True
     claimed_class: str = "unknown"
 
     def __post_init__(self):
@@ -66,7 +65,6 @@ class Density:
             self.symmetric,
             self.one_homogeneous_in_nu,
             self.bounded,
-            self.translational_invariant,
             self.claimed_class,
         )
 

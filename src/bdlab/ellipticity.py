@@ -20,7 +20,7 @@ from scipy import optimize
 from scipy.stats import qmc
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
-from .energy import _clipped_pieces, integrate_jump_set, surface_energy
+from .energy import integrate_jump_set, jump_pieces, surface_energy
 from .functions import (
     FunctionError,
     PiecewiseRigid,
@@ -159,7 +159,7 @@ def _breakdown(u: PiecewiseRigid, f: Density, groups: dict) -> dict:
     `groups` maps names to predicates on jump segments; every piece must
     satisfy exactly one of them, so the groups cover the jump set once.
     """
-    pieces = _clipped_pieces(u, None, include_boundary=True)
+    pieces = jump_pieces(u, None, include_boundary=True)
     if any(sum(pred(s) for pred in groups.values()) != 1 for s, _, _ in pieces):
         raise EllipticityError("jump segment outside the breakdown groups")
     out, err = {}, 0.0
@@ -420,6 +420,7 @@ def falsify(
     j = np.asarray(j, dtype=float)
     if np.array_equal(i, j):
         raise EllipticityError("falsification needs i != j")
+    jump_sides(i, j, i_side)
     nu_u = unit(nu)
     if families is None:
         families = default_families(i, j, nu_u, side=side, i_side=i_side)

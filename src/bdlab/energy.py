@@ -4,8 +4,9 @@ Energy, flux and the integration-by-parts jump term are all integrals over
 the jump set and share one kernel, `integrate_jump_set`: adaptive
 Gauss-Legendre with breakpoints at the roots of the affine jump components
 (where norms and truncations kink); constant traces short-circuit to closed
-form.  Volume integrals use tensor Gauss rules on a triangulation with
-uniform-subdivision Richardson estimates.
+form.  Volume integrals use tensor Gauss rules on a triangulation.  Line and
+volume quadrature share one refine-until-agree driver, `_refine`: halved
+intervals along the jump set, quartered triangles in the volume.
 """
 
 from __future__ import annotations
@@ -55,18 +56,32 @@ def _gauss_interval(fn, t0: float, t1: float, order: int) -> float:
     return half * float(w @ fn(mid + half * x))
 
 
-def _adaptive_interval(fn, t0, t1, tol, order, depth=0, max_depth=48):
-    whole = _gauss_interval(fn, t0, t1, order)
+def _refine(rule, split, parts, tol, max_depth, depth=0):
+    """Refine-until-agree quadrature: (value, error estimate) summed over parts.
+
+    Each part gets the share tol / len(parts).  Its estimate is the sum of
+    `rule` over `split(part)`, and its error the distance to `rule(part)`;
+    a part whose error exceeds its share is refined again, until max_depth.
+    """
+    share = tol / len(parts)
+    total, err = 0.0, 0.0
+    for part in parts:
+        coarse = rule(part)
+        children = split(part)
+        fine = sum(rule(c) for c in children)
+        e = abs(coarse - fine)
+        # negated, so that a NaN error is refined down to max_depth
+        if not (e <= share or depth >= max_depth):
+            fine, e = _refine(rule, split, children, share, max_depth, depth + 1)
+        total += fine
+        err += e
+    return total, err
+
+
+def _halve(interval):
+    t0, t1 = interval
     mid = 0.5 * (t0 + t1)
-    left = _gauss_interval(fn, t0, mid, order)
-    right = _gauss_interval(fn, mid, t1, order)
-    refined = left + right
-    err = abs(whole - refined)
-    if err <= tol or depth >= max_depth:
-        return refined, err
-    lv, le = _adaptive_interval(fn, t0, mid, 0.5 * tol, order, depth + 1, max_depth)
-    rv, re_ = _adaptive_interval(fn, mid, t1, 0.5 * tol, order, depth + 1, max_depth)
-    return lv + rv, le + re_
+    return (t0, mid), (mid, t1)
 
 
 def _jump_breakpoints(seg: JumpSegment, t0: float, t1: float, kinks=None) -> list[float]:
@@ -91,16 +106,13 @@ def _jump_breakpoints(seg: JumpSegment, t0: float, t1: float, kinks=None) -> lis
 def _integrate_segment(seg: JumpSegment, integrand, t0, t1, tol, order, kinks=None):
     """Integrate integrand(t-array) over [t0, t1] with kink breakpoints."""
     cuts = [t0] + _jump_breakpoints(seg, t0, t1, kinks) + [t1]
-    total, err = 0.0, 0.0
-    n = len(cuts) - 1
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v, e = _adaptive_interval(integrand, a, b, tol / n, order)
-        total += v
-        err += e
-    return total, err
+    return _refine(
+        lambda iv: _gauss_interval(integrand, *iv, order), _halve,
+        list(zip(cuts[:-1], cuts[1:])), tol, max_depth=48,
+    )
 
 
-def _clipped_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool):
+def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool):
     """(segment, t0, t1) pieces of the jump set inside the region."""
     segs = u.jump_segments()
     if region is None:
@@ -168,7 +180,7 @@ def surface_energy(
     `include_boundary=False` drops jump pieces lying along the region boundary
     (used for open-region bookkeeping, e.g. per-tile energies).
     """
-    return integrate_jump_set(_clipped_pieces(u, region, include_boundary), f, tol, order)
+    return integrate_jump_set(jump_pieces(u, region, include_boundary), f, tol, order)
 
 
 def jump_flux(
@@ -179,7 +191,7 @@ def jump_flux(
     order: int = 15,
 ) -> QuadratureResult:
     """Signed integral of <g(trace+) - g(trace-), normal> over the jump set."""
-    pieces = _clipped_pieces(u, region, include_boundary=True)
+    pieces = jump_pieces(u, region, include_boundary=True)
     return integrate_jump_set(pieces, g.pairing, tol, order, kinks=g.trace_kinks)
 
 
@@ -209,7 +221,7 @@ def divergence_identity_residual(
 def symmetric_jump_measure(u: PiecewiseAffine, region: Polygon | None = None) -> np.ndarray:
     """Matrix integral of jump (.) normal over the jump set (midpoint-exact)."""
     out = np.zeros((2, 2))
-    for seg, t0, t1 in _clipped_pieces(u, region, include_boundary=True):
+    for seg, t0, t1 in jump_pieces(u, region, include_boundary=True):
         L = t1 - t0
         jm = seg.jump(np.array(0.5 * (t0 + t1)))
         out += L * 0.5 * (np.outer(jm, seg.normal) + np.outer(seg.normal, jm))
@@ -251,30 +263,12 @@ def _split_triangle(tri: np.ndarray):
     )
 
 
-def _adaptive_triangle(fn, tri, tol, order, depth=0, max_depth=10):
-    coarse = _tri_gauss(fn, tri, order)
-    parts = _split_triangle(tri)
-    fine = sum(_tri_gauss(fn, t, order) for t in parts)
-    err = abs(fine - coarse)
-    if err <= tol or depth >= max_depth:
-        return fine, err
-    total, terr = 0.0, 0.0
-    for t in parts:
-        v, e = _adaptive_triangle(fn, t, tol / 4, order, depth + 1, max_depth)
-        total += v
-        terr += e
-    return total, terr
-
-
 def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
     """Adaptive volume integral of fn over a polygon; fn maps (n,2) -> (n,)."""
-    tris = triangulate(poly)
-    total, err = 0.0, 0.0
-    for tri in tris:
-        v, e = _adaptive_triangle(fn, tri, tol / len(tris), order)
-        total += v
-        err += e
-    return total, err
+    return _refine(
+        lambda tri: _tri_gauss(fn, tri, order), _split_triangle, triangulate(poly), tol,
+        max_depth=10,
+    )
 
 
 @dataclass(frozen=True)
@@ -373,7 +367,7 @@ def integration_by_parts_residual(
             raise EnergyError("test function must vanish on the region boundary")
 
     jump_term = integrate_jump_set(
-        _clipped_pieces(u, region, include_boundary=True),
+        jump_pieces(u, region, include_boundary=True),
         G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi,
     ).value
 

@@ -21,6 +21,7 @@ from .geometry import (
     frame_from_normal,
     make_oriented_square,
     polygon_overlap_area,
+    unit,
 )
 
 
@@ -302,13 +303,15 @@ def jump_square(
 def make_elementary(
     i, j, nu, square: OrientedSquare, i_side: str = "plus"
 ) -> PiecewiseRigid:
-    """Two-valued jump across the mid-chord of an oriented square (its normal
-    is the square's).
+    """Two-valued jump across the mid-chord of an oriented square; nu must be
+    the square's normal (FunctionError otherwise).
 
     With i_side="plus" the value i sits on the {<x-c, nu> > 0} half; the
     counterexample constructions use i_side="minus".
     """
     sq = square if isinstance(square, OrientedSquare) else OrientedSquare(*square)
+    if np.linalg.norm(unit(nu) - sq.normal) > 1e-12:
+        raise FunctionError("nu must be the square's normal")
     return jump_square(i, j, sq.normal, sq.side, center=sq.center, i_side=i_side)
 
 

@@ -45,6 +45,12 @@ def frame_from_normal(nu) -> np.ndarray:
     return np.array([[nu[1], nu[0]], [-nu[0], nu[1]]])
 
 
+def _segments_distance(x, a, d) -> np.ndarray:
+    """Distances from the point x to the segments a + t d, t in [0, 1]."""
+    t = np.clip(np.einsum("ij,ij->i", x - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    return np.linalg.norm(a + t[:, None] * d - x, axis=1)
+
+
 def signed_area(vertices) -> float:
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
@@ -107,14 +113,8 @@ class Polygon:
         return list(zip(v, w))
 
     def boundary_distance(self, x) -> float:
-        x = _as_point(x)
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        d = w - v
-        lens2 = np.einsum("ij,ij->i", d, d)
-        t = np.clip(np.einsum("ij,ij->i", x - v, d) / lens2, 0.0, 1.0)
-        proj = v + t[:, None] * d
-        return float(np.min(np.linalg.norm(proj - x, axis=1)))
+        return float(np.min(_segments_distance(_as_point(x), v, np.roll(v, -1, axis=0) - v)))
 
     def contains(self, x, tol: float | None = None) -> int:
         """+1 strictly inside, 0 on the boundary (within tol), -1 outside."""
@@ -125,7 +125,7 @@ class Polygon:
             return 0
         v = self.vertices
         w = np.roll(v, -1, axis=0)
-        # even-odd crossing count of the upward ray from x
+        # even-odd crossing count of the ray from x running right (+x)
         cond = (v[:, 1] <= x[1]) != (w[:, 1] <= x[1])
         with np.errstate(divide="ignore", invalid="ignore"):
             xs = v[:, 0] + (x[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
@@ -253,38 +253,6 @@ class Interface:
         return Interface(self.b, self.a, self.right, self.left, -self.normal)
 
 
-def _collinear_overlap(p1, q1, p2, q2, tol, antiparallel=True):
-    """Overlap of segment (p2,q2) with (p1,q1) as a parameter interval along (p1,q1).
-
-    Returns (lo, hi) arclength parameters on [0, |q1-p1|], or None.  With
-    antiparallel=True the second segment must run opposite to the first.
-    """
-    d1 = q1 - p1
-    L1 = float(np.linalg.norm(d1))
-    u1 = d1 / L1
-    d2 = q2 - p2
-    L2 = float(np.linalg.norm(d2))
-    if L2 == 0.0:
-        return None
-    cross = abs(u1[0] * d2[1] - u1[1] * d2[0])
-    if cross > tol:
-        return None
-    dot = float(u1 @ d2)
-    if antiparallel and dot > 0.0:
-        return None
-    if not antiparallel and dot < 0.0:
-        return None
-    off = p2 - p1
-    if abs(u1[0] * off[1] - u1[1] * off[0]) > tol:
-        return None
-    s = float(off @ u1)
-    e = float((q2 - p1) @ u1)
-    lo, hi = max(0.0, min(s, e)), min(L1, max(s, e))
-    if hi - lo <= tol:
-        return None
-    return lo, hi
-
-
 def _merge_intervals(intervals, tol):
     if not intervals:
         return []
@@ -304,47 +272,57 @@ def _bbox_disjoint(c1: Polygon, c2: Polygon, tol: float) -> bool:
     return bool(np.any(lo1 > hi2 + tol) or np.any(lo2 > hi1 + tol))
 
 
+def _edge_arrays(vertices):
+    """(starts, directions, unit directions, lengths) of a vertex loop's edges."""
+    d = np.roll(vertices, -1, axis=0) - vertices
+    L = np.linalg.norm(d, axis=1)
+    return vertices, d, d / L[:, None], L
+
+
+def _edge_overlaps(a, b, tol: float, antiparallel: bool = True):
+    """Collinear overlaps between the edges of two `_edge_arrays` tuples.
+
+    Returns arrays k, lo, hi: an edge of `b` covers the arclength interval
+    [lo, hi] of edge k of `a`, an overlap longer than tol.  The two edges run
+    opposite ways when antiparallel is True, the same way otherwise.
+    """
+    Pa, _, Ua, La = a
+    Pb, Db, _, _ = b
+    # (na, nb) pairwise tests: direction, collinearity, overlap
+    cross_dir = Ua[:, None, 0] * Db[None, :, 1] - Ua[:, None, 1] * Db[None, :, 0]
+    dot_dir = Ua[:, None, 0] * Db[None, :, 0] + Ua[:, None, 1] * Db[None, :, 1]
+    off = Pb[None, :, :] - Pa[:, None, :]
+    cross_off = Ua[:, None, 0] * off[..., 1] - Ua[:, None, 1] * off[..., 0]
+    oriented = dot_dir < 0.0 if antiparallel else dot_dir > 0.0
+    mask = (np.abs(cross_dir) <= tol) & oriented & (np.abs(cross_off) <= tol)
+    if not mask.any():
+        return (), (), ()
+    s = off[..., 0] * Ua[:, None, 0] + off[..., 1] * Ua[:, None, 1]
+    e = s + dot_dir
+    lo = np.maximum(0.0, np.minimum(s, e))
+    hi = np.minimum(La[:, None], np.maximum(s, e))
+    k, l = np.nonzero(mask & ((hi - lo) > tol))
+    return k, lo[k, l], hi[k, l]
+
+
 def extract_interfaces(cells: list[Polygon], tol: float) -> list[Interface]:
     """Match collinear opposite-orientation edge overlaps between distinct cells."""
     interfaces: list[Interface] = []
-    starts, dirs, units, lens = [], [], [], []
-    for c in cells:
-        v = c.vertices
-        w = np.roll(v, -1, axis=0)
-        d = w - v
-        L = np.linalg.norm(d, axis=1)
-        starts.append(v)
-        dirs.append(d)
-        units.append(d / L[:, None])
-        lens.append(L)
+    edges = [_edge_arrays(c.vertices) for c in cells]
     for ia in range(len(cells)):
-        Pa, Ua, La = starts[ia], units[ia], lens[ia]
+        Pa, _, Ua, _ = edges[ia]
         for ib in range(ia + 1, len(cells)):
             if _bbox_disjoint(cells[ia], cells[ib], tol):
                 continue
-            Pb, Db = starts[ib], dirs[ib]
-            # (na, nb) pairwise tests: anti-parallel, collinear, overlapping
-            cross_dir = Ua[:, None, 0] * Db[None, :, 1] - Ua[:, None, 1] * Db[None, :, 0]
-            dot_dir = Ua[:, None, 0] * Db[None, :, 0] + Ua[:, None, 1] * Db[None, :, 1]
-            off = Pb[None, :, :] - Pa[:, None, :]
-            cross_off = Ua[:, None, 0] * off[..., 1] - Ua[:, None, 1] * off[..., 0]
-            mask = (np.abs(cross_dir) <= tol) & (dot_dir < 0.0) & (np.abs(cross_off) <= tol)
-            if not mask.any():
-                continue
-            s = off[..., 0] * Ua[:, None, 0] + off[..., 1] * Ua[:, None, 1]
-            e = s + dot_dir
-            lo = np.maximum(0.0, np.minimum(s, e))
-            hi = np.minimum(La[:, None], np.maximum(s, e))
-            mask &= (hi - lo) > tol
-            for k, l in zip(*np.nonzero(mask)):
+            for k, lo, hi in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
                 u1 = Ua[k]
-                a = Pa[k] + lo[k, l] * u1
-                b = Pa[k] + hi[k, l] * u1
                 # counterclockwise cells keep their interior on the left of
                 # each directed edge, so the outward normal of cell ia is
                 # the direction rotated by -90 degrees
                 n = np.array([u1[1], -u1[0]])
-                interfaces.append(Interface(a, b, left=ib, right=ia, normal=n))
+                interfaces.append(
+                    Interface(Pa[k] + lo * u1, Pa[k] + hi * u1, left=ib, right=ia, normal=n)
+                )
     return interfaces
 
 
@@ -375,9 +353,9 @@ class PolygonalPartition:
         when the point lies within the matching tolerance of an interface.
         """
         x = _as_point(x)
-        on_interface = any(
-            _segment_distance(x, itf.a, itf.b) <= self.tol for itf in self.interfaces
-        )
+        a = np.array([itf.a for itf in self.interfaces]).reshape(-1, 2)
+        b = np.array([itf.b for itf in self.interfaces]).reshape(-1, 2)
+        on_interface = bool(np.any(_segments_distance(x, a, b - a) <= self.tol))
         for k, cell in enumerate(self.cells):
             if cell.contains(x, self.tol) >= 0:
                 return k, on_interface
@@ -402,15 +380,6 @@ class PolygonalPartition:
     def from_json(data) -> "PolygonalPartition":
         cells = [Polygon.from_json(c) for c in data["cells"]]
         return PolygonalPartition(cells, Polygon.from_json(data["domain"]))
-
-
-def _segment_distance(x, a, b) -> float:
-    d = b - a
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return float(np.linalg.norm(x - a))
-    t = float(np.clip((x - a) @ d / L2, 0.0, 1.0))
-    return float(np.linalg.norm(a + t * d - x))
 
 
 def _convex_clip(subject: np.ndarray, clip: np.ndarray, tol: float) -> np.ndarray:
@@ -465,8 +434,9 @@ def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> 
     if _bbox_disjoint(p1, p2, tol):
         return 0.0
     total = 0.0
+    tris2 = triangulate(p2)
     for t1 in triangulate(p1):
-        for t2 in triangulate(p2):
+        for t2 in tris2:
             clipped = _convex_clip(t1, t2, tol)
             if len(clipped) >= 3:
                 total += abs(signed_area(clipped))
@@ -498,25 +468,19 @@ class PartitionReport:
 def validate_partition(part: PolygonalPartition) -> PartitionReport:
     """Report area defect, unmatched edge portions, and overlapping cell pairs."""
     tol = part.tol
-    domain_edges = part.domain.edges()
+    edges = [_edge_arrays(c.vertices) for c in part.cells]
+    domain_edges = _edge_arrays(part.domain.vertices)
 
     unmatched = []
-    for ci, cell in enumerate(part.cells):
-        for ei, (p, q) in enumerate(cell.edges()):
-            L = float(np.linalg.norm(q - p))
-            covered = []
-            for cj, other in enumerate(part.cells):
-                if cj == ci:
-                    continue
-                for p2, q2 in other.edges():
-                    ov = _collinear_overlap(p, q, p2, q2, tol)
-                    if ov is not None:
-                        covered.append(ov)
-            for P, Q in domain_edges:
-                ov = _collinear_overlap(p, q, P, Q, tol, antiparallel=False)
-                if ov is not None:
-                    covered.append(ov)
-            gap = L - sum(hi - lo for lo, hi in _merge_intervals(covered, tol))
+    for ci, own in enumerate(edges):
+        covered = [[] for _ in own[3]]
+        # antiparallel against the other cells, parallel along the domain
+        against = [(e, True) for cj, e in enumerate(edges) if cj != ci]
+        for other, antiparallel in against + [(domain_edges, False)]:
+            for k, lo, hi in zip(*_edge_overlaps(own, other, tol, antiparallel)):
+                covered[k].append((lo, hi))
+        for ei, (L, intervals) in enumerate(zip(own[3], covered)):
+            gap = float(L - sum(hi - lo for lo, hi in _merge_intervals(intervals, tol)))
             if gap > 10 * tol:
                 unmatched.append((ci, ei, gap))
 

@@ -327,6 +327,11 @@ class TestFalsify:
         with pytest.raises(EllipticityError):
             falsify(f, E1, E1, E2, budget=10)
 
+    def test_rejects_bogus_i_side(self):
+        f = catalog_density("isotropic:id")
+        with pytest.raises(FunctionError):
+            falsify(f, I_CE, J_CE, E2, budget=60, i_side="bogus")
+
 
 class TestJumpSquareBuilder:
     @settings(max_examples=40, derandomize=True, deadline=None)

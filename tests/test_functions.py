@@ -106,6 +106,10 @@ class TestElementary:
         assert np.allclose(s.plus(np.array(0.0)), (0, 0))
         assert np.allclose(s.minus(np.array(0.0)), (1, 0))
 
+    def test_nu_must_match_square_normal(self):
+        with pytest.raises(FunctionError):
+            make_elementary((1, 0), (0, 0), (1, 0), OrientedSquare(E2, 1.0, (0, 0)))
+
     def test_unit_length_for_random_normals(self):
         rng = np.random.default_rng(11)
         for _ in range(40):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdlab.geometry import (
     GeometryError,
@@ -131,6 +133,8 @@ class TestPartition:
         assert rep.passed
         assert rep.area_defect == 0.0
         assert part.interfaces == []
+        assert part.locate((0.5, 0.5)) == (0, False)
+        assert part.locate((0.5, 0.0)) == (0, False)
 
     def test_horizontal_chord(self):
         part = _chord_partition()
@@ -185,6 +189,36 @@ class TestPartition:
             itf = part.interfaces[0]
             assert abs(itf.normal @ itf.direction) <= 1e-12
             assert abs(sum(c.area for c in part.cells) - dom.area) <= 1e-9 * dom.area
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from((0.25, 0.5, 1.0)),
+                st.sets(st.sampled_from((0.125, 0.25, 0.5, 0.75))),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        drop=st.integers(0, 63),
+    )
+    def test_grid_partitions(self, rows, drop):
+        # rows of unit width, each cut at its own fractions, so rows meet at
+        # T-junctions; extraction and validation share one edge kernel
+        cells, y = [], 0.0
+        for height, cuts in rows:
+            xs = [0.0, *sorted(cuts), 1.0]
+            for x0, x1 in zip(xs[:-1], xs[1:]):
+                cells.append(Polygon([(x0, y), (x1, y), (x1, y + height), (x0, y + height)]))
+            y += height
+        dom = Polygon([(0, 0), (1, 0), (1, y), (0, y)])
+        part = PolygonalPartition(cells, dom)
+        assert validate_partition(part).passed
+        interior = sum(len(cuts) * height for height, cuts in rows) + len(rows) - 1
+        assert abs(sum(i.length for i in part.interfaces) - interior) <= 1e-12
+        if len(cells) > 1:
+            del cells[drop % len(cells)]
+            assert validate_partition(PolygonalPartition(cells, dom)).unmatched_edges
 
     def test_locate(self):
         part = _chord_partition()
