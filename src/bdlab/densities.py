@@ -15,9 +15,7 @@ import numpy as np
 
 from .profiles import (
     SubadditiveProfile,
-    abs_profile,
     constant_profile,
-    eta_profile,
     identity_profile,
     sqrt_profile,
     truncated_profile,
@@ -146,76 +144,51 @@ def density_biconvex_frobenius() -> Density:
     return Density("frobenius", evaluator, claimed_class="symmetric-jointly-convex")
 
 
-def density_dalmot(
-    thetas, basis_budget: int = 720, refine_width: float = 1e-10
-) -> Density:
-    """Supremum over planar orthonormal bases of the per-axis profile combination.
+def _axis_angle(v):
+    """Angle of the line through v, in (-pi/2, pi/2]; 0 for v = 0.
 
-    f(i,j,nu) = sup_phi sqrt(sum_k theta_k(<i-j, xi_k>)^2 <nu, xi_k>^2) with
-    xi_1 = (cos phi, sin phi), xi_2 = xi_1^perp.  A uniform angle grid is
-    refined by golden section on the best bracket.
+    The half-angle form is invariant under v -> -v, bit for bit.
     """
-    thetas = tuple(thetas)
-    if len(thetas) != 2:
-        raise DensityError("planar evaluation needs exactly two profiles")
-    for th in thetas:
-        probe = th(np.array([0.0]))
-        if abs(float(probe[0])) > 1e-14:
-            raise DensityError(f"profile {th.name} must vanish at 0")
-        t = np.linspace(-5, 5, 41)
-        vals = th(t)
-        if np.max(np.abs(vals - th(-t))) > 1e-12:
-            raise DensityError(f"profile {th.name} must be even")
-    same = thetas[0] is thetas[1] or thetas[0].name == thetas[1].name
-    # a quarter turn swaps the roles of the two profiles, so the angle domain
-    # [0, pi/2) covers every basis only when the profiles coincide
-    period = 0.5 * np.pi if same else np.pi
+    n = _norm(v)
+    x, y = np.moveaxis(v / np.where(n > 0, n, 1.0)[..., None], -1, 0)
+    return 0.5 * np.arctan2(2.0 * x * y, x * x - y * y)
+
+
+def density_dalmot(M: float = np.inf) -> Density:
+    """Supremum over planar orthonormal bases of the truncated per-axis norm.
+
+    f(i,j,nu) = sup_phi sqrt(sum_k eta(<a, xi_k>)^2 <nu, xi_k>^2) with a = i - j,
+    eta(t) = min(|t|, M), xi_1 = (cos phi, sin phi) and xi_2 = xi_1^perp;
+    M = inf is the abs profile.  The objective has period pi/2, and on each
+    piece of the angle range (no, one or both terms truncated) it peaks at
+    the eigenbasis of sym(a (.) nu), at xi_1 along nu, or at a kink
+    |<a, xi_1>| = M.  The objective is evaluated at those four angles, so
+    the maximum is the supremum, not an estimate.
+    """
+    M = float(M)
+    if not M > 0:
+        raise DensityError("truncation level M must be positive")
 
     def evaluator(i, j, nu):
-        a = np.asarray(i - j, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        a2 = a.reshape(-1, a.shape[-1])
-        n2 = np.broadcast_to(nu, a.shape).reshape(-1, a.shape[-1])
-        grid = np.linspace(0.0, period, basis_budget, endpoint=False)
+        a, nu = np.broadcast_arrays(i - j, nu)
+        na = _norm(a)
+        alpha, beta = _axis_angle(a), _axis_angle(nu)
+        # |<a, xi_1>| = M at alpha +- arccos(M / |a|), when |a| > M
+        width = np.arccos(np.divide(np.minimum(na, M), na, out=np.ones_like(na), where=na > 0))
+        phi = np.stack([0.5 * (alpha + beta), beta, alpha + width, alpha - width], axis=-1)
+        c, s = np.cos(phi), np.sin(phi)
+        total = 0.0
+        for xc, xs in ((c, s), (-s, c)):
+            along_a = a[..., :1] * xc + a[..., 1:] * xs
+            along_nu = nu[..., :1] * xc + nu[..., 1:] * xs
+            total = total + np.minimum(np.abs(along_a), M) ** 2 * along_nu**2
+        return np.sqrt(np.max(total, axis=-1))
 
-        def vals_at(phi):
-            # phi: (n,) or (m,) broadcast against samples
-            c, s = np.cos(phi), np.sin(phi)
-            d1a = a2[:, 0, None] * c + a2[:, 1, None] * s
-            d2a = -a2[:, 0, None] * s + a2[:, 1, None] * c
-            d1n = n2[:, 0, None] * c + n2[:, 1, None] * s
-            d2n = -n2[:, 0, None] * s + n2[:, 1, None] * c
-            return np.sqrt(
-                thetas[0](d1a) ** 2 * d1n ** 2 + thetas[1](d2a) ** 2 * d2n ** 2
-            )
-
-        on_grid = vals_at(grid)  # (n, m)
-        best = np.argmax(on_grid, axis=1)
-        h = period / basis_budget
-        lo = grid[best] - h
-        hi = grid[best] + h
-
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1 = vals_at(x1[:, None])[:, 0]
-        f2 = vals_at(x2[:, None])[:, 0]
-        while np.max(hi - lo) > refine_width:
-            low = f1 >= f2
-            hi = np.where(low, x2, hi)
-            lo = np.where(low, lo, x1)
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1 = vals_at(x1[:, None])[:, 0]
-            f2 = vals_at(x2[:, None])[:, 0]
-        out = np.maximum(on_grid.max(axis=1), np.maximum(f1, f2))
-        return out.reshape(a.shape[:-1])
-
-    name = f"dalmot[{thetas[0].name},{thetas[1].name}]"
+    profile = "abs" if M == np.inf else f"eta[{M:g}]"
     return Density(
-        name,
+        f"dalmot[{profile},{profile}]",
         evaluator,
-        bounded=all(t.bounded for t in thetas),
+        bounded=M < np.inf,
         claimed_class="symmetric-jointly-convex",
     )
 
@@ -374,9 +347,9 @@ _REGISTRY = (
     ("isotropic:sqrt", lambda: density_isotropic(sqrt_profile())),
     ("product:aniso1:eps=0.01", anisotropic_normal_density),
     ("aniso2:eps=1e-4", anisotropic_trace_density),
-    ("dalmot:abs", lambda: density_dalmot((abs_profile(),) * 2)),
+    ("dalmot:abs", density_dalmot),
     ("frobenius", density_biconvex_frobenius),
-    ("frobenius:trunc:M=1", lambda M: density_dalmot((eta_profile(M),) * 2)),
+    ("frobenius:trunc:M=1", density_dalmot),
     ("normal:polytopeK", lambda: density_normal_only(_square_polytope())),
     ("mild:g", lambda: density_mild(_mild_g, name="mild[g]")),
 )

@@ -387,6 +387,11 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     ]
 
 
+# Latin-hypercube starts per family, and the quadrature tolerance of the search
+_RESTARTS = 8
+_SEARCH_TOL = 1e-9
+
+
 def _search_one(family, start, objective, maxfev):
     res = optimize.minimize(
         objective,
@@ -406,10 +411,8 @@ def falsify(
     families=None,
     budget: int = 4000,
     seed: int = 0,
-    restarts: int = 8,
     side: float = 6.0,
     i_side: str = "minus",
-    search_tol: float = 1e-9,
     keep_competitor: bool = True,
 ) -> EllipticityVerdict:
     """Derivative-free search for a competitor below the straight-interface
@@ -438,7 +441,7 @@ def falsify(
             evals[0] += 1
             try:
                 comp = family.generator(params)
-                return surface_energy(comp, f, tol=search_tol).value
+                return surface_energy(comp, f, tol=_SEARCH_TOL).value
             except (GeometryError, FunctionError, EllipticityError):
                 return big
 
@@ -450,7 +453,7 @@ def falsify(
         sampler = qmc.LatinHypercube(d=family.dim, seed=np.random.default_rng(ss))
         lob = np.array([b[0] for b in family.bounds])
         hib = np.array([b[1] for b in family.bounds])
-        starts = [lob + (hib - lob) * row for row in sampler.random(n=restarts)]
+        starts = [lob + (hib - lob) * row for row in sampler.random(n=_RESTARTS)]
         starts = list(family.suggestions) + starts
         for si, start in enumerate(starts):
             runs.append((fi, si, family, start))

@@ -56,12 +56,17 @@ def _gauss_interval(fn, t0: float, t1: float, order: int) -> float:
     return half * float(w @ fn(mid + half * x))
 
 
+# an error estimate within a few ulps of the value is rounding, not truncation
+_ROUNDING_FLOOR = 8 * np.finfo(float).eps
+
+
 def _refine(rule, split, parts, tol, max_depth, depth=0):
     """Refine-until-agree quadrature: (value, error estimate) summed over parts.
 
     Each part gets the share tol / len(parts).  Its estimate is the sum of
     `rule` over `split(part)`, and its error the distance to `rule(part)`;
-    a part whose error exceeds its share is refined again, until max_depth.
+    a part whose error exceeds both its share and the rounding floor of its
+    own value is refined again, until max_depth.
     """
     share = tol / len(parts)
     total, err = 0.0, 0.0
@@ -71,7 +76,7 @@ def _refine(rule, split, parts, tol, max_depth, depth=0):
         fine = sum(rule(c) for c in children)
         e = abs(coarse - fine)
         # negated, so that a NaN error is refined down to max_depth
-        if not (e <= share or depth >= max_depth):
+        if not (e <= share or e <= _ROUNDING_FLOOR * abs(fine) or depth >= max_depth):
             fine, e = _refine(rule, split, children, share, max_depth, depth + 1)
         total += fine
         err += e
@@ -128,7 +133,7 @@ def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bo
 
 def _finite(vals):
     if not np.all(np.isfinite(vals)):
-        raise EnergyError("jump integrand returned a non-finite value")
+        raise EnergyError("integrand returned a non-finite value")
     return vals
 
 
@@ -264,10 +269,13 @@ def _split_triangle(tri: np.ndarray):
 
 
 def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
-    """Adaptive volume integral of fn over a polygon; fn maps (n,2) -> (n,)."""
+    """Adaptive volume integral of fn over a polygon; fn maps (n,2) -> (n,).
+
+    A non-finite integrand value raises EnergyError.
+    """
     return _refine(
-        lambda tri: _tri_gauss(fn, tri, order), _split_triangle, triangulate(poly), tol,
-        max_depth=10,
+        lambda tri: _finite(_tri_gauss(fn, tri, order)), _split_triangle,
+        triangulate(poly), tol, max_depth=10,
     )
 
 

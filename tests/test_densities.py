@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdlab.densities import (
     CATALOG_IDS,
@@ -19,7 +21,6 @@ from bdlab.densities import (
 )
 from bdlab.profiles import (
     ProfileError,
-    abs_profile,
     constant_profile,
     eta_profile,
     identity_profile,
@@ -121,13 +122,41 @@ class TestFrobenius:
         assert density_biconvex_frobenius()(E1, E1, E2) == 0.0
 
 
+def dalmot_oracle(a, nu, M, angles=200_001):
+    """Brute-force sup over bases: the objective on a uniform grid of [0, pi/2)."""
+    phi = np.linspace(0.0, 0.5 * np.pi, angles, endpoint=False)
+    c, s = np.cos(phi), np.sin(phi)
+    total = 0.0
+    for xc, xs in ((c, s), (-s, c)):
+        along_a = a[0] * xc + a[1] * xs
+        along_nu = nu[0] * xc + nu[1] * xs
+        total = total + np.minimum(np.abs(along_a), M) ** 2 * along_nu**2
+    return float(np.sqrt(np.max(total)))
+
+
+@st.composite
+def dalmot_triples(draw):
+    """(M, a, nu) with |a| at 0 and at the kinks M, sqrt(2) M, and nu along
+    a, across a, or free."""
+    M = draw(st.sampled_from([0.3, 1.0, 2.5, np.inf]))
+    special = [0.0, 1e-3, 1e6] + ([M, np.sqrt(2.0) * M] if M < np.inf else [])
+    r = draw(st.sampled_from(special) | st.floats(0.0, 10.0))
+    angle = st.floats(0.0, 2.0 * np.pi)
+    ta = draw(angle)
+    tn = draw(st.sampled_from([ta, ta + 0.5 * np.pi]) | angle)
+    rn = draw(st.floats(0.1, 10.0))
+    a = r * np.array([np.cos(ta), np.sin(ta)])
+    nu = rn * np.array([np.cos(tn), np.sin(tn)])
+    return M, a, nu
+
+
 class TestDalmot:
     def test_abs_profile_equals_frobenius(self):
-        f = density_dalmot((abs_profile(), abs_profile()))
+        f = density_dalmot()
         assert f(E1, ZERO, E2) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
 
     def test_abs_agrees_with_frobenius_on_random_triples(self):
-        f = density_dalmot((abs_profile(), abs_profile()))
+        f = density_dalmot()
         g = density_biconvex_frobenius()
         rng = np.random.default_rng(4)
         i = rng.normal(size=(200, 2))
@@ -135,9 +164,16 @@ class TestDalmot:
         nu = rng.normal(size=(200, 2))
         assert np.max(np.abs(f(i, j, nu) - g(i, j, nu))) < 1e-8
 
+    def test_abs_catalog_id_is_frobenius_to_rounding(self):
+        f = catalog_density("dalmot:abs")
+        g = catalog_density("frobenius")
+        rng = np.random.default_rng(7)
+        i, j, nu = (rng.normal(scale=2.0, size=(5000, 2)) for _ in range(3))
+        assert np.max(np.abs(f(i, j, nu) / g(i, j, nu) - 1.0)) <= 1e-14
+
     def test_truncated_saturates(self):
         M = 1.0
-        f = density_dalmot((eta_profile(M), eta_profile(M)))
+        f = density_dalmot(M)
         rng = np.random.default_rng(5)
         for _ in range(50):
             d = rng.normal(size=2)
@@ -147,8 +183,27 @@ class TestDalmot:
             assert f(d, ZERO, nu) == pytest.approx(want, abs=1e-8)
 
     def test_zero_gap(self):
-        f = density_dalmot((abs_profile(), abs_profile()))
+        f = density_dalmot()
         assert f(E1, E1, E2) == 0.0
+
+    @pytest.mark.parametrize("M", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_truncation(self, M):
+        with pytest.raises(DensityError):
+            density_dalmot(M)
+
+    def test_names_and_bounds(self):
+        assert density_dalmot().name == "dalmot[abs,abs]"
+        assert density_dalmot(1).name == "dalmot[eta[1],eta[1]]"
+        assert not density_dalmot().bounded and density_dalmot(1).bounded
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(dalmot_triples())
+    def test_exact_sup_against_brute_force(self, triple):
+        # the brute force misses a kink maximum by up to its grid spacing
+        M, a, nu = triple
+        value = float(density_dalmot(M)(a, ZERO, nu))
+        brute = dalmot_oracle(a, nu, M)
+        assert brute * (1 - 1e-15) <= value <= brute * (1 + 1e-5)
 
 
 class TestNormalOnly:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +40,23 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 ZERO = np.array([0.0, 0.0])
 SYMMETRIC_IDS = [fid for fid in CATALOG_IDS if catalog_density(fid).symmetric]
+
+
+class CallLimitReached(Exception):
+    """A counted integrand ran past its call limit: the quadrature stalled."""
+
+
+def counted(fn, limit):
+    """fn wrapped to count its calls in `calls[0]` and raise past `limit`."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise CallLimitReached
+        return fn(*args)
+
+    return wrapped, calls
 
 
 def elementary(i=(1.0, 0.0), j=(0.0, 0.0), nu=E2, side=1.0):
@@ -127,6 +146,21 @@ class TestSurfaceEnergy:
         # integral of min(|x|, 0.5) over x in [-1,1]: 2*(0.125 + 0.25) = 0.75
         res = surface_energy(u, f)
         assert res.value == pytest.approx(0.75, abs=1e-12)
+
+    def test_rounding_floor_stops_refinement(self):
+        # energy ~523 at absolute tolerance 1e-13: rounding alone gives error
+        # estimates near 1e-13, which no halving can reduce
+        rect = default_families((0, 0), (2, 2), (0, 1))[1]
+        assert rect.name == "rect-insert"
+        u = rect.generator(
+            [0.5255712420628432, 98.44565157363147, 3.418444628092724, -2.807458828081156]
+        )
+        f = catalog_density("isotropic:id")
+        evaluator, calls = counted(f.evaluator, limit=5000)
+        res = surface_energy(u, dataclasses.replace(f, evaluator=evaluator), tol=1e-13, order=30)
+        assert calls[0] <= 100
+        assert res.value == surface_energy(u, f, tol=1e-9, order=30).value
+        assert res.error_estimate <= 1e-13 + 8 * np.finfo(float).eps * res.value
 
 
 class TestJumpFlux:
@@ -237,6 +271,13 @@ class TestVolumeQuadrature:
         v, _ = integrate_polygon(fn, poly, tol=1e-12, order=8)
         want = (1 - np.cos(1.0)) * np.sin(1.0)
         assert v == pytest.approx(want, abs=1e-12)
+
+    def test_non_finite_integrand_raises_at_once(self):
+        poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        fn, calls = counted(lambda x: np.full(len(x), np.nan), limit=1000)
+        with pytest.raises(EnergyError):
+            integrate_polygon(fn, poly, tol=1e-9, order=2)
+        assert calls[0] == 1
 
 
 class TestBump:
