@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -39,6 +40,7 @@ from .functions import AffinePiece, FunctionError, PiecewiseAffine, PiecewiseRig
 from .geometry import Polygon, PolygonalPartition, make_oriented_square
 from .profiles import sin_profile
 from .render import render_svg
+from .report import jsonable
 
 
 def _vec(text: str) -> np.ndarray:
@@ -46,22 +48,12 @@ def _vec(text: str) -> np.ndarray:
 
 
 def _write_report(report: dict, path: str | None):
-    payload = json.dumps(report, indent=2, default=_json_default)
+    payload = json.dumps(jsonable(report), indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _load_function(path: str) -> PiecewiseAffine:
@@ -75,7 +67,8 @@ def _load_function(path: str) -> PiecewiseAffine:
 
 
 # Handlers take the parsed arguments and return (results, exit code); the
-# results of a command with a report mode go into the report that main writes.
+# results of a command with a report mode go into the report that main writes,
+# which alone turns them into JSON.
 
 
 def cmd_density_check(args):
@@ -95,7 +88,7 @@ def cmd_density_check(args):
 def cmd_energy_eval(args):
     u = _load_function(args.function)
     res = surface_energy(u, catalog_density(args.density), tol=args.tol)
-    return {**res.to_json(), "tolerance": args.tol}, 0
+    return {**asdict(res), "tolerance": args.tol}, 0
 
 
 def cmd_fields_verify(args):
@@ -129,7 +122,7 @@ def cmd_fields_verify(args):
 def cmd_search(estimator, args):
     f = catalog_density(args.density)
     ijnu = (_vec(args.i), _vec(args.j), _vec(args.nu))
-    return estimator(f, *ijnu, budget=args.budget, seed=args.seed).to_json(), 0
+    return estimator(f, *ijnu, budget=args.budget, seed=args.seed), 0
 
 
 def _ce1_expected(lam: float, eps: float) -> dict:
@@ -194,7 +187,7 @@ def cmd_repro(breakdown_fn, density_fn, expected_fn, args):
     results = {
         "breakdown": breakdown,
         **expected_fn(args.lam, args.eps),
-        "verdict": verdict.to_json(),
+        "verdict": verdict,
     }
     return results, 0 if verdict.status == "VIOLATION" else 2
 

@@ -8,7 +8,7 @@ positively 1-homogeneous, and the convexity check homogenizes the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,6 @@ class Density:
 
     name: str
     evaluator: Callable
-    symmetric: bool = True
     one_homogeneous_in_nu: bool = True
     bounded: bool = False
     claimed_class: str = "unknown"
@@ -57,13 +56,10 @@ class Density:
         t = float(t)
         if t <= 0:
             raise DensityError("scale factor must be positive")
-        return Density(
-            f"{self.name}*{t:g}",
-            lambda i, j, nu: t * self.evaluator(i, j, nu),
-            self.symmetric,
-            self.one_homogeneous_in_nu,
-            self.bounded,
-            self.claimed_class,
+        return replace(
+            self,
+            name=f"{self.name}*{t:g}",
+            evaluator=lambda i, j, nu: t * self.evaluator(i, j, nu),
         )
 
 

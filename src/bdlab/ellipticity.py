@@ -38,6 +38,7 @@ from .geometry import (
     frame_from_normal,
     unit,
 )
+from .report import Report
 
 E2 = np.array([0.0, 1.0])
 
@@ -308,7 +309,7 @@ class CompetitorFamily:
 
 
 @dataclass(frozen=True)
-class EllipticityVerdict:
+class EllipticityVerdict(Report):
     status: str  # "VIOLATION" or "NO-VIOLATION-WITHIN-BUDGET"
     best_energy: float
     reference_energy: float
@@ -319,26 +320,8 @@ class EllipticityVerdict:
     best_family: str
     best_params: tuple
     interface_length: float
-    competitor: PiecewiseRigid | None = None
     cross_check: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            "status": self.status,
-            "best_energy": self.best_energy,
-            "reference_energy": self.reference_energy,
-            "margin": self.margin,
-            "normalized_margin": self.normalized_margin,
-            "error_estimate": self.error_estimate,
-            "budget_used": self.budget_used,
-            "best_family": self.best_family,
-            "best_params": list(self.best_params),
-            "interface_length": self.interface_length,
-            "cross_check": self.cross_check,
-        }
-        if self.competitor is not None:
-            out["competitor"] = self.competitor.to_json()
-        return out
+    competitor: PiecewiseRigid | None = None
 
 
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
@@ -387,9 +370,11 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     ]
 
 
-# Latin-hypercube starts per family, and the quadrature tolerance of the search
+# Latin-hypercube starts per family, the quadrature tolerance of the search,
+# and the evaluations of the shortest search run
 _RESTARTS = 8
 _SEARCH_TOL = 1e-9
+_MIN_RUN = 25
 
 
 def _search_one(family, start, objective, maxfev):
@@ -418,7 +403,10 @@ def falsify(
     """Derivative-free search for a competitor below the straight-interface
     energy.  VIOLATION requires the margin to exceed ten times the quadrature
     error and the certificate to reproduce at doubled quadrature order.
+    The budget caps the objective evaluations and must cover one search run.
     """
+    if budget < _MIN_RUN:
+        raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     if np.array_equal(i, j):
@@ -458,7 +446,7 @@ def falsify(
         for si, start in enumerate(starts):
             runs.append((fi, si, family, start))
 
-    per_run = max(25, budget // max(len(runs), 1))
+    per_run = max(_MIN_RUN, budget // max(len(runs), 1))
     results = []
     for fi, si, family, start in runs[: max(1, budget // per_run)]:
         val, params = _search_one(family, start, make_objective(family), per_run)
@@ -512,17 +500,10 @@ def falsify(
 
 
 @dataclass(frozen=True)
-class RelaxationEstimate:
+class RelaxationEstimate(Report):
     value: float
     density_value: float
     verdict: EllipticityVerdict
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "density_value": self.density_value,
-            "verdict": self.verdict.to_json(),
-        }
 
 
 def relaxation_estimate(
@@ -538,23 +519,12 @@ def relaxation_estimate(
 
 
 @dataclass(frozen=True)
-class NecessaryReport:
+class NecessaryReport(Report):
     subadditivity_violation: float
     convexity_violation: float
     passes_necessary: bool
     label: str
     verdict: EllipticityVerdict | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "subadditivity_violation": self.subadditivity_violation,
-            "convexity_violation": self.convexity_violation,
-            "passes_necessary": self.passes_necessary,
-            "label": self.label,
-        }
-        if self.verdict is not None:
-            out["verdict"] = self.verdict.to_json()
-        return out
 
 
 def bv_necessary_report(

@@ -20,6 +20,7 @@ import numpy as np
 from .fields import ConservativeField
 from .functions import JumpSegment, PiecewiseAffine, compact_deviation
 from .geometry import Polygon, clip_polygon, clip_segment_params, triangulate
+from .report import Report
 
 
 class EnergyError(ValueError):
@@ -27,7 +28,7 @@ class EnergyError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Report):
     value: float
     error_estimate: float
     segments_evaluated: int
@@ -35,13 +36,6 @@ class QuadratureResult:
     def __post_init__(self):
         if self.error_estimate < 0:
             raise EnergyError("error estimate must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "segments_evaluated": self.segments_evaluated,
-        }
 
 
 @lru_cache(maxsize=16)
@@ -334,23 +328,6 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
     return TestFunction(phi, grad, poly)
 
 
-def _field_jacobian(G: ConservativeField, step: float = 1e-6):
-    if G.jacobian is not None:
-        return G.jacobian
-
-    def fd(w):
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        d = w.shape[-1]
-        out = np.zeros(w.shape[:-1] + (d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            out[..., :, k] = (G(w + e) - G(w - e)) / (2 * step)
-        return out
-
-    return fd
-
-
 def integration_by_parts_residual(
     u: PiecewiseAffine,
     G: ConservativeField,
@@ -366,9 +343,11 @@ def integration_by_parts_residual(
       + int (grad G(u) : e(u)) phi dx
       + int <G(u), grad phi> dx  =  0
 
-    for a conservative field G and a bump phi vanishing on the region
-    boundary.  The residual is pure quadrature error.
+    for a conservative field G with an analytic Jacobian and a bump phi
+    vanishing on the region boundary.  The residual is pure quadrature error.
     """
+    if G.jacobian is None:
+        raise EnergyError("integration by parts needs a field with a Jacobian")
     region = region if region is not None else u.partition.domain
     for p in region.vertices:
         if abs(float(phi.phi(p)[0])) > 1e-12:
@@ -380,7 +359,6 @@ def integration_by_parts_residual(
     ).value
 
     # volume terms, cell by cell (clipped to a convex region if given)
-    jac = _field_jacobian(G)
     vol_sym = 0.0
     vol_grad = 0.0
     for cell, piece in zip(u.partition.cells, u.pieces):
@@ -398,7 +376,7 @@ def integration_by_parts_residual(
         if np.any(E):
 
             def f_sym(x):
-                J = jac(piece(x))
+                J = G.jacobian(piece(x))
                 return np.einsum("nij,ij->n", J, E) * phi.phi(x)
 
             v, _ = integrate_polygon(f_sym, sub, tol=tol, order=volume_order)

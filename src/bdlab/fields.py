@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .profiles import eta_profile, tau_profile, zero_profile
+from .report import jsonable
 
 
 class FieldError(ValueError):
@@ -53,17 +54,7 @@ class ConservativeField:
         return np.einsum("...k,...k->...", self.func(i) - self.func(j), nu)
 
     def to_json(self) -> dict:
-        return {"name": self.name, "bounded": self.bounded, "params": _jsonable(self.params)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj
+        return jsonable({"name": self.name, "bounded": self.bounded, "params": self.params})
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,7 @@ class FieldFamily:
         return FieldFamily(self.fields + other.fields, f"{self.name}|{other.name}")
 
     def to_json(self) -> list:
-        return [g.to_json() for g in self.fields]
+        return jsonable(self.fields)
 
 
 def sup_representation(family: FieldFamily, i, j, nu) -> float:

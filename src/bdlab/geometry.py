@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import Report
+
 MATCH_TOL = 1e-9  # relative vertex-matching tolerance (times domain diameter)
 
 
@@ -444,25 +446,13 @@ def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> 
 
 
 @dataclass
-class PartitionReport:
+class PartitionReport(Report):
     """Diagnostics from validate_partition."""
 
     area_defect: float
-    unmatched_edges: list
-    overlapping_pairs: list
+    unmatched_edges: list  # (cell, edge, uncovered length)
+    overlapping_pairs: list  # (cell, cell, overlap area)
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "area_defect": self.area_defect,
-            "unmatched_edges": [
-                {"cell": c, "edge": e, "uncovered_length": g} for c, e, g in self.unmatched_edges
-            ],
-            "overlapping_pairs": [
-                {"cells": [a, b], "area": ar} for a, b, ar in self.overlapping_pairs
-            ],
-            "passed": self.passed,
-        }
 
 
 def validate_partition(part: PolygonalPartition) -> PartitionReport:

@@ -7,7 +7,7 @@ analytic potentials and Jacobians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -125,15 +125,12 @@ class SubadditiveProfile:
     name: str
     value: Callable
     bound: float = np.inf
-    validate: bool = field(default=True, repr=False)
 
     @property
     def bounded(self) -> bool:
         return bool(np.isfinite(self.bound))
 
     def __post_init__(self):
-        if not self.validate:
-            return
         g = self.value(_GRID)
         if np.any(g < -1e-12):
             raise ProfileError(f"profile {self.name} takes negative values")
@@ -196,4 +193,4 @@ def table_profile(ts, gs, name: str = "table") -> SubadditiveProfile:
         t = np.asarray(t, dtype=float)
         return np.interp(t, ts, gs)  # constant extension beyond the last node
 
-    return SubadditiveProfile(name, value, bound=float(gs[-1]), validate=False)
+    return SubadditiveProfile(name, value, bound=float(gs[-1]))

@@ -211,7 +211,12 @@ class TestUsage:
         assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", [[], ["dance"], ["density-check", "--density", "frobenius", "--samples", "x"]]
+        "argv",
+        [
+            [], ["dance"], ["density-check", "--density", "frobenius", "--samples", "x"],
+            ["falsify", "--density", "frobenius", "--i", "0,0", "--j", "1,0", "--nu", "0,1",
+             "--seed", "0", "--budget", "0"],
+        ],
     )
     def test_usage_errors_exit_1(self, argv):
         assert main(argv) == 1

@@ -15,6 +15,8 @@ from bdlab.functions import FunctionError, compact_deviation, make_elementary, r
 from bdlab.geometry import OrientedSquare, validate_partition
 from bdlab.ellipticity import (
     EllipticityError,
+    EllipticityVerdict,
+    NecessaryReport,
     bv_necessary_report,
     ce1_energy_breakdown,
     ce2_energy_breakdown,
@@ -322,6 +324,13 @@ class TestFalsify:
             b = surface_energy(v, f, tol=1e-12).value / (6.0 * s)
             assert b == pytest.approx(a, rel=1e-9)
 
+    @pytest.mark.parametrize("budget", [0, -5, 24])
+    def test_rejects_budget_below_one_run(self, budget):
+        # the shortest search run is 25 evaluations; a smaller budget would be overrun
+        f = catalog_density("isotropic:id")
+        with pytest.raises(EllipticityError):
+            falsify(f, I_CE, J_CE, E2, budget=budget)
+
     def test_rejects_equal_values(self):
         f = catalog_density("isotropic:id")
         with pytest.raises(EllipticityError):
@@ -387,6 +396,30 @@ class TestRelaxation:
         r_small = relaxation_estimate(f, I_CE, J_CE, E2, families=fams[:2], budget=400, seed=0)
         r_large = relaxation_estimate(f, I_CE, J_CE, E2, families=fams, budget=400, seed=0)
         assert r_large.value <= r_small.value + 1e-12
+
+
+class TestReportJson:
+    def test_verdict_key_order(self):
+        fields = dict(
+            status="VIOLATION", best_energy=1.0, reference_energy=2.0, margin=1.0,
+            normalized_margin=0.5, error_estimate=0.0, budget_used=25,
+            best_family="square-insert", best_params=(np.float64(2.0), 0.5),
+            interface_length=6.0,
+        )
+        keys = list(fields) + ["cross_check"]
+        bare = EllipticityVerdict(**fields).to_json()
+        assert list(bare) == keys
+        assert bare["best_params"] == [2.0, 0.5] and bare["cross_check"] == {}
+        u = counterexample1_competitor(1.0)
+        full = EllipticityVerdict(**fields, competitor=u).to_json()
+        assert list(full) == keys + ["competitor"]
+        assert full["competitor"] == u.to_json()
+
+    def test_necessary_report_leaves_out_missing_verdict(self):
+        rep = NecessaryReport(0.0, 0.0, True, "necessary-pass").to_json()
+        assert list(rep) == [
+            "subadditivity_violation", "convexity_violation", "passes_necessary", "label"
+        ]
 
 
 class TestNecessaryReport:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from bdlab.profiles import identity_profile, sin_profile
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 ZERO = np.array([0.0, 0.0])
-SYMMETRIC_IDS = [fid for fid in CATALOG_IDS if catalog_density(fid).symmetric]
 
 
 class CallLimitReached(Exception):
@@ -61,6 +61,53 @@ def counted(fn, limit):
 
 def elementary(i=(1.0, 0.0), j=(0.0, 0.0), nu=E2, side=1.0):
     return make_elementary(i, j, nu, OrientedSquare(np.asarray(nu, float), side, (0, 0)))
+
+
+@st.composite
+def family_competitors(draw):
+    """A default-family competitor at drawn (i, j, nu) and in-bounds parameters."""
+    i = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+    j = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+    assume(np.linalg.norm(i - j) > 0.1)
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    fam = default_families(i, j, (np.cos(angle), np.sin(angle)))[draw(st.integers(0, 3))]
+    unit_params = draw(st.lists(st.floats(0.0, 1.0), min_size=fam.dim, max_size=fam.dim))
+    return fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+
+
+def rotated(u: PiecewiseRigid, angle: float) -> PiecewiseRigid:
+    """x -> R u(R^T x): cells, domain and offsets b rotate; planar skew A
+    commute with R, so A stays (R A R^T is not exactly skew in floating point)."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    part = PolygonalPartition(
+        [Polygon(cell.vertices @ R.T) for cell in u.partition.cells],
+        Polygon(u.partition.domain.vertices @ R.T),
+    )
+    return PiecewiseRigid(part, [AffinePiece(p.A, R @ p.b) for p in u.pieces])
+
+
+def with_t_junction(u: PiecewiseRigid, k: int, t: float) -> PiecewiseRigid:
+    """u with a vertex inserted at fraction t of its k-th jump interface, in
+    the cell on the left of that interface."""
+    jumps = [
+        itf for itf in u.partition.interfaces
+        if not u.pieces[itf.left].same_map(u.pieces[itf.right])
+    ]
+    itf = jumps[k % len(jumps)]
+    p = itf.a + t * (itf.b - itf.a)
+    v = u.partition.cells[itf.left].vertices
+    d = np.roll(v, -1, axis=0) - v
+
+    def edge_distance(x):
+        s = np.clip(np.einsum("ek,ek->e", x - v, d) / np.einsum("ek,ek->e", d, d), 0.0, 1.0)
+        return np.linalg.norm(x - v - s[:, None] * d, axis=1)
+
+    # the edge from v[e] that carries the interface
+    e = int(np.argmin(edge_distance(itf.a) + edge_distance(itf.b)))
+    cells = list(u.partition.cells)
+    cells[itf.left] = Polygon(np.insert(v, e + 1, p, axis=0))
+    return PiecewiseRigid(PolygonalPartition(cells, u.partition.domain), u.pieces)
 
 
 class TestSurfaceEnergy:
@@ -110,22 +157,10 @@ class TestSurfaceEnergy:
         assert res.error_estimate < 1e-9
 
     @settings(max_examples=25, derandomize=True, deadline=None)
-    @given(
-        fid=st.sampled_from(SYMMETRIC_IDS),
-        family=st.integers(0, 3),
-        unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
-        ij=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-        angle=st.floats(0.0, 2.0 * np.pi),
-    )
-    def test_orientation_invariance_for_symmetric_density(
-        self, fid, family, unit_params, ij, angle
-    ):
+    @given(fid=st.sampled_from(CATALOG_IDS), u=family_competitors())
+    def test_orientation_invariance_for_symmetric_density(self, fid, u):
         # f(i, j, nu) = f(j, i, -nu) makes the energy independent of the
         # orientation of the jump set, also for affine (rotational) traces
-        i, j = np.array(ij[:2]), np.array(ij[2:])
-        assume(np.linalg.norm(i - j) > 0.1)
-        fam = default_families(i, j, (np.cos(angle), np.sin(angle)))[family]
-        u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
         f = catalog_density(fid)
         a = surface_energy(u, f).value
         b = surface_energy(u.flipped(), f).value
@@ -161,6 +196,50 @@ class TestSurfaceEnergy:
         assert calls[0] <= 100
         assert res.value == surface_energy(u, f, tol=1e-9, order=30).value
         assert res.error_estimate <= 1e-13 + 8 * np.finfo(float).eps * res.value
+
+
+class TestInvariances:
+    """Energies of default-family competitors under the paper's invariances."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(u=family_competitors(), angle=st.floats(0.0, 2.0 * np.pi))
+    def test_rotation(self, u, angle):
+        # these densities depend on |i - j|, or on sym((i - j) (.) nu), only
+        v = rotated(u, angle)
+        ids = [fid for fid in CATALOG_IDS if fid.startswith("isotropic:")]
+        for fid in ids + ["frobenius", "dalmot:abs"]:
+            f = catalog_density(fid)
+            a = surface_energy(u, f, tol=1e-12).value
+            assert surface_energy(v, f, tol=1e-12).value == pytest.approx(a, rel=1e-11), fid
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(u=family_competitors(), k=st.integers(0, 100), t=st.floats(0.05, 0.95))
+    def test_t_junction(self, u, k, t):
+        v = with_t_junction(u, k, t)
+        assert len(v.partition.interfaces) == len(u.partition.interfaces) + 1
+        # the threshold crossings of these three are not quadrature breakpoints
+        skip = ("isotropic:trunc:a=1,M=1", "mild:g", "frobenius:trunc:M=1")
+        for fid in (fid for fid in CATALOG_IDS if fid not in skip):
+            f = catalog_density(fid)
+            a = surface_energy(u, f, tol=1e-12).value
+            assert surface_energy(v, f, tol=1e-12).value == pytest.approx(a, rel=1e-12), fid
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(u=family_competitors(), s=st.floats(0.1, 10.0))
+    def test_scaling(self, u, s):
+        v = u.scaled(s)
+        for fid in CATALOG_IDS:
+            f = catalog_density(fid)
+            a = s * surface_energy(u, f, tol=1e-12).value
+            assert surface_energy(v, f, tol=s * 1e-12).value == pytest.approx(a, rel=1e-12), fid
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(u=family_competitors(), fid=st.sampled_from(CATALOG_IDS))
+    def test_wire_round_trip(self, u, fid):
+        v = PiecewiseRigid.from_json(json.loads(json.dumps(u.to_json())))
+        assert v.to_json() == u.to_json()
+        f = catalog_density(fid)
+        assert surface_energy(v, f, tol=1e-12).value == surface_energy(u, f, tol=1e-12).value
 
 
 class TestJumpFlux:
@@ -344,6 +423,13 @@ class TestIntegrationByParts:
         phi = bump_from_polygon(u.partition.domain, power=2)
         res = integration_by_parts_residual(u, G, phi, tol=1e-10)
         assert res < 1e-8
+
+    def test_requires_field_jacobian(self):
+        u = elementary((1, 1), (0, 0), E2, 2.0)
+        G = biconvex_truncated_field(np.eye(2), M=5.0)
+        phi = bump_from_polygon(u.partition.domain, power=2)
+        with pytest.raises(EnergyError):
+            integration_by_parts_residual(u, dataclasses.replace(G, jacobian=None), phi)
 
     def test_requires_vanishing_phi(self):
         dom = make_oriented_square(E2, 2.0)
