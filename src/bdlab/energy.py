@@ -1,12 +1,12 @@
 """Surface energies along jump sets, and the identities that certify them.
 
 Energy, flux and the integration-by-parts jump term are all integrals over
-the jump set and share one kernel, `integrate_jump_set`: adaptive
+the jump set and share one kernel, `integrate_jump_arrays`: adaptive
 Gauss-Legendre with breakpoints at the roots of the affine jump components
-(where norms and truncations kink); constant traces short-circuit to closed
-form.  Volume integrals use tensor Gauss rules on a triangulation.  Line and
-volume quadrature share one refine-until-agree driver, `_refine`: halved
-intervals along the jump set, quartered triangles in the volume.
+(where norms and truncations kink), refined breadth first so that each
+level of the refinement is one integrand call over every live interval;
+constant traces short-circuit to closed form.  Volume integrals use tensor
+Gauss rules on a triangulation, refined triangle by triangle (`_refine`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import ConservativeField
-from .functions import JumpSegment, PiecewiseAffine, compact_deviation
+from .functions import JumpArrays, PiecewiseAffine, compact_deviation
 from .geometry import Polygon, clip_polygon, clip_segment_params, triangulate
 from .report import Report
 
@@ -29,9 +29,14 @@ class EnergyError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureResult(Report):
+    """A quadrature value with its error estimate; `unconverged` counts the
+    parts accepted only because they reached a cap: the depth cap, or for
+    line quadrature the width cap of a refinement level."""
+
     value: float
     error_estimate: float
     segments_evaluated: int
+    unconverged: int = 0
 
     def __post_init__(self):
         if self.error_estimate < 0:
@@ -43,72 +48,191 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_interval(fn, t0: float, t1: float, order: int) -> float:
-    x, w = _leggauss(order)
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * (t1 - t0)
-    return half * float(w @ fn(mid + half * x))
-
-
 # an error estimate within a few ulps of the value is rounding, not truncation
 _ROUNDING_FLOOR = 8 * np.finfo(float).eps
+_LINE_DEPTH = 48
+_VOLUME_DEPTH = 10
+# live intervals of one refinement level; wider refinement is chasing
+# rounding noise near a singular point and would double every level
+_LINE_WIDTH = 4096
+
+
+def _accepted(coarse, fine, share, depth: int, max_depth: int):
+    """(error, accepted, unconverged) of parts whose rule gave `coarse` and
+    whose two or more children sum to `fine`: a part is accepted when its
+    error is within its share of the tolerance or within the rounding floor
+    of its own value, and unconverged when only the cap (depth >= max_depth)
+    accepts it."""
+    e = np.abs(coarse - fine)
+    # a NaN error fails both tests, so it is refined down to max_depth
+    ok = (e <= share) | (e <= _ROUNDING_FLOOR * np.abs(fine))
+    return e, ok | (depth >= max_depth), ~ok & (depth >= max_depth)
 
 
 def _refine(rule, split, parts, tol, max_depth, depth=0):
-    """Refine-until-agree quadrature: (value, error estimate) summed over parts.
+    """Refine-until-agree quadrature over triangles: (value, error estimate,
+    unconverged parts) summed over parts.
 
     Each part gets the share tol / len(parts).  Its estimate is the sum of
     `rule` over `split(part)`, and its error the distance to `rule(part)`;
-    a part whose error exceeds both its share and the rounding floor of its
-    own value is refined again, until max_depth.
+    see `_accepted` for when a part is refined again.
     """
     share = tol / len(parts)
-    total, err = 0.0, 0.0
+    total, err, unconverged = 0.0, 0.0, 0
     for part in parts:
         coarse = rule(part)
         children = split(part)
         fine = sum(rule(c) for c in children)
-        e = abs(coarse - fine)
-        # negated, so that a NaN error is refined down to max_depth
-        if not (e <= share or e <= _ROUNDING_FLOOR * abs(fine) or depth >= max_depth):
-            fine, e = _refine(rule, split, children, share, max_depth, depth + 1)
+        e, ok, capped = _accepted(coarse, fine, share, depth, max_depth)
+        unconverged += int(capped)
+        if not ok:
+            fine, e, n = _refine(rule, split, children, share, max_depth, depth + 1)
+            unconverged += n
         total += fine
-        err += e
-    return total, err
+        err += float(e)
+    return total, err, unconverged
 
 
-def _halve(interval):
-    t0, t1 = interval
-    mid = 0.5 * (t0 + t1)
-    return (t0, mid), (mid, t1)
+def _finite(vals):
+    if not np.all(np.isfinite(vals)):
+        raise EnergyError("integrand returned a non-finite value")
+    return vals
 
 
-def _jump_breakpoints(seg: JumpSegment, t0: float, t1: float, kinks=None) -> list[float]:
-    """Kink candidates in (t0, t1): roots of the affine jump components, plus
-    the points `kinks(value0, slope)` reports along either trace."""
-    dv = seg.plus_value0 - seg.minus_value0
-    ds = seg.plus_slope - seg.minus_slope
-    pts = []
-    for k in range(dv.shape[0]):
-        if ds[k] != 0.0:
-            r = -dv[k] / ds[k]
-            if t0 < r < t1:
-                pts.append(float(r))
-    if kinks is not None:
-        for v0, sl in ((seg.plus_value0, seg.plus_slope), (seg.minus_value0, seg.minus_slope)):
-            for r in kinks(v0, sl):
-                if t0 < r < t1:
-                    pts.append(float(r))
-    return sorted(set(pts))
+def _cuts(jumps: JumpArrays, rows, kinks) -> list[list[float]]:
+    """Per row: t0, the kink candidates inside (t0, t1), t1.  The candidates
+    are the roots of the affine jump components, plus the points
+    `kinks(value0, slope)` reports along either trace."""
+    dv = jumps.plus_value0[rows] - jumps.minus_value0[rows]
+    ds = jumps.plus_slope[rows] - jumps.minus_slope[rows]
+    roots = np.divide(-dv, ds, out=np.full(ds.shape, np.nan), where=ds != 0)
+    out = []
+    for n, t0, t1, r in zip(rows.tolist(), jumps.t0[rows].tolist(), jumps.t1[rows].tolist(),
+                            roots.tolist()):
+        pts = [x for x in r if t0 < x < t1]
+        if kinks is not None:
+            for v0, sl in ((jumps.plus_value0[n], jumps.plus_slope[n]),
+                           (jumps.minus_value0[n], jumps.minus_slope[n])):
+                pts.extend(float(x) for x in kinks(v0, sl) if t0 < x < t1)
+        out.append([t0] + sorted(set(pts)) + [t1])
+    return out
 
 
-def _integrate_segment(seg: JumpSegment, integrand, t0, t1, tol, order, kinks=None):
-    """Integrate integrand(t-array) over [t0, t1] with kink breakpoints."""
-    cuts = [t0] + _jump_breakpoints(seg, t0, t1, kinks) + [t1]
-    return _refine(
-        lambda iv: _gauss_interval(integrand, *iv, order), _halve,
-        list(zip(cuts[:-1], cuts[1:])), tol, max_depth=48,
-    )
+def integrate_jump_arrays(
+    jumps: JumpArrays, integrand, tol: float, order: int, kinks=None, weight=None
+) -> QuadratureResult:
+    """Integral of integrand(trace+, trace-, normal) * weight(x) over the
+    pieces of a jump set.
+
+    The integrand is a density or a field pairing, called on (n, d) arrays;
+    `kinks(value0, slope)` adds breakpoints along each trace (a field's
+    `trace_kinks`).  Without a weight, constant traces give the closed form
+    length * integrand with zero error.  The tolerance is split among pieces
+    in proportion to their length, then evenly among a piece's intervals
+    between breakpoints, and halved with each halving of an interval.  An
+    interval is halved until its coarse and halved Gauss rules agree within
+    its share or the rounding floor, down to depth 48; a level that would
+    refine more than 4096 intervals is accepted as it stands instead.  Parts
+    accepted by either cap count as `unconverged`.  Each level is one
+    integrand call over the coarse rule and both halves of every live
+    interval.  A non-finite integrand value raises EnergyError.
+    """
+    lengths = jumps.t1 - jumps.t0
+    total_len = sum(lengths.tolist())
+    if total_len == 0.0:
+        return QuadratureResult(0.0, 0.0, 0)
+    S = lengths.size
+    closed = np.zeros(S, dtype=bool)
+    if weight is None:
+        closed = ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
+    const_rows = np.flatnonzero(closed)
+    quad_rows = np.flatnonzero(~closed)
+    seg_tol = tol * lengths / total_len
+    cuts = _cuts(jumps, quad_rows, kinks)
+    intervals = np.array([len(c) - 1 for c in cuts], dtype=int)
+    seg = top_seg = np.repeat(quad_rows, intervals)
+    lo = np.array([t for c in cuts for t in c[:-1]], dtype=float)
+    hi = np.array([t for c in cuts for t in c[1:]], dtype=float)
+    share = seg_tol[seg] / np.repeat(intervals, intervals)
+    # what the rules read per row: value0 and slope of either trace, normal,
+    # and for a weight the start point and direction
+    columns = [jumps.plus_value0, jumps.plus_slope, jumps.minus_value0, jumps.minus_slope,
+               jumps.normal] + ([] if weight is None else [jumps.a, jumps.direction])
+    table = np.concatenate(columns, axis=1)
+    d = jumps.plus_value0.shape[1]
+    x, w = _leggauss(order)
+    w = w[:, None]
+    levels = []  # per depth: (fine, error, accepted)
+    unconverged = 0
+    const_vals = None
+    for depth in range(_LINE_DEPTH + 1):
+        # the coarse rule and both halves of each interval: (3, n) bounds
+        mid = 0.5 * (lo + hi)
+        t0 = np.stack([lo, lo, mid])
+        t1 = np.stack([hi, mid, hi])
+        centre, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        t = (centre[..., None] + half[..., None] * x)[..., None]
+        g = table[seg][:, None]
+        plus = g[..., :d] + t * g[..., d:2 * d]
+        minus = g[..., 2 * d:3 * d] + t * g[..., 3 * d:4 * d]
+        normal = np.broadcast_to(g[..., 4 * d:4 * d + 2], t.shape[:-1] + (2,))
+        i, j, nu = plus.reshape(-1, d), minus.reshape(-1, d), normal.reshape(-1, 2)
+        if depth == 0 and const_rows.size:
+            i = np.concatenate([i, jumps.plus_value0[const_rows]])
+            j = np.concatenate([j, jumps.minus_value0[const_rows]])
+            nu = np.concatenate([nu, jumps.normal[const_rows]])
+        vals = np.asarray(integrand(i, j, nu), dtype=float)
+        if depth == 0 and const_rows.size:
+            const_vals = _finite(vals[-const_rows.size:])
+            vals = vals[:-const_rows.size]
+        vals = vals.reshape(t.shape[:-1])
+        if weight is not None:
+            pts = g[..., 4 * d + 2:4 * d + 4] + t * g[..., 4 * d + 4:]
+            vals = vals * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(vals.shape)
+        _finite(vals)
+        # w @ vals, interval by interval: a stacked matmul keeps the rounding
+        # of the per-interval dot product
+        r = half * (vals[..., None, :] @ w)[..., 0, 0]
+        # 0.0 + ... as sum() adds the halves
+        fine = (0.0 + r[1]) + r[2]
+        e, ok, capped = _accepted(r[0], fine, share, depth, _LINE_DEPTH)
+        if 2 * np.count_nonzero(~ok) > _LINE_WIDTH:
+            e, ok, capped = _accepted(r[0], fine, share, _LINE_DEPTH, _LINE_DEPTH)
+        unconverged += int(np.count_nonzero(capped))
+        levels.append((fine, e, ok))
+        if ok.all():
+            break
+        ref = ~ok
+        lo = np.stack([lo[ref], mid[ref]], axis=1).ravel()
+        hi = np.stack([mid[ref], hi[ref]], axis=1).ravel()
+        share = np.repeat(share[ref] / 2, 2)
+        seg = np.repeat(seg[ref], 2)
+    val, err = _fold_levels(levels)
+    per_seg = [[0.0, 0.0] for _ in range(S)]
+    for n, v, ev in zip(top_seg.tolist(), val.tolist(), err.tolist()):
+        per_seg[n][0] += v
+        per_seg[n][1] += ev
+    for n, fv in zip(const_rows.tolist(), [] if const_vals is None else const_vals.tolist()):
+        per_seg[n][0] = float(lengths[n]) * fv
+    value, error = 0.0, 0.0
+    for v, ev in per_seg:
+        value += v
+        error += ev
+    return QuadratureResult(value, error, S, unconverged)
+
+
+def _fold_levels(levels):
+    """(values, errors) of the top-level intervals from per-level (fine,
+    error, accepted): bottom up, a refined interval gets 0.0 + child0 +
+    child1, in the order the depth-first recursion adds them."""
+    val = err = None
+    for fine, e, ok in reversed(levels):
+        fine, e = fine.copy(), e.copy()
+        if val is not None:
+            fine[~ok] = (0.0 + val[0::2]) + val[1::2]
+            e[~ok] = (0.0 + err[0::2]) + err[1::2]
+        val, err = fine, e
+    return val, err
 
 
 def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool):
@@ -125,44 +249,13 @@ def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bo
     return pieces
 
 
-def _finite(vals):
-    if not np.all(np.isfinite(vals)):
-        raise EnergyError("integrand returned a non-finite value")
-    return vals
-
-
 def integrate_jump_set(
     pieces, integrand, tol: float, order: int, kinks=None, weight=None
 ) -> QuadratureResult:
-    """Integral of integrand(trace+, trace-, normal) * weight(x) over the
-    (segment, t0, t1) pieces of a jump set.
-
-    The integrand is a density or a field pairing; `kinks(value0, slope)` adds
-    breakpoints along each trace (a field's `trace_kinks`).  Without a weight,
-    constant traces give the closed form length * integrand with zero error.
-    The tolerance is split among pieces in proportion to their length, and a
-    non-finite integrand value raises EnergyError.
-    """
-    total_len = sum(t1 - t0 for _, t0, t1 in pieces)
-    if total_len == 0.0:
+    """`integrate_jump_arrays` over (segment, t0, t1) pieces of a jump set."""
+    if not pieces:
         return QuadratureResult(0.0, 0.0, 0)
-    value, err = 0.0, 0.0
-    for seg, t0, t1 in pieces:
-        L = t1 - t0
-        if weight is None and seg.constant_traces:
-            value += L * _finite(float(integrand(seg.plus_value0, seg.minus_value0, seg.normal)))
-            continue
-
-        def fn(t):
-            vals = integrand(seg.plus(t), seg.minus(t), seg.normal)
-            if weight is not None:
-                vals = vals * weight(seg.point(t))
-            return _finite(vals)
-
-        v, e = _integrate_segment(seg, fn, t0, t1, tol * L / total_len, order, kinks)
-        value += v
-        err += e
-    return QuadratureResult(value, err, len(pieces))
+    return integrate_jump_arrays(JumpArrays.from_pieces(pieces), integrand, tol, order, kinks, weight)
 
 
 def surface_energy(
@@ -264,13 +357,16 @@ def _split_triangle(tri: np.ndarray):
 
 def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
     """Adaptive volume integral of fn over a polygon; fn maps (n,2) -> (n,).
+    `segments_evaluated` counts the triangles of its triangulation.
 
     A non-finite integrand value raises EnergyError.
     """
-    return _refine(
+    tris = triangulate(poly)
+    value, err, unconverged = _refine(
         lambda tri: _finite(_tri_gauss(fn, tri, order)), _split_triangle,
-        triangulate(poly), tol, max_depth=10,
+        tris, tol, max_depth=_VOLUME_DEPTH,
     )
+    return QuadratureResult(value, err, len(tris), unconverged)
 
 
 @dataclass(frozen=True)
@@ -371,16 +467,14 @@ def integration_by_parts_residual(
             vals = G(piece(x))
             return np.einsum("nk,nk->n", vals, phi.grad(x))
 
-        v, _ = integrate_polygon(f_grad, sub, tol=tol, order=volume_order)
-        vol_grad += v
+        vol_grad += integrate_polygon(f_grad, sub, tol=tol, order=volume_order).value
         if np.any(E):
 
             def f_sym(x):
                 J = G.jacobian(piece(x))
                 return np.einsum("nij,ij->n", J, E) * phi.phi(x)
 
-            v, _ = integrate_polygon(f_sym, sub, tol=tol, order=volume_order)
-            vol_sym += v
+            vol_sym += integrate_polygon(f_sym, sub, tol=tol, order=volume_order).value
 
     return abs(jump_term + vol_sym + vol_grad)
 

@@ -15,10 +15,13 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (
+    MATCH_TOL,
     OrientedSquare,
     Polygon,
     PolygonalPartition,
+    edge_pair_interfaces,
     frame_from_normal,
+    interface_edges,
     make_oriented_square,
     polygon_overlap_area,
     unit,
@@ -131,10 +134,6 @@ class JumpSegment:
     def jump(self, t):
         return self.plus(t) - self.minus(t)
 
-    @property
-    def constant_traces(self) -> bool:
-        return not (np.any(self.plus_slope) or np.any(self.minus_slope))
-
     def flipped(self) -> "JumpSegment":
         return JumpSegment(
             self.b,
@@ -146,6 +145,74 @@ class JumpSegment:
             self.plus_value0 + self.length * self.plus_slope,
             -self.plus_slope,
         )
+
+
+@dataclass(frozen=True)
+class JumpArrays:
+    """Pieces of a jump set as arrays, one row per piece.
+
+    Piece k covers the arclength interval [t0[k], t1[k]] of the straight
+    segment that starts at a[k] and runs along the unit vector direction[k];
+    the traces are value0 + t * slope in the same arclength t.
+    """
+
+    a: np.ndarray
+    direction: np.ndarray
+    normal: np.ndarray
+    plus_value0: np.ndarray
+    plus_slope: np.ndarray
+    minus_value0: np.ndarray
+    minus_slope: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+
+    @staticmethod
+    def from_pieces(pieces) -> "JumpArrays":
+        """Stack (JumpSegment, t0, t1) pieces; there must be at least one."""
+        segs = [p[0] for p in pieces]
+        return JumpArrays(
+            *(np.array([getattr(s, name) for s in segs]) for name in (
+                "a", "direction", "normal", "plus_value0", "plus_slope",
+                "minus_value0", "minus_slope")),
+            np.array([p[1] for p in pieces], dtype=float),
+            np.array([p[2] for p in pieces], dtype=float),
+        )
+
+
+def jump_arrays(a, b, normal, left, right):
+    """The jump segments of straight interfaces, as (kept indices, JumpArrays).
+
+    Interface n runs from a[n] to b[n] with the normal pointing into its
+    left side; left = (A, c) and right stack the affine maps x -> A x + c on
+    either side.  An interface is dropped when its two maps are equal, or
+    when their traces agree at both ends and the midpoint (exact for affine
+    traces).  Row by row, the arithmetic is that of one interface at a time.
+    """
+    (Al, cl), (Ar, cr) = left, right
+    v = b - a
+    # np.linalg.norm of one vector is a dot product; stacked matmul keeps it
+    L = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    d = v / L[:, None]
+    pv0 = (a[:, None, :] @ np.swapaxes(Al, 1, 2))[:, 0] + cl
+    mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
+    ps = (Al @ d[:, :, None])[..., 0]
+    ms = (Ar @ d[:, :, None])[..., 0]
+    probes = np.stack([np.zeros_like(L), 0.5 * L, L], axis=1)[..., None]
+    plus = pv0[:, None, :] + probes * ps[:, None, :]
+    minus = mv0[:, None, :] + probes * ms[:, None, :]
+    scale = 1.0 + (np.max(np.abs(plus), axis=(1, 2)) + np.max(np.abs(minus), axis=(1, 2)))
+    agree = np.max(np.linalg.norm(plus - minus, axis=2), axis=1) <= 1e-12 * scale
+    same = np.all(Al == Ar, axis=(1, 2)) & np.all(cl == cr, axis=1)
+    keep = np.flatnonzero(~(same | agree))
+    jumps = JumpArrays(
+        a[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
+        np.zeros(keep.size), L[keep],
+    )
+    return keep, jumps
+
+
+def _stacked(pieces) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([p.A for p in pieces]), np.array([p.b for p in pieces])
 
 
 class PiecewiseAffine:
@@ -190,26 +257,22 @@ class PiecewiseAffine:
         agreement at both endpoints and the midpoint (exact for affine
         traces).
         """
-        segs: list[JumpSegment] = []
-        for itf in self.partition.interfaces:
-            left = self.pieces[itf.left]
-            right = self.pieces[itf.right]
-            if left.same_map(right):
-                continue
-            d = itf.direction
-            pv0 = left(itf.a)
-            mv0 = right(itf.a)
-            ps = left.A @ d
-            ms = right.A @ d
-            L = itf.length
-            probes = np.array([0.0, 0.5 * L, L])
-            plus = pv0 + probes[:, None] * ps
-            minus = mv0 + probes[:, None] * ms
-            scale = 1.0 + float(np.max(np.abs(plus)) + np.max(np.abs(minus)))
-            if np.max(np.linalg.norm(plus - minus, axis=1)) <= 1e-12 * scale:
-                continue
-            segs.append(JumpSegment(itf.a, itf.b, itf.normal, pv0, ps, mv0, ms))
-        return segs
+        itfs = self.partition.interfaces
+        if not itfs:
+            return []
+        keep, j = jump_arrays(
+            np.array([itf.a for itf in itfs]),
+            np.array([itf.b for itf in itfs]),
+            np.array([itf.normal for itf in itfs]),
+            _stacked([self.pieces[itf.left] for itf in itfs]),
+            _stacked([self.pieces[itf.right] for itf in itfs]),
+        )
+        return [
+            JumpSegment(itfs[n].a, itfs[n].b, itfs[n].normal, *rows)
+            for n, *rows in zip(
+                keep, j.plus_value0, j.plus_slope, j.minus_value0, j.minus_slope
+            )
+        ]
 
     def flipped(self) -> "PiecewiseAffine":
         out = type(self).__new__(type(self))
@@ -287,17 +350,95 @@ def jump_square(
         # no zero shift at the origin: it would turn -0.0 coordinates into 0.0
         return Polygon(v if center is None else v + center)
 
+    lower, upper = _outer_cells(side, hole)
+    inner = [c if isinstance(c, Polygon) else place(c) for c in cells]
+    domain = make_oriented_square(nu, side, (0.0, 0.0) if center is None else center)
+    part = PolygonalPartition([place(lower), place(upper)] + inner, domain)
+    outer = [constant_piece(minus_val), constant_piece(plus_val)]
+    return PiecewiseRigid(part, outer + list(pieces))
+
+
+def _outer_cells(side: float, hole):
+    """jump_square's lower and upper halves in frame coordinates."""
     s = 0.5 * side
     hw, low, high = (0.0, 0.0, 0.0) if hole is None else hole
     lower_notch = [[hw, 0], [hw, low], [-hw, low], [-hw, 0]] if low < 0 else []
     upper_notch = [[-hw, 0], [-hw, high], [hw, high], [hw, 0]] if high > 0 else []
-    lower = place([[-s, -s], [s, -s], [s, 0]] + lower_notch + [[-s, 0]])
-    upper = place([[-s, 0]] + upper_notch + [[s, 0], [s, s], [-s, s]])
-    inner = [c if isinstance(c, Polygon) else place(c) for c in cells]
-    domain = make_oriented_square(nu, side, (0.0, 0.0) if center is None else center)
-    part = PolygonalPartition([lower, upper] + inner, domain)
-    outer = [constant_piece(minus_val), constant_piece(plus_val)]
-    return PiecewiseRigid(part, outer + list(pieces))
+    lower = [[-s, -s], [s, -s], [s, 0]] + lower_notch + [[-s, 0]]
+    upper = [[-s, 0]] + upper_notch + [[s, 0], [s, s], [-s, s]]
+    return lower, upper
+
+
+class JumpSquareTopology:
+    """The jump set of jump_square at the origin, as JumpArrays straight
+    from its hole, cells and pieces, for inputs that keep one cell topology.
+
+    It is compiled from example inputs built by jump_square: every interface
+    of the partition is where an edge of one cell overlaps an edge of
+    another, and those edge pairs (`edge_map`) must be the same for all
+    examples, or FunctionError is raised.  `jumps` evaluates the pairs with
+    the arithmetic of extract_interfaces and jump_segments, without building
+    a Polygon or a partition, so its arrays equal the general path's bit for
+    bit.  The caller keeps the inputs within the range the examples stand
+    for (one topology); inputs a Polygon might reject get None back, and
+    belong to jump_square.
+    """
+
+    def __init__(self, i, j, nu, side: float, examples, i_side: str = "plus"):
+        maps = []
+        for hole, cells, pieces in examples:
+            u = jump_square(i, j, nu, side, i_side=i_side, hole=hole, cells=cells, pieces=pieces)
+            counts = tuple(len(c) for c in u.partition.cells)
+            maps.append((counts, tuple(interface_edges(list(u.partition.cells), u.partition.tol))))
+        if any(m != maps[0] for m in maps[1:]):
+            raise FunctionError("the examples do not share one cell topology")
+        self.counts, self.edge_map = maps[0]
+        self.side = float(side)
+        self.frame = frame_from_normal(nu)
+        self.outer = list(u.pieces[:2])
+        counts = np.array(self.counts)
+        self.starts = np.cumsum(counts) - counts
+        self.cell_of = np.repeat(np.arange(counts.size), counts)
+
+        def vertex(cell, k):
+            return self.starts[cell] + k % counts[cell]
+
+        self.next = vertex(self.cell_of, np.arange(self.cell_of.size) - self.starts[self.cell_of] + 1)
+        ia, k, ib, l = (np.array(col) for col in zip(*self.edge_map))
+        self.edges = (vertex(ia, k), vertex(ia, k + 1), vertex(ib, l), vertex(ib, l + 1))
+        self.right, self.left = ia, ib
+
+    def jumps(self, hole, cells, pieces) -> JumpArrays | None:
+        """The jump set of jump_square(..., hole=hole, cells=cells,
+        pieces=pieces), or None if a cell might fail a Polygon check."""
+        frame = list(_outer_cells(self.side, hole)) + list(cells)
+        if tuple(len(c) for c in frame) != self.counts:
+            return None
+        W = np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame])
+        if not (np.all(np.isfinite(W)) and self._cells_valid(W)):
+            return None
+        a, b, normal = edge_pair_interfaces(W, *self.edges)
+        A, c = _stacked(self.outer + list(pieces))
+        return jump_arrays(
+            a, b, normal, (A[self.left], c[self.left]), (A[self.right], c[self.right])
+        )[1]
+
+    def _cells_valid(self, W) -> bool:
+        """Polygon's checks on every cell: nonzero extent, no repeated
+        consecutive vertices, positive area, the last with a margin far
+        above rounding so that no cell Polygon rejects passes."""
+        ext = np.max(
+            np.maximum.reduceat(W, self.starts, axis=0) - np.minimum.reduceat(W, self.starts, axis=0),
+            axis=1,
+        )
+        gaps = np.linalg.norm(W - W[self.next], axis=1)
+        cross = W[:, 0] * W[self.next, 1] - W[:, 1] * W[self.next, 0]
+        area = 0.5 * np.add.reduceat(cross, self.starts)
+        return bool(
+            np.all(ext > 0.0)
+            and np.all(gaps >= MATCH_TOL * ext[self.cell_of])
+            and np.all(area > 1e-9 * ext * ext)
+        )
 
 
 def make_elementary(

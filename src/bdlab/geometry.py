@@ -281,10 +281,19 @@ def _edge_arrays(vertices):
     return vertices, d, d / L[:, None], L
 
 
+def _overlap_span(off, Ua, La, dot_dir):
+    """Arclength interval [lo, hi] of an edge (unit direction Ua, length La)
+    covered by a collinear edge starting at offset `off` from its start,
+    whose direction vector has the projection dot_dir on Ua; broadcasts."""
+    s = off[..., 0] * Ua[..., 0] + off[..., 1] * Ua[..., 1]
+    e = s + dot_dir
+    return np.maximum(0.0, np.minimum(s, e)), np.minimum(La, np.maximum(s, e))
+
+
 def _edge_overlaps(a, b, tol: float, antiparallel: bool = True):
     """Collinear overlaps between the edges of two `_edge_arrays` tuples.
 
-    Returns arrays k, lo, hi: an edge of `b` covers the arclength interval
+    Returns arrays k, l, lo, hi: edge l of `b` covers the arclength interval
     [lo, hi] of edge k of `a`, an overlap longer than tol.  The two edges run
     opposite ways when antiparallel is True, the same way otherwise.
     """
@@ -298,34 +307,68 @@ def _edge_overlaps(a, b, tol: float, antiparallel: bool = True):
     oriented = dot_dir < 0.0 if antiparallel else dot_dir > 0.0
     mask = (np.abs(cross_dir) <= tol) & oriented & (np.abs(cross_off) <= tol)
     if not mask.any():
-        return (), (), ()
-    s = off[..., 0] * Ua[:, None, 0] + off[..., 1] * Ua[:, None, 1]
-    e = s + dot_dir
-    lo = np.maximum(0.0, np.minimum(s, e))
-    hi = np.minimum(La[:, None], np.maximum(s, e))
+        return (), (), (), ()
+    lo, hi = _overlap_span(off, Ua[:, None, :], La[:, None], dot_dir)
     k, l = np.nonzero(mask & ((hi - lo) > tol))
-    return k, lo[k, l], hi[k, l]
+    return k, l, lo[k, l], hi[k, l]
+
+
+def _cell_overlaps(cells: list[Polygon], tol: float):
+    """(ia, k, ib, l, lo, hi) per interface, in extraction order: edge l of
+    cell ib covers [lo, hi] of edge k of cell ia, running the other way."""
+    edges = [_edge_arrays(c.vertices) for c in cells]
+    out = []
+    for ia in range(len(cells)):
+        for ib in range(ia + 1, len(cells)):
+            if _bbox_disjoint(cells[ia], cells[ib], tol):
+                continue
+            for k, l, lo, hi in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
+                out.append((ia, int(k), ib, int(l), lo, hi))
+    return out, edges
 
 
 def extract_interfaces(cells: list[Polygon], tol: float) -> list[Interface]:
     """Match collinear opposite-orientation edge overlaps between distinct cells."""
     interfaces: list[Interface] = []
-    edges = [_edge_arrays(c.vertices) for c in cells]
-    for ia in range(len(cells)):
+    overlaps, edges = _cell_overlaps(cells, tol)
+    for ia, k, ib, _, lo, hi in overlaps:
         Pa, _, Ua, _ = edges[ia]
-        for ib in range(ia + 1, len(cells)):
-            if _bbox_disjoint(cells[ia], cells[ib], tol):
-                continue
-            for k, lo, hi in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
-                u1 = Ua[k]
-                # counterclockwise cells keep their interior on the left of
-                # each directed edge, so the outward normal of cell ia is
-                # the direction rotated by -90 degrees
-                n = np.array([u1[1], -u1[0]])
-                interfaces.append(
-                    Interface(Pa[k] + lo * u1, Pa[k] + hi * u1, left=ib, right=ia, normal=n)
-                )
+        u1 = Ua[k]
+        # counterclockwise cells keep their interior on the left of each
+        # directed edge, so the outward normal of cell ia is the direction
+        # rotated by -90 degrees
+        n = np.array([u1[1], -u1[0]])
+        interfaces.append(
+            Interface(Pa[k] + lo * u1, Pa[k] + hi * u1, left=ib, right=ia, normal=n)
+        )
     return interfaces
+
+
+def interface_edges(cells: list[Polygon], tol: float) -> list[tuple[int, int, int, int]]:
+    """(ia, k, ib, l) for each interface of extract_interfaces, in its order:
+    the interface is where edge l of cell ib (its left side) overlaps edge k
+    of cell ia (its right side).  Edge k runs from vertex k to vertex k + 1."""
+    return [o[:4] for o in _cell_overlaps(cells, tol)[0]]
+
+
+def edge_pair_interfaces(vertices, a_start, a_end, b_start, b_end):
+    """(a, b, normal) arrays of the interfaces of given edge pairs.
+
+    Edge pair n runs from vertices[a_start[n]] to vertices[a_end[n]] on the
+    right side and from vertices[b_start[n]] to vertices[b_end[n]] on the
+    left; the edges must be collinear and antiparallel.  The arithmetic is
+    extract_interfaces', so a fixed cell topology gives its interfaces bit
+    for bit without building polygons.
+    """
+    Pa = vertices[a_start]
+    Da = vertices[a_end] - Pa
+    La = np.linalg.norm(Da, axis=1)
+    Ua = Da / La[:, None]
+    Db = vertices[b_end] - vertices[b_start]
+    dot_dir = Ua[:, 0] * Db[:, 0] + Ua[:, 1] * Db[:, 1]
+    lo, hi = _overlap_span(vertices[b_start] - Pa, Ua, La, dot_dir)
+    normal = np.stack([Ua[:, 1], -Ua[:, 0]], axis=1)
+    return Pa + lo[:, None] * Ua, Pa + hi[:, None] * Ua, normal
 
 
 class PolygonalPartition:
@@ -467,7 +510,7 @@ def validate_partition(part: PolygonalPartition) -> PartitionReport:
         # antiparallel against the other cells, parallel along the domain
         against = [(e, True) for cj, e in enumerate(edges) if cj != ci]
         for other, antiparallel in against + [(domain_edges, False)]:
-            for k, lo, hi in zip(*_edge_overlaps(own, other, tol, antiparallel)):
+            for k, _, lo, hi in zip(*_edge_overlaps(own, other, tol, antiparallel)):
                 covered[k].append((lo, hi))
         for ei, (L, intervals) in enumerate(zip(own[3], covered)):
             gap = float(L - sum(hi - lo for lo, hi in _merge_intervals(intervals, tol)))

@@ -1,19 +1,35 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdlab.densities import (
+    CATALOG_IDS,
     Density,
     anisotropic_normal_density,
     anisotropic_trace_density,
     catalog_density,
 )
-from bdlab.energy import EnergyError, jump_flux, surface_energy, symmetric_jump_measure
+from bdlab.energy import (
+    EnergyError,
+    integrate_jump_arrays,
+    jump_flux,
+    surface_energy,
+    symmetric_jump_measure,
+)
 from bdlab.fields import optimal_gbmc_field
-from bdlab.functions import FunctionError, compact_deviation, make_elementary, rigid_piece
-from bdlab.geometry import OrientedSquare, validate_partition
+from bdlab.functions import (
+    FunctionError,
+    JumpSquareTopology,
+    compact_deviation,
+    make_elementary,
+    rigid_piece,
+)
+from bdlab.geometry import GeometryError, OrientedSquare, validate_partition
 from bdlab.ellipticity import (
+    CompetitorFamily,
     EllipticityError,
     EllipticityVerdict,
     NecessaryReport,
@@ -301,6 +317,29 @@ class TestFalsify:
         with pytest.raises(EnergyError):
             falsify(f, I_CE, J_CE, E2, budget=200, seed=0, keep_competitor=False)
 
+    def test_unconverged_certificate_is_no_violation(self):
+        # the CE1 density with a small step where |i - j| crosses `level`:
+        # inside a jump segment of the CE1 competitor, no quadrature depth
+        # resolves it, so the certificate must not stand
+        u = counterexample1_competitor(1.0)
+        seg = next(s for s in u.jump_segments()
+                   if np.linalg.norm(s.jump(0.0)) != np.linalg.norm(s.jump(s.length)))
+        base = anisotropic_normal_density(0.01)
+
+        def stepped(level):
+            def evaluator(i, j, nu):
+                return base(i, j, nu) * (1.0 + 1e-6 * (np.linalg.norm(i - j, axis=-1) > level))
+            return Density("stepped", evaluator)
+
+        family = CompetitorFamily("ce1", ((0.0, 1.0),), lambda params: u)
+        # a step beyond every jump changes nothing: the violation stands
+        assert falsify(stepped(100.0), I_CE, J_CE, E2, families=[family], budget=50).status == "VIOLATION"
+        f = stepped(float(np.linalg.norm(seg.jump(0.3 * seg.length))))
+        v = falsify(f, I_CE, J_CE, E2, families=[family], budget=50)
+        assert v.status == "NO-VIOLATION-WITHIN-BUDGET"
+        assert v.margin > 10 * v.error_estimate and v.cross_check["difference"] <= 1e-9
+        assert surface_energy(u, f, tol=1e-11).unconverged > 0
+
     def test_generated_competitors_deviate_compactly(self):
         fams = default_families(I_CE, J_CE, E2)
         ref = make_elementary(
@@ -369,6 +408,100 @@ class TestJumpSquareBuilder:
         v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
         with pytest.raises(FunctionError):
             tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side="bogus")
+
+
+class TestCompiledLayouts:
+    """The search's fast path: a layout family's compiled topology gives the
+    jump set of its generator's competitor, and the same energies."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        i_side=st.sampled_from(("plus", "minus")),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        start=st.one_of(
+            st.integers(0, 3),  # a family suggestion (modulo their number)
+            st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        ),
+    )
+    def test_fast_energy_matches_general(self, family, i_side, angle, start):
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        if isinstance(start, int):
+            params = fam.suggestions[start % len(fam.suggestions)]
+        else:
+            params = [lo + t * (hi - lo) for t, (lo, hi) in zip(start, fam.bounds)]
+        jumps = fam.jumps(params)
+        u = fam.generator(params)
+        for fid in CATALOG_IDS:
+            f = catalog_density(fid)
+            for tol, order in ((1e-9, 15), (1e-13, 30)):
+                fast = integrate_jump_arrays(jumps, f, tol, order).value
+                general = surface_energy(u, f, tol=tol, order=order).value
+                assert fast == pytest.approx(general, rel=1e-12, abs=1e-300), (fid, tol)
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_segments_match_jump_segments(self, family):
+        rng = np.random.default_rng([5, family])
+        side = 6.0
+        for i_side in ("plus", "minus"):
+            nu = np.array([0.6, -0.8])
+            fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
+            for _ in range(10):
+                params = [rng.uniform(lo, hi) for lo, hi in fam.bounds]
+                jumps = fam.jumps(params)
+                segs = fam.generator(params).jump_segments()
+                assert len(segs) == len(jumps.t1) > 0
+                ends = jumps.a + (jumps.t1 - jumps.t0)[:, None] * jumps.direction
+                for k, s in enumerate(segs):
+                    assert jumps.t0[k] == 0.0
+                    np.testing.assert_allclose(jumps.a[k], s.a, rtol=0, atol=1e-12 * side)
+                    np.testing.assert_allclose(ends[k], s.b, rtol=0, atol=1e-12 * side)
+                    for name in ("normal", "plus_value0", "plus_slope",
+                                 "minus_value0", "minus_slope"):
+                        assert np.array_equal(getattr(jumps, name)[k], getattr(s, name)), name
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_rejected_parameters_get_the_sentinel_on_both_paths(self, family):
+        fam = default_families(I_CE, J_CE, E2)[family]
+        mid = [0.5 * (lo + hi) for lo, hi in fam.bounds]
+        # the first parameter sets the insert size: none, negative, beyond the square
+        for first in (0.0, -1.0, 7.0, np.nan):
+            params = [first] + mid[1:]
+            with pytest.raises((GeometryError, FunctionError, EllipticityError)):
+                fam.generator(params)
+            assert fam.jumps(params) is None
+        # searches whose bounds reach such sizes reject the same evaluations
+        # and follow the same path, through the fast path and without it
+        raised = {}
+
+        def counting(key):
+            def generator(params):
+                try:
+                    return fam.generator(params)
+                except (GeometryError, FunctionError, EllipticityError):
+                    raised[key] = raised.get(key, 0) + 1
+                    raise
+            return generator
+
+        wide = ((-1.0, 8.0),) + fam.bounds[1:]
+        fast = dataclasses.replace(fam, bounds=wide, generator=counting("fast"), suggestions=())
+        general = CompetitorFamily(fam.name, wide, counting("general"))
+        f = catalog_density("isotropic:id")
+        v = [falsify(f, I_CE, J_CE, E2, families=[fam_], budget=100, seed=1, keep_competitor=False)
+             for fam_ in (fast, general)]
+        assert raised["fast"] == raised["general"] > 0
+        assert v[0].to_json() == v[1].to_json()
+
+    def test_topology_must_not_depend_on_the_examples(self):
+        cell = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        inner = ([cell], [rigid_piece(1.0, (1.0, 1.0))])
+        examples = [((1.0, -1.0, 1.0), *inner), ((1.0, -1.0, 1.0), *inner)]
+        JumpSquareTopology(I_CE, J_CE, E2, 6.0, examples)
+        # without the upper notch the upper half loses three edges
+        examples[1] = ((1.0, -1.0, 0.0), [cell * [1.0, 0.5] - [0.0, 0.5]], inner[1])
+        with pytest.raises(FunctionError):
+            JumpSquareTopology(I_CE, J_CE, E2, 6.0, examples)
 
 
 class TestRelaxation:

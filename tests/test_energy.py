@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from bdlab.densities import CATALOG_IDS, catalog_density, density_isotropic
 from bdlab.ellipticity import default_families
+from bdlab.densities import Density
 from bdlab.energy import (
     EnergyError,
     bump_from_polygon,
     divergence_identity_residual,
+    integrate_jump_arrays,
     integrate_jump_set,
     integrate_polygon,
     integration_by_parts_residual,
@@ -198,6 +200,99 @@ class TestSurfaceEnergy:
         assert res.error_estimate <= 1e-13 + 8 * np.finfo(float).eps * res.value
 
 
+def depth_first_energy(u, f, tol, order):
+    """(value, levels) of the line quadrature written interval by interval:
+    each part's coarse Gauss rule against the sum over its two halves, a
+    part refined again until they agree within its share of the tolerance
+    or the rounding floor, down to depth 48.  `levels` is one more than the
+    deepest part visited."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    deepest = [0]
+
+    def rule(s, t0, t1):
+        t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x
+        return 0.5 * (t1 - t0) * float(w @ f(s.plus(t), s.minus(t), s.normal))
+
+    def refine(s, parts, tol, depth):
+        deepest[0] = max(deepest[0], depth)
+        share, total = tol / len(parts), 0.0
+        for t0, t1 in parts:
+            mid = 0.5 * (t0 + t1)
+            halves = [(t0, mid), (mid, t1)]
+            fine = sum(rule(s, *h) for h in halves)
+            e = abs(rule(s, t0, t1) - fine)
+            if not (e <= share or e <= 8 * np.finfo(float).eps * abs(fine) or depth >= 48):
+                fine = refine(s, halves, share, depth + 1)
+            total += fine
+        return total
+
+    segs = u.jump_segments()
+    total_len = sum(s.length for s in segs)
+    value = 0.0
+    for s in segs:
+        if not (np.any(s.plus_slope) or np.any(s.minus_slope)):
+            value += s.length * float(f(s.plus_value0, s.minus_value0, s.normal))
+            continue
+        dv, ds = s.plus_value0 - s.minus_value0, s.plus_slope - s.minus_slope
+        roots = {float(-a / b) for a, b in zip(dv, ds) if b != 0 and 0 < -a / b < s.length}
+        cuts = [0.0] + sorted(roots) + [s.length]
+        value += refine(s, list(zip(cuts[:-1], cuts[1:])), tol * s.length / total_len, 0)
+    return value, deepest[0] + 1
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("fid", ["isotropic:id", "product:aniso1:eps=0.01", "frobenius"])
+    def test_one_density_call_per_refinement_level(self, fid):
+        # a rotating insert: affine traces everywhere around it
+        fam = default_families((0, 0), (2, 2), (0.6, 0.8))[1]
+        u = fam.generator([0.3, 7.0, 1.0, -2.0])
+        f = catalog_density(fid)
+        evaluator, calls = counted(f.evaluator, limit=1000)
+        res = surface_energy(u, dataclasses.replace(f, evaluator=evaluator), tol=1e-12)
+        want, levels = depth_first_energy(u, f, 1e-12, 15)
+        assert levels >= 3
+        assert calls[0] == levels
+        assert res.value == want
+        assert res.unconverged == 0
+
+    def test_jump_discontinuity_is_unconverged_at_the_depth_cap(self):
+        # |i - j| = sqrt(1 + (2 - t)^2) crosses 1.5 inside the segment, where
+        # the density steps: no halving makes the two rules agree there
+        dom = make_oriented_square(E2, 2.0)
+        part = PolygonalPartition(
+            [Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)]), Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])],
+            dom,
+        )
+        u = PiecewiseRigid(part, [rigid_piece(1.0, (1.0, 1.0)), constant_piece((0, 0))])
+
+        def step(i, j, nu):
+            return 1.0 + (np.linalg.norm(i - j, axis=-1) > 1.5)
+
+        f, calls = counted(step, limit=1000)
+        res = surface_energy(u, Density("step", f), tol=1e-10)
+        assert res.unconverged >= 1
+        assert calls[0] == 49  # levels 0 to 48
+        # the step sits at t = 2 - sqrt(1.25) of the chord x in [-1, 1]
+        assert res.value == pytest.approx(2.0 + (2.0 - np.sqrt(1.25)), abs=1e-12)
+        smooth = surface_energy(u, catalog_density("isotropic:id"), tol=1e-10)
+        assert smooth.unconverged == 0
+
+    def test_wide_refinement_is_unconverged(self):
+        # sqrt(|i - j|) where the jump vanishes: past depth 30 the halves
+        # differ by rounding noise, and the refinement would double per level
+        fam = default_families((0, 0), (2, 2), (np.cos(2.746718806696573), np.sin(2.746718806696573)),
+                               i_side="minus")[1]
+        jumps = fam.jumps(fam.suggestions[3])
+        f, calls = counted(catalog_density("isotropic:sqrt").evaluator, limit=100)
+        res = integrate_jump_arrays(jumps, Density("sqrt", f), 1e-13, 30)
+        assert res.unconverged > 0
+        assert calls[0] < 49
+        assert res.value == pytest.approx(
+            integrate_jump_arrays(jumps, catalog_density("isotropic:sqrt"), 1e-9, 15).value,
+            rel=1e-12,
+        )
+
+
 class TestInvariances:
     """Energies of default-family competitors under the paper's invariances."""
 
@@ -338,8 +433,9 @@ class TestVolumeQuadrature:
         def fn(x):
             return x[:, 0] ** 2 * x[:, 1]
 
-        v, e = integrate_polygon(fn, poly, tol=1e-12, order=8)
-        assert v == pytest.approx(16.0 / 3.0, abs=1e-11)
+        res = integrate_polygon(fn, poly, tol=1e-12, order=8)
+        assert res.value == pytest.approx(16.0 / 3.0, abs=1e-11)
+        assert res.unconverged == 0
 
     def test_smooth_function(self):
         poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -347,9 +443,16 @@ class TestVolumeQuadrature:
         def fn(x):
             return np.sin(x[:, 0]) * np.cos(x[:, 1])
 
-        v, _ = integrate_polygon(fn, poly, tol=1e-12, order=8)
+        v = integrate_polygon(fn, poly, tol=1e-12, order=8).value
         want = (1 - np.cos(1.0)) * np.sin(1.0)
         assert v == pytest.approx(want, abs=1e-12)
+
+    def test_discontinuity_is_unconverged_at_the_depth_cap(self):
+        poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        res = integrate_polygon(lambda x: 1.0 * (x[:, 0] > 0.37), poly, tol=1e-9, order=2)
+        assert res.unconverged > 0
+        assert res.segments_evaluated == 2
+        assert res.value == pytest.approx(0.63, abs=2e-3)
 
     def test_non_finite_integrand_raises_at_once(self):
         poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])

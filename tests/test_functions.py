@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bdlab.ellipticity import default_families
 from bdlab.functions import (
     AffinePiece,
     FunctionError,
@@ -119,7 +122,43 @@ class TestElementary:
             assert total_jump_length(u) == pytest.approx(1.0, abs=1e-12)
 
 
+def jump_segments_by_interface(u):
+    """The jump rule one interface at a time: (a, normal, plus value0,
+    plus slope, minus value0, minus slope) per kept interface."""
+    out = []
+    for itf in u.partition.interfaces:
+        left, right = u.pieces[itf.left], u.pieces[itf.right]
+        if left.same_map(right):
+            continue
+        d, L = itf.direction, itf.length
+        pv0, mv0, ps, ms = left(itf.a), right(itf.a), left.A @ d, right.A @ d
+        probes = np.array([0.0, 0.5 * L, L])
+        plus = pv0 + probes[:, None] * ps
+        minus = mv0 + probes[:, None] * ms
+        scale = 1.0 + float(np.max(np.abs(plus)) + np.max(np.abs(minus)))
+        if np.max(np.linalg.norm(plus - minus, axis=1)) <= 1e-12 * scale:
+            continue
+        out.append((itf.a, itf.normal, pv0, ps, mv0, ms))
+    return out
+
+
 class TestJumpSegments:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_batched_rule_matches_interface_loop(self, family, angle, unit_params):
+        fam = default_families((0.0, 0.0), (2.0, 2.0), (np.cos(angle), np.sin(angle)))[family]
+        u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+        want = jump_segments_by_interface(u)
+        got = u.jump_segments()
+        assert len(got) == len(want) > 0
+        for s, row in zip(got, want):
+            fields = (s.a, s.normal, s.plus_value0, s.plus_slope, s.minus_value0, s.minus_slope)
+            assert all(np.array_equal(x, y) for x, y in zip(fields, row))
+
     def test_identical_pieces_dropped(self):
         dom = make_oriented_square(E2, 2.0)
         bottom = Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)])
