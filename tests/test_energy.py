@@ -6,9 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bdlab.densities import CATALOG_IDS, catalog_density, density_isotropic
+from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotropic
 from bdlab.ellipticity import default_families
-from bdlab.densities import Density
 from bdlab.energy import (
     EnergyError,
     bump_from_polygon,
