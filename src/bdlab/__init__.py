@@ -19,7 +19,7 @@ from .geometry import (
 from .functions import (
     AffinePiece,
     FunctionError,
-    JumpSegment,
+    JumpArrays,
     PiecewiseAffine,
     PiecewiseRigid,
     compact_deviation,

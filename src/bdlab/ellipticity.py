@@ -23,7 +23,7 @@ from scipy import optimize
 from scipy.stats import qmc
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
-from .energy import integrate_jump_arrays, integrate_jump_set, jump_pieces, surface_energy
+from .energy import integrate_jump_arrays, surface_energy
 from .functions import (
     FunctionError,
     JumpSquareTopology,
@@ -150,30 +150,31 @@ def counterexample2_competitor(lam: float, eps: float) -> PiecewiseRigid:
     return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
-def _parallel(seg) -> bool:
-    return abs(abs(float(seg.normal @ E2)) - 1.0) <= 1e-9
+def _parallel(jumps) -> np.ndarray:
+    return np.abs(np.abs(jumps.normal[:, 1]) - 1.0) <= 1e-9
 
 
-def _perpendicular(seg) -> bool:
-    return abs(float(seg.normal @ E2)) <= 1e-9
+def _perpendicular(jumps) -> np.ndarray:
+    return np.abs(jumps.normal[:, 1]) <= 1e-9
 
 
 def _parallel_at(y: float):
-    return lambda seg: _parallel(seg) and abs(0.5 * (seg.a[1] + seg.b[1]) - y) < 1e-9
+    return lambda j: _parallel(j) & (np.abs(0.5 * (j.a[:, 1] + j.b[:, 1]) - y) < 1e-9)
 
 
 def _breakdown(u: PiecewiseRigid, f: Density, groups: dict) -> dict:
     """Energy of each named group of jump pieces, their total and error.
 
-    `groups` maps names to predicates on jump segments; every piece must
-    satisfy exactly one of them, so the groups cover the jump set once.
+    `groups` maps names to functions giving row masks of the jump set; every
+    piece must be in exactly one group, so the groups cover the jump set once.
     """
-    pieces = jump_pieces(u, None, include_boundary=True)
-    if any(sum(pred(s) for pred in groups.values()) != 1 for s, _, _ in pieces):
+    jumps = u.jump_segments()
+    masks = {name: group(jumps) for name, group in groups.items()}
+    if np.any(sum(masks.values()) != 1):
         raise EllipticityError("jump segment outside the breakdown groups")
     out, err = {}, 0.0
-    for name, pred in groups.items():
-        res = integrate_jump_set([p for p in pieces if pred(p[0])], f, tol=1e-12, order=15)
+    for name, mask in masks.items():
+        res = integrate_jump_arrays(jumps.take(np.flatnonzero(mask)), f, tol=1e-12, order=15)
         out[name] = res.value
         err += res.error_estimate
     out["total"] = sum(out.values())
@@ -189,9 +190,9 @@ def ce1_energy_breakdown(lam: float = 1.0, eps: float = 0.01) -> dict:
     f = anisotropic_normal_density(eps)
     out = _breakdown(u, f, {"parallel": _parallel, "perpendicular": _perpendicular})
     out["straight"] = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
-    segs = u.jump_segments()
-    out["parallel_length"] = sum(s.length for s in segs if _parallel(s))
-    out["perpendicular_length"] = sum(s.length for s in segs if _perpendicular(s))
+    jumps = u.jump_segments()
+    out["parallel_length"] = sum(jumps.t1[_parallel(jumps)].tolist())
+    out["perpendicular_length"] = sum(jumps.t1[_perpendicular(jumps)].tolist())
     return out
 
 

@@ -235,27 +235,20 @@ def _fold_levels(levels):
     return val, err
 
 
-def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool):
-    """(segment, t0, t1) pieces of the jump set inside the region."""
-    segs = u.jump_segments()
+def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool) -> JumpArrays:
+    """The pieces of the jump set of u inside the region."""
+    jumps = u.jump_segments()
     if region is None:
-        return [(s, 0.0, s.length) for s in segs]
-    pieces = []
-    for s in segs:
-        for f0, f1, on_b in clip_segment_params(s.a, s.b, region):
+        return jumps
+    rows, t0, t1 = [], [], []
+    for k, (a, b, L) in enumerate(zip(jumps.a, jumps.b, jumps.t1.tolist())):
+        for f0, f1, on_b in clip_segment_params(a, b, region):
             if on_b and not include_boundary:
                 continue
-            pieces.append((s, f0 * s.length, f1 * s.length))
-    return pieces
-
-
-def integrate_jump_set(
-    pieces, integrand, tol: float, order: int, kinks=None, weight=None
-) -> QuadratureResult:
-    """`integrate_jump_arrays` over (segment, t0, t1) pieces of a jump set."""
-    if not pieces:
-        return QuadratureResult(0.0, 0.0, 0)
-    return integrate_jump_arrays(JumpArrays.from_pieces(pieces), integrand, tol, order, kinks, weight)
+            rows.append(k)
+            t0.append(f0 * L)
+            t1.append(f1 * L)
+    return jumps.take(rows, t0, t1)
 
 
 def surface_energy(
@@ -272,7 +265,7 @@ def surface_energy(
     `include_boundary=False` drops jump pieces lying along the region boundary
     (used for open-region bookkeeping, e.g. per-tile energies).
     """
-    return integrate_jump_set(jump_pieces(u, region, include_boundary), f, tol, order)
+    return integrate_jump_arrays(jump_pieces(u, region, include_boundary), f, tol, order)
 
 
 def jump_flux(
@@ -283,8 +276,8 @@ def jump_flux(
     order: int = 15,
 ) -> QuadratureResult:
     """Signed integral of <g(trace+) - g(trace-), normal> over the jump set."""
-    pieces = jump_pieces(u, region, include_boundary=True)
-    return integrate_jump_set(pieces, g.pairing, tol, order, kinks=g.trace_kinks)
+    jumps = jump_pieces(u, region, include_boundary=True)
+    return integrate_jump_arrays(jumps, g.pairing, tol, order, kinks=g.trace_kinks)
 
 
 def divergence_identity_residual(
@@ -313,10 +306,11 @@ def divergence_identity_residual(
 def symmetric_jump_measure(u: PiecewiseAffine, region: Polygon | None = None) -> np.ndarray:
     """Matrix integral of jump (.) normal over the jump set (midpoint-exact)."""
     out = np.zeros((2, 2))
-    for seg, t0, t1 in jump_pieces(u, region, include_boundary=True):
-        L = t1 - t0
-        jm = seg.jump(np.array(0.5 * (t0 + t1)))
-        out += L * 0.5 * (np.outer(jm, seg.normal) + np.outer(seg.normal, jm))
+    j = jump_pieces(u, region, include_boundary=True)
+    for k, (t0, t1) in enumerate(zip(j.t0.tolist(), j.t1.tolist())):
+        t = 0.5 * (t0 + t1)
+        jm = (j.plus_value0[k] + t * j.plus_slope[k]) - (j.minus_value0[k] + t * j.minus_slope[k])
+        out += (t1 - t0) * 0.5 * (np.outer(jm, j.normal[k]) + np.outer(j.normal[k], jm))
     return out
 
 
@@ -449,7 +443,7 @@ def integration_by_parts_residual(
         if abs(float(phi.phi(p)[0])) > 1e-12:
             raise EnergyError("test function must vanish on the region boundary")
 
-    jump_term = integrate_jump_set(
+    jump_term = integrate_jump_arrays(
         jump_pieces(u, region, include_boundary=True),
         G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi,
     ).value

@@ -136,8 +136,10 @@ def _axis_field(
         sum(abs(coeffs[k]) * profiles[k].bound for k in range(d) if active[k])
     )
 
+    # einsum adds element-wise products (no BLAS): a matrix product's rounding
+    # of one row depends on how many rows the call holds
     def args(w):
-        y = w @ basis.T  # (..., d) coordinates in the basis
+        y = np.einsum("...l,kl->...k", w, basis)  # (..., d) coordinates in the basis
         return scales * (y - shifts)
 
     def func(w):
@@ -149,7 +151,7 @@ def _axis_field(
             ],
             axis=-1,
         )
-        return (coeffs * vals) @ basis
+        return np.einsum("...k,kl->...l", coeffs * vals, basis)
 
     def potential(w):
         a = args(w)

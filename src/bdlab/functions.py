@@ -9,8 +9,7 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,67 +95,17 @@ def constant_piece(value) -> AffinePiece:
 
 
 @dataclass(frozen=True)
-class JumpSegment:
-    """One straight jump piece with affine one-sided traces.
+class JumpArrays:
+    """The jump set of a piecewise affine function as arrays, one row per piece.
 
-    trace(t) = value0 + t * slope for arclength t in [0, length]; the plus
-    trace is taken on the side the normal points into.
+    Piece k covers the arclength interval [t0[k], t1[k]] of the straight
+    segment from a[k] to b[k], which runs along the unit vector direction[k];
+    normal[k] points into the plus side, and the traces are value0 + t * slope
+    in the same arclength t.
     """
 
     a: np.ndarray
     b: np.ndarray
-    normal: np.ndarray
-    plus_value0: np.ndarray
-    plus_slope: np.ndarray
-    minus_value0: np.ndarray
-    minus_slope: np.ndarray
-
-    @cached_property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
-    @cached_property
-    def direction(self) -> np.ndarray:
-        return (self.b - self.a) / self.length
-
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a + t[..., None] * self.direction
-
-    def plus(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.plus_value0 + t[..., None] * self.plus_slope
-
-    def minus(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.minus_value0 + t[..., None] * self.minus_slope
-
-    def jump(self, t):
-        return self.plus(t) - self.minus(t)
-
-    def flipped(self) -> "JumpSegment":
-        return JumpSegment(
-            self.b,
-            self.a,
-            -self.normal,
-            # reparameterize t -> L - t and swap sides
-            self.minus_value0 + self.length * self.minus_slope,
-            -self.minus_slope,
-            self.plus_value0 + self.length * self.plus_slope,
-            -self.plus_slope,
-        )
-
-
-@dataclass(frozen=True)
-class JumpArrays:
-    """Pieces of a jump set as arrays, one row per piece.
-
-    Piece k covers the arclength interval [t0[k], t1[k]] of the straight
-    segment that starts at a[k] and runs along the unit vector direction[k];
-    the traces are value0 + t * slope in the same arclength t.
-    """
-
-    a: np.ndarray
     direction: np.ndarray
     normal: np.ndarray
     plus_value0: np.ndarray
@@ -166,21 +115,22 @@ class JumpArrays:
     t0: np.ndarray
     t1: np.ndarray
 
-    @staticmethod
-    def from_pieces(pieces) -> "JumpArrays":
-        """Stack (JumpSegment, t0, t1) pieces; there must be at least one."""
-        segs = [p[0] for p in pieces]
-        return JumpArrays(
-            *(np.array([getattr(s, name) for s in segs]) for name in (
-                "a", "direction", "normal", "plus_value0", "plus_slope",
-                "minus_value0", "minus_slope")),
-            np.array([p[1] for p in pieces], dtype=float),
-            np.array([p[2] for p in pieces], dtype=float),
-        )
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def take(self, rows, t0=None, t1=None) -> "JumpArrays":
+        """The given rows, over the arclength intervals t0, t1 where given."""
+        rows = np.asarray(rows, dtype=int)
+        kept = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
+        for name, t in (("t0", t0), ("t1", t1)):
+            if t is not None:
+                kept[name] = np.asarray(t, dtype=float)
+        return JumpArrays(**kept)
 
 
 def jump_arrays(a, b, normal, left, right):
-    """The jump segments of straight interfaces, as (kept indices, JumpArrays).
+    """The jump set across straight interfaces, one row per kept interface
+    with t0 = 0 and t1 its length.
 
     Interface n runs from a[n] to b[n] with the normal pointing into its
     left side; left = (A, c) and right stack the affine maps x -> A x + c on
@@ -204,15 +154,15 @@ def jump_arrays(a, b, normal, left, right):
     agree = np.max(np.linalg.norm(plus - minus, axis=2), axis=1) <= 1e-12 * scale
     same = np.all(Al == Ar, axis=(1, 2)) & np.all(cl == cr, axis=1)
     keep = np.flatnonzero(~(same | agree))
-    jumps = JumpArrays(
-        a[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
+    return JumpArrays(
+        a[keep], b[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
         np.zeros(keep.size), L[keep],
     )
-    return keep, jumps
 
 
-def _stacked(pieces) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([p.A for p in pieces]), np.array([p.b for p in pieces])
+def _stacked(pieces, d: int) -> tuple[np.ndarray, np.ndarray]:
+    A = np.array([p.A for p in pieces]).reshape(-1, d, d)
+    return A, np.array([p.b for p in pieces]).reshape(-1, d)
 
 
 class PiecewiseAffine:
@@ -249,8 +199,8 @@ class PiecewiseAffine:
         A = self.pieces[cell].A
         return 0.5 * (A + A.T)
 
-    def jump_segments(self) -> list[JumpSegment]:
-        """One segment per interface whose adjacent pieces differ as maps.
+    def jump_segments(self) -> JumpArrays:
+        """One row per interface whose adjacent pieces differ as maps.
 
         Pieces with identical parameters are dropped; distinct pieces that
         happen to coincide along the interface line are detected by trace
@@ -258,21 +208,15 @@ class PiecewiseAffine:
         traces).
         """
         itfs = self.partition.interfaces
-        if not itfs:
-            return []
-        keep, j = jump_arrays(
-            np.array([itf.a for itf in itfs]),
-            np.array([itf.b for itf in itfs]),
-            np.array([itf.normal for itf in itfs]),
-            _stacked([self.pieces[itf.left] for itf in itfs]),
-            _stacked([self.pieces[itf.right] for itf in itfs]),
+        a, b, normal = (
+            np.array([getattr(itf, name) for itf in itfs]).reshape(-1, 2)
+            for name in ("a", "b", "normal")
         )
-        return [
-            JumpSegment(itfs[n].a, itfs[n].b, itfs[n].normal, *rows)
-            for n, *rows in zip(
-                keep, j.plus_value0, j.plus_slope, j.minus_value0, j.minus_slope
-            )
-        ]
+        return jump_arrays(
+            a, b, normal,
+            _stacked([self.pieces[itf.left] for itf in itfs], self.dim),
+            _stacked([self.pieces[itf.right] for itf in itfs], self.dim),
+        )
 
     def flipped(self) -> "PiecewiseAffine":
         out = type(self).__new__(type(self))
@@ -314,7 +258,7 @@ class PiecewiseRigid(PiecewiseAffine):
 
 
 def total_jump_length(u: PiecewiseAffine) -> float:
-    return sum(s.length for s in u.jump_segments())
+    return sum(u.jump_segments().t1.tolist())
 
 
 def jump_sides(i, j, i_side: str):
@@ -418,10 +362,10 @@ class JumpSquareTopology:
         if not (np.all(np.isfinite(W)) and self._cells_valid(W)):
             return None
         a, b, normal = edge_pair_interfaces(W, *self.edges)
-        A, c = _stacked(self.outer + list(pieces))
+        A, c = _stacked(self.outer + list(pieces), self.outer[0].b.size)
         return jump_arrays(
             a, b, normal, (A[self.left], c[self.left]), (A[self.right], c[self.right])
-        )[1]
+        )
 
     def _cells_valid(self, W) -> bool:
         """Polygon's checks on every cell: nonzero extent, no repeated

@@ -54,13 +54,15 @@ def render_svg(
             f'<polygon points="{pts}" fill="{fill}" stroke="#94a3b8" stroke-width="0.5"/>'
         )
 
-    segs = u.jump_segments()
+    jumps = u.jump_segments()
     mags = []
-    for s in segs:
-        t = np.linspace(0.0, s.length, 5)
-        mags.append(float(np.max(np.linalg.norm(s.jump(t), axis=-1))))
+    for k, L in enumerate(jumps.t1.tolist()):
+        t = np.linspace(0.0, L, 5)[:, None]
+        jump = (jumps.plus_value0[k] + t * jumps.plus_slope[k]) - (
+            jumps.minus_value0[k] + t * jumps.minus_slope[k])
+        mags.append(float(np.max(np.linalg.norm(jump, axis=-1))))
     top = max([m for m in mags if m > jump_floor], default=1.0)
-    for s, m in zip(segs, mags):
+    for a, b, normal, m in zip(jumps.a, jumps.b, jumps.normal, mags):
         if m <= jump_floor:
             continue
         # log-scaled width between 1 and 4 px
@@ -69,13 +71,13 @@ def render_svg(
         shade = int(200 - 140 * min(m / top, 1.0))
         color = f"rgb(200,{shade // 2},{shade // 2})"
         parts.append(
-            f'<line x1="{pt(s.a).split(",")[0]}" y1="{pt(s.a).split(",")[1]}" '
-            f'x2="{pt(s.b).split(",")[0]}" y2="{pt(s.b).split(",")[1]}" '
+            f'<line x1="{pt(a).split(",")[0]}" y1="{pt(a).split(",")[1]}" '
+            f'x2="{pt(b).split(",")[0]}" y2="{pt(b).split(",")[1]}" '
             f'stroke="{color}" stroke-width="{_fmt(w)}"/>'
         )
         # normal tick at the midpoint
-        mid = 0.5 * (s.a + s.b)
-        tick = mid + 0.12 * s.normal * float(max(span)) * 0.1
+        mid = 0.5 * (a + b)
+        tick = mid + 0.12 * normal * float(max(span)) * 0.1
         parts.append(
             f'<line x1="{pt(mid).split(",")[0]}" y1="{pt(mid).split(",")[1]}" '
             f'x2="{pt(tick).split(",")[0]}" y2="{pt(tick).split(",")[1]}" '

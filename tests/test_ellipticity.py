@@ -22,6 +22,7 @@ from bdlab.energy import (
 from bdlab.fields import optimal_gbmc_field
 from bdlab.functions import (
     FunctionError,
+    JumpArrays,
     JumpSquareTopology,
     compact_deviation,
     make_elementary,
@@ -59,28 +60,30 @@ class TestCounterexample1:
 
     def test_jump_lengths_split(self):
         u = counterexample1_competitor(1.0)
-        segs = u.jump_segments()
-        par = [s for s in segs if abs(abs(s.normal @ E2) - 1) < 1e-12]
-        perp = [s for s in segs if abs(s.normal @ E2) < 1e-12]
-        assert len(par) + len(perp) == len(segs)
-        assert sum(s.length for s in par) == pytest.approx(8.0, abs=1e-12)
-        assert sum(s.length for s in perp) == pytest.approx(4.0, abs=1e-12)
+        j = u.jump_segments()
+        par = np.abs(np.abs(j.normal @ E2) - 1) < 1e-12
+        perp = np.abs(j.normal @ E2) < 1e-12
+        assert np.count_nonzero(par) + np.count_nonzero(perp) == len(j)
+        assert j.t1[par].sum() == pytest.approx(8.0, abs=1e-12)
+        assert j.t1[perp].sum() == pytest.approx(4.0, abs=1e-12)
 
     def test_bottom_edge_trace(self):
         # the insert's value on the lower edge is (0, lam (1 - t)): continuous
         # in the first component with the lower-side value
         u = counterexample1_competitor(1.0)
-        segs = u.jump_segments()
-        lower = [s for s in segs if abs(0.5 * (s.a[1] + s.b[1]) + 1.0) < 1e-12
-                 and abs(abs(s.normal @ E2) - 1) < 1e-12]
+        j = u.jump_segments()
+        lower = np.flatnonzero((np.abs(0.5 * (j.a[:, 1] + j.b[:, 1]) + 1.0) < 1e-12)
+                               & (np.abs(np.abs(j.normal @ E2) - 1) < 1e-12))
         assert len(lower) == 1
-        s = lower[0]
+        k = lower[0]
         # inner trace is on the side the (upward) normal points into
-        t = np.array(0.5 * s.length)
-        x1 = s.point(t)[0]
-        inner, outer = (s.plus, s.minus) if s.normal @ E2 > 0 else (s.minus, s.plus)
-        assert np.allclose(inner(t), (0.0, 1.0 - x1), atol=1e-14)
-        assert np.allclose(outer(t), (0.0, 0.0), atol=1e-14)
+        t = 0.5 * j.t1[k]
+        x1 = (j.a[k] + t * j.direction[k])[0]
+        plus = j.plus_value0[k] + t * j.plus_slope[k]
+        minus = j.minus_value0[k] + t * j.minus_slope[k]
+        inner, outer = (plus, minus) if j.normal[k] @ E2 > 0 else (minus, plus)
+        assert np.allclose(inner, (0.0, 1.0 - x1), atol=1e-14)
+        assert np.allclose(outer, (0.0, 0.0), atol=1e-14)
 
     def test_parallel_energy_closed_form(self):
         b = ce1_energy_breakdown(1.0, 0.01)
@@ -200,8 +203,7 @@ class TestRotatedFrames:
     def test_insert_partition_valid(self):
         u = self._rotated_insert()
         assert validate_partition(u.partition).passed
-        segs = u.jump_segments()
-        assert sum(s.length for s in segs) == pytest.approx(4.0 + 8.0, abs=1e-9)
+        assert u.jump_segments().t1.sum() == pytest.approx(4.0 + 8.0, abs=1e-9)
 
     def test_flux_identity_rotated(self):
         u = self._rotated_insert()
@@ -322,8 +324,13 @@ class TestFalsify:
         # inside a jump segment of the CE1 competitor, no quadrature depth
         # resolves it, so the certificate must not stand
         u = counterexample1_competitor(1.0)
-        seg = next(s for s in u.jump_segments()
-                   if np.linalg.norm(s.jump(0.0)) != np.linalg.norm(s.jump(s.length)))
+        j = u.jump_segments()
+
+        def gap(k, t):
+            plus = j.plus_value0[k] + t * j.plus_slope[k]
+            return float(np.linalg.norm(plus - (j.minus_value0[k] + t * j.minus_slope[k])))
+
+        k = next(k for k in range(len(j)) if gap(k, 0.0) != gap(k, j.t1[k]))
         base = anisotropic_normal_density(0.01)
 
         def stepped(level):
@@ -334,7 +341,7 @@ class TestFalsify:
         family = CompetitorFamily("ce1", ((0.0, 1.0),), lambda params: u)
         # a step beyond every jump changes nothing: the violation stands
         assert falsify(stepped(100.0), I_CE, J_CE, E2, families=[family], budget=50).status == "VIOLATION"
-        f = stepped(float(np.linalg.norm(seg.jump(0.3 * seg.length))))
+        f = stepped(gap(k, 0.3 * j.t1[k]))
         v = falsify(f, I_CE, J_CE, E2, families=[family], budget=50)
         assert v.status == "NO-VIOLATION-WITHIN-BUDGET"
         assert v.margin > 10 * v.error_estimate and v.cross_check["difference"] <= 1e-9
@@ -450,16 +457,10 @@ class TestCompiledLayouts:
             for _ in range(10):
                 params = [rng.uniform(lo, hi) for lo, hi in fam.bounds]
                 jumps = fam.jumps(params)
-                segs = fam.generator(params).jump_segments()
-                assert len(segs) == len(jumps.t1) > 0
-                ends = jumps.a + (jumps.t1 - jumps.t0)[:, None] * jumps.direction
-                for k, s in enumerate(segs):
-                    assert jumps.t0[k] == 0.0
-                    np.testing.assert_allclose(jumps.a[k], s.a, rtol=0, atol=1e-12 * side)
-                    np.testing.assert_allclose(ends[k], s.b, rtol=0, atol=1e-12 * side)
-                    for name in ("normal", "plus_value0", "plus_slope",
-                                 "minus_value0", "minus_slope"):
-                        assert np.array_equal(getattr(jumps, name)[k], getattr(s, name)), name
+                general = fam.generator(params).jump_segments()
+                assert len(jumps) == len(general) > 0
+                for f in dataclasses.fields(JumpArrays):
+                    assert np.array_equal(getattr(jumps, f.name), getattr(general, f.name)), f.name
 
     @pytest.mark.parametrize("family", range(4))
     def test_rejected_parameters_get_the_sentinel_on_both_paths(self, family):

@@ -13,7 +13,6 @@ from bdlab.energy import (
     bump_from_polygon,
     divergence_identity_residual,
     integrate_jump_arrays,
-    integrate_jump_set,
     integrate_polygon,
     integration_by_parts_residual,
     jump_flux,
@@ -208,34 +207,37 @@ def depth_first_energy(u, f, tol, order):
     x, w = np.polynomial.legendre.leggauss(order)
     deepest = [0]
 
-    def rule(s, t0, t1):
-        t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x
-        return 0.5 * (t1 - t0) * float(w @ f(s.plus(t), s.minus(t), s.normal))
+    def rule(k, t0, t1):
+        t = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x)[:, None]
+        plus = j.plus_value0[k] + t * j.plus_slope[k]
+        minus = j.minus_value0[k] + t * j.minus_slope[k]
+        return 0.5 * (t1 - t0) * float(w @ f(plus, minus, j.normal[k]))
 
-    def refine(s, parts, tol, depth):
+    def refine(k, parts, tol, depth):
         deepest[0] = max(deepest[0], depth)
         share, total = tol / len(parts), 0.0
         for t0, t1 in parts:
             mid = 0.5 * (t0 + t1)
             halves = [(t0, mid), (mid, t1)]
-            fine = sum(rule(s, *h) for h in halves)
-            e = abs(rule(s, t0, t1) - fine)
+            fine = sum(rule(k, *h) for h in halves)
+            e = abs(rule(k, t0, t1) - fine)
             if not (e <= share or e <= 8 * np.finfo(float).eps * abs(fine) or depth >= 48):
-                fine = refine(s, halves, share, depth + 1)
+                fine = refine(k, halves, share, depth + 1)
             total += fine
         return total
 
-    segs = u.jump_segments()
-    total_len = sum(s.length for s in segs)
+    j = u.jump_segments()
+    lengths = j.t1.tolist()
+    total_len = sum(lengths)
     value = 0.0
-    for s in segs:
-        if not (np.any(s.plus_slope) or np.any(s.minus_slope)):
-            value += s.length * float(f(s.plus_value0, s.minus_value0, s.normal))
+    for k, L in enumerate(lengths):
+        if not (np.any(j.plus_slope[k]) or np.any(j.minus_slope[k])):
+            value += L * float(f(j.plus_value0[k], j.minus_value0[k], j.normal[k]))
             continue
-        dv, ds = s.plus_value0 - s.minus_value0, s.plus_slope - s.minus_slope
-        roots = {float(-a / b) for a, b in zip(dv, ds) if b != 0 and 0 < -a / b < s.length}
-        cuts = [0.0] + sorted(roots) + [s.length]
-        value += refine(s, list(zip(cuts[:-1], cuts[1:])), tol * s.length / total_len, 0)
+        dv, ds = j.plus_value0[k] - j.minus_value0[k], j.plus_slope[k] - j.minus_slope[k]
+        roots = {float(-a / b) for a, b in zip(dv, ds) if b != 0 and 0 < -a / b < L}
+        cuts = [0.0] + sorted(roots) + [L]
+        value += refine(k, list(zip(cuts[:-1], cuts[1:])), tol * L / total_len, 0)
     return value, deepest[0] + 1
 
 
@@ -388,28 +390,29 @@ class TestIntegrateJumpSet:
         # jump (1, 0) across y = 0 for x in [-1/2, 1/2], isotropic |i - j| = 1
         u = elementary()
         f = density_isotropic(identity_profile())
-        pieces = [(s, 0.0, s.length) for s in u.jump_segments()]
-        plain = integrate_jump_set(pieces, f, 1e-12, 15)
+        jumps = u.jump_segments()
+        plain = integrate_jump_arrays(jumps, f, 1e-12, 15)
         assert plain.value == 1.0 and plain.error_estimate == 0.0
-        weighted = integrate_jump_set(pieces, f, 1e-12, 15, weight=lambda x: 1.0 + x[:, 0])
+        weighted = integrate_jump_arrays(jumps, f, 1e-12, 15, weight=lambda x: 1.0 + x[:, 0])
         assert weighted.value == pytest.approx(1.0, abs=1e-14)
-        squared = integrate_jump_set(pieces, f, 1e-12, 15, weight=lambda x: x[:, 0] ** 2)
+        squared = integrate_jump_arrays(jumps, f, 1e-12, 15, weight=lambda x: x[:, 0] ** 2)
         assert squared.value == pytest.approx(1.0 / 12.0, abs=1e-14)
 
     def test_empty_and_zero_length(self):
         u = elementary()
         f = density_isotropic(identity_profile())
-        seg = u.jump_segments()[0]
-        for pieces in ([], [(seg, 0.3, 0.3)]):
-            res = integrate_jump_set(pieces, f, 1e-10, 15)
+        jumps = u.jump_segments()
+        for pieces in (jumps.take([]), jumps.take([0], [0.3], [0.3])):
+            res = integrate_jump_arrays(pieces, f, 1e-10, 15)
             assert (res.value, res.error_estimate, res.segments_evaluated) == (0.0, 0.0, 0)
 
     def test_non_finite_weight_raises(self):
         u = elementary()
         f = density_isotropic(identity_profile())
-        pieces = [(s, 0.0, s.length) for s in u.jump_segments()]
         with pytest.raises(EnergyError):
-            integrate_jump_set(pieces, f, 1e-10, 15, weight=lambda x: np.full(len(x), np.inf))
+            integrate_jump_arrays(
+                u.jump_segments(), f, 1e-10, 15, weight=lambda x: np.full(len(x), np.inf)
+            )
 
 
 class TestSymmetricJumpMeasure:

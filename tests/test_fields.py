@@ -434,3 +434,26 @@ class TestCatalog:
             j = rng.normal(scale=2, size=2)
             nu = rng.normal(size=2)
             assert float(g.pairing(i, j, nu)) <= theta_Ma(1.0, 1.0, i, j, nu) + 1e-9
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # a row's value is the same alone and in batches of any size, as the
+        # line kernel's bit-identity needs
+        rng = np.random.default_rng(21)
+        w, i, j = (rng.normal(scale=2, size=(301, 2)) for _ in range(3))
+        nu = rng.normal(size=(301, 2))
+        for g in catalog_fields().fields:
+            rows = {
+                "call": np.array([g(x) for x in w]),
+                "potential": np.array([g.potential(x) for x in w]),
+                "pairing": np.array([g.pairing(*x) for x in zip(i, j, nu)]),
+            }
+            for size in (1, 3, 17, 64, 301):
+                for start in range(0, 301, size):
+                    s = slice(start, start + size)
+                    batched = {
+                        "call": g(w[s]),
+                        "potential": g.potential(w[s]),
+                        "pairing": g.pairing(i[s], j[s], nu[s]),
+                    }
+                    for name, vals in batched.items():
+                        assert np.array_equal(vals, rows[name][s]), (g.name, name, size)
