@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 from scipy.stats import qmc
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
-from .energy import integrate_jump_arrays, surface_energy
+from .energy import integrate_jump_arrays, integrate_jump_sets, surface_energy
 from .functions import (
     FunctionError,
+    JumpArrays,
     JumpSquareTopology,
     PiecewiseRigid,
     compact_deviation,
@@ -49,6 +49,10 @@ E2 = np.array([0.0, 1.0])
 
 class EllipticityError(ValueError):
     """Invalid falsification input."""
+
+
+# the errors of an infeasible competitor: the search gives it the sentinel
+_REJECTED = (GeometryError, FunctionError, EllipticityError)
 
 
 def insert_competitor(
@@ -325,16 +329,28 @@ class LayoutFamily(CompetitorFamily):
     layout: object = None  # params -> insert_competitor's cells, pieces, half width, half height
     topology: JumpSquareTopology | None = None
 
-    def jumps(self, params):
-        """The jump set of generator(params) as JumpArrays, or None for
-        parameters outside the bounds or inputs that the general generator
-        must judge (it raises for those that are infeasible)."""
-        if not all(lo <= p <= hi for p, (lo, hi) in zip(params, self.bounds)):
-            return None
-        cells, pieces, hw, hh = self.layout(*params)
-        if not _insert_inside(hw, hh, self.topology.side):
-            return None
-        return self.topology.jumps((hw, -hh, hh), cells, pieces)
+    def jumps(self, batch):
+        """The jump sets of generator(params) for every parameter vector of
+        the batch, as (jumps, owner, general): one JumpArrays holding the
+        rows of each vector in batch order, the batch index of each row,
+        and the indices of the vectors the general generator must judge:
+        those outside the bounds, or that a Polygon check might reject (it
+        raises for those that are infeasible)."""
+        inputs, fast, general = [], [], []
+        for n, params in enumerate(batch):
+            if all(lo <= p <= hi for p, (lo, hi) in zip(params, self.bounds)):
+                try:
+                    cells, pieces, hw, hh = self.layout(*params)
+                except _REJECTED:
+                    cells = None
+                if cells is not None and _insert_inside(hw, hh, self.topology.side):
+                    inputs.append(((hw, -hh, hh), cells, pieces))
+                    fast.append(n)
+                    continue
+            general.append(n)
+        jumps, owner, rejected = self.topology.jumps(inputs)
+        fast = np.array(fast, dtype=int)
+        return jumps, fast[owner], sorted(general + fast[rejected].tolist())
 
 
 @dataclass(frozen=True)
@@ -350,6 +366,7 @@ class EllipticityVerdict(Report):
     best_params: tuple
     interface_length: float
     cross_check: dict = field(default_factory=dict)
+    diagnostics: dict | None = None
     competitor: PiecewiseRigid | None = None
 
 
@@ -411,17 +428,128 @@ _RESTARTS = 8
 _SEARCH_TOL = 1e-9
 _SEARCH_ORDER = 15
 _MIN_RUN = 25
+# the search value of an infeasible competitor
+_SENTINEL = 1e30
 
 
-def _search_one(family, start, objective, maxfev):
-    res = optimize.minimize(
-        objective,
-        np.asarray(start, dtype=float),
-        method="Nelder-Mead",
-        bounds=family.bounds,
-        options={"maxfev": int(maxfev), "xatol": 1e-9, "fatol": 1e-12},
-    )
-    return float(res.fun), tuple(np.asarray(res.x, dtype=float))
+def _search_values(f: Density, families, points) -> list[float]:
+    """The search objective at (family index, parameters) points: the
+    surface energy of each competitor, or the sentinel for one that cannot
+    be built.  Layout families give their jump sets in one topology call per
+    family, the others through their generator's competitor, and one kernel
+    call integrates every jump set."""
+    values = [None] * len(points)
+    sets, owners = [], []
+    for fi in dict.fromkeys(fi for fi, _ in points):
+        family = families[fi]
+        idx = [k for k, (g, _) in enumerate(points) if g == fi]
+        general = range(len(idx))
+        if isinstance(family, LayoutFamily):
+            jumps, owner, general = family.jumps([points[k][1] for k in idx])
+            sets.append(jumps)
+            owners.append(np.array(idx, dtype=int)[owner])
+        for n in general:
+            k = idx[n]
+            try:
+                jumps = family.generator(points[k][1]).jump_segments()
+            except _REJECTED:
+                values[k] = _SENTINEL
+                continue
+            sets.append(jumps)
+            owners.append(np.full(len(jumps), k, dtype=int))
+    if sets:
+        energies = integrate_jump_sets(
+            JumpArrays.concatenate(sets), np.concatenate(owners), len(points), f,
+            _SEARCH_TOL, _SEARCH_ORDER,
+        )
+        values = [energies[k].value if v is None else v for k, v in enumerate(values)]
+    return values
+
+
+class _Exhausted(Exception):
+    """A Nelder-Mead run asked for an evaluation beyond its budget."""
+
+
+def _nelder_mead(x0, bounds, maxfev: int):
+    """Bounded Nelder-Mead as a generator: it yields a copy of each point
+    to evaluate, is sent that point's value, and returns (min(fsim),
+    sim[0]).
+
+    Step for step this is scipy 1.17's bounded Nelder-Mead with maxfev,
+    xatol 1e-9 and fatol 1e-12: the start clipped to the bounds, the
+    initial simplex (5 %, or 0.00025 for a zero coordinate) reflected back
+    into them, the coefficients 1, 2, 0.5, 0.5, every trial point clipped,
+    an argsort after every step, and a step abandoned where it asks for an
+    evaluation beyond maxfev.  The caller evaluates the points, so the
+    points of many runs can be evaluated together.
+    """
+    lower = np.array([float(lo) for lo, _ in bounds])
+    upper = np.array([float(hi) for _, hi in bounds])
+    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
+    N = x0.size
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(N + 1, np.inf)
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return (yield x.copy())
+
+    def ordered(sim, fsim):
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = yield from evaluate(sim[k])
+    except _Exhausted:
+        pass
+    sim, fsim = ordered(sim, fsim)
+    sim, fsim = ordered(sim, fsim)
+    while calls < maxfev:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= 1e-9
+                    and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = np.clip(2 * xbar - sim[-1], lower, upper)
+            fxr = yield from evaluate(xr)
+            if fxr < fsim[0]:
+                # expansion
+                xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+                fxe = yield from evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # outside contraction if xr improves on the worst, else inside
+                if fxr < fsim[-1]:
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                    fxc = yield from evaluate(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                    fxc = yield from evaluate(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for k in range(1, N + 1):
+                        sim[k] = np.clip(sim[0] + 0.5 * (sim[k] - sim[0]), lower, upper)
+                        fsim[k] = yield from evaluate(sim[k])
+        except _Exhausted:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return np.min(fsim), sim[0]
 
 
 def falsify(
@@ -460,25 +588,6 @@ def falsify(
     reference_norm = float(f(i, j, nu_u))
     reference_energy = reference_norm * side
 
-    evals = [0]
-    big = 1e30
-
-    def make_objective(family):
-        fast = family.jumps if isinstance(family, LayoutFamily) else None
-
-        def objective(params):
-            evals[0] += 1
-            try:
-                jumps = None if fast is None else fast(params)
-                if jumps is None:
-                    comp = family.generator(params)
-                    return surface_energy(comp, f, tol=_SEARCH_TOL, order=_SEARCH_ORDER).value
-                return integrate_jump_arrays(jumps, f, _SEARCH_TOL, _SEARCH_ORDER).value
-            except (GeometryError, FunctionError, EllipticityError):
-                return big
-
-        return objective
-
     runs = []
     for fi, family in enumerate(families):
         ss = np.random.SeedSequence([seed, fi])
@@ -491,10 +600,42 @@ def falsify(
             runs.append((fi, si, family, start))
 
     per_run = max(_MIN_RUN, budget // max(len(runs), 1))
-    results = []
-    for fi, si, family, start in runs[: max(1, budget // per_run)]:
-        val, params = _search_one(family, start, make_objective(family), per_run)
-        results.append((val, fi, si, params, family.name))
+    searched = runs[: max(1, budget // per_run)]
+    stats = [
+        {"name": fam.name, "runs": 0, "dropped_runs": 0, "evaluations": 0, "rejected": 0}
+        for fam in families
+    ]
+    for r, (fi, *_) in enumerate(runs):
+        stats[fi]["runs" if r < len(searched) else "dropped_runs"] += 1
+
+    # the runs advance in lockstep: each round evaluates the pending point
+    # of every live run together
+    searches = [_nelder_mead(start, family.bounds, per_run) for _, _, family, start in searched]
+    pending = {r: next(search) for r, search in enumerate(searches)}
+    outcomes = [None] * len(searches)
+    while pending:
+        live = list(pending)
+        values = _search_values(f, families, [(searched[r][0], pending[r]) for r in live])
+        for r, value in zip(live, values):
+            st = stats[searched[r][0]]
+            st["evaluations"] += 1
+            st["rejected"] += int(value >= _SENTINEL)
+            try:
+                pending[r] = searches[r].send(value)
+            except StopIteration as stop:
+                del pending[r]
+                outcomes[r] = stop.value
+
+    results = [
+        (float(val), fi, si, tuple(np.asarray(x, dtype=float)), family.name)
+        for (val, x), (fi, si, family, _) in zip(outcomes, searched)
+    ]
+    for fi, st in enumerate(stats):
+        st["best_value"] = min((r[0] for r in results if r[1] == fi), default=None)
+    diagnostics = {
+        "families": stats,
+        "dropped_families": [st["name"] for st in stats if st["runs"] == 0],
+    }
 
     best = min(results, key=lambda r: (r[0], r[1], r[2]))
     best_val, best_fi, _, best_params, best_name = best
@@ -505,7 +646,7 @@ def falsify(
     err = 0.0
     cross = {}
     competitor = None
-    if best_val < big:
+    if best_val < _SENTINEL:
         competitor = family.generator(best_params)
         e1 = surface_energy(competitor, f, tol=1e-11, order=15)
         e2 = surface_energy(competitor, f, tol=1e-13, order=30)
@@ -535,12 +676,13 @@ def falsify(
         margin=margin,
         normalized_margin=margin / side,
         error_estimate=err,
-        budget_used=evals[0],
+        budget_used=sum(st["evaluations"] for st in stats),
         best_family=best_name,
         best_params=best_params,
         interface_length=side,
         competitor=competitor if keep_competitor else None,
         cross_check=cross,
+        diagnostics=diagnostics,
     )
 
 

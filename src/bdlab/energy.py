@@ -99,61 +99,89 @@ def _finite(vals):
     return vals
 
 
-def _cuts(jumps: JumpArrays, rows, kinks) -> list[list[float]]:
-    """Per row: t0, the kink candidates inside (t0, t1), t1.  The candidates
-    are the roots of the affine jump components, plus the points
-    `kinks(value0, slope)` reports along either trace."""
+def _cuts(jumps: JumpArrays, rows, kinks):
+    """(lo, hi, intervals): the intervals between consecutive breakpoints of
+    the given rows, row after row, and their number per row.  A row's
+    breakpoints are t0, the kink candidates inside (t0, t1) in increasing
+    order and each once, and t1.  The candidates are the roots of the affine
+    jump components, plus the points `kinks(value0, slope)` reports along
+    either trace."""
     dv = jumps.plus_value0[rows] - jumps.minus_value0[rows]
     ds = jumps.plus_slope[rows] - jumps.minus_slope[rows]
-    roots = np.divide(-dv, ds, out=np.full(ds.shape, np.nan), where=ds != 0)
-    out = []
-    for n, t0, t1, r in zip(rows.tolist(), jumps.t0[rows].tolist(), jumps.t1[rows].tolist(),
-                            roots.tolist()):
-        pts = [x for x in r if t0 < x < t1]
-        if kinks is not None:
-            for v0, sl in ((jumps.plus_value0[n], jumps.plus_slope[n]),
-                           (jumps.minus_value0[n], jumps.minus_slope[n])):
-                pts.extend(float(x) for x in kinks(v0, sl) if t0 < x < t1)
-        out.append([t0] + sorted(set(pts)) + [t1])
-    return out
+    pts = np.divide(-dv, ds, out=np.full(ds.shape, np.nan), where=ds != 0)
+    if kinks is not None:
+        extra = [
+            [float(x) for v0, sl in ((jumps.plus_value0[n], jumps.plus_slope[n]),
+                                     (jumps.minus_value0[n], jumps.minus_slope[n]))
+             for x in kinks(v0, sl)]
+            for n in rows.tolist()
+        ]
+        pad = np.full((rows.size, max(map(len, extra), default=0)), np.nan)
+        for k, e in enumerate(extra):
+            pad[k, :len(e)] = e
+        pts = np.concatenate([pts, pad], axis=1)
+    t0, t1 = jumps.t0[rows, None], jumps.t1[rows, None]
+    pts = np.where((t0 < pts) & (pts < t1), pts, np.inf)
+    pts.sort(axis=1)
+    # a candidate found twice counts once
+    pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = np.inf
+    cuts = np.concatenate([t0, pts, t1], axis=1)
+    kept = np.isfinite(cuts)
+    # boolean indexing reads row after row: every breakpoint but t1 starts
+    # an interval, every one but t0 ends one
+    lo, hi = cuts[:, :-1][kept[:, :-1]], cuts[:, 1:][kept[:, 1:]]
+    return lo, hi, np.count_nonzero(kept, axis=1) - 1
 
 
 def integrate_jump_arrays(
     jumps: JumpArrays, integrand, tol: float, order: int, kinks=None, weight=None
 ) -> QuadratureResult:
     """Integral of integrand(trace+, trace-, normal) * weight(x) over the
-    pieces of a jump set.
+    pieces of a jump set: `integrate_jump_sets` with every row in one set."""
+    owner = np.zeros(len(jumps), dtype=int)
+    return integrate_jump_sets(jumps, owner, 1, integrand, tol, order, kinks, weight)[0]
+
+
+def integrate_jump_sets(
+    jumps: JumpArrays, owner, count: int, integrand, tol: float, order: int,
+    kinks=None, weight=None,
+) -> list[QuadratureResult]:
+    """Integrals of integrand(trace+, trace-, normal) * weight(x) over
+    `count` jump sets at once: row k of `jumps` is a piece of set owner[k],
+    and the result of each set is what it gives alone, bit for bit.
 
     The integrand is a density or a field pairing, called on (n, d) arrays;
     `kinks(value0, slope)` adds breakpoints along each trace (a field's
     `trace_kinks`).  Without a weight, constant traces give the closed form
-    length * integrand with zero error.  The tolerance is split among pieces
-    in proportion to their length, then evenly among a piece's intervals
-    between breakpoints, and halved with each halving of an interval.  An
-    interval is halved until its coarse and halved Gauss rules agree within
-    its share or the rounding floor, down to depth 48; a level that would
-    refine more than 4096 intervals is accepted as it stands instead.  Parts
-    accepted by either cap count as `unconverged`.  Each level is one
-    integrand call over the coarse rule and both halves of every live
-    interval.  A non-finite integrand value raises EnergyError.
+    length * integrand with zero error.  A set's tolerance is split among
+    its pieces in proportion to their length, then evenly among a piece's
+    intervals between breakpoints, and halved with each halving of an
+    interval.  An interval is halved until its coarse and halved Gauss rules
+    agree within its share or the rounding floor, down to depth 48; a level
+    that would refine more than 4096 intervals of one set is accepted as it
+    stands instead.  Parts accepted by either cap count as `unconverged`.
+    Each level is one integrand call over the coarse rule and both halves of
+    every live interval of every set.  A non-finite integrand value raises
+    EnergyError.
     """
+    owner = np.asarray(owner, dtype=int)
     lengths = jumps.t1 - jumps.t0
-    total_len = sum(lengths.tolist())
-    if total_len == 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
-    S = lengths.size
-    closed = np.zeros(S, dtype=bool)
+    # each set's length, summed in row order
+    total_len = np.zeros(count)
+    np.add.at(total_len, owner, lengths)
+    live = total_len[owner] != 0.0
+    results = [QuadratureResult(0.0, 0.0, 0)] * count
+    if not live.any():
+        return results
+    closed = np.zeros(lengths.size, dtype=bool)
     if weight is None:
         closed = ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
-    const_rows = np.flatnonzero(closed)
-    quad_rows = np.flatnonzero(~closed)
-    seg_tol = tol * lengths / total_len
-    cuts = _cuts(jumps, quad_rows, kinks)
-    intervals = np.array([len(c) - 1 for c in cuts], dtype=int)
+    const_rows = np.flatnonzero(live & closed)
+    quad_rows = np.flatnonzero(live & ~closed)
+    seg_tol = tol * lengths[quad_rows] / total_len[owner[quad_rows]]
+    lo, hi, intervals = _cuts(jumps, quad_rows, kinks)
     seg = top_seg = np.repeat(quad_rows, intervals)
-    lo = np.array([t for c in cuts for t in c[:-1]], dtype=float)
-    hi = np.array([t for c in cuts for t in c[1:]], dtype=float)
-    share = seg_tol[seg] / np.repeat(intervals, intervals)
+    share = np.repeat(seg_tol, intervals) / np.repeat(intervals, intervals)
     # what the rules read per row: value0 and slope of either trace, normal,
     # and for a weight the start point and direction
     columns = [jumps.plus_value0, jumps.plus_slope, jumps.minus_value0, jumps.minus_slope,
@@ -163,7 +191,7 @@ def integrate_jump_arrays(
     x, w = _leggauss(order)
     w = w[:, None]
     levels = []  # per depth: (fine, error, accepted)
-    unconverged = 0
+    unconverged = np.zeros(count, dtype=int)
     const_vals = None
     for depth in range(_LINE_DEPTH + 1):
         # the coarse rule and both halves of each interval: (3, n) bounds
@@ -171,24 +199,34 @@ def integrate_jump_arrays(
         t0 = np.stack([lo, lo, mid])
         t1 = np.stack([hi, mid, hi])
         centre, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        t = (centre[..., None] + half[..., None] * x)[..., None]
-        g = table[seg][:, None]
-        plus = g[..., :d] + t * g[..., d:2 * d]
-        minus = g[..., 2 * d:3 * d] + t * g[..., 3 * d:4 * d]
-        normal = np.broadcast_to(g[..., 4 * d:4 * d + 2], t.shape[:-1] + (2,))
-        i, j, nu = plus.reshape(-1, d), minus.reshape(-1, d), normal.reshape(-1, 2)
-        if depth == 0 and const_rows.size:
-            i = np.concatenate([i, jumps.plus_value0[const_rows]])
-            j = np.concatenate([j, jumps.minus_value0[const_rows]])
-            nu = np.concatenate([nu, jumps.normal[const_rows]])
+        t = centre[..., None] + half[..., None] * x
+        # the table's columns, each broadcast along the nodes of its rows
+        g = table[seg].T[:, None, :, None]
+        # the rows of constant traces take their closed form from level 0
+        rows = const_rows if depth == 0 else const_rows[:0]
+
+        def points(value0, slope, width, tail):
+            """value0 + t * slope at every node, column by column, then the
+            given rows of `tail`: (nodes + rows, width)."""
+            out = np.empty((t.size + rows.size, width))
+            nodes = out[:t.size].reshape(t.shape + (width,))
+            for k in range(width):
+                np.add(g[value0 + k], t * g[slope + k], out=nodes[..., k])
+            out[t.size:] = tail[rows]
+            return out
+
+        i = points(0, d, d, jumps.plus_value0)
+        j = points(2 * d, 3 * d, d, jumps.minus_value0)
+        nu = np.empty((t.size + rows.size, 2))
+        nu[:t.size].reshape(3, -1, 2)[:] = np.repeat(table[seg, 4 * d:4 * d + 2], order, axis=0)
+        nu[t.size:] = jumps.normal[rows]
         vals = np.asarray(integrand(i, j, nu), dtype=float)
-        if depth == 0 and const_rows.size:
-            const_vals = _finite(vals[-const_rows.size:])
-            vals = vals[:-const_rows.size]
-        vals = vals.reshape(t.shape[:-1])
+        if rows.size:
+            const_vals = _finite(vals[t.size:])
+        vals = vals[:t.size].reshape(t.shape)
         if weight is not None:
-            pts = g[..., 4 * d + 2:4 * d + 4] + t * g[..., 4 * d + 4:]
-            vals = vals * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(vals.shape)
+            pts = points(4 * d + 2, 4 * d + 4, 2, jumps.a)
+            vals = vals * np.asarray(weight(pts), dtype=float).reshape(vals.shape)
         _finite(vals)
         # w @ vals, interval by interval: a stacked matmul keeps the rounding
         # of the per-interval dot product
@@ -196,9 +234,12 @@ def integrate_jump_arrays(
         # 0.0 + ... as sum() adds the halves
         fine = (0.0 + r[1]) + r[2]
         e, ok, capped = _accepted(r[0], fine, share, depth, _LINE_DEPTH)
-        if 2 * np.count_nonzero(~ok) > _LINE_WIDTH:
-            e, ok, capped = _accepted(r[0], fine, share, _LINE_DEPTH, _LINE_DEPTH)
-        unconverged += int(np.count_nonzero(capped))
+        # the width cap, set by set: a set refining too wide stops here
+        wide = 2 * np.bincount(owner[seg[~ok]], minlength=count) > _LINE_WIDTH
+        if wide.any():
+            at_cap = np.where(wide[owner[seg]], _LINE_DEPTH, depth)
+            e, ok, capped = _accepted(r[0], fine, share, at_cap, _LINE_DEPTH)
+        unconverged += np.bincount(owner[seg[capped]], minlength=count)
         levels.append((fine, e, ok))
         if ok.all():
             break
@@ -208,17 +249,22 @@ def integrate_jump_arrays(
         share = np.repeat(share[ref] / 2, 2)
         seg = np.repeat(seg[ref], 2)
     val, err = _fold_levels(levels)
-    per_seg = [[0.0, 0.0] for _ in range(S)]
-    for n, v, ev in zip(top_seg.tolist(), val.tolist(), err.tolist()):
-        per_seg[n][0] += v
-        per_seg[n][1] += ev
-    for n, fv in zip(const_rows.tolist(), [] if const_vals is None else const_vals.tolist()):
-        per_seg[n][0] = float(lengths[n]) * fv
-    value, error = 0.0, 0.0
-    for v, ev in per_seg:
-        value += v
-        error += ev
-    return QuadratureResult(value, error, S, unconverged)
+    # per row, then per set, adding in row order as the recursion does
+    row_val = np.zeros(lengths.size)
+    row_err = np.zeros(lengths.size)
+    np.add.at(row_val, top_seg, val)
+    np.add.at(row_err, top_seg, err)
+    if const_vals is not None:
+        row_val[const_rows] = lengths[const_rows] * const_vals
+    value = np.zeros(count)
+    error = np.zeros(count)
+    np.add.at(value, owner[live], row_val[live])
+    np.add.at(error, owner[live], row_err[live])
+    rows = np.bincount(owner, minlength=count)
+    for n in np.flatnonzero(total_len != 0.0).tolist():
+        results[n] = QuadratureResult(float(value[n]), float(error[n]), int(rows[n]),
+                                      int(unconverged[n]))
+    return results
 
 
 def _fold_levels(levels):
@@ -434,11 +480,15 @@ def integration_by_parts_residual(
       + int <G(u), grad phi> dx  =  0
 
     for a conservative field G with an analytic Jacobian and a bump phi
-    vanishing on the region boundary.  The residual is pure quadrature error.
+    vanishing on the boundary of the region, which must lie inside u's
+    (convex) domain.  The residual is pure quadrature error.
     """
     if G.jacobian is None:
         raise EnergyError("integration by parts needs a field with a Jacobian")
-    region = region if region is not None else u.partition.domain
+    domain = u.partition.domain
+    region = region if region is not None else domain
+    if any(domain.contains(p) < 0 for p in region.vertices):
+        raise EnergyError("the region must lie inside the function's domain")
     for p in region.vertices:
         if abs(float(phi.phi(p)[0])) > 1e-12:
             raise EnergyError("test function must vanish on the region boundary")

@@ -54,7 +54,7 @@ class AffinePiece:
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
             raise FunctionError("piece needs a square matrix and a matching vector")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise FunctionError("piece entries must be finite")
         A.setflags(write=False)
         b.setflags(write=False)
@@ -127,10 +127,17 @@ class JumpArrays:
                 kept[name] = np.asarray(t, dtype=float)
         return JumpArrays(**kept)
 
+    @staticmethod
+    def concatenate(parts) -> "JumpArrays":
+        """The rows of every part, part after part."""
+        return JumpArrays(
+            **{f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(JumpArrays)}
+        )
+
 
 def jump_arrays(a, b, normal, left, right):
     """The jump set across straight interfaces, one row per kept interface
-    with t0 = 0 and t1 its length.
+    with t0 = 0 and t1 its length, and the indices of the kept interfaces.
 
     Interface n runs from a[n] to b[n] with the normal pointing into its
     left side; left = (A, c) and right stack the affine maps x -> A x + c on
@@ -154,10 +161,11 @@ def jump_arrays(a, b, normal, left, right):
     agree = np.max(np.linalg.norm(plus - minus, axis=2), axis=1) <= 1e-12 * scale
     same = np.all(Al == Ar, axis=(1, 2)) & np.all(cl == cr, axis=1)
     keep = np.flatnonzero(~(same | agree))
-    return JumpArrays(
+    jumps = JumpArrays(
         a[keep], b[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
         np.zeros(keep.size), L[keep],
     )
+    return jumps, keep
 
 
 def _stacked(pieces, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +220,12 @@ class PiecewiseAffine:
             np.array([getattr(itf, name) for itf in itfs]).reshape(-1, 2)
             for name in ("a", "b", "normal")
         )
-        return jump_arrays(
+        jumps, _ = jump_arrays(
             a, b, normal,
             _stacked([self.pieces[itf.left] for itf in itfs], self.dim),
             _stacked([self.pieces[itf.right] for itf in itfs], self.dim),
         )
+        return jumps
 
     def flipped(self) -> "PiecewiseAffine":
         out = type(self).__new__(type(self))
@@ -314,8 +323,8 @@ def _outer_cells(side: float, hole):
 
 
 class JumpSquareTopology:
-    """The jump set of jump_square at the origin, as JumpArrays straight
-    from its hole, cells and pieces, for inputs that keep one cell topology.
+    """The jump sets of jump_square at the origin, as JumpArrays straight
+    from holes, cells and pieces, for inputs that keep one cell topology.
 
     It is compiled from example inputs built by jump_square: every interface
     of the partition is where an edge of one cell overlaps an edge of
@@ -324,7 +333,7 @@ class JumpSquareTopology:
     the arithmetic of extract_interfaces and jump_segments, without building
     a Polygon or a partition, so its arrays equal the general path's bit for
     bit.  The caller keeps the inputs within the range the examples stand
-    for (one topology); inputs a Polygon might reject get None back, and
+    for (one topology); inputs a Polygon might reject are handed back, and
     belong to jump_square.
     """
 
@@ -352,37 +361,62 @@ class JumpSquareTopology:
         self.edges = (vertex(ia, k), vertex(ia, k + 1), vertex(ib, l), vertex(ib, l + 1))
         self.right, self.left = ia, ib
 
-    def jumps(self, hole, cells, pieces) -> JumpArrays | None:
-        """The jump set of jump_square(..., hole=hole, cells=cells,
-        pieces=pieces), or None if a cell might fail a Polygon check."""
-        frame = list(_outer_cells(self.side, hole)) + list(cells)
-        if tuple(len(c) for c in frame) != self.counts:
-            return None
-        W = np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame])
-        if not (np.all(np.isfinite(W)) and self._cells_valid(W)):
-            return None
-        a, b, normal = edge_pair_interfaces(W, *self.edges)
-        A, c = _stacked(self.outer + list(pieces), self.outer[0].b.size)
-        return jump_arrays(
-            a, b, normal, (A[self.left], c[self.left]), (A[self.right], c[self.right])
-        )
+    def jumps(self, batch) -> tuple[JumpArrays, np.ndarray, list[int]]:
+        """The jump sets of jump_square(..., hole=hole, cells=cells,
+        pieces=pieces) for every (hole, cells, pieces) of the batch, as
+        (jumps, owner, rejected): one JumpArrays holding the rows of each
+        input in batch order, the batch index of each row, and the indices
+        of the inputs left out because a cell might fail a Polygon check."""
+        frames, kept, rejected = [], [], []
+        for n, (hole, cells, _) in enumerate(batch):
+            frame = list(_outer_cells(self.side, hole)) + list(cells)
+            if tuple(len(c) for c in frame) != self.counts:
+                rejected.append(n)
+                continue
+            frames.append(np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame]))
+            kept.append(n)
+        V = self.cell_of.size
+        W = np.array(frames).reshape(-1, V, 2)
+        ok = np.all(np.isfinite(W), axis=(1, 2))
+        ok[ok] = self._cells_valid(W[ok])
+        rejected = sorted(rejected + [n for n, good in zip(kept, ok.tolist()) if not good])
+        kept = [n for n, good in zip(kept, ok.tolist()) if good]
+        W = W[ok]
 
-    def _cells_valid(self, W) -> bool:
-        """Polygon's checks on every cell: nonzero extent, no repeated
-        consecutive vertices, positive area, the last with a margin far
-        above rounding so that no cell Polygon rejects passes."""
+        def offset(index, size):
+            # index into each kept input's block of `size` rows, input after input
+            return (np.arange(len(kept))[:, None] * size + index).ravel()
+
+        a, b, normal = edge_pair_interfaces(W.reshape(-1, 2), *(offset(e, V) for e in self.edges))
+        P = len(self.counts)
+        d = self.outer[0].b.size
+        A, c = _stacked([p for n in kept for p in self.outer + list(batch[n][2])], d)
+        left, right = offset(self.left, P), offset(self.right, P)
+        jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
+        owner = np.repeat(np.array(kept, dtype=int), len(self.edge_map))[rows]
+        return jumps, owner, rejected
+
+    def _cells_valid(self, W) -> np.ndarray:
+        """Polygon's checks on every cell of each input (vertices W[k]):
+        nonzero extent, no repeated consecutive vertices, positive area, the
+        last with a margin far above rounding so that no cell Polygon
+        rejects passes.  One flag per input."""
+        m, V, _ = W.shape
+        C = len(self.counts)
+        base = np.arange(m)[:, None]
+        starts = (base * V + self.starts).ravel()
+        nxt = (base * V + self.next).ravel()
+        W = W.reshape(-1, 2)
         ext = np.max(
-            np.maximum.reduceat(W, self.starts, axis=0) - np.minimum.reduceat(W, self.starts, axis=0),
+            np.maximum.reduceat(W, starts, axis=0) - np.minimum.reduceat(W, starts, axis=0),
             axis=1,
         )
-        gaps = np.linalg.norm(W - W[self.next], axis=1)
-        cross = W[:, 0] * W[self.next, 1] - W[:, 1] * W[self.next, 0]
-        area = 0.5 * np.add.reduceat(cross, self.starts)
-        return bool(
-            np.all(ext > 0.0)
-            and np.all(gaps >= MATCH_TOL * ext[self.cell_of])
-            and np.all(area > 1e-9 * ext * ext)
-        )
+        gaps = np.linalg.norm(W - W[nxt], axis=1)
+        cross = W[:, 0] * W[nxt, 1] - W[:, 1] * W[nxt, 0]
+        area = 0.5 * np.add.reduceat(cross, starts)
+        cell_ok = (ext > 0.0) & (area > 1e-9 * ext * ext)
+        gap_ok = gaps >= MATCH_TOL * ext[(base * C + self.cell_of).ravel()]
+        return cell_ok.reshape(m, C).all(axis=1) & gap_ok.reshape(m, V).all(axis=1)
 
 
 def make_elementary(

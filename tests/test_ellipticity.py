@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
+from scipy.stats import qmc
 
 from bdlab.densities import (
     CATALOG_IDS,
@@ -30,6 +32,8 @@ from bdlab.functions import (
 )
 from bdlab.geometry import GeometryError, OrientedSquare, validate_partition
 from bdlab.ellipticity import (
+    _MIN_RUN,
+    _RESTARTS,
     CompetitorFamily,
     EllipticityError,
     EllipticityVerdict,
@@ -46,6 +50,7 @@ from bdlab.ellipticity import (
     tile_construction,
     tiling_report,
 )
+from bdlab.ellipticity import _nelder_mead
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -438,7 +443,8 @@ class TestCompiledLayouts:
             params = fam.suggestions[start % len(fam.suggestions)]
         else:
             params = [lo + t * (hi - lo) for t, (lo, hi) in zip(start, fam.bounds)]
-        jumps = fam.jumps(params)
+        jumps, owner, general = fam.jumps([params])
+        assert general == [] and np.all(owner == 0)
         u = fam.generator(params)
         for fid in CATALOG_IDS:
             f = catalog_density(fid)
@@ -456,7 +462,8 @@ class TestCompiledLayouts:
             fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
             for _ in range(10):
                 params = [rng.uniform(lo, hi) for lo, hi in fam.bounds]
-                jumps = fam.jumps(params)
+                jumps, owner, rest = fam.jumps([params])
+                assert rest == [] and np.all(owner == 0)
                 general = fam.generator(params).jump_segments()
                 assert len(jumps) == len(general) > 0
                 for f in dataclasses.fields(JumpArrays):
@@ -471,7 +478,8 @@ class TestCompiledLayouts:
             params = [first] + mid[1:]
             with pytest.raises((GeometryError, FunctionError, EllipticityError)):
                 fam.generator(params)
-            assert fam.jumps(params) is None
+            jumps, owner, general = fam.jumps([params])
+            assert general == [0] and len(jumps) == owner.size == 0
         # searches whose bounds reach such sizes reject the same evaluations
         # and follow the same path, through the fast path and without it
         raised = {}
@@ -494,6 +502,43 @@ class TestCompiledLayouts:
         assert raised["fast"] == raised["general"] > 0
         assert v[0].to_json() == v[1].to_json()
 
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        i_side=st.sampled_from(("plus", "minus")),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        draws=st.lists(
+            st.one_of(
+                st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+                # insert sizes for the general generator: none, negative,
+                # beyond the square, not a number, and too small for a Polygon
+                st.sampled_from([0.0, -1.0, 7.0, np.nan, 1e-12]),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_batch_matches_one_vector_at_a_time(self, family, i_side, angle, draws):
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        fam = dataclasses.replace(fam, bounds=((-1.0, 8.0),) + fam.bounds[1:])
+        mid = [0.5 * (lo + hi) for lo, hi in fam.bounds]
+        batch = [
+            [d] + mid[1:] if isinstance(d, float)
+            else [lo + t * (hi - lo) for t, (lo, hi) in zip(d, fam.bounds)]
+            for d in draws
+        ]
+        jumps, owner, general = fam.jumps(batch)
+        assert np.all(np.diff(owner) >= 0)
+        alone_general = []
+        for n, params in enumerate(batch):
+            one, one_owner, one_general = fam.jumps([params])
+            assert np.all(one_owner == 0)
+            alone_general += [n] * len(one_general)
+            rows = jumps.take(np.flatnonzero(owner == n))
+            for f in dataclasses.fields(JumpArrays):
+                assert np.array_equal(getattr(rows, f.name), getattr(one, f.name)), (n, f.name)
+        assert general == alone_general
+
     def test_topology_must_not_depend_on_the_examples(self):
         cell = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
         inner = ([cell], [rigid_piece(1.0, (1.0, 1.0))])
@@ -503,6 +548,197 @@ class TestCompiledLayouts:
         examples[1] = ((1.0, -1.0, 0.0), [cell * [1.0, 0.5] - [0.0, 0.5]], inner[1])
         with pytest.raises(FunctionError):
             JumpSquareTopology(I_CE, J_CE, E2, 6.0, examples)
+
+
+def scipy_nelder_mead(fun, x0, bounds, maxfev):
+    """scipy's bounded Nelder-Mead with falsify's options: (fun, x, points)."""
+    points = []
+
+    def recorded(x):
+        points.append(x.copy())
+        return fun(x)
+
+    res = optimize.minimize(
+        recorded, np.asarray(x0, dtype=float), method="Nelder-Mead", bounds=bounds,
+        options={"maxfev": maxfev, "xatol": 1e-9, "fatol": 1e-12},
+    )
+    return res.fun, res.x, points
+
+
+def driven_nelder_mead(fun, x0, bounds, maxfev):
+    """_nelder_mead driven one point at a time: (fun, x, points)."""
+    points = []
+    search = _nelder_mead(x0, bounds, maxfev)
+    x = next(search)
+    try:
+        while True:
+            points.append(x.copy())
+            x = search.send(fun(x))
+    except StopIteration as stop:
+        fval, xbest = stop.value
+    return fval, xbest, points
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def walled(x):
+    # the search's sentinel on part of the box
+    return 1e30 if x[0] < 0.2 else float(np.sum((x - 0.7) ** 2))
+
+
+def step(x):
+    # best at the start only: every reflection and contraction fails
+    return 0.0 if np.array_equal(x, [1.0]) else 1.0
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy's Nelder-Mead as the oracle: the same
+    points, the same value and the same best point, bit for bit."""
+
+    def assert_same(self, fun, x0, bounds, maxfev):
+        want_f, want_x, want_points = scipy_nelder_mead(fun, x0, bounds, maxfev)
+        got_f, got_x, got_points = driven_nelder_mead(fun, x0, bounds, maxfev)
+        assert got_f == want_f
+        assert np.array_equal(got_x, want_x)
+        assert len(got_points) == len(want_points)
+        assert all(np.array_equal(a, b) for a, b in zip(got_points, want_points))
+        return got_points
+
+    @pytest.mark.parametrize("maxfev", [25, 100, 400])
+    def test_bounded_rosenbrock(self, maxfev):
+        self.assert_same(rosenbrock, (-1.2, 1.0, 0.5), ((-2.0, 2.0),) * 3, maxfev)
+
+    @pytest.mark.parametrize("maxfev", [30, 200])
+    def test_sentinel_region(self, maxfev):
+        self.assert_same(walled, (0.25, 0.9), ((0.0, 1.0), (0.0, 1.0)), maxfev)
+
+    @pytest.mark.parametrize("maxfev", range(1, 61))
+    def test_budget_ends_anywhere_in_a_step(self, maxfev):
+        # every cut from the initial simplex to the 60th evaluation, on a
+        # Rosenbrock valley and on a walled bowl: inside reflections,
+        # expansions, contractions and shrinks
+        self.assert_same(rosenbrock, (-1.2, 1.0), ((-2.0, 2.0), (-2.0, 2.0)), maxfev)
+        self.assert_same(walled, (0.25, 0.9), ((0.0, 1.0), (0.0, 1.0)), maxfev)
+
+    def test_budget_ends_inside_an_expansion(self):
+        # x^2 from 1: the reflection 0.95 improves, so the 4th evaluation is
+        # the expansion 0.9
+        points = self.assert_same(lambda x: float(x[0] ** 2), (1.0,), ((-5.0, 5.0),), 3)
+        assert [p[0] for p in points] == [1.0, 1.05, 0.95]
+
+    def test_budget_ends_inside_a_contraction(self):
+        # x^2 from 0: the zero coordinate gets the 0.00025 step, the
+        # reflection ties the worst, and the 4th evaluation contracts inside
+        points = self.assert_same(lambda x: float(x[0] ** 2), (0.0,), ((-5.0, 5.0),), 3)
+        assert [p[0] for p in points] == [0.0, 0.00025, -0.00025]
+
+    @pytest.mark.parametrize("maxfev", [4, 5, 6])
+    def test_budget_ends_inside_a_shrink(self, maxfev):
+        # the reflection and the inside contraction fail, so the 5th
+        # evaluation is the shrunk vertex
+        points = self.assert_same(step, (1.0,), ((-5.0, 5.0),), maxfev)
+        assert [p[0] for p in points[:4]] == [1.0, 1.05, 0.95, 1.025]
+
+    def test_stops_early_on_xatol_and_fatol(self):
+        points = self.assert_same(lambda x: float(np.sum((x - 0.3) ** 2)), (1.0, -1.0),
+                                  ((-2.0, 2.0), (-2.0, 2.0)), 10_000)
+        assert len(points) < 1000
+
+    def test_start_on_the_upper_bound(self):
+        # the initial simplex steps past the bound and is reflected back
+        points = self.assert_same(rosenbrock, (2.0, 1.5), ((-2.0, 2.0), (-2.0, 1.5)), 80)
+        assert points[1][0] == 2 * 2.0 - 1.05 * 2.0
+
+    def test_zero_coordinate_step(self):
+        points = self.assert_same(rosenbrock, (0.0, 0.5), ((-2.0, 2.0), (-2.0, 2.0)), 60)
+        assert points[1][0] == 0.00025
+
+
+def sequential_search(f, i, j, nu, budget, seed):
+    """falsify's search one competitor at a time: scipy's Nelder-Mead run
+    after run, with the one-competitor objective.  Per searched run:
+    (value, family index, start index, best point, evaluations)."""
+    families = default_families(i, j, nu)
+
+    def objective(family):
+        def value(params):
+            try:
+                jumps, _, general = family.jumps([params])
+                if general:
+                    return surface_energy(family.generator(params), f, tol=1e-9, order=15).value
+                return integrate_jump_arrays(jumps, f, 1e-9, 15).value
+            except (GeometryError, FunctionError, EllipticityError):
+                return 1e30
+        return value
+
+    runs = []
+    for fi, family in enumerate(families):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, fi]))
+        sampler = qmc.LatinHypercube(d=family.dim, seed=rng)
+        lob = np.array([b[0] for b in family.bounds])
+        hib = np.array([b[1] for b in family.bounds])
+        starts = list(family.suggestions) + [
+            lob + (hib - lob) * row for row in sampler.random(n=_RESTARTS)
+        ]
+        runs += [(fi, si, family, start) for si, start in enumerate(starts)]
+    per_run = max(_MIN_RUN, budget // len(runs))
+    out = []
+    for fi, si, family, start in runs[: max(1, budget // per_run)]:
+        res = optimize.minimize(
+            objective(family), np.asarray(start, dtype=float), method="Nelder-Mead",
+            bounds=family.bounds, options={"maxfev": per_run, "xatol": 1e-9, "fatol": 1e-12},
+        )
+        out.append((float(res.fun), fi, si, tuple(res.x), res.nfev))
+    return families, out
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("fid,nu,budget", [
+        ("product:aniso1:eps=0.01", E2, 400),
+        ("aniso2:eps=1e-4", E2, 400),
+        ("isotropic:id", (0.6, 0.8), 400),
+        ("product:aniso1:eps=0.01", E2, 1000),
+    ])
+    def test_verdict_equals_the_sequential_search(self, fid, nu, budget):
+        f = catalog_density(fid)
+        families, runs = sequential_search(f, I_CE, J_CE, nu, budget, seed=2)
+        v = falsify(f, I_CE, J_CE, nu, budget=budget, seed=2)
+        val, fi, _, params, _ = min(runs, key=lambda r: r[:3])
+        assert v.best_family == families[fi].name
+        assert v.best_params == params
+        assert v.budget_used == sum(r[4] for r in runs)
+        e1 = surface_energy(families[fi].generator(params), f, tol=1e-11, order=15)
+        assert v.best_energy == e1.value
+        for k, st_ in enumerate(v.diagnostics["families"]):
+            mine = [r for r in runs if r[1] == k]
+            assert st_["runs"] == len(mine)
+            assert st_["evaluations"] == sum(r[4] for r in mine)
+            assert st_["best_value"] == min((r[0] for r in mine), default=None)
+
+    def test_diagnostics_at_budget_600(self):
+        f = catalog_density("product:aniso1:eps=0.01")
+        v = falsify(f, I_CE, J_CE, E2, budget=600, seed=0)
+        fams = {st_["name"]: st_ for st_ in v.diagnostics["families"]}
+        assert sum(st_["evaluations"] for st_ in fams.values()) == v.budget_used == 600
+        assert v.diagnostics["dropped_families"] == ["nested-squares"]
+        assert fams["nested-squares"]["runs"] == 0 and fams["nested-squares"]["dropped_runs"] == 9
+        assert fams["checkerboard"]["runs"] == 2 and fams["checkerboard"]["dropped_runs"] == 7
+        assert fams["nested-squares"]["best_value"] is None
+        assert fams["square-insert"]["best_value"] <= fams["rect-insert"]["best_value"] + 10.0
+        assert all(st_["rejected"] <= st_["evaluations"] for st_ in fams.values())
+        out = v.to_json()
+        assert list(out).index("diagnostics") == list(out).index("cross_check") + 1
+        assert out["diagnostics"]["families"][0]["runs"] == 10
+
+    def test_rejections_are_counted(self):
+        fam = default_families(I_CE, J_CE, E2)[0]
+        wide = dataclasses.replace(fam, bounds=((-1.0, 8.0),) + fam.bounds[1:], suggestions=())
+        v = falsify(catalog_density("isotropic:id"), I_CE, J_CE, E2, families=[wide], budget=100,
+                    seed=1, keep_competitor=False)
+        (st_,) = v.diagnostics["families"]
+        assert 0 < st_["rejected"] < st_["evaluations"] == v.budget_used
 
 
 class TestRelaxation:

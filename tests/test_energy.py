@@ -10,24 +10,30 @@ from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotr
 from bdlab.ellipticity import default_families
 from bdlab.energy import (
     EnergyError,
+    QuadratureResult,
     bump_from_polygon,
     divergence_identity_residual,
     integrate_jump_arrays,
+    integrate_jump_sets,
+    jump_pieces,
     integrate_polygon,
     integration_by_parts_residual,
     jump_flux,
     surface_energy,
     symmetric_jump_measure,
 )
+from bdlab.energy import _cuts
 from bdlab.fields import (
     ConservativeField,
     biconvex_truncated_field,
+    catalog_fields,
     optimal_gbmc_field,
     prototype_field,
     zero_field,
 )
 from bdlab.functions import (
     AffinePiece,
+    JumpArrays,
     PiecewiseAffine,
     PiecewiseRigid,
     constant_piece,
@@ -283,7 +289,8 @@ class TestBatchedKernel:
         # differ by rounding noise, and the refinement would double per level
         fam = default_families((0, 0), (2, 2), (np.cos(2.746718806696573), np.sin(2.746718806696573)),
                                i_side="minus")[1]
-        jumps = fam.jumps(fam.suggestions[3])
+        jumps, _, general = fam.jumps([fam.suggestions[3]])
+        assert general == []
         f, calls = counted(catalog_density("isotropic:sqrt").evaluator, limit=100)
         res = integrate_jump_arrays(jumps, Density("sqrt", f), 1e-13, 30)
         assert res.unconverged > 0
@@ -292,6 +299,90 @@ class TestBatchedKernel:
             integrate_jump_arrays(jumps, catalog_density("isotropic:sqrt"), 1e-9, 15).value,
             rel=1e-12,
         )
+
+
+def width_cap_jumps() -> JumpArrays:
+    """The rect-insert suggestion whose isotropic:sqrt energy at tol 1e-13,
+    order 30 refines wider than the width cap."""
+    nu = (np.cos(2.746718806696573), np.sin(2.746718806696573))
+    fam = default_families((0, 0), (2, 2), nu, i_side="minus")[1]
+    return fam.generator(fam.suggestions[3]).jump_segments()
+
+
+def loop_cuts(jumps, rows, kinks):
+    """_cuts one row at a time, as it was written before it was vectorised:
+    t0, sorted(set(kink candidates inside (t0, t1))), t1 per row."""
+    dv = jumps.plus_value0[rows] - jumps.minus_value0[rows]
+    ds = jumps.plus_slope[rows] - jumps.minus_slope[rows]
+    roots = np.divide(-dv, ds, out=np.full(ds.shape, np.nan), where=ds != 0)
+    cuts = []
+    for n, t0, t1, r in zip(rows.tolist(), jumps.t0[rows].tolist(), jumps.t1[rows].tolist(),
+                            roots.tolist()):
+        pts = [x for x in r if t0 < x < t1]
+        if kinks is not None:
+            for v0, sl in ((jumps.plus_value0[n], jumps.plus_slope[n]),
+                           (jumps.minus_value0[n], jumps.minus_slope[n])):
+                pts.extend(float(x) for x in kinks(v0, sl) if t0 < x < t1)
+        cuts.append([t0] + sorted(set(pts)) + [t1])
+    return ([t for c in cuts for t in c[:-1]], [t for c in cuts for t in c[1:]],
+            [len(c) - 1 for c in cuts])
+
+
+class TestJumpSets:
+    """integrate_jump_sets gives every jump set of a batch what it gives alone."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)),
+            min_size=1, max_size=4,
+        ),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        fid=st.sampled_from(["isotropic:sqrt", "product:aniso1:eps=0.01", "dalmot:abs"]),
+        reverse=st.booleans(),
+    )
+    def test_batch_matches_one_set_at_a_time(self, draws, angle, fid, reverse):
+        fams = default_families((0, 0), (2, 2), (np.cos(angle), np.sin(angle)))
+        sets = [
+            fams[k].generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit, fams[k].bounds)])
+            .jump_segments()
+            for k, unit in draws
+        ]
+        # an empty jump set, one of constant traces only, and one that hits
+        # the width cap at this tolerance and order with isotropic:sqrt
+        sets += [sets[0].take([]), elementary().jump_segments(), width_cap_jumps()]
+        label = list(range(len(sets)))[::-1] if reverse else list(range(len(sets)))
+        owner = np.concatenate([np.full(len(s), label[n]) for n, s in enumerate(sets)])
+        f = catalog_density(fid)
+        batch = integrate_jump_sets(JumpArrays.concatenate(sets), owner, len(sets), f, 1e-13, 30)
+        for n, s in enumerate(sets):
+            assert batch[label[n]] == integrate_jump_arrays(s, f, 1e-13, 30), n
+        assert batch[label[-3]] == QuadratureResult(0.0, 0.0, 0)
+        if fid == "isotropic:sqrt":
+            assert batch[label[-1]].unconverged > 0
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(u=family_competitors(), field=st.integers(0, 7), clip=st.booleans())
+    def test_breakpoints_match_the_row_loop(self, u, field, clip):
+        region = Polygon([(-1.5, -1.2), (1.7, -1.4), (1.2, 1.9), (-1.1, 1.3)]) if clip else None
+        jumps = jump_pieces(u, region, include_boundary=True)
+        rows = np.arange(len(jumps))
+        for kinks in (None, catalog_fields().fields[field].trace_kinks):
+            lo, hi, intervals = _cuts(jumps, rows, kinks)
+            want = loop_cuts(jumps, rows, kinks)
+            assert lo.tolist() == want[0] and hi.tolist() == want[1]
+            assert intervals.tolist() == want[2]
+
+    def test_width_cap_is_counted_per_set(self):
+        # two copies refine twice as wide together as each alone: a cap on
+        # the batch would stop both a level early
+        jumps = width_cap_jumps()
+        f = catalog_density("isotropic:sqrt")
+        alone = integrate_jump_arrays(jumps, f, 1e-13, 30)
+        owner = np.repeat([0, 1], len(jumps))
+        both = integrate_jump_sets(JumpArrays.concatenate([jumps, jumps]), owner, 2, f, 1e-13, 30)
+        assert alone.unconverged > 0
+        assert both == [alone, alone]
 
 
 class TestInvariances:
@@ -544,3 +635,26 @@ class TestIntegrationByParts:
         bad_phi = bump_from_polygon(small, power=2)  # does not vanish on dom boundary
         with pytest.raises(EnergyError):
             integration_by_parts_residual(u, G, bad_phi, region=dom)
+
+    def _rotated_insert(self):
+        # a side-6 square insert rotated by 4.25 rad: its domain's inradius is
+        # 3, and the corners of [-2.5, 2.5]^2 are 3.54 from the centre
+        nu = np.array([np.cos(4.25), np.sin(4.25)])
+        fam = default_families((0, 0), (2, 2), nu)[0]
+        return fam.generator(fam.suggestions[0])
+
+    def test_region_outside_the_domain_raises(self):
+        u = self._rotated_insert()
+        region = Polygon([(-2.5, -2.5), (2.5, -2.5), (2.5, 2.5), (-2.5, 2.5)])
+        G = biconvex_truncated_field(np.eye(2), M=5.0)
+        with pytest.raises(EnergyError, match="inside"):
+            integration_by_parts_residual(u, G, bump_from_polygon(region), region=region)
+
+    def test_region_equal_to_the_domain_passes(self):
+        u = self._rotated_insert()
+        dom = u.partition.domain
+        G = biconvex_truncated_field(np.eye(2), M=5.0)
+        phi = bump_from_polygon(dom)
+        res = integration_by_parts_residual(u, G, phi, region=dom, tol=1e-10)
+        assert res < 1e-8
+        assert res == integration_by_parts_residual(u, G, phi, tol=1e-10)
