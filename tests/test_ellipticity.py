@@ -34,6 +34,7 @@ from bdlab.geometry import GeometryError, OrientedSquare, validate_partition
 from bdlab.ellipticity import (
     _MIN_RUN,
     _RESTARTS,
+    _nelder_mead,
     CompetitorFamily,
     EllipticityError,
     EllipticityVerdict,
@@ -50,7 +51,6 @@ from bdlab.ellipticity import (
     tile_construction,
     tiling_report,
 )
-from bdlab.ellipticity import _nelder_mead
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

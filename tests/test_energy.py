@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotropic
 from bdlab.ellipticity import default_families
 from bdlab.energy import (
+    _cuts,
     EnergyError,
     QuadratureResult,
     bump_from_polygon,
     divergence_identity_residual,
     integrate_jump_arrays,
     integrate_jump_sets,
-    jump_pieces,
     integrate_polygon,
     integration_by_parts_residual,
     jump_flux,
+    jump_pieces,
     surface_energy,
     symmetric_jump_measure,
 )
-from bdlab.energy import _cuts
 from bdlab.fields import (
     ConservativeField,
     biconvex_truncated_field,
