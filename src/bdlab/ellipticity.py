@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
 from .energy import integrate_jump_arrays, integrate_jump_sets, surface_energy
@@ -470,6 +469,18 @@ class _Exhausted(Exception):
     """A Nelder-Mead run asked for an evaluation beyond its budget."""
 
 
+def _latin_hypercube(seed: int, family_index: int, d: int, n: int) -> np.ndarray:
+    """n points of a scrambled Latin hypercube in [0, 1)^d: scipy 1.17's
+    `qmc.LatinHypercube(d, seed=default_rng(SeedSequence([seed,
+    family_index]))).random(n)`, whose generator is seeded by one spawn."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, family_index]).spawn(1)[0])
+    samples = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - samples) / n
+
+
 def _nelder_mead(x0, bounds, maxfev: int):
     """Bounded Nelder-Mead as a generator: it yields a copy of each point
     to evaluate, is sent that point's value, and returns (min(fsim),
@@ -590,14 +601,10 @@ def falsify(
 
     runs = []
     for fi, family in enumerate(families):
-        ss = np.random.SeedSequence([seed, fi])
-        sampler = qmc.LatinHypercube(d=family.dim, seed=np.random.default_rng(ss))
-        lob = np.array([b[0] for b in family.bounds])
-        hib = np.array([b[1] for b in family.bounds])
-        starts = [lob + (hib - lob) * row for row in sampler.random(n=_RESTARTS)]
-        starts = list(family.suggestions) + starts
-        for si, start in enumerate(starts):
-            runs.append((fi, si, family, start))
+        lob, hib = np.array(family.bounds, dtype=float).T
+        starts = list(family.suggestions) + list(
+            lob + (hib - lob) * _latin_hypercube(seed, fi, family.dim, _RESTARTS))
+        runs += [(fi, si, family, start) for si, start in enumerate(starts)]
 
     per_run = max(_MIN_RUN, budget // max(len(runs), 1))
     searched = runs[: max(1, budget // per_run)]

@@ -6,7 +6,8 @@ Gauss-Legendre with breakpoints at the roots of the affine jump components
 (where norms and truncations kink), refined breadth first so that each
 level of the refinement is one integrand call over every live interval;
 constant traces short-circuit to closed form.  Volume integrals use tensor
-Gauss rules on a triangulation, refined triangle by triangle (`_refine`).
+Gauss rules on a triangulation, refined breadth first in the same way: each
+level is one integrand call over the children of every live triangle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .fields import ConservativeField
 from .functions import JumpArrays, PiecewiseAffine, compact_deviation
-from .geometry import Polygon, clip_polygon, clip_segment_params, triangulate
+from .geometry import Polygon, clip_polygon, clip_segment_params, row_norms, triangulate
 from .report import Report
 
 
@@ -67,30 +68,6 @@ def _accepted(coarse, fine, share, depth: int, max_depth: int):
     # a NaN error fails both tests, so it is refined down to max_depth
     ok = (e <= share) | (e <= _ROUNDING_FLOOR * np.abs(fine))
     return e, ok | (depth >= max_depth), ~ok & (depth >= max_depth)
-
-
-def _refine(rule, split, parts, tol, max_depth, depth=0):
-    """Refine-until-agree quadrature over triangles: (value, error estimate,
-    unconverged parts) summed over parts.
-
-    Each part gets the share tol / len(parts).  Its estimate is the sum of
-    `rule` over `split(part)`, and its error the distance to `rule(part)`;
-    see `_accepted` for when a part is refined again.
-    """
-    share = tol / len(parts)
-    total, err, unconverged = 0.0, 0.0, 0
-    for part in parts:
-        coarse = rule(part)
-        children = split(part)
-        fine = sum(rule(c) for c in children)
-        e, ok, capped = _accepted(coarse, fine, share, depth, max_depth)
-        unconverged += int(capped)
-        if not ok:
-            fine, e, n = _refine(rule, split, children, share, max_depth, depth + 1)
-            unconverged += n
-        total += fine
-        err += float(e)
-    return total, err, unconverged
 
 
 def _finite(vals):
@@ -267,18 +244,26 @@ def integrate_jump_sets(
     return results
 
 
-def _fold_levels(levels):
-    """(values, errors) of the top-level intervals from per-level (fine,
-    error, accepted): bottom up, a refined interval gets 0.0 + child0 +
-    child1, in the order the depth-first recursion adds them."""
+def _fold_levels(levels, children: int = 2):
+    """(values, errors) of the top-level parts from per-level (fine, error,
+    accepted): bottom up, a refined part gets the `_sum_children` of its
+    children on the next level, as a depth-first recursion adds them."""
     val = err = None
     for fine, e, ok in reversed(levels):
         fine, e = fine.copy(), e.copy()
         if val is not None:
-            fine[~ok] = (0.0 + val[0::2]) + val[1::2]
-            e[~ok] = (0.0 + err[0::2]) + err[1::2]
+            fine[~ok] = _sum_children(val, children)
+            e[~ok] = _sum_children(err, children)
         val, err = fine, e
     return val, err
+
+
+def _sum_children(x, children: int):
+    """0.0 + x[0] + x[1] + ... over each run of `children` entries."""
+    out = 0.0
+    for c in range(children):
+        out = out + x[c::children]
+    return out
 
 
 def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool) -> JumpArrays:
@@ -286,15 +271,11 @@ def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bo
     jumps = u.jump_segments()
     if region is None:
         return jumps
-    rows, t0, t1 = [], [], []
-    for k, (a, b, L) in enumerate(zip(jumps.a, jumps.b, jumps.t1.tolist())):
-        for f0, f1, on_b in clip_segment_params(a, b, region):
-            if on_b and not include_boundary:
-                continue
-            rows.append(k)
-            t0.append(f0 * L)
-            t1.append(f1 * L)
-    return jumps.take(rows, t0, t1)
+    rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, region)
+    if not include_boundary:
+        rows, t0, t1 = rows[~on_boundary], t0[~on_boundary], t1[~on_boundary]
+    L = jumps.t1[rows]
+    return jumps.take(rows, t0 * L, t1 * L)
 
 
 def surface_energy(
@@ -376,37 +357,60 @@ def _duffy_rule(order: int):
     return pts, W.ravel()
 
 
-def _tri_gauss(fn, tri: np.ndarray, order: int) -> float:
+def _tri_gauss(fn, tris: np.ndarray, order: int) -> np.ndarray:
+    """The rule on each triangle of tris (k, 3, 2), in one call of fn."""
     pts, wts = _duffy_rule(order)
-    a, b, c = tri
+    a, b, c = tris[:, 0, None], tris[:, 1, None], tris[:, 2, None]
     phys = a + pts[:, :1] * (b - a) + pts[:, 1:] * (c - a)
-    jac = abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
-    return jac * float(wts @ fn(phys))
+    ab, ac = (b - a)[:, 0], (c - a)[:, 0]
+    jac = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    vals = np.asarray(fn(phys.reshape(-1, 2)), dtype=float).reshape(len(tris), 1, -1)
+    # wts @ vals, triangle by triangle: a stacked matmul keeps the rounding
+    # of the per-triangle dot product
+    return _finite(jac * (vals @ wts[:, None])[:, 0, 0])
 
 
-def _split_triangle(tri: np.ndarray):
-    a, b, c = tri
+def _split_triangle(tris: np.ndarray) -> np.ndarray:
+    """The four midpoint children of each triangle of tris (k, 3, 2): (k, 4, 3, 2)."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return (
-        np.array([a, ab, ca]),
-        np.array([ab, b, bc]),
-        np.array([ca, bc, c]),
-        np.array([ab, bc, ca]),
-    )
+    return np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 4, 3, 2)
 
 
 def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
     """Adaptive volume integral of fn over a polygon; fn maps (n,2) -> (n,).
     `segments_evaluated` counts the triangles of its triangulation.
 
-    A non-finite integrand value raises EnergyError.
+    A triangle's share of tol is quartered with each split into its four
+    midpoint children, down to depth 10 (see `_accepted`); each level is one
+    call of fn.  A non-finite integrand value raises EnergyError.
     """
-    tris = triangulate(poly)
-    value, err, unconverged = _refine(
-        lambda tri: _finite(_tri_gauss(fn, tri, order)), _split_triangle,
-        tris, tol, max_depth=_VOLUME_DEPTH,
-    )
-    return QuadratureResult(value, err, len(tris), unconverged)
+    parts = np.array(triangulate(poly))
+    ntri = len(parts)
+    share = np.full(ntri, tol / ntri)
+    levels, unconverged = [], 0  # per depth: (fine, error, accepted)
+    for depth in range(_VOLUME_DEPTH + 1):
+        children = _split_triangle(parts)
+        # the first call also takes the rule on the triangulation itself;
+        # deeper triangles have theirs from their parents' children
+        batch = children.reshape(-1, 3, 2)
+        r = _tri_gauss(fn, np.concatenate([parts, batch]) if depth == 0 else batch, order)
+        if depth == 0:
+            coarse, r = r[:ntri], r[ntri:]
+        fine = _sum_children(r, 4)
+        r = r.reshape(-1, 4)
+        e, ok, capped = _accepted(coarse, fine, share, depth, _VOLUME_DEPTH)
+        unconverged += int(np.count_nonzero(capped))
+        levels.append((fine, e, ok))
+        if ok.all():
+            break
+        ref = ~ok
+        parts = children[ref].reshape(-1, 3, 2)
+        coarse = r[ref].ravel()
+        share = np.repeat(share[ref] / 4, 4)
+    # the triangles, in order, are the children of the polygon
+    value, error = (float(_sum_children(x, ntri)[0]) for x in _fold_levels(levels, 4))
+    return QuadratureResult(value, error, ntri, unconverged)
 
 
 @dataclass(frozen=True)
@@ -428,16 +432,10 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
         raise EnergyError("power >= 2 keeps the bump C^1")
     verts = poly.vertices
     n = verts.shape[0]
-    normals = []
-    offsets = []
-    for k in range(n):
-        p, q = verts[k], verts[(k + 1) % n]
-        d = q - p
-        nin = np.array([-d[1], d[0]]) / np.linalg.norm(d)  # inward for ccw
-        normals.append(nin)
-        offsets.append(float(nin @ p))
-    N = np.array(normals)
-    b = np.array(offsets)
+    d = np.roll(verts, -1, axis=0) - verts
+    N = np.stack([-d[:, 1], d[:, 0]], axis=1) / row_norms(d)[:, None]  # inward for ccw
+    # each offset N[k] @ verts[k] as a dot product, as row_norms takes it
+    b = (N[:, None, :] @ verts[:, :, None])[:, 0, 0]
     center = poly.centroid
     ells_c = N @ center - b
     if np.any(ells_c <= 0):
@@ -487,11 +485,10 @@ def integration_by_parts_residual(
         raise EnergyError("integration by parts needs a field with a Jacobian")
     domain = u.partition.domain
     region = region if region is not None else domain
-    if any(domain.contains(p) < 0 for p in region.vertices):
+    if np.any(domain.contains(region.vertices) < 0):
         raise EnergyError("the region must lie inside the function's domain")
-    for p in region.vertices:
-        if abs(float(phi.phi(p)[0])) > 1e-12:
-            raise EnergyError("test function must vanish on the region boundary")
+    if np.any(np.abs(phi.phi(region.vertices)) > 1e-12):
+        raise EnergyError("test function must vanish on the region boundary")
 
     jump_term = integrate_jump_arrays(
         jump_pieces(u, region, include_boundary=True),

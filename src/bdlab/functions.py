@@ -23,6 +23,7 @@ from .geometry import (
     interface_edges,
     make_oriented_square,
     polygon_overlap_area,
+    row_norms,
     unit,
 )
 
@@ -147,8 +148,7 @@ def jump_arrays(a, b, normal, left, right):
     """
     (Al, cl), (Ar, cr) = left, right
     v = b - a
-    # np.linalg.norm of one vector is a dot product; stacked matmul keeps it
-    L = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    L = row_norms(v)
     d = v / L[:, None]
     pv0 = (a[:, None, :] @ np.swapaxes(Al, 1, 2))[:, 0] + cl
     mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
@@ -458,7 +458,7 @@ def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> 
                 break
         if not deviates:
             continue
-        dist = min(dom_v.boundary_distance(p) for p in cell.vertices)
+        dist = dom_v.boundary_distance(cell.vertices).min()
         if dist < margin:
             return False
     return True

@@ -31,6 +31,14 @@ def _as_point(p) -> np.ndarray:
     return a
 
 
+def _as_points(p) -> np.ndarray:
+    """Finite planar points as an (..., 2) array; one point is a batch of one."""
+    a = np.asarray(p, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != 2 or not np.all(np.isfinite(a)):
+        raise GeometryError(f"expected finite planar points, got {p!r}")
+    return a
+
+
 def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
@@ -48,9 +56,11 @@ def frame_from_normal(nu) -> np.ndarray:
 
 
 def _segments_distance(x, a, d) -> np.ndarray:
-    """Distances from the point x to the segments a + t d, t in [0, 1]."""
-    t = np.clip(np.einsum("ij,ij->i", x - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
-    return np.linalg.norm(a + t[:, None] * d - x, axis=1)
+    """Distances from the points x (..., 2) to the segments a + t d, t in
+    [0, 1], given as (m, 2) arrays: (..., m)."""
+    x = x[..., None, :]
+    t = np.clip(np.einsum("...ij,ij->...i", x - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    return np.linalg.norm(a + t[..., None] * d - x, axis=-1)
 
 
 def signed_area(vertices) -> float:
@@ -108,31 +118,26 @@ class Polygon:
         cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
         return (v + w).T @ cross / (6.0 * self.area)
 
-    def edges(self):
-        """Directed edges (p, q) in counterclockwise order."""
+    def boundary_distance(self, x):
+        """Distance from each point of x (..., 2) to the boundary: (...)."""
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return list(zip(v, w))
+        return np.min(_segments_distance(_as_points(x), v, np.roll(v, -1, axis=0) - v), axis=-1)
 
-    def boundary_distance(self, x) -> float:
-        v = self.vertices
-        return float(np.min(_segments_distance(_as_point(x), v, np.roll(v, -1, axis=0) - v)))
-
-    def contains(self, x, tol: float | None = None) -> int:
-        """+1 strictly inside, 0 on the boundary (within tol), -1 outside."""
-        x = _as_point(x)
+    def contains(self, x, tol: float | None = None):
+        """For each point of x (..., 2): +1 strictly inside, 0 on the boundary
+        (within tol), -1 outside, as an int array of shape (...)."""
+        x = _as_points(x)
         if tol is None:
             tol = MATCH_TOL * self.diameter
-        if self.boundary_distance(x) <= tol:
-            return 0
         v = self.vertices
         w = np.roll(v, -1, axis=0)
-        # even-odd crossing count of the ray from x running right (+x)
-        cond = (v[:, 1] <= x[1]) != (w[:, 1] <= x[1])
+        # even-odd crossing count of the ray from each point running right (+x)
+        px, py = x[..., :1], x[..., 1:]
+        cond = (v[:, 1] <= py) != (w[:, 1] <= py)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs = v[:, 0] + (x[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
-        crossings = int(np.sum(cond & (xs > x[0])))
-        return 1 if crossings % 2 == 1 else -1
+            xs = v[:, 0] + (py - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
+        inside = np.count_nonzero(cond & (xs > px), axis=-1) % 2 == 1
+        return np.where(self.boundary_distance(x) <= tol, 0, np.where(inside, 1, -1))
 
     def to_json(self) -> list:
         return [[float(x), float(y)] for x, y in self.vertices]
@@ -268,10 +273,12 @@ def _merge_intervals(intervals, tol):
     return [(lo, hi) for lo, hi in out]
 
 
-def _bbox_disjoint(c1: Polygon, c2: Polygon, tol: float) -> bool:
-    lo1, hi1 = c1.bbox
-    lo2, hi2 = c2.bbox
-    return bool(np.any(lo1 > hi2 + tol) or np.any(lo2 > hi1 + tol))
+def _bbox_disjoint(cells1, cells2, tol: float) -> np.ndarray:
+    """(len(cells1), len(cells2)): whether the bounding boxes of two cells
+    are more than tol apart along some axis."""
+    lo1, hi1 = np.array([c.bbox for c in cells1]).transpose(1, 0, 2)[:, :, None]
+    lo2, hi2 = np.array([c.bbox for c in cells2]).transpose(1, 0, 2)[:, None]
+    return ((lo1 > hi2 + tol) | (lo2 > hi1 + tol)).any(axis=-1)
 
 
 def _edge_arrays(vertices):
@@ -317,13 +324,11 @@ def _cell_overlaps(cells: list[Polygon], tol: float):
     """(ia, k, ib, l, lo, hi) per interface, in extraction order: edge l of
     cell ib covers [lo, hi] of edge k of cell ia, running the other way."""
     edges = [_edge_arrays(c.vertices) for c in cells]
+    near = np.triu(~_bbox_disjoint(cells, cells, tol), k=1)
     out = []
-    for ia in range(len(cells)):
-        for ib in range(ia + 1, len(cells)):
-            if _bbox_disjoint(cells[ia], cells[ib], tol):
-                continue
-            for k, l, lo, hi in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
-                out.append((ia, int(k), ib, int(l), lo, hi))
+    for ia, ib in zip(*np.nonzero(near)):
+        for k, l, s, e in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
+            out.append((int(ia), int(k), int(ib), int(l), s, e))
     return out, edges
 
 
@@ -476,7 +481,7 @@ def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> 
     """Area of the intersection, via pairwise triangle clipping."""
     if tol is None:
         tol = MATCH_TOL * max(p1.diameter, p2.diameter)
-    if _bbox_disjoint(p1, p2, tol):
+    if _bbox_disjoint([p1], [p2], tol)[0, 0]:
         return 0.0
     total = 0.0
     tris2 = triangulate(p2)
@@ -532,39 +537,50 @@ def validate_partition(part: PolygonalPartition) -> PartitionReport:
     return PartitionReport(defect, unmatched, overlaps, passed)
 
 
-def clip_segment_params(a, b, poly: Polygon, tol: float | None = None):
-    """Sub-intervals of the segment a->b (parameters in [0,1]) lying inside poly.
+def row_norms(v) -> np.ndarray:
+    """np.linalg.norm of each row of v, bit for bit: the norm of one vector
+    is a dot product, and a stacked matmul keeps it."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-    Each piece is tagged: (t0, t1, on_boundary) where on_boundary marks pieces
-    collinear with the polygon boundary.
-    """
-    a = _as_point(a)
-    b = _as_point(b)
+
+def clip_segment_params(starts, ends, poly: Polygon, tol: float | None = None):
+    """The pieces inside poly of the segments starts[k] -> ends[k], (n, 2)
+    arrays: (rows, t0, t1, on_boundary), where piece n covers [t0[n], t1[n]]
+    of the parameter in [0, 1] of segment rows[n], row after row in
+    increasing t.  Segments are cut where they meet an edge within tol;
+    pieces no longer than tol, or with their midpoint outside poly, are
+    dropped.  on_boundary marks pieces along the boundary of poly."""
+    a = _as_points(starts).reshape(-1, 2)
+    d = _as_points(ends).reshape(-1, 2) - a
     if tol is None:
         tol = MATCH_TOL * poly.diameter
-    d = b - a
-    L = float(np.linalg.norm(d))
-    if L == 0.0:
-        return []
-    cuts = {0.0, 1.0}
-    for P, Q in poly.edges():
-        e = Q - P
-        denom = d[0] * e[1] - d[1] * e[0]
-        if denom == 0.0:
-            continue
-        t = ((P[0] - a[0]) * e[1] - (P[1] - a[1]) * e[0]) / denom
-        s = ((P[0] - a[0]) * d[1] - (P[1] - a[1]) * d[0]) / denom
-        if -tol / L <= t <= 1 + tol / L and -tol <= s * np.linalg.norm(e) <= np.linalg.norm(e) + tol:
-            cuts.add(float(np.clip(t, 0.0, 1.0)))
-    ts = sorted(cuts)
-    pieces = []
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if (t1 - t0) * L <= tol:
-            continue
-        mid = a + 0.5 * (t0 + t1) * d
-        side = poly.contains(mid, tol)
-        if side < 0:
-            continue
-        on_boundary = side == 0
-        pieces.append((t0, t1, on_boundary))
-    return pieces
+    L = row_norms(d)
+    P = poly.vertices
+    e = np.roll(P, -1, axis=0) - P
+    e_len = row_norms(e)
+    # (rows, edges): segment k's line meets edge l's line at a + t d = P + s e
+    ox, oy = P[:, 0] - a[:, :1], P[:, 1] - a[:, 1:]
+    dx, dy = d[:, :1], d[:, 1:]
+    denom = dx * e[:, 1] - dy * e[:, 0]
+    # parallel lines divide by zero, near-parallel ones may overflow: the hit
+    # tests reject both, and the inf padding of the cuts below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (ox * e[:, 1] - oy * e[:, 0]) / denom
+        s = (ox * dy - oy * dx) / denom
+        slack = (tol / L)[:, None]
+        hit = ((denom != 0.0) & (-slack <= t) & (t <= 1 + slack)
+               & (-tol <= s * e_len) & (s * e_len <= e_len + tol))
+        # the cuts of each row: 0, 1 and the hits clipped to [0, 1] (+ 0.0
+        # makes -0.0 the 0.0 it equals), sorted, each value once
+        cuts = np.where(hit, np.clip(t, 0.0, 1.0) + 0.0, np.inf)
+        cuts = np.concatenate([np.broadcast_to([0.0, 1.0], (len(a), 2)), cuts], axis=1)
+        cuts.sort(axis=1)
+        cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
+        cuts.sort(axis=1)
+        t0, t1 = cuts[:, :-1], cuts[:, 1:]
+        long = np.isfinite(t1) & ((t1 - t0) * L[:, None] > tol)
+    rows, k = np.nonzero(long)
+    t0, t1 = t0[rows, k], t1[rows, k]
+    side = poly.contains(a[rows] + (0.5 * (t0 + t1))[:, None] * d[rows], tol)
+    kept = side >= 0
+    return rows[kept], t0[kept], t1[kept], side[kept] == 0

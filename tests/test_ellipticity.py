@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from bdlab.geometry import GeometryError, OrientedSquare, validate_partition
 from bdlab.ellipticity import (
     _MIN_RUN,
     _RESTARTS,
+    _latin_hypercube,
     _nelder_mead,
     CompetitorFamily,
     EllipticityError,
@@ -654,6 +659,28 @@ class TestNelderMead:
     def test_zero_coordinate_step(self):
         points = self.assert_same(rosenbrock, (0.0, 0.5), ((-2.0, 2.0), (-2.0, 2.0)), 60)
         assert points[1][0] == 0.00025
+
+
+class TestLatinHypercube:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), fi=st.integers(0, 7), d=st.integers(1, 10),
+           n=st.integers(1, 12))
+    def test_equals_scipy(self, seed, fi, d, n):
+        # scipy's sampler is the oracle (the draws are those of scipy 1.17)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, fi]))
+        want = qmc.LatinHypercube(d=d, seed=rng).random(n=n)
+        assert np.array_equal(_latin_hypercube(seed, fi, d, n), want)
+
+    def test_cli_import_leaves_scipy_out(self):
+        # the package this suite imports, found first in the child process
+        import bdlab
+
+        src = str(Path(bdlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, bdlab.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 def sequential_search(f, i, j, nu, budget, seed):

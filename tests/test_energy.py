@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotr
 from bdlab.ellipticity import default_families
 from bdlab.energy import (
     _cuts,
+    _duffy_rule,
+    _tri_gauss,
     EnergyError,
     QuadratureResult,
     bump_from_polygon,
@@ -40,7 +43,13 @@ from bdlab.functions import (
     make_elementary,
     rigid_piece,
 )
-from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square
+from bdlab.geometry import (
+    OrientedSquare,
+    Polygon,
+    PolygonalPartition,
+    make_oriented_square,
+    triangulate,
+)
 from bdlab.profiles import identity_profile, sin_profile
 
 E1 = np.array([1.0, 0.0])
@@ -555,11 +564,117 @@ class TestVolumeQuadrature:
         assert calls[0] == 1
 
 
+def recursive_polygon(fn, poly, tol, order):
+    """The oracle: integrate_polygon as a depth-first recursion, one triangle
+    and one rule call at a time.  (value, error, unconverged, deepest level)."""
+    pts, wts = _duffy_rule(order)
+    deepest = [0]
+
+    def rule(tri):
+        a, b, c = tri
+        phys = a + pts[:, :1] * (b - a) + pts[:, 1:] * (c - a)
+        jac = abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
+        return jac * float(wts @ fn(phys))
+
+    def split(tri):
+        a, b, c = tri
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        return (np.array([a, ab, ca]), np.array([ab, b, bc]), np.array([ca, bc, c]),
+                np.array([ab, bc, ca]))
+
+    def refine(parts, tol, depth):
+        deepest[0] = max(deepest[0], depth)
+        share = tol / len(parts)
+        total, err, unconverged = 0.0, 0.0, 0
+        for part in parts:
+            coarse = rule(part)
+            children = split(part)
+            fine = 0.0
+            for c in children:
+                fine += rule(c)
+            e = abs(coarse - fine)
+            ok = e <= share or e <= 8 * np.finfo(float).eps * abs(fine)
+            if not ok and depth >= 10:
+                unconverged += 1
+            elif not ok:
+                fine, e, n = refine(children, share, depth + 1)
+                unconverged += n
+            total += fine
+            err += float(e)
+        return total, err, unconverged
+
+    return (*refine(triangulate(poly), tol, 0), deepest[0])
+
+
+L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+
+
+def _ibp_integrand():
+    """The volume integrand <G(u), grad phi> of an integration by parts."""
+    G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
+    phi = bump_from_polygon(make_oriented_square(E2, 2.0), power=3)
+    piece = AffinePiece(np.array([[0.3, -0.8], [0.5, 0.1]]), np.array([0.2, -0.4]))
+    return lambda x: np.einsum("nk,nk->n", G(piece(x)), phi.grad(x))
+
+
+VOLUME_CASES = [
+    # (integrand, polygon, tol, order)
+    (lambda x: x[:, 0] ** 2 * x[:, 1], Polygon([(0, 0), (2, 0), (2, 2), (0, 2)]), 1e-12, 8),
+    (lambda x: np.sin(x[:, 0]) * np.cos(x[:, 1]), L_SHAPE, 1e-12, 4),
+    (lambda x: np.exp(-4 * ((x[:, 0] - 0.3) ** 2 + x[:, 1] ** 2)), L_SHAPE, 1e-10, 8),
+    (lambda x: 1.0 * (x[:, 0] > 0.37), Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1e-9, 2),
+    (lambda x: np.abs(x[:, 0] - 0.7 * x[:, 1] - 0.1), L_SHAPE, 1e-8, 3),
+    (_ibp_integrand(), make_oriented_square(E2, 2.0), 1e-9, 16),
+    (_ibp_integrand(), make_oriented_square(E2, 2.0), 1e-8, 4),
+]
+
+
+@functools.lru_cache
+def volume_oracle(case):
+    return recursive_polygon(*VOLUME_CASES[case])
+
+
+class TestBreadthFirstVolume:
+    @pytest.mark.parametrize("case", range(len(VOLUME_CASES)))
+    def test_equals_the_recursion(self, case):
+        fn, poly, tol, order = VOLUME_CASES[case]
+        value, err, unconverged, deepest = volume_oracle(case)
+        counted_fn, calls = counted(fn, limit=100)
+        res = integrate_polygon(counted_fn, poly, tol=tol, order=order)
+        # bit for bit
+        assert (res.value, res.error_estimate, res.unconverged) == (value, err, unconverged)
+        assert res.segments_evaluated == len(triangulate(poly))
+        # one integrand call per refinement level
+        assert calls[0] == deepest + 1
+
+    def test_levels_and_caps_are_exercised(self):
+        _, _, unconverged, deepest = zip(*map(volume_oracle, range(len(VOLUME_CASES))))
+        assert deepest[3] == 10 and unconverged[3] > 0
+        assert sum(d >= 2 for d in deepest) >= 4
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 16])
+    @pytest.mark.parametrize("fn", [
+        lambda x: np.sin(3 * x[:, 0]) * np.exp(x[:, 1]),
+        lambda x: np.exp(x)[:, 1],  # a strided view
+    ])
+    def test_rule_equals_one_triangle_at_a_time(self, order, fn):
+        # the stacked matmul adds as wts @ vals does, triangle by triangle
+        rng = np.random.default_rng(order)
+        tris = rng.normal(size=(37, 3, 2))
+        pts, wts = _duffy_rule(order)
+        want = []
+        for a, b, c in tris:
+            phys = a + pts[:, :1] * (b - a) + pts[:, 1:] * (c - a)
+            jac = abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
+            want.append(jac * float(wts @ fn(phys)))
+        assert _tri_gauss(fn, tris, order).tolist() == want
+
+
 class TestBump:
     def test_vanishes_on_boundary(self):
         poly = make_oriented_square(E2, 2.0)
         bump = bump_from_polygon(poly, power=2)
-        for p, q in poly.edges():
+        for p, q in zip(poly.vertices, np.roll(poly.vertices, -1, axis=0)):
             for t in np.linspace(0, 1, 7):
                 x = p + t * (q - p)
                 assert abs(float(bump.phi(x)[0])) < 1e-12

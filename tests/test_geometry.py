@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdlab.geometry import (
+    MATCH_TOL,
     GeometryError,
     Polygon,
     PolygonalPartition,
+    _edge_arrays,
+    _edge_overlaps,
     clip_polygon,
     clip_segment_params,
+    interface_edges,
     make_oriented_square,
     polygon_overlap_area,
     signed_area,
@@ -68,6 +72,19 @@ class TestPolygon:
         assert p.contains((1, 1)) == 1
         assert p.contains((2, 1)) == 0
         assert p.contains((3, 1)) == -1
+
+    def test_contains_broadcasts(self):
+        p = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        x = np.array([[[0.5, 0.5], [2.0, 0.5], [1.5, 1.5]], [[1.0, 1.5], [0.5, 1.9], [3.0, 3.0]]])
+        side = p.contains(x)
+        assert side.shape == (2, 3)
+        assert side.tolist() == [[1, 0, -1], [0, 1, -1]]
+        assert side.tolist() == [[int(p.contains(q)) for q in row] for row in x]
+        dist = p.boundary_distance(x)
+        assert dist.shape == (2, 3)
+        assert dist.tolist() == [[float(p.boundary_distance(q)) for q in row] for row in x]
+        with pytest.raises(GeometryError):
+            p.contains([[0.5, np.nan]])
 
     def test_centroid(self):
         p = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -220,6 +237,28 @@ class TestPartition:
             del cells[drop % len(cells)]
             assert validate_partition(PolygonalPartition(cells, dom)).unmatched_edges
 
+    def test_cell_pairs_screened_like_the_pairwise_loop(self):
+        # screening all pairs at once gives the interfaces, in order, of a
+        # loop over the pairs whose bounding boxes meet
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            cells, y = [], 0.0
+            for height in rng.choice([0.25, 0.5, 1.0], size=rng.integers(1, 5)):
+                xs = [0.0, *sorted(rng.choice([0.125, 0.25, 0.5, 0.75], size=2, replace=False)), 1.0]
+                for x0, x1 in zip(xs[:-1], xs[1:]):
+                    cells.append(Polygon([(x0, y), (x1, y), (x1, y + height), (x0, y + height)]))
+                y += height
+            tol = 1e-9
+            edges = [_edge_arrays(c.vertices) for c in cells]
+            want = [
+                (ia, int(k), ib, int(l))
+                for ia in range(len(cells)) for ib in range(ia + 1, len(cells))
+                if not (np.any(cells[ia].bbox[0] > cells[ib].bbox[1] + tol)
+                        or np.any(cells[ib].bbox[0] > cells[ia].bbox[1] + tol))
+                for k, l, _, _ in zip(*_edge_overlaps(edges[ia], edges[ib], tol))
+            ]
+            assert interface_edges(cells, tol) == want
+
     def test_locate(self):
         part = _chord_partition()
         cell, flag = part.locate((1.0, 0.5))
@@ -257,14 +296,110 @@ class TestClipping:
 
     def test_segment_clip(self):
         poly = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-        pieces = clip_segment_params((-1, 1), (3, 1), poly)
-        assert len(pieces) == 1
-        t0, t1, on_b = pieces[0]
-        assert (t0, t1) == pytest.approx((0.25, 0.75), abs=1e-12)
-        assert not on_b
+        rows, t0, t1, on_b = clip_segment_params([(-1, 1)], [(3, 1)], poly)
+        assert len(rows) == 1
+        assert (t0[0], t1[0]) == pytest.approx((0.25, 0.75), abs=1e-12)
+        assert not on_b[0]
 
     def test_segment_on_boundary_flagged(self):
         poly = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-        pieces = clip_segment_params((0, 0), (2, 0), poly)
-        assert len(pieces) == 1
-        assert pieces[0][2]
+        rows, _, _, on_b = clip_segment_params([(0, 0)], [(2, 0)], poly)
+        assert len(rows) == 1
+        assert on_b[0]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=st.data())
+    def test_batched_clip_equals_row_by_row(self, case):
+        poly, starts, ends = case.draw(clip_cases())
+        rows, t0, t1, on_b = clip_segment_params(starts, ends, poly)
+        want = [(k, *piece) for k, (a, b) in enumerate(zip(starts, ends))
+                for piece in scalar_clip(a, b, poly)]
+        assert rows.tolist() == [w[0] for w in want]
+        # bit for bit
+        assert t0.tolist() == [w[1] for w in want]
+        assert t1.tolist() == [w[2] for w in want]
+        assert on_b.tolist() == [w[3] for w in want]
+
+
+# regions for the clip property: convex, convex with a vertex in the middle
+# of an edge (two edges cut the segment at the same point), non-convex
+CLIP_REGIONS = (
+    Polygon([(0, 0), (2, 0), (2, 2), (0, 2)]),
+    make_oriented_square((0.6, 0.8), 1.5, (1.0, 1.0)),
+    Polygon(np.c_[1 + np.cos(np.arange(6) * np.pi / 3), 1 + np.sin(np.arange(6) * np.pi / 3)]),
+    Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]),
+    Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    Polygon([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (0.5, 1)]),
+)
+
+
+@st.composite
+def clip_cases(draw):
+    """(region, starts, ends): free segments, segments along an edge's line,
+    segments from a vertex, and zero-length segments."""
+    poly = draw(st.sampled_from(CLIP_REGIONS))
+    v = poly.vertices
+    coord = st.floats(-1.5, 3.5)
+    frac = st.floats(-0.5, 1.5)
+    vertex = st.integers(0, len(v) - 1)
+    starts, ends = [], []
+    for kind in draw(st.lists(st.sampled_from(("free", "edge", "vertex", "zero")), min_size=1,
+                              max_size=10)):
+        if kind == "edge":
+            k = draw(vertex)
+            p, q = v[k], v[(k + 1) % len(v)]
+            a, b = p + draw(frac) * (q - p), p + draw(frac) * (q - p)
+        elif kind == "vertex":
+            a = v[draw(vertex)]
+            b = draw(st.one_of(vertex.map(lambda k: v[k]), st.tuples(coord, coord)))
+        else:
+            a = (draw(coord), draw(coord))
+            b = a if kind == "zero" else (draw(coord), draw(coord))
+        starts.append(a)
+        ends.append(b)
+    return poly, np.array(starts, dtype=float), np.array(ends, dtype=float)
+
+
+def scalar_contains(poly, x, tol):
+    """Polygon.contains one point at a time, as it was before it broadcast."""
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    d = w - v
+    t = np.clip(np.einsum("ij,ij->i", x - v, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    if float(np.min(np.linalg.norm(v + t[:, None] * d - x, axis=1))) <= tol:
+        return 0
+    cond = (v[:, 1] <= x[1]) != (w[:, 1] <= x[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = v[:, 0] + (x[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
+    return 1 if int(np.sum(cond & (xs > x[0]))) % 2 == 1 else -1
+
+
+def scalar_clip(a, b, poly, tol=None):
+    """The oracle: clip_segment_params one segment at a time, as it was
+    before it took arrays.  (t0, t1, on_boundary) per piece."""
+    if tol is None:
+        tol = MATCH_TOL * poly.diameter
+    d = b - a
+    L = float(np.linalg.norm(d))
+    if L == 0.0:
+        return []
+    cuts = {0.0, 1.0}
+    for P, Q in zip(poly.vertices, np.roll(poly.vertices, -1, axis=0)):
+        e = Q - P
+        denom = d[0] * e[1] - d[1] * e[0]
+        if denom == 0.0:
+            continue
+        with np.errstate(over="ignore"):
+            t = ((P[0] - a[0]) * e[1] - (P[1] - a[1]) * e[0]) / denom
+            s = ((P[0] - a[0]) * d[1] - (P[1] - a[1]) * d[0]) / denom
+        if -tol / L <= t <= 1 + tol / L and -tol <= s * np.linalg.norm(e) <= np.linalg.norm(e) + tol:
+            cuts.add(float(np.clip(t, 0.0, 1.0)))
+    ts = sorted(cuts)
+    pieces = []
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        if (t1 - t0) * L <= tol:
+            continue
+        side = scalar_contains(poly, a + 0.5 * (t0 + t1) * d, tol)
+        if side >= 0:
+            pieces.append((t0, t1, side == 0))
+    return pieces
