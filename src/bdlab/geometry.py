@@ -562,8 +562,8 @@ def clip_segment_params(starts, ends, poly: Polygon, tol: float | None = None):
     ox, oy = P[:, 0] - a[:, :1], P[:, 1] - a[:, 1:]
     dx, dy = d[:, :1], d[:, 1:]
     denom = dx * e[:, 1] - dy * e[:, 0]
-    # parallel lines divide by zero, near-parallel ones may overflow: the hit
-    # tests reject both, and the inf padding of the cuts below
+    # parallel lines divide by zero and near-parallel ones may overflow, both
+    # rejected by the hit tests; the inf that pads the cuts gives inf - inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (ox * e[:, 1] - oy * e[:, 0]) / denom
         s = (ox * dy - oy * dx) / denom
