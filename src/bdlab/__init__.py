@@ -8,7 +8,7 @@ violations with competitor families.
 
 from .geometry import (
     GeometryError,
-    Interface,
+    Interfaces,
     OrientedSquare,
     Polygon,
     PolygonalPartition,

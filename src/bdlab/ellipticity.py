@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
-from .energy import integrate_jump_arrays, integrate_jump_sets, surface_energy
+from .energy import integrate_jump_arrays, integrate_jump_sets, jump_pieces, surface_energy
 from .functions import (
     FunctionError,
     JumpArrays,
@@ -274,18 +274,19 @@ def tiling_report(
     out = []
     for h in hs:
         u_h = tile_construction(v, i, j, nu, h, i_side=i_side, ambient_side=ambient_side)
-        tiles_sum, tiles_err = 0.0, 0.0
+        jumps = u_h.jump_segments()
+        # each tile's open part of the one jump set, every tile in one kernel call
+        pieces = []
         inv_h = 1.0 / h
         for n in range(h):
-            corner = np.array([-0.5 + n * inv_h, 0.0])
-            tile_frame = np.array(
-                [corner, corner + [inv_h, 0], corner + [inv_h, inv_h], corner + [0, inv_h]]
-            )
-            tile = Polygon(tile_frame @ R.T)
-            res = surface_energy(u_h, f, region=tile, tol=1e-12, include_boundary=False)
-            tiles_sum += res.value
-            tiles_err += res.error_estimate
-        total = surface_energy(u_h, f, tol=1e-12)
+            c = np.array([-0.5 + n * inv_h, 0.0])
+            tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
+            pieces.append(jump_pieces(jumps, Polygon(tile), include_boundary=False))
+        owner = np.repeat(np.arange(h), [len(p) for p in pieces])
+        tiles = integrate_jump_sets(JumpArrays.concatenate(pieces), owner, h, f, 1e-12, 15)
+        tiles_sum = sum(res.value for res in tiles)
+        tiles_err = sum(res.error_estimate for res in tiles)
+        total = integrate_jump_arrays(jumps, f, 1e-12, 15)
         chord = chord_density * (ambient_side - 1.0)
         out.append(
             {
@@ -431,13 +432,14 @@ _MIN_RUN = 25
 _SENTINEL = 1e30
 
 
-def _search_values(f: Density, families, points) -> list[float]:
-    """The search objective at (family index, parameters) points: the
-    surface energy of each competitor, or the sentinel for one that cannot
-    be built.  Layout families give their jump sets in one topology call per
-    family, the others through their generator's competitor, and one kernel
-    call integrates every jump set."""
-    values = [None] * len(points)
+def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]:
+    """The search objective at (family index, parameters) points, and the
+    indices of the points rejected: the surface energy of each competitor,
+    or the sentinel for one whose generator raises.  Layout families give their
+    jump sets in one topology call per family, the others through their
+    generator's competitor, and one kernel call integrates every jump set."""
+    values = [_SENTINEL] * len(points)
+    rejected = set()
     sets, owners = [], []
     for fi in dict.fromkeys(fi for fi, _ in points):
         family = families[fi]
@@ -452,7 +454,7 @@ def _search_values(f: Density, families, points) -> list[float]:
             try:
                 jumps = family.generator(points[k][1]).jump_segments()
             except _REJECTED:
-                values[k] = _SENTINEL
+                rejected.add(k)
                 continue
             sets.append(jumps)
             owners.append(np.full(len(jumps), k, dtype=int))
@@ -461,8 +463,8 @@ def _search_values(f: Density, families, points) -> list[float]:
             JumpArrays.concatenate(sets), np.concatenate(owners), len(points), f,
             _SEARCH_TOL, _SEARCH_ORDER,
         )
-        values = [energies[k].value if v is None else v for k, v in enumerate(values)]
-    return values
+        values = [_SENTINEL if k in rejected else e.value for k, e in enumerate(energies)]
+    return values, rejected
 
 
 class _Exhausted(Exception):
@@ -622,11 +624,12 @@ def falsify(
     outcomes = [None] * len(searches)
     while pending:
         live = list(pending)
-        values = _search_values(f, families, [(searched[r][0], pending[r]) for r in live])
-        for r, value in zip(live, values):
+        points = [(searched[r][0], pending[r]) for r in live]
+        values, rejected = _search_values(f, families, points)
+        for n, (r, value) in enumerate(zip(live, values)):
             st = stats[searched[r][0]]
             st["evaluations"] += 1
-            st["rejected"] += int(value >= _SENTINEL)
+            st["rejected"] += n in rejected
             try:
                 pending[r] = searches[r].send(value)
             except StopIteration as stop:
@@ -638,7 +641,8 @@ def falsify(
         for (val, x), (fi, si, family, _) in zip(outcomes, searched)
     ]
     for fi, st in enumerate(stats):
-        st["best_value"] = min((r[0] for r in results if r[1] == fi), default=None)
+        accepted = st["evaluations"] > st["rejected"]
+        st["best_value"] = min(r[0] for r in results if r[1] == fi) if accepted else None
     diagnostics = {
         "families": stats,
         "dropped_families": [st["name"] for st in stats if st["runs"] == 0],
@@ -653,7 +657,7 @@ def falsify(
     err = 0.0
     cross = {}
     competitor = None
-    if best_val < _SENTINEL:
+    if stats[best_fi]["best_value"] is not None:
         competitor = family.generator(best_params)
         e1 = surface_energy(competitor, f, tol=1e-11, order=15)
         e2 = surface_energy(competitor, f, tol=1e-13, order=30)

@@ -266,9 +266,8 @@ def _sum_children(x, children: int):
     return out
 
 
-def jump_pieces(u: PiecewiseAffine, region: Polygon | None, include_boundary: bool) -> JumpArrays:
-    """The pieces of the jump set of u inside the region."""
-    jumps = u.jump_segments()
+def jump_pieces(jumps: JumpArrays, region: Polygon | None, include_boundary: bool) -> JumpArrays:
+    """The pieces of a jump set inside the region."""
     if region is None:
         return jumps
     rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, region)
@@ -292,7 +291,8 @@ def surface_energy(
     `include_boundary=False` drops jump pieces lying along the region boundary
     (used for open-region bookkeeping, e.g. per-tile energies).
     """
-    return integrate_jump_arrays(jump_pieces(u, region, include_boundary), f, tol, order)
+    jumps = jump_pieces(u.jump_segments(), region, include_boundary)
+    return integrate_jump_arrays(jumps, f, tol, order)
 
 
 def jump_flux(
@@ -303,7 +303,7 @@ def jump_flux(
     order: int = 15,
 ) -> QuadratureResult:
     """Signed integral of <g(trace+) - g(trace-), normal> over the jump set."""
-    jumps = jump_pieces(u, region, include_boundary=True)
+    jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
     return integrate_jump_arrays(jumps, g.pairing, tol, order, kinks=g.trace_kinks)
 
 
@@ -333,7 +333,7 @@ def divergence_identity_residual(
 def symmetric_jump_measure(u: PiecewiseAffine, region: Polygon | None = None) -> np.ndarray:
     """Matrix integral of jump (.) normal over the jump set (midpoint-exact)."""
     out = np.zeros((2, 2))
-    j = jump_pieces(u, region, include_boundary=True)
+    j = jump_pieces(u.jump_segments(), region, include_boundary=True)
     for k, (t0, t1) in enumerate(zip(j.t0.tolist(), j.t1.tolist())):
         t = 0.5 * (t0 + t1)
         jm = (j.plus_value0[k] + t * j.plus_slope[k]) - (j.minus_value0[k] + t * j.minus_slope[k])
@@ -491,7 +491,7 @@ def integration_by_parts_residual(
         raise EnergyError("test function must vanish on the region boundary")
 
     jump_term = integrate_jump_arrays(
-        jump_pieces(u, region, include_boundary=True),
+        jump_pieces(u.jump_segments(), region, include_boundary=True),
         G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi,
     ).value
 

@@ -19,8 +19,8 @@ from .geometry import (
     Polygon,
     PolygonalPartition,
     edge_pair_interfaces,
+    edge_vertices,
     frame_from_normal,
-    interface_edges,
     make_oriented_square,
     polygon_overlap_area,
     row_norms,
@@ -215,15 +215,10 @@ class PiecewiseAffine:
         agreement at both endpoints and the midpoint (exact for affine
         traces).
         """
-        itfs = self.partition.interfaces
-        a, b, normal = (
-            np.array([getattr(itf, name) for itf in itfs]).reshape(-1, 2)
-            for name in ("a", "b", "normal")
-        )
+        itf = self.partition.interfaces
+        A, c = _stacked(self.pieces, self.dim)
         jumps, _ = jump_arrays(
-            a, b, normal,
-            _stacked([self.pieces[itf.left] for itf in itfs], self.dim),
-            _stacked([self.pieces[itf.right] for itf in itfs], self.dim),
+            itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]), (A[itf.right], c[itf.right])
         )
         return jumps
 
@@ -328,37 +323,37 @@ class JumpSquareTopology:
 
     It is compiled from example inputs built by jump_square: every interface
     of the partition is where an edge of one cell overlaps an edge of
-    another, and those edge pairs (`edge_map`) must be the same for all
-    examples, or FunctionError is raised.  `jumps` evaluates the pairs with
-    the arithmetic of extract_interfaces and jump_segments, without building
-    a Polygon or a partition, so its arrays equal the general path's bit for
+    another, and those cell-edge pairs, which the partitions' `Interfaces`
+    store, must be the same for all examples, or FunctionError is raised.
+    `jumps` evaluates the pairs with edge_pair_interfaces and jump_arrays,
+    the arithmetic of the partition and of jump_segments, without building a
+    Polygon or a partition, so its arrays equal the general path's bit for
     bit.  The caller keeps the inputs within the range the examples stand
     for (one topology); inputs a Polygon might reject are handed back, and
     belong to jump_square.
     """
 
     def __init__(self, i, j, nu, side: float, examples, i_side: str = "plus"):
-        maps = []
+        tops = []
         for hole, cells, pieces in examples:
             u = jump_square(i, j, nu, side, i_side=i_side, hole=hole, cells=cells, pieces=pieces)
-            counts = tuple(len(c) for c in u.partition.cells)
-            maps.append((counts, tuple(interface_edges(list(u.partition.cells), u.partition.tol))))
-        if any(m != maps[0] for m in maps[1:]):
+            itf = u.partition.interfaces
+            pairs = [x.tolist() for x in (itf.right, itf.right_edge, itf.left, itf.left_edge)]
+            tops.append((tuple(len(c) for c in u.partition.cells), pairs))
+        if any(t != tops[0] for t in tops[1:]):
             raise FunctionError("the examples do not share one cell topology")
-        self.counts, self.edge_map = maps[0]
+        self.counts, pairs = tops[0]
         self.side = float(side)
         self.frame = frame_from_normal(nu)
         self.outer = list(u.pieces[:2])
         counts = np.array(self.counts)
         self.starts = np.cumsum(counts) - counts
         self.cell_of = np.repeat(np.arange(counts.size), counts)
-
-        def vertex(cell, k):
-            return self.starts[cell] + k % counts[cell]
-
-        self.next = vertex(self.cell_of, np.arange(self.cell_of.size) - self.starts[self.cell_of] + 1)
-        ia, k, ib, l = (np.array(col) for col in zip(*self.edge_map))
-        self.edges = (vertex(ia, k), vertex(ia, k + 1), vertex(ib, l), vertex(ib, l + 1))
+        # each stacked vertex starts an edge of its cell, which ends at the next vertex
+        local = np.arange(self.cell_of.size) - self.starts[self.cell_of]
+        _, self.next = edge_vertices(counts, self.cell_of, local)
+        ia, k, ib, l = np.array(pairs, dtype=int)
+        self.edges = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
         self.right, self.left = ia, ib
 
     def jumps(self, batch) -> tuple[JumpArrays, np.ndarray, list[int]]:
@@ -393,7 +388,7 @@ class JumpSquareTopology:
         A, c = _stacked([p for n in kept for p in self.outer + list(batch[n][2])], d)
         left, right = offset(self.left, P), offset(self.right, P)
         jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
-        owner = np.repeat(np.array(kept, dtype=int), len(self.edge_map))[rows]
+        owner = np.repeat(np.array(kept, dtype=int), len(self.left))[rows]
         return jumps, owner, rejected
 
     def _cells_valid(self, W) -> np.ndarray:

@@ -3,7 +3,8 @@
 Polygons are counterclockwise vertex loops.  A partition is a finite list of
 polygonal cells covering a convex domain; the interfaces between cells are
 recovered by matching collinear, opposite-orientation edge overlaps, so cells
-may be authored with unequal edge subdivisions (T-junctions are fine).
+may be authored with unequal edge subdivisions (T-junctions are fine).  They
+are arrays (`Interfaces`) from one arithmetic, `edge_pair_interfaces`.
 
 Coordinates are plain float64; two points coincide when their distance is
 below 1e-9 times the domain diameter.
@@ -63,10 +64,11 @@ def _segments_distance(x, a, d) -> np.ndarray:
     return np.linalg.norm(a + t[..., None] * d - x, axis=-1)
 
 
-def signed_area(vertices) -> float:
+def signed_area(vertices, rolled=None) -> float:
+    """Shoelace area of a vertex loop; rolled is the loop rolled by one row, if at hand."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    w = np.roll(v, -1, axis=0) if rolled is None else rolled
+    return 0.5 * float(np.dot(v[:, 0], w[:, 1]) - np.dot(v[:, 1], w[:, 0]))
 
 
 class Polygon:
@@ -83,10 +85,11 @@ class Polygon:
         ext = float(np.max(np.ptp(v, axis=0)))
         if ext == 0.0:
             raise GeometryError("polygon has zero extent")
-        gaps = np.linalg.norm(v - np.roll(v, -1, axis=0), axis=1)
+        w = np.roll(v, -1, axis=0)
+        gaps = np.linalg.norm(v - w, axis=1)
         if np.any(gaps < MATCH_TOL * ext):
             raise GeometryError("repeated consecutive vertices")
-        if signed_area(v) <= 0.0:
+        if signed_area(v, w) <= 0.0:
             raise GeometryError("polygon must be counterclockwise with positive area")
         v.setflags(write=False)
         self.vertices = v
@@ -234,32 +237,6 @@ def make_oriented_square(nu, rho: float, center=(0.0, 0.0)) -> Polygon:
     return Polygon(base @ R.T + c)
 
 
-@dataclass(frozen=True)
-class Interface:
-    """Shared straight piece between two cells.
-
-    The normal is the unit vector orthogonal to the segment pointing from
-    `right` into `left`.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    left: int
-    right: int
-    normal: np.ndarray
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
-    @property
-    def direction(self) -> np.ndarray:
-        return unit(self.b - self.a)
-
-    def flipped(self) -> "Interface":
-        return Interface(self.b, self.a, self.right, self.left, -self.normal)
-
-
 def _merge_intervals(intervals, tol):
     if not intervals:
         return []
@@ -320,50 +297,38 @@ def _edge_overlaps(a, b, tol: float, antiparallel: bool = True):
     return k, l, lo[k, l], hi[k, l]
 
 
-def _cell_overlaps(cells: list[Polygon], tol: float):
-    """(ia, k, ib, l, lo, hi) per interface, in extraction order: edge l of
-    cell ib covers [lo, hi] of edge k of cell ia, running the other way."""
+def _cell_overlaps(cells: list[Polygon], tol: float) -> np.ndarray:
+    """(4, n) int array of the columns (ia, k, ib, l), one per interface in
+    extraction order: edge l of cell ib overlaps edge k of cell ia by more
+    than tol, running the other way."""
     edges = [_edge_arrays(c.vertices) for c in cells]
     near = np.triu(~_bbox_disjoint(cells, cells, tol), k=1)
-    out = []
+    found = [np.zeros((4, 0), dtype=int)]
     for ia, ib in zip(*np.nonzero(near)):
-        for k, l, s, e in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
-            out.append((int(ia), int(k), int(ib), int(l), s, e))
-    return out, edges
+        k, l, _, _ = _edge_overlaps(edges[ia], edges[ib], tol)
+        if len(k):
+            found.append(np.stack([np.full(len(k), ia), k, np.full(len(k), ib), l]))
+    return np.concatenate(found, axis=1)
 
 
-def extract_interfaces(cells: list[Polygon], tol: float) -> list[Interface]:
-    """Match collinear opposite-orientation edge overlaps between distinct cells."""
-    interfaces: list[Interface] = []
-    overlaps, edges = _cell_overlaps(cells, tol)
-    for ia, k, ib, _, lo, hi in overlaps:
-        Pa, _, Ua, _ = edges[ia]
-        u1 = Ua[k]
-        # counterclockwise cells keep their interior on the left of each
-        # directed edge, so the outward normal of cell ia is the direction
-        # rotated by -90 degrees
-        n = np.array([u1[1], -u1[0]])
-        interfaces.append(
-            Interface(Pa[k] + lo * u1, Pa[k] + hi * u1, left=ib, right=ia, normal=n)
-        )
-    return interfaces
-
-
-def interface_edges(cells: list[Polygon], tol: float) -> list[tuple[int, int, int, int]]:
-    """(ia, k, ib, l) for each interface of extract_interfaces, in its order:
-    the interface is where edge l of cell ib (its left side) overlaps edge k
-    of cell ia (its right side).  Edge k runs from vertex k to vertex k + 1."""
-    return [o[:4] for o in _cell_overlaps(cells, tol)[0]]
+def edge_vertices(counts, cell, k):
+    """(start, end): the indices of edge k of each given cell in the stacked
+    vertices of cells with the given vertex counts; broadcasts."""
+    counts = np.asarray(counts)
+    start = np.cumsum(counts)[cell] - counts[cell]
+    return start + k % counts[cell], start + (k + 1) % counts[cell]
 
 
 def edge_pair_interfaces(vertices, a_start, a_end, b_start, b_end):
-    """(a, b, normal) arrays of the interfaces of given edge pairs.
+    """(a, b, normal) arrays of the interfaces of given edge pairs: the one
+    interface arithmetic, of partitions and compiled topologies alike.
 
     Edge pair n runs from vertices[a_start[n]] to vertices[a_end[n]] on the
     right side and from vertices[b_start[n]] to vertices[b_end[n]] on the
-    left; the edges must be collinear and antiparallel.  The arithmetic is
-    extract_interfaces', so a fixed cell topology gives its interfaces bit
-    for bit without building polygons.
+    left; the edges must be collinear and antiparallel.  The interface is
+    the part of the right edge that the left edge covers; its normal, the
+    right edge's direction turned by -90 degrees, points out of the right
+    cell, as counterclockwise cells keep their interior on their left.
     """
     Pa = vertices[a_start]
     Da = vertices[a_end] - Pa
@@ -374,6 +339,40 @@ def edge_pair_interfaces(vertices, a_start, a_end, b_start, b_end):
     lo, hi = _overlap_span(vertices[b_start] - Pa, Ua, La, dot_dir)
     normal = np.stack([Ua[:, 1], -Ua[:, 0]], axis=1)
     return Pa + lo[:, None] * Ua, Pa + hi[:, None] * Ua, normal
+
+
+@dataclass(frozen=True)
+class Interfaces:
+    """The interfaces of a partition as arrays: interface n runs from a[n] to
+    b[n] where edge left_edge[n] of cell left[n] overlaps edge right_edge[n]
+    of cell right[n] (edge k runs from vertex k to vertex k + 1), and its
+    unit normal[n] points from right into left."""
+
+    a: np.ndarray
+    b: np.ndarray
+    normal: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    left_edge: np.ndarray
+    right_edge: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def flipped(self) -> "Interfaces":
+        """The same interfaces with every orientation reversed."""
+        return Interfaces(self.b, self.a, -self.normal, self.right, self.left,
+                          self.right_edge, self.left_edge)
+
+
+def extract_interfaces(cells: list[Polygon], tol: float) -> Interfaces:
+    """Match collinear opposite-orientation edge overlaps between distinct cells."""
+    ia, k, ib, l = _cell_overlaps(cells, tol)
+    counts = [len(c) for c in cells]
+    vertices = np.concatenate([c.vertices for c in cells])
+    ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
+    a, b, normal = edge_pair_interfaces(vertices, *ends)
+    return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)
 
 
 class PolygonalPartition:
@@ -403,9 +402,8 @@ class PolygonalPartition:
         when the point lies within the matching tolerance of an interface.
         """
         x = _as_point(x)
-        a = np.array([itf.a for itf in self.interfaces]).reshape(-1, 2)
-        b = np.array([itf.b for itf in self.interfaces]).reshape(-1, 2)
-        on_interface = bool(np.any(_segments_distance(x, a, b - a) <= self.tol))
+        itf = self.interfaces
+        on_interface = bool(np.any(_segments_distance(x, itf.a, itf.b - itf.a) <= self.tol))
         for k, cell in enumerate(self.cells):
             if cell.contains(x, self.tol) >= 0:
                 return k, on_interface
@@ -417,7 +415,7 @@ class PolygonalPartition:
         part.cells = self.cells
         part.domain = self.domain
         part.tol = self.tol
-        part.interfaces = [i.flipped() for i in self.interfaces]
+        part.interfaces = self.interfaces.flipped()
         return part
 
     def to_json(self) -> dict:

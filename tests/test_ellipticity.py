@@ -34,7 +34,14 @@ from bdlab.functions import (
     make_elementary,
     rigid_piece,
 )
-from bdlab.geometry import GeometryError, OrientedSquare, validate_partition
+from bdlab.geometry import (
+    GeometryError,
+    OrientedSquare,
+    Polygon,
+    frame_from_normal,
+    unit,
+    validate_partition,
+)
 from bdlab.ellipticity import (
     _MIN_RUN,
     _RESTARTS,
@@ -169,6 +176,32 @@ class TestTiling:
         f = anisotropic_normal_density(0.01)
         for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8), i_side="minus"):
             assert rep["relative_defect"] < 1e-9, rep["h"]
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_report_equals_per_tile_energies(self, rotated):
+        # the former bookkeeping: one surface_energy per tile and one for
+        # the whole tiled function
+        nu = TestRotatedFrames.NU if rotated else E2
+        u = TestRotatedFrames()._rotated_insert() if rotated else counterexample1_competitor(1.0)
+        v = u.scaled(1.0 / 6.0)
+        f = anisotropic_normal_density(0.01)
+        R = frame_from_normal(unit(nu))
+        base = surface_energy(v, f, tol=1e-12)
+        for rep in tiling_report(v, I_CE, J_CE, nu, f, hs=range(1, 7), i_side="minus"):
+            h = rep["h"]
+            u_h = tile_construction(v, I_CE, J_CE, nu, h, i_side="minus")
+            inv_h = 1.0 / h
+            tiles = []
+            for n in range(h):
+                c = np.array([-0.5 + n * inv_h, 0.0])
+                tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
+                tile = Polygon(tile)
+                tiles.append(surface_energy(u_h, f, region=tile, tol=1e-12, include_boundary=False))
+            total = surface_energy(u_h, f, tol=1e-12)
+            assert rep["tile_energy_sum"] == sum(t.value for t in tiles), h
+            assert rep["total_energy"] == total.value
+            err = sum(t.error_estimate for t in tiles) + total.error_estimate + base.error_estimate
+            assert rep["error_estimate"] == err
 
     def test_boundary_contribution_decays_like_1_over_h(self):
         v = self._small_competitor()
@@ -766,6 +799,31 @@ class TestLockstepSearch:
                     seed=1, keep_competitor=False)
         (st_,) = v.diagnostics["families"]
         assert 0 < st_["rejected"] < st_["evaluations"] == v.budget_used
+
+    def test_family_with_every_evaluation_rejected(self):
+        def generator(params):
+            raise GeometryError("no competitor at these parameters")
+
+        broken = CompetitorFamily("broken", ((0.0, 1.0), (0.0, 1.0)), generator)
+        square = default_families(I_CE, J_CE, E2)[0]
+        f = catalog_density("isotropic:id")
+        # 8 + 10 runs of 25 evaluations: both families are searched
+        v = falsify(f, I_CE, J_CE, E2, families=[broken, square], budget=450, seed=0,
+                    keep_competitor=False)
+        st_broken, st_square = v.diagnostics["families"]
+        assert st_broken["runs"] == 8 and st_square["runs"] == 10
+        assert st_broken["rejected"] == st_broken["evaluations"] == 8 * 25
+        assert st_broken["best_value"] is None
+        assert st_square["rejected"] < st_square["evaluations"]
+        assert st_square["best_value"] == pytest.approx(v.best_energy, rel=1e-8)
+        assert v.best_family == "square-insert"
+        # alone, it leaves no competitor to certify
+        alone = falsify(f, I_CE, J_CE, E2, families=[broken], budget=100, seed=0)
+        (st_,) = alone.diagnostics["families"]
+        assert st_["rejected"] == st_["evaluations"] == alone.budget_used == 100
+        assert st_["best_value"] is None
+        assert alone.status == "NO-VIOLATION-WITHIN-BUDGET" and alone.competitor is None
+        assert alone.to_json()["diagnostics"]["families"][0]["best_value"] is None
 
 
 class TestRelaxation:

@@ -105,13 +105,15 @@ def rotated(u: PiecewiseRigid, angle: float) -> PiecewiseRigid:
 def with_t_junction(u: PiecewiseRigid, k: int, t: float) -> PiecewiseRigid:
     """u with a vertex inserted at fraction t of its k-th jump interface, in
     the cell on the left of that interface."""
+    itf = u.partition.interfaces
     jumps = [
-        itf for itf in u.partition.interfaces
-        if not u.pieces[itf.left].same_map(u.pieces[itf.right])
+        n for n, (l, r) in enumerate(zip(itf.left, itf.right))
+        if not u.pieces[l].same_map(u.pieces[r])
     ]
-    itf = jumps[k % len(jumps)]
-    p = itf.a + t * (itf.b - itf.a)
-    v = u.partition.cells[itf.left].vertices
+    n = jumps[k % len(jumps)]
+    a, b, left = itf.a[n], itf.b[n], itf.left[n]
+    p = a + t * (b - a)
+    v = u.partition.cells[left].vertices
     d = np.roll(v, -1, axis=0) - v
 
     def edge_distance(x):
@@ -119,9 +121,9 @@ def with_t_junction(u: PiecewiseRigid, k: int, t: float) -> PiecewiseRigid:
         return np.linalg.norm(x - v - s[:, None] * d, axis=1)
 
     # the edge from v[e] that carries the interface
-    e = int(np.argmin(edge_distance(itf.a) + edge_distance(itf.b)))
+    e = int(np.argmin(edge_distance(a) + edge_distance(b)))
     cells = list(u.partition.cells)
-    cells[itf.left] = Polygon(np.insert(v, e + 1, p, axis=0))
+    cells[left] = Polygon(np.insert(v, e + 1, p, axis=0))
     return PiecewiseRigid(PolygonalPartition(cells, u.partition.domain), u.pieces)
 
 
@@ -374,7 +376,7 @@ class TestJumpSets:
     @given(u=family_competitors(), field=st.integers(0, 7), clip=st.booleans())
     def test_breakpoints_match_the_row_loop(self, u, field, clip):
         region = Polygon([(-1.5, -1.2), (1.7, -1.4), (1.2, 1.9), (-1.1, 1.3)]) if clip else None
-        jumps = jump_pieces(u, region, include_boundary=True)
+        jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
         rows = np.arange(len(jumps))
         for kinks in (None, catalog_fields().fields[field].trace_kinks):
             lo, hi, intervals = _cuts(jumps, rows, kinks)

@@ -16,7 +16,7 @@ from bdlab.functions import (
     skew2,
     total_jump_length,
 )
-from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square
+from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square, unit
 
 E2 = np.array([0.0, 1.0])
 
@@ -134,19 +134,20 @@ def jump_segments_by_interface(u):
     """The jump rule one interface at a time: (a, normal, plus value0,
     plus slope, minus value0, minus slope) per kept interface."""
     out = []
-    for itf in u.partition.interfaces:
-        left, right = u.pieces[itf.left], u.pieces[itf.right]
+    itf = u.partition.interfaces
+    for a, b, normal, l, r in zip(itf.a, itf.b, itf.normal, itf.left, itf.right):
+        left, right = u.pieces[l], u.pieces[r]
         if left.same_map(right):
             continue
-        d, L = itf.direction, itf.length
-        pv0, mv0, ps, ms = left(itf.a), right(itf.a), left.A @ d, right.A @ d
+        d, L = unit(b - a), float(np.linalg.norm(b - a))
+        pv0, mv0, ps, ms = left(a), right(a), left.A @ d, right.A @ d
         probes = np.array([0.0, 0.5 * L, L])
         plus = pv0 + probes[:, None] * ps
         minus = mv0 + probes[:, None] * ms
         scale = 1.0 + float(np.max(np.abs(plus)) + np.max(np.abs(minus)))
         if np.max(np.linalg.norm(plus - minus, axis=1)) <= 1e-12 * scale:
             continue
-        out.append((itf.a, itf.normal, pv0, ps, mv0, ms))
+        out.append((a, normal, pv0, ps, mv0, ms))
     return out
 
 

@@ -8,15 +8,17 @@ from bdlab.geometry import (
     GeometryError,
     Polygon,
     PolygonalPartition,
+    _bbox_disjoint,
     _edge_arrays,
     _edge_overlaps,
     clip_polygon,
     clip_segment_params,
-    interface_edges,
+    extract_interfaces,
     make_oriented_square,
     polygon_overlap_area,
     signed_area,
     triangulate,
+    unit,
     validate_partition,
 )
 
@@ -135,6 +137,22 @@ class TestTriangulate:
             assert abs(sum(signed_area(t) for t in tris) - poly.area) <= 1e-12 * poly.area
 
 
+def lengths(itf) -> np.ndarray:
+    """The length of each interface."""
+    return np.array([float(np.linalg.norm(b - a)) for a, b in zip(itf.a, itf.b)])
+
+
+def directions(itf) -> np.ndarray:
+    """The unit direction from a to b of each interface."""
+    return np.array([unit(b - a) for a, b in zip(itf.a, itf.b)]).reshape(-1, 2)
+
+
+def edge_pairs(itf) -> list:
+    """(right cell, its edge, left cell, its edge) per interface."""
+    return list(zip(itf.right.tolist(), itf.right_edge.tolist(),
+                    itf.left.tolist(), itf.left_edge.tolist()))
+
+
 def _chord_partition():
     dom = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
     bottom = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
@@ -149,17 +167,17 @@ class TestPartition:
         rep = validate_partition(part)
         assert rep.passed
         assert rep.area_defect == 0.0
-        assert part.interfaces == []
+        assert len(part.interfaces) == 0
         assert part.locate((0.5, 0.5)) == (0, False)
         assert part.locate((0.5, 0.0)) == (0, False)
 
     def test_horizontal_chord(self):
         part = _chord_partition()
-        assert len(part.interfaces) == 1
-        itf = part.interfaces[0]
-        assert abs(itf.length - 2.0) <= 1e-12
+        itf = part.interfaces
+        assert len(itf) == 1
+        assert abs(lengths(itf)[0] - 2.0) <= 1e-12
         # normal points from right cell into left cell and is orthogonal to the edge
-        assert abs(itf.normal @ itf.direction) <= 1e-12
+        assert abs(itf.normal[0] @ directions(itf)[0]) <= 1e-12
         assert validate_partition(part).passed
 
     def test_overlapping_cells_fail(self):
@@ -186,11 +204,11 @@ class TestPartition:
         rb = Polygon([(1, 0), (2, 0), (2, 1), (1, 1)])
         rt = Polygon([(1, 1), (2, 1), (2, 2), (1, 2)])
         part = PolygonalPartition([left, rb, rt], dom)
-        pairs = {tuple(sorted((i.left, i.right))) for i in part.interfaces}
+        itf = part.interfaces
+        pairs = {tuple(sorted(p)) for p in zip(itf.left.tolist(), itf.right.tolist())}
         assert pairs == {(0, 1), (0, 2), (1, 2)}
         assert validate_partition(part).passed
-        lengths = sorted(i.length for i in part.interfaces)
-        assert np.allclose(lengths, [1.0, 1.0, 1.0])
+        assert np.allclose(sorted(lengths(itf)), [1.0, 1.0, 1.0])
 
     def test_interface_normals_orthogonal_random_frames(self):
         rng = np.random.default_rng(3)
@@ -202,9 +220,9 @@ class TestPartition:
             low = Polygon((np.array([[-1, -1], [1, -1], [1, 0], [-1, 0]]) @ R.T))
             high = Polygon((np.array([[-1, 0], [1, 0], [1, 1], [-1, 1]]) @ R.T))
             part = PolygonalPartition([low, high], dom)
-            assert len(part.interfaces) == 1
-            itf = part.interfaces[0]
-            assert abs(itf.normal @ itf.direction) <= 1e-12
+            itf = part.interfaces
+            assert len(itf) == 1
+            assert abs(itf.normal[0] @ directions(itf)[0]) <= 1e-12
             assert abs(sum(c.area for c in part.cells) - dom.area) <= 1e-9 * dom.area
 
     @settings(max_examples=30, derandomize=True, deadline=None)
@@ -232,7 +250,7 @@ class TestPartition:
         part = PolygonalPartition(cells, dom)
         assert validate_partition(part).passed
         interior = sum(len(cuts) * height for height, cuts in rows) + len(rows) - 1
-        assert abs(sum(i.length for i in part.interfaces) - interior) <= 1e-12
+        assert abs(sum(lengths(part.interfaces).tolist()) - interior) <= 1e-12
         if len(cells) > 1:
             del cells[drop % len(cells)]
             assert validate_partition(PolygonalPartition(cells, dom)).unmatched_edges
@@ -257,7 +275,7 @@ class TestPartition:
                         or np.any(cells[ib].bbox[0] > cells[ia].bbox[1] + tol))
                 for k, l, _, _ in zip(*_edge_overlaps(edges[ia], edges[ib], tol))
             ]
-            assert interface_edges(cells, tol) == want
+            assert edge_pairs(extract_interfaces(cells, tol)) == want
 
     def test_locate(self):
         part = _chord_partition()
@@ -403,3 +421,124 @@ def scalar_clip(a, b, poly, tol=None):
         if side >= 0:
             pieces.append((t0, t1, side == 0))
     return pieces
+
+
+class TestInterfaceArrays:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(case=st.data())
+    def test_arrays_equal_the_interface_loop(self, case):
+        part = case.draw(st.one_of(grid_partitions(), competitor_partitions()))
+        cells = list(part.cells)
+        itf = part.interfaces
+        want = former_extract_interfaces(cells, part.tol)
+        assert len(itf) == len(want)
+        # bit for bit, in the same order
+        for name, col in zip(("a", "b", "left", "right", "normal"), zip(*want)):
+            got = getattr(itf, name)
+            assert got.tobytes() == np.array(col, dtype=got.dtype).tobytes(), name
+        assert edge_pairs(itf) == former_interface_edges(cells, part.tol)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=st.data())
+    def test_flipped_round_trip(self, case):
+        part = case.draw(st.one_of(grid_partitions(), competitor_partitions()))
+        itf, flip = part.interfaces, part.flipped().interfaces
+        for name, other, sign in (("a", "b", 1), ("left", "right", 1),
+                                  ("left_edge", "right_edge", 1), ("normal", "normal", -1)):
+            assert np.array_equal(getattr(flip, name), sign * getattr(itf, other)), name
+        back = part.flipped().flipped()
+        for name in ("a", "b", "normal", "left", "right", "left_edge", "right_edge"):
+            assert getattr(back.interfaces, name).tobytes() == getattr(itf, name).tobytes()
+        assert back.cells is part.cells and back.tol == part.tol
+        probes = np.concatenate([0.5 * (itf.a + itf.b), [c.centroid for c in part.cells]])
+        assert [part.flipped().locate(x) for x in probes] == [part.locate(x) for x in probes]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(3, 39),
+        scale=st.sampled_from((1e-6, 1.0, 1e6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_area_from_one_roll(self, n, scale, seed):
+        # Polygon rolls its vertices once; signed_area rolled each column
+        rng = np.random.default_rng(seed)
+        ang = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+        v = scale * np.c_[rng.uniform(0.5, 2.0, n) * np.cos(ang),
+                          rng.uniform(0.5, 2.0, n) * np.sin(ang)]
+        x, y = v[:, 0], v[:, 1]
+        want = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        assert signed_area(v) == want
+        if want > 0.0:
+            try:
+                assert Polygon(v).area == want
+            except GeometryError:  # nearly repeated vertices
+                pass
+
+
+@st.composite
+def grid_partitions(draw):
+    """Rows of cells, each row cut at its own fractions so that rows meet at
+    T-junctions, rotated, scaled and shifted."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from((0.25, 0.5, 1.0)),
+                  st.sets(st.sampled_from((0.125, 0.25, 0.5, 0.75)))),
+        min_size=1, max_size=4,
+    ))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    scale = draw(st.sampled_from((1e-3, 1.0, 7.0)))
+    shift = np.array(draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))))
+    R = scale * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    cells, y = [], 0.0
+    for height, cuts in rows:
+        xs = [0.0, *sorted(cuts), 1.0]
+        for x0, x1 in zip(xs[:-1], xs[1:]):
+            box = np.array([(x0, y), (x1, y), (x1, y + height), (x0, y + height)])
+            cells.append(Polygon(box @ R.T + shift))
+        y += height
+    dom = Polygon(np.array([(0, 0), (1, 0), (1, y), (0, y)]) @ R.T + shift)
+    return PolygonalPartition(cells, dom)
+
+
+@st.composite
+def competitor_partitions(draw):
+    """The partition of a default-family competitor at a drawn normal."""
+    from bdlab.ellipticity import default_families
+
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    i_side = draw(st.sampled_from(("plus", "minus")))
+    fam = default_families((0.0, 0.0), (2.0, 2.0), (np.cos(angle), np.sin(angle)),
+                           i_side=i_side)[draw(st.integers(0, 3))]
+    unit_params = draw(st.lists(st.floats(0.0, 1.0), min_size=fam.dim, max_size=fam.dim))
+    params = [lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)]
+    return fam.generator(params).partition
+
+
+def former_cell_overlaps(cells, tol):
+    """The oracle's edge matching: (ia, k, ib, l, lo, hi) per interface,
+    edge l of cell ib covering [lo, hi] of edge k of cell ia, and the edge
+    arrays of every cell."""
+    edges = [_edge_arrays(c.vertices) for c in cells]
+    near = np.triu(~_bbox_disjoint(cells, cells, tol), k=1)
+    out = []
+    for ia, ib in zip(*np.nonzero(near)):
+        for k, l, s, e in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
+            out.append((int(ia), int(k), int(ib), int(l), s, e))
+    return out, edges
+
+
+def former_extract_interfaces(cells, tol):
+    """The oracle: extract_interfaces one overlap at a time, as it was before
+    it returned arrays.  (a, b, left, right, normal) per interface."""
+    overlaps, edges = former_cell_overlaps(cells, tol)
+    out = []
+    for ia, k, ib, _, lo, hi in overlaps:
+        Pa, _, Ua, _ = edges[ia]
+        u1 = Ua[k]
+        n = np.array([u1[1], -u1[0]])
+        out.append((Pa[k] + lo * u1, Pa[k] + hi * u1, ib, ia, n))
+    return out
+
+
+def former_interface_edges(cells, tol):
+    """The oracle for the edge pairs: (ia, k, ib, l) per interface."""
+    return [o[:4] for o in former_cell_overlaps(cells, tol)[0]]

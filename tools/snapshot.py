@@ -1,0 +1,189 @@
+"""Print bdlab's deterministic numbers, one record a line, for a bit-identity diff.
+
+Run it against two checkouts and compare the outputs:
+
+    PYTHONPATH=<checkout>/src python tools/snapshot.py > <checkout>.txt
+    diff parent.txt change.txt
+
+Floats print through repr and arrays as a SHA-256 of their bytes, so a
+single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
+
+- every JumpArrays field, the symmetric jump measure, the flipped jump
+  normals, the surface energy of every catalog density and `locate` at jump
+  midpoints and cell centroids, on seeded competitors of the default
+  families (several normals, both i_side values);
+- the CE1 and CE2 energy breakdowns;
+- the tiling report for h = 1..16;
+- the jump flux of the catalog fields and integration-by-parts residuals;
+- the CLI reports of every report-writing command, without `wall_time_s`.
+
+It uses only public API, so it runs unchanged on checkouts that differ in
+their internals.  A run takes about ten seconds on one core.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from bdlab import cli
+from bdlab.densities import CATALOG_IDS, anisotropic_normal_density, catalog_density
+from bdlab.ellipticity import (
+    ce1_energy_breakdown,
+    ce2_energy_breakdown,
+    counterexample1_competitor,
+    default_families,
+    tiling_report,
+)
+from bdlab.energy import (
+    bump_from_polygon,
+    integration_by_parts_residual,
+    jump_flux,
+    surface_energy,
+    symmetric_jump_measure,
+)
+from bdlab.fields import catalog_fields, prototype_field
+from bdlab.functions import AffinePiece, JumpArrays, PiecewiseAffine
+from bdlab.geometry import GeometryError, Polygon, PolygonalPartition, make_oriented_square
+from bdlab.profiles import sin_profile
+
+I_CE = np.zeros(2)
+J_CE = np.array([2.0, 2.0])
+E2 = np.array([0.0, 1.0])
+ANGLES = (0.5 * np.pi, 0.3, 2.2, 4.0)  # normal angles, E2 first
+PER_FAMILY = 3  # seeded competitors per family, normal and i_side
+
+
+def emit(*parts) -> None:
+    print(" ".join(str(p) for p in parts))
+
+
+def digest(x) -> str:
+    a = np.ascontiguousarray(x)
+    return f"{a.dtype}{list(a.shape)}:{hashlib.sha256(a.tobytes()).hexdigest()[:20]}"
+
+
+def exact(obj) -> str:
+    """JSON with every float in repr form, keys in order."""
+    return json.dumps(obj, sort_keys=True, default=lambda o: np.asarray(o).tolist())
+
+
+def quad(res) -> str:
+    return repr((res.value, res.error_estimate, res.segments_evaluated, res.unconverged))
+
+
+def competitors(rng):
+    """(label, function) for seeded in-bounds parameters of every default
+    family; parameter vectors a generator rejects are skipped."""
+    for angle in ANGLES:
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        for i_side in ("plus", "minus"):
+            for fam in default_families(I_CE, J_CE, nu, i_side=i_side):
+                kept = 0
+                while kept < PER_FAMILY:
+                    params = tuple(float(rng.uniform(lo, hi)) for lo, hi in fam.bounds)
+                    try:
+                        u = fam.generator(params)
+                    except (GeometryError, ValueError):
+                        emit("rejected", fam.name, repr(params))
+                        continue
+                    kept += 1
+                    yield f"{fam.name}/{angle!r}/{i_side}/{kept}", u
+
+
+def jump_sets() -> None:
+    densities = [(fid, catalog_density(fid)) for fid in CATALOG_IDS]
+    fields = catalog_fields(I_CE, J_CE, E2).fields
+    for label, u in competitors(np.random.default_rng(20201)):
+        jumps = u.jump_segments()
+        for f in dataclasses.fields(JumpArrays):
+            emit("jumps", label, f.name, digest(getattr(jumps, f.name)))
+        emit("measure", label, digest(symmetric_jump_measure(u)))
+        emit("flipped", label, digest(u.flipped().jump_segments().normal))
+        probes = [0.5 * (a + b) for a, b in zip(jumps.a, jumps.b)]
+        probes += [c.centroid for c in u.partition.cells]
+        emit("locate", label, [u.partition.locate(x) for x in probes])
+        for fid, f in densities:
+            emit("energy", label, fid, quad(surface_energy(u, f)))
+        if label.split("/")[1] == repr(ANGLES[0]):
+            for g in fields:
+                emit("flux", label, g.name, quad(jump_flux(u, g, tol=1e-12)))
+
+
+def breakdowns() -> None:
+    emit("ce1", exact(ce1_energy_breakdown()))
+    emit("ce2", exact(ce2_energy_breakdown()))
+
+
+def tiling() -> None:
+    v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
+    f = anisotropic_normal_density(0.01)
+    for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 17), i_side="minus"):
+        emit("tiling", exact(rep))
+
+
+def ibp() -> None:
+    rng = np.random.default_rng(20202)
+    dom = make_oriented_square(E2, 2.0)
+    halves = ([(-1, -1), (1, -1), (1, 0), (-1, 0)], [(-1, 0), (1, 0), (1, 1), (-1, 1)])
+    two = PolygonalPartition([Polygon(h) for h in halves], dom)
+    one = PolygonalPartition([dom], dom)
+    G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
+    bumps = [bump_from_polygon(dom, power=p) for p in (2, 3)]
+    for k in range(6):
+        part = one if k % 3 == 0 else two
+        u = PiecewiseAffine(part, [
+            AffinePiece(rng.normal(scale=0.6, size=(2, 2)), rng.normal(size=2)) for _ in part.cells
+        ])
+        for b, phi in enumerate(bumps):
+            for vo, lo in ((8, 15), (16, 30)):
+                r = integration_by_parts_residual(u, G, phi, tol=1e-9, volume_order=vo,
+                                                  line_order=lo)
+                emit("ibp", k, b, vo, repr(r))
+
+
+def cli_reports(workdir: str) -> None:
+    function = os.path.join(workdir, "ce1.json")
+    with open(function, "w") as fh:
+        json.dump(counterexample1_competitor(1.0).to_json(), fh)
+    runs = [
+        ["repro-ce1", "--budget", "600"],
+        ["repro-ce2", "--budget", "600"],
+        ["falsify", "--density", "isotropic:id", "--i", "0,0", "--j", "2,2",
+         "--nu", "0.6,0.8", "--budget", "2000", "--seed", "3"],
+        ["falsify", "--density", "dalmot:abs", "--i", "0,0", "--j", "2,2",
+         "--nu", "0,1", "--budget", "100", "--seed", "1"],
+        ["relax", "--density", "product:aniso1:eps=0.01", "--i", "0,0", "--j", "2,2",
+         "--nu", "0,1", "--budget", "300", "--seed", "0"],
+        ["energy-eval", "--function", function, "--density", "product:aniso1:eps=0.01"],
+        ["ibp-check", "--cases", "3"],
+        ["fields-verify", "--samples", "40"],
+    ] + [["density-check", "--density", fid, "--samples", "300"] for fid in CATALOG_IDS]
+    for n, argv in enumerate(runs):
+        out = os.path.join(workdir, f"report-{n}.json")
+        code = cli.main(argv + ["--out", out])
+        with open(out) as fh:
+            report = json.load(fh)
+        report.pop("wall_time_s")
+        # input files live in a fresh temporary directory each run
+        emit("cli", code, exact(report).replace(workdir, "<workdir>"))
+
+
+def main() -> int:
+    jump_sets()
+    breakdowns()
+    tiling()
+    ibp()
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_reports(workdir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
