@@ -23,16 +23,15 @@ import numpy as np
 from .densities import Density, check_convexity_in_nu, check_subadditivity
 from .energy import integrate_jump_arrays, integrate_jump_sets, jump_pieces, surface_energy
 from .functions import (
+    AffinePiece,
     FunctionError,
     JumpArrays,
     JumpSquareTopology,
     PiecewiseRigid,
     compact_deviation,
-    constant_piece,
     jump_sides,
     jump_square,
     make_elementary,
-    rigid_piece,
 )
 from .geometry import (
     GeometryError,
@@ -76,54 +75,76 @@ def insert_competitor(
     )
 
 
-def _insert_inside(half_width, half_height, side) -> bool:
-    return 0 < half_width < 0.5 * side and 0 < half_height < 0.5 * side
+def _insert_inside(half_width, half_height, side):
+    h = 0.5 * side  # broadcasts over arrays of half widths and heights
+    return (0 < half_width) & (half_width < h) & (0 < half_height) & (half_height < h)
 
 
-# Insert layouts: params -> (cells in frame coordinates, pieces, half width,
-# half height), the arguments of insert_competitor after (i, j, nu).
+# Insert layouts: parameter rows (n, dim) -> cell vertices in frame
+# coordinates (n, V_in, 2), four a cell, pieces x -> A x + c, A (n, C, 2, 2)
+# and c (n, C, 2), and half widths and heights (n,).  Elementwise, so each
+# row's arithmetic is that of its vector alone.
 
 
-def _centered_square(h: float) -> np.ndarray:
-    return np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
+def _insert_args(layout, params):
+    """insert_competitor's cells, pieces, half width and half height from
+    row 0 of the layout of a batch of one; each cell has V_in / C vertices."""
+    vertices, A, c, hw, hh = layout(np.array([params], dtype=float))
+    pieces = [AffinePiece(a, b) for a, b in zip(A[0], c[0])]
+    return list(vertices[0].reshape(len(pieces), -1, 2)), pieces, hw[0], hh[0]
 
 
-def _square_layout(s, omega, b1, b2):
-    """Side-s square carrying the rigid motion (omega, (b1, b2))."""
+def _rigid(omega, b1, b2):
+    """rigid_piece's A (n, 1, 2, 2) and c (n, 1, 2) for (n,) arrays."""
+    zero = np.zeros_like(omega)
+    A = np.stack([zero, omega, -omega, zero], axis=1).reshape(-1, 1, 2, 2)
+    return A, np.stack([b1, b2], axis=1)[:, None]
+
+
+def _rectangle(hw, hh):
+    """The rectangles [-hw, hw] x [-hh, hh] of (n,) arrays: (n, 4, 2)."""
+    return np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
+
+
+def _square_layout(P):
+    """Rows (s, omega, b1, b2): a side-s square with the rigid motion (omega, (b1, b2))."""
+    s, omega, b1, b2 = P.T
     h = 0.5 * s
-    return [_centered_square(h)], [rigid_piece(omega, (b1, b2))], h, h
+    return (_rectangle(h, h), *_rigid(omega, b1, b2), h, h)
 
 
-def _rect_layout(delta, omega, b1, b2):
-    """2 x 2 delta rectangle carrying the rigid motion (omega, (b1, b2))."""
-    cells = [np.array([[-1, -delta], [1, -delta], [1, delta], [-1, delta]])]
-    return cells, [rigid_piece(omega, (b1, b2))], 1.0, delta
+def _rect_layout(P):
+    """Rows (delta, omega, b1, b2): a 2 x 2 delta rectangle, rigid motion (omega, (b1, b2))."""
+    delta, omega, b1, b2 = P.T
+    one = np.ones_like(delta)
+    return (_rectangle(one, delta), *_rigid(omega, b1, b2), one, delta)
 
 
-def _checker_layout(s, v1, v2, w1, w2):
-    """Side-s square in four quarters alternating the values v and w."""
+def _checker_layout(P):
+    """Rows (s, v1, v2, w1, w2): a side-s square in quarters alternating the values v, w."""
+    s, v1, v2, w1, w2 = P.T
     hh = 0.5 * s
-    vals = (np.array([v1, v2]), np.array([w1, w2]))
-    cells, pieces = [], []
-    for a in range(2):
-        for b in range(2):
-            x0, y0 = -hh + a * hh, -hh + b * hh
-            cells.append(np.array([[x0, y0], [x0 + hh, y0], [x0 + hh, y0 + hh], [x0, y0 + hh]]))
-            pieces.append(constant_piece(vals[(a + b) % 2]))
-    return cells, pieces, hh, hh
+    # quarter (a, b) spans the columns a, a + 1 by b, b + 1 of [-hh, +0.0, hh]
+    corners = [(a + x, b + y) for a in (0, 1) for b in (0, 1)
+               for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    c = np.stack([v1, v2, w1, w2, w1, w2, v1, v2], axis=1).reshape(-1, 4, 2)
+    cells = np.stack([-hh, -hh + hh, hh], axis=1)[:, np.array(corners)]
+    return cells, np.zeros(c.shape + (2,)), c, hh, hh
 
 
-def _nested_layout(s1, frac, om1, b11, b12, om2, b21, b22):
-    """Side-s1 square ring (four trapezoids, motion 1) around a centered
-    side-frac*s1 square (motion 2)."""
+def _nested_layout(P):
+    """Rows (s1, frac, om1, b11, b12, om2, b21, b22): a side-s1 square ring
+    (four trapezoids, motion 1) around a centered side-frac*s1 square
+    (motion 2)."""
+    s1, frac, om1, b11, b12, om2, b21, b22 = P.T
     h1, h2 = 0.5 * s1, 0.5 * (frac * s1)
-    outer_sq, inner_sq = _centered_square(h1), _centered_square(h2)
-    cells = [inner_sq] + [
-        np.array([outer_sq[k], outer_sq[(k + 1) % 4], inner_sq[(k + 1) % 4], inner_sq[k]])
-        for k in range(4)
-    ]
-    pieces = [rigid_piece(om2, (b21, b22))] + [rigid_piece(om1, (b11, b12))] * 4
-    return cells, pieces, h1, h1
+    outer_sq, inner_sq = _rectangle(h1, h1), _rectangle(h2, h2)
+    k, k1 = np.arange(4), (np.arange(4) + 1) % 4
+    ring = np.stack([outer_sq[:, k], outer_sq[:, k1], inner_sq[:, k1], inner_sq[:, k]], axis=2)
+    cells = np.concatenate([inner_sq, ring.reshape(-1, 16, 2)], axis=1)
+    (A1, c1), (A2, c2) = _rigid(om1, b11, b12), _rigid(om2, b21, b22)
+    A, c = np.concatenate([A2] + [A1] * 4, axis=1), np.concatenate([c2] + [c1] * 4, axis=1)
+    return cells, A, c, h1, h1
 
 
 def counterexample1_competitor(lam: float) -> PiecewiseRigid:
@@ -137,7 +158,7 @@ def counterexample1_competitor(lam: float) -> PiecewiseRigid:
     """
     if not lam > 0:
         raise EllipticityError("lam must be positive")
-    layout = _square_layout(2.0, lam, lam, lam)
+    layout = _insert_args(_square_layout, (2.0, lam, lam, lam))
     return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
@@ -149,7 +170,7 @@ def counterexample2_competitor(lam: float, eps: float) -> PiecewiseRigid:
     if not 0 < eps < 1:
         raise EllipticityError("eps must lie in (0, 1)")
     delta = eps ** 0.25
-    layout = _rect_layout(delta, lam / delta, lam, lam / delta)
+    layout = _insert_args(_rect_layout, (delta, lam / delta, lam, lam / delta))
     return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
@@ -326,7 +347,7 @@ class LayoutFamily(CompetitorFamily):
     """A family whose generator is insert_competitor over an insert layout
     with one cell topology, compiled into `topology`."""
 
-    layout: object = None  # params -> insert_competitor's cells, pieces, half width, half height
+    layout: object = None  # parameter rows -> cell vertices, pieces, half widths and heights
     topology: JumpSquareTopology | None = None
 
     def jumps(self, batch):
@@ -334,23 +355,33 @@ class LayoutFamily(CompetitorFamily):
         the batch, as (jumps, owner, general): one JumpArrays holding the
         rows of each vector in batch order, the batch index of each row,
         and the indices of the vectors the general generator must judge:
-        those outside the bounds, or that a Polygon check might reject (it
-        raises for those that are infeasible)."""
-        inputs, fast, general = [], [], []
-        for n, params in enumerate(batch):
-            if all(lo <= p <= hi for p, (lo, hi) in zip(params, self.bounds)):
-                try:
-                    cells, pieces, hw, hh = self.layout(*params)
-                except _REJECTED:
-                    cells = None
-                if cells is not None and _insert_inside(hw, hh, self.topology.side):
-                    inputs.append(((hw, -hh, hh), cells, pieces))
-                    fast.append(n)
-                    continue
-            general.append(n)
-        jumps, owner, rejected = self.topology.jumps(inputs)
-        fast = np.array(fast, dtype=int)
-        return jumps, fast[owner], sorted(general + fast[rejected].tolist())
+        those outside the bounds, with pieces not finite, an insert not
+        inside the square, or a cell a Polygon check might reject."""
+        jumps, owner, general = _layout_jumps([(self, batch)])
+        return jumps, owner, general.tolist()
+
+
+def _layout_jumps(requests):
+    """LayoutFamily.jumps for the parameter vectors of several (family,
+    batch) requests at once, in one JumpSquareTopology.jumps call: owner and
+    general index the vectors of all requests, request after request.  Each
+    family's layout and checks run on all its vectors in one pass."""
+    batches, fast, start = [], [], 0
+    for family, batch in requests:
+        P = np.asarray(batch, dtype=float).reshape(-1, family.dim)
+        lo, hi = np.array(family.bounds, dtype=float).T
+        inside = np.flatnonzero(np.all((lo <= P) & (P <= hi), axis=1))
+        vertices, A, c, hw, hh = family.layout(P[inside])
+        ok = (np.all(np.isfinite(A), axis=(1, 2, 3)) & np.all(np.isfinite(c), axis=(1, 2))
+              & _insert_inside(hw, hh, family.topology.side))
+        fast.append(start + inside[ok])
+        batches.append((family.topology, vertices[ok], A[ok], c[ok], hw[ok], hh[ok]))
+        start += len(P)
+    jumps, owner, rejected = JumpSquareTopology.jumps(batches)
+    fast = np.concatenate(fast)
+    # np.bincount, not np.setdiff1d, whose first call costs 1.5 MB of resident memory
+    accepted = np.bincount(np.delete(fast, rejected), minlength=start)
+    return jumps, fast[owner], np.flatnonzero(accepted == 0)
 
 
 @dataclass(frozen=True)
@@ -390,18 +421,16 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
 
     def family(name, layout, bounds, suggestions):
         def generator(params):
-            return insert_competitor(i, j, nu, *layout(*params), side=side, i_side=i_side)
+            return insert_competitor(
+                i, j, nu, *_insert_args(layout, params), side=side, i_side=i_side)
 
         clipped = tuple(
             tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
             for start in suggestions
         )
         # compiled from two in-bounds parameter vectors, which must agree
-        examples = []
-        for t in (1.0 / 3.0, 2.0 / 3.0):
-            cells, pieces, hw, hh = layout(*(lo + t * (hi - lo) for lo, hi in bounds))
-            examples.append(((hw, -hh, hh), cells, pieces))
-        topology = JumpSquareTopology(i, j, nu, side, examples, i_side=i_side)
+        examples = [generator([lo + t * (hi - lo) for lo, hi in bounds]) for t in (1 / 3, 2 / 3)]
+        topology = JumpSquareTopology(examples, side, nu)
         return LayoutFamily(name, bounds, generator, clipped, layout, topology)
 
     return [
@@ -435,36 +464,33 @@ _SENTINEL = 1e30
 def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]:
     """The search objective at (family index, parameters) points, and the
     indices of the points rejected: the surface energy of each competitor,
-    or the sentinel for one whose generator raises.  Layout families give their
-    jump sets in one topology call per family, the others through their
-    generator's competitor, and one kernel call integrates every jump set."""
-    values = [_SENTINEL] * len(points)
-    rejected = set()
-    sets, owners = [], []
-    for fi in dict.fromkeys(fi for fi, _ in points):
-        family = families[fi]
-        idx = [k for k, (g, _) in enumerate(points) if g == fi]
-        general = range(len(idx))
-        if isinstance(family, LayoutFamily):
-            jumps, owner, general = family.jumps([points[k][1] for k in idx])
-            sets.append(jumps)
-            owners.append(np.array(idx, dtype=int)[owner])
-        for n in general:
-            k = idx[n]
-            try:
-                jumps = family.generator(points[k][1]).jump_segments()
-            except _REJECTED:
-                rejected.add(k)
-                continue
-            sets.append(jumps)
-            owners.append(np.full(len(jumps), k, dtype=int))
-    if sets:
-        energies = integrate_jump_sets(
-            JumpArrays.concatenate(sets), np.concatenate(owners), len(points), f,
-            _SEARCH_TOL, _SEARCH_ORDER,
-        )
-        values = [_SENTINEL if k in rejected else e.value for k, e in enumerate(energies)]
-    return values, rejected
+    or the sentinel for one whose generator raises.  The layout families'
+    points give their jump sets in one _layout_jumps call, the others and
+    those it hands back through their generator, and one kernel call
+    integrates every jump set."""
+    order = dict.fromkeys(fi for fi, _ in points)
+    layouts = [fi for fi in order if isinstance(families[fi], LayoutFamily)]
+    ids = np.array([k for fi in layouts for k, (g, _) in enumerate(points) if g == fi], dtype=int)
+    general = [k for k, (fi, _) in enumerate(points) if fi not in layouts]
+    sets, owners, rejected = [], [], set()
+    if layouts:
+        jumps, owner, rest = _layout_jumps(
+            [(families[fi], [p for g, p in points if g == fi]) for fi in layouts])
+        sets, owners = [jumps], [ids[owner]]
+        general = ids[rest].tolist() + general
+    for k in general:
+        try:
+            jumps = families[points[k][0]].generator(points[k][1]).jump_segments()
+        except _REJECTED:
+            rejected.add(k)
+            continue
+        sets.append(jumps)
+        owners.append(np.full(len(jumps), k, dtype=int))
+    if not sets:
+        return [_SENTINEL] * len(points), rejected
+    energies = integrate_jump_sets(JumpArrays.concatenate(sets), np.concatenate(owners),
+                                   len(points), f, _SEARCH_TOL, _SEARCH_ORDER)
+    return [_SENTINEL if k in rejected else e.value for k, e in enumerate(energies)], rejected
 
 
 class _Exhausted(Exception):

@@ -317,35 +317,37 @@ def _outer_cells(side: float, hole):
     return lower, upper
 
 
+# _outer_cells(side, (hw, -hh, hh)), two cells of 8 vertices, as a gather from
+# [0, s, -s, hw, -hw, hh, -hh], s = side / 2, read off where those all differ
+_OUTER_INDEX = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x in vertex]
+                         for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
+
+
 class JumpSquareTopology:
-    """The jump sets of jump_square at the origin, as JumpArrays straight
-    from holes, cells and pieces, for inputs that keep one cell topology.
+    """The jump sets of jump_square at the origin with a hole (hw, -hh, hh)
+    filled by insert cells, as JumpArrays straight from arrays, for inputs
+    that keep one cell topology: the cell-edge pairs of the interfaces, which
+    the `Interfaces` of example competitors built by jump_square store, with
+    the given side and normal.  Examples with other pairs raise
+    FunctionError.  `jumps` evaluates the pairs with edge_pair_interfaces
+    and jump_arrays, the arithmetic of the partition and of jump_segments,
+    so its arrays equal the general path's bit for bit.  The caller keeps
+    the inputs within the range the examples stand for (one topology, the
+    hole inside the square); inputs a Polygon might reject are handed back,
+    and belong to jump_square."""
 
-    It is compiled from example inputs built by jump_square: every interface
-    of the partition is where an edge of one cell overlaps an edge of
-    another, and those cell-edge pairs, which the partitions' `Interfaces`
-    store, must be the same for all examples, or FunctionError is raised.
-    `jumps` evaluates the pairs with edge_pair_interfaces and jump_arrays,
-    the arithmetic of the partition and of jump_segments, without building a
-    Polygon or a partition, so its arrays equal the general path's bit for
-    bit.  The caller keeps the inputs within the range the examples stand
-    for (one topology); inputs a Polygon might reject are handed back, and
-    belong to jump_square.
-    """
-
-    def __init__(self, i, j, nu, side: float, examples, i_side: str = "plus"):
+    def __init__(self, examples, side: float, nu):
         tops = []
-        for hole, cells, pieces in examples:
-            u = jump_square(i, j, nu, side, i_side=i_side, hole=hole, cells=cells, pieces=pieces)
+        for u in examples:
             itf = u.partition.interfaces
             pairs = [x.tolist() for x in (itf.right, itf.right_edge, itf.left, itf.left_edge)]
             tops.append((tuple(len(c) for c in u.partition.cells), pairs))
-        if any(t != tops[0] for t in tops[1:]):
+        if any(t != tops[0] for t in tops[1:]) or tops[0][0][:2] != (8, 8):
             raise FunctionError("the examples do not share one cell topology")
         self.counts, pairs = tops[0]
         self.side = float(side)
         self.frame = frame_from_normal(nu)
-        self.outer = list(u.pieces[:2])
+        self.outer = _stacked(u.pieces[:2], u.dim)
         counts = np.array(self.counts)
         self.starts = np.cumsum(counts) - counts
         self.cell_of = np.repeat(np.arange(counts.size), counts)
@@ -356,40 +358,52 @@ class JumpSquareTopology:
         self.edges = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
         self.right, self.left = ia, ib
 
-    def jumps(self, batch) -> tuple[JumpArrays, np.ndarray, list[int]]:
-        """The jump sets of jump_square(..., hole=hole, cells=cells,
-        pieces=pieces) for every (hole, cells, pieces) of the batch, as
-        (jumps, owner, rejected): one JumpArrays holding the rows of each
-        input in batch order, the batch index of each row, and the indices
-        of the inputs left out because a cell might fail a Polygon check."""
-        frames, kept, rejected = [], [], []
-        for n, (hole, cells, _) in enumerate(batch):
-            frame = list(_outer_cells(self.side, hole)) + list(cells)
-            if tuple(len(c) for c in frame) != self.counts:
-                rejected.append(n)
-                continue
-            frames.append(np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame]))
-            kept.append(n)
-        V = self.cell_of.size
-        W = np.array(frames).reshape(-1, V, 2)
-        ok = np.all(np.isfinite(W), axis=(1, 2))
-        ok[ok] = self._cells_valid(W[ok])
-        rejected = sorted(rejected + [n for n, good in zip(kept, ok.tolist()) if not good])
-        kept = [n for n, good in zip(kept, ok.tolist()) if good]
-        W = W[ok]
+    def place(self, vertices, hw, hh) -> np.ndarray:
+        """Every cell's vertices in place, (n, V, 2), for insert cells with the
+        stacked vertices (n, V_in, 2) in frame coordinates and half widths
+        and half heights (n,): the outer cells gathered by _OUTER_INDEX, then
+        the insert cells, turned by the frame in one 2-D matmul on the
+        stacked vertices, which gives each row what jump_square's
+        `vertices @ R.T` of its cell gives it."""
+        s = np.full(len(hw), 0.5 * self.side)
+        columns = np.stack([np.zeros_like(s), s, -s, hw, -hw, hh, -hh], axis=1)
+        W = np.concatenate([columns[:, _OUTER_INDEX], vertices], axis=1)
+        return (W.reshape(-1, 2) @ self.frame.T).reshape(W.shape)
 
-        def offset(index, size):
-            # index into each kept input's block of `size` rows, input after input
-            return (np.arange(len(kept))[:, None] * size + index).ravel()
-
-        a, b, normal = edge_pair_interfaces(W.reshape(-1, 2), *(offset(e, V) for e in self.edges))
-        P = len(self.counts)
-        d = self.outer[0].b.size
-        A, c = _stacked([p for n in kept for p in self.outer + list(batch[n][2])], d)
-        left, right = offset(self.left, P), offset(self.right, P)
+    @staticmethod
+    def jumps(batches) -> tuple[JumpArrays, np.ndarray, np.ndarray]:
+        """The jump sets of every input of (topology, vertices, A, c, hw, hh)
+        batches, with place's arrays and insert pieces x -> A x + c, A
+        (n, C, d, d) and c (n, C, d), in one edge_pair_interfaces and one
+        jump_arrays call: (jumps, owner, rejected), the rows of each input in
+        order, the index of each row's input among the inputs of all batches,
+        and those left out: a vertex not finite or a cell a Polygon check
+        might reject."""
+        W, A, c, ends, left, right, owner, rejected = ([] for _ in range(8))
+        start = 0
+        for top, vertices, A_in, c_in, hw, hh in batches:
+            placed = top.place(vertices, hw, hh)
+            ok = np.all(np.isfinite(placed), axis=(1, 2))
+            ok[ok] = top._cells_valid(placed[ok])
+            kept = np.flatnonzero(ok)
+            # each kept input's block of vertices and of pieces, input after input
+            vertex_rows = sum(map(len, W)) + placed.shape[1] * np.arange(kept.size)[:, None]
+            piece_rows = sum(map(len, A)) + len(top.counts) * np.arange(kept.size)[:, None]
+            ends.append([(vertex_rows + e).ravel() for e in top.edges])
+            left.append((piece_rows + top.left).ravel())
+            right.append((piece_rows + top.right).ravel())
+            W.append(placed[kept].reshape(-1, 2))
+            for out, x, outer in ((A, A_in, top.outer[0]), (c, c_in, top.outer[1])):
+                # the outer cells' pieces, then the insert's
+                x = np.concatenate([outer[None].repeat(kept.size, 0), x[kept]], 1)
+                out.append(x.reshape((-1,) + outer.shape[1:]))
+            owner.append(np.repeat(start + kept, len(top.left)))
+            rejected.append(start + np.flatnonzero(~ok))
+            start += len(hw)
+        a, b, normal = edge_pair_interfaces(np.concatenate(W), *map(np.concatenate, zip(*ends)))
+        A, c, left, right = (np.concatenate(x) for x in (A, c, left, right))
         jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
-        owner = np.repeat(np.array(kept, dtype=int), len(self.left))[rows]
-        return jumps, owner, rejected
+        return jumps, np.concatenate(owner)[rows], np.concatenate(rejected)
 
     def _cells_valid(self, W) -> np.ndarray:
         """Polygon's checks on every cell of each input (vertices W[k]):

@@ -30,7 +30,13 @@ from bdlab.functions import (
     FunctionError,
     JumpArrays,
     JumpSquareTopology,
+    _outer_cells,
+    _stacked,
     compact_deviation,
+    constant_piece,
+    edge_vertices,
+    jump_arrays,
+    jump_square,
     make_elementary,
     rigid_piece,
 )
@@ -38,6 +44,7 @@ from bdlab.geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
+    edge_pair_interfaces,
     frame_from_normal,
     unit,
     validate_partition,
@@ -45,8 +52,12 @@ from bdlab.geometry import (
 from bdlab.ellipticity import (
     _MIN_RUN,
     _RESTARTS,
+    _SEARCH_ORDER,
+    _SEARCH_TOL,
+    _SENTINEL,
     _latin_hypercube,
     _nelder_mead,
+    _search_values,
     CompetitorFamily,
     EllipticityError,
     EllipticityVerdict,
@@ -460,6 +471,143 @@ class TestJumpSquareBuilder:
             tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side="bogus")
 
 
+# The per-vector insert layouts, the tuple-batch topology and the per-vector
+# LayoutFamily.jumps that the batched layouts replaced, kept as oracles for
+# the arrays of the batched path.
+
+
+def former_centered_square(h):
+    return np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
+
+
+def former_square_layout(s, omega, b1, b2):
+    h = 0.5 * s
+    return [former_centered_square(h)], [rigid_piece(omega, (b1, b2))], h, h
+
+
+def former_rect_layout(delta, omega, b1, b2):
+    cells = [np.array([[-1, -delta], [1, -delta], [1, delta], [-1, delta]])]
+    return cells, [rigid_piece(omega, (b1, b2))], 1.0, delta
+
+
+def former_checker_layout(s, v1, v2, w1, w2):
+    hh = 0.5 * s
+    vals = (np.array([v1, v2]), np.array([w1, w2]))
+    cells, pieces = [], []
+    for a in range(2):
+        for b in range(2):
+            x0, y0 = -hh + a * hh, -hh + b * hh
+            cells.append(np.array([[x0, y0], [x0 + hh, y0], [x0 + hh, y0 + hh], [x0, y0 + hh]]))
+            pieces.append(constant_piece(vals[(a + b) % 2]))
+    return cells, pieces, hh, hh
+
+
+def former_nested_layout(s1, frac, om1, b11, b12, om2, b21, b22):
+    h1, h2 = 0.5 * s1, 0.5 * (frac * s1)
+    outer_sq, inner_sq = former_centered_square(h1), former_centered_square(h2)
+    cells = [inner_sq] + [
+        np.array([outer_sq[k], outer_sq[(k + 1) % 4], inner_sq[(k + 1) % 4], inner_sq[k]])
+        for k in range(4)
+    ]
+    pieces = [rigid_piece(om2, (b21, b22))] + [rigid_piece(om1, (b11, b12))] * 4
+    return cells, pieces, h1, h1
+
+
+# in the order of default_families
+FORMER_LAYOUTS = (former_square_layout, former_rect_layout, former_checker_layout,
+                  former_nested_layout)
+REJECTED = (GeometryError, FunctionError, EllipticityError)
+
+
+class FormerTopology:
+    """JumpSquareTopology as it took (hole, cells, pieces) tuples."""
+
+    # the Polygon checks, which the batched path did not change
+    _cells_valid = JumpSquareTopology._cells_valid
+
+    def __init__(self, i, j, nu, side, examples, i_side="plus"):
+        tops = []
+        for hole, cells, pieces in examples:
+            u = jump_square(i, j, nu, side, i_side=i_side, hole=hole, cells=cells, pieces=pieces)
+            itf = u.partition.interfaces
+            pairs = [x.tolist() for x in (itf.right, itf.right_edge, itf.left, itf.left_edge)]
+            tops.append((tuple(len(c) for c in u.partition.cells), pairs))
+        assert all(t == tops[0] for t in tops[1:])
+        self.counts, pairs = tops[0]
+        self.side = float(side)
+        self.frame = frame_from_normal(nu)
+        self.outer = list(u.pieces[:2])
+        counts = np.array(self.counts)
+        self.starts = np.cumsum(counts) - counts
+        self.cell_of = np.repeat(np.arange(counts.size), counts)
+        local = np.arange(self.cell_of.size) - self.starts[self.cell_of]
+        _, self.next = edge_vertices(counts, self.cell_of, local)
+        ia, k, ib, l = np.array(pairs, dtype=int)
+        self.edges = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
+        self.right, self.left = ia, ib
+
+    def jumps(self, batch):
+        frames, kept, rejected = [], [], []
+        for n, (hole, cells, _) in enumerate(batch):
+            frame = list(_outer_cells(self.side, hole)) + list(cells)
+            if tuple(len(c) for c in frame) != self.counts:
+                rejected.append(n)
+                continue
+            frames.append(np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame]))
+            kept.append(n)
+        V = self.cell_of.size
+        W = np.array(frames).reshape(-1, V, 2)
+        ok = np.all(np.isfinite(W), axis=(1, 2))
+        ok[ok] = self._cells_valid(W[ok])
+        rejected = sorted(rejected + [n for n, good in zip(kept, ok.tolist()) if not good])
+        kept = [n for n, good in zip(kept, ok.tolist()) if good]
+        W = W[ok]
+
+        def offset(index, size):
+            return (np.arange(len(kept))[:, None] * size + index).ravel()
+
+        a, b, normal = edge_pair_interfaces(W.reshape(-1, 2), *(offset(e, V) for e in self.edges))
+        P = len(self.counts)
+        d = self.outer[0].b.size
+        A, c = _stacked([p for n in kept for p in self.outer + list(batch[n][2])], d)
+        left, right = offset(self.left, P), offset(self.right, P)
+        jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
+        owner = np.repeat(np.array(kept, dtype=int), len(self.left))[rows]
+        return jumps, owner, rejected
+
+
+def former_family_jumps(index, bounds, i, j, nu, i_side, side=6.0):
+    """The per-vector LayoutFamily.jumps of default family `index`, compiled
+    as default_families compiles it, with the given bounds."""
+    layout = FORMER_LAYOUTS[index]
+    nu = unit(nu)  # as default_families takes it
+    default = default_families(i, j, nu, side=side, i_side=i_side)[index].bounds
+    examples = []
+    for t in (1.0 / 3.0, 2.0 / 3.0):
+        cells, pieces, hw, hh = layout(*(lo + t * (hi - lo) for lo, hi in default))
+        examples.append(((hw, -hh, hh), cells, pieces))
+    topology = FormerTopology(i, j, nu, side, examples, i_side=i_side)
+
+    def jumps(batch):
+        inputs, fast, general = [], [], []
+        for n, params in enumerate(batch):
+            if all(lo <= p <= hi for p, (lo, hi) in zip(params, bounds)):
+                try:
+                    cells, pieces, hw, hh = layout(*params)
+                except REJECTED:
+                    cells = None
+                if cells is not None and 0 < hw < 0.5 * side and 0 < hh < 0.5 * side:
+                    inputs.append(((hw, -hh, hh), cells, pieces))
+                    fast.append(n)
+                    continue
+            general.append(n)
+        jumps, owner, rejected = topology.jumps(inputs)
+        fast = np.array(fast, dtype=int)
+        return jumps, fast[owner], sorted(general + fast[rejected].tolist())
+
+    return jumps
+
+
 class TestCompiledLayouts:
     """The search's fast path: a layout family's compiled topology gives the
     jump set of its generator's competitor, and the same energies."""
@@ -579,13 +727,104 @@ class TestCompiledLayouts:
 
     def test_topology_must_not_depend_on_the_examples(self):
         cell = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        inner = ([cell], [rigid_piece(1.0, (1.0, 1.0))])
-        examples = [((1.0, -1.0, 1.0), *inner), ((1.0, -1.0, 1.0), *inner)]
-        JumpSquareTopology(I_CE, J_CE, E2, 6.0, examples)
-        # without the upper notch the upper half loses three edges
-        examples[1] = ((1.0, -1.0, 0.0), [cell * [1.0, 0.5] - [0.0, 0.5]], inner[1])
+        pieces = [rigid_piece(1.0, (1.0, 1.0))]
+
+        def example(cells, hole=(1.0, -1.0, 1.0)):
+            return jump_square(I_CE, J_CE, E2, 6.0, hole=hole, cells=cells, pieces=pieces)
+
+        JumpSquareTopology([example([cell]), example([cell])], 6.0, E2)
+        # an insert filling the lower half of the hole loses the upper interface
         with pytest.raises(FunctionError):
-            JumpSquareTopology(I_CE, J_CE, E2, 6.0, examples)
+            JumpSquareTopology([example([cell]), example([cell * [1.0, 0.5] - [0.0, 0.5]])],
+                               6.0, E2)
+        # without the upper notch the upper half loses three edges, and the
+        # outer cells no longer have the vertices of the gather
+        lower = example([cell * [1.0, 0.5] - [0.0, 0.5]], hole=(1.0, -1.0, 0.0))
+        with pytest.raises(FunctionError):
+            JumpSquareTopology([lower, lower], 6.0, E2)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        i_side=st.sampled_from(("plus", "minus")),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        draws=st.lists(
+            st.one_of(
+                # unit coordinates in the bounds, and in and beyond them
+                st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+                st.lists(st.floats(-0.25, 1.25), min_size=8, max_size=8),
+                # vectors on the boundary of the bounds
+                st.lists(st.sampled_from(["lo", "hi"]), min_size=8, max_size=8),
+                # a copy of the previous vector
+                st.just("again"),
+                # a non-finite coordinate in a mid vector
+                st.tuples(st.integers(0, 7), st.sampled_from([np.nan, np.inf, -np.inf])),
+                # cells that the Polygon checks reject
+                st.just("degenerate"),
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_batched_layouts_equal_the_per_vector_path(self, family, i_side, angle, draws):
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        # wide enough for inserts beyond the square and degenerate nested rings
+        wide = ((-1.0, 8.0),) + ((0.0, 1.0),) * (family == 3) + fam.bounds[1 + (family == 3):]
+        fam = dataclasses.replace(fam, bounds=wide)
+        lo, hi = np.array(wide).T
+        batch = []
+        for d in draws:
+            if d == "again":
+                params = batch[-1] if batch else 0.5 * (lo + hi)
+            elif d == "degenerate":
+                # a vanishing insert; for the nested squares a vanishing ring
+                params = 0.5 * (lo + hi)
+                params[int(family == 3)] = 1e-12 if family != 3 else 1.0
+            elif isinstance(d, tuple):
+                params = 0.5 * (lo + hi)
+                params[d[0] % fam.dim] = d[1]
+            elif isinstance(d[0], str):
+                params = np.where(np.array(d[:fam.dim]) == "lo", lo, hi)
+            else:
+                params = lo + np.array(d[:fam.dim]) * (hi - lo)
+            batch.append(np.asarray(params, dtype=float))
+        jumps, owner, general = fam.jumps(batch)
+        want, want_owner, want_general = former_family_jumps(
+            family, wide, I_CE, J_CE, nu, i_side)(batch)
+        for f in dataclasses.fields(JumpArrays):
+            got, ref = getattr(jumps, f.name), getattr(want, f.name)
+            # bytes: sign bits too
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), f.name
+        assert owner.dtype == want_owner.dtype and np.array_equal(owner, want_owner)
+        assert general == want_general
+
+    @pytest.mark.parametrize("fid", ["isotropic:id", "product:aniso1:eps=0.01"])
+    def test_round_equals_point_by_point(self, fid):
+        nu = unit([0.3, -0.7])
+        families = default_families(I_CE, J_CE, nu)
+        families.append(CompetitorFamily("plain", families[0].bounds, families[0].generator))
+        rng = np.random.default_rng([13, len(fid)])
+        points = []
+        for _ in range(60):
+            fi = int(rng.integers(len(families)))
+            lo, hi = np.array(families[fi].bounds).T
+            params = lo + rng.uniform(-0.1, 1.1, size=lo.size) * (hi - lo)
+            # an insert of no size, or a non-finite one, for the generator to reject
+            params[0] = rng.choice([params[0], 0.0, np.nan], p=[0.8, 0.1, 0.1])
+            points.append((fi, params))
+        f = catalog_density(fid)
+        values, rejected = _search_values(f, families, points)
+        want, want_rejected = [], set()
+        for k, (fi, params) in enumerate(points):
+            try:
+                jumps = families[fi].generator(params).jump_segments()
+            except REJECTED:
+                want.append(_SENTINEL)
+                want_rejected.add(k)
+                continue
+            want.append(integrate_jump_arrays(jumps, f, _SEARCH_TOL, _SEARCH_ORDER).value)
+        assert values == want
+        assert rejected == want_rejected and 0 < len(rejected) < len(points)
 
 
 def scipy_nelder_mead(fun, x0, bounds, maxfev):

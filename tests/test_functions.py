@@ -16,7 +16,14 @@ from bdlab.functions import (
     skew2,
     total_jump_length,
 )
-from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square, unit
+from bdlab.geometry import (
+    OrientedSquare,
+    Polygon,
+    PolygonalPartition,
+    frame_from_normal,
+    make_oriented_square,
+    unit,
+)
 
 E2 = np.array([0.0, 1.0])
 
@@ -196,6 +203,34 @@ class TestJumpSegments:
         p2 = AffinePiece(np.array([[0.0, 0.0], [-w, 0.0]]), (0.0, 0.0))
         u = PiecewiseAffine(part, [p1, p2])
         assert len(u.jump_segments()) == 0
+
+
+class TestFrameProduct:
+    """JumpSquareTopology turns every vertex of a batch by the frame in one
+    2-D matmul on the stacked vertices; its equality with jump_square, bit
+    for bit, rests on that product giving each row what one cell's
+    `vertices @ R.T` gives it."""
+
+    def test_stacked_matmul_equals_per_cell(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            R = frame_from_normal(unit(rng.normal(size=2)))
+            cells = [rng.normal(size=(rng.integers(3, 21), 2)) * 10.0 ** rng.integers(-6, 7)
+                     for _ in range(rng.integers(1, 300))]
+            per_cell = np.concatenate([c @ R.T for c in cells])
+            assert (np.concatenate(cells) @ R.T).tobytes() == per_cell.tobytes()
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_placed_vertices_are_jump_square_vertices(self, family):
+        rng = np.random.default_rng([19, family])
+        fam = default_families((0.0, 0.0), (2.0, 2.0), unit(rng.normal(size=2)))[family]
+        lo, hi = np.array(fam.bounds).T
+        P = lo + rng.uniform(size=(20, lo.size)) * (hi - lo)
+        vertices, _, _, hw, hh = fam.layout(P)
+        placed = fam.topology.place(vertices, hw, hh)
+        for params, W in zip(P, placed):
+            cells = fam.generator(params).partition.cells
+            assert np.concatenate([c.vertices for c in cells]).tobytes() == W.tobytes()
 
 
 class TestCompactDeviation:

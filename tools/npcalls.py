@@ -1,0 +1,81 @@
+"""Count the NumPy calls of one search round's geometry.
+
+    PYTHONPATH=<checkout>/src python tools/npcalls.py
+
+A round is one `ellipticity._search_values` call over
+`default_families((0, 0), (2, 2), e2)` at 40 and at 80 points, dealt to the
+four families in turn and drawn inside their bounds from a fixed seed.  The
+line kernel is left out: `ellipticity.integrate_jump_sets` is replaced by a
+stub that returns zero energies, so the count is that of building the jump
+sets.  A NumPy call is a C function of numpy that `sys.setprofile` reports
+as called ("c_call"): numpy's module-level builtins and the methods of
+ndarrays and ufuncs.  The profiler does not report ufunc calls, operators
+or numpy's dispatched functions such as `np.concatenate`, so the count is a
+lower bound, taken the same way on any checkout whose `_search_values(f,
+families, points)` has this signature.
+"""
+
+from __future__ import annotations
+
+import sys
+import types
+
+import numpy as np
+
+from bdlab import ellipticity
+from bdlab.densities import catalog_density
+
+SIZES = (40, 80)
+
+
+def _numpy_owned(fn) -> bool:
+    owner = getattr(fn, "__self__", None)
+    if isinstance(owner, types.ModuleType):
+        module = owner.__name__
+    else:
+        module = getattr(fn, "__module__", None) or type(owner).__module__
+    return module.split(".")[0] == "numpy"
+
+
+def numpy_calls(run) -> int:
+    """The NumPy C calls that run() makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and _numpy_owned(arg):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def main() -> int:
+    families = ellipticity.default_families((0.0, 0.0), (2.0, 2.0), (0.0, 1.0))
+    f = catalog_density("isotropic:id")
+    rng = np.random.default_rng(0)
+
+    def points(n):
+        out = []
+        for k in range(n):
+            fi = k % len(families)
+            lo, hi = np.array(families[fi].bounds).T
+            out.append((fi, lo + rng.uniform(size=lo.size) * (hi - lo)))
+        return out
+
+    ellipticity.integrate_jump_sets = (
+        lambda jumps, owner, count, *args, **kw: [types.SimpleNamespace(value=0.0)] * count)
+    ellipticity._search_values(f, families, points(8))  # one-time costs stay out
+    for n in SIZES:
+        batch = points(n)
+        calls = numpy_calls(lambda: ellipticity._search_values(f, families, batch))
+        print(f"{n} points: {calls} numpy calls")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
