@@ -28,19 +28,63 @@ class DensityError(ValueError):
     """Invalid density construction."""
 
 
+# the 16 triples (i, j, nu) on which a quadratic form descriptor is checked
+# against its evaluator: jumps and normals in many directions, of lengths
+# from about 0.1 to 40 (fixed numbers, not numpy.random, which would add
+# its import to every start of bdlab)
+_FORM_CHECK = (np.sin(1.7 * np.arange(96.0).reshape(3, 16, 2) + 0.3)
+               * [[[2.0]], [[3.0]], [[1.0]]] * np.geomspace(0.1, 10.0, 16)[:, None])
+
+
+def form_pairing(Q, x, y):
+    """x^T Q y for symmetric (..., 2, 2) forms and (..., 2) vectors,
+    element-wise (no BLAS or einsum), so a row's value does not depend on
+    its batch."""
+    return (Q[..., 0, 0] * (x[..., 0] * y[..., 0])
+            + Q[..., 0, 1] * (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0])
+            + Q[..., 1, 1] * (x[..., 1] * y[..., 1]))
+
+
+def _form(q00, q01, q11):
+    """The symmetric 2 x 2 forms with the given entries: (..., 2, 2)."""
+    q00, q01, q11 = np.broadcast_arrays(q00, q01, q11)
+    return np.stack([q00, q01, q01, q11], axis=-1).reshape(q00.shape + (2, 2))
+
+
 @dataclass(frozen=True)
 class Density:
-    """Surface integrand with declared structure flags."""
+    """Surface integrand with declared structure flags.
+
+    `quadratic_form`, when set, maps normals (n, 2) to symmetric positive
+    semidefinite forms Q (n, 2, 2) with f(i, j, nu) = sqrt((i - j)^T Q(nu)
+    (i - j)).  Along a jump segment the jump is affine in arclength, so
+    surface energies of such a density are elementary integrals, which
+    `bdlab.energy` evaluates in closed form.  The descriptor is checked
+    against the evaluator on fixed triples at construction.
+    """
 
     name: str
     evaluator: Callable
     one_homogeneous_in_nu: bool = True
     bounded: bool = False
     claimed_class: str = "unknown"
+    quadratic_form: Callable | None = None
 
     def __post_init__(self):
         if self.claimed_class not in CLASSES:
             raise DensityError(f"unknown claimed_class {self.claimed_class!r}")
+        if self.quadratic_form is not None:
+            i, j, nu = _FORM_CHECK
+            want = np.asarray(self.evaluator(i, j, nu), dtype=float)
+            Q = np.asarray(self.quadratic_form(nu), dtype=float)
+            got = np.sqrt(form_pairing(Q, i - j, i - j))
+            # a NaN on either side fails the comparison
+            bad = np.count_nonzero(~(np.abs(got - want) <= 1e-12 * np.abs(want)))
+            if bad:
+                raise DensityError(
+                    f"the quadratic form of {self.name!r} disagrees with its evaluator "
+                    f"by more than 1e-12 relative on {bad} of {want.size} check triples"
+                )
 
     def __call__(self, i, j, nu):
         i = np.asarray(i, dtype=float)
@@ -56,10 +100,12 @@ class Density:
         t = float(t)
         if t <= 0:
             raise DensityError("scale factor must be positive")
+        form = self.quadratic_form
         return replace(
             self,
             name=f"{self.name}*{t:g}",
             evaluator=lambda i, j, nu: t * self.evaluator(i, j, nu),
+            quadratic_form=None if form is None else lambda nu: (t * t) * form(nu),
         )
 
 
@@ -69,6 +115,23 @@ def _norm(v):
 
 def _dot(a, b):
     return np.einsum("...k,...k->...", a, b)
+
+
+def _norm2(nu):
+    return nu[..., 0] ** 2 + nu[..., 1] ** 2
+
+
+def _isotropic_form(nu):
+    """|nu|^2 I: the form of |i - j| |nu|."""
+    n2 = _norm2(nu)
+    return _form(n2, 0.0, n2)
+
+
+def _frobenius_form(nu):
+    """(|nu|^2 I + nu nu^T) / 2: the form of |sym((i - j) (.) nu)|_F."""
+    n2 = _norm2(nu)
+    x, y = nu[..., 0], nu[..., 1]
+    return _form(0.5 * (n2 + x * x), 0.5 * (x * y), 0.5 * (n2 + y * y))
 
 
 def density_isotropic(g: SubadditiveProfile) -> Density:
@@ -107,11 +170,11 @@ def anisotropic_normal_density(eps: float) -> Density:
     def theta(i, j):
         return _norm(i - j)
 
-    def psi(nu):
-        return np.sqrt(eps * eps * nu[..., 0] ** 2 + nu[..., 1] ** 2)
+    def psi2(nu):
+        return eps * eps * nu[..., 0] ** 2 + nu[..., 1] ** 2
 
-    d = density_product(theta, psi, name=f"aniso-normal[eps={eps:g}]")
-    return d
+    d = density_product(theta, lambda nu: np.sqrt(psi2(nu)), name=f"aniso-normal[eps={eps:g}]")
+    return replace(d, quadratic_form=lambda nu: _form(psi2(nu), 0.0, psi2(nu)))
 
 
 def anisotropic_trace_density(eps: float) -> Density:
@@ -124,7 +187,8 @@ def anisotropic_trace_density(eps: float) -> Density:
         d = i - j
         return np.sqrt(d[..., 0] ** 2 + eps * d[..., 1] ** 2)
 
-    return density_product(theta, _norm, name=f"aniso-trace[eps={eps:g}]")
+    d = density_product(theta, _norm, name=f"aniso-trace[eps={eps:g}]")
+    return replace(d, quadratic_form=lambda nu: _form(_norm2(nu), 0.0, eps * _norm2(nu)))
 
 
 def density_biconvex_frobenius() -> Density:
@@ -137,7 +201,8 @@ def density_biconvex_frobenius() -> Density:
         a = i - j
         return np.sqrt(0.5 * ((_norm(a) * _norm(nu)) ** 2 + _dot(a, nu) ** 2))
 
-    return Density("frobenius", evaluator, claimed_class="symmetric-jointly-convex")
+    return Density("frobenius", evaluator, claimed_class="symmetric-jointly-convex",
+                   quadratic_form=_frobenius_form)
 
 
 def _axis_angle(v):
@@ -159,7 +224,9 @@ def density_dalmot(M: float = np.inf) -> Density:
     piece of the angle range (no, one or both terms truncated) it peaks at
     the eigenbasis of sym(a (.) nu), at xi_1 along nu, or at a kink
     |<a, xi_1>| = M.  The objective is evaluated at those four angles, so
-    the maximum is the supremum, not an estimate.
+    the maximum is the supremum, not an estimate.  Untruncated, the
+    supremum is the Frobenius norm of sym(a (.) nu), whose quadratic form
+    the density carries.
     """
     M = float(M)
     if not M > 0:
@@ -186,6 +253,7 @@ def density_dalmot(M: float = np.inf) -> Density:
         evaluator,
         bounded=M < np.inf,
         claimed_class="symmetric-jointly-convex",
+        quadratic_form=_frobenius_form if M == np.inf else None,
     )
 
 
@@ -337,7 +405,8 @@ def _square_polytope() -> SupportPolytope:
 
 # (catalog id with its default parameters, builder(**parameters) -> Density)
 _REGISTRY = (
-    ("isotropic:id", lambda: density_isotropic(identity_profile())),
+    ("isotropic:id",
+     lambda: replace(density_isotropic(identity_profile()), quadratic_form=_isotropic_form)),
     ("isotropic:trunc:a=1,M=1", lambda a, M: density_isotropic(truncated_profile(a, M))),
     ("isotropic:const:c=1", lambda c: density_isotropic(constant_profile(c))),
     ("isotropic:sqrt", lambda: density_isotropic(sqrt_profile())),

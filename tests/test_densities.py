@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,51 @@ class TestChecks:
 
         f = density_product(lambda i, j: np.linalg.norm(i - j, axis=-1), psi, name="bad")
         assert check_convexity_in_nu(f, samples=2000, seed=0) > 1e-3
+
+
+FORM_IDS = ("isotropic:id", "product:aniso1:eps=0.01", "aniso2:eps=1e-4", "frobenius", "dalmot:abs")
+
+
+def form_density(f, i, j, nu):
+    """sqrt((i - j)^T Q(nu) (i - j)) by a matrix product."""
+    d = i - j
+    return np.sqrt(np.einsum("nk,nkl,nl->n", d, f.quadratic_form(nu), d))
+
+
+class TestQuadraticForm:
+    def test_catalog_descriptors(self):
+        rng = np.random.default_rng(11)
+        i, j = rng.normal(scale=2.0, size=(2, 500, 2))
+        nu = rng.normal(size=(500, 2)) * rng.uniform(0.1, 10.0, size=(500, 1))
+        for fid in CATALOG_IDS:
+            f = catalog_density(fid)
+            assert (f.quadratic_form is not None) == (fid in FORM_IDS), fid
+            if f.quadratic_form is not None:
+                assert np.allclose(form_density(f, i, j, nu), f(i, j, nu), rtol=1e-13, atol=0)
+
+    def test_truncated_dalmot_has_no_form(self):
+        assert density_dalmot(1.0).quadratic_form is None
+        assert density_dalmot().quadratic_form is not None
+
+    def test_scaled_carries_the_scaled_form(self):
+        rng = np.random.default_rng(12)
+        i, j, nu = rng.normal(size=(3, 50, 2))
+        for fid in FORM_IDS:
+            f = catalog_density(fid)
+            g = f.scaled(2.5)
+            assert np.array_equal(g.quadratic_form(nu), 6.25 * f.quadratic_form(nu))
+            assert np.allclose(form_density(g, i, j, nu), g(i, j, nu), rtol=1e-13, atol=0)
+
+    def test_stale_form_raises(self):
+        f = catalog_density("frobenius")
+        iso = catalog_density("isotropic:id")
+        with pytest.raises(DensityError, match="quadratic form"):
+            dataclasses.replace(f, evaluator=iso.evaluator)
+        with pytest.raises(DensityError, match="quadratic form"):
+            dataclasses.replace(f, evaluator=lambda i, j, nu: np.full(i.shape[:-1], np.nan))
+        # a matching evaluator, or no form at all, passes
+        dataclasses.replace(f, evaluator=lambda i, j, nu: f.evaluator(i, j, nu))
+        dataclasses.replace(f, evaluator=iso.evaluator, quadratic_form=None)
 
 
 class TestCatalog:

@@ -55,6 +55,7 @@ from bdlab.ellipticity import (
     _SEARCH_ORDER,
     _SEARCH_TOL,
     _SENTINEL,
+    _compiled_families,
     _latin_hypercube,
     _nelder_mead,
     _search_values,
@@ -440,6 +441,54 @@ class TestFalsify:
         f = catalog_density("isotropic:id")
         with pytest.raises(FunctionError):
             falsify(f, I_CE, J_CE, E2, budget=60, i_side="bogus")
+
+    def test_certificate_runs_the_adaptive_kernel(self):
+        # the search and e1 integrate the CE1 density in closed form; e2
+        # must call the density, at points along the jump set
+        f = catalog_density("product:aniso1:eps=0.01")
+        calls = [0]
+
+        def evaluator(i, j, nu):
+            calls[0] += np.ndim(i) == 2
+            return f.evaluator(i, j, nu)
+
+        counted = dataclasses.replace(f, evaluator=evaluator)
+        u = counterexample1_competitor(1.0)
+        family = CompetitorFamily("ce1", ((0.0, 1.0),), lambda params: u)
+        calls[0] = 0
+        v = falsify(counted, I_CE, J_CE, E2, families=[family], budget=50)
+        assert v.status == "VIOLATION"
+        assert calls[0] > 0
+        adaptive = surface_energy(u, dataclasses.replace(f, quadratic_form=None), tol=1e-13, order=30)
+        assert v.cross_check["value_doubled_order"] == adaptive.value
+        assert v.cross_check["value_default_order"] == surface_energy(u, f, tol=1e-11).value
+
+
+class TestFamilyCache:
+    def test_cached_families_give_the_fresh_verdict(self):
+        f = catalog_density("dalmot:abs")
+        _compiled_families.cache_clear()
+        fresh = falsify(f, I_CE, J_CE, E2, budget=100, seed=2)
+        hits = _compiled_families.cache_info().hits
+        cached = falsify(f, I_CE, J_CE, E2, budget=100, seed=2)
+        assert _compiled_families.cache_info().hits == hits + 1
+        assert cached.to_json() == fresh.to_json()
+
+    def test_signed_zero_normals_are_separate_entries(self):
+        _compiled_families.cache_clear()
+        plus = default_families(I_CE, J_CE, (0.0, 1.0))
+        minus = default_families(I_CE, J_CE, (-0.0, 1.0))
+        assert _compiled_families.cache_info().currsize == 2
+        assert plus[0] is not minus[0]
+        again = default_families(I_CE, J_CE, (0.0, 1.0))
+        assert again is not plus and again == plus
+        assert all(a is b for a, b in zip(again, plus))
+
+    def test_compiled_topologies_are_read_only(self):
+        top = default_families(I_CE, J_CE, E2)[0].topology
+        for x in (top.frame, *top.outer, top.starts, top.cell_of, top.next, *top.edges,
+                  top.left, top.right):
+            assert not x.flags.writeable
 
 
 class TestJumpSquareBuilder:

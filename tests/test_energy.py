@@ -2,13 +2,20 @@ import dataclasses
 import functools
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotropic
-from bdlab.ellipticity import default_families
+from bdlab.ellipticity import (
+    ce1_energy_breakdown,
+    ce2_energy_breakdown,
+    counterexample1_competitor,
+    counterexample2_competitor,
+    default_families,
+)
 from bdlab.energy import (
     _cuts,
     _duffy_rule,
@@ -207,7 +214,8 @@ class TestSurfaceEnergy:
         u = rect.generator(
             [0.5255712420628432, 98.44565157363147, 3.418444628092724, -2.807458828081156]
         )
-        f = catalog_density("isotropic:id")
+        # the adaptive kernel: without its quadratic form the density is called
+        f = dataclasses.replace(catalog_density("isotropic:id"), quadratic_form=None)
         evaluator, calls = counted(f.evaluator, limit=5000)
         res = surface_energy(u, dataclasses.replace(f, evaluator=evaluator), tol=1e-13, order=30)
         assert calls[0] <= 100
@@ -264,7 +272,8 @@ class TestBatchedKernel:
         # a rotating insert: affine traces everywhere around it
         fam = default_families((0, 0), (2, 2), (0.6, 0.8))[1]
         u = fam.generator([0.3, 7.0, 1.0, -2.0])
-        f = catalog_density(fid)
+        # the adaptive kernel: without its quadratic form the density is called
+        f = dataclasses.replace(catalog_density(fid), quadratic_form=None)
         evaluator, calls = counted(f.evaluator, limit=1000)
         res = surface_energy(u, dataclasses.replace(f, evaluator=evaluator), tol=1e-12)
         want, levels = depth_first_energy(u, f, 1e-12, 15)
@@ -515,6 +524,144 @@ class TestIntegrateJumpSet:
             integrate_jump_arrays(
                 u.jump_segments(), f, 1e-10, 15, weight=lambda x: np.full(len(x), np.inf)
             )
+
+
+FORM_IDS = ["isotropic:id", "product:aniso1:eps=0.01", "aniso2:eps=1e-4", "frobenius", "dalmot:abs"]
+
+
+def adaptive(f: Density) -> Density:
+    """f without its quadratic form: the adaptive kernel integrates it."""
+    return dataclasses.replace(f, quadratic_form=None)
+
+
+def one_row(a, b, normal, t0, t1) -> JumpArrays:
+    """A jump piece with the jump a + t b along t in [t0, t1] (minus trace 0)."""
+    row = [np.array([v], dtype=float) for v in ((0.0, 0.0), (t1, 0.0), (1.0, 0.0), normal, a, b,
+                                                 (0.0, 0.0), (0.0, 0.0), t0, t1)]
+    return JumpArrays(*row)
+
+
+def mp_energy(Q, a, b, t0, t1):
+    """The integral of sqrt((a + t b)^T Q (a + t b)) over [t0, t1] by mpmath.quad
+    at 50 digits, split at the root of the quadratic: the inputs taken as exact."""
+    with mpmath.workdps(50):
+        Q = [[mpmath.mpf(float(Q[r, c])) for c in range(2)] for r in range(2)]
+        a, b = [mpmath.mpf(float(x)) for x in a], [mpmath.mpf(float(x)) for x in b]
+
+        def q(x, y):
+            return sum(Q[r][c] * x[r] * y[c] for r in range(2) for c in range(2))
+
+        A, B, C = q(b, b), q(a, b), q(a, a)
+        t0, t1 = mpmath.mpf(t0), mpmath.mpf(t1)
+        cuts = [t0, t1]
+        if A > 0:
+            # the root and, a distance h to either side, the end of its curved part
+            root, h = -B / A, mpmath.sqrt(max(C / A - (B / A) ** 2, 0))
+            cuts += [x for x in (root - h, root, root + h) if t0 < x < t1]
+        return mpmath.quad(lambda t: mpmath.sqrt(max(A * t * t + 2 * B * t + C, 0)), sorted(cuts))
+
+
+@st.composite
+def affine_jumps(draw):
+    """(a, b, t0, t1) of a jump a + t b over [t0, t1]: a short interval far
+    from the root of the jump, one across it, parallel traces (h = 0) or a
+    constant jump (b = 0), with values and lengths scaled from 1e-6 to 1e6."""
+    kind = draw(st.sampled_from(["far", "across", "parallel", "constant"]))
+    value_scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    length_scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    slope = np.array([np.cos(angle), np.sin(angle)])
+    # the jump's offset across the slope: none, or not below 0.1
+    offset = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.1, 3.0))
+    if kind == "far":
+        t0 = draw(st.floats(0.0, 6.0))
+        length = 10.0 ** draw(st.floats(-6.0, 0.0))
+        root = t0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(1.0, 3.0))
+    else:
+        # t0 within a length of 0: the root, computed from a and b, is then
+        # as precise relative to the interval as relative to t0
+        length = draw(st.floats(0.1, 6.0))
+        t0 = draw(st.floats(0.0, 1.0)) * length
+        root = t0 + draw(st.floats(0.0, 1.0)) * length
+    t1 = t0 + length
+    if kind == "parallel":
+        # a power of two times b: a x b is zero in floating point too
+        b = slope * value_scale / length_scale
+        a = -(2.0 ** draw(st.integers(-3, 3))) * b
+        return a, b, 2.0**-3 * t0 * length_scale, (2.0**-3 * t0 + length) * length_scale
+    perp = np.array([-slope[1], slope[0]])
+    a = (-root * slope + offset * perp) * value_scale
+    b = slope * value_scale / length_scale
+    if kind == "constant":
+        a, b = draw(st.floats(0.1, 3.0)) * slope * value_scale, 0.0 * b
+    return a, b, t0 * length_scale, t1 * length_scale
+
+
+class TestClosedForm:
+    """Densities with a quadratic form integrate in closed form."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(jump=affine_jumps(), fid=st.sampled_from(FORM_IDS),
+           angle=st.floats(0.0, 2.0 * np.pi), nu_length=st.floats(0.1, 10.0))
+    def test_against_mpmath(self, jump, fid, angle, nu_length):
+        a, b, t0, t1 = jump
+        nu = nu_length * np.array([np.cos(angle), np.sin(angle)])
+        f = catalog_density(fid)
+        res = integrate_jump_arrays(one_row(a, b, nu, t0, t1), f, 1e-10, 15)
+        want = mp_energy(f.quadratic_form(nu[None])[0], a, b, t0, t1)
+        assert res.error_estimate == 0.0 and res.unconverged == 0
+        assert abs(mpmath.mpf(res.value) - want) <= 1e-14 * want
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(angle=st.floats(0.0, 2.0 * np.pi),
+           unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+    def test_families_match_the_adaptive_kernel(self, angle, unit_params):
+        for fam in default_families((0, 0), (2, 2), (np.cos(angle), np.sin(angle))):
+            u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+            for fid in FORM_IDS:
+                f = catalog_density(fid)
+                closed = surface_energy(u, f)
+                want = surface_energy(u, adaptive(f), tol=1e-13, order=30)
+                assert closed.error_estimate == 0.0
+                assert abs(closed.value - want.value) <= 1e-13 * want.value, (fam.name, fid)
+
+    def test_counterexamples_match_the_adaptive_kernel(self):
+        for (build, density), args in (((counterexample1_competitor, "product:aniso1:eps=0.01"), (1.0,)),
+                                       ((counterexample2_competitor, "aniso2:eps=1e-4"), (1.0, 1e-4))):
+            u, f = build(*args), catalog_density(density)
+            want = surface_energy(u, adaptive(f), tol=1e-13, order=30).value
+            assert abs(surface_energy(u, f).value - want) <= 1e-13 * want
+        for breakdown, density in ((ce1_energy_breakdown, "product:aniso1:eps=0.01"),
+                                   (ce2_energy_breakdown, "aniso2:eps=1e-4")):
+            closed = breakdown()
+            assert closed["error_estimate"] == 0.0
+            u = (counterexample1_competitor(1.0) if breakdown is ce1_energy_breakdown
+                 else counterexample2_competitor(1.0, 1e-4))
+            want = surface_energy(u, adaptive(catalog_density(density)), tol=1e-13, order=30).value
+            assert abs(closed["total"] - want) <= 1e-13 * want
+
+    def test_no_density_calls(self):
+        fam = default_families((0, 0), (2, 2), (0.6, 0.8))[1]
+        u = fam.generator([0.3, 7.0, 1.0, -2.0])
+        f = catalog_density("frobenius")
+        evaluator, calls = counted(f.evaluator, limit=1000)
+        f = dataclasses.replace(f, evaluator=evaluator)  # one call: the form check
+        assert calls[0] == 1
+        res = surface_energy(u, f, tol=1e-12)
+        assert calls[0] == 1
+        assert res.error_estimate == 0.0 and res.segments_evaluated == len(u.jump_segments())
+        # a weight or kinks take the adaptive path
+        integrate_jump_arrays(u.jump_segments(), f, 1e-10, 15, weight=lambda x: 1.0 + 0 * x[:, 0])
+        assert calls[0] > 1
+
+    def test_scaled_density(self):
+        u = counterexample1_competitor(1.0)
+        f = catalog_density("product:aniso1:eps=0.01")
+        scaled = f.scaled(3.0)
+        want = surface_energy(u, adaptive(scaled), tol=1e-13, order=30).value
+        assert abs(surface_energy(u, scaled).value - want) <= 1e-13 * want
+        assert surface_energy(u, scaled).value == pytest.approx(3.0 * surface_energy(u, f).value,
+                                                                rel=1e-14)
 
 
 class TestSymmetricJumpMeasure:
