@@ -584,16 +584,15 @@ def affine_jumps(draw):
         t0 = draw(st.floats(0.0, 1.0)) * length
         root = t0 + draw(st.floats(0.0, 1.0)) * length
     t1 = t0 + length
-    if kind == "parallel":
-        # a power of two times b: a x b is zero in floating point too
-        b = slope * value_scale / length_scale
-        a = -(2.0 ** draw(st.integers(-3, 3))) * b
-        return a, b, 2.0**-3 * t0 * length_scale, (2.0**-3 * t0 + length) * length_scale
-    perp = np.array([-slope[1], slope[0]])
-    a = (-root * slope + offset * perp) * value_scale
     b = slope * value_scale / length_scale
-    if kind == "constant":
+    if kind == "parallel":
+        # a power of two times b, so that a x b is zero in floating point
+        # too; the root, at t = 2^e, lies inside or outside the interval
+        a = -(2.0 ** draw(st.integers(-20, 20))) * b
+    elif kind == "constant":
         a, b = draw(st.floats(0.1, 3.0)) * slope * value_scale, 0.0 * b
+    else:
+        a = (-root * slope + offset * np.array([-slope[1], slope[0]])) * value_scale
     return a, b, t0 * length_scale, t1 * length_scale
 
 
