@@ -17,7 +17,6 @@ general path, built as a partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -405,19 +404,10 @@ class EllipticityVerdict(Report):
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     """Built-in families, one insert layout each: square insert, thin
     rectangle, checkerboard, and two nested squares with independent rigid
-    motions.  The compiled families of recent inputs are kept: a repeated
-    call returns a new list of the same families."""
-    key = tuple((v.tobytes(), v.shape) for v in (np.asarray(i, dtype=float),
-                                                  np.asarray(j, dtype=float), unit(nu)))
-    return list(_compiled_families(key, float(side), i_side))
-
-
-@lru_cache(maxsize=8)
-def _compiled_families(key, side: float, i_side: str) -> tuple:
-    """default_families for the bytes and shapes of i, j and the unit
-    normal: bytes, so that -0.0 and 0.0 are different inputs.  The arrays
-    rebuilt from them are read-only, as are the compiled topologies."""
-    i, j, nu = (np.frombuffer(data).reshape(shape) for data, shape in key)
+    motions."""
+    i = np.asarray(i, dtype=float)
+    j = np.asarray(j, dtype=float)
+    nu = unit(nu)
     gap = float(np.linalg.norm(i - j))
     if gap == 0.0:
         raise EllipticityError("falsification needs i != j")
@@ -443,7 +433,7 @@ def _compiled_families(key, side: float, i_side: str) -> tuple:
         topology = JumpSquareTopology(examples, side, nu)
         return LayoutFamily(name, bounds, generator, clipped, layout, topology)
 
-    return (
+    return [
         family(
             "square-insert", _square_layout, ((0.3, 5.6), omega, *vec),
             [(2.0, lam, *mid), (2.0, -lam, *mid)],
@@ -458,7 +448,7 @@ def _compiled_families(key, side: float, i_side: str) -> tuple:
             ((0.5, 5.6), (0.15, 0.85), omega, *vec, omega, *vec),
             [(2.0, 0.5, lam, *mid, lam, *mid)],
         ),
-    )
+    ]
 
 
 # Latin-hypercube starts per family, the quadrature tolerance and order of
@@ -617,10 +607,12 @@ def falsify(
     energy.  VIOLATION requires the margin to exceed ten times the quadrature
     error and the certificate to reproduce, both evaluations converged: the
     competitor's energy (in closed form for a density with a quadratic form)
-    against adaptive quadrature at doubled order.  The budget caps the
-    objective evaluations and must cover one search run.  Layout families are searched through their
-    compiled topology; the certificate rebuilds the best competitor with the
-    family's generator and integrates it on the general path.
+    against adaptive quadrature at doubled order.  `cross_check` holds both
+    values and names the method of the first ("closed-form" or "adaptive").
+    The budget caps the objective evaluations and must cover one search run.
+    Layout families are searched through their compiled topology; the
+    certificate rebuilds the best competitor with the family's generator and
+    integrates it on the general path.
     """
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
@@ -698,11 +690,13 @@ def falsify(
         competitor = family.generator(best_params)
         e1 = surface_energy(competitor, f, tol=1e-11, order=15)
         # e1 is in closed form where f has a quadratic form, e2 always adaptive
-        adaptive = replace(f, quadratic_form=None) if isinstance(f, Density) else f
+        closed = isinstance(f, Density) and f.quadratic_form is not None
+        adaptive = replace(f, quadratic_form=None) if closed else f
         e2 = surface_energy(competitor, adaptive, tol=1e-13, order=30)
         best_val = e1.value
         err = max(e1.error_estimate, e2.error_estimate, abs(e1.value - e2.value))
         cross = {
+            "method_default_order": "closed-form" if closed else "adaptive",
             "value_default_order": e1.value,
             "value_doubled_order": e2.value,
             "difference": abs(e1.value - e2.value),

@@ -357,10 +357,6 @@ class JumpSquareTopology:
         ia, k, ib, l = np.array(pairs, dtype=int)
         self.edges = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
         self.right, self.left = ia, ib
-        # a compiled topology is shared by every caller of default_families
-        for x in (self.frame, *self.outer, self.starts, self.cell_of, self.next, *self.edges,
-                  ia, ib):
-            x.setflags(write=False)
 
     def place(self, vertices, hw, hh) -> np.ndarray:
         """Every cell's vertices in place, (n, V, 2), for insert cells with the

@@ -55,7 +55,6 @@ from bdlab.ellipticity import (
     _SEARCH_ORDER,
     _SEARCH_TOL,
     _SENTINEL,
-    _compiled_families,
     _latin_hypercube,
     _nelder_mead,
     _search_values,
@@ -462,33 +461,15 @@ class TestFalsify:
         adaptive = surface_energy(u, dataclasses.replace(f, quadratic_form=None), tol=1e-13, order=30)
         assert v.cross_check["value_doubled_order"] == adaptive.value
         assert v.cross_check["value_default_order"] == surface_energy(u, f, tol=1e-11).value
+        assert v.cross_check["method_default_order"] == "closed-form"
 
-
-class TestFamilyCache:
-    def test_cached_families_give_the_fresh_verdict(self):
-        f = catalog_density("dalmot:abs")
-        _compiled_families.cache_clear()
-        fresh = falsify(f, I_CE, J_CE, E2, budget=100, seed=2)
-        hits = _compiled_families.cache_info().hits
-        cached = falsify(f, I_CE, J_CE, E2, budget=100, seed=2)
-        assert _compiled_families.cache_info().hits == hits + 1
-        assert cached.to_json() == fresh.to_json()
-
-    def test_signed_zero_normals_are_separate_entries(self):
-        _compiled_families.cache_clear()
-        plus = default_families(I_CE, J_CE, (0.0, 1.0))
-        minus = default_families(I_CE, J_CE, (-0.0, 1.0))
-        assert _compiled_families.cache_info().currsize == 2
-        assert plus[0] is not minus[0]
-        again = default_families(I_CE, J_CE, (0.0, 1.0))
-        assert again is not plus and again == plus
-        assert all(a is b for a, b in zip(again, plus))
-
-    def test_compiled_topologies_are_read_only(self):
-        top = default_families(I_CE, J_CE, E2)[0].topology
-        for x in (top.frame, *top.outer, top.starts, top.cell_of, top.next, *top.edges,
-                  top.left, top.right):
-            assert not x.flags.writeable
+    def test_certificate_names_the_adaptive_method(self):
+        f = dataclasses.replace(catalog_density("product:aniso1:eps=0.01"), quadratic_form=None)
+        u = counterexample1_competitor(1.0)
+        family = CompetitorFamily("ce1", ((0.0, 1.0),), lambda params: u)
+        v = falsify(f, I_CE, J_CE, E2, families=[family], budget=50)
+        assert v.cross_check["method_default_order"] == "adaptive"
+        assert v.cross_check["value_default_order"] == surface_energy(u, f, tol=1e-11).value
 
 
 class TestJumpSquareBuilder:
