@@ -9,9 +9,9 @@ not finding one within budget is evidence, never proof.
 Competitor families are authored on a side-6 square (the scale of the
 reference constructions) and energies are normalized per unit interface
 length, which is invariant under rescaling.  The built-in families are
-insert layouts with one cell topology each; the search evaluates them
-through that compiled topology, and certifies its best competitor on the
-general path, built as a partition.
+insert layouts with one cell topology each, compiled once per process; the
+search evaluates them through that topology, and certifies its best
+competitor on the general path, built as a partition.
 """
 
 from __future__ import annotations
@@ -196,13 +196,11 @@ def _breakdown(u: PiecewiseRigid, f: Density, groups: dict) -> dict:
     masks = {name: group(jumps) for name, group in groups.items()}
     if np.any(sum(masks.values()) != 1):
         raise EllipticityError("jump segment outside the breakdown groups")
-    out, err = {}, 0.0
-    for name, mask in masks.items():
-        res = integrate_jump_arrays(jumps.take(np.flatnonzero(mask)), f, tol=1e-12, order=15)
-        out[name] = res.value
-        err += res.error_estimate
+    owner = np.argmax(np.array(list(masks.values())), axis=0)
+    results = integrate_jump_sets(jumps, owner, len(masks), f, 1e-12, 15)
+    out = {name: res.value for name, res in zip(masks, results)}
     out["total"] = sum(out.values())
-    out["error_estimate"] = err
+    out["error_estimate"] = sum(res.error_estimate for res in results)
     return out
 
 
@@ -349,23 +347,19 @@ class LayoutFamily(CompetitorFamily):
 
     layout: object = None  # parameter rows -> cell vertices, pieces, half widths and heights
     topology: JumpSquareTopology | None = None
-
-    def jumps(self, batch):
-        """The jump sets of generator(params) for every parameter vector of
-        the batch, as (jumps, owner, general): one JumpArrays holding the
-        rows of each vector in batch order, the batch index of each row,
-        and the indices of the vectors the general generator must judge:
-        those outside the bounds, with pieces not finite, an insert not
-        inside the square, or a cell a Polygon check might reject."""
-        jumps, owner, general = _layout_jumps([(self, batch)])
-        return jumps, owner, general.tolist()
+    side: float = 6.0  # of the square, which frame_from_normal(nu) turns
+    frame: np.ndarray | None = None
+    outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
 
 
 def _layout_jumps(requests):
-    """LayoutFamily.jumps for the parameter vectors of several (family,
-    batch) requests at once, in one JumpSquareTopology.jumps call: owner and
-    general index the vectors of all requests, request after request.  Each
-    family's layout and checks run on all its vectors in one pass."""
+    """The jump sets of generator(params) for the parameter vectors of
+    several (layout family, batch) requests, in one JumpSquareTopology.jumps
+    call: (jumps, owner, general), the rows of each vector in order, the
+    index of each row's vector among those of all requests, and the vectors
+    the general generator must judge: outside the bounds, with pieces not
+    finite, an insert not inside the square, or a cell a Polygon check might
+    reject.  Each family's layout and checks run on its vectors in one pass."""
     batches, fast, start = [], [], 0
     for family, batch in requests:
         P = np.asarray(batch, dtype=float).reshape(-1, family.dim)
@@ -373,9 +367,13 @@ def _layout_jumps(requests):
         inside = np.flatnonzero(np.all((lo <= P) & (P <= hi), axis=1))
         vertices, A, c, hw, hh = family.layout(P[inside])
         ok = (np.all(np.isfinite(A), axis=(1, 2, 3)) & np.all(np.isfinite(c), axis=(1, 2))
-              & _insert_inside(hw, hh, family.topology.side))
+              & _insert_inside(hw, hh, family.side))
         fast.append(start + inside[ok])
-        batches.append((family.topology, vertices[ok], A[ok], c[ok], hw[ok], hh[ok]))
+        placed = JumpSquareTopology.place(vertices[ok], hw[ok], hh[ok], family.side, family.frame)
+        # the outer cells' pieces, then the insert's
+        A, c = (np.concatenate([o[None].repeat(len(placed), 0), x[ok]], 1)
+                for o, x in zip(family.outer, (A, c)))
+        batches.append((family.topology, placed, A, c))
         start += len(P)
     jumps, owner, rejected = JumpSquareTopology.jumps(batches)
     fast = np.concatenate(fast)
@@ -401,10 +399,15 @@ class EllipticityVerdict(Report):
     competitor: PiecewiseRigid | None = None
 
 
+_TOPOLOGIES = {}  # insert layout -> its JumpSquareTopology, compiled on first use
+
+
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     """Built-in families, one insert layout each: square insert, thin
     rectangle, checkerboard, and two nested squares with independent rigid
-    motions."""
+    motions.  A cell topology depends on the layout alone, not on i, j, nu,
+    side or i_side: it is compiled from the layout's row of halves on the
+    side-6 square oriented by e2, and the families carry this call's values."""
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     nu = unit(nu)
@@ -418,6 +421,8 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     omega = (-2.0 * gap, 2.0 * gap)
     mid = 0.5 * (i + j)
     R = frame_from_normal(nu)
+    plus_val, minus_val = jump_sides(i, j, i_side)
+    outer = (np.zeros((2, i.size, i.size)), np.array([minus_val, plus_val]))
 
     def family(name, layout, bounds, suggestions):
         def generator(params):
@@ -428,10 +433,12 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
             tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
             for start in suggestions
         )
-        # compiled from two in-bounds parameter vectors, which must agree
-        examples = [generator([lo + t * (hi - lo) for lo, hi in bounds]) for t in (1 / 3, 2 / 3)]
-        topology = JumpSquareTopology(examples, side, nu)
-        return LayoutFamily(name, bounds, generator, clipped, layout, topology)
+        if layout not in _TOPOLOGIES:
+            row = _insert_args(layout, [0.5] * len(bounds))
+            u = insert_competitor(np.zeros(2), np.ones(2), E2, *row)
+            _TOPOLOGIES[layout] = JumpSquareTopology(u.partition)
+        return LayoutFamily(name, bounds, generator, clipped, layout, _TOPOLOGIES[layout],
+                            side, R, outer)
 
     return [
         family(

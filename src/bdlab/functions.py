@@ -324,65 +324,59 @@ _OUTER_INDEX = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x 
 
 
 class JumpSquareTopology:
-    """The jump sets of jump_square at the origin with a hole (hw, -hh, hh)
-    filled by insert cells, as JumpArrays straight from arrays, for inputs
-    that keep one cell topology: the cell-edge pairs of the interfaces, which
-    the `Interfaces` of example competitors built by jump_square store, with
-    the given side and normal.  Examples with other pairs raise
-    FunctionError.  `jumps` evaluates the pairs with edge_pair_interfaces
-    and jump_arrays, the arithmetic of the partition and of jump_segments,
-    so its arrays equal the general path's bit for bit.  The caller keeps
-    the inputs within the range the examples stand for (one topology, the
+    """The cell topology of jump_square at the origin with a hole (hw, -hh,
+    hh) filled by insert cells: the vertex counts of the cells and the
+    cell-edge pairs of the interfaces, read from the `Interfaces` of one
+    such partition, which raises FunctionError unless both outer cells have
+    their notch (eight vertices each).  The pairs stand for every side,
+    normal, value and parameter row that keep them, as they do for an
+    insert layout.  `jumps` evaluates them with edge_pair_interfaces and
+    jump_arrays, the arithmetic of the partition and of jump_segments, so
+    its arrays equal the general path's bit for bit.  The caller keeps the
+    inputs within the range the partition stands for (one topology, the
     hole inside the square); inputs a Polygon might reject are handed back,
     and belong to jump_square."""
 
-    def __init__(self, examples, side: float, nu):
-        tops = []
-        for u in examples:
-            itf = u.partition.interfaces
-            pairs = [x.tolist() for x in (itf.right, itf.right_edge, itf.left, itf.left_edge)]
-            tops.append((tuple(len(c) for c in u.partition.cells), pairs))
-        if any(t != tops[0] for t in tops[1:]) or tops[0][0][:2] != (8, 8):
-            raise FunctionError("the examples do not share one cell topology")
-        self.counts, pairs = tops[0]
-        self.side = float(side)
-        self.frame = frame_from_normal(nu)
-        self.outer = _stacked(u.pieces[:2], u.dim)
+    def __init__(self, partition: PolygonalPartition):
+        self.counts = tuple(len(c) for c in partition.cells)
+        if self.counts[:2] != (8, 8):
+            raise FunctionError("the outer cells of a jump square topology need their notches")
         counts = np.array(self.counts)
         self.starts = np.cumsum(counts) - counts
         self.cell_of = np.repeat(np.arange(counts.size), counts)
         # each stacked vertex starts an edge of its cell, which ends at the next vertex
         local = np.arange(self.cell_of.size) - self.starts[self.cell_of]
         _, self.next = edge_vertices(counts, self.cell_of, local)
-        ia, k, ib, l = np.array(pairs, dtype=int)
-        self.edges = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
-        self.right, self.left = ia, ib
+        itf = partition.interfaces
+        self.pairs = right, k, left, l = itf.right, itf.right_edge, itf.left, itf.left_edge
+        self.edges = edge_vertices(counts, right, k) + edge_vertices(counts, left, l)
+        self.right, self.left = right, left
 
-    def place(self, vertices, hw, hh) -> np.ndarray:
+    @staticmethod
+    def place(vertices, hw, hh, side: float, frame) -> np.ndarray:
         """Every cell's vertices in place, (n, V, 2), for insert cells with the
         stacked vertices (n, V_in, 2) in frame coordinates and half widths
-        and half heights (n,): the outer cells gathered by _OUTER_INDEX, then
-        the insert cells, turned by the frame in one 2-D matmul on the
-        stacked vertices, which gives each row what jump_square's
-        `vertices @ R.T` of its cell gives it."""
-        s = np.full(len(hw), 0.5 * self.side)
+        and half heights (n,) on the side-`side` square turned by `frame`:
+        the outer cells gathered by _OUTER_INDEX, then the insert cells,
+        turned in one 2-D matmul on the stacked vertices, which gives each
+        row what jump_square's `vertices @ R.T` of its cell gives it."""
+        s = np.full(len(hw), 0.5 * side)
         columns = np.stack([np.zeros_like(s), s, -s, hw, -hw, hh, -hh], axis=1)
         W = np.concatenate([columns[:, _OUTER_INDEX], vertices], axis=1)
-        return (W.reshape(-1, 2) @ self.frame.T).reshape(W.shape)
+        return (W.reshape(-1, 2) @ frame.T).reshape(W.shape)
 
     @staticmethod
     def jumps(batches) -> tuple[JumpArrays, np.ndarray, np.ndarray]:
-        """The jump sets of every input of (topology, vertices, A, c, hw, hh)
-        batches, with place's arrays and insert pieces x -> A x + c, A
-        (n, C, d, d) and c (n, C, d), in one edge_pair_interfaces and one
-        jump_arrays call: (jumps, owner, rejected), the rows of each input in
-        order, the index of each row's input among the inputs of all batches,
-        and those left out: a vertex not finite or a cell a Polygon check
-        might reject."""
+        """The jump sets of every input of (topology, W, A, c) batches, with
+        every cell's vertices W (n, V, 2) as place gives them and every
+        cell's piece x -> A x + c, A (n, C, d, d) and c (n, C, d), in one
+        edge_pair_interfaces and one jump_arrays call: (jumps, owner,
+        rejected), the rows of each input in order, the index of each row's
+        input among the inputs of all batches, and those left out: a vertex
+        not finite or a cell a Polygon check might reject."""
         W, A, c, ends, left, right, owner, rejected = ([] for _ in range(8))
         start = 0
-        for top, vertices, A_in, c_in, hw, hh in batches:
-            placed = top.place(vertices, hw, hh)
+        for top, placed, A_in, c_in in batches:
             ok = np.all(np.isfinite(placed), axis=(1, 2))
             ok[ok] = top._cells_valid(placed[ok])
             kept = np.flatnonzero(ok)
@@ -392,14 +386,11 @@ class JumpSquareTopology:
             ends.append([(vertex_rows + e).ravel() for e in top.edges])
             left.append((piece_rows + top.left).ravel())
             right.append((piece_rows + top.right).ravel())
-            W.append(placed[kept].reshape(-1, 2))
-            for out, x, outer in ((A, A_in, top.outer[0]), (c, c_in, top.outer[1])):
-                # the outer cells' pieces, then the insert's
-                x = np.concatenate([outer[None].repeat(kept.size, 0), x[kept]], 1)
-                out.append(x.reshape((-1,) + outer.shape[1:]))
+            for out, x in ((W, placed), (A, A_in), (c, c_in)):
+                out.append(x[kept].reshape((-1,) + x.shape[2:]))
             owner.append(np.repeat(start + kept, len(top.left)))
             rejected.append(start + np.flatnonzero(~ok))
-            start += len(hw)
+            start += len(placed)
         a, b, normal = edge_pair_interfaces(np.concatenate(W), *map(np.concatenate, zip(*ends)))
         A, c, left, right = (np.concatenate(x) for x in (A, c, left, right))
         jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.stats import qmc
@@ -40,10 +40,12 @@ from bdlab.functions import (
     make_elementary,
     rigid_piece,
 )
+from bdlab import ellipticity
 from bdlab.geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
+    PolygonalPartition,
     edge_pair_interfaces,
     frame_from_normal,
     unit,
@@ -56,6 +58,7 @@ from bdlab.ellipticity import (
     _SEARCH_TOL,
     _SENTINEL,
     _latin_hypercube,
+    _layout_jumps,
     _nelder_mead,
     _search_values,
     CompetitorFamily,
@@ -659,8 +662,8 @@ class TestCompiledLayouts:
             params = fam.suggestions[start % len(fam.suggestions)]
         else:
             params = [lo + t * (hi - lo) for t, (lo, hi) in zip(start, fam.bounds)]
-        jumps, owner, general = fam.jumps([params])
-        assert general == [] and np.all(owner == 0)
+        jumps, owner, general = _layout_jumps([(fam, [params])])
+        assert general.size == 0 and np.all(owner == 0)
         u = fam.generator(params)
         for fid in CATALOG_IDS:
             f = catalog_density(fid)
@@ -671,19 +674,25 @@ class TestCompiledLayouts:
 
     @pytest.mark.parametrize("family", range(4))
     def test_segments_match_jump_segments(self, family):
+        # the topology is compiled at side 6 and nu = e2 only
         rng = np.random.default_rng([5, family])
-        side = 6.0
         for i_side in ("plus", "minus"):
-            nu = np.array([0.6, -0.8])
-            fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
             for _ in range(10):
+                side, nu = rng.uniform(2.5, 12.0), unit(rng.normal(size=2))
+                fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
                 params = [rng.uniform(lo, hi) for lo, hi in fam.bounds]
-                jumps, owner, rest = fam.jumps([params])
-                assert rest == [] and np.all(owner == 0)
-                general = fam.generator(params).jump_segments()
+                jumps, owner, rest = _layout_jumps([(fam, [params])])
+                try:
+                    general = fam.generator(params).jump_segments()
+                except REJECTED:
+                    # an insert beyond a small square is the generator's to judge
+                    assert rest.tolist() == [0] and len(jumps) == 0
+                    continue
+                assert rest.size == 0 and np.all(owner == 0)
                 assert len(jumps) == len(general) > 0
                 for f in dataclasses.fields(JumpArrays):
-                    assert np.array_equal(getattr(jumps, f.name), getattr(general, f.name)), f.name
+                    got, ref = getattr(jumps, f.name), getattr(general, f.name)
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), f.name
 
     @pytest.mark.parametrize("family", range(4))
     def test_rejected_parameters_get_the_sentinel_on_both_paths(self, family):
@@ -694,8 +703,8 @@ class TestCompiledLayouts:
             params = [first] + mid[1:]
             with pytest.raises((GeometryError, FunctionError, EllipticityError)):
                 fam.generator(params)
-            jumps, owner, general = fam.jumps([params])
-            assert general == [0] and len(jumps) == owner.size == 0
+            jumps, owner, general = _layout_jumps([(fam, [params])])
+            assert general.tolist() == [0] and len(jumps) == owner.size == 0
         # searches whose bounds reach such sizes reject the same evaluations
         # and follow the same path, through the fast path and without it
         raised = {}
@@ -743,35 +752,73 @@ class TestCompiledLayouts:
             else [lo + t * (hi - lo) for t, (lo, hi) in zip(d, fam.bounds)]
             for d in draws
         ]
-        jumps, owner, general = fam.jumps(batch)
+        jumps, owner, general = _layout_jumps([(fam, batch)])
         assert np.all(np.diff(owner) >= 0)
         alone_general = []
         for n, params in enumerate(batch):
-            one, one_owner, one_general = fam.jumps([params])
+            one, one_owner, one_general = _layout_jumps([(fam, [params])])
             assert np.all(one_owner == 0)
             alone_general += [n] * len(one_general)
             rows = jumps.take(np.flatnonzero(owner == n))
             for f in dataclasses.fields(JumpArrays):
                 assert np.array_equal(getattr(rows, f.name), getattr(one, f.name)), (n, f.name)
-        assert general == alone_general
+        assert general.tolist() == alone_general
 
-    def test_topology_must_not_depend_on_the_examples(self):
+    def test_topology_needs_both_notches(self):
         cell = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
         pieces = [rigid_piece(1.0, (1.0, 1.0))]
-
-        def example(cells, hole=(1.0, -1.0, 1.0)):
-            return jump_square(I_CE, J_CE, E2, 6.0, hole=hole, cells=cells, pieces=pieces)
-
-        JumpSquareTopology([example([cell]), example([cell])], 6.0, E2)
-        # an insert filling the lower half of the hole loses the upper interface
-        with pytest.raises(FunctionError):
-            JumpSquareTopology([example([cell]), example([cell * [1.0, 0.5] - [0.0, 0.5]])],
-                               6.0, E2)
+        u = jump_square(I_CE, J_CE, E2, 6.0, hole=(1.0, -1.0, 1.0), cells=[cell], pieces=pieces)
+        assert JumpSquareTopology(u.partition).counts == (8, 8, 4)
         # without the upper notch the upper half loses three edges, and the
         # outer cells no longer have the vertices of the gather
-        lower = example([cell * [1.0, 0.5] - [0.0, 0.5]], hole=(1.0, -1.0, 0.0))
+        lower = jump_square(I_CE, J_CE, E2, 6.0, hole=(1.0, -1.0, 0.0),
+                            cells=[cell * [1.0, 0.5] - [0.0, 0.5]], pieces=pieces)
         with pytest.raises(FunctionError):
-            JumpSquareTopology([lower, lower], 6.0, E2)
+            JumpSquareTopology(lower.partition)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        i_side=st.sampled_from(("plus", "minus")),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        side=st.sampled_from((3.0, 6.0, 10.0)),
+        unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_compiled_topology_is_every_competitors(self, family, i_side, angle, side,
+                                                    unit_params):
+        # compiled from one row at side 6 and nu = e2, the cell-edge pairs
+        # are those of every competitor the generator builds
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
+        try:
+            u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+        except REJECTED:
+            reject()  # an insert beyond the side-3 square
+        itf = u.partition.interfaces
+        assert tuple(len(c) for c in u.partition.cells) == fam.topology.counts
+        pairs = (itf.right, itf.right_edge, itf.left, itf.left_edge)
+        assert [x.tolist() for x in pairs] == [x.tolist() for x in fam.topology.pairs]
+
+    def test_default_families_builds_no_partition_after_its_first_call(self, monkeypatch):
+        built = []
+        init = PolygonalPartition.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ellipticity, "_TOPOLOGIES", {})
+        monkeypatch.setattr(PolygonalPartition, "__init__", counting)
+        default_families(I_CE, J_CE, E2)
+        first = len(built)
+        assert 0 < first <= 4
+        default_families((1.0, -2.0), (0.5, 3.0), unit([0.3, -0.7]), side=9.0, i_side="plus")
+        assert len(built) == first
+
+    def test_cli_import_compiles_no_topology(self):
+        out = child_output("import bdlab.cli; from bdlab import ellipticity; "
+                           "print(len(ellipticity._TOPOLOGIES))")
+        assert out == "0"
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -818,7 +865,7 @@ class TestCompiledLayouts:
             else:
                 params = lo + np.array(d[:fam.dim]) * (hi - lo)
             batch.append(np.asarray(params, dtype=float))
-        jumps, owner, general = fam.jumps(batch)
+        jumps, owner, general = _layout_jumps([(fam, batch)])
         want, want_owner, want_general = former_family_jumps(
             family, wide, I_CE, J_CE, nu, i_side)(batch)
         for f in dataclasses.fields(JumpArrays):
@@ -826,7 +873,7 @@ class TestCompiledLayouts:
             # bytes: sign bits too
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), f.name
         assert owner.dtype == want_owner.dtype and np.array_equal(owner, want_owner)
-        assert general == want_general
+        assert general.tolist() == want_general
 
     @pytest.mark.parametrize("fid", ["isotropic:id", "product:aniso1:eps=0.01"])
     def test_round_equals_point_by_point(self, fid):
@@ -963,6 +1010,18 @@ class TestNelderMead:
         assert points[1][0] == 0.00025
 
 
+def child_output(code: str) -> str:
+    """What `python -c code` prints, stripped, in a child process that finds
+    the package this suite imports first."""
+    import bdlab
+
+    src = str(Path(bdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    return out.stdout.strip()
+
+
 class TestLatinHypercube:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), fi=st.integers(0, 7), d=st.integers(1, 10),
@@ -974,15 +1033,7 @@ class TestLatinHypercube:
         assert np.array_equal(_latin_hypercube(seed, fi, d, n), want)
 
     def test_cli_import_leaves_scipy_out(self):
-        # the package this suite imports, found first in the child process
-        import bdlab
-
-        src = str(Path(bdlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, bdlab.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "False"
+        assert child_output("import sys, bdlab.cli; print('scipy' in sys.modules)") == "False"
 
 
 def sequential_search(f, i, j, nu, budget, seed):
@@ -994,8 +1045,8 @@ def sequential_search(f, i, j, nu, budget, seed):
     def objective(family):
         def value(params):
             try:
-                jumps, _, general = family.jumps([params])
-                if general:
+                jumps, _, general = _layout_jumps([(family, [params])])
+                if general.size:
                     return surface_energy(family.generator(params), f, tol=1e-9, order=15).value
                 return integrate_jump_arrays(jumps, f, 1e-9, 15).value
             except (GeometryError, FunctionError, EllipticityError):

@@ -7,6 +7,7 @@ from bdlab.ellipticity import default_families
 from bdlab.functions import (
     AffinePiece,
     FunctionError,
+    JumpSquareTopology,
     PiecewiseAffine,
     PiecewiseRigid,
     compact_deviation,
@@ -223,11 +224,13 @@ class TestFrameProduct:
     @pytest.mark.parametrize("family", range(4))
     def test_placed_vertices_are_jump_square_vertices(self, family):
         rng = np.random.default_rng([19, family])
-        fam = default_families((0.0, 0.0), (2.0, 2.0), unit(rng.normal(size=2)))[family]
+        # any side that holds every insert of the bounds
+        fam = default_families((0.0, 0.0), (2.0, 2.0), unit(rng.normal(size=2)),
+                               side=rng.uniform(5.7, 12.0))[family]
         lo, hi = np.array(fam.bounds).T
         P = lo + rng.uniform(size=(20, lo.size)) * (hi - lo)
         vertices, _, _, hw, hh = fam.layout(P)
-        placed = fam.topology.place(vertices, hw, hh)
+        placed = JumpSquareTopology.place(vertices, hw, hh, fam.side, fam.frame)
         for params, W in zip(P, placed):
             cells = fam.generator(params).partition.cells
             assert np.concatenate([c.vertices for c in cells]).tobytes() == W.tobytes()

@@ -1,8 +1,10 @@
-"""Count the NumPy calls of one search round's geometry.
+"""Count the NumPy calls of the family compile and of one search round's geometry.
 
     PYTHONPATH=<checkout>/src python tools/npcalls.py
 
-A round is one `ellipticity._search_values` call over
+The compile is a first and a second `default_families((0, 0), (2, 2), e2)`
+call in one process: the first pays what is compiled once per process, the
+second only what every call pays.  A round is one `ellipticity._search_values` call over
 `default_families((0, 0), (2, 2), e2)` at 40 and at 80 points, dealt to the
 four families in turn and drawn inside their bounds from a fixed seed.  The
 line kernel is left out: `ellipticity.integrate_jump_sets` is replaced by a
@@ -55,7 +57,11 @@ def numpy_calls(run) -> int:
 
 
 def main() -> int:
-    families = ellipticity.default_families((0.0, 0.0), (2.0, 2.0), (0.0, 1.0))
+    args = ((0.0, 0.0), (2.0, 2.0), (0.0, 1.0))
+    for call in ("first", "second"):
+        calls = numpy_calls(lambda: ellipticity.default_families(*args))
+        print(f"{call} default_families call: {calls} numpy calls")
+    families = ellipticity.default_families(*args)
     f = catalog_density("isotropic:id")
     rng = np.random.default_rng(0)
 
