@@ -347,7 +347,7 @@ class LayoutFamily(CompetitorFamily):
 
     layout: object = None  # parameter rows -> cell vertices, pieces, half widths and heights
     topology: JumpSquareTopology | None = None
-    side: float = 6.0  # of the square, which frame_from_normal(nu) turns
+    side: float = 6.0  # of the square, turned by frame = frame_from_normal(nu)
     frame: np.ndarray | None = None
     outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
 

@@ -327,10 +327,10 @@ class JumpSquareTopology:
     """The cell topology of jump_square at the origin with a hole (hw, -hh,
     hh) filled by insert cells: the vertex counts of the cells and the
     cell-edge pairs of the interfaces, read from the `Interfaces` of one
-    such partition, which raises FunctionError unless both outer cells have
-    their notch (eight vertices each).  The pairs stand for every side,
-    normal, value and parameter row that keep them, as they do for an
-    insert layout.  `jumps` evaluates them with edge_pair_interfaces and
+    such partition; one whose outer cells lack a notch (eight vertices
+    each) raises FunctionError.  The pairs stand for every side, normal,
+    value and parameter row that keep them, as those of an insert layout
+    do.  `jumps` evaluates them with edge_pair_interfaces and
     jump_arrays, the arithmetic of the partition and of jump_segments, so
     its arrays equal the general path's bit for bit.  The caller keeps the
     inputs within the range the partition stands for (one topology, the
@@ -348,9 +348,10 @@ class JumpSquareTopology:
         local = np.arange(self.cell_of.size) - self.starts[self.cell_of]
         _, self.next = edge_vertices(counts, self.cell_of, local)
         itf = partition.interfaces
-        self.pairs = right, k, left, l = itf.right, itf.right_edge, itf.left, itf.left_edge
-        self.edges = edge_vertices(counts, right, k) + edge_vertices(counts, left, l)
-        self.right, self.left = right, left
+        self.right, self.right_edge = itf.right, itf.right_edge
+        self.left, self.left_edge = itf.left, itf.left_edge
+        self.edges = (edge_vertices(counts, self.right, self.right_edge)
+                      + edge_vertices(counts, self.left, self.left_edge))
 
     @staticmethod
     def place(vertices, hw, hh, side: float, frame) -> np.ndarray:

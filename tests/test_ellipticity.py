@@ -794,10 +794,10 @@ class TestCompiledLayouts:
             u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
         except REJECTED:
             reject()  # an insert beyond the side-3 square
-        itf = u.partition.interfaces
         assert tuple(len(c) for c in u.partition.cells) == fam.topology.counts
-        pairs = (itf.right, itf.right_edge, itf.left, itf.left_edge)
-        assert [x.tolist() for x in pairs] == [x.tolist() for x in fam.topology.pairs]
+        for name in ("right", "right_edge", "left", "left_edge"):
+            want = getattr(u.partition.interfaces, name)
+            assert getattr(fam.topology, name).tolist() == want.tolist(), name
 
     def test_default_families_builds_no_partition_after_its_first_call(self, monkeypatch):
         built = []

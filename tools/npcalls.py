@@ -4,17 +4,18 @@
 
 The compile is a first and a second `default_families((0, 0), (2, 2), e2)`
 call in one process: the first pays what is compiled once per process, the
-second only what every call pays.  A round is one `ellipticity._search_values` call over
-`default_families((0, 0), (2, 2), e2)` at 40 and at 80 points, dealt to the
-four families in turn and drawn inside their bounds from a fixed seed.  The
-line kernel is left out: `ellipticity.integrate_jump_sets` is replaced by a
-stub that returns zero energies, so the count is that of building the jump
-sets.  A NumPy call is a C function of numpy that `sys.setprofile` reports
-as called ("c_call"): numpy's module-level builtins and the methods of
-ndarrays and ufuncs.  The profiler does not report ufunc calls, operators
-or numpy's dispatched functions such as `np.concatenate`, so the count is a
-lower bound, taken the same way on any checkout whose `_search_values(f,
-families, points)` has this signature.
+second only what every call pays.  A round is one
+`ellipticity._search_values` call over those families at 40 and at 80
+points, dealt to the four families in turn and drawn inside their bounds
+from a fixed seed.  The line kernel is left out:
+`ellipticity.integrate_jump_sets` is replaced by a stub that returns zero
+energies, so the count is that of building the jump sets.  A NumPy call is a
+C function of numpy that `sys.setprofile` reports as called ("c_call"):
+numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
+profiler does not report ufunc calls, operators or numpy's dispatched
+functions such as `np.concatenate`, so the count is a lower bound, taken the
+same way on any checkout whose `_search_values(f, families, points)` has
+this signature.
 """
 
 from __future__ import annotations
