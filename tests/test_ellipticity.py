@@ -504,9 +504,9 @@ class TestJumpSquareBuilder:
             tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side="bogus")
 
 
-# The per-vector insert layouts, the tuple-batch topology and the per-vector
-# LayoutFamily.jumps that the batched layouts replaced, kept as oracles for
-# the arrays of the batched path.
+# The per-vector insert layouts, the tuple-batch topology compiled from two
+# example competitors and the per-vector family jumps that the batched
+# layouts replaced, kept as oracles for the arrays of the batched path.
 
 
 def former_centered_square(h):
@@ -610,8 +610,8 @@ class FormerTopology:
 
 
 def former_family_jumps(index, bounds, i, j, nu, i_side, side=6.0):
-    """The per-vector LayoutFamily.jumps of default family `index`, compiled
-    as default_families compiles it, with the given bounds."""
+    """The per-vector jump sets of default family `index` with the given
+    bounds, its topology compiled from two examples of the default bounds."""
     layout = FORMER_LAYOUTS[index]
     nu = unit(nu)  # as default_families takes it
     default = default_families(i, j, nu, side=side, i_side=i_side)[index].bounds
@@ -784,8 +784,8 @@ class TestCompiledLayouts:
         side=st.sampled_from((3.0, 6.0, 10.0)),
         unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
     )
-    def test_compiled_topology_is_every_competitors(self, family, i_side, angle, side,
-                                                    unit_params):
+    def test_compiled_topology_matches_every_competitor(self, family, i_side, angle, side,
+                                                        unit_params):
         # compiled from one row at side 6 and nu = e2, the cell-edge pairs
         # are those of every competitor the generator builds
         nu = np.array([np.cos(angle), np.sin(angle)])
