@@ -7,11 +7,13 @@ with lower energy certifies that f is not elliptic for rigid competitors;
 not finding one within budget is evidence, never proof.
 
 Competitor families are authored on a side-6 square (the scale of the
-reference constructions) and energies are normalized per unit interface
+reference constructions) and rescaled to the side: sizes by side / 6,
+rotations by its inverse.  Energies are normalized per unit interface
 length, which is invariant under rescaling.  The built-in families are
-insert layouts with one cell topology each, compiled once per process; the
-search evaluates them through that topology, and certifies its best
-competitor on the general path, built as a partition.
+insert layouts with one cell topology each, compiled once per process, and
+bounds in which every row builds valid cells, checked once per family; the
+search evaluates them through that topology with no per-point check, and
+certifies its best competitor on the general path, built as a partition.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def insert_competitor(
 ) -> PiecewiseRigid:
     """Piecewise rigid competitor: two-valued jump outside a rectangular
     insert carrying the given cells and pieces (frame coordinates)."""
-    if not _insert_inside(half_width, half_height, side):
+    if not (0 < half_width < 0.5 * side and 0 < half_height < 0.5 * side):
         raise EllipticityError("insert must sit strictly inside the square")
     return jump_square(
         i, j, unit(nu), side, i_side=i_side,
@@ -75,21 +77,16 @@ def insert_competitor(
     )
 
 
-def _insert_inside(half_width, half_height, side):
-    h = 0.5 * side  # broadcasts over arrays of half widths and heights
-    return (0 < half_width) & (half_width < h) & (0 < half_height) & (half_height < h)
+# Insert layouts: parameter rows (n, dim) and the side of the square ->
+# cell vertices in frame coordinates (n, V_in, 2), four a cell, pieces
+# x -> A x + c, A (n, C, 2, 2) and c (n, C, 2), and half widths and heights
+# (n,).  Elementwise, so each row's arithmetic is that of its vector alone.
 
 
-# Insert layouts: parameter rows (n, dim) -> cell vertices in frame
-# coordinates (n, V_in, 2), four a cell, pieces x -> A x + c, A (n, C, 2, 2)
-# and c (n, C, 2), and half widths and heights (n,).  Elementwise, so each
-# row's arithmetic is that of its vector alone.
-
-
-def _insert_args(layout, params):
+def _insert_args(layout, params, side=6.0):
     """insert_competitor's cells, pieces, half width and half height from
     row 0 of the layout of a batch of one; each cell has V_in / C vertices."""
-    vertices, A, c, hw, hh = layout(np.array([params], dtype=float))
+    vertices, A, c, hw, hh = layout(np.array([params], dtype=float), side)
     pieces = [AffinePiece(a, b) for a, b in zip(A[0], c[0])]
     return list(vertices[0].reshape(len(pieces), -1, 2)), pieces, hw[0], hh[0]
 
@@ -106,21 +103,22 @@ def _rectangle(hw, hh):
     return np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
 
 
-def _square_layout(P):
+def _square_layout(P, side):
     """Rows (s, omega, b1, b2): a side-s square with the rigid motion (omega, (b1, b2))."""
     s, omega, b1, b2 = P.T
     h = 0.5 * s
     return (_rectangle(h, h), *_rigid(omega, b1, b2), h, h)
 
 
-def _rect_layout(P):
-    """Rows (delta, omega, b1, b2): a 2 x 2 delta rectangle, rigid motion (omega, (b1, b2))."""
+def _rect_layout(P, side):
+    """Rows (delta, omega, b1, b2): a side / 3 x 2 delta rectangle, rigid
+    motion (omega, (b1, b2)); its half width is 1 at side 6."""
     delta, omega, b1, b2 = P.T
-    one = np.ones_like(delta)
-    return (_rectangle(one, delta), *_rigid(omega, b1, b2), one, delta)
+    hw = np.full_like(delta, side / 6.0)
+    return (_rectangle(hw, delta), *_rigid(omega, b1, b2), hw, delta)
 
 
-def _checker_layout(P):
+def _checker_layout(P, side):
     """Rows (s, v1, v2, w1, w2): a side-s square in quarters alternating the values v, w."""
     s, v1, v2, w1, w2 = P.T
     hh = 0.5 * s
@@ -132,7 +130,7 @@ def _checker_layout(P):
     return cells, np.zeros(c.shape + (2,)), c, hh, hh
 
 
-def _nested_layout(P):
+def _nested_layout(P, side):
     """Rows (s1, frac, om1, b11, b12, om2, b21, b22): a side-s1 square ring
     (four trapezoids, motion 1) around a centered side-frac*s1 square
     (motion 2)."""
@@ -145,6 +143,24 @@ def _nested_layout(P):
     (A1, c1), (A2, c2) = _rigid(om1, b11, b12), _rigid(om2, b21, b22)
     A, c = np.concatenate([A2] + [A1] * 4, axis=1), np.concatenate([c2] + [c1] * 4, axis=1)
     return cells, A, c, h1, h1
+
+
+# Each layout's checked columns, (column, low, high, size): a row whose
+# values there lie in [low, high], times the side for a size (a length) and
+# as they are for a shape fraction, builds cells that Polygon accepts, none
+# with a side below 5e-6 of the square's, and an insert at least 0.01 of
+# the side inside the square, whatever its other columns.
+_RANGES = {
+    _square_layout: ((0, 1e-3, 0.98, True),),
+    _rect_layout: ((0, 1e-3, 0.49, True),),
+    _checker_layout: ((0, 1e-3, 0.98, True),),
+    _nested_layout: ((0, 1e-3, 0.98, True), (1, 0.01, 0.99, False)),
+}
+
+
+def _check_side(side) -> None:
+    if not 0 < side < np.inf:
+        raise EllipticityError(f"side must be finite and positive, got {side!r}")
 
 
 def counterexample1_competitor(lam: float) -> PiecewiseRigid:
@@ -343,43 +359,48 @@ class CompetitorFamily:
 @dataclass(frozen=True)
 class LayoutFamily(CompetitorFamily):
     """A family whose generator is insert_competitor over an insert layout
-    with one cell topology, compiled into `topology`."""
+    with one cell topology, compiled into `topology`; its bounds, finite and
+    within the layout's _RANGES at its side, are checked here, once."""
 
-    layout: object = None  # parameter rows -> cell vertices, pieces, half widths and heights
+    layout: object = None  # parameter rows, side -> cell vertices, pieces, half widths and heights
     topology: JumpSquareTopology | None = None
     side: float = 6.0  # of the square, turned by frame = frame_from_normal(nu)
     frame: np.ndarray | None = None
     outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
 
+    def __post_init__(self):
+        _check_side(self.side)
+        valid = all(-np.inf < lo <= hi < np.inf for lo, hi in self.bounds)
+        for column, low, high, size in _RANGES[self.layout]:
+            unit = self.side if size else 1.0
+            lo, hi = self.bounds[column]
+            valid = valid and low * unit <= lo and hi <= high * unit
+        if not valid:
+            raise EllipticityError(
+                f"{self.name}: bounds {self.bounds} may leave the layout's valid range "
+                f"at side {self.side}")
+
 
 def _layout_jumps(requests):
     """The jump sets of generator(params) for the parameter vectors of
     several (layout family, batch) requests, in one JumpSquareTopology.jumps
-    call: (jumps, owner, general), the rows of each vector in order, the
-    index of each row's vector among those of all requests, and the vectors
-    the general generator must judge: outside the bounds, with pieces not
-    finite, an insert not inside the square, or a cell a Polygon check might
-    reject.  Each family's layout and checks run on its vectors in one pass."""
-    batches, fast, start = [], [], 0
+    call: (jumps, owner), the rows of each vector in order and the index of
+    each row's vector among those of all requests.  A family's bounds keep
+    every row's cells valid, so nothing is checked but that the vectors lie
+    in them: one outside raises EllipticityError."""
+    batches = []
     for family, batch in requests:
         P = np.asarray(batch, dtype=float).reshape(-1, family.dim)
         lo, hi = np.array(family.bounds, dtype=float).T
-        inside = np.flatnonzero(np.all((lo <= P) & (P <= hi), axis=1))
-        vertices, A, c, hw, hh = family.layout(P[inside])
-        ok = (np.all(np.isfinite(A), axis=(1, 2, 3)) & np.all(np.isfinite(c), axis=(1, 2))
-              & _insert_inside(hw, hh, family.side))
-        fast.append(start + inside[ok])
-        placed = JumpSquareTopology.place(vertices[ok], hw[ok], hh[ok], family.side, family.frame)
+        if not np.all((lo <= P) & (P <= hi)):
+            raise EllipticityError(f"{family.name}: parameters outside the bounds")
+        vertices, A, c, hw, hh = family.layout(P, family.side)
+        placed = JumpSquareTopology.place(vertices, hw, hh, family.side, family.frame)
         # the outer cells' pieces, then the insert's
-        A, c = (np.concatenate([o[None].repeat(len(placed), 0), x[ok]], 1)
+        A, c = (np.concatenate([o[None].repeat(len(P), 0), x], 1)
                 for o, x in zip(family.outer, (A, c)))
         batches.append((family.topology, placed, A, c))
-        start += len(P)
-    jumps, owner, rejected = JumpSquareTopology.jumps(batches)
-    fast = np.concatenate(fast)
-    # np.bincount, not np.setdiff1d, whose first call costs 1.5 MB of resident memory
-    accepted = np.bincount(np.delete(fast, rejected), minlength=start)
-    return jumps, fast[owner], np.flatnonzero(accepted == 0)
+    return JumpSquareTopology.jumps(batches)
 
 
 @dataclass(frozen=True)
@@ -405,9 +426,13 @@ _TOPOLOGIES = {}  # insert layout -> its JumpSquareTopology, compiled on first u
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     """Built-in families, one insert layout each: square insert, thin
     rectangle, checkerboard, and two nested squares with independent rigid
-    motions.  A cell topology depends on the layout alone, not on i, j, nu,
-    side or i_side: it is compiled from the layout's row of halves on the
-    side-6 square oriented by e2, and the families carry this call's values."""
+    motions, authored at side 6 and rescaled by k = side / 6 (sizes times
+    k, rotations over k) as PiecewiseAffine.scaled(k) rescales competitors.
+    A cell topology depends on the layout alone, not on i, j, nu, side or
+    i_side: it is compiled from the layout's row of halves on the side-6
+    square oriented by e2, and the families carry this call's values."""
+    _check_side(side)
+    k = side / 6.0
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     nu = unit(nu)
@@ -418,7 +443,7 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     lo = np.minimum(i, j) - gap
     hi = np.maximum(i, j) + gap
     vec = ((lo[0], hi[0]), (lo[1], hi[1]))  # bounds of a value or a translation
-    omega = (-2.0 * gap, 2.0 * gap)
+    omega = (-2.0 * gap / k, 2.0 * gap / k)
     mid = 0.5 * (i + j)
     R = frame_from_normal(nu)
     plus_val, minus_val = jump_sides(i, j, i_side)
@@ -427,7 +452,7 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     def family(name, layout, bounds, suggestions):
         def generator(params):
             return insert_competitor(
-                i, j, nu, *_insert_args(layout, params), side=side, i_side=i_side)
+                i, j, nu, *_insert_args(layout, params, side), side=side, i_side=i_side)
 
         clipped = tuple(
             tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
@@ -440,20 +465,23 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
         return LayoutFamily(name, bounds, generator, clipped, layout, _TOPOLOGIES[layout],
                             side, R, outer)
 
+    size = (0.3 * k, 5.6 * k)
     return [
         family(
-            "square-insert", _square_layout, ((0.3, 5.6), omega, *vec),
-            [(2.0, lam, *mid), (2.0, -lam, *mid)],
+            "square-insert", _square_layout, (size, omega, *vec),
+            [(2.0 * k, lam / k, *mid), (2.0 * k, -lam / k, *mid)],
         ),
         family(
-            "rect-insert", _rect_layout, ((0.02, 0.95), (-40 * gap, 40 * gap), *vec),
-            [(d, lam / d, *(i + R @ np.array([lam, lam / d]))) for d in (0.05, 0.1, 0.2, 0.4)],
+            "rect-insert", _rect_layout,
+            ((0.02 * k, 0.95 * k), (-40.0 * gap / k, 40.0 * gap / k), *vec),
+            [(d * k, lam / (d * k), *(i + R @ np.array([lam, lam / d])))
+             for d in (0.05, 0.1, 0.2, 0.4)],
         ),
-        family("checkerboard", _checker_layout, ((0.3, 5.6), *vec, *vec), [(2.0, *i, *j)]),
+        family("checkerboard", _checker_layout, (size, *vec, *vec), [(2.0 * k, *i, *j)]),
         family(
             "nested-squares", _nested_layout,
-            ((0.5, 5.6), (0.15, 0.85), omega, *vec, omega, *vec),
-            [(2.0, 0.5, lam, *mid, lam, *mid)],
+            ((0.5 * k, 5.6 * k), (0.15, 0.85), omega, *vec, omega, *vec),
+            [(2.0 * k, 0.5, lam / k, *mid, lam / k, *mid)],
         ),
     ]
 
@@ -471,20 +499,19 @@ _SENTINEL = 1e30
 def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]:
     """The search objective at (family index, parameters) points, and the
     indices of the points rejected: the surface energy of each competitor,
-    or the sentinel for one whose generator raises.  The layout families'
-    points give their jump sets in one _layout_jumps call, the others and
-    those it hands back through their generator, and one kernel call
-    integrates every jump set."""
+    or the sentinel for one of a plain family whose generator raises.  The
+    layout families' points, valid by construction, give their jump sets in
+    one _layout_jumps call, the others through their generator, and one
+    kernel call integrates every jump set."""
     order = dict.fromkeys(fi for fi, _ in points)
     layouts = [fi for fi in order if isinstance(families[fi], LayoutFamily)]
-    ids = np.array([k for fi in layouts for k, (g, _) in enumerate(points) if g == fi], dtype=int)
     general = [k for k, (fi, _) in enumerate(points) if fi not in layouts]
     sets, owners, rejected = [], [], set()
     if layouts:
-        jumps, owner, rest = _layout_jumps(
+        ids = np.array([k for fi in layouts for k, (g, _) in enumerate(points) if g == fi])
+        jumps, owner = _layout_jumps(
             [(families[fi], [p for g, p in points if g == fi]) for fi in layouts])
         sets, owners = [jumps], [ids[owner]]
-        general = ids[rest].tolist() + general
     for k in general:
         try:
             jumps = families[points[k][0]].generator(points[k][1]).jump_segments()
@@ -619,10 +646,11 @@ def falsify(
     The budget caps the objective evaluations and must cover one search run.
     Layout families are searched through their compiled topology; the
     certificate rebuilds the best competitor with the family's generator and
-    integrates it on the general path.
+    integrates it on the general path.  The side must be finite and positive.
     """
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
+    _check_side(side)
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     if np.array_equal(i, j):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import (
-    MATCH_TOL,
     OrientedSquare,
     Polygon,
     PolygonalPartition,
@@ -332,24 +331,19 @@ class JumpSquareTopology:
     value and parameter row that keep them, as those of an insert layout
     do.  `jumps` evaluates them with edge_pair_interfaces and
     jump_arrays, the arithmetic of the partition and of jump_segments, so
-    its arrays equal the general path's bit for bit.  The caller keeps the
-    inputs within the range the partition stands for (one topology, the
-    hole inside the square); inputs a Polygon might reject are handed back,
-    and belong to jump_square."""
+    its arrays equal the general path's bit for bit.  It checks no cell:
+    the caller keeps the inputs within the range the partition stands for
+    (one topology, every cell one that Polygon accepts, the hole inside the
+    square), as the bounds of a layout family do by construction."""
 
     def __init__(self, partition: PolygonalPartition):
         self.counts = tuple(len(c) for c in partition.cells)
         if self.counts[:2] != (8, 8):
             raise FunctionError("the outer cells of a jump square topology need their notches")
-        counts = np.array(self.counts)
-        self.starts = np.cumsum(counts) - counts
-        self.cell_of = np.repeat(np.arange(counts.size), counts)
-        # each stacked vertex starts an edge of its cell, which ends at the next vertex
-        local = np.arange(self.cell_of.size) - self.starts[self.cell_of]
-        _, self.next = edge_vertices(counts, self.cell_of, local)
         itf = partition.interfaces
         self.right, self.right_edge = itf.right, itf.right_edge
         self.left, self.left_edge = itf.left, itf.left_edge
+        counts = np.array(self.counts)
         self.edges = (edge_vertices(counts, self.right, self.right_edge)
                       + edge_vertices(counts, self.left, self.left_edge))
 
@@ -367,57 +361,31 @@ class JumpSquareTopology:
         return (W.reshape(-1, 2) @ frame.T).reshape(W.shape)
 
     @staticmethod
-    def jumps(batches) -> tuple[JumpArrays, np.ndarray, np.ndarray]:
+    def jumps(batches) -> tuple[JumpArrays, np.ndarray]:
         """The jump sets of every input of (topology, W, A, c) batches, with
         every cell's vertices W (n, V, 2) as place gives them and every
         cell's piece x -> A x + c, A (n, C, d, d) and c (n, C, d), in one
-        edge_pair_interfaces and one jump_arrays call: (jumps, owner,
-        rejected), the rows of each input in order, the index of each row's
-        input among the inputs of all batches, and those left out: a vertex
-        not finite or a cell a Polygon check might reject."""
-        W, A, c, ends, left, right, owner, rejected = ([] for _ in range(8))
+        edge_pair_interfaces and one jump_arrays call: (jumps, owner), the
+        rows of each input in order and the index of each row's input
+        among the inputs of all batches."""
+        W, A, c, ends, left, right, owner = ([] for _ in range(7))
         start = 0
         for top, placed, A_in, c_in in batches:
-            ok = np.all(np.isfinite(placed), axis=(1, 2))
-            ok[ok] = top._cells_valid(placed[ok])
-            kept = np.flatnonzero(ok)
-            # each kept input's block of vertices and of pieces, input after input
-            vertex_rows = sum(map(len, W)) + placed.shape[1] * np.arange(kept.size)[:, None]
-            piece_rows = sum(map(len, A)) + len(top.counts) * np.arange(kept.size)[:, None]
+            n = np.arange(len(placed))[:, None]
+            # each input's block of vertices and of pieces, input after input
+            vertex_rows = sum(map(len, W)) + placed.shape[1] * n
+            piece_rows = sum(map(len, A)) + len(top.counts) * n
             ends.append([(vertex_rows + e).ravel() for e in top.edges])
             left.append((piece_rows + top.left).ravel())
             right.append((piece_rows + top.right).ravel())
             for out, x in ((W, placed), (A, A_in), (c, c_in)):
-                out.append(x[kept].reshape((-1,) + x.shape[2:]))
-            owner.append(np.repeat(start + kept, len(top.left)))
-            rejected.append(start + np.flatnonzero(~ok))
+                out.append(x.reshape((-1,) + x.shape[2:]))
+            owner.append(np.repeat(start + n, len(top.left)))
             start += len(placed)
         a, b, normal = edge_pair_interfaces(np.concatenate(W), *map(np.concatenate, zip(*ends)))
         A, c, left, right = (np.concatenate(x) for x in (A, c, left, right))
         jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
-        return jumps, np.concatenate(owner)[rows], np.concatenate(rejected)
-
-    def _cells_valid(self, W) -> np.ndarray:
-        """Polygon's checks on every cell of each input (vertices W[k]):
-        nonzero extent, no repeated consecutive vertices, positive area, the
-        last with a margin far above rounding so that no cell Polygon
-        rejects passes.  One flag per input."""
-        m, V, _ = W.shape
-        C = len(self.counts)
-        base = np.arange(m)[:, None]
-        starts = (base * V + self.starts).ravel()
-        nxt = (base * V + self.next).ravel()
-        W = W.reshape(-1, 2)
-        ext = np.max(
-            np.maximum.reduceat(W, starts, axis=0) - np.minimum.reduceat(W, starts, axis=0),
-            axis=1,
-        )
-        gaps = np.linalg.norm(W - W[nxt], axis=1)
-        cross = W[:, 0] * W[nxt, 1] - W[:, 1] * W[nxt, 0]
-        area = 0.5 * np.add.reduceat(cross, starts)
-        cell_ok = (ext > 0.0) & (area > 1e-9 * ext * ext)
-        gap_ok = gaps >= MATCH_TOL * ext[(base * C + self.cell_of).ravel()]
-        return cell_ok.reshape(m, C).all(axis=1) & gap_ok.reshape(m, V).all(axis=1)
+        return jumps, np.concatenate(owner)[rows]
 
 
 def make_elementary(

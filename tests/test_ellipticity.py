@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.stats import qmc
@@ -439,6 +440,20 @@ class TestFalsify:
         with pytest.raises(EllipticityError):
             falsify(f, E1, E1, E2, budget=10)
 
+    @pytest.mark.parametrize("side", [np.nan, np.inf, -6.0, 0.0])
+    def test_rejects_bad_side(self, side):
+        # before any search, with the default families and without them
+        f = catalog_density("isotropic:id")
+        u = counterexample1_competitor(1.0)
+        family = CompetitorFamily("ce1", ((0.0, 1.0),), lambda params: u)
+        for families in (None, [family]):
+            with pytest.raises(EllipticityError):
+                falsify(f, I_CE, J_CE, E2, families=families, budget=600, side=side)
+            with pytest.raises(EllipticityError):
+                relaxation_estimate(f, I_CE, J_CE, E2, families=families, budget=600, side=side)
+        with pytest.raises(EllipticityError):
+            default_families(I_CE, J_CE, E2, side=side)
+
     def test_rejects_bogus_i_side(self):
         f = catalog_density("isotropic:id")
         with pytest.raises(FunctionError):
@@ -475,23 +490,46 @@ class TestFalsify:
         assert v.cross_check["value_default_order"] == surface_energy(u, f, tol=1e-11).value
 
 
+def widest(fam):
+    """The layout family with the bounds of its checked columns at the ends
+    of their valid range."""
+    bounds = list(fam.bounds)
+    for column, low, high, size in ellipticity._RANGES[fam.layout]:
+        unit = fam.side if size else 1.0
+        bounds[column] = (low * unit, high * unit)
+    return dataclasses.replace(fam, bounds=tuple(bounds))
+
+
 class TestJumpSquareBuilder:
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
         i_side=st.sampled_from(("plus", "minus")),
-        unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        # unit coordinates in the bounds, the ends of the bounds half the time
+        unit_params=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                             min_size=8, max_size=8),
         angle=st.floats(0.0, 2.0 * np.pi),
+        side=st.one_of(st.just(6.0), st.floats(0.5, 50.0)),
+        wide=st.booleans(),
     )
-    def test_family_competitors_deviate_compactly(self, family, i_side, unit_params, angle):
-        # every layout over the builder is a valid partition that changes the
-        # elementary jump on the same square only away from its boundary
+    def test_family_competitors_deviate_compactly(self, family, i_side, unit_params, angle,
+                                                  side, wide):
+        # every row in a layout family's bounds, up to the ends of the valid
+        # range, is a valid partition that changes the elementary jump on the
+        # same square only a margin away from its boundary, and the compiled
+        # topology gives its jump set
         nu = np.array([np.cos(angle), np.sin(angle)])
-        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
-        u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
+        fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
+        fam = widest(fam) if wide else fam
+        params = [lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)]
+        u = fam.generator(params)
         assert validate_partition(u.partition).passed
-        ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, 6.0, (0, 0)), i_side=i_side)
-        assert compact_deviation(u, ref, margin=1e-3 * 6.0)
+        ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, side, (0, 0)), i_side=i_side)
+        assert compact_deviation(u, ref, margin=0.01 * side * (1.0 - 1e-9))
+        jumps, _ = _layout_jumps([(fam, [params])])
+        general = u.jump_segments()
+        for f in dataclasses.fields(JumpArrays):
+            assert getattr(jumps, f.name).tobytes() == getattr(general, f.name).tobytes(), f.name
 
     def test_bogus_i_side_raises(self):
         cells = [np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])]
@@ -555,9 +593,6 @@ REJECTED = (GeometryError, FunctionError, EllipticityError)
 class FormerTopology:
     """JumpSquareTopology as it took (hole, cells, pieces) tuples."""
 
-    # the Polygon checks, which the batched path did not change
-    _cells_valid = JumpSquareTopology._cells_valid
-
     def __init__(self, i, j, nu, side, examples, i_side="plus"):
         tops = []
         for hole, cells, pieces in examples:
@@ -571,47 +606,35 @@ class FormerTopology:
         self.frame = frame_from_normal(nu)
         self.outer = list(u.pieces[:2])
         counts = np.array(self.counts)
-        self.starts = np.cumsum(counts) - counts
-        self.cell_of = np.repeat(np.arange(counts.size), counts)
-        local = np.arange(self.cell_of.size) - self.starts[self.cell_of]
-        _, self.next = edge_vertices(counts, self.cell_of, local)
         ia, k, ib, l = np.array(pairs, dtype=int)
         self.edges = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
         self.right, self.left = ia, ib
 
     def jumps(self, batch):
-        frames, kept, rejected = [], [], []
-        for n, (hole, cells, _) in enumerate(batch):
+        frames = []
+        for hole, cells, _ in batch:
             frame = list(_outer_cells(self.side, hole)) + list(cells)
-            if tuple(len(c) for c in frame) != self.counts:
-                rejected.append(n)
-                continue
+            assert tuple(len(c) for c in frame) == self.counts
             frames.append(np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame]))
-            kept.append(n)
-        V = self.cell_of.size
+        V = sum(self.counts)
         W = np.array(frames).reshape(-1, V, 2)
-        ok = np.all(np.isfinite(W), axis=(1, 2))
-        ok[ok] = self._cells_valid(W[ok])
-        rejected = sorted(rejected + [n for n, good in zip(kept, ok.tolist()) if not good])
-        kept = [n for n, good in zip(kept, ok.tolist()) if good]
-        W = W[ok]
 
         def offset(index, size):
-            return (np.arange(len(kept))[:, None] * size + index).ravel()
+            return (np.arange(len(batch))[:, None] * size + index).ravel()
 
         a, b, normal = edge_pair_interfaces(W.reshape(-1, 2), *(offset(e, V) for e in self.edges))
         P = len(self.counts)
         d = self.outer[0].b.size
-        A, c = _stacked([p for n in kept for p in self.outer + list(batch[n][2])], d)
+        A, c = _stacked([p for _, _, pieces in batch for p in self.outer + list(pieces)], d)
         left, right = offset(self.left, P), offset(self.right, P)
         jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
-        owner = np.repeat(np.array(kept, dtype=int), len(self.left))[rows]
-        return jumps, owner, rejected
+        owner = np.repeat(np.arange(len(batch)), len(self.left))[rows]
+        return jumps, owner
 
 
-def former_family_jumps(index, bounds, i, j, nu, i_side, side=6.0):
-    """The per-vector jump sets of default family `index` with the given
-    bounds, its topology compiled from two examples of the default bounds."""
+def former_family_jumps(index, i, j, nu, i_side, side=6.0):
+    """The per-vector jump sets of default family `index`, its topology
+    compiled from two examples of the default bounds."""
     layout = FORMER_LAYOUTS[index]
     nu = unit(nu)  # as default_families takes it
     default = default_families(i, j, nu, side=side, i_side=i_side)[index].bounds
@@ -622,23 +645,20 @@ def former_family_jumps(index, bounds, i, j, nu, i_side, side=6.0):
     topology = FormerTopology(i, j, nu, side, examples, i_side=i_side)
 
     def jumps(batch):
-        inputs, fast, general = [], [], []
-        for n, params in enumerate(batch):
-            if all(lo <= p <= hi for p, (lo, hi) in zip(params, bounds)):
-                try:
-                    cells, pieces, hw, hh = layout(*params)
-                except REJECTED:
-                    cells = None
-                if cells is not None and 0 < hw < 0.5 * side and 0 < hh < 0.5 * side:
-                    inputs.append(((hw, -hh, hh), cells, pieces))
-                    fast.append(n)
-                    continue
-            general.append(n)
-        jumps, owner, rejected = topology.jumps(inputs)
-        fast = np.array(fast, dtype=int)
-        return jumps, fast[owner], sorted(general + fast[rejected].tolist())
+        inputs = []
+        for params in batch:
+            cells, pieces, hw, hh = layout(*params)
+            inputs.append(((hw, -hh, hh), cells, pieces))
+        return topology.jumps(inputs)
 
     return jumps
+
+
+def plain(fam, bounds=None):
+    """A plain CompetitorFamily over a layout family's generator: the general
+    path, on which a generator that raises gives the sentinel."""
+    return CompetitorFamily(fam.name, fam.bounds if bounds is None else bounds, fam.generator,
+                            fam.suggestions)
 
 
 class TestCompiledLayouts:
@@ -662,8 +682,8 @@ class TestCompiledLayouts:
             params = fam.suggestions[start % len(fam.suggestions)]
         else:
             params = [lo + t * (hi - lo) for t, (lo, hi) in zip(start, fam.bounds)]
-        jumps, owner, general = _layout_jumps([(fam, [params])])
-        assert general.size == 0 and np.all(owner == 0)
+        jumps, owner = _layout_jumps([(fam, [params])])
+        assert np.all(owner == 0)
         u = fam.generator(params)
         for fid in CATALOG_IDS:
             f = catalog_density(fid)
@@ -681,14 +701,9 @@ class TestCompiledLayouts:
                 side, nu = rng.uniform(2.5, 12.0), unit(rng.normal(size=2))
                 fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
                 params = [rng.uniform(lo, hi) for lo, hi in fam.bounds]
-                jumps, owner, rest = _layout_jumps([(fam, [params])])
-                try:
-                    general = fam.generator(params).jump_segments()
-                except REJECTED:
-                    # an insert beyond a small square is the generator's to judge
-                    assert rest.tolist() == [0] and len(jumps) == 0
-                    continue
-                assert rest.size == 0 and np.all(owner == 0)
+                jumps, owner = _layout_jumps([(fam, [params])])
+                general = fam.generator(params).jump_segments()
+                assert np.all(owner == 0)
                 assert len(jumps) == len(general) > 0
                 for f in dataclasses.fields(JumpArrays):
                     got, ref = getattr(jumps, f.name), getattr(general, f.name)
@@ -698,33 +713,41 @@ class TestCompiledLayouts:
     def test_rejected_parameters_get_the_sentinel_on_both_paths(self, family):
         fam = default_families(I_CE, J_CE, E2)[family]
         mid = [0.5 * (lo + hi) for lo, hi in fam.bounds]
+        wide = ((-1.0, 8.0),) + fam.bounds[1:]
+        f = catalog_density("isotropic:id")
         # the first parameter sets the insert size: none, negative, beyond the square
         for first in (0.0, -1.0, 7.0, np.nan):
             params = [first] + mid[1:]
-            with pytest.raises((GeometryError, FunctionError, EllipticityError)):
+            with pytest.raises(REJECTED):
                 fam.generator(params)
-            jumps, owner, general = _layout_jumps([(fam, [params])])
-            assert general.tolist() == [0] and len(jumps) == owner.size == 0
-        # searches whose bounds reach such sizes reject the same evaluations
-        # and follow the same path, through the fast path and without it
-        raised = {}
+            # outside the bounds the layout path raises; the general path of a
+            # plain family gives the sentinel, and the same value in the bounds
+            with pytest.raises(EllipticityError):
+                _layout_jumps([(fam, [mid, params])])
+            points = [(0, mid), (1, params), (1, mid)]
+            values, rejected = _search_values(f, [fam, plain(fam, wide)], points)
+            assert rejected == {1} and values[1] == _SENTINEL and values[0] == values[2]
+        # a layout family cannot reach such sizes ...
+        with pytest.raises(EllipticityError):
+            dataclasses.replace(fam, bounds=wide)
+        # ... and a plain family searching them counts every evaluation its
+        # generator rejects
+        raised = [0]
 
-        def counting(key):
-            def generator(params):
-                try:
-                    return fam.generator(params)
-                except (GeometryError, FunctionError, EllipticityError):
-                    raised[key] = raised.get(key, 0) + 1
-                    raise
-            return generator
+        def counting(params):
+            try:
+                return fam.generator(params)
+            except REJECTED:
+                raised[0] += 1
+                raise
 
-        wide = ((-1.0, 8.0),) + fam.bounds[1:]
-        fast = dataclasses.replace(fam, bounds=wide, generator=counting("fast"), suggestions=())
-        general = CompetitorFamily(fam.name, wide, counting("general"))
-        f = catalog_density("isotropic:id")
+        searched = CompetitorFamily(fam.name, wide, counting)
+        v = falsify(f, I_CE, J_CE, E2, families=[searched], budget=100, seed=1,
+                    keep_competitor=False)
+        assert v.diagnostics["families"][0]["rejected"] == raised[0] > 0
+        # in the bounds, the layout path and the general path give one verdict
         v = [falsify(f, I_CE, J_CE, E2, families=[fam_], budget=100, seed=1, keep_competitor=False)
-             for fam_ in (fast, general)]
-        assert raised["fast"] == raised["general"] > 0
+             for fam_ in (fam, plain(fam))]
         assert v[0].to_json() == v[1].to_json()
 
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -732,37 +755,25 @@ class TestCompiledLayouts:
         family=st.integers(0, 3),
         i_side=st.sampled_from(("plus", "minus")),
         angle=st.floats(0.0, 2.0 * np.pi),
-        draws=st.lists(
-            st.one_of(
-                st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
-                # insert sizes for the general generator: none, negative,
-                # beyond the square, not a number, and too small for a Polygon
-                st.sampled_from([0.0, -1.0, 7.0, np.nan, 1e-12]),
-            ),
-            min_size=1, max_size=6,
-        ),
+        draws=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+                       min_size=1, max_size=6),
     )
     def test_batch_matches_one_vector_at_a_time(self, family, i_side, angle, draws):
         nu = np.array([np.cos(angle), np.sin(angle)])
         fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
-        fam = dataclasses.replace(fam, bounds=((-1.0, 8.0),) + fam.bounds[1:])
-        mid = [0.5 * (lo + hi) for lo, hi in fam.bounds]
-        batch = [
-            [d] + mid[1:] if isinstance(d, float)
-            else [lo + t * (hi - lo) for t, (lo, hi) in zip(d, fam.bounds)]
-            for d in draws
-        ]
-        jumps, owner, general = _layout_jumps([(fam, batch)])
+        batch = [[lo + t * (hi - lo) for t, (lo, hi) in zip(d, fam.bounds)] for d in draws]
+        jumps, owner = _layout_jumps([(fam, batch)])
         assert np.all(np.diff(owner) >= 0)
-        alone_general = []
         for n, params in enumerate(batch):
-            one, one_owner, one_general = _layout_jumps([(fam, [params])])
+            one, one_owner = _layout_jumps([(fam, [params])])
             assert np.all(one_owner == 0)
-            alone_general += [n] * len(one_general)
             rows = jumps.take(np.flatnonzero(owner == n))
             for f in dataclasses.fields(JumpArrays):
                 assert np.array_equal(getattr(rows, f.name), getattr(one, f.name)), (n, f.name)
-        assert general.tolist() == alone_general
+        # one vector outside the bounds fails the whole batch
+        outside = [fam.bounds[0][1] * 1.5] + batch[0][1:]
+        with pytest.raises(EllipticityError):
+            _layout_jumps([(fam, batch + [outside])])
 
     def test_topology_needs_both_notches(self):
         cell = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -790,10 +801,7 @@ class TestCompiledLayouts:
         # are those of every competitor the generator builds
         nu = np.array([np.cos(angle), np.sin(angle)])
         fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
-        try:
-            u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
-        except REJECTED:
-            reject()  # an insert beyond the side-3 square
+        u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
         assert tuple(len(c) for c in u.partition.cells) == fam.topology.counts
         for name in ("right", "right_edge", "left", "left_edge"):
             want = getattr(u.partition.interfaces, name)
@@ -827,17 +835,12 @@ class TestCompiledLayouts:
         angle=st.floats(0.0, 2.0 * np.pi),
         draws=st.lists(
             st.one_of(
-                # unit coordinates in the bounds, and in and beyond them
+                # unit coordinates in the bounds
                 st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
-                st.lists(st.floats(-0.25, 1.25), min_size=8, max_size=8),
                 # vectors on the boundary of the bounds
                 st.lists(st.sampled_from(["lo", "hi"]), min_size=8, max_size=8),
                 # a copy of the previous vector
                 st.just("again"),
-                # a non-finite coordinate in a mid vector
-                st.tuples(st.integers(0, 7), st.sampled_from([np.nan, np.inf, -np.inf])),
-                # cells that the Polygon checks reject
-                st.just("degenerate"),
             ),
             min_size=1, max_size=12,
         ),
@@ -845,49 +848,39 @@ class TestCompiledLayouts:
     def test_batched_layouts_equal_the_per_vector_path(self, family, i_side, angle, draws):
         nu = np.array([np.cos(angle), np.sin(angle)])
         fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
-        # wide enough for inserts beyond the square and degenerate nested rings
-        wide = ((-1.0, 8.0),) + ((0.0, 1.0),) * (family == 3) + fam.bounds[1 + (family == 3):]
-        fam = dataclasses.replace(fam, bounds=wide)
-        lo, hi = np.array(wide).T
+        lo, hi = np.array(fam.bounds).T
         batch = []
         for d in draws:
             if d == "again":
                 params = batch[-1] if batch else 0.5 * (lo + hi)
-            elif d == "degenerate":
-                # a vanishing insert; for the nested squares a vanishing ring
-                params = 0.5 * (lo + hi)
-                params[int(family == 3)] = 1e-12 if family != 3 else 1.0
-            elif isinstance(d, tuple):
-                params = 0.5 * (lo + hi)
-                params[d[0] % fam.dim] = d[1]
             elif isinstance(d[0], str):
                 params = np.where(np.array(d[:fam.dim]) == "lo", lo, hi)
             else:
                 params = lo + np.array(d[:fam.dim]) * (hi - lo)
             batch.append(np.asarray(params, dtype=float))
-        jumps, owner, general = _layout_jumps([(fam, batch)])
-        want, want_owner, want_general = former_family_jumps(
-            family, wide, I_CE, J_CE, nu, i_side)(batch)
+        jumps, owner = _layout_jumps([(fam, batch)])
+        want, want_owner = former_family_jumps(family, I_CE, J_CE, nu, i_side)(batch)
         for f in dataclasses.fields(JumpArrays):
             got, ref = getattr(jumps, f.name), getattr(want, f.name)
             # bytes: sign bits too
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), f.name
         assert owner.dtype == want_owner.dtype and np.array_equal(owner, want_owner)
-        assert general.tolist() == want_general
 
     @pytest.mark.parametrize("fid", ["isotropic:id", "product:aniso1:eps=0.01"])
     def test_round_equals_point_by_point(self, fid):
         nu = unit([0.3, -0.7])
         families = default_families(I_CE, J_CE, nu)
-        families.append(CompetitorFamily("plain", families[0].bounds, families[0].generator))
+        # the square insert as a plain family, over sizes its generator rejects
+        families.append(plain(families[0], ((-1.0, 8.0),) + families[0].bounds[1:]))
         rng = np.random.default_rng([13, len(fid)])
         points = []
         for _ in range(60):
             fi = int(rng.integers(len(families)))
             lo, hi = np.array(families[fi].bounds).T
-            params = lo + rng.uniform(-0.1, 1.1, size=lo.size) * (hi - lo)
-            # an insert of no size, or a non-finite one, for the generator to reject
-            params[0] = rng.choice([params[0], 0.0, np.nan], p=[0.8, 0.1, 0.1])
+            params = lo + rng.uniform(size=lo.size) * (hi - lo)
+            if fi == len(families) - 1:
+                # an insert of no size, or a non-finite one, for the generator to reject
+                params[0] = rng.choice([params[0], 0.0, np.nan], p=[0.6, 0.2, 0.2])
             points.append((fi, params))
         f = catalog_density(fid)
         values, rejected = _search_values(f, families, points)
@@ -902,6 +895,69 @@ class TestCompiledLayouts:
             want.append(integrate_jump_arrays(jumps, f, _SEARCH_TOL, _SEARCH_ORDER).value)
         assert values == want
         assert rejected == want_rejected and 0 < len(rejected) < len(points)
+        assert all(points[k][0] == len(families) - 1 for k in rejected)
+
+
+class TestScaledFamilies:
+    """The default families at a side are the side-6 families rescaled, and
+    every layout family's bounds are checked once, when it is made."""
+
+    @pytest.mark.parametrize("fid,nu", [
+        ("product:aniso1:eps=0.01", E2),
+        ("aniso2:eps=1e-4", E2),
+        ("isotropic:id", (0.6, 0.8)),
+    ])
+    def test_off_side_6_verdicts_scale_exactly(self, fid, nu):
+        # sides that are powers of two times 6 scale every number exactly
+        f = catalog_density(fid)
+        base = falsify(f, I_CE, J_CE, nu, budget=600, seed=0, keep_competitor=False)
+        assert base.status == ("NO-VIOLATION-WITHIN-BUDGET" if fid == "isotropic:id"
+                               else "VIOLATION")
+        for side in (1.5, 3.0, 12.0):
+            v = falsify(f, I_CE, J_CE, nu, budget=600, seed=0, side=side, keep_competitor=False)
+            assert all(st_["rejected"] == 0 for st_ in v.diagnostics["families"])
+            assert v.normalized_margin == base.normalized_margin
+            assert (v.status, v.best_family, v.budget_used) == (
+                base.status, base.best_family, base.budget_used)
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_rows_at_the_ends_of_the_valid_range_build_valid_competitors(self, family):
+        # every corner of the checked columns, the other columns all at one end
+        for side, angle in ((6.0, 0.5 * np.pi), (0.75, 2.2), (40.0, 4.0)):
+            nu = np.array([np.cos(angle), np.sin(angle)])
+            fam = widest(default_families(I_CE, J_CE, nu, side=side)[family])
+            ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, side, (0, 0)), i_side="minus")
+            checked = [column for column, *_ in ellipticity._RANGES[fam.layout]]
+            for ends in itertools.product((0, 1), repeat=len(checked) + 1):
+                corner = [ends[checked.index(k)] if k in checked else ends[-1]
+                          for k in range(fam.dim)]
+                params = [bound[end] for bound, end in zip(fam.bounds, corner)]
+                u = fam.generator(params)
+                assert validate_partition(u.partition).passed
+                assert compact_deviation(u, ref, margin=0.01 * side * (1.0 - 1e-9))
+                jumps, _ = _layout_jumps([(fam, [params])])
+                assert jumps.a.tobytes() == u.jump_segments().a.tobytes()
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_bounds_outside_the_valid_range_raise_at_construction(self, family):
+        for side in (6.0, 0.75):
+            fam = default_families(I_CE, J_CE, E2, side=side)[family]
+            assert widest(fam).bounds != fam.bounds
+            for column, low, high, size in ellipticity._RANGES[fam.layout]:
+                unit = side if size else 1.0
+                lo, hi = fam.bounds[column]
+                for bound in ((0.5 * low * unit, hi), (lo, 1.01 * high * unit), (hi, lo)):
+                    with pytest.raises(EllipticityError):
+                        dataclasses.replace(fam, bounds=fam.bounds[:column] + (bound,)
+                                            + fam.bounds[column + 1:])
+            # a free column may take any finite bounds, never infinite ones
+            free = fam.bounds[:-1]
+            dataclasses.replace(fam, bounds=free + ((-1e6, 1e6),))
+            with pytest.raises(EllipticityError):
+                dataclasses.replace(fam, bounds=free + ((-np.inf, 1.0),))
+            for bad in (np.nan, np.inf, 0.0, -side):
+                with pytest.raises(EllipticityError):
+                    dataclasses.replace(fam, side=bad)
 
 
 def scipy_nelder_mead(fun, x0, bounds, maxfev):
@@ -1044,13 +1100,8 @@ def sequential_search(f, i, j, nu, budget, seed):
 
     def objective(family):
         def value(params):
-            try:
-                jumps, _, general = _layout_jumps([(family, [params])])
-                if general.size:
-                    return surface_energy(family.generator(params), f, tol=1e-9, order=15).value
-                return integrate_jump_arrays(jumps, f, 1e-9, 15).value
-            except (GeometryError, FunctionError, EllipticityError):
-                return 1e30
+            jumps, _ = _layout_jumps([(family, [params])])
+            return integrate_jump_arrays(jumps, f, 1e-9, 15).value
         return value
 
     runs = []
@@ -1114,7 +1165,7 @@ class TestLockstepSearch:
 
     def test_rejections_are_counted(self):
         fam = default_families(I_CE, J_CE, E2)[0]
-        wide = dataclasses.replace(fam, bounds=((-1.0, 8.0),) + fam.bounds[1:], suggestions=())
+        wide = plain(fam, ((-1.0, 8.0),) + fam.bounds[1:])
         v = falsify(catalog_density("isotropic:id"), I_CE, J_CE, E2, families=[wide], budget=100,
                     seed=1, keep_competitor=False)
         (st_,) = v.diagnostics["families"]

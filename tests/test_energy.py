@@ -310,8 +310,7 @@ class TestBatchedKernel:
         # differ by rounding noise, and the refinement would double per level
         fam = default_families((0, 0), (2, 2), (np.cos(2.746718806696573), np.sin(2.746718806696573)),
                                i_side="minus")[1]
-        jumps, _, general = _layout_jumps([(fam, [fam.suggestions[3]])])
-        assert general.size == 0
+        jumps, _ = _layout_jumps([(fam, [fam.suggestions[3]])])
         f, calls = counted(catalog_density("isotropic:sqrt").evaluator, limit=100)
         res = integrate_jump_arrays(jumps, Density("sqrt", f), 1e-13, 30)
         assert res.unconverged > 0

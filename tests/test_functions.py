@@ -224,12 +224,12 @@ class TestFrameProduct:
     @pytest.mark.parametrize("family", range(4))
     def test_placed_vertices_are_jump_square_vertices(self, family):
         rng = np.random.default_rng([19, family])
-        # any side that holds every insert of the bounds
+        # the bounds scale with the side
         fam = default_families((0.0, 0.0), (2.0, 2.0), unit(rng.normal(size=2)),
-                               side=rng.uniform(5.7, 12.0))[family]
+                               side=rng.uniform(0.5, 50.0))[family]
         lo, hi = np.array(fam.bounds).T
         P = lo + rng.uniform(size=(20, lo.size)) * (hi - lo)
-        vertices, _, _, hw, hh = fam.layout(P)
+        vertices, _, _, hw, hh = fam.layout(P, fam.side)
         placed = JumpSquareTopology.place(vertices, hw, hh, fam.side, fam.frame)
         for params, W in zip(P, placed):
             cells = fam.generator(params).partition.cells
