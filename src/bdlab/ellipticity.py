@@ -147,9 +147,9 @@ def _nested_layout(P, side):
 
 # Each layout's checked columns, (column, low, high, size): a row whose
 # values there lie in [low, high], times the side for a size (a length) and
-# as they are for a shape fraction, builds cells that Polygon accepts, none
-# with a side below 5e-6 of the square's, and an insert at least 0.01 of
-# the side inside the square, whatever its other columns.
+# as they are for a shape fraction, builds cells that Polygon accepts, no
+# edge shorter than 5e-6 of the side, and an insert at least 0.01 of the
+# side inside the square, whatever its other (finite) columns.
 _RANGES = {
     _square_layout: ((0, 1e-3, 0.98, True),),
     _rect_layout: ((0, 1e-3, 0.49, True),),
