@@ -403,6 +403,11 @@ def _layout_jumps(requests):
     return JumpSquareTopology.jumps(batches)
 
 
+def _outer_pieces(i, j, i_side):
+    """The pieces (A (2, d, d), c (2, d)) below and above the chord."""
+    return np.zeros((2, i.size, i.size)), np.array(jump_sides(i, j, i_side)[::-1])
+
+
 @dataclass(frozen=True)
 class EllipticityVerdict(Report):
     status: str  # "VIOLATION" or "NO-VIOLATION-WITHIN-BUDGET"
@@ -446,8 +451,7 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     omega = (-2.0 * gap / k, 2.0 * gap / k)
     mid = 0.5 * (i + j)
     R = frame_from_normal(nu)
-    plus_val, minus_val = jump_sides(i, j, i_side)
-    outer = (np.zeros((2, i.size, i.size)), np.array([minus_val, plus_val]))
+    outer = _outer_pieces(i, j, i_side)
 
     def family(name, layout, bounds, suggestions):
         def generator(params):
@@ -646,8 +650,8 @@ def falsify(
     The budget caps the objective evaluations and must cover one search run.
     Layout families are searched through their compiled topology; the
     certificate rebuilds the best competitor with the family's generator and
-    integrates it on the general path.  The side must be finite and positive.
-    """
+    integrates it on the general path.  The side must be finite and positive,
+    and a layout family's side, frame and outer pieces those of this call."""
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     _check_side(side)
@@ -655,12 +659,17 @@ def falsify(
     j = np.asarray(j, dtype=float)
     if np.array_equal(i, j):
         raise EllipticityError("falsification needs i != j")
-    jump_sides(i, j, i_side)
+    outer = _outer_pieces(i, j, i_side)
     nu_u = unit(nu)
     if families is None:
         families = default_families(i, j, nu_u, side=side, i_side=i_side)
     if not families:
         raise EllipticityError("need at least one competitor family")
+    built_for = (side, frame_from_normal(nu_u), *outer)
+    for family in families:
+        if isinstance(family, LayoutFamily) and not all(map(
+                np.array_equal, (family.side, family.frame, *family.outer), built_for)):
+            raise EllipticityError(f"{family.name}: built for another side, normal or jump")
 
     reference_norm = float(f(i, j, nu_u))
     reference_energy = reference_norm * side

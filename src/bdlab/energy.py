@@ -88,21 +88,13 @@ def _cuts(jumps: JumpArrays, rows, kinks):
     breakpoints are t0, the kink candidates inside (t0, t1) in increasing
     order and each once, and t1.  The candidates are the roots of the affine
     jump components, plus the points `kinks(value0, slope)` reports along
-    either trace."""
+    either trace, both (n, K) arrays with NaN for no candidate."""
     dv = jumps.plus_value0[rows] - jumps.minus_value0[rows]
     ds = jumps.plus_slope[rows] - jumps.minus_slope[rows]
     pts = np.divide(-dv, ds, out=np.full(ds.shape, np.nan), where=ds != 0)
     if kinks is not None:
-        extra = [
-            [float(x) for v0, sl in ((jumps.plus_value0[n], jumps.plus_slope[n]),
-                                     (jumps.minus_value0[n], jumps.minus_slope[n]))
-             for x in kinks(v0, sl)]
-            for n in rows.tolist()
-        ]
-        pad = np.full((rows.size, max(map(len, extra), default=0)), np.nan)
-        for k, e in enumerate(extra):
-            pad[k, :len(e)] = e
-        pts = np.concatenate([pts, pad], axis=1)
+        pts = np.concatenate([pts, kinks(jumps.plus_value0[rows], jumps.plus_slope[rows]),
+                              kinks(jumps.minus_value0[rows], jumps.minus_slope[rows])], axis=1)
     t0, t1 = jumps.t0[rows, None], jumps.t1[rows, None]
     pts = np.where((t0 < pts) & (pts < t1), pts, np.inf)
     pts.sort(axis=1)
@@ -134,18 +126,19 @@ def integrate_jump_sets(
     and the result of each set is what it gives alone, bit for bit.
 
     The integrand is a density or a field pairing, called on (n, d) arrays;
-    `kinks(value0, slope)` adds breakpoints along each trace (a field's
-    `trace_kinks`).  Without a weight, constant traces give the closed form
-    length * integrand with zero error.  A set's tolerance is split among
-    its pieces in proportion to their length, then evenly among a piece's
-    intervals between breakpoints, and halved with each halving of an
-    interval.  An interval is halved until its coarse and halved Gauss rules
-    agree within its share or the rounding floor, down to depth 48; a level
-    that would refine more than 4096 intervals of one set is accepted as it
-    stands instead.  Parts accepted by either cap count as `unconverged`.
-    Each level is one integrand call over the coarse rule and both halves of
-    every live interval of every set.  A non-finite integrand value raises
-    EnergyError.
+    `kinks(value0, slope)` (a field's `trace_kinks`) adds breakpoints along
+    the traces: called once per trace side on the (n, d) rows of every
+    adaptive piece, it returns (n, K) parameters, NaN for none.  Without a
+    weight, constant traces give the closed form length * integrand with
+    zero error.  A set's tolerance is split among its pieces in proportion
+    to their length, then evenly among a piece's intervals between
+    breakpoints, and halved with each halving of an interval.  An interval
+    is halved until its coarse and halved Gauss rules agree within its share
+    or the rounding floor, down to depth 48; a level that would refine more
+    than 4096 intervals of one set is accepted as it stands instead.  Parts
+    accepted by either cap count as `unconverged`.  Each level is one
+    integrand call over the coarse rule and both halves of every live
+    interval of every set.  A non-finite integrand value raises EnergyError.
 
     A Density with a `quadratic_form` and no weight or kinks skips all of
     that: every row is integrated in closed form (`_root_quadratic`), with
@@ -168,9 +161,7 @@ def integrate_jump_sets(
         for n in np.flatnonzero(total_len != 0.0).tolist():
             results[n] = QuadratureResult(float(value[n]), 0.0, int(pieces[n]))
         return results
-    closed = np.zeros(lengths.size, dtype=bool)
-    if weight is None:
-        closed = ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
+    closed = (weight is None) & ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
     const_rows = np.flatnonzero(live & closed)
     quad_rows = np.flatnonzero(live & ~closed)
     seg_tol = tol * lengths[quad_rows] / total_len[owner[quad_rows]]
@@ -399,13 +390,13 @@ def divergence_identity_residual(
 
 def symmetric_jump_measure(u: PiecewiseAffine, region: Polygon | None = None) -> np.ndarray:
     """Matrix integral of jump (.) normal over the jump set (midpoint-exact)."""
-    out = np.zeros((2, 2))
     j = jump_pieces(u.jump_segments(), region, include_boundary=True)
-    for k, (t0, t1) in enumerate(zip(j.t0.tolist(), j.t1.tolist())):
-        t = 0.5 * (t0 + t1)
-        jm = (j.plus_value0[k] + t * j.plus_slope[k]) - (j.minus_value0[k] + t * j.minus_slope[k])
-        out += (t1 - t0) * 0.5 * (np.outer(jm, j.normal[k]) + np.outer(j.normal[k], jm))
-    return out
+    t = 0.5 * (j.t0 + j.t1)[:, None]
+    jm = (j.plus_value0 + t * j.plus_slope) - (j.minus_value0 + t * j.minus_slope)
+    terms = (j.t1 - j.t0)[:, None, None] * 0.5 * (
+        jm[:, :, None] * j.normal[:, None, :] + j.normal[:, :, None] * jm[:, None, :])
+    # row after row onto 0.0, as `out += term` adds them
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ class FieldError(ValueError):
 class ConservativeField:
     """Vector field w -> g(w) with potential G (grad G = g).
 
-    `trace_kinks`, when set, maps an affine trace (value0, slope) to the
-    parameter values where the composed field kinks; quadrature inserts them
-    as exact breakpoints.
+    `trace_kinks`, when set, maps the (n, d) arrays value0, slope of affine
+    traces value0 + t * slope to the (n, K) parameters t where the composed
+    field kinks, NaN where a profile argument is constant along a trace;
+    quadrature inserts them as exact breakpoints.
     """
 
     name: str
@@ -172,19 +173,18 @@ def _axis_field(
                 )
         return out
 
+    # coordinate ks[m] kinks where its profile argument is cs[m]
+    ks = np.repeat(np.arange(d), [len(p.kinks) * active[k] for k, p in enumerate(profiles)])
+    cs = np.array([c for k, p in enumerate(profiles) if active[k] for c in p.kinks])
+
     def trace_kinks(value0, slope):
-        # profile argument along the trace is affine: arg_k(t) = a0 + da * t
-        ts = []
-        for k in range(d):
-            if not active[k]:
-                continue
-            a0 = scales[k] * (float(value0 @ basis[k]) - shifts[k])
-            da = scales[k] * float(slope @ basis[k])
-            if da == 0.0:
-                continue
-            for c in profiles[k].kinks:
-                ts.append((c - a0) / da)
-        return ts
+        # the profile arguments are affine along each trace, a0 + da * t; a
+        # stacked matmul keeps the rounding of each coordinate's dot product
+        y0, dy = ((x[:, None, None, :] @ basis[None, :, :, None])[:, ks, 0, 0]
+                  for x in (value0, slope))
+        a0, da = scales[ks] * (y0 - shifts[ks]), scales[ks] * dy
+        with np.errstate(over="ignore"):  # a near-constant trace gives +-inf
+            return np.divide(cs - a0, da, out=np.full(da.shape, np.nan), where=da != 0.0)
 
     return ConservativeField(
         name, func, potential, jacobian=jacobian, bound=bound, params=params or {},

@@ -459,6 +459,40 @@ class TestFalsify:
         with pytest.raises(FunctionError):
             falsify(f, I_CE, J_CE, E2, budget=60, i_side="bogus")
 
+    @pytest.mark.parametrize("search", [falsify, relaxation_estimate])
+    @pytest.mark.parametrize("built, call", [
+        ({}, {"side": 3.0}),
+        ({"nu": (0.6, 0.8)}, {}),
+        ({"i_side": "plus"}, {}),
+        ({"j": (3.0, 1.0)}, {}),
+    ])
+    def test_rejects_families_built_for_other_inputs(self, search, built, call):
+        # before any evaluation: the parent searched such families, then
+        # raised (side) or reported NO-VIOLATION against the wrong reference
+        f = catalog_density("product:aniso1:eps=0.01")
+        calls = [0]
+
+        def evaluator(i, j, nu):
+            calls[0] += 1
+            return f.evaluator(i, j, nu)
+
+        counted = dataclasses.replace(f, evaluator=evaluator)  # one call: the form check
+        own = {"i": I_CE, "j": J_CE, "nu": E2, "side": 6.0, "i_side": "minus"}
+        families = default_families(**{**own, **built})
+        args = {**own, **call}
+        calls[0] = 0
+        with pytest.raises(EllipticityError, match="built for another"):
+            search(counted, families=families, budget=100, **args)
+        assert calls[0] == 0
+        # the same families are searched for the inputs they were built for
+        v = falsify(f, families=families, budget=100, keep_competitor=False, **{**own, **built})
+        assert v.budget_used == 100
+        if not call:
+            # plain families carry nothing to compare: they are searched
+            plain_ = [CompetitorFamily(fam.name, fam.bounds, fam.generator) for fam in families]
+            v = falsify(f, families=plain_, budget=100, keep_competitor=False, **args)
+            assert v.budget_used == 100
+
     def test_certificate_runs_the_adaptive_kernel(self):
         # the search and e1 integrate the CE1 density in closed form; e2
         # must call the density, at points along the jump set

@@ -59,6 +59,7 @@ from bdlab.geometry import (
     triangulate,
 )
 from bdlab.profiles import identity_profile, sin_profile
+from bdlab.render import _magnitudes
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -329,9 +330,13 @@ def width_cap_jumps() -> JumpArrays:
     return fam.generator(fam.suggestions[3]).jump_segments()
 
 
+CLIP = Polygon([(-1.5, -1.2), (1.7, -1.4), (1.2, 1.9), (-1.1, 1.3)])
+
+
 def loop_cuts(jumps, rows, kinks):
     """_cuts one row at a time, as it was written before it was vectorised:
-    t0, sorted(set(kink candidates inside (t0, t1))), t1 per row."""
+    t0, sorted(set(kink candidates inside (t0, t1))), t1 per row, with the
+    batched `kinks` called on one-row slices."""
     dv = jumps.plus_value0[rows] - jumps.minus_value0[rows]
     ds = jumps.plus_slope[rows] - jumps.minus_slope[rows]
     roots = np.divide(-dv, ds, out=np.full(ds.shape, np.nan), where=ds != 0)
@@ -340,9 +345,9 @@ def loop_cuts(jumps, rows, kinks):
                             roots.tolist()):
         pts = [x for x in r if t0 < x < t1]
         if kinks is not None:
-            for v0, sl in ((jumps.plus_value0[n], jumps.plus_slope[n]),
-                           (jumps.minus_value0[n], jumps.minus_slope[n])):
-                pts.extend(float(x) for x in kinks(v0, sl) if t0 < x < t1)
+            for v0, sl in ((jumps.plus_value0[n:n + 1], jumps.plus_slope[n:n + 1]),
+                           (jumps.minus_value0[n:n + 1], jumps.minus_slope[n:n + 1])):
+                pts.extend(float(x) for x in kinks(v0, sl)[0] if t0 < x < t1)
         cuts.append([t0] + sorted(set(pts)) + [t1])
     return ([t for c in cuts for t in c[:-1]], [t for c in cuts for t in c[1:]],
             [len(c) - 1 for c in cuts])
@@ -384,7 +389,7 @@ class TestJumpSets:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(u=family_competitors(), field=st.integers(0, 7), clip=st.booleans())
     def test_breakpoints_match_the_row_loop(self, u, field, clip):
-        region = Polygon([(-1.5, -1.2), (1.7, -1.4), (1.2, 1.9), (-1.1, 1.3)]) if clip else None
+        region = CLIP if clip else None
         jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
         rows = np.arange(len(jumps))
         for kinks in (None, catalog_fields().fields[field].trace_kinks):
@@ -392,6 +397,17 @@ class TestJumpSets:
             want = loop_cuts(jumps, rows, kinks)
             assert lo.tolist() == want[0] and hi.tolist() == want[1]
             assert intervals.tolist() == want[2]
+
+    @pytest.mark.parametrize("field", [1, 3, 6])
+    def test_two_kinks_calls_per_call(self, field):
+        # every adaptive row goes to `kinks` in one call per trace side
+        fam = default_families((0, 0), (2, 2), (0.6, 0.8))[1]
+        jumps = fam.generator([0.3, 7.0, 1.0, -2.0]).jump_segments()
+        g = catalog_fields().fields[field]
+        for rows in ([0], [0, 1], range(len(jumps)), list(range(len(jumps))) * 3):
+            kinks, calls = counted(g.trace_kinks, limit=2)
+            integrate_jump_arrays(jumps.take(rows), g.pairing, 1e-10, 15, kinks=kinks)
+            assert calls[0] == 2
 
     def test_width_cap_is_counted_per_set(self):
         # two copies refine twice as wide together as each alone: a cap on
@@ -661,6 +677,56 @@ class TestClosedForm:
         assert abs(surface_energy(u, scaled).value - want) <= 1e-13 * want
         assert surface_energy(u, scaled).value == pytest.approx(3.0 * surface_energy(u, f).value,
                                                                 rel=1e-14)
+
+
+def loop_measure(u, region=None):
+    """symmetric_jump_measure one row at a time, as it was written before it
+    was vectorised."""
+    out = np.zeros((2, 2))
+    j = jump_pieces(u.jump_segments(), region, include_boundary=True)
+    for k, (t0, t1) in enumerate(zip(j.t0.tolist(), j.t1.tolist())):
+        t = 0.5 * (t0 + t1)
+        jm = (j.plus_value0[k] + t * j.plus_slope[k]) - (j.minus_value0[k] + t * j.minus_slope[k])
+        out += (t1 - t0) * 0.5 * (np.outer(jm, j.normal[k]) + np.outer(j.normal[k], jm))
+    return out
+
+
+def loop_magnitudes(jumps):
+    """render_svg's jump magnitudes one row at a time, as they were computed
+    before they were vectorised."""
+    mags = []
+    for k, L in enumerate(jumps.t1.tolist()):
+        t = np.linspace(0.0, L, 5)[:, None]
+        jump = (jumps.plus_value0[k] + t * jumps.plus_slope[k]) - (
+            jumps.minus_value0[k] + t * jumps.minus_slope[k])
+        mags.append(float(np.max(np.linalg.norm(jump, axis=-1))))
+    return np.array(mags, dtype=float)
+
+
+class TestRowLoops:
+    """The jump-set consumers give what their per-row loops gave, bit for bit."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(u=family_competitors(), clip=st.booleans())
+    def test_measure_and_magnitudes(self, u, clip):
+        region = CLIP if clip else None
+        assert symmetric_jump_measure(u, region).tobytes() == loop_measure(u, region).tobytes()
+        jumps = u.jump_segments()
+        assert _magnitudes(jumps).tobytes() == loop_magnitudes(jumps).tobytes()
+
+    @pytest.mark.parametrize("region", [None, CLIP])
+    @pytest.mark.parametrize("jumps", [0, 1])
+    def test_no_jump_and_signed_zeros(self, region, jumps):
+        dom = make_oriented_square(E2, 2.0)
+        u = PiecewiseRigid(PolygonalPartition([dom], dom), [constant_piece((1, 2))])
+        if jumps:
+            # jump (-1, 0) across e2: the diagonal terms are -0.0, and the
+            # loop's 0.0 + (-0.0) gives 0.0
+            u = elementary((0.0, 0.0), (1.0, 0.0), E2, 2.0)
+        assert len(u.jump_segments()) == jumps
+        assert symmetric_jump_measure(u, region).tobytes() == loop_measure(u, region).tobytes()
+        jumps = u.jump_segments()
+        assert _magnitudes(jumps).tobytes() == loop_magnitudes(jumps).tobytes()
 
 
 class TestSymmetricJumpMeasure:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from bdlab import fields as fields_module
 from bdlab.densities import density_normal_only, SupportPolytope
 from bdlab.fields import (
     ConservativeField,
@@ -319,7 +322,72 @@ class TestNormalOnly:
         v0, slope = np.array([0.2, 0.9]), np.array([-0.5, 0.8])
         a0, da = float((v0 - p) @ q), float(slope @ q)
         kinks = np.array([(c - a0) / da for c in (-1.0 / h, 0.0, 1.0 / h)])
-        assert rel(np.array(g.trace_kinks(v0, slope)), kinks) < 1e-14
+        # a batch of one trace; the second addend is inactive and has no kinks
+        got = g.trace_kinks(v0[None], slope[None])
+        assert got.shape == (1, 3)
+        assert rel(got[0], kinks) < 1e-14
+
+
+def scalar_trace_kinks(basis, coeffs, profiles, shifts=None, scales=None, **_):
+    """The trace_kinks of _axis_field(basis, coeffs, profiles, shifts,
+    scales) along one trace, as it was written before it took batches, with
+    NaN for each kink of an addend it skipped for a constant argument."""
+    basis, coeffs = np.asarray(basis, dtype=float), np.asarray(coeffs, dtype=float)
+    d = basis.shape[0]
+    shifts = np.zeros(d) if shifts is None else np.asarray(shifts, dtype=float)
+    scales = np.ones(d) if scales is None else np.asarray(scales, dtype=float)
+
+    def trace_kinks(value0, slope):
+        ts = []
+        for k in range(d):
+            if coeffs[k] == 0.0 or scales[k] == 0.0:
+                continue
+            a0 = scales[k] * (float(value0 @ basis[k]) - shifts[k])
+            da = scales[k] * float(slope @ basis[k])
+            ts += [np.nan if da == 0.0 else (c - a0) / da for c in profiles[k].kinks]
+        return ts
+
+    return trace_kinks
+
+
+class TestTraceKinks:
+    def test_batch_matches_the_trace_loop(self, monkeypatch):
+        loops = []
+        axis_field = fields_module._axis_field
+
+        def recorded(*args, **kw):
+            loops.append(scalar_trace_kinks(*args, **kw))
+            return axis_field(*args, **kw)
+
+        monkeypatch.setattr(fields_module, "_axis_field", recorded)
+        family = catalog_fields()
+        assert len(loops) == len(family) == 8
+        rng = np.random.default_rng(31)
+        value0 = rng.normal(scale=3.0, size=(400, 2))
+        slope = rng.normal(size=(400, 2))
+        slope[::7] = 0.0
+        slope[1::7, 1] = 0.0  # constant second coordinate
+        slope[2::7] = slope[2::7, :1] * np.eye(2)[0]  # (x, -0.0) where x < 0
+        for g, loop in zip(family.fields, loops):
+            got = g.trace_kinks(value0, slope)
+            want = np.array([loop(v, s) for v, s in zip(value0, slope)], dtype=float)
+            assert got.shape == want.shape == (400, len(loop(value0[0], slope[0]))), g.name
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), g.name
+            assert got[~nan].tobytes() == want[~nan].tobytes(), g.name
+        assert sum(np.isnan(g.trace_kinks(value0, slope)).any() for g in family.fields) >= 6
+
+    def test_near_constant_trace_gives_inf_without_warning(self):
+        g = prototype_field(np.eye(2), (eta_profile(1.0), eta_profile(1.0)))
+        value0 = np.array([[1e10, 0.0], [-1e10, 0.0]])
+        slope = np.array([[1e-300, 0.0], [1e-300, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g.trace_kinks(value0, slope)
+        assert got[:, :3].tolist() == [[-np.inf] * 3, [np.inf] * 3]
+        assert np.isnan(got[:, 3:]).all()
+        # as Python's float division gives it
+        assert (1.0 - 1e10) / 1e-300 == -np.inf
 
 
 class TestBiconvexTruncated:

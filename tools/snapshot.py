@@ -9,9 +9,10 @@ Floats print through repr and arrays as a SHA-256 of their bytes, so a
 single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
 
 - every JumpArrays field, the symmetric jump measure, the flipped jump
-  normals, the surface energy of every catalog density and `locate` at jump
-  midpoints and cell centroids, on seeded competitors of the default
-  families (several normals, both i_side values);
+  normals, the surface energy of every catalog density, `locate` at jump
+  midpoints and cell centroids and the SVG drawing in both styles, on
+  seeded competitors of the default families (several normals, both i_side
+  values);
 - the CE1 and CE2 energy breakdowns;
 - the tiling report for h = 1..16;
 - the jump flux of the catalog fields and integration-by-parts residuals;
@@ -52,6 +53,7 @@ from bdlab.fields import catalog_fields, prototype_field
 from bdlab.functions import AffinePiece, JumpArrays, PiecewiseAffine
 from bdlab.geometry import GeometryError, Polygon, PolygonalPartition, make_oriented_square
 from bdlab.profiles import sin_profile
+from bdlab.render import render_svg
 
 I_CE = np.zeros(2)
 J_CE = np.array([2.0, 2.0])
@@ -109,6 +111,9 @@ def jump_sets() -> None:
         probes = [0.5 * (a + b) for a, b in zip(jumps.a, jumps.b)]
         probes += [c.centroid for c in u.partition.cells]
         emit("locate", label, [u.partition.locate(x) for x in probes])
+        for style in ("default", "plain"):
+            svg = render_svg(u, style=style).encode()
+            emit("svg", label, style, hashlib.sha256(svg).hexdigest()[:20])
         for fid, f in densities:
             emit("energy", label, fid, quad(surface_energy(u, f)))
         if label.split("/")[1] == repr(ANGLES[0]):
