@@ -650,8 +650,9 @@ def falsify(
     The budget caps the objective evaluations and must cover one search run.
     Layout families are searched through their compiled topology; the
     certificate rebuilds the best competitor with the family's generator and
-    integrates it on the general path.  The side must be finite and positive,
-    and a layout family's side, frame and outer pieces those of this call."""
+    integrates it on the general path.  The side must be finite and positive.
+    A layout family must carry this call's side and outer pieces, and its
+    normal to 1e-12: normalised once more, a normal may change in a bit."""
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     _check_side(side)
@@ -665,10 +666,10 @@ def falsify(
         families = default_families(i, j, nu_u, side=side, i_side=i_side)
     if not families:
         raise EllipticityError("need at least one competitor family")
-    built_for = (side, frame_from_normal(nu_u), *outer)
-    for family in families:
-        if isinstance(family, LayoutFamily) and not all(map(
-                np.array_equal, (family.side, family.frame, *family.outer), built_for)):
+    for family in families:  # the frame's second column is the family's normal
+        if isinstance(family, LayoutFamily) and (
+                family.side != side or np.linalg.norm(family.frame[:, 1] - nu_u) > 1e-12
+                or not all(map(np.array_equal, family.outer, outer))):
             raise EllipticityError(f"{family.name}: built for another side, normal or jump")
 
     reference_norm = float(f(i, j, nu_u))

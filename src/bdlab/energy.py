@@ -161,7 +161,9 @@ def integrate_jump_sets(
         for n in np.flatnonzero(total_len != 0.0).tolist():
             results[n] = QuadratureResult(float(value[n]), 0.0, int(pieces[n]))
         return results
-    closed = (weight is None) & ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
+    closed = np.zeros(lengths.size, dtype=bool)
+    if weight is None:
+        closed = ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
     const_rows = np.flatnonzero(live & closed)
     quad_rows = np.flatnonzero(live & ~closed)
     seg_tol = tol * lengths[quad_rows] / total_len[owner[quad_rows]]

@@ -18,14 +18,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _magnitudes(jumps) -> np.ndarray:
-    """The largest |jump| of each row at five equispaced points of its piece."""
-    t = np.linspace(0.0, jumps.t1, 5, axis=1)[..., None]
-    jump = (jumps.plus_value0[:, None] + t * jumps.plus_slope[:, None]) - (
-        jumps.minus_value0[:, None] + t * jumps.minus_slope[:, None])
-    return np.max(np.linalg.norm(jump, axis=-1), axis=1)
-
-
 def render_svg(
     u: PiecewiseAffine, width: int = 640, jump_floor: float = 1e-12,
     style: str = "default",
@@ -46,13 +38,9 @@ def render_svg(
     height = int(width * span[1] / span[0])
     scale = width / span[0]
 
-    def xy(p):
+    def pt(p):
         # svg y-axis points down
-        return _fmt((p[0] - lo[0]) * scale), _fmt((hi[1] - p[1]) * scale)
-
-    def line(p, q, stroke):
-        (x1, y1), (x2, y2) = xy(p), xy(q)
-        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'
+        return f"{_fmt((p[0] - lo[0]) * scale)},{_fmt((hi[1] - p[1]) * scale)}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -60,14 +48,18 @@ def render_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for k, cell in enumerate(u.partition.cells):
-        pts = " ".join(",".join(xy(v)) for v in cell.vertices)
+        pts = " ".join(pt(v) for v in cell.vertices)
         fill = "none" if style == "plain" else _CELL_COLORS[k % len(_CELL_COLORS)]
         parts.append(
             f'<polygon points="{pts}" fill="{fill}" stroke="#94a3b8" stroke-width="0.5"/>'
         )
 
     jumps = u.jump_segments()
-    mags = _magnitudes(jumps).tolist()
+    # the largest |jump| of each row at five equispaced points of its piece
+    t = np.linspace(0.0, jumps.t1, 5, axis=1)[..., None]
+    jump = (jumps.plus_value0[:, None] + t * jumps.plus_slope[:, None]) - (
+        jumps.minus_value0[:, None] + t * jumps.minus_slope[:, None])
+    mags = np.max(np.linalg.norm(jump, axis=-1), axis=1).tolist()
     top = max([m for m in mags if m > jump_floor], default=1.0)
     for a, b, normal, m in zip(jumps.a, jumps.b, jumps.normal, mags):
         if m <= jump_floor:
@@ -77,10 +69,18 @@ def render_svg(
         w = float(np.clip(w, 0.75, 4.0))
         shade = int(200 - 140 * min(m / top, 1.0))
         color = f"rgb(200,{shade // 2},{shade // 2})"
-        parts.append(line(a, b, f'stroke="{color}" stroke-width="{_fmt(w)}"'))
+        parts.append(
+            f'<line x1="{pt(a).split(",")[0]}" y1="{pt(a).split(",")[1]}" '
+            f'x2="{pt(b).split(",")[0]}" y2="{pt(b).split(",")[1]}" '
+            f'stroke="{color}" stroke-width="{_fmt(w)}"/>'
+        )
         # normal tick at the midpoint
         mid = 0.5 * (a + b)
         tick = mid + 0.12 * normal * float(max(span)) * 0.1
-        parts.append(line(mid, tick, 'stroke="#1d4ed8" stroke-width="0.8"'))
+        parts.append(
+            f'<line x1="{pt(mid).split(",")[0]}" y1="{pt(mid).split(",")[1]}" '
+            f'x2="{pt(tick).split(",")[0]}" y2="{pt(tick).split(",")[1]}" '
+            f'stroke="#1d4ed8" stroke-width="0.8"/>'
+        )
     parts.append("</svg>")
     return "\n".join(parts)

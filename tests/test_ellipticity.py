@@ -493,6 +493,29 @@ class TestFalsify:
             v = falsify(f, families=plain_, budget=100, keep_competitor=False, **args)
             assert v.budget_used == 100
 
+    @pytest.mark.parametrize("nu", [
+        (1.0, 1.0), (1.0, 2.0), (np.cos(0.15), np.sin(0.15)), (np.cos(1.0), np.sin(1.0)),
+        (np.cos(4.4), np.sin(4.4)),
+    ])
+    def test_accepts_families_for_any_rounding_of_the_normal(self, nu):
+        # unit(unit(nu)) differs from unit(nu) in a bit for (1, 1) and (1, 2),
+        # unit(nu) from nu for the angles: families built on either are the
+        # call's own
+        f = catalog_density("isotropic:id")
+        for families in (None, default_families(I_CE, J_CE, nu),
+                         default_families(I_CE, J_CE, unit(nu))):
+            v = falsify(f, I_CE, J_CE, nu, families=families, budget=50, keep_competitor=False)
+            assert v.budget_used == 50
+            r = relaxation_estimate(f, I_CE, J_CE, nu, families=families, budget=50)
+            assert r.verdict.budget_used == 50
+        report = bv_necessary_report(f, samples=64, triple=(I_CE, J_CE, nu), budget=50)
+        assert report.verdict.budget_used == 50
+
+    def test_unit_is_not_idempotent_on_the_diagonal(self):
+        # the case that the test above guards
+        nu = unit((1.0, 1.0))
+        assert not np.array_equal(unit(nu), nu)
+
     def test_certificate_runs_the_adaptive_kernel(self):
         # the search and e1 integrate the CE1 density in closed form; e2
         # must call the density, at points along the jump set

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -59,7 +60,7 @@ from bdlab.geometry import (
     triangulate,
 )
 from bdlab.profiles import identity_profile, sin_profile
-from bdlab.render import _magnitudes
+from bdlab import render
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -693,14 +694,30 @@ def loop_measure(u, region=None):
 
 def loop_magnitudes(jumps):
     """render_svg's jump magnitudes one row at a time, as they were computed
-    before they were vectorised."""
+    before they were vectorised, above its default floor."""
     mags = []
     for k, L in enumerate(jumps.t1.tolist()):
         t = np.linspace(0.0, L, 5)[:, None]
         jump = (jumps.plus_value0[k] + t * jumps.plus_slope[k]) - (
             jumps.minus_value0[k] + t * jumps.minus_slope[k])
         mags.append(float(np.max(np.linalg.norm(jump, axis=-1))))
-    return np.array(mags, dtype=float)
+    return np.array([m for m in mags if m > 1e-12], dtype=float)
+
+
+def render_magnitudes(u):
+    """The jump magnitudes above the default floor that render_svg draws,
+    read from the max() that scales them."""
+    seen = []
+
+    def spy(*args, **kw):
+        if "default" in kw:  # the max over magnitudes; the others pass none
+            seen.append(np.array(args[0], dtype=float))
+        return max(*args, **kw)
+
+    with mock.patch.object(render, "max", spy, create=True):
+        render.render_svg(u)
+    (mags,) = seen
+    return mags
 
 
 class TestRowLoops:
@@ -711,8 +728,7 @@ class TestRowLoops:
     def test_measure_and_magnitudes(self, u, clip):
         region = CLIP if clip else None
         assert symmetric_jump_measure(u, region).tobytes() == loop_measure(u, region).tobytes()
-        jumps = u.jump_segments()
-        assert _magnitudes(jumps).tobytes() == loop_magnitudes(jumps).tobytes()
+        assert render_magnitudes(u).tobytes() == loop_magnitudes(u.jump_segments()).tobytes()
 
     @pytest.mark.parametrize("region", [None, CLIP])
     @pytest.mark.parametrize("jumps", [0, 1])
@@ -725,8 +741,7 @@ class TestRowLoops:
             u = elementary((0.0, 0.0), (1.0, 0.0), E2, 2.0)
         assert len(u.jump_segments()) == jumps
         assert symmetric_jump_measure(u, region).tobytes() == loop_measure(u, region).tobytes()
-        jumps = u.jump_segments()
-        assert _magnitudes(jumps).tobytes() == loop_magnitudes(jumps).tobytes()
+        assert render_magnitudes(u).tobytes() == loop_magnitudes(u.jump_segments()).tobytes()
 
 
 class TestSymmetricJumpMeasure:
