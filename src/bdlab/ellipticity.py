@@ -19,27 +19,37 @@ certifies its best competitor on the general path, built as a partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .densities import Density, check_convexity_in_nu, check_subadditivity
-from .energy import integrate_jump_arrays, integrate_jump_sets, jump_pieces, surface_energy
+from .energy import (
+    integrate_jump_arrays,
+    integrate_jump_sets,
+    jump_pieces,
+    jump_set_integrals,
+    surface_energy,
+)
 from .functions import (
     AffinePiece,
     FunctionError,
     JumpArrays,
+    JumpSquareBatch,
     JumpSquareTopology,
     PiecewiseRigid,
     compact_deviation,
     jump_sides,
     jump_square,
     make_elementary,
+    same_domain,
 )
 from .geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
     frame_from_normal,
+    make_oriented_square,
     unit,
 )
 from .report import Report
@@ -360,16 +370,23 @@ class CompetitorFamily:
 class LayoutFamily(CompetitorFamily):
     """A family whose generator is insert_competitor over an insert layout
     with one cell topology, compiled into `topology`; its bounds, finite and
-    within the layout's _RANGES at its side, are checked here, once."""
+    within the layout's _RANGES at its side, are checked here, once, and
+    kept as the arrays `lo` and `hi` that every search round checks its
+    rows against."""
 
     layout: object = None  # parameter rows, side -> cell vertices, pieces, half widths and heights
     topology: JumpSquareTopology | None = None
     side: float = 6.0  # of the square, turned by frame = frame_from_normal(nu)
     frame: np.ndarray | None = None
     outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_side(self.side)
+        lo, hi = np.array(self.bounds, dtype=float).T
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         valid = all(-np.inf < lo <= hi < np.inf for lo, hi in self.bounds)
         for column, low, high, size in _RANGES[self.layout]:
             unit = self.side if size else 1.0
@@ -381,26 +398,45 @@ class LayoutFamily(CompetitorFamily):
                 f"at side {self.side}")
 
 
+@lru_cache(maxsize=16)
+def _compiled_round(topologies, slots) -> JumpSquareBatch:
+    """The index arrays of a round's composition: the compiled topologies
+    of its layout families in order, and the slot among them of each point
+    (negative for a point of a plain family).  Bounded: the live runs of a
+    search change their composition a few times per call."""
+    return JumpSquareBatch(topologies, slots)
+
+
 def _layout_jumps(requests):
     """The jump sets of generator(params) for the parameter vectors of
-    several (layout family, batch) requests, in one JumpSquareTopology.jumps
+    several (layout family, batch) requests, in one JumpSquareBatch.jumps
     call: (jumps, owner), the rows of each vector in order and the index of
     each row's vector among those of all requests.  A family's bounds keep
     every row's cells valid, so nothing is checked but that the vectors lie
     in them: one outside raises EllipticityError."""
-    batches = []
-    for family, batch in requests:
-        P = np.asarray(batch, dtype=float).reshape(-1, family.dim)
-        lo, hi = np.array(family.bounds, dtype=float).T
-        if not np.all((lo <= P) & (P <= hi)):
+    families = [family for family, _ in requests]
+    batches = [np.asarray(batch, dtype=float).reshape(-1, family.dim)
+               for family, batch in requests]
+    slots = tuple(s for s, P in enumerate(batches) for _ in range(len(P)))
+    compiled = _compiled_round(tuple(family.topology for family in families), slots)
+    return _round_jumps(families, batches, compiled)
+
+
+def _round_jumps(families, batches, compiled: JumpSquareBatch):
+    """The jump sets of the parameter rows batches[s] (n, dim) of layout
+    family families[s], the rows of group s of the compiled round, and the
+    owner of each jump row: its input's index in the round."""
+    W = []
+    A, c = ([family.outer[n] for family in families] for n in (0, 1))
+    for family, P in zip(families, batches):
+        if not np.all((family.lo <= P) & (P <= family.hi)):
             raise EllipticityError(f"{family.name}: parameters outside the bounds")
-        vertices, A, c, hw, hh = family.layout(P, family.side)
-        placed = JumpSquareTopology.place(vertices, hw, hh, family.side, family.frame)
-        # the outer cells' pieces, then the insert's
-        A, c = (np.concatenate([o[None].repeat(len(P), 0), x], 1)
-                for o, x in zip(family.outer, (A, c)))
-        batches.append((family.topology, placed, A, c))
-    return JumpSquareTopology.jumps(batches)
+        vertices, A_in, c_in, hw, hh = family.layout(P, family.side)
+        W.append(JumpSquareTopology.place(vertices, hw, hh, family.side, family.frame))
+        A.append(A_in.reshape((-1,) + A_in.shape[2:]))
+        c.append(c_in.reshape((-1,) + c_in.shape[2:]))
+    return compiled.jumps(np.concatenate([w.reshape(-1, 2) for w in W]),
+                          np.concatenate(A), np.concatenate(c))
 
 
 def _outer_pieces(i, j, i_side):
@@ -505,18 +541,22 @@ def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]
     indices of the points rejected: the surface energy of each competitor,
     or the sentinel for one of a plain family whose generator raises.  The
     layout families' points, valid by construction, give their jump sets in
-    one _layout_jumps call, the others through their generator, and one
+    one _round_jumps call, the others through their generator, and one
     kernel call integrates every jump set."""
     order = dict.fromkeys(fi for fi, _ in points)
     layouts = [fi for fi in order if isinstance(families[fi], LayoutFamily)]
-    general = [k for k, (fi, _) in enumerate(points) if fi not in layouts]
+    slot = {fi: s for s, fi in enumerate(layouts)}
+    slots = tuple(slot.get(fi, -1) for fi, _ in points)
     sets, owners, rejected = [], [], set()
     if layouts:
-        ids = np.array([k for fi in layouts for k, (g, _) in enumerate(points) if g == fi])
-        jumps, owner = _layout_jumps(
-            [(families[fi], [p for g, p in points if g == fi]) for fi in layouts])
-        sets, owners = [jumps], [ids[owner]]
-    for k in general:
+        compiled = _compiled_round(tuple(families[fi].topology for fi in layouts), slots)
+        batches = [np.array([points[k][1] for k in group], dtype=float)
+                   for group in compiled.groups]
+        jumps, owner = _round_jumps([families[fi] for fi in layouts], batches, compiled)
+        sets, owners = [jumps], [owner]
+    for k, s in enumerate(slots):
+        if s >= 0:
+            continue
         try:
             jumps = families[points[k][0]].generator(points[k][1]).jump_segments()
         except _REJECTED:
@@ -526,9 +566,10 @@ def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]
         owners.append(np.full(len(jumps), k, dtype=int))
     if not sets:
         return [_SENTINEL] * len(points), rejected
-    energies = integrate_jump_sets(JumpArrays.concatenate(sets), np.concatenate(owners),
-                                   len(points), f, _SEARCH_TOL, _SEARCH_ORDER)
-    return [_SENTINEL if k in rejected else e.value for k, e in enumerate(energies)], rejected
+    jumps = sets[0] if len(sets) == 1 else JumpArrays.concatenate(sets)
+    value = jump_set_integrals(jumps, np.concatenate(owners), len(points), f,
+                               _SEARCH_TOL, _SEARCH_ORDER)[0].tolist()
+    return [_SENTINEL if k in rejected else v for k, v in enumerate(value)], rejected
 
 
 class _Exhausted(Exception):
@@ -629,6 +670,19 @@ def _nelder_mead(x0, bounds, maxfev: int):
     return np.min(fsim), sim[0]
 
 
+def _check_square(family: CompetitorFamily, start, square: Polygon) -> None:
+    """Raise EllipticityError if the plain family's competitor at its first
+    start lives on another square than `square`, compared as
+    compact_deviation compares domains; a generator that raises there
+    leaves the family to the search."""
+    try:
+        u = family.generator(start)
+    except _REJECTED:
+        return
+    if not same_domain(u.partition.domain, square):
+        raise EllipticityError(f"{family.name}: its competitors live on another square")
+
+
 def falsify(
     f: Density,
     i,
@@ -652,7 +706,9 @@ def falsify(
     certificate rebuilds the best competitor with the family's generator and
     integrates it on the general path.  The side must be finite and positive.
     A layout family must carry this call's side and outer pieces, and its
-    normal to 1e-12: normalised once more, a normal may change in a bit."""
+    normal to 1e-12: normalised once more, a normal may change in a bit.
+    A plain family's competitor at its first start must live on this call's
+    square.  Both are checked before any density evaluation."""
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     _check_side(side)
@@ -666,21 +722,22 @@ def falsify(
         families = default_families(i, j, nu_u, side=side, i_side=i_side)
     if not families:
         raise EllipticityError("need at least one competitor family")
-    for family in families:  # the frame's second column is the family's normal
-        if isinstance(family, LayoutFamily) and (
-                family.side != side or np.linalg.norm(family.frame[:, 1] - nu_u) > 1e-12
-                or not all(map(np.array_equal, family.outer, outer))):
-            raise EllipticityError(f"{family.name}: built for another side, normal or jump")
-
-    reference_norm = float(f(i, j, nu_u))
-    reference_energy = reference_norm * side
-
     runs = []
     for fi, family in enumerate(families):
         lob, hib = np.array(family.bounds, dtype=float).T
         starts = list(family.suggestions) + list(
             lob + (hib - lob) * _latin_hypercube(seed, fi, family.dim, _RESTARTS))
         runs += [(fi, si, family, start) for si, start in enumerate(starts)]
+        if not isinstance(family, LayoutFamily):
+            start = np.clip(np.asarray(starts[0], dtype=float), lob, hib)
+            _check_square(family, start, make_oriented_square(nu_u, side))
+        # the frame's second column is the family's normal
+        elif (family.side != side or np.linalg.norm(family.frame[:, 1] - nu_u) > 1e-12
+              or not all(map(np.array_equal, family.outer, outer))):
+            raise EllipticityError(f"{family.name}: built for another side, normal or jump")
+
+    reference_norm = float(f(i, j, nu_u))
+    reference_energy = reference_norm * side
 
     per_run = max(_MIN_RUN, budget // max(len(runs), 1))
     searched = runs[: max(1, budget // per_run)]

@@ -121,9 +121,20 @@ def integrate_jump_sets(
     jumps: JumpArrays, owner, count: int, integrand, tol: float, order: int,
     kinks=None, weight=None,
 ) -> list[QuadratureResult]:
+    """The QuadratureResult of each of `count` jump sets, from `jump_set_integrals`."""
+    arrays = jump_set_integrals(jumps, owner, count, integrand, tol, order, kinks, weight)
+    return [QuadratureResult(*fields) for fields in zip(*(x.tolist() for x in arrays))]
+
+
+def jump_set_integrals(
+    jumps: JumpArrays, owner, count: int, integrand, tol: float, order: int,
+    kinks=None, weight=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrals of integrand(trace+, trace-, normal) * weight(x) over
     `count` jump sets at once: row k of `jumps` is a piece of set owner[k],
-    and the result of each set is what it gives alone, bit for bit.
+    and the result of each set is what it gives alone, bit for bit.  Returns
+    (value, error, pieces, unconverged), arrays of `count` entries, all 0 for
+    a set of zero length: a QuadratureResult's fields, set by set.
 
     The integrand is a density or a field pairing, called on (n, d) arrays;
     `kinks(value0, slope)` (a field's `trace_kinks`) adds breakpoints along
@@ -149,18 +160,17 @@ def integrate_jump_sets(
     # each set's length, summed in row order
     total_len = np.zeros(count)
     np.add.at(total_len, owner, lengths)
-    live = total_len[owner] != 0.0
-    results = [QuadratureResult(0.0, 0.0, 0)] * count
+    nonzero = total_len != 0.0
+    live = nonzero[owner]
+    value, error, unconverged = np.zeros(count), np.zeros(count), np.zeros(count, dtype=int)
+    pieces = np.where(nonzero, np.bincount(owner, minlength=count), 0)
     if not live.any():
-        return results
-    pieces = np.bincount(owner, minlength=count)
+        return value, error, pieces, unconverged
     form = integrand.quadratic_form if isinstance(integrand, Density) else None
     if form is not None and weight is None and kinks is None:
         # np.bincount adds in row order, as a set alone does
         value = np.bincount(owner, weights=_root_quadratic(jumps, form), minlength=count)
-        for n in np.flatnonzero(total_len != 0.0).tolist():
-            results[n] = QuadratureResult(float(value[n]), 0.0, int(pieces[n]))
-        return results
+        return np.where(nonzero, value, 0.0), error, pieces, unconverged
     closed = np.zeros(lengths.size, dtype=bool)
     if weight is None:
         closed = ~(jumps.plus_slope.any(axis=1) | jumps.minus_slope.any(axis=1))
@@ -179,7 +189,6 @@ def integrate_jump_sets(
     x, w = _leggauss(order)
     w = w[:, None]
     levels = []  # per depth: (fine, error, accepted)
-    unconverged = np.zeros(count, dtype=int)
     const_vals = None
     for depth in range(_LINE_DEPTH + 1):
         # the coarse rule and both halves of each interval: (3, n) bounds
@@ -244,14 +253,9 @@ def integrate_jump_sets(
     np.add.at(row_err, top_seg, err)
     if const_vals is not None:
         row_val[const_rows] = lengths[const_rows] * const_vals
-    value = np.zeros(count)
-    error = np.zeros(count)
     np.add.at(value, owner[live], row_val[live])
     np.add.at(error, owner[live], row_err[live])
-    for n in np.flatnonzero(total_len != 0.0).tolist():
-        results[n] = QuadratureResult(float(value[n]), float(error[n]), int(pieces[n]),
-                                      int(unconverged[n]))
-    return results
+    return value, error, pieces, unconverged
 
 
 def _root_quadratic(jumps: JumpArrays, form) -> np.ndarray:

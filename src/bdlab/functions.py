@@ -329,7 +329,7 @@ class JumpSquareTopology:
     such partition; one whose outer cells lack a notch (eight vertices
     each) raises FunctionError.  The pairs stand for every side, normal,
     value and parameter row that keep them, as those of an insert layout
-    do.  `jumps` evaluates them with edge_pair_interfaces and
+    do.  A `JumpSquareBatch` evaluates them with edge_pair_interfaces and
     jump_arrays, the arithmetic of the partition and of jump_segments, so
     its arrays equal the general path's bit for bit.  It checks no cell:
     the caller keeps the inputs within the range the partition stands for
@@ -360,32 +360,49 @@ class JumpSquareTopology:
         W = np.concatenate([columns[:, _OUTER_INDEX], vertices], axis=1)
         return (W.reshape(-1, 2) @ frame.T).reshape(W.shape)
 
-    @staticmethod
-    def jumps(batches) -> tuple[JumpArrays, np.ndarray]:
-        """The jump sets of every input of (topology, W, A, c) batches, with
-        every cell's vertices W (n, V, 2) as place gives them and every
-        cell's piece x -> A x + c, A (n, C, d, d) and c (n, C, d), in one
-        edge_pair_interfaces and one jump_arrays call: (jumps, owner), the
-        rows of each input in order and the index of each row's input
-        among the inputs of all batches."""
-        W, A, c, ends, left, right, owner = ([] for _ in range(7))
-        start = 0
-        for top, placed, A_in, c_in in batches:
-            n = np.arange(len(placed))[:, None]
-            # each input's block of vertices and of pieces, input after input
-            vertex_rows = sum(map(len, W)) + placed.shape[1] * n
-            piece_rows = sum(map(len, A)) + len(top.counts) * n
-            ends.append([(vertex_rows + e).ravel() for e in top.edges])
-            left.append((piece_rows + top.left).ravel())
-            right.append((piece_rows + top.right).ravel())
-            for out, x in ((W, placed), (A, A_in), (c, c_in)):
-                out.append(x.reshape((-1,) + x.shape[2:]))
-            owner.append(np.repeat(start + n, len(top.left)))
-            start += len(placed)
-        a, b, normal = edge_pair_interfaces(np.concatenate(W), *map(np.concatenate, zip(*ends)))
-        A, c, left, right = (np.concatenate(x) for x in (A, c, left, right))
-        jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
-        return jumps, np.concatenate(owner)[rows]
+
+class JumpSquareBatch:
+    """The index arrays of the jump sets of a batch of jump squares, which
+    depend on its composition alone: input k has topology
+    topologies[slots[k]], or none for a negative slot (such inputs are left
+    out).  They are compiled once, and `jumps` evaluates them for any
+    vertices and pieces of that composition.
+
+    `groups[s]` lists the inputs of topology s in order.  The stacked
+    vertices hold the cells of those inputs, group after group and input
+    after input, as place gives them.  The piece table holds the two outer
+    pieces of each topology first (rows 2s, below the chord, and 2s + 1),
+    then the insert pieces of each input, group after group and input
+    after input: the outer pieces are stored once per topology."""
+
+    def __init__(self, topologies, slots):
+        slots = np.array(slots, dtype=int)
+        self.groups = [np.flatnonzero(slots == s).tolist() for s in range(len(topologies))]
+        ends, left, right, owner = [], [], [], []
+        vertex_start, piece_start = 0, 2 * len(topologies)
+        for s, (top, group) in enumerate(zip(topologies, self.groups)):
+            n = np.arange(len(group))[:, None]
+            vertices, inserts = sum(top.counts), len(top.counts) - 2
+            ends.append([(vertex_start + vertices * n + e).ravel() for e in top.edges])
+            for out, cells in ((left, top.left), (right, top.right)):
+                out.append(np.where(cells < 2, 2 * s + cells,
+                                    piece_start + inserts * n + cells - 2).ravel())
+            owner.append(np.repeat(np.array(group, dtype=int), len(top.left)))
+            vertex_start += vertices * len(group)
+            piece_start += inserts * len(group)
+        self.ends = [np.concatenate(e) for e in zip(*ends)]
+        self.left, self.right, self.owner = map(np.concatenate, (left, right, owner))
+
+    def jumps(self, vertices, A, c) -> tuple[JumpArrays, np.ndarray]:
+        """The jump sets of the inputs with the stacked vertices (N, 2) and
+        the piece table of maps x -> A x + c, A (P, d, d) and c (P, d), in
+        one edge_pair_interfaces and one jump_arrays call: (jumps, owner),
+        the rows of each input in order, group after group, and the index
+        of each row's input."""
+        a, b, normal = edge_pair_interfaces(vertices, *self.ends)
+        left, right = (A[self.left], c[self.left]), (A[self.right], c[self.right])
+        jumps, rows = jump_arrays(a, b, normal, left, right)
+        return jumps, self.owner[rows]
 
 
 def make_elementary(
@@ -403,6 +420,13 @@ def make_elementary(
     return jump_square(i, j, sq.normal, sq.side, center=sq.center, i_side=i_side)
 
 
+def same_domain(dom_v: Polygon, dom_u: Polygon) -> bool:
+    """Whether two domains have the same vertex mean and, to 1e-9 relative,
+    the same area: compact_deviation's test that they are one domain."""
+    return bool(np.allclose(dom_v.vertices.mean(axis=0), dom_u.vertices.mean(axis=0))
+                and abs(dom_v.area - dom_u.area) <= 1e-9 * dom_u.area)
+
+
 def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> bool:
     """True iff every cell of v where v differs from u keeps the given
     distance from the domain boundary.
@@ -412,9 +436,7 @@ def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> 
     """
     dom_v = v.partition.domain
     dom_u = u.partition.domain
-    if not np.allclose(dom_v.vertices.mean(axis=0), dom_u.vertices.mean(axis=0)) or (
-        abs(dom_v.area - dom_u.area) > 1e-9 * dom_u.area
-    ):
+    if not same_domain(dom_v, dom_u):
         raise FunctionError("compared functions must share the same domain")
     area_tol = 1e-12 * dom_u.area
     for cell, piece in zip(v.partition.cells, v.pieces):

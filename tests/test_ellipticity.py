@@ -58,6 +58,7 @@ from bdlab.ellipticity import (
     _SEARCH_ORDER,
     _SEARCH_TOL,
     _SENTINEL,
+    _compiled_round,
     _latin_hypercube,
     _layout_jumps,
     _nelder_mead,
@@ -493,6 +494,40 @@ class TestFalsify:
             v = falsify(f, families=plain_, budget=100, keep_competitor=False, **args)
             assert v.budget_used == 100
 
+    @pytest.mark.parametrize("search", [falsify, relaxation_estimate])
+    def test_rejects_plain_families_on_another_square(self, search):
+        # before any density evaluation: the parent searched the whole budget
+        # and then raised FunctionError from the certificate's domain check
+        f = catalog_density("product:aniso1:eps=0.01")
+        calls = [0]
+
+        def evaluator(i, j, nu):
+            calls[0] += 1
+            return f.evaluator(i, j, nu)
+
+        counted = dataclasses.replace(f, evaluator=evaluator)
+        families = [plain(fam) for fam in default_families(I_CE, J_CE, E2, side=6.0)]
+        calls[0] = 0
+        with pytest.raises(EllipticityError, match="another square"):
+            search(counted, I_CE, J_CE, E2, families=families, budget=100, side=3.0)
+        assert calls[0] == 0
+        # on their own square they are searched
+        v = search(f, I_CE, J_CE, E2, families=families, budget=100)
+        assert (v if search is falsify else v.verdict).budget_used == 100
+
+    def test_plain_family_raising_at_its_first_start_is_searched(self):
+        # no competitor to compare: the search rejects that start as before
+        fam = default_families(I_CE, J_CE, E2)[0]
+        wide = ((-1.0, 8.0),) + fam.bounds[1:]
+        first = (0.0,) + fam.suggestions[0][1:]
+        with pytest.raises(REJECTED):
+            fam.generator(first)
+        family = CompetitorFamily(fam.name, wide, fam.generator, (first,))
+        v = falsify(catalog_density("isotropic:id"), I_CE, J_CE, E2, families=[family],
+                    budget=100, keep_competitor=False)
+        (st_,) = v.diagnostics["families"]
+        assert st_["rejected"] > 0 and st_["evaluations"] == v.budget_used == 100
+
     @pytest.mark.parametrize("nu", [
         (1.0, 1.0), (1.0, 2.0), (np.cos(0.15), np.sin(0.15)), (np.cos(1.0), np.sin(1.0)),
         (np.cos(4.4), np.sin(4.4)),
@@ -801,7 +836,16 @@ class TestCompiledLayouts:
         searched = CompetitorFamily(fam.name, wide, counting)
         v = falsify(f, I_CE, J_CE, E2, families=[searched], budget=100, seed=1,
                     keep_competitor=False)
-        assert v.diagnostics["families"][0]["rejected"] == raised[0] > 0
+        # before the search, falsify builds the competitor at the family's
+        # first start (its first Latin-hypercube point) to check its square
+        lo, hi = np.array(wide).T
+        first = lo + (hi - lo) * _latin_hypercube(1, 0, len(wide), _RESTARTS)[0]
+        try:
+            fam.generator(np.clip(first, lo, hi))
+            checked = 0
+        except REJECTED:
+            checked = 1
+        assert v.diagnostics["families"][0]["rejected"] == raised[0] - checked > 0
         # in the bounds, the layout path and the general path give one verdict
         v = [falsify(f, I_CE, J_CE, E2, families=[fam_], budget=100, seed=1, keep_competitor=False)
              for fam_ in (fam, plain(fam))]
@@ -953,6 +997,101 @@ class TestCompiledLayouts:
         assert values == want
         assert rejected == want_rejected and 0 < len(rejected) < len(points)
         assert all(points[k][0] == len(families) - 1 for k in rejected)
+
+
+class TestCompiledRound:
+    """A round is compiled once per composition (the topologies of its
+    layout families and the family of each point) and evaluated per round;
+    it gives every point what the general path gives it, bit for bit."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.tuples(st.permutations(range(4)), st.sampled_from([None, 0, 1, 2, 3]),
+                      st.lists(st.integers(1, 12), min_size=4, max_size=4)),
+            min_size=2, max_size=2),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        i_side=st.sampled_from(("plus", "minus")),
+        side=st.sampled_from((3.0, 6.0, 10.0)),
+        fid=st.sampled_from(("isotropic:id", "frobenius:trunc:M=1")),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_round_equals_the_general_path(self, rounds, angle, i_side, side, fid, seed):
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        families = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)
+        f = catalog_density(fid)
+        rng = np.random.default_rng(seed)
+        # both rounds through one cache: a composition must never be served
+        # the index arrays of another
+        _compiled_round.cache_clear()
+        for order, absent, counts in rounds:
+            # the families in any order, one of them absent or none
+            requests = []
+            for fi in order:
+                if fi != absent:
+                    lo, hi = np.array(families[fi].bounds).T
+                    P = lo + rng.uniform(size=(counts[fi], lo.size)) * (hi - lo)
+                    requests.append((fi, list(P)))
+            jumps, owner = _layout_jumps([(families[fi], batch) for fi, batch in requests])
+            points = [(fi, params) for fi, batch in requests for params in batch]
+            for n, (fi, params) in enumerate(points):
+                rows = jumps.take(np.flatnonzero(owner == n))
+                general = families[fi].generator(params).jump_segments()
+                for field_ in dataclasses.fields(JumpArrays):
+                    got, ref = getattr(rows, field_.name), getattr(general, field_.name)
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field_.name
+            # the points of a round interleaved in any order
+            points = [points[k] for k in rng.permutation(len(points))]
+            values, rejected = _search_values(f, families, points)
+            want = [surface_energy(families[fi].generator(params), f, tol=_SEARCH_TOL,
+                                   order=_SEARCH_ORDER).value for fi, params in points]
+            assert values == want and rejected == set()
+
+    def test_falsify_compiles_once_per_composition(self, monkeypatch):
+        built, compositions = [], []
+
+        class Counting(ellipticity.JumpSquareBatch):
+            def __init__(self, topologies, slots):
+                built.append((topologies, slots))
+                super().__init__(topologies, slots)
+
+        search_values = ellipticity._search_values
+
+        def recording(f, families, points):
+            compositions.append(tuple(fi for fi, _ in points))
+            return search_values(f, families, points)
+
+        monkeypatch.setattr(ellipticity, "JumpSquareBatch", Counting)
+        monkeypatch.setattr(ellipticity, "_search_values", recording)
+        _compiled_round.cache_clear()
+        try:
+            f = catalog_density("isotropic:id")
+            v = falsify(f, I_CE, J_CE, (0.6, 0.8), budget=2000, seed=0, keep_competitor=False)
+            assert v.budget_used == 2000 and len(compositions) == 50
+            assert len(built) == len(set(compositions)) == 1
+            # another call with the same families and live runs reuses it
+            falsify(catalog_density("product:aniso1:eps=0.01"), I_CE, J_CE, E2, budget=2000,
+                    seed=1, keep_competitor=False)
+            assert len(built) == 1
+        finally:
+            _compiled_round.cache_clear()
+
+    def test_cache_is_bounded(self):
+        fam = default_families(I_CE, J_CE, E2)[0]
+        params = [0.5 * (lo + hi) for lo, hi in fam.bounds]
+        _compiled_round.cache_clear()
+        try:
+            for n in range(1, 41):
+                _layout_jumps([(fam, [params] * n)])
+            info = _compiled_round.cache_info()
+            assert info.misses == 40 and info.currsize == info.maxsize == 16
+        finally:
+            _compiled_round.cache_clear()
+
+    def test_cli_import_compiles_no_round(self):
+        out = child_output("import bdlab.cli; from bdlab import ellipticity; "
+                           "print(ellipticity._compiled_round.cache_info().currsize)")
+        assert out == "0"
 
 
 class TestScaledFamilies:
@@ -1252,6 +1391,25 @@ class TestLockstepSearch:
         assert st_["best_value"] is None
         assert alone.status == "NO-VIOLATION-WITHIN-BUDGET" and alone.competitor is None
         assert alone.to_json()["diagnostics"]["families"][0]["best_value"] is None
+
+
+class TestRecall:
+    """Without the hand-placed suggestions, the Latin-hypercube starts alone
+    find the paper's two violations at these seeds of ten, at budget 600:
+    the compiled round must change no trajectory."""
+
+    @pytest.mark.parametrize("fid,seeds", [
+        ("product:aniso1:eps=0.01", [2, 3, 5, 8]),
+        ("aniso2:eps=1e-4", [0, 1, 2, 3, 5, 6, 8]),
+    ])
+    def test_budget_600_without_suggestions(self, fid, seeds):
+        f = catalog_density(fid)
+        families = [dataclasses.replace(fam, suggestions=())
+                    for fam in default_families(I_CE, J_CE, E2)]
+        found = [seed for seed in range(10)
+                 if falsify(f, I_CE, J_CE, E2, families=families, budget=600, seed=seed,
+                            keep_competitor=False).status == "VIOLATION"]
+        assert found == seeds
 
 
 class TestRelaxation:

@@ -1,4 +1,4 @@
-"""Count the NumPy calls of the family compile and of one search round's geometry.
+"""Count the NumPy calls of the family compile and of one search round.
 
     PYTHONPATH=<checkout>/src python tools/npcalls.py
 
@@ -7,10 +7,14 @@ call in one process: the first pays what is compiled once per process, the
 second only what every call pays.  A round is one
 `ellipticity._search_values` call over those families at 40 and at 80
 points, dealt to the four families in turn and drawn inside their bounds
-from a fixed seed.  The line kernel is left out:
-`ellipticity.integrate_jump_sets` is replaced by a stub that returns zero
-energies, so the count is that of building the jump sets.  A NumPy call is a
-C function of numpy that `sys.setprofile` reports as called ("c_call"):
+from a fixed seed, with `isotropic:id` (integrated in closed form).  Each
+round is counted twice: whole, line kernel included, and its geometry
+alone, with the kernel entry the round calls (`jump_set_integrals`, or
+`integrate_jump_sets` where a checkout has no such entry) replaced by a
+stub that returns zero energies, so that count is that of building the jump
+sets.  Every count is taken after a first round of the same points, so
+what a round compiles once per composition stays out.  A NumPy call is a C
+function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
 profiler does not report ufunc calls, operators or numpy's dispatched
 functions such as `np.concatenate`, so the count is a lower bound, taken the
@@ -74,13 +78,23 @@ def main() -> int:
             out.append((fi, lo + rng.uniform(size=lo.size) * (hi - lo)))
         return out
 
-    ellipticity.integrate_jump_sets = (
-        lambda jumps, owner, count, *args, **kw: [types.SimpleNamespace(value=0.0)] * count)
-    ellipticity._search_values(f, families, points(8))  # one-time costs stay out
+    batches = {n: points(n) for n in SIZES}
+
+    def round_calls(n):
+        ellipticity._search_values(f, families, batches[n])  # one-time costs stay out
+        return numpy_calls(lambda: ellipticity._search_values(f, families, batches[n]))
+
     for n in SIZES:
-        batch = points(n)
-        calls = numpy_calls(lambda: ellipticity._search_values(f, families, batch))
-        print(f"{n} points: {calls} numpy calls")
+        print(f"{n} points, whole round: {round_calls(n)} numpy calls")
+    zeros = np.zeros(max(SIZES))
+    if hasattr(ellipticity, "jump_set_integrals"):
+        ellipticity.jump_set_integrals = (
+            lambda jumps, owner, count, *args, **kw: (zeros[:count],) * 4)
+    else:
+        ellipticity.integrate_jump_sets = (
+            lambda jumps, owner, count, *args, **kw: [types.SimpleNamespace(value=0.0)] * count)
+    for n in SIZES:
+        print(f"{n} points: {round_calls(n)} numpy calls")
     return 0
 
 
