@@ -426,17 +426,17 @@ def _round_jumps(families, batches, compiled: JumpSquareBatch):
     """The jump sets of the parameter rows batches[s] (n, dim) of layout
     family families[s], the rows of group s of the compiled round, and the
     owner of each jump row: its input's index in the round."""
-    W = []
-    A, c = ([family.outer[n] for family in families] for n in (0, 1))
+    # the outer pieces of every family, then the insert pieces of every row
+    W, A, c = [], [fam.outer[0] for fam in families], [fam.outer[1] for fam in families]
     for family, P in zip(families, batches):
         if not np.all((family.lo <= P) & (P <= family.hi)):
             raise EllipticityError(f"{family.name}: parameters outside the bounds")
         vertices, A_in, c_in, hw, hh = family.layout(P, family.side)
-        W.append(JumpSquareTopology.place(vertices, hw, hh, family.side, family.frame))
+        placed = JumpSquareTopology.place(vertices, hw, hh, family.side, family.frame)
+        W.append(placed.reshape(-1, 2))
         A.append(A_in.reshape((-1,) + A_in.shape[2:]))
         c.append(c_in.reshape((-1,) + c_in.shape[2:]))
-    return compiled.jumps(np.concatenate([w.reshape(-1, 2) for w in W]),
-                          np.concatenate(A), np.concatenate(c))
+    return compiled.jumps(np.concatenate(W), np.concatenate(A), np.concatenate(c))
 
 
 def _outer_pieces(i, j, i_side):

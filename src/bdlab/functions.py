@@ -368,12 +368,12 @@ class JumpSquareBatch:
     out).  They are compiled once, and `jumps` evaluates them for any
     vertices and pieces of that composition.
 
-    `groups[s]` lists the inputs of topology s in order.  The stacked
-    vertices hold the cells of those inputs, group after group and input
-    after input, as place gives them.  The piece table holds the two outer
-    pieces of each topology first (rows 2s, below the chord, and 2s + 1),
-    then the insert pieces of each input, group after group and input
-    after input: the outer pieces are stored once per topology."""
+    `groups[s]` lists the inputs of slot s in order.  The stacked vertices
+    hold the cells of those inputs, group after group and input after
+    input, as place gives them.  The piece table holds the two outer pieces
+    of each group first (rows 2s, below the chord, and 2s + 1), then the
+    insert pieces of each input, group after group and input after input:
+    a group's outer pieces are stored once, not once per input."""
 
     def __init__(self, topologies, slots):
         slots = np.array(slots, dtype=int)
