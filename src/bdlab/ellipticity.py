@@ -12,7 +12,8 @@ rotations by its inverse.  Energies are normalized per unit interface
 length, which is invariant under rescaling.  The built-in families are
 insert layouts with one cell topology each, compiled once per process, and
 bounds in which every row builds valid cells, checked once per family; the
-search evaluates them through that topology with no per-point check, and
+search evaluates them through that topology with no per-point check, the
+index arrays of a round compiled once per composition of its families, and
 certifies its best competitor on the general path, built as a partition.
 """
 
