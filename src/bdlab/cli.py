@@ -15,7 +15,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -332,7 +332,10 @@ def _options(cmd: Command) -> tuple:
     return cmd.options + ((("--out", {}),) if cmd.mode else ())
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on first use:
+    parsing leaves it as it was, so main and scenario runs share it."""
     ap = argparse.ArgumentParser(prog="bdlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():

@@ -24,6 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
+try:  # the ufunc that np.clip dispatches to, without its Python layers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip as _clip
+
 from .densities import Density, check_convexity_in_nu, check_subadditivity
 from .energy import (
     integrate_jump_arrays,
@@ -600,11 +605,14 @@ def _nelder_mead(x0, bounds, maxfev: int):
     into them, the coefficients 1, 2, 0.5, 0.5, every trial point clipped,
     an argsort after every step, and a step abandoned where it asks for an
     evaluation beyond maxfev.  The caller evaluates the points, so the
-    points of many runs can be evaluated together.
+    points of many runs can be evaluated together.  Points are clipped by
+    the ufunc np.clip calls, and the stopping test looks at the values
+    before the simplex (it is false at almost every step, and the value
+    spread is cheaper to test).
     """
     lower = np.array([float(lo) for lo, _ in bounds])
     upper = np.array([float(hi) for _, hi in bounds])
-    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
+    x0 = _clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
     N = x0.size
     sim = np.empty((N + 1, N))
     sim[0] = x0
@@ -612,7 +620,7 @@ def _nelder_mead(x0, bounds, maxfev: int):
         y = x0.copy()
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    sim = _clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
     fsim = np.full(N + 1, np.inf)
     calls = 0
 
@@ -636,15 +644,15 @@ def _nelder_mead(x0, bounds, maxfev: int):
     sim, fsim = ordered(sim, fsim)
     while calls < maxfev:
         try:
-            if (np.abs(sim[1:] - sim[0]).max() <= 1e-9
-                    and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
+            if (np.abs(fsim[0] - fsim[1:]).max() <= 1e-12
+                    and np.abs(sim[1:] - sim[0]).max() <= 1e-9):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = np.clip(2 * xbar - sim[-1], lower, upper)
+            xr = _clip(2 * xbar - sim[-1], lower, upper)
             fxr = yield from evaluate(xr)
             if fxr < fsim[0]:
                 # expansion
-                xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+                xe = _clip(3 * xbar - 2 * sim[-1], lower, upper)
                 fxe = yield from evaluate(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
@@ -652,18 +660,18 @@ def _nelder_mead(x0, bounds, maxfev: int):
             else:
                 # outside contraction if xr improves on the worst, else inside
                 if fxr < fsim[-1]:
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                    xc = _clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
                     fxc = yield from evaluate(xc)
                     shrink = not fxc <= fxr
                 else:
-                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                    xc = _clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
                     fxc = yield from evaluate(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for k in range(1, N + 1):
-                        sim[k] = np.clip(sim[0] + 0.5 * (sim[k] - sim[0]), lower, upper)
+                        sim[k] = _clip(sim[0] + 0.5 * (sim[k] - sim[0]), lower, upper)
                         fsim[k] = yield from evaluate(sim[k])
         except _Exhausted:
             pass

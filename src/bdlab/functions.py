@@ -144,8 +144,13 @@ def jump_arrays(a, b, normal, left, right):
     either side.  An interface is dropped when its two maps are equal, or
     when their traces agree at both ends and the midpoint (exact for affine
     traces).  Row by row, the arithmetic is that of one interface at a time.
+
+    The agreement test runs on (dim, n) component arrays, probe by probe, so
+    every NumPy loop runs over the rows; with fewer than eight components
+    its norm adds the squares in order, as np.linalg.norm does.
     """
     (Al, cl), (Ar, cr) = left, right
+    n, dim = a.shape
     v = b - a
     L = row_norms(v)
     d = v / L[:, None]
@@ -153,12 +158,19 @@ def jump_arrays(a, b, normal, left, right):
     mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
     ps = (Al @ d[:, :, None])[..., 0]
     ms = (Ar @ d[:, :, None])[..., 0]
-    probes = np.stack([np.zeros_like(L), 0.5 * L, L], axis=1)[..., None]
-    plus = pv0[:, None, :] + probes * ps[:, None, :]
-    minus = mv0[:, None, :] + probes * ms[:, None, :]
-    scale = 1.0 + (np.max(np.abs(plus), axis=(1, 2)) + np.max(np.abs(minus), axis=(1, 2)))
-    agree = np.max(np.linalg.norm(plus - minus, axis=2), axis=1) <= 1e-12 * scale
-    same = np.all(Al == Ar, axis=(1, 2)) & np.all(cl == cr, axis=1)
+    P0, PS, M0, MS = pv0.T, ps.T, mv0.T, ms.T
+    probes = []
+    for t in (0.0, 0.5 * L, L):
+        p, m = P0 + t * PS, M0 + t * MS
+        abs_p, abs_m, diff = np.abs(p), np.abs(m), p - m
+        sq = diff * diff
+        hp, hm, s = abs_p[0], abs_m[0], sq[0]
+        for k in range(1, dim):
+            hp, hm, s = np.maximum(hp, abs_p[k]), np.maximum(hm, abs_m[k]), s + sq[k]
+        probes.append((hp, hm, np.sqrt(s)))
+    top_p, top_m, gap = (np.maximum(np.maximum(x, y), z) for x, y, z in zip(*probes))
+    agree = gap <= 1e-12 * (1.0 + (top_p + top_m))
+    same = np.all((Al == Ar).reshape(n, dim * dim), axis=1) & np.all(cl == cr, axis=1)
     keep = np.flatnonzero(~(same | agree))
     jumps = JumpArrays(
         a[keep], b[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],

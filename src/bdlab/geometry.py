@@ -268,8 +268,9 @@ def _edge_arrays(vertices):
 def _overlap_span(off, Ua, La, dot_dir):
     """Arclength interval [lo, hi] of an edge (unit direction Ua, length La)
     covered by a collinear edge starting at offset `off` from its start,
-    whose direction vector has the projection dot_dir on Ua; broadcasts."""
-    s = off[..., 0] * Ua[..., 0] + off[..., 1] * Ua[..., 1]
+    whose direction vector has the projection dot_dir on Ua; off and Ua are
+    (x, y) pairs of arrays that broadcast."""
+    s = off[0] * Ua[0] + off[1] * Ua[1]
     e = s + dot_dir
     return np.maximum(0.0, np.minimum(s, e)), np.minimum(La, np.maximum(s, e))
 
@@ -292,7 +293,8 @@ def _edge_overlaps(a, b, tol: float, antiparallel: bool = True):
     mask = (np.abs(cross_dir) <= tol) & oriented & (np.abs(cross_off) <= tol)
     if not mask.any():
         return (), (), (), ()
-    lo, hi = _overlap_span(off, Ua[:, None, :], La[:, None], dot_dir)
+    lo, hi = _overlap_span((off[..., 0], off[..., 1]), (Ua[:, None, 0], Ua[:, None, 1]),
+                           La[:, None], dot_dir)
     k, l = np.nonzero(mask & ((hi - lo) > tol))
     return k, l, lo[k, l], hi[k, l]
 
@@ -329,16 +331,19 @@ def edge_pair_interfaces(vertices, a_start, a_end, b_start, b_end):
     the part of the right edge that the left edge covers; its normal, the
     right edge's direction turned by -90 degrees, points out of the right
     cell, as counterclockwise cells keep their interior on their left.
+    The arithmetic runs on x and y columns, elementwise that of the rows
+    (the norm of two components is sqrt(x * x + y * y)).
     """
-    Pa = vertices[a_start]
-    Da = vertices[a_end] - Pa
-    La = np.linalg.norm(Da, axis=1)
-    Ua = Da / La[:, None]
-    Db = vertices[b_end] - vertices[b_start]
-    dot_dir = Ua[:, 0] * Db[:, 0] + Ua[:, 1] * Db[:, 1]
-    lo, hi = _overlap_span(vertices[b_start] - Pa, Ua, La, dot_dir)
-    normal = np.stack([Ua[:, 1], -Ua[:, 0]], axis=1)
-    return Pa + lo[:, None] * Ua, Pa + hi[:, None] * Ua, normal
+    X, Y = vertices.T
+    px, py, qx, qy = X[a_start], Y[a_start], X[a_end], Y[a_end]
+    bx, by, ex, ey = X[b_start], Y[b_start], X[b_end], Y[b_end]
+    dx, dy = qx - px, qy - py
+    La = np.sqrt(dx * dx + dy * dy)
+    ux, uy = dx / La, dy / La
+    dot_dir = ux * (ex - bx) + uy * (ey - by)
+    lo, hi = _overlap_span((bx - px, by - py), (ux, uy), La, dot_dir)
+    return (np.stack([px + lo * ux, py + lo * uy], axis=1),
+            np.stack([px + hi * ux, py + hi * uy], axis=1), np.stack([uy, -ux], axis=1))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bdlab import cli
 from bdlab.cli import main
 from bdlab.functions import AffinePiece, PiecewiseAffine, constant_piece, make_elementary
 from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square
@@ -265,6 +269,42 @@ class TestDeterminism:
             rep.pop("wall_time_s")
             outs.append(rep)
         assert outs[0] == outs[1]
+
+
+class TestParserOnce:
+    """main builds its parser once per process; calls after a usage error
+    and a scenario run, which calls main again, report what fresh
+    processes report."""
+
+    def test_reports_equal_fresh_processes(self, elementary_json, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # elementary_json wrote u.json here
+        keys, falsify_argv = SCENARIO_PAIRS["falsify"]
+        Path("scenario.json").write_text(json.dumps({"mode": "falsify", **keys, "out": "run.json"}))
+        calls = [
+            ["energy-eval", "--function", "u.json", "--density", "isotropic:id", "--out", "eval.json"],
+            ["density-check", "--density", "frobenius", "--samples", "x"],
+            falsify_argv + ["--out", "falsify.json"],
+            ["run", "scenario.json"],
+        ]
+        reports = ("eval.json", "falsify.json", "run.json")
+
+        def read():
+            out = [json.loads(Path(p).read_text()) for p in reports]
+            for rep in out:
+                rep.pop("wall_time_s")
+            return out
+
+        assert [main(argv) for argv in calls] == [0, 1, 0, 0]
+        assert cli._build_parser() is cli._build_parser()
+        in_process = read()
+        for p in reports:
+            Path(p).unlink()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        codes = [subprocess.run([sys.executable, "-m", "bdlab.cli", *argv], env=env,
+                                capture_output=True).returncode for argv in calls]
+        assert codes == [0, 1, 0, 0]
+        assert read() == in_process
 
 
 class TestRender:

@@ -1261,6 +1261,22 @@ class TestNelderMead:
         points = self.assert_same(rosenbrock, (0.0, 0.5), ((-2.0, 2.0), (-2.0, 2.0)), 60)
         assert points[1][0] == 0.00025
 
+    @pytest.mark.parametrize("low", [-1.0, -0.0])
+    def test_signed_zeros_on_a_zero_lower_bound(self, low):
+        # from -0.0 on the lower bound 0.0 toward a target outside the box:
+        # the trial points clip to +0.0, to -0.0 and to both bounds, and
+        # match scipy's in every bit, the sign of zero included
+        target = np.array([2.0, -1.0])
+        fun = lambda x: float(np.sum((x - target) ** 2))
+        bounds = ((0.0, 1.0), (low, 1.0))
+        points = self.assert_same(fun, (-0.0, -0.0), bounds, 60)
+        want = scipy_nelder_mead(fun, (-0.0, -0.0), bounds, 60)[2]
+        assert [p.tobytes() for p in points] == [p.tobytes() for p in want]
+        P = np.array(points)
+        assert (P == 0.0).any(axis=0).all()
+        assert (np.signbit(P) & (P == 0.0)).any() and (~np.signbit(P) & (P == 0.0)).any()
+        assert (P == 1.0).any() and (P[:, 1] == low).any()
+
 
 def child_output(code: str) -> str:
     """What `python -c code` prints, stripped, in a child process that finds

@@ -12,6 +12,7 @@ from bdlab.functions import (
     PiecewiseRigid,
     compact_deviation,
     constant_piece,
+    jump_arrays,
     make_elementary,
     rigid_piece,
     skew2,
@@ -23,6 +24,7 @@ from bdlab.geometry import (
     PolygonalPartition,
     frame_from_normal,
     make_oriented_square,
+    row_norms,
     unit,
 )
 
@@ -204,6 +206,122 @@ class TestJumpSegments:
         p2 = AffinePiece(np.array([[0.0, 0.0], [-w, 0.0]]), (0.0, 0.0))
         u = PiecewiseAffine(part, [p1, p2])
         assert len(u.jump_segments()) == 0
+
+
+def stacked_drop_test(a, b, left, right):
+    """The rows jump_arrays keeps, by its drop test on stacked (n, 3, d)
+    traces reduced over several axes: the plain form of the test."""
+    (Al, cl), (Ar, cr) = left, right
+    v = b - a
+    L = row_norms(v)
+    d = v / L[:, None]
+    pv0 = (a[:, None, :] @ np.swapaxes(Al, 1, 2))[:, 0] + cl
+    mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
+    ps = (Al @ d[:, :, None])[..., 0]
+    ms = (Ar @ d[:, :, None])[..., 0]
+    probes = np.stack([np.zeros_like(L), 0.5 * L, L], axis=1)[..., None]
+    plus = pv0[:, None, :] + probes * ps[:, None, :]
+    minus = mv0[:, None, :] + probes * ms[:, None, :]
+    scale = 1.0 + (np.max(np.abs(plus), axis=(1, 2)) + np.max(np.abs(minus), axis=(1, 2)))
+    agree = np.max(np.linalg.norm(plus - minus, axis=2), axis=1) <= 1e-12 * scale
+    same = np.all(Al == Ar, axis=(1, 2)) & np.all(cl == cr, axis=1)
+    return np.flatnonzero(~(same | agree))
+
+
+# the trace gaps of the threshold rows, in units of 1e-12 * scale
+GAP_RATIOS = np.array([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0])
+
+
+def drop_test_case(rng, n, dim):
+    """Arguments of jump_arrays for n interfaces in R^dim, and the kind of
+    each row: 0 distinct maps, 1 equal maps up to the sign of their zeros,
+    2 distinct maps that agree along the interface, 3 equal maps but for a
+    trace gap of GAP_RATIOS[ratio] * 1e-12 * scale, 4 a non-finite entry,
+    5 constant maps whose gap is within a few ulps of 1e-12 * scale, where
+    the order in which the norm adds the squares can decide the test."""
+    mag = 10.0 ** rng.integers(-6, 7, size=(n, 1))
+    a = rng.normal(size=(n, dim)) * mag
+    b = a + rng.normal(size=(n, dim)) * mag
+    normal = rng.normal(size=(n, dim))
+    Al = rng.normal(size=(n, dim, dim)) * mag[:, :, None]
+    cl = rng.normal(size=(n, dim)) * mag
+    Al[rng.random(Al.shape) < 0.3] = 0.0
+    cl[rng.random(cl.shape) < 0.3] = -0.0
+    Ar = np.where(Al == 0.0, -Al, Al)
+    cr = np.where(cl == 0.0, -cl, cl)
+    kind = rng.integers(0, 6, size=n)
+    ratio = rng.integers(0, len(GAP_RATIOS), size=n)
+    for k in range(n):
+        if kind[k] == 0:
+            Ar[k] = rng.normal(size=(dim, dim)) * mag[k]
+        elif kind[k] == 2:
+            # Ar = Al + w x, x orthogonal to b - a, and cr = cl - w <x, a>
+            t = (b[k] - a[k]) / np.linalg.norm(b[k] - a[k])
+            x = rng.normal(size=dim)
+            x -= (x @ t) * t
+            w = rng.normal(size=dim) * mag[k]
+            Ar[k] = Al[k] + np.outer(w, x)
+            cr[k] = cl[k] - w * (x @ a[k])
+        elif kind[k] == 3:
+            top = max(np.abs(Al[k] @ a[k] + cl[k]).max(), np.abs(Al[k] @ b[k] + cl[k]).max())
+            gap = GAP_RATIOS[ratio[k]] * 1e-12 * (1.0 + 2.0 * top)
+            cr[k, rng.integers(dim)] += rng.choice([-1.0, 1.0]) * gap
+        elif kind[k] == 4:
+            M = (Al, cl, Ar, cr)[rng.integers(4)][k]
+            M.flat[rng.integers(M.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        elif kind[k] == 5:
+            x = rng.normal(size=dim)
+            x *= 1e-12 / np.linalg.norm(x)
+            x *= 1e-12 * (1.0 + np.abs(x).max()) / np.linalg.norm(x)
+            Al[k], Ar[k] = 0.0, 0.0
+            cl[k], cr[k] = x * (1 + rng.integers(-3, 4) * 2.0**-53), 0.0
+    return (a, b, normal, (Al, cl), (Ar, cr)), kind, ratio
+
+
+class TestDropTest:
+    """jump_arrays runs its drop test component by component; the stacked
+    form is the oracle, and the kept rows must be the same."""
+
+    @staticmethod
+    def kept(args):
+        a, b, normal, left, right = args
+        with np.errstate(all="ignore"):  # the non-finite rows
+            want = stacked_drop_test(a, b, left, right)
+            jumps, got = jump_arrays(a, b, normal, left, right)
+        assert len(jumps) == len(got)
+        return got, want
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), dim=st.integers(1, 3))
+    def test_keeps_the_stacked_rows(self, seed, n, dim):
+        args, _, _ = drop_test_case(np.random.default_rng(seed), n, dim)
+        got, want = self.kept(args)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_on_either_side_of_the_threshold(self, dim):
+        args, kind, ratio = drop_test_case(np.random.default_rng([23, dim]), 2000, dim)
+        got, want = self.kept(args)
+        assert np.array_equal(got, want)
+        kept = np.isin(np.arange(len(kind)), got)
+        near = (kind == 3) & (GAP_RATIOS[ratio] != 0.5) & (GAP_RATIOS[ratio] != 2.0)
+        # the gaps within a rounding of the threshold fall on both sides
+        assert kept[near].any() and not kept[near].all()
+        assert not kept[(kind == 3) & (GAP_RATIOS[ratio] == 0.5)].any()
+        assert kept[(kind == 3) & (GAP_RATIOS[ratio] == 2.0)].all()
+        assert not kept[kind == 1].any()
+        # x0^2 + (x1^2 + x2^2), another order of the norm's sum, decides
+        # some of the rows of kind 5 otherwise
+        x = args[3][1][kind == 5]
+        sq = x * x
+        other = np.sqrt(sq[:, 0] + np.sum(sq[:, 1:], axis=1)) > 1e-12 * (1.0 + np.abs(x).max(axis=1))
+        assert (other != kept[kind == 5]).any() == (dim == 3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_rows(self, dim):
+        args, _, _ = drop_test_case(np.random.default_rng(0), 0, dim)
+        got, want = self.kept(args)
+        assert got.shape == want.shape == (0,)
 
 
 class TestFrameProduct:

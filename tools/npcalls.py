@@ -13,7 +13,11 @@ alone, with the kernel entry the round calls (`jump_set_integrals`, or
 `integrate_jump_sets` where a checkout has no such entry) replaced by a
 stub that returns zero energies, so that count is that of building the jump
 sets.  Every count is taken after a first round of the same points, so
-what a round compiles once per composition stays out.  A NumPy call is a C
+what a round compiles once per composition stays out.  Last, the search
+protocol of a budget-2000 `falsify` over those families at seed 0 (40
+`_nelder_mead` runs of 50 evaluations each, driven in lockstep) is counted
+on a stub objective that gives every point the value 1.0, so the count is
+that of the generators alone.  A NumPy call is a C
 function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
 profiler does not report ufunc calls, operators or numpy's dispatched
@@ -61,6 +65,32 @@ def numpy_calls(run) -> int:
     return count
 
 
+def protocol(families, budget: int = 2000, seed: int = 0) -> None:
+    """falsify's search protocol on a constant objective: its runs (the
+    suggestions, then the Latin-hypercube starts of each family) with its
+    per-run budget, every live run sent 1.0 each round until all stop."""
+    runs = []
+    for fi, family in enumerate(families):
+        lo, hi = np.array(family.bounds).T
+        starts = lo + (hi - lo) * ellipticity._latin_hypercube(
+            seed, fi, family.dim, ellipticity._RESTARTS)
+        runs += [(family, start) for start in (*family.suggestions, *starts)]
+    per_run = max(ellipticity._MIN_RUN, budget // len(runs))
+    searches = [ellipticity._nelder_mead(start, family.bounds, per_run)
+                for family, start in runs[: budget // per_run]]
+    for search in searches:
+        next(search)
+    while searches:
+        live = []
+        for search in searches:
+            try:
+                search.send(1.0)
+                live.append(search)
+            except StopIteration:
+                pass
+        searches = live
+
+
 def main() -> int:
     args = ((0.0, 0.0), (2.0, 2.0), (0.0, 1.0))
     for call in ("first", "second"):
@@ -95,6 +125,7 @@ def main() -> int:
             lambda jumps, owner, count, *args, **kw: [types.SimpleNamespace(value=0.0)] * count)
     for n in SIZES:
         print(f"{n} points: {round_calls(n)} numpy calls")
+    print(f"search protocol, budget 2000: {numpy_calls(lambda: protocol(families))} numpy calls")
     return 0
 
 
