@@ -65,19 +65,20 @@ def numpy_calls(run) -> int:
     return count
 
 
-def protocol(families, budget: int = 2000, seed: int = 0) -> None:
-    """falsify's search protocol on a constant objective: its runs (the
-    suggestions, then the Latin-hypercube starts of each family) with its
-    per-run budget, every live run sent 1.0 each round until all stop."""
+def protocol(families) -> None:
+    """falsify's search protocol at budget 2000 and seed 0 on a constant
+    objective: its runs (the suggestions, then the Latin-hypercube starts of
+    each family) with its per-run budget, every live run sent 1.0 each round
+    until all stop."""
     runs = []
     for fi, family in enumerate(families):
         lo, hi = np.array(family.bounds).T
         starts = lo + (hi - lo) * ellipticity._latin_hypercube(
-            seed, fi, family.dim, ellipticity._RESTARTS)
+            0, fi, family.dim, ellipticity._RESTARTS)
         runs += [(family, start) for start in (*family.suggestions, *starts)]
-    per_run = max(ellipticity._MIN_RUN, budget // len(runs))
+    per_run = max(ellipticity._MIN_RUN, 2000 // len(runs))
     searches = [ellipticity._nelder_mead(start, family.bounds, per_run)
-                for family, start in runs[: budget // per_run]]
+                for family, start in runs[: 2000 // per_run]]
     for search in searches:
         next(search)
     while searches:
