@@ -10,11 +10,12 @@ Competitor families are authored on a side-6 square (the scale of the
 reference constructions) and rescaled to the side: sizes by side / 6,
 rotations by its inverse.  Energies are normalized per unit interface
 length, which is invariant under rescaling.  The built-in families are
-insert layouts with one cell topology each, compiled once per process, and
-bounds in which every row builds valid cells, checked once per family; the
-search evaluates them through that topology with no per-point check, the
-index arrays of a round compiled once per composition of its families, and
-certifies its best competitor on the general path, built as a partition.
+insert layouts, declared as gathers from a table per parameter row, with
+one cell topology each, compiled once per process, and bounds in which
+every row builds valid cells, checked once per family; a search round
+gathers its geometry from one flat table by index arrays compiled once per
+composition, and the best competitor is certified on the general path, a
+partition built from the same gathers.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ from .energy import (
     surface_energy,
 )
 from .functions import (
+    OUTER_CELLS,
     AffinePiece,
     FunctionError,
     JumpArrays,
-    JumpSquareBatch,
     JumpSquareTopology,
     PiecewiseRigid,
     compact_deviation,
+    jump_arrays,
     jump_sides,
     jump_square,
     make_elementary,
@@ -54,6 +56,7 @@ from .geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
+    edge_pair_interfaces,
     frame_from_normal,
     make_oriented_square,
     unit,
@@ -93,85 +96,90 @@ def insert_competitor(
     )
 
 
-# Insert layouts: parameter rows (n, dim) and the side of the square ->
-# cell vertices in frame coordinates (n, V_in, 2), four a cell, pieces
-# x -> A x + c, A (n, C, 2, 2) and c (n, C, 2), and half widths and heights
-# (n,).  Elementwise, so each row's arithmetic is that of its vector alone.
+class InsertLayout:
+    """An insert layout declared as gathers: each parameter row (n, dim) at
+    the side of the square has the table 0, 1, half and a sixth of the side,
+    the two values below and the two above the chord (0 here; a search
+    round's table holds its family's), its parameters named by `columns`,
+    the `derived` columns (name -> (x, y): 0.5 * (x * y)), then the negation
+    of each ("-name"; "-0" is 0).  Every cell vertex in frame coordinates,
+    every entry of the rigid pieces (omega, c1, c2): x -> [[0, omega],
+    [-omega, 0]] x + (c1, c2), of jump_square's outer halves and then of
+    the insert's `cells` and `pieces`, and its half width `hw` and height
+    `hh` is an entry of it.  `ranges` holds the checked columns (column,
+    low, high, size): a row whose values there lie in [low, high], times
+    the side for a size, builds cells that Polygon accepts, no edge shorter
+    than 5e-6 of the side, and an insert 0.01 of the side inside the square,
+    whatever its other (finite) columns."""
+
+    def __init__(self, columns, derived, cells, pieces, hw, hh, ranges):
+        names = ["0", "1", "half", "sixth", "below1", "below2", "above1", "above2",
+                 *columns.split(), *derived]
+        index = {name: k for k, name in enumerate(names)}
+        index |= {"-" + name: k + len(names) for name, k in index.items()} | {"-0": 0}
+        outer = [[("0", "half", "-half", hw, "-" + hw, hh, "-" + hh)[k] for k in vertex]
+                 for vertex in OUTER_CELLS]
+        self.dim, self.ranges = len(columns.split()), ranges
+        self.dx, self.dy = np.array([[index[x] for x in pair] for pair in derived.values()],
+                                    dtype=int).reshape(-1, 2).T
+        self.vertices = np.array([[index[x] for x in vertex]
+                                  for vertex in outer + [v for cell in cells for v in cell]])
+        pieces = [("0", "below1", "below2"), ("0", "above1", "above2"), *pieces]
+        self.A = np.array([[[0, index[omega]], [index["-" + omega], 0]] for omega, _, _ in pieces])
+        self.c = np.array([[index[c1], index[c2]] for _, c1, c2 in pieces])
+        self.hw, self.hh = index[hw], index[hh]
+
+    def __call__(self, P, side):
+        """The rows P (n, dim) at the side -> the vertices of every cell (n,
+        V, 2), A (n, C, 2, 2) and c (n, C, 2) of its piece, hw and hh (n,)."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.dim:
+            raise EllipticityError(f"a layout row has {self.dim} parameters")
+        head = np.broadcast_to([0.0, 1.0, 0.5 * side, side / 6.0] + [0.0] * 4, (len(P), 8))
+        base = np.concatenate([head, P], axis=1)
+        table = np.concatenate([base, 0.5 * (base[:, self.dx] * base[:, self.dy])], axis=1)
+        table = np.concatenate([table, -table], axis=1)
+        return tuple(table[:, k] for k in (self.vertices, self.A, self.c, self.hw, self.hh))
+
+    def insert_args(self, params, side=6.0):
+        """insert_competitor's cells, pieces, half width and half height from
+        row 0 of a batch of one; each cell has V_in / C vertices."""
+        vertices, A, c, hw, hh = self(np.array([params], dtype=float), side)
+        pieces = [AffinePiece(a, b) for a, b in zip(A[0, 2:], c[0, 2:])]
+        inner = vertices[0, len(OUTER_CELLS):]
+        return list(inner.reshape(len(pieces), -1, 2)), pieces, hw[0], hh[0]
 
 
-def _insert_args(layout, params, side=6.0):
-    """insert_competitor's cells, pieces, half width and half height from
-    row 0 of the layout of a batch of one; each cell has V_in / C vertices."""
-    vertices, A, c, hw, hh = layout(np.array([params], dtype=float), side)
-    pieces = [AffinePiece(a, b) for a, b in zip(A[0], c[0])]
-    return list(vertices[0].reshape(len(pieces), -1, 2)), pieces, hw[0], hh[0]
+def _box(w, h):
+    """The rectangle [-w, w] x [-h, h], counterclockwise from (-w, -h)."""
+    return [("-" + w, "-" + h), (w, "-" + h), (w, h), ("-" + w, h)]
 
 
-def _rigid(omega, b1, b2):
-    """rigid_piece's A (n, 1, 2, 2) and c (n, 1, 2) for (n,) arrays."""
-    zero = np.zeros_like(omega)
-    A = np.stack([zero, omega, -omega, zero], axis=1).reshape(-1, 1, 2, 2)
-    return A, np.stack([b1, b2], axis=1)[:, None]
-
-
-def _rectangle(hw, hh):
-    """The rectangles [-hw, hw] x [-hh, hh] of (n,) arrays: (n, 4, 2)."""
-    return np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
-
-
-def _square_layout(P, side):
-    """Rows (s, omega, b1, b2): a side-s square with the rigid motion (omega, (b1, b2))."""
-    s, omega, b1, b2 = P.T
-    h = 0.5 * s
-    return (_rectangle(h, h), *_rigid(omega, b1, b2), h, h)
-
-
-def _rect_layout(P, side):
-    """Rows (delta, omega, b1, b2): a side / 3 x 2 delta rectangle, rigid
-    motion (omega, (b1, b2)); its half width is 1 at side 6."""
-    delta, omega, b1, b2 = P.T
-    hw = np.full_like(delta, side / 6.0)
-    return (_rectangle(hw, delta), *_rigid(omega, b1, b2), hw, delta)
-
-
-def _checker_layout(P, side):
-    """Rows (s, v1, v2, w1, w2): a side-s square in quarters alternating the values v, w."""
-    s, v1, v2, w1, w2 = P.T
-    hh = 0.5 * s
-    # quarter (a, b) spans the columns a, a + 1 by b, b + 1 of [-hh, +0.0, hh]
-    corners = [(a + x, b + y) for a in (0, 1) for b in (0, 1)
-               for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
-    c = np.stack([v1, v2, w1, w2, w1, w2, v1, v2], axis=1).reshape(-1, 4, 2)
-    cells = np.stack([-hh, -hh + hh, hh], axis=1)[:, np.array(corners)]
-    return cells, np.zeros(c.shape + (2,)), c, hh, hh
-
-
-def _nested_layout(P, side):
-    """Rows (s1, frac, om1, b11, b12, om2, b21, b22): a side-s1 square ring
-    (four trapezoids, motion 1) around a centered side-frac*s1 square
-    (motion 2)."""
-    s1, frac, om1, b11, b12, om2, b21, b22 = P.T
-    h1, h2 = 0.5 * s1, 0.5 * (frac * s1)
-    outer_sq, inner_sq = _rectangle(h1, h1), _rectangle(h2, h2)
-    k, k1 = np.arange(4), (np.arange(4) + 1) % 4
-    ring = np.stack([outer_sq[:, k], outer_sq[:, k1], inner_sq[:, k1], inner_sq[:, k]], axis=2)
-    cells = np.concatenate([inner_sq, ring.reshape(-1, 16, 2)], axis=1)
-    (A1, c1), (A2, c2) = _rigid(om1, b11, b12), _rigid(om2, b21, b22)
-    A, c = np.concatenate([A2] + [A1] * 4, axis=1), np.concatenate([c2] + [c1] * 4, axis=1)
-    return cells, A, c, h1, h1
-
-
-# Each layout's checked columns, (column, low, high, size): a row whose
-# values there lie in [low, high], times the side for a size (a length) and
-# as they are for a shape fraction, builds cells that Polygon accepts, no
-# edge shorter than 5e-6 of the side, and an insert at least 0.01 of the
-# side inside the square, whatever its other (finite) columns.
-_RANGES = {
-    _square_layout: ((0, 1e-3, 0.98, True),),
-    _rect_layout: ((0, 1e-3, 0.49, True),),
-    _checker_layout: ((0, 1e-3, 0.98, True),),
-    _nested_layout: ((0, 1e-3, 0.98, True), (1, 0.01, 0.99, False)),
-}
+_SIZE = (0, 1e-3, 0.98, True)  # a side-s square insert, s in [0.001, 0.98] x side
+# Rows (s, omega, b1, b2): a side-s square with the rigid motion (omega, (b1, b2)).
+_SQUARE = InsertLayout("s omega b1 b2", {"h": ("s", "1")}, [_box("h", "h")],
+                       [("omega", "b1", "b2")], "h", "h", (_SIZE,))
+# Rows (delta, omega, b1, b2): a side / 3 x 2 delta rectangle, rigid motion
+# (omega, (b1, b2)); its half width is 1 at side 6.
+_RECT = InsertLayout("delta omega b1 b2", {}, [_box("sixth", "delta")],
+                     [("omega", "b1", "b2")], "sixth", "delta", ((0, 1e-3, 0.49, True),))
+# Rows (s, v1, v2, w1, w2): a side-s square in quarters alternating the values
+# v, w; quarter (a, b) spans the columns a, a + 1 by b, b + 1 of (-hh, 0, hh).
+_CHECKER = InsertLayout(
+    "s v1 v2 w1 w2", {"hh": ("s", "1")},
+    [[(("-hh", "0", "hh")[a + x], ("-hh", "0", "hh")[b + y])
+      for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))] for a in (0, 1) for b in (0, 1)],
+    [("0", *(("v1", "v2"), ("w1", "w2"))[(a + b) % 2]) for a in (0, 1) for b in (0, 1)],
+    "hh", "hh", (_SIZE,))
+# Rows (s1, frac, om1, b11, b12, om2, b21, b22): a side-s1 square ring (four
+# trapezoids, motion 1) around a centered side-frac*s1 square (motion 2).
+_OUTER_SQ, _INNER_SQ = _box("h1", "h1"), _box("h2", "h2")
+_NESTED = InsertLayout(
+    "s1 frac om1 b11 b12 om2 b21 b22", {"h1": ("s1", "1"), "h2": ("frac", "s1")},
+    [_INNER_SQ] + [[_OUTER_SQ[k], _OUTER_SQ[(k + 1) % 4], _INNER_SQ[(k + 1) % 4], _INNER_SQ[k]]
+                   for k in range(4)],
+    [("om2", "b21", "b22")] + [("om1", "b11", "b12")] * 4, "h1", "h1",
+    (_SIZE, (1, 0.01, 0.99, False)))
 
 
 def _check_side(side) -> None:
@@ -190,7 +198,7 @@ def counterexample1_competitor(lam: float) -> PiecewiseRigid:
     """
     if not lam > 0:
         raise EllipticityError("lam must be positive")
-    layout = _insert_args(_square_layout, (2.0, lam, lam, lam))
+    layout = _SQUARE.insert_args((2.0, lam, lam, lam))
     return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
@@ -202,7 +210,7 @@ def counterexample2_competitor(lam: float, eps: float) -> PiecewiseRigid:
     if not 0 < eps < 1:
         raise EllipticityError("eps must lie in (0, 1)")
     delta = eps ** 0.25
-    layout = _insert_args(_rect_layout, (delta, lam / delta, lam, lam / delta))
+    layout = _RECT.insert_args((delta, lam / delta, lam, lam / delta))
     return insert_competitor(np.zeros(2), np.full(2, 2.0 * lam), E2, *layout)
 
 
@@ -374,27 +382,23 @@ class CompetitorFamily:
 
 @dataclass(frozen=True)
 class LayoutFamily(CompetitorFamily):
-    """A family whose generator is insert_competitor over an insert layout
+    """A family whose generator is insert_competitor over an InsertLayout
     with one cell topology, compiled into `topology`; its bounds, finite and
-    within the layout's _RANGES at its side, are checked here, once, and
-    kept as the arrays `lo` and `hi` that every search round checks its
-    rows against."""
+    within the layout's ranges at its side, are checked here, once.  `head`
+    holds what a search round gathers from the family: the head of its
+    layout's row tables, with its own values, then its bounds' lows and highs."""
 
-    layout: object = None  # parameter rows, side -> cell vertices, pieces, half widths and heights
+    layout: InsertLayout | None = None
     topology: JumpSquareTopology | None = None
     side: float = 6.0  # of the square, turned by frame = frame_from_normal(nu)
     frame: np.ndarray | None = None
     outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    head: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_side(self.side)
-        lo, hi = np.array(self.bounds, dtype=float).T
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
         valid = all(-np.inf < lo <= hi < np.inf for lo, hi in self.bounds)
-        for column, low, high, size in _RANGES[self.layout]:
+        for column, low, high, size in self.layout.ranges:
             unit = self.side if size else 1.0
             lo, hi = self.bounds[column]
             valid = valid and low * unit <= lo and hi <= high * unit
@@ -402,47 +406,103 @@ class LayoutFamily(CompetitorFamily):
             raise EllipticityError(
                 f"{self.name}: bounds {self.bounds} may leave the layout's valid range "
                 f"at side {self.side}")
+        object.__setattr__(self, "head", np.concatenate([
+            (0.0, 1.0, 0.5 * self.side, self.side / 6.0), *self.outer[1],
+            *np.array(self.bounds).T]))
+
+
+class JumpSquareBatch:
+    """The index arrays of a round of layout-family points, which depend on
+    its composition alone: point k has the layout and topology
+    layouts[slots[k]], or neither for a negative slot (such points are left
+    out).  They are compiled once, and `jumps` gathers every vertex and
+    piece entry from one flat table per round: the head of each slot's
+    family, the parameters of the points in order, their derived columns,
+    then the negation of all of it.  `groups[s]` lists the points of slot s
+    in order; vertices and interfaces run group after group and point
+    after point."""
+
+    def __init__(self, layouts, slots):
+        slots = np.array(slots, dtype=int)
+        self.groups = [np.flatnonzero(slots == s).tolist() for s in range(len(layouts))]
+        heads = np.cumsum([0] + [8 + 2 * layout.dim for layout, _ in layouts])
+        params = heads[-1] + np.cumsum([0] + [layouts[s][0].dim if s >= 0 else 0 for s in slots])
+        self.size = derived = params[-1]  # of the table before its derived columns
+        size = derived + sum(len(g) * len(lay.dx) for (lay, _), g in zip(layouts, self.groups))
+        parts, vertex, ends = [], 0, []
+        for s, ((layout, top), group) in enumerate(zip(layouts, self.groups)):
+            m, h, dim, V = len(group), heads[s], layout.dim, len(layout.vertices)
+            # each point's row table (InsertLayout) as indices into the table
+            p = params[group][:, None] + np.arange(dim)
+            d = derived + np.arange(m * len(layout.dx)).reshape(m, -1)
+            derived += d.size
+            row = np.concatenate([np.broadcast_to(h + np.arange(8), (m, 8)), p, d], axis=1)
+            row = np.concatenate([row, row + size], axis=1)
+            # each vertex's turned coordinates: the columns of its slot's frame
+            turned = 2 * len(layouts) * np.arange(vertex, vertex + m * V) + 2 * s
+            parts.append(dict(
+                checked=p.ravel(), lo=np.tile(h + 8 + np.arange(dim), m),
+                hi=np.tile(h + 8 + dim + np.arange(dim), m), slot=np.full(p.size, s),
+                dx=row[:, layout.dx].ravel(), dy=row[:, layout.dy].ravel(),
+                vertices=row[:, layout.vertices].reshape(-1, 2),
+                turned=turned[:, None] + np.arange(2),
+                left_A=row[:, layout.A[top.left]].reshape(-1, 2, 2),
+                left_c=row[:, layout.c[top.left]].reshape(-1, 2),
+                right_A=row[:, layout.A[top.right]].reshape(-1, 2, 2),
+                right_c=row[:, layout.c[top.right]].reshape(-1, 2),
+                owner=np.repeat(np.array(group, dtype=int), len(top.left))))
+            ends.append([(vertex + V * np.arange(m)[:, None] + e).ravel() for e in top.edges])
+            vertex += m * V
+        for name in parts[0]:
+            setattr(self, name, np.concatenate([part[name] for part in parts]))
+        self.ends = [np.concatenate(e) for e in zip(*ends)]
+
+    def jumps(self, families, params) -> tuple[JumpArrays, np.ndarray]:
+        """The jump sets of the round's points, families[s] the layout family
+        of slot s and params the parameter vectors of the points in order
+        (flat, in one or more pieces): (jumps, owner), the rows of each point
+        in order, group after group, and the index of each row's point.  A
+        vector outside its family's bounds raises EllipticityError."""
+        base = np.concatenate([*(family.head for family in families), *params])
+        if base.size != self.size:
+            raise EllipticityError("parameter vectors of the wrong length")
+        P = base[self.checked]
+        inside = (base[self.lo] <= P) & (P <= base[self.hi])
+        if not inside.all():
+            name = families[self.slot[np.argmin(inside)]].name
+            raise EllipticityError(f"{name}: parameters outside the bounds")
+        table = np.concatenate([base, 0.5 * (base[self.dx] * base[self.dy])])
+        table = np.concatenate([table, -table])
+        # every vertex turned by every frame in one 2-D matmul: columns 2s, 2s + 1
+        # are each row's `vertex @ frame.T` of slot s, and it keeps its own slot's
+        frames = np.concatenate([family.frame.T for family in families], axis=1)
+        W = (table[self.vertices] @ frames).take(self.turned)
+        a, b, normal = edge_pair_interfaces(W, *self.ends)
+        left = table[self.left_A], table[self.left_c]
+        right = table[self.right_A], table[self.right_c]
+        jumps, rows = jump_arrays(a, b, normal, left, right)
+        return jumps, self.owner[rows]
 
 
 @lru_cache(maxsize=16)
-def _compiled_round(topologies, slots) -> JumpSquareBatch:
-    """The index arrays of a round's composition: the compiled topologies
-    of its layout families in order, and the slot among them of each point
-    (negative for a point of a plain family).  Bounded: the live runs of a
-    search change their composition a few times per call."""
-    return JumpSquareBatch(topologies, slots)
+def _compiled_round(layouts, slots) -> JumpSquareBatch:
+    """The JumpSquareBatch of a round's composition: the (layout, topology)
+    of its layout families in order, and each point's slot among them (-1 for
+    a plain family's).  Bounded: live runs change it a few times per call."""
+    return JumpSquareBatch(layouts, slots)
 
 
 def _layout_jumps(requests):
     """The jump sets of generator(params) for the parameter vectors of
     several (layout family, batch) requests, in one JumpSquareBatch.jumps
     call: (jumps, owner), the rows of each vector in order and the index of
-    each row's vector among those of all requests.  A family's bounds keep
-    every row's cells valid, so nothing is checked but that the vectors lie
-    in them: one outside raises EllipticityError."""
+    each row's vector among those of all requests."""
     families = [family for family, _ in requests]
     batches = [np.asarray(batch, dtype=float).reshape(-1, family.dim)
                for family, batch in requests]
     slots = tuple(s for s, P in enumerate(batches) for _ in range(len(P)))
-    compiled = _compiled_round(tuple(family.topology for family in families), slots)
-    return _round_jumps(families, batches, compiled)
-
-
-def _round_jumps(families, batches, compiled: JumpSquareBatch):
-    """The jump sets of the parameter rows batches[s] (n, dim) of layout
-    family families[s], the rows of group s of the compiled round, and the
-    owner of each jump row: its input's index in the round."""
-    # the outer pieces of every family, then the insert pieces of every row
-    W, A, c = [], [fam.outer[0] for fam in families], [fam.outer[1] for fam in families]
-    for family, P in zip(families, batches):
-        if not np.all((family.lo <= P) & (P <= family.hi)):
-            raise EllipticityError(f"{family.name}: parameters outside the bounds")
-        vertices, A_in, c_in, hw, hh = family.layout(P, family.side)
-        placed = JumpSquareTopology.place(vertices, hw, hh, family.side, family.frame)
-        W.append(placed.reshape(-1, 2))
-        A.append(A_in.reshape((-1,) + A_in.shape[2:]))
-        c.append(c_in.reshape((-1,) + c_in.shape[2:]))
-    return compiled.jumps(np.concatenate(W), np.concatenate(A), np.concatenate(c))
+    compiled = _compiled_round(tuple((fam.layout, fam.topology) for fam in families), slots)
+    return compiled.jumps(families, [P.ravel() for P in batches])
 
 
 def _outer_pieces(i, j, i_side):
@@ -482,7 +542,7 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     k = side / 6.0
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
-    nu = unit(nu)
+    nu = np.array(nu, dtype=float)
     gap = float(np.linalg.norm(i - j))
     if gap == 0.0:
         raise EllipticityError("falsification needs i != j")
@@ -492,20 +552,21 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     vec = ((lo[0], hi[0]), (lo[1], hi[1]))  # bounds of a value or a translation
     omega = (-2.0 * gap / k, 2.0 * gap / k)
     mid = 0.5 * (i + j)
-    R = frame_from_normal(nu)
+    # the frame of the normal unit(nu) of every competitor insert_competitor builds
+    R = frame_from_normal(unit(nu))
     outer = _outer_pieces(i, j, i_side)
 
     def family(name, layout, bounds, suggestions):
         def generator(params):
             return insert_competitor(
-                i, j, nu, *_insert_args(layout, params, side), side=side, i_side=i_side)
+                i, j, nu, *layout.insert_args(params, side), side=side, i_side=i_side)
 
         clipped = tuple(
             tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
             for start in suggestions
         )
         if layout not in _TOPOLOGIES:
-            row = _insert_args(layout, [0.5] * len(bounds))
+            row = layout.insert_args([0.5] * layout.dim)
             u = insert_competitor(np.zeros(2), np.ones(2), E2, *row)
             _TOPOLOGIES[layout] = JumpSquareTopology(u.partition)
         return LayoutFamily(name, bounds, generator, clipped, layout, _TOPOLOGIES[layout],
@@ -514,18 +575,18 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     size = (0.3 * k, 5.6 * k)
     return [
         family(
-            "square-insert", _square_layout, (size, omega, *vec),
+            "square-insert", _SQUARE, (size, omega, *vec),
             [(2.0 * k, lam / k, *mid), (2.0 * k, -lam / k, *mid)],
         ),
         family(
-            "rect-insert", _rect_layout,
+            "rect-insert", _RECT,
             ((0.02 * k, 0.95 * k), (-40.0 * gap / k, 40.0 * gap / k), *vec),
             [(d * k, lam / (d * k), *(i + R @ np.array([lam, lam / d])))
              for d in (0.05, 0.1, 0.2, 0.4)],
         ),
-        family("checkerboard", _checker_layout, (size, *vec, *vec), [(2.0 * k, *i, *j)]),
+        family("checkerboard", _CHECKER, (size, *vec, *vec), [(2.0 * k, *i, *j)]),
         family(
-            "nested-squares", _nested_layout,
+            "nested-squares", _NESTED,
             ((0.5 * k, 5.6 * k), (0.15, 0.85), omega, *vec, omega, *vec),
             [(2.0 * k, 0.5, lam / k, *mid, lam / k, *mid)],
         ),
@@ -547,18 +608,17 @@ def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]
     indices of the points rejected: the surface energy of each competitor,
     or the sentinel for one of a plain family whose generator raises.  The
     layout families' points, valid by construction, give their jump sets in
-    one _round_jumps call, the others through their generator, and one
-    kernel call integrates every jump set."""
+    one JumpSquareBatch.jumps call, the others through their generator, and
+    one kernel call integrates every jump set."""
     order = dict.fromkeys(fi for fi, _ in points)
     layouts = [fi for fi in order if isinstance(families[fi], LayoutFamily)]
     slot = {fi: s for s, fi in enumerate(layouts)}
     slots = tuple(slot.get(fi, -1) for fi, _ in points)
     sets, owners, rejected = [], [], set()
     if layouts:
-        compiled = _compiled_round(tuple(families[fi].topology for fi in layouts), slots)
-        batches = [np.array([points[k][1] for k in group], dtype=float)
-                   for group in compiled.groups]
-        jumps, owner = _round_jumps([families[fi] for fi in layouts], batches, compiled)
+        fams = [families[fi] for fi in layouts]
+        compiled = _compiled_round(tuple((fam.layout, fam.topology) for fam in fams), slots)
+        jumps, owner = compiled.jumps(fams, [x for (_, x), s in zip(points, slots) if s >= 0])
         sets, owners = [jumps], [owner]
     for k, s in enumerate(slots):
         if s >= 0:
@@ -761,8 +821,9 @@ def falsify(
     # of every live run together
     searches = [_nelder_mead(start, family.bounds, per_run) for _, _, family, start in searched]
     pending = {r: next(search) for r, search in enumerate(searches)}
-    outcomes = [None] * len(searches)
+    outcomes, rounds = [None] * len(searches), 0
     while pending:
+        rounds += 1
         live = list(pending)
         points = [(searched[r][0], pending[r]) for r in live]
         values, rejected = _search_values(f, families, points)
@@ -786,6 +847,7 @@ def falsify(
     diagnostics = {
         "families": stats,
         "dropped_families": [st["name"] for st in stats if st["runs"] == 0],
+        "rounds": rounds,
     }
 
     best = min(results, key=lambda r: (r[0], r[1], r[2]))

@@ -17,7 +17,6 @@ from .geometry import (
     OrientedSquare,
     Polygon,
     PolygonalPartition,
-    edge_pair_interfaces,
     edge_vertices,
     frame_from_normal,
     make_oriented_square,
@@ -328,10 +327,10 @@ def _outer_cells(side: float, hole):
     return lower, upper
 
 
-# _outer_cells(side, (hw, -hh, hh)), two cells of 8 vertices, as a gather from
-# [0, s, -s, hw, -hw, hh, -hh], s = side / 2, read off where those all differ
-_OUTER_INDEX = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x in vertex]
-                         for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
+# _outer_cells(side, (hw, -hh, hh)), two cells of 8 vertices, as indices into
+# (0, s, -s, hw, -hw, hh, -hh), s = side / 2, read off where those all differ
+OUTER_CELLS = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x in vertex]
+                        for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
 
 
 class JumpSquareTopology:
@@ -339,14 +338,10 @@ class JumpSquareTopology:
     hh) filled by insert cells: the vertex counts of the cells and the
     cell-edge pairs of the interfaces, read from the `Interfaces` of one
     such partition; one whose outer cells lack a notch (eight vertices
-    each) raises FunctionError.  The pairs stand for every side, normal,
-    value and parameter row that keep them, as those of an insert layout
-    do.  A `JumpSquareBatch` evaluates them with edge_pair_interfaces and
-    jump_arrays, the arithmetic of the partition and of jump_segments, so
-    its arrays equal the general path's bit for bit.  It checks no cell:
-    the caller keeps the inputs within the range the partition stands for
-    (one topology, every cell one that Polygon accepts, the hole inside the
-    square), as the bounds of a layout family do by construction."""
+    each, those of OUTER_CELLS) raises FunctionError.  The pairs stand for
+    every side, normal, value and parameter row that keep them, as those of
+    an insert layout do, and for every cell that Polygon would accept: the
+    caller keeps its inputs in that range, as a layout family's bounds do."""
 
     def __init__(self, partition: PolygonalPartition):
         self.counts = tuple(len(c) for c in partition.cells)
@@ -358,63 +353,6 @@ class JumpSquareTopology:
         counts = np.array(self.counts)
         self.edges = (edge_vertices(counts, self.right, self.right_edge)
                       + edge_vertices(counts, self.left, self.left_edge))
-
-    @staticmethod
-    def place(vertices, hw, hh, side: float, frame) -> np.ndarray:
-        """Every cell's vertices in place, (n, V, 2), for insert cells with the
-        stacked vertices (n, V_in, 2) in frame coordinates and half widths
-        and half heights (n,) on the side-`side` square turned by `frame`:
-        the outer cells gathered by _OUTER_INDEX, then the insert cells,
-        turned in one 2-D matmul on the stacked vertices, which gives each
-        row what jump_square's `vertices @ R.T` of its cell gives it."""
-        s = np.full(len(hw), 0.5 * side)
-        columns = np.stack([np.zeros_like(s), s, -s, hw, -hw, hh, -hh], axis=1)
-        W = np.concatenate([columns[:, _OUTER_INDEX], vertices], axis=1)
-        return (W.reshape(-1, 2) @ frame.T).reshape(W.shape)
-
-
-class JumpSquareBatch:
-    """The index arrays of the jump sets of a batch of jump squares, which
-    depend on its composition alone: input k has topology
-    topologies[slots[k]], or none for a negative slot (such inputs are left
-    out).  They are compiled once, and `jumps` evaluates them for any
-    vertices and pieces of that composition.
-
-    `groups[s]` lists the inputs of slot s in order.  The stacked vertices
-    hold the cells of those inputs, group after group and input after
-    input, as place gives them.  The piece table holds the two outer pieces
-    of each group first (rows 2s, below the chord, and 2s + 1), then the
-    insert pieces of each input, group after group and input after input:
-    a group's outer pieces are stored once, not once per input."""
-
-    def __init__(self, topologies, slots):
-        slots = np.array(slots, dtype=int)
-        self.groups = [np.flatnonzero(slots == s).tolist() for s in range(len(topologies))]
-        ends, left, right, owner = [], [], [], []
-        vertex_start, piece_start = 0, 2 * len(topologies)
-        for s, (top, group) in enumerate(zip(topologies, self.groups)):
-            n = np.arange(len(group))[:, None]
-            vertices, inserts = sum(top.counts), len(top.counts) - 2
-            ends.append([(vertex_start + vertices * n + e).ravel() for e in top.edges])
-            for out, cells in ((left, top.left), (right, top.right)):
-                out.append(np.where(cells < 2, 2 * s + cells,
-                                    piece_start + inserts * n + cells - 2).ravel())
-            owner.append(np.repeat(np.array(group, dtype=int), len(top.left)))
-            vertex_start += vertices * len(group)
-            piece_start += inserts * len(group)
-        self.ends = [np.concatenate(e) for e in zip(*ends)]
-        self.left, self.right, self.owner = map(np.concatenate, (left, right, owner))
-
-    def jumps(self, vertices, A, c) -> tuple[JumpArrays, np.ndarray]:
-        """The jump sets of the inputs with the stacked vertices (N, 2) and
-        the piece table of maps x -> A x + c, A (P, d, d) and c (P, d), in
-        one edge_pair_interfaces and one jump_arrays call: (jumps, owner),
-        the rows of each input in order, group after group, and the index
-        of each row's input."""
-        a, b, normal = edge_pair_interfaces(vertices, *self.ends)
-        left, right = (A[self.left], c[self.left]), (A[self.right], c[self.right])
-        jumps, rows = jump_arrays(a, b, normal, left, right)
-        return jumps, self.owner[rows]
 
 
 def make_elementary(

@@ -586,7 +586,7 @@ def widest(fam):
     """The layout family with the bounds of its checked columns at the ends
     of their valid range."""
     bounds = list(fam.bounds)
-    for column, low, high, size in ellipticity._RANGES[fam.layout]:
+    for column, low, high, size in fam.layout.ranges:
         unit = fam.side if size else 1.0
         bounds[column] = (low * unit, high * unit)
     return dataclasses.replace(fam, bounds=tuple(bounds))
@@ -1094,6 +1094,166 @@ class TestCompiledRound:
         assert out == "0"
 
 
+# The batched insert layouts, their motion and rectangle helpers and the
+# placement that the declared gathers replaced, kept as the oracle of the
+# layout declarations, as TestDropTest keeps the stacked drop test.
+
+
+def batched_rigid(omega, b1, b2):
+    zero = np.zeros_like(omega)
+    A = np.stack([zero, omega, -omega, zero], axis=1).reshape(-1, 1, 2, 2)
+    return A, np.stack([b1, b2], axis=1)[:, None]
+
+
+def batched_rectangle(hw, hh):
+    return np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
+
+
+def batched_square_layout(P, side):
+    s, omega, b1, b2 = P.T
+    h = 0.5 * s
+    return (batched_rectangle(h, h), *batched_rigid(omega, b1, b2), h, h)
+
+
+def batched_rect_layout(P, side):
+    delta, omega, b1, b2 = P.T
+    hw = np.full_like(delta, side / 6.0)
+    return (batched_rectangle(hw, delta), *batched_rigid(omega, b1, b2), hw, delta)
+
+
+def batched_checker_layout(P, side):
+    s, v1, v2, w1, w2 = P.T
+    hh = 0.5 * s
+    corners = [(a + x, b + y) for a in (0, 1) for b in (0, 1)
+               for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    c = np.stack([v1, v2, w1, w2, w1, w2, v1, v2], axis=1).reshape(-1, 4, 2)
+    # -hh + hh is +0.0 for finite hh, the declared layout's 0
+    cells = np.stack([-hh, -hh + hh, hh], axis=1)[:, np.array(corners)]
+    return cells, np.zeros(c.shape + (2,)), c, hh, hh
+
+
+def batched_nested_layout(P, side):
+    s1, frac, om1, b11, b12, om2, b21, b22 = P.T
+    h1, h2 = 0.5 * s1, 0.5 * (frac * s1)
+    outer_sq, inner_sq = batched_rectangle(h1, h1), batched_rectangle(h2, h2)
+    k, k1 = np.arange(4), (np.arange(4) + 1) % 4
+    ring = np.stack([outer_sq[:, k], outer_sq[:, k1], inner_sq[:, k1], inner_sq[:, k]], axis=2)
+    cells = np.concatenate([inner_sq, ring.reshape(-1, 16, 2)], axis=1)
+    (A1, c1), (A2, c2) = batched_rigid(om1, b11, b12), batched_rigid(om2, b21, b22)
+    A, c = np.concatenate([A2] + [A1] * 4, axis=1), np.concatenate([c2] + [c1] * 4, axis=1)
+    return cells, A, c, h1, h1
+
+
+# in the order of default_families
+BATCHED_LAYOUTS = (batched_square_layout, batched_rect_layout, batched_checker_layout,
+                   batched_nested_layout)
+BATCHED_OUTER = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x in vertex]
+                          for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
+
+
+def batched_cells(vertices, hw, hh, side):
+    """Every cell's vertices in frame coordinates: the outer cells gathered
+    from (0, s, -s, hw, -hw, hh, -hh), then the insert cells."""
+    s = np.full(len(hw), 0.5 * side)
+    columns = np.stack([np.zeros_like(s), s, -s, hw, -hw, hh, -hh], axis=1)
+    return np.concatenate([columns[:, BATCHED_OUTER], vertices], axis=1)
+
+
+def batched_place(vertices, hw, hh, side, frame):
+    W = batched_cells(vertices, hw, hh, side)
+    return (W.reshape(-1, 2) @ frame.T).reshape(W.shape)
+
+
+class TestLayoutGathers:
+    """Every vertex and piece entry of an insert layout is a gather from its
+    row's table, and a search round gathers from one flat table: both give
+    what the batched layouts and the generators give, byte for byte."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        family=st.integers(0, 3),
+        side=st.one_of(st.just(6.0), st.floats(0.5, 50.0)),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        wide=st.booleans(),
+        # unit coordinates in the bounds, the ends of the bounds half the time
+        rows=st.lists(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                               min_size=8, max_size=8), min_size=1, max_size=6),
+    )
+    def test_declared_layouts_equal_the_batched_layouts(self, family, side, angle, wide, rows):
+        nu = np.array([np.cos(angle), np.sin(angle)])
+        fam = default_families(I_CE, J_CE, nu, side=side)[family]
+        fam = widest(fam) if wide else fam
+        lo, hi = np.array(fam.bounds).T
+        t = np.array(rows)[:, :fam.dim]
+        P = np.where(t == 0.0, lo, np.where(t == 1.0, hi, lo + t * (hi - lo)))
+        inserts, A, c, hw, hh = BATCHED_LAYOUTS[family](P, side)
+        got = fam.layout(P, side)
+        # bytes: sign bits too
+        got = (got[0], got[1][:, 2:], got[2][:, 2:], *got[3:])  # the insert pieces
+        for x, y in zip(got, (batched_cells(inserts, hw, hh, side), A, c, hw, hh)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        placed = (got[0].reshape(-1, 2) @ fam.frame.T).reshape(got[0].shape)
+        assert placed.tobytes() == batched_place(inserts, hw, hh, side, fam.frame).tobytes()
+
+    @pytest.mark.parametrize("nu", [(1.0, 1.0), (1.0, 2.0)])
+    def test_one_round_two_frames(self, nu, monkeypatch):
+        # the families of unit(nu) share the topologies of those of nu, but
+        # their frames differ in a bit; falsify accepts either
+        families = default_families(I_CE, J_CE, nu) + default_families(I_CE, J_CE, unit(nu))
+        assert not all(np.array_equal(families[k].frame, families[k + 4].frame)
+                       for k in range(4))
+        rng = np.random.default_rng([29, int(nu[1])])
+        points = []
+        for _ in range(48):
+            fi = int(rng.integers(len(families)))
+            lo, hi = np.array(families[fi].bounds).T
+            points.append((fi, lo + rng.uniform(size=lo.size) * (hi - lo)))
+        rounds = []
+        kernel = ellipticity.jump_set_integrals
+
+        def recording(jumps, owner, *args):
+            rounds.append((jumps, owner))
+            return kernel(jumps, owner, *args)
+
+        monkeypatch.setattr(ellipticity, "jump_set_integrals", recording)
+        f = catalog_density("isotropic:id")
+        values, rejected = _search_values(f, families, points)
+        (jumps, owner), = rounds
+        assert rejected == set()
+        for n, (fi, params) in enumerate(points):
+            u = families[fi].generator(params)
+            rows, general = jumps.take(np.flatnonzero(owner == n)), u.jump_segments()
+            for field_ in dataclasses.fields(JumpArrays):
+                got, ref = getattr(rows, field_.name), getattr(general, field_.name)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field_.name
+            assert values[n] == surface_energy(u, f, tol=_SEARCH_TOL, order=_SEARCH_ORDER).value
+
+
+class TestRoundCount:
+    """falsify reports its rounds, the _search_values calls of its lockstep
+    search: as many as the longest run's evaluations."""
+
+    def test_budget_2000(self):
+        v = falsify(catalog_density("isotropic:id"), I_CE, J_CE, (0.6, 0.8), budget=2000,
+                    seed=0, keep_competitor=False)
+        assert v.diagnostics["rounds"] == 50
+
+    def test_budget_600_is_the_per_run_budget(self, monkeypatch):
+        calls = []
+        search_values = ellipticity._search_values
+
+        def counting(f, families, points):
+            calls.append(len(points))
+            return search_values(f, families, points)
+
+        monkeypatch.setattr(ellipticity, "_search_values", counting)
+        v = falsify(catalog_density("product:aniso1:eps=0.01"), I_CE, J_CE, E2, budget=600,
+                    seed=0, keep_competitor=False)
+        # 40 runs: each searched one gets max(25, 600 // 40) = 25 evaluations
+        assert v.diagnostics["rounds"] == len(calls) == _MIN_RUN == 25
+        assert calls[0] == 600 // 25
+
+
 class TestScaledFamilies:
     """The default families at a side are the side-6 families rescaled, and
     every layout family's bounds are checked once, when it is made."""
@@ -1123,7 +1283,7 @@ class TestScaledFamilies:
             nu = np.array([np.cos(angle), np.sin(angle)])
             fam = widest(default_families(I_CE, J_CE, nu, side=side)[family])
             ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, side, (0, 0)), i_side="minus")
-            checked = [column for column, *_ in ellipticity._RANGES[fam.layout]]
+            checked = [column for column, *_ in fam.layout.ranges]
             for ends in itertools.product((0, 1), repeat=len(checked) + 1):
                 corner = [ends[checked.index(k)] if k in checked else ends[-1]
                           for k in range(fam.dim)]
@@ -1139,7 +1299,7 @@ class TestScaledFamilies:
         for side in (6.0, 0.75):
             fam = default_families(I_CE, J_CE, E2, side=side)[family]
             assert widest(fam).bounds != fam.bounds
-            for column, low, high, size in ellipticity._RANGES[fam.layout]:
+            for column, low, high, size in fam.layout.ranges:
                 unit = side if size else 1.0
                 lo, hi = fam.bounds[column]
                 for bound in ((0.5 * low * unit, hi), (lo, 1.01 * high * unit), (hi, lo)):

@@ -7,7 +7,6 @@ from bdlab.ellipticity import default_families
 from bdlab.functions import (
     AffinePiece,
     FunctionError,
-    JumpSquareTopology,
     PiecewiseAffine,
     PiecewiseRigid,
     compact_deviation,
@@ -325,10 +324,10 @@ class TestDropTest:
 
 
 class TestFrameProduct:
-    """JumpSquareTopology turns every vertex of a batch by the frame in one
-    2-D matmul on the stacked vertices; its equality with jump_square, bit
-    for bit, rests on that product giving each row what one cell's
-    `vertices @ R.T` gives it."""
+    """A search round turns every vertex of a batch by every frame of the
+    round in one 2-D matmul on the stacked vertices; its equality with
+    jump_square, bit for bit, rests on that product giving each row, in the
+    columns of a frame, what one cell's `vertices @ R.T` gives it."""
 
     def test_stacked_matmul_equals_per_cell(self):
         rng = np.random.default_rng(17)
@@ -347,8 +346,12 @@ class TestFrameProduct:
                                side=rng.uniform(0.5, 50.0))[family]
         lo, hi = np.array(fam.bounds).T
         P = lo + rng.uniform(size=(20, lo.size)) * (hi - lo)
-        vertices, _, _, hw, hh = fam.layout(P, fam.side)
-        placed = JumpSquareTopology.place(vertices, hw, hh, fam.side, fam.frame)
+        vertices = fam.layout(P, fam.side)[0]
+        # the family's frame among three others, as a round holds them
+        frames = [frame_from_normal(unit(rng.normal(size=2))) for _ in range(3)]
+        frames.insert(1, fam.frame)
+        turned = vertices.reshape(-1, 2) @ np.concatenate([R.T for R in frames], axis=1)
+        placed = turned[:, 2:4].copy().reshape(vertices.shape)
         for params, W in zip(P, placed):
             cells = fam.generator(params).partition.cells
             assert np.concatenate([c.vertices for c in cells]).tobytes() == W.tobytes()
