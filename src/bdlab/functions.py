@@ -355,6 +355,61 @@ class JumpSquareTopology:
                       + edge_vertices(counts, self.left, self.left_edge))
 
 
+class InsertLayout:
+    """An insert layout declared as gathers: each parameter row (n, dim) at
+    the side of the square has the table 0, 1, half and a sixth of the side,
+    the two values below and the two above the chord (0 here; a search
+    round's table holds its family's), its parameters named by `columns`,
+    the `derived` columns (name -> (x, y): 0.5 * (x * y)), then the negation
+    of each ("-name"; "-0" is 0).  Every cell vertex in frame coordinates,
+    every entry of the rigid pieces (omega, c1, c2): x -> [[0, omega],
+    [-omega, 0]] x + (c1, c2), of jump_square's outer halves and then of
+    the insert's `cells` and `pieces`, and its half width `hw` and height
+    `hh` is an entry of it.  `ranges` holds the checked columns (column,
+    low, high, size): a row whose values there lie in [low, high], times
+    the side for a size, builds cells that Polygon accepts, no edge shorter
+    than 5e-6 of the side, and an insert 0.01 of the side inside the square,
+    whatever its other (finite) columns."""
+
+    def __init__(self, columns, derived, cells, pieces, hw, hh, ranges):
+        names = ["0", "1", "half", "sixth", "below1", "below2", "above1", "above2",
+                 *columns.split(), *derived]
+        index = {name: k for k, name in enumerate(names)}
+        index |= {"-" + name: k + len(names) for name, k in index.items()} | {"-0": 0}
+        outer = [[("0", "half", "-half", hw, "-" + hw, hh, "-" + hh)[k] for k in vertex]
+                 for vertex in OUTER_CELLS]
+        self.dim, self.ranges = len(columns.split()), ranges
+        self.dx, self.dy = np.array([[index[x] for x in pair] for pair in derived.values()],
+                                    dtype=int).reshape(-1, 2).T
+        self.vertices = np.array([[index[x] for x in vertex]
+                                  for vertex in outer + [v for cell in cells for v in cell]])
+        pieces = [("0", "below1", "below2"), ("0", "above1", "above2"), *pieces]
+        self.A = np.array([[[0, index[omega]], [index["-" + omega], 0]] for omega, _, _ in pieces])
+        self.c = np.array([[index[c1], index[c2]] for _, c1, c2 in pieces])
+        self.hw, self.hh = index[hw], index[hh]
+
+    def __call__(self, P, side):
+        """The rows P (n, dim) at the side -> the vertices of every cell (n,
+        V, 2), A (n, C, 2, 2) and c (n, C, 2) of its piece, hw and hh (n,)."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.dim:
+            raise FunctionError(f"a layout row has {self.dim} parameters")
+        head = np.broadcast_to([0.0, 1.0, 0.5 * side, side / 6.0] + [0.0] * 4, (len(P), 8))
+        base = np.concatenate([head, P], axis=1)
+        table = np.concatenate([base, 0.5 * (base[:, self.dx] * base[:, self.dy])], axis=1)
+        table = np.concatenate([table, -table], axis=1)
+        return tuple(table[:, k] for k in (self.vertices, self.A, self.c, self.hw, self.hh))
+
+    def insert_args(self, params, side=6.0):
+        """The insert's cells in frame coordinates, pieces, half width and
+        half height from row 0 of a batch of one, as jump_square's hole,
+        cells and pieces take them; each cell has V_in / C vertices."""
+        vertices, A, c, hw, hh = self(np.array([params], dtype=float), side)
+        pieces = [AffinePiece(a, b) for a, b in zip(A[0, 2:], c[0, 2:])]
+        inner = vertices[0, len(OUTER_CELLS):]
+        return list(inner.reshape(len(pieces), -1, 2)), pieces, hw[0], hh[0]
+
+
 def make_elementary(
     i, j, nu, square: OrientedSquare, i_side: str = "plus"
 ) -> PiecewiseRigid:
