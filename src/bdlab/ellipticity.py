@@ -437,19 +437,6 @@ def _compiled_round(layouts, slots) -> JumpSquareBatch:
     return JumpSquareBatch(layouts, slots)
 
 
-def _layout_jumps(requests):
-    """The jump sets of generator(params) for the parameter vectors of
-    several (layout family, batch) requests, in one JumpSquareBatch.jumps
-    call: (jumps, owner), the rows of each vector in order and the index of
-    each row's vector among those of all requests."""
-    families = [family for family, _ in requests]
-    batches = [np.asarray(batch, dtype=float).reshape(-1, family.dim)
-               for family, batch in requests]
-    slots = tuple(s for s, P in enumerate(batches) for _ in range(len(P)))
-    compiled = _compiled_round(tuple((fam.layout, fam.topology) for fam in families), slots)
-    return compiled.jumps(families, [P.ravel() for P in batches])
-
-
 def _outer_pieces(i, j, i_side):
     """The pieces (A (2, d, d), c (2, d)) below and above the chord."""
     return np.zeros((2, i.size, i.size)), np.array(jump_sides(i, j, i_side)[::-1])
@@ -733,7 +720,7 @@ def falsify(
     outer = _outer_pieces(i, j, i_side)
     nu_u = unit(nu)
     if families is None:
-        families = default_families(i, j, nu_u, side=side, i_side=i_side)
+        families = default_families(i, j, nu, side=side, i_side=i_side)
     if not families:
         raise EllipticityError("need at least one competitor family")
     runs = []

@@ -258,13 +258,6 @@ def _bbox_disjoint(cells1, cells2, tol: float) -> np.ndarray:
     return ((lo1 > hi2 + tol) | (lo2 > hi1 + tol)).any(axis=-1)
 
 
-def _edge_arrays(vertices):
-    """(starts, directions, unit directions, lengths) of a vertex loop's edges."""
-    d = np.roll(vertices, -1, axis=0) - vertices
-    L = np.linalg.norm(d, axis=1)
-    return vertices, d, d / L[:, None], L
-
-
 def _overlap_span(off, Ua, La, dot_dir):
     """Arclength interval [lo, hi] of an edge (unit direction Ua, length La)
     covered by a collinear edge starting at offset `off` from its start,
@@ -275,42 +268,41 @@ def _overlap_span(off, Ua, La, dot_dir):
     return np.maximum(0.0, np.minimum(s, e)), np.minimum(La, np.maximum(s, e))
 
 
-def _edge_overlaps(a, b, tol: float, antiparallel: bool = True):
-    """Collinear overlaps between the edges of two `_edge_arrays` tuples.
-
-    Returns arrays k, l, lo, hi: edge l of `b` covers the arclength interval
-    [lo, hi] of edge k of `a`, an overlap longer than tol.  The two edges run
-    opposite ways when antiparallel is True, the same way otherwise.
-    """
-    Pa, _, Ua, La = a
-    Pb, Db, _, _ = b
-    # (na, nb) pairwise tests: direction, collinearity, overlap
-    cross_dir = Ua[:, None, 0] * Db[None, :, 1] - Ua[:, None, 1] * Db[None, :, 0]
-    dot_dir = Ua[:, None, 0] * Db[None, :, 0] + Ua[:, None, 1] * Db[None, :, 1]
-    off = Pb[None, :, :] - Pa[:, None, :]
-    cross_off = Ua[:, None, 0] * off[..., 1] - Ua[:, None, 1] * off[..., 0]
-    oriented = dot_dir < 0.0 if antiparallel else dot_dir > 0.0
-    mask = (np.abs(cross_dir) <= tol) & oriented & (np.abs(cross_off) <= tol)
-    if not mask.any():
-        return (), (), (), ()
-    lo, hi = _overlap_span((off[..., 0], off[..., 1]), (Ua[:, None, 0], Ua[:, None, 1]),
-                           La[:, None], dot_dir)
-    k, l = np.nonzero(mask & ((hi - lo) > tol))
-    return k, l, lo[k, l], hi[k, l]
+def _edge_lengths(vertices, counts):
+    """(first, d, L): the first row of each vertex loop stacked in vertices
+    with the integer array of counts, and the direction vectors and lengths
+    of all edges (edge k of a loop runs from its vertex k to k + 1)."""
+    first = np.cumsum(counts) - counts
+    following = np.arange(1, len(vertices) + 1)
+    following[first + counts - 1] = first
+    d = vertices[following] - vertices
+    return first, d, np.linalg.norm(d, axis=1)
 
 
-def _cell_overlaps(cells: list[Polygon], tol: float) -> np.ndarray:
-    """(4, n) int array of the columns (ia, k, ib, l), one per interface in
-    extraction order: edge l of cell ib overlaps edge k of cell ia by more
-    than tol, running the other way."""
-    edges = [_edge_arrays(c.vertices) for c in cells]
-    near = np.triu(~_bbox_disjoint(cells, cells, tol), k=1)
-    found = [np.zeros((4, 0), dtype=int)]
-    for ia, ib in zip(*np.nonzero(near)):
-        k, l, _, _ = _edge_overlaps(edges[ia], edges[ib], tol)
-        if len(k):
-            found.append(np.stack([np.full(len(k), ia), k, np.full(len(k), ib), l]))
-    return np.concatenate(found, axis=1)
+def _match_edges(vertices, counts, pairs, tol: float):
+    """Collinear antiparallel edge overlaps between pairs (ia, ib) of index
+    arrays into the vertex loops stacked in vertices with the integer array
+    of counts.  Every candidate (edge k of ia, edge l of ib) is listed in
+    (pair, k, l) order and tested at once.  Returns arrays ia, k, ib, l, lo,
+    hi, one entry per overlap longer than tol in that order: edge l of ib
+    runs the other way along the arclength interval [lo, hi] of edge k of
+    ia."""
+    first, d, L = _edge_lengths(vertices, counts)
+    u = d / L[:, None]
+    ia, ib = pairs
+    size = counts[ia] * counts[ib]
+    pair = np.repeat(np.arange(len(ia)), size)
+    ia, ib = ia[pair], ib[pair]
+    k, l = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size), counts[ib])
+    ea, eb = first[ia] + k, first[ib] + l
+    (ux, uy), (dx, dy) = u[ea].T, d[eb].T
+    ox, oy = (vertices[eb] - vertices[ea]).T
+    # direction, collinearity and overlap tests
+    dot_dir = ux * dx + uy * dy
+    lo, hi = _overlap_span((ox, oy), (ux, uy), L[ea], dot_dir)
+    kept = ((np.abs(ux * dy - uy * dx) <= tol) & (dot_dir < 0.0)
+            & (np.abs(ux * oy - uy * ox) <= tol) & (hi - lo > tol))
+    return ia[kept], k[kept], ib[kept], l[kept], lo[kept], hi[kept]
 
 
 def edge_vertices(counts, cell, k):
@@ -371,10 +363,12 @@ class Interfaces:
 
 
 def extract_interfaces(cells: list[Polygon], tol: float) -> Interfaces:
-    """Match collinear opposite-orientation edge overlaps between distinct cells."""
-    ia, k, ib, l = _cell_overlaps(cells, tol)
-    counts = [len(c) for c in cells]
+    """Match collinear opposite-orientation edge overlaps between distinct
+    cells, over the pairs ia < ib whose bounding boxes come within tol."""
+    counts = np.array([len(c) for c in cells])
     vertices = np.concatenate([c.vertices for c in cells])
+    near = np.nonzero(np.triu(~_bbox_disjoint(cells, cells, tol), k=1))
+    ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
     ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
     a, b, normal = edge_pair_interfaces(vertices, *ends)
     return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)
@@ -509,19 +503,22 @@ class PartitionReport(Report):
 def validate_partition(part: PolygonalPartition) -> PartitionReport:
     """Report area defect, unmatched edge portions, and overlapping cell pairs."""
     tol = part.tol
-    edges = [_edge_arrays(c.vertices) for c in part.cells]
-    domain_edges = _edge_arrays(part.domain.vertices)
-
+    n = len(part.cells)
+    counts = np.array([len(c) for c in part.cells] + [len(part.domain)])
+    # the domain loop reversed runs the other way along every cell edge on
+    # the boundary, as a neighbouring cell's edge does inside
+    vertices = np.concatenate([c.vertices for c in part.cells] + [part.domain.vertices[::-1]])
+    pairs = np.nonzero(np.arange(n)[:, None] != np.arange(n + 1))
+    ia, k, _, _, lo, hi = _match_edges(vertices, counts, pairs, tol)
+    first, _, L = _edge_lengths(vertices, counts)
+    covered = [[] for _ in range(first[n])]
+    for e, s, t in zip((first[ia] + k).tolist(), lo.tolist(), hi.tolist()):
+        covered[e].append((s, t))
     unmatched = []
-    for ci, own in enumerate(edges):
-        covered = [[] for _ in own[3]]
-        # antiparallel against the other cells, parallel along the domain
-        against = [(e, True) for cj, e in enumerate(edges) if cj != ci]
-        for other, antiparallel in against + [(domain_edges, False)]:
-            for k, _, lo, hi in zip(*_edge_overlaps(own, other, tol, antiparallel)):
-                covered[k].append((lo, hi))
-        for ei, (L, intervals) in enumerate(zip(own[3], covered)):
-            gap = float(L - sum(hi - lo for lo, hi in _merge_intervals(intervals, tol)))
+    for ci in range(n):
+        for ei in range(counts[ci]):
+            e = first[ci] + ei
+            gap = float(L[e] - sum(hi - lo for lo, hi in _merge_intervals(covered[e], tol)))
             if gap > 10 * tol:
                 unmatched.append((ci, ei, gap))
 

@@ -49,6 +49,7 @@ from bdlab.geometry import (
     PolygonalPartition,
     edge_pair_interfaces,
     frame_from_normal,
+    make_oriented_square,
     unit,
     validate_partition,
 )
@@ -60,7 +61,6 @@ from bdlab.ellipticity import (
     _SENTINEL,
     _compiled_round,
     _latin_hypercube,
-    _layout_jumps,
     _nelder_mead,
     _search_values,
     CompetitorFamily,
@@ -84,6 +84,19 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 I_CE = np.zeros(2)
 J_CE = np.array([2.0, 2.0])
+
+
+def _layout_jumps(requests):
+    """The jump sets of generator(params) for the parameter vectors of
+    several (layout family, batch) requests, in one JumpSquareBatch.jumps
+    call: (jumps, owner), the rows of each vector in order and the index of
+    each row's vector among those of all requests."""
+    families = [family for family, _ in requests]
+    batches = [np.asarray(batch, dtype=float).reshape(-1, family.dim)
+               for family, batch in requests]
+    slots = tuple(s for s, P in enumerate(batches) for _ in range(len(P)))
+    compiled = _compiled_round(tuple((fam.layout, fam.topology) for fam in families), slots)
+    return compiled.jumps(families, [P.ravel() for P in batches])
 
 
 class TestCounterexample1:
@@ -550,6 +563,26 @@ class TestFalsify:
         # the case that the test above guards
         nu = unit((1.0, 1.0))
         assert not np.array_equal(unit(nu), nu)
+
+    @pytest.mark.parametrize("nu", [(1.0, 1.0), (1.0, 2.0)])
+    def test_default_families_share_the_reference_square(self, nu, monkeypatch):
+        # normalised once, as the reference and compact_deviation are: the
+        # searched and certified competitors live on the square of unit(nu),
+        # not on that of unit(unit(nu)), a bit away at these normals
+        built = []
+
+        def recording(*args, **kwargs):
+            built.extend(default_families(*args, **kwargs))
+            return built
+
+        monkeypatch.setattr(ellipticity, "default_families", recording)
+        v = falsify(catalog_density("isotropic:id"), I_CE, J_CE, nu, budget=50)
+        nu_u = unit(nu)
+        assert len(built) == 4
+        for fam in built:
+            assert fam.frame[:, 1].tobytes() == nu_u.tobytes(), fam.name
+        square = make_oriented_square(nu_u, 6.0)
+        assert v.competitor.partition.domain.vertices.tobytes() == square.vertices.tobytes()
 
     def test_certificate_runs_the_adaptive_kernel(self):
         # the search and e1 integrate the CE1 density in closed form; e2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotropic
 from bdlab.ellipticity import (
-    _layout_jumps,
+    _compiled_round,
     ce1_energy_breakdown,
     ce2_energy_breakdown,
     counterexample1_competitor,
@@ -312,7 +312,8 @@ class TestBatchedKernel:
         # differ by rounding noise, and the refinement would double per level
         fam = default_families((0, 0), (2, 2), (np.cos(2.746718806696573), np.sin(2.746718806696573)),
                                i_side="minus")[1]
-        jumps, _ = _layout_jumps([(fam, [fam.suggestions[3]])])
+        compiled = _compiled_round(((fam.layout, fam.topology),), (0,))
+        jumps, _ = compiled.jumps([fam], [np.asarray(fam.suggestions[3], dtype=float)])
         f, calls = counted(catalog_density("isotropic:sqrt").evaluator, limit=100)
         res = integrate_jump_arrays(jumps, Density("sqrt", f), 1e-13, 30)
         assert res.unconverged > 0

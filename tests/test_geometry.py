@@ -9,8 +9,8 @@ from bdlab.geometry import (
     Polygon,
     PolygonalPartition,
     _bbox_disjoint,
-    _edge_arrays,
-    _edge_overlaps,
+    _merge_intervals,
+    _overlap_span,
     clip_polygon,
     clip_segment_params,
     extract_interfaces,
@@ -267,13 +267,13 @@ class TestPartition:
                     cells.append(Polygon([(x0, y), (x1, y), (x1, y + height), (x0, y + height)]))
                 y += height
             tol = 1e-9
-            edges = [_edge_arrays(c.vertices) for c in cells]
+            edges = [former_edge_arrays(c.vertices) for c in cells]
             want = [
                 (ia, int(k), ib, int(l))
                 for ia in range(len(cells)) for ib in range(ia + 1, len(cells))
                 if not (np.any(cells[ia].bbox[0] > cells[ib].bbox[1] + tol)
                         or np.any(cells[ib].bbox[0] > cells[ia].bbox[1] + tol))
-                for k, l, _, _ in zip(*_edge_overlaps(edges[ia], edges[ib], tol))
+                for k, l, _, _ in zip(*former_edge_overlaps(edges[ia], edges[ib], tol))
             ]
             assert edge_pairs(extract_interfaces(cells, tol)) == want
 
@@ -438,6 +438,21 @@ class TestInterfaceArrays:
             assert got.tobytes() == np.array(col, dtype=got.dtype).tobytes(), name
         assert edge_pairs(itf) == former_interface_edges(cells, part.tol)
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(case=st.data())
+    def test_validation_equals_the_pairwise_loop(self, case):
+        # the reversed domain loop stands in for the parallel domain test;
+        # reports compare by repr, so every bit of a gap counts
+        part = case.draw(st.one_of(grid_partitions(), competitor_partitions()))
+        cells = list(part.cells)
+        drop = case.draw(st.integers(-1, len(cells) - 1))  # -1: none
+        if drop >= 0 and len(cells) > 1:
+            del cells[drop]
+            part = PolygonalPartition(cells, part.domain)
+        rep = validate_partition(part)
+        got = (rep.area_defect, rep.unmatched_edges, rep.overlapping_pairs, rep.passed)
+        assert repr(got) == repr(former_validate_partition(part))
+
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(case=st.data())
     def test_flipped_round_trip(self, case):
@@ -513,15 +528,72 @@ def competitor_partitions(draw):
     return fam.generator(params).partition
 
 
+def former_edge_arrays(vertices):
+    """(starts, directions, unit directions, lengths) of a vertex loop's edges."""
+    d = np.roll(vertices, -1, axis=0) - vertices
+    L = np.linalg.norm(d, axis=1)
+    return vertices, d, d / L[:, None], L
+
+
+def former_edge_overlaps(a, b, tol, antiparallel=True):
+    """The oracle's edge matching of one pair of cells: arrays k, l, lo, hi,
+    edge l of `b` covering [lo, hi] of edge k of `a` by more than tol,
+    running the other way when antiparallel is True, the same way otherwise."""
+    Pa, _, Ua, La = a
+    Pb, Db, _, _ = b
+    cross_dir = Ua[:, None, 0] * Db[None, :, 1] - Ua[:, None, 1] * Db[None, :, 0]
+    dot_dir = Ua[:, None, 0] * Db[None, :, 0] + Ua[:, None, 1] * Db[None, :, 1]
+    off = Pb[None, :, :] - Pa[:, None, :]
+    cross_off = Ua[:, None, 0] * off[..., 1] - Ua[:, None, 1] * off[..., 0]
+    oriented = dot_dir < 0.0 if antiparallel else dot_dir > 0.0
+    mask = (np.abs(cross_dir) <= tol) & oriented & (np.abs(cross_off) <= tol)
+    if not mask.any():
+        return (), (), (), ()
+    lo, hi = _overlap_span((off[..., 0], off[..., 1]), (Ua[:, None, 0], Ua[:, None, 1]),
+                           La[:, None], dot_dir)
+    k, l = np.nonzero(mask & ((hi - lo) > tol))
+    return k, l, lo[k, l], hi[k, l]
+
+
+def former_validate_partition(part):
+    """The oracle: validate_partition as a loop over ordered cell pairs,
+    antiparallel against the other cells and parallel along the domain.
+    (area_defect, unmatched_edges, overlapping_pairs, passed)."""
+    tol = part.tol
+    edges = [former_edge_arrays(c.vertices) for c in part.cells]
+    domain_edges = former_edge_arrays(part.domain.vertices)
+    unmatched = []
+    for ci, own in enumerate(edges):
+        covered = [[] for _ in own[3]]
+        against = [(e, True) for cj, e in enumerate(edges) if cj != ci]
+        for other, antiparallel in against + [(domain_edges, False)]:
+            for k, _, lo, hi in zip(*former_edge_overlaps(own, other, tol, antiparallel)):
+                covered[k].append((lo, hi))
+        for ei, (L, intervals) in enumerate(zip(own[3], covered)):
+            gap = float(L - sum(hi - lo for lo, hi in _merge_intervals(intervals, tol)))
+            if gap > 10 * tol:
+                unmatched.append((ci, ei, gap))
+    overlaps = []
+    area_tol = max(tol * part.domain.diameter, 1e-12 * part.domain.area)
+    for ci in range(len(part.cells)):
+        for cj in range(ci + 1, len(part.cells)):
+            a = polygon_overlap_area(part.cells[ci], part.cells[cj], tol)
+            if a > area_tol:
+                overlaps.append((ci, cj, a))
+    defect = part.area_defect
+    passed = defect <= 1e-9 * part.domain.area and not unmatched and not overlaps
+    return defect, unmatched, overlaps, passed
+
+
 def former_cell_overlaps(cells, tol):
     """The oracle's edge matching: (ia, k, ib, l, lo, hi) per interface,
     edge l of cell ib covering [lo, hi] of edge k of cell ia, and the edge
     arrays of every cell."""
-    edges = [_edge_arrays(c.vertices) for c in cells]
+    edges = [former_edge_arrays(c.vertices) for c in cells]
     near = np.triu(~_bbox_disjoint(cells, cells, tol), k=1)
     out = []
     for ia, ib in zip(*np.nonzero(near)):
-        for k, l, s, e in zip(*_edge_overlaps(edges[ia], edges[ib], tol)):
+        for k, l, s, e in zip(*former_edge_overlaps(edges[ia], edges[ib], tol)):
             out.append((int(ia), int(k), int(ib), int(l), s, e))
     return out, edges
 

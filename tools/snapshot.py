@@ -13,6 +13,8 @@ single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
   midpoints and cell centroids and the SVG drawing in both styles, on
   seeded competitors of the default families (several normals, both i_side
   values);
+- the cells and edges each interface of those competitors matches, and
+  their `validate_partition` reports, whole and with the last cell removed;
 - the CE1 and CE2 energy breakdowns;
 - the tiling report for h = 1..16;
 - the jump flux of the catalog fields and integration-by-parts residuals;
@@ -51,7 +53,13 @@ from bdlab.energy import (
 )
 from bdlab.fields import catalog_fields, prototype_field
 from bdlab.functions import AffinePiece, JumpArrays, PiecewiseAffine
-from bdlab.geometry import GeometryError, Polygon, PolygonalPartition, make_oriented_square
+from bdlab.geometry import (
+    GeometryError,
+    Polygon,
+    PolygonalPartition,
+    make_oriented_square,
+    validate_partition,
+)
 from bdlab.profiles import sin_profile
 from bdlab.render import render_svg
 
@@ -106,6 +114,12 @@ def jump_sets() -> None:
         jumps = u.jump_segments()
         for f in dataclasses.fields(JumpArrays):
             emit("jumps", label, f.name, digest(getattr(jumps, f.name)))
+        part = u.partition
+        for name in ("left", "right", "left_edge", "right_edge"):
+            emit("interfaces", label, name, digest(getattr(part.interfaces, name)))
+        emit("validate", label, exact(validate_partition(part).to_json()))
+        rest = PolygonalPartition(part.cells[:-1], part.domain)
+        emit("validate-rest", label, exact(validate_partition(rest).to_json()))
         emit("measure", label, digest(symmetric_jump_measure(u)))
         emit("flipped", label, digest(u.flipped().jump_segments().normal))
         probes = [0.5 * (a + b) for a, b in zip(jumps.a, jumps.b)]
