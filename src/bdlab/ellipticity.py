@@ -34,7 +34,6 @@ from .densities import Density, check_convexity_in_nu, check_subadditivity
 from .energy import (
     integrate_jump_arrays,
     integrate_jump_sets,
-    jump_pieces,
     jump_set_integrals,
     surface_energy,
 )
@@ -55,6 +54,7 @@ from .geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
+    clip_segment_params,
     edge_pair_interfaces,
     frame_from_normal,
     make_oriented_square,
@@ -238,10 +238,17 @@ def tile_construction(
     become (hQ, b - hQ x_n) on the copy centered at x_n, so the output is
     again piecewise rigid with the same trace values.
     """
-    if h < 1 or int(h) != h:
-        raise EllipticityError("tile count h must be a positive integer")
-    h = int(h)
     nu = unit(nu)
+    _check_tiling(v, i, j, nu, (h,), i_side)
+    return _tiled(v, i, j, nu, int(h), i_side, ambient_side)
+
+
+def _check_tiling(v: PiecewiseRigid, i, j, nu, hs, i_side: str) -> None:
+    """Raise EllipticityError unless every h of hs is a positive integer and
+    v lives on the centered unit square oriented by the unit normal nu,
+    deviating compactly from the elementary (i, j) jump there."""
+    if any(h < 1 or int(h) != h for h in hs):
+        raise EllipticityError("tile count h must be a positive integer")
     dom = v.partition.domain
     if abs(dom.area - 1.0) > 1e-9 or np.linalg.norm(dom.centroid) > 1e-9:
         raise EllipticityError("v must live on the centered unit square")
@@ -249,6 +256,10 @@ def tile_construction(
     if not compact_deviation(v, ref, margin=1e-9):
         raise EllipticityError("v must deviate compactly from the elementary jump")
 
+
+def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str, ambient_side: float):
+    """tile_construction's output for a unit normal nu and an input that
+    passed _check_tiling."""
     R = frame_from_normal(nu)
     inv_h = 1.0 / h
     cells, pieces = [], []
@@ -267,29 +278,32 @@ def tiling_report(
     v: PiecewiseRigid, i, j, nu, f: Density, hs=(1, 2, 4, 8),
     i_side: str = "plus", ambient_side: float = 3.0,
 ) -> list[dict]:
-    """Per-h bookkeeping: tile sum vs F(v), and the boundary mismatch term."""
+    """Per-h bookkeeping: tile sum vs F(v), and the boundary mismatch term.
+    The input is checked once, as tile_construction checks it, and each
+    level's tiles share the one normal unit(nu) with its tiled function."""
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     nu = unit(nu)
     R = frame_from_normal(nu)
     base = surface_energy(v, f, tol=1e-12)
     plus_val, minus_val = jump_sides(i, j, i_side)
+    _check_tiling(v, i, j, nu, hs, i_side)
     chord_density = float(f(plus_val, minus_val, nu))
     out = []
     for h in hs:
-        u_h = tile_construction(v, i, j, nu, h, i_side=i_side, ambient_side=ambient_side)
-        jumps = u_h.jump_segments()
-        # each tile's open part of the one jump set, every tile in one kernel call
-        pieces = []
+        jumps = _tiled(v, i, j, nu, int(h), i_side, ambient_side).jump_segments()
+        # each tile's open part of the one jump set: one clip, one kernel call
         inv_h = 1.0 / h
-        for n in range(h):
-            c = np.array([-0.5 + n * inv_h, 0.0])
-            tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
-            pieces.append(jump_pieces(jumps, Polygon(tile), include_boundary=False))
-        owner = np.repeat(np.arange(h), [len(p) for p in pieces])
-        tiles = integrate_jump_sets(JumpArrays.concatenate(pieces), owner, h, f, 1e-12, 15)
-        tiles_sum = sum(res.value for res in tiles)
-        tiles_err = sum(res.error_estimate for res in tiles)
+        corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
+        tiles = [Polygon((corners + [-0.5 + n * inv_h, 0.0]) @ R.T) for n in range(h)]
+        owner, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, tiles)
+        inner = ~on_boundary
+        rows = rows[inner]
+        L = jumps.t1[rows]
+        pieces = jumps.take(rows, t0[inner] * L, t1[inner] * L)
+        energies = integrate_jump_sets(pieces, owner[inner], h, f, 1e-12, 15)
+        tiles_sum = sum(res.value for res in energies)
+        tiles_err = sum(res.error_estimate for res in energies)
         total = integrate_jump_arrays(jumps, f, 1e-12, 15)
         chord = chord_density * (ambient_side - 1.0)
         out.append(

@@ -334,7 +334,7 @@ def jump_pieces(jumps: JumpArrays, region: Polygon | None, include_boundary: boo
     """The pieces of a jump set inside the region."""
     if region is None:
         return jumps
-    rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, region)
+    _, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, [region])
     if not include_boundary:
         rows, t0, t1 = rows[~on_boundary], t0[~on_boundary], t1[~on_boundary]
     L = jumps.t1[rows]

@@ -20,7 +20,7 @@ from .geometry import (
     edge_vertices,
     frame_from_normal,
     make_oriented_square,
-    polygon_overlap_area,
+    overlap_areas,
     row_norms,
     unit,
 )
@@ -444,17 +444,17 @@ def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> 
     if not same_domain(dom_v, dom_u):
         raise FunctionError("compared functions must share the same domain")
     area_tol = 1e-12 * dom_u.area
-    for cell, piece in zip(v.partition.cells, v.pieces):
-        deviates = False
-        for ucell, upiece in zip(u.partition.cells, u.pieces):
-            if piece.same_map(upiece):
-                continue
-            if polygon_overlap_area(cell, ucell) > area_tol:
-                deviates = True
-                break
-        if not deviates:
-            continue
-        dist = dom_v.boundary_distance(cell.vertices).min()
-        if dist < margin:
-            return False
-    return True
+    # the (cell of v, cell of u) pairs whose maps differ
+    Av, bv = _stacked(v.pieces, v.dim)
+    Au, bu = _stacked(u.pieces, u.dim)
+    differ = np.ones((len(Av), len(Au)), dtype=bool)
+    if v.dim == u.dim:  # maps of different dimensions never agree
+        differ = ~((Av[:, None] == Au).all(axis=(2, 3)) & (bv[:, None] == bu).all(axis=2))
+    ia, ib = np.nonzero(differ)
+    area = overlap_areas(v.partition.cells, u.partition.cells, (ia, ib))
+    deviating = sorted(set(ia[area > area_tol].tolist()))
+    if not deviating:
+        return True
+    cells = v.partition.cells
+    dist = dom_v.boundary_distance(np.concatenate([cells[k].vertices for k in deviating]))
+    return bool(dist.min() >= margin)

@@ -58,10 +58,29 @@ def frame_from_normal(nu) -> np.ndarray:
 
 def _segments_distance(x, a, d) -> np.ndarray:
     """Distances from the points x (..., 2) to the segments a + t d, t in
-    [0, 1], given as (m, 2) arrays: (..., m)."""
+    [0, 1], given as (..., m, 2) arrays that broadcast against x: (..., m)."""
     x = x[..., None, :]
-    t = np.clip(np.einsum("...ij,ij->...i", x - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    t = np.clip(np.einsum("...ij,...ij->...i", x - a, d) / np.einsum("...ij,...ij->...i", d, d),
+                0.0, 1.0)
     return np.linalg.norm(a + t[..., None] * d - x, axis=-1)
+
+
+def _loop_sides(x, v, w, tol, own=None):
+    """For each point of x (..., 2): +1 inside the loop of the edges v[k] ->
+    w[k], 0 within tol of one of them, -1 outside, as an int array of shape
+    (...).  v and w are (..., m, 2) arrays that broadcast against x, so each
+    point may have its own loop; own, a boolean (..., m) array, marks the
+    edges that make it up, the others being padding."""
+    # even-odd crossing count of the ray from each point running right (+x)
+    px, py = x[..., :1], x[..., 1:]
+    cond = (v[..., 1] <= py) != (w[..., 1] <= py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = v[..., 0] + (py - v[..., 1]) * (w[..., 0] - v[..., 0]) / (w[..., 1] - v[..., 1])
+    dist = _segments_distance(x, v, w - v)
+    if own is not None:
+        cond, dist = cond & own, np.where(own, dist, np.inf)
+    inside = np.count_nonzero(cond & (xs > px), axis=-1) % 2 == 1
+    return np.where(np.min(dist, axis=-1) <= tol, 0, np.where(inside, 1, -1))
 
 
 def signed_area(vertices, rolled=None) -> float:
@@ -72,9 +91,10 @@ def signed_area(vertices, rolled=None) -> float:
 
 
 class Polygon:
-    """Simple counterclockwise polygon with at least three vertices."""
+    """Simple counterclockwise polygon with at least three vertices; rolled
+    is the vertex loop rolled by one row (vertex k + 1 in row k)."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "rolled")
 
     def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
@@ -92,7 +112,9 @@ class Polygon:
         if signed_area(v, w) <= 0.0:
             raise GeometryError("polygon must be counterclockwise with positive area")
         v.setflags(write=False)
+        w.setflags(write=False)
         self.vertices = v
+        self.rolled = w
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -102,7 +124,7 @@ class Polygon:
 
     @property
     def area(self) -> float:
-        return signed_area(self.vertices)
+        return signed_area(self.vertices, self.rolled)
 
     @property
     def diameter(self) -> float:
@@ -116,31 +138,21 @@ class Polygon:
 
     @property
     def centroid(self) -> np.ndarray:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        v, w = self.vertices, self.rolled
         cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
         return (v + w).T @ cross / (6.0 * self.area)
 
     def boundary_distance(self, x):
         """Distance from each point of x (..., 2) to the boundary: (...)."""
         v = self.vertices
-        return np.min(_segments_distance(_as_points(x), v, np.roll(v, -1, axis=0) - v), axis=-1)
+        return np.min(_segments_distance(_as_points(x), v, self.rolled - v), axis=-1)
 
     def contains(self, x, tol: float | None = None):
         """For each point of x (..., 2): +1 strictly inside, 0 on the boundary
         (within tol), -1 outside, as an int array of shape (...)."""
-        x = _as_points(x)
         if tol is None:
             tol = MATCH_TOL * self.diameter
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        # even-odd crossing count of the ray from each point running right (+x)
-        px, py = x[..., :1], x[..., 1:]
-        cond = (v[:, 1] <= py) != (w[:, 1] <= py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = v[:, 0] + (py - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
-        inside = np.count_nonzero(cond & (xs > px), axis=-1) % 2 == 1
-        return np.where(self.boundary_distance(x) <= tol, 0, np.where(inside, 1, -1))
+        return _loop_sides(_as_points(x), self.vertices, self.rolled, tol)
 
     def to_json(self) -> list:
         return [[float(x), float(y)] for x, y in self.vertices]
@@ -429,37 +441,116 @@ class PolygonalPartition:
         return PolygonalPartition(cells, Polygon.from_json(data["domain"]))
 
 
-def _convex_clip(subject: np.ndarray, clip: np.ndarray, tol: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of `subject` against convex counterclockwise `clip`."""
-    out = [np.array(p) for p in subject]
-    m = len(clip)
-    for k in range(m):
-        if not out:
-            break
-        A, B = clip[k], clip[(k + 1) % m]
-        e = B - A
-        inp = out
-        out = []
-        prev = inp[-1]
-        prev_in = (e[0] * (prev[1] - A[1]) - e[1] * (prev[0] - A[0])) >= -tol
-        for cur in inp:
-            cur_in = (e[0] * (cur[1] - A[1]) - e[1] * (cur[0] - A[0])) >= -tol
-            if cur_in != prev_in:
-                d = cur - prev
-                denom = e[0] * d[1] - e[1] * d[0]
-                if denom != 0.0:
-                    t = (e[0] * (A[1] - prev[1]) - e[1] * (A[0] - prev[0])) / denom
-                    out.append(prev + np.clip(t, 0.0, 1.0) * d)
-            if cur_in:
-                out.append(cur)
-            prev, prev_in = cur, cur_in
-    return np.array(out) if out else np.zeros((0, 2))
+def _stack(loops):
+    """(stacked, counts): vertex loops, (k, 2) arrays, each padded with
+    copies of its last vertex to the longest: (len(loops), max k, 2), and
+    the integer array of the k."""
+    counts = np.array([len(v) for v in loops])
+    col = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return np.concatenate(loops)[np.cumsum(counts)[:, None] - counts[:, None] + col], counts
+
+
+def _clip_convex(subject, n, clip, m, tol):
+    """Sutherland-Hodgman clip of every subject loop (the first n[r] rows of
+    subject[r], padded as `_stack` pads) against its convex counterclockwise
+    clip loop (the first m[r] rows of clip[r]), all rows at once: (out,
+    counts), padded the same way.  A point is inside an edge's half plane
+    when its cross product with the edge is at least -tol[r]; each row is
+    the arithmetic of clipping that pair alone, vertex by vertex."""
+    rows = np.arange(len(subject))[:, None]
+    e = clip[rows, (np.arange(clip.shape[1]) + 1) % m[:, None]] - clip
+    skip = np.arange(clip.shape[1]) >= m[:, None]  # no edge k: keep every vertex
+    lo = -tol[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(clip.shape[1]):
+            A, ex, ey = clip[:, k, None], e[:, k, None, 0], e[:, k, None, 1]
+            off = subject - A
+            inside = (ex * off[..., 1] - ey * off[..., 0] >= lo) | skip[:, k, None]
+            valid = np.arange(subject.shape[1]) < n[:, None]
+            if np.all(inside | ~valid):
+                continue  # every loop keeps every vertex
+            # column 0's predecessor is the last vertex, which the last column holds
+            prev = np.concatenate([subject[:, -1:], subject[:, :-1]], axis=1)
+            was_in = np.concatenate([inside[:, -1:], inside[:, :-1]], axis=1)
+            d = subject - prev
+            denom = ex * d[..., 1] - ey * d[..., 0]
+            back = A - prev
+            t = np.clip((ex * back[..., 1] - ey * back[..., 0]) / denom, 0.0, 1.0)
+            # each vertex emits its edge's crossing point, then itself if inside
+            emit = np.empty(inside.shape + (2,), dtype=bool)
+            emit[..., 0] = valid & (inside != was_in) & (denom != 0.0)
+            emit[..., 1] = valid & inside
+            cand = np.empty(subject.shape[:2] + (2, 2))
+            cand[:, :, 0] = prev + t[..., None] * d
+            cand[:, :, 1] = subject
+            emit, cand = emit.reshape(len(rows), -1), cand.reshape(len(rows), -1, 2)
+            n = np.count_nonzero(emit, axis=1)
+            order = np.argsort(~emit, axis=1, kind="stable")
+            subject = cand[rows, order[rows, np.minimum(np.arange(n.max()), n[:, None] - 1)]]
+    return subject, n
+
+
+def _loop_areas(v, n) -> np.ndarray:
+    """Shoelace areas of the loops (the first n[r] rows of v[r]), each
+    summed vertex after vertex, so that padding does not change it."""
+    if not v.shape[1]:
+        return np.zeros(len(v))
+    col = np.arange(v.shape[1])
+    valid = col < n[:, None]
+    # the vertex after the last is the first
+    w = np.where((col + 1 < n[:, None])[..., None], np.concatenate([v[:, 1:], v[:, :1]], axis=1),
+                 v[:, :1])
+    a = np.cumsum(np.where(valid, v[..., 0] * w[..., 1], 0.0), axis=1)[:, -1]
+    b = np.cumsum(np.where(valid, v[..., 1] * w[..., 0], 0.0), axis=1)[:, -1]
+    return 0.5 * (a - b)
+
+
+def _convex_pieces(poly: Polygon) -> list[np.ndarray]:
+    """The polygon's vertex loop if it turns left at every vertex, otherwise
+    its triangulate triangles."""
+    d = poly.rolled - poly.vertices
+    dn = np.roll(d, -1, axis=0)
+    if np.all(d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0] >= 0.0):
+        return [poly.vertices]
+    return triangulate(poly)
+
+
+def overlap_areas(subjects, others, pairs, tol=None) -> np.ndarray:
+    """Intersection areas of subjects[ia] and others[ib] for the pairs (ia,
+    ib) of index arrays.  Each subject is clipped against the convex pieces
+    of the other (see `_convex_pieces`), every (pair, piece) at once, and a
+    pair's areas add up in piece order.  tol, one number or one per pair
+    (MATCH_TOL times the larger diameter by default), is the clip's inside
+    tolerance; bounding boxes more than tol apart give 0.0."""
+    ia, ib = (np.asarray(x, dtype=int) for x in pairs)
+    if tol is None:
+        diam1 = np.array([p.diameter for p in subjects])
+        diam2 = np.array([p.diameter for p in others])
+        tol = MATCH_TOL * np.maximum(diam1[ia], diam2[ib])
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), ia.shape)
+    lo1, hi1 = np.array([p.bbox for p in subjects])[ia].transpose(1, 0, 2)
+    lo2, hi2 = np.array([p.bbox for p in others])[ib].transpose(1, 0, 2)
+    gap = tol[:, None]
+    near = np.nonzero(~((lo1 > hi2 + gap) | (lo2 > hi1 + gap)).any(axis=1))[0]
+    if not len(near):
+        return np.zeros(len(ia))
+    # one row per (near pair, convex piece of its other cell)
+    met = ib[near].tolist()
+    pieces = {b: _convex_pieces(others[b]) for b in set(met)}
+    pair = np.repeat(near, [len(pieces[b]) for b in met])
+    S, ns = _stack([subjects[a].vertices for a in ia[pair].tolist()])
+    C, mc = _stack([loop for b in met for loop in pieces[b]])
+    out, n = _clip_convex(S, ns, C, mc, tol[pair])
+    area = np.where(n >= 3, np.abs(_loop_areas(out, n)), 0.0)
+    return np.bincount(pair, weights=area, minlength=len(ia))
 
 
 def clip_polygon(cell: Polygon, region: Polygon) -> Polygon | None:
     """Cell clipped to a convex region (None if the overlap is negligible)."""
     tol = 1e-12 * max(cell.diameter, region.diameter)
-    pts = _convex_clip(cell.vertices, region.vertices, tol)
+    out, n = _clip_convex(cell.vertices[None], np.array([len(cell)]),
+                          region.vertices[None], np.array([len(region)]), np.array([tol]))
+    pts = out[0, :n[0]]
     if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
         return None
     # drop duplicate consecutive points produced by clipping
@@ -475,19 +566,8 @@ def clip_polygon(cell: Polygon, region: Polygon) -> Polygon | None:
 
 
 def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> float:
-    """Area of the intersection, via pairwise triangle clipping."""
-    if tol is None:
-        tol = MATCH_TOL * max(p1.diameter, p2.diameter)
-    if _bbox_disjoint([p1], [p2], tol)[0, 0]:
-        return 0.0
-    total = 0.0
-    tris2 = triangulate(p2)
-    for t1 in triangulate(p1):
-        for t2 in tris2:
-            clipped = _convex_clip(t1, t2, tol)
-            if len(clipped) >= 3:
-                total += abs(signed_area(clipped))
-    return total
+    """Area of the intersection: p1 clipped against the convex pieces of p2."""
+    return float(overlap_areas([p1], [p2], ([0], [0]), tol)[0])
 
 
 @dataclass
@@ -522,13 +602,11 @@ def validate_partition(part: PolygonalPartition) -> PartitionReport:
             if gap > 10 * tol:
                 unmatched.append((ci, ei, gap))
 
-    overlaps = []
     area_tol = max(tol * part.domain.diameter, 1e-12 * part.domain.area)
-    for ci in range(len(part.cells)):
-        for cj in range(ci + 1, len(part.cells)):
-            a = polygon_overlap_area(part.cells[ci], part.cells[cj], tol)
-            if a > area_tol:
-                overlaps.append((ci, cj, a))
+    ci, cj = np.nonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    area = overlap_areas(part.cells, part.cells, (ci, cj), tol)
+    hit = area > area_tol
+    overlaps = list(zip(ci[hit].tolist(), cj[hit].tolist(), area[hit].tolist()))
 
     defect = part.area_defect
     passed = (
@@ -543,34 +621,51 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def clip_segment_params(starts, ends, poly: Polygon, tol: float | None = None):
-    """The pieces inside poly of the segments starts[k] -> ends[k], (n, 2)
-    arrays: (rows, t0, t1, on_boundary), where piece n covers [t0[n], t1[n]]
-    of the parameter in [0, 1] of segment rows[n], row after row in
-    increasing t.  Segments are cut where they meet an edge within tol;
-    pieces no longer than tol, or with their midpoint outside poly, are
-    dropped.  on_boundary marks pieces along the boundary of poly."""
+def clip_segment_params(starts, ends, regions, tol: float | None = None):
+    """The pieces inside each of the regions (Polygons) of the segments
+    starts[k] -> ends[k], (n, 2) arrays: (owner, rows, t0, t1, on_boundary),
+    where piece m covers [t0[m], t1[m]] of the parameter in [0, 1] of
+    segment rows[m] inside regions[owner[m]], region after region, row after
+    row in increasing t.  Segments are cut where they meet a region's edge
+    within tol (MATCH_TOL times the region's diameter by default); pieces no
+    longer than tol, or with their midpoint outside the region, are dropped.
+    on_boundary marks pieces along the region's boundary.  Every region
+    gives the pieces of clipping against it alone, bit for bit."""
     a = _as_points(starts).reshape(-1, 2)
-    d = _as_points(ends).reshape(-1, 2) - a
-    if tol is None:
-        tol = MATCH_TOL * poly.diameter
+    b = _as_points(ends).reshape(-1, 2)
+    d = b - a
+    G = len(regions)
+    tol = MATCH_TOL * np.array([r.diameter for r in regions]) if tol is None else np.full(G, tol)
     L = row_norms(d)
-    P = poly.vertices
-    e = np.roll(P, -1, axis=0) - P
-    e_len = row_norms(e)
-    # (rows, edges): segment k's line meets edge l's line at a + t d = P + s e
-    ox, oy = P[:, 0] - a[:, :1], P[:, 1] - a[:, 1:]
+    # every region's edges, padded by repeating its last one, which the
+    # mask `edge` drops
+    P, counts = _stack([r.vertices for r in regions])
+    Q = _stack([r.rolled for r in regions])[0]
+    E = P.shape[1]
+    edge = np.arange(E) < counts[:, None]
+    e_len = row_norms((Q - P).reshape(-1, 2)).reshape(G, E)
+    # the (region, row) pairs whose bounding boxes come within tol: a segment
+    # farther from a region has no piece in it
+    lo, hi = np.array([r.bbox for r in regions]).transpose(1, 0, 2)[..., None, :]
+    gap = tol[:, None, None]
+    near = ~((np.minimum(a, b) > hi + gap) | (lo > np.maximum(a, b) + gap)).any(axis=2)
+    owner, rows = np.nonzero(near)
+    P, Q, edge, e_len, tol = P[owner], Q[owner], edge[owner], e_len[owner], tol[owner, None]
+    e = Q - P
+    a, d, L = a[rows], d[rows], L[rows, None]
+    # (pairs, edges): the segment's line meets the edge's line at a + t d = P + s e
+    ox, oy = P[..., 0] - a[:, :1], P[..., 1] - a[:, 1:]
     dx, dy = d[:, :1], d[:, 1:]
-    denom = dx * e[:, 1] - dy * e[:, 0]
+    denom = dx * e[..., 1] - dy * e[..., 0]
     # parallel lines divide by zero and near-parallel ones may overflow, both
     # rejected by the hit tests; the inf that pads the cuts gives inf - inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (ox * e[:, 1] - oy * e[:, 0]) / denom
+        t = (ox * e[..., 1] - oy * e[..., 0]) / denom
         s = (ox * dy - oy * dx) / denom
-        slack = (tol / L)[:, None]
-        hit = ((denom != 0.0) & (-slack <= t) & (t <= 1 + slack)
+        slack = tol / L
+        hit = (edge & (denom != 0.0) & (-slack <= t) & (t <= 1 + slack)
                & (-tol <= s * e_len) & (s * e_len <= e_len + tol))
-        # the cuts of each row: 0, 1 and the hits clipped to [0, 1] (+ 0.0
+        # the cuts of each pair: 0, 1 and the hits clipped to [0, 1] (+ 0.0
         # makes -0.0 the 0.0 it equals), sorted, each value once
         cuts = np.where(hit, np.clip(t, 0.0, 1.0) + 0.0, np.inf)
         cuts = np.concatenate([np.broadcast_to([0.0, 1.0], (len(a), 2)), cuts], axis=1)
@@ -578,9 +673,10 @@ def clip_segment_params(starts, ends, poly: Polygon, tol: float | None = None):
         cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
         cuts.sort(axis=1)
         t0, t1 = cuts[:, :-1], cuts[:, 1:]
-        long = np.isfinite(t1) & ((t1 - t0) * L[:, None] > tol)
-    rows, k = np.nonzero(long)
-    t0, t1 = t0[rows, k], t1[rows, k]
-    side = poly.contains(a[rows] + (0.5 * (t0 + t1))[:, None] * d[rows], tol)
+        long = np.isfinite(t1) & ((t1 - t0) * L > tol)
+    pair, k = np.nonzero(long)
+    t0, t1 = t0[pair, k], t1[pair, k]
+    mid = a[pair] + (0.5 * (t0 + t1))[:, None] * d[pair]
+    side = _loop_sides(mid, P[pair], Q[pair], tol[pair, 0], edge[pair])
     kept = side >= 0
-    return rows[kept], t0[kept], t1[kept], side[kept] == 0
+    return owner[pair][kept], rows[pair][kept], t0[kept], t1[kept], side[kept] == 0

@@ -206,12 +206,16 @@ class TestTiling:
         for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8), i_side="minus"):
             assert rep["relative_defect"] < 1e-9, rep["h"]
 
-    @pytest.mark.parametrize("rotated", [False, True])
-    def test_report_equals_per_tile_energies(self, rotated):
+    # ids False and True: the axis frame and a rotated one; unit((1, 2)) is
+    # not a fixed point of unit, so there a tiled function built on
+    # unit(unit(nu)) would lie one bit off its tiles
+    @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)],
+                             ids=["False", "True", "unit-not-idempotent"])
+    def test_report_equals_per_tile_energies(self, nu):
         # the former bookkeeping: one surface_energy per tile and one for
         # the whole tiled function
-        nu = TestRotatedFrames.NU if rotated else E2
-        u = TestRotatedFrames()._rotated_insert() if rotated else counterexample1_competitor(1.0)
+        rotated = nu != (0.0, 1.0)
+        u = TestRotatedFrames()._rotated_insert(nu) if rotated else counterexample1_competitor(1.0)
         v = u.scaled(1.0 / 6.0)
         f = anisotropic_normal_density(0.01)
         R = frame_from_normal(unit(nu))
@@ -262,13 +266,13 @@ class TestTiling:
 class TestRotatedFrames:
     NU = np.array([0.6, 0.8])
 
-    def _rotated_insert(self):
+    def _rotated_insert(self, nu=NU):
         from bdlab.ellipticity import insert_competitor
         from bdlab.functions import rigid_piece
 
         cells = [np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])]
         return insert_competitor(
-            I_CE, J_CE, self.NU, cells, [rigid_piece(0.7, (0.3, 0.2))],
+            I_CE, J_CE, nu, cells, [rigid_piece(0.7, (0.3, 0.2))],
             half_width=1.0, half_height=1.0,
         )
 

@@ -15,8 +15,11 @@ single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
   values);
 - the cells and edges each interface of those competitors matches, and
   their `validate_partition` reports, whole and with the last cell removed;
+- the `compact_deviation` verdict of each of those competitors against its
+  elementary jump, at several margins;
 - the CE1 and CE2 energy breakdowns;
-- the tiling report for h = 1..16;
+- the tiling report for h = 1..16, and digests of each level's jump pieces
+  inside each tile, with and without those along the tile boundary;
 - the jump flux of the catalog fields and integration-by-parts residuals;
 - the CLI reports of every report-writing command, without `wall_time_s`.
 
@@ -42,21 +45,31 @@ from bdlab.ellipticity import (
     ce2_energy_breakdown,
     counterexample1_competitor,
     default_families,
+    tile_construction,
     tiling_report,
 )
 from bdlab.energy import (
     bump_from_polygon,
     integration_by_parts_residual,
     jump_flux,
+    jump_pieces,
     surface_energy,
     symmetric_jump_measure,
 )
 from bdlab.fields import catalog_fields, prototype_field
-from bdlab.functions import AffinePiece, JumpArrays, PiecewiseAffine
+from bdlab.functions import (
+    AffinePiece,
+    JumpArrays,
+    PiecewiseAffine,
+    compact_deviation,
+    make_elementary,
+)
 from bdlab.geometry import (
     GeometryError,
+    OrientedSquare,
     Polygon,
     PolygonalPartition,
+    frame_from_normal,
     make_oriented_square,
     validate_partition,
 )
@@ -68,6 +81,7 @@ J_CE = np.array([2.0, 2.0])
 E2 = np.array([0.0, 1.0])
 ANGLES = (0.5 * np.pi, 0.3, 2.2, 4.0)  # normal angles, E2 first
 PER_FAMILY = 3  # seeded competitors per family, normal and i_side
+MARGINS = (0.006, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # compact_deviation margins
 
 
 def emit(*parts) -> None:
@@ -89,8 +103,9 @@ def quad(res) -> str:
 
 
 def competitors(rng):
-    """(label, function) for seeded in-bounds parameters of every default
-    family; parameter vectors a generator rejects are skipped."""
+    """(label, function, normal, i_side) for seeded in-bounds parameters of
+    every default family; parameter vectors a generator rejects are
+    skipped."""
     for angle in ANGLES:
         nu = np.array([np.cos(angle), np.sin(angle)])
         for i_side in ("plus", "minus"):
@@ -104,13 +119,13 @@ def competitors(rng):
                         emit("rejected", fam.name, repr(params))
                         continue
                     kept += 1
-                    yield f"{fam.name}/{angle!r}/{i_side}/{kept}", u
+                    yield f"{fam.name}/{angle!r}/{i_side}/{kept}", u, nu, i_side
 
 
 def jump_sets() -> None:
     densities = [(fid, catalog_density(fid)) for fid in CATALOG_IDS]
     fields = catalog_fields(I_CE, J_CE, E2).fields
-    for label, u in competitors(np.random.default_rng(20201)):
+    for label, u, nu, i_side in competitors(np.random.default_rng(20201)):
         jumps = u.jump_segments()
         for f in dataclasses.fields(JumpArrays):
             emit("jumps", label, f.name, digest(getattr(jumps, f.name)))
@@ -120,6 +135,8 @@ def jump_sets() -> None:
         emit("validate", label, exact(validate_partition(part).to_json()))
         rest = PolygonalPartition(part.cells[:-1], part.domain)
         emit("validate-rest", label, exact(validate_partition(rest).to_json()))
+        ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, 6.0, (0, 0)), i_side=i_side)
+        emit("compact", label, [compact_deviation(u, ref, m) for m in MARGINS])
         emit("measure", label, digest(symmetric_jump_measure(u)))
         emit("flipped", label, digest(u.flipped().jump_segments().normal))
         probes = [0.5 * (a + b) for a, b in zip(jumps.a, jumps.b)]
@@ -145,6 +162,20 @@ def tiling() -> None:
     f = anisotropic_normal_density(0.01)
     for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 17), i_side="minus"):
         emit("tiling", exact(rep))
+    R = frame_from_normal(E2)
+    for h in range(1, 17):
+        jumps = tile_construction(v, I_CE, J_CE, E2, h, i_side="minus").jump_segments()
+        inv_h = 1.0 / h
+        for include_boundary in (False, True):
+            pieces = []
+            for n in range(h):
+                c = np.array([-0.5 + n * inv_h, 0.0])
+                tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
+                pieces.append(jump_pieces(jumps, Polygon(tile), include_boundary))
+            level = JumpArrays.concatenate(pieces)
+            for fld in dataclasses.fields(JumpArrays):
+                emit("tile-pieces", h, include_boundary, fld.name,
+                     digest(getattr(level, fld.name)))
 
 
 def ibp() -> None:
