@@ -11,11 +11,10 @@ reference constructions) and rescaled to the side: sizes by side / 6,
 rotations by its inverse.  Energies are normalized per unit interface
 length, which is invariant under rescaling.  The built-in families are
 insert layouts, declared as gathers from a table per parameter row, with
-one cell topology each, compiled once per process, and bounds in which
-every row builds valid cells, checked once per family; a search round
-gathers its geometry from one flat table by index arrays compiled once per
-composition, and the best competitor is certified on the general path, a
-partition built from the same gathers.
+one cell topology each and bounds in which every row builds valid cells.
+`falsify` plans its runs, advances them in lockstep, a round gathering its
+geometry from one flat table, and certifies the best competitor on the
+general path, a partition built from the same gathers.
 """
 
 from __future__ import annotations
@@ -327,12 +326,18 @@ def tiling_report(
 
 @dataclass(frozen=True)
 class CompetitorFamily:
-    """Parametric family of compactly-deviating piecewise rigid competitors."""
+    """Parametric family of compactly-deviating piecewise rigid competitors,
+    with a finite pair of bounds lo <= hi per parameter."""
 
     name: str
     bounds: tuple
     generator: object  # params -> PiecewiseRigid
     suggestions: tuple = ()
+
+    def __post_init__(self):
+        if not (len(self.bounds) and all(-np.inf < lo <= hi < np.inf for lo, hi in self.bounds)):
+            raise EllipticityError(
+                f"{self.name}: bounds {self.bounds} must be one or more finite pairs lo <= hi")
 
     @property
     def dim(self) -> int:
@@ -342,8 +347,8 @@ class CompetitorFamily:
 @dataclass(frozen=True)
 class LayoutFamily(CompetitorFamily):
     """A family whose generator is insert_competitor over an InsertLayout
-    with one cell topology, compiled into `topology`; its bounds, finite and
-    within the layout's ranges at its side, are checked here, once.  `head`
+    with one cell topology, compiled into `topology`; its bounds, within
+    the layout's ranges at its side, are checked here, once.  `head`
     holds what a search round gathers from the family: the head of its
     layout's row tables, with its own values, then its bounds' lows and highs."""
 
@@ -356,15 +361,12 @@ class LayoutFamily(CompetitorFamily):
 
     def __post_init__(self):
         _check_side(self.side)
-        valid = all(-np.inf < lo <= hi < np.inf for lo, hi in self.bounds)
+        super().__post_init__()
         for column, low, high, size in self.layout.ranges:
             unit = self.side if size else 1.0
-            lo, hi = self.bounds[column]
-            valid = valid and low * unit <= lo and hi <= high * unit
-        if not valid:
-            raise EllipticityError(
-                f"{self.name}: bounds {self.bounds} may leave the layout's valid range "
-                f"at side {self.side}")
+            if not low * unit <= self.bounds[column][0] <= self.bounds[column][1] <= high * unit:
+                raise EllipticityError(f"{self.name}: bounds {self.bounds} may leave the "
+                                       f"layout's valid range at side {self.side}")
         object.__setattr__(self, "head", np.concatenate([
             (0.0, 1.0, 0.5 * self.side, self.side / 6.0), *self.outer[1],
             *np.array(self.bounds).T]))
@@ -611,10 +613,7 @@ def _nelder_mead(x0, bounds, maxfev: int):
     into them, the coefficients 1, 2, 0.5, 0.5, every trial point clipped,
     an argsort after every step, and a step abandoned where it asks for an
     evaluation beyond maxfev.  The caller evaluates the points, so the
-    points of many runs can be evaluated together.  Points are clipped by
-    the ufunc np.clip calls, and the stopping test looks at the values
-    before the simplex (it is false at almost every step, and the value
-    spread is cheaper to test).
+    points of many runs can be evaluated together.
     """
     lower = np.array([float(lo) for lo, _ in bounds])
     upper = np.array([float(hi) for _, hi in bounds])
@@ -649,7 +648,7 @@ def _nelder_mead(x0, bounds, maxfev: int):
     sim, fsim = ordered(sim, fsim)
     sim, fsim = ordered(sim, fsim)
     while calls < maxfev:
-        try:
+        try:  # the values first: cheaper, and false at almost every step
             if (np.abs(fsim[0] - fsim[1:]).max() <= 1e-12
                     and np.abs(sim[1:] - sim[0]).max() <= 1e-9):
                 break
@@ -685,17 +684,61 @@ def _nelder_mead(x0, bounds, maxfev: int):
     return np.min(fsim), sim[0]
 
 
-def _check_square(family: CompetitorFamily, start, square: Polygon) -> None:
-    """Raise EllipticityError if the plain family's competitor at its first
-    start lives on another square than `square`, compared as
-    compact_deviation compares domains; a generator that raises there
-    leaves the family to the search."""
-    try:
-        u = family.generator(start)
-    except _REJECTED:
-        return
-    if not same_domain(u.partition.domain, square):
-        raise EllipticityError(f"{family.name}: its competitors live on another square")
+def _plan(families, budget: int, seed: int):
+    """The runs (family index, start), family-major and suggestions first,
+    the evaluations per run, and how many runs, from the first, are searched."""
+    runs = []
+    for fi, family in enumerate(families):
+        lo, hi = np.array(family.bounds, dtype=float).T
+        starts = lo + (hi - lo) * _latin_hypercube(seed, fi, family.dim, _RESTARTS)
+        runs += [(fi, start) for start in (*family.suggestions, *starts)]
+    per_run = max(_MIN_RUN, budget // len(runs))
+    return runs, per_run, min(len(runs), budget // per_run)
+
+
+def _lockstep(f: Density, families, runs, per_run: int):
+    """Nelder-Mead runs of per_run evaluations, a round evaluating every live
+    run's point: the outcomes, each point's family and rejected flag, and
+    the rounds."""
+    searches = [_nelder_mead(start, families[fi].bounds, per_run) for fi, start in runs]
+    pending = {r: next(search) for r, search in enumerate(searches)}
+    outcomes, evaluated, rejected, rounds = [None] * len(runs), [], [], 0
+    while pending:
+        rounds += 1
+        live = list(pending)
+        points = [(runs[r][0], pending[r]) for r in live]
+        values, rejects = _search_values(f, families, points)
+        evaluated += [fi for fi, _ in points]
+        rejected += [n in rejects for n in range(len(points))]
+        for r, value in zip(live, values):
+            try:
+                pending[r] = searches[r].send(value)
+            except StopIteration as stop:
+                del pending[r]
+                outcomes[r] = stop.value
+    return outcomes, np.array(evaluated, int), np.array(rejected, bool), rounds
+
+
+def _certify(f: Density, competitor, i, j, nu_u, side: float, i_side: str, reference: float):
+    """Status, energy, error and cross check of a competitor: its energy (in
+    closed form for a quadratic form) against adaptive quadrature at doubled
+    order.  VIOLATION needs a margin over ten errors, the two converged and
+    within 1e-9, and a compact deviation."""
+    e1 = surface_energy(competitor, f, tol=1e-11, order=15)
+    closed = isinstance(f, Density) and f.quadratic_form is not None
+    adaptive = replace(f, quadratic_form=None) if closed else f
+    e2 = surface_energy(competitor, adaptive, tol=1e-13, order=30)
+    err = max(e1.error_estimate, e2.error_estimate, abs(e1.value - e2.value))
+    cross = {"method_default_order": "closed-form" if closed else "adaptive",
+             "value_default_order": e1.value, "value_doubled_order": e2.value,
+             "difference": abs(e1.value - e2.value)}
+    ok_margin = e1.value < reference - 10.0 * err
+    # a certificate rests on converged quadrature only
+    ok_cert = abs(e1.value - e2.value) <= 1e-9 and e1.unconverged == e2.unconverged == 0
+    ref = make_elementary(i, j, nu_u, OrientedSquare(nu_u, side, (0, 0)), i_side=i_side)
+    ok_compact = compact_deviation(competitor, ref, margin=1e-3 * side)
+    status = "VIOLATION" if ok_margin and ok_cert and ok_compact else "NO-VIOLATION-WITHIN-BUDGET"
+    return status, e1.value, err, cross
 
 
 def falsify(
@@ -711,19 +754,11 @@ def falsify(
     keep_competitor: bool = True,
 ) -> EllipticityVerdict:
     """Derivative-free search for a competitor below the straight-interface
-    energy.  VIOLATION requires the margin to exceed ten times the quadrature
-    error and the certificate to reproduce, both evaluations converged: the
-    competitor's energy (in closed form for a density with a quadratic form)
-    against adaptive quadrature at doubled order.  `cross_check` holds both
-    values and names the method of the first ("closed-form" or "adaptive").
-    The budget caps the objective evaluations and must cover one search run.
-    Layout families are searched through their compiled topology; the
-    certificate rebuilds the best competitor with the family's generator and
-    integrates it on the general path.  The side must be finite and positive.
-    A layout family must carry this call's side and outer pieces, and its
-    normal to 1e-12: normalised once more, a normal may change in a bit.
-    A plain family's competitor at its first start must live on this call's
-    square.  Both are checked before any density evaluation."""
+    energy: _plan the runs, search them in _lockstep, _certify the best.
+    The budget caps the evaluations and must cover one run; the side must
+    be finite and positive.  Before any density evaluation, a layout family
+    must carry this call's side, outer pieces and normal, and a plain
+    family's competitor at its first start must live on this call's square."""
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     _check_side(side)
@@ -737,116 +772,54 @@ def falsify(
         families = default_families(i, j, nu, side=side, i_side=i_side)
     if not families:
         raise EllipticityError("need at least one competitor family")
-    runs = []
+    runs, per_run, searched = _plan(families, budget, seed)
     for fi, family in enumerate(families):
-        lob, hib = np.array(family.bounds, dtype=float).T
-        starts = list(family.suggestions) + list(
-            lob + (hib - lob) * _latin_hypercube(seed, fi, family.dim, _RESTARTS))
-        runs += [(fi, si, family, start) for si, start in enumerate(starts)]
-        if not isinstance(family, LayoutFamily):
-            start = np.clip(np.asarray(starts[0], dtype=float), lob, hib)
-            _check_square(family, start, make_oriented_square(nu_u, side))
-        # the frame's second column is the family's normal
-        elif (family.side != side or np.linalg.norm(family.frame[:, 1] - nu_u) > 1e-12
-              or not all(map(np.array_equal, family.outer, outer))):
-            raise EllipticityError(f"{family.name}: built for another side, normal or jump")
+        if isinstance(family, LayoutFamily):
+            # the frame's second column is its normal, normalised once more
+            if (family.side != side or np.linalg.norm(family.frame[:, 1] - nu_u) > 1e-12
+                    or not all(map(np.array_equal, family.outer, outer))):
+                raise EllipticityError(f"{family.name}: built for another side, normal or jump")
+            continue
+        # a generator raising here leaves the family to the search
+        start = next(x for fk, x in runs if fk == fi)
+        try:
+            u = family.generator(np.clip(np.asarray(start, float), *np.array(family.bounds).T))
+        except _REJECTED:
+            continue
+        if not same_domain(u.partition.domain, make_oriented_square(nu_u, side)):
+            raise EllipticityError(f"{family.name}: its competitors live on another square")
 
-    reference_norm = float(f(i, j, nu_u))
-    reference_energy = reference_norm * side
+    reference_energy = float(f(i, j, nu_u)) * side
+    outcomes, evaluated, rejected, rounds = _lockstep(f, families, runs[:searched], per_run)
 
-    per_run = max(_MIN_RUN, budget // max(len(runs), 1))
-    searched = runs[: max(1, budget // per_run)]
-    stats = [
-        {"name": fam.name, "runs": 0, "dropped_runs": 0, "evaluations": 0, "rejected": 0}
-        for fam in families
-    ]
-    for r, (fi, *_) in enumerate(runs):
-        stats[fi]["runs" if r < len(searched) else "dropped_runs"] += 1
+    # runs searched, all runs, evaluations and rejections, per family
+    run_family = np.array([fi for fi, _ in runs])
+    counts = [np.bincount(fis, minlength=len(families)).tolist() for fis in (
+        run_family[:searched], run_family, evaluated, evaluated[rejected])]
+    values = [float(value) for value, _ in outcomes]
+    stats = []
+    for fi, (fam, n, total, e, x) in enumerate(zip(families, *counts)):
+        low = min(v for v, (fk, _) in zip(values, runs) if fk == fi) if e > x else None
+        stats.append({"name": fam.name, "runs": n, "dropped_runs": total - n,
+                      "evaluations": e, "rejected": x, "best_value": low})
+    dropped = [st["name"] for st in stats if st["runs"] == 0]
+    diagnostics = {"families": stats, "dropped_families": dropped, "rounds": rounds}
 
-    # the runs advance in lockstep: each round evaluates the pending point
-    # of every live run together
-    searches = [_nelder_mead(start, family.bounds, per_run) for _, _, family, start in searched]
-    pending = {r: next(search) for r, search in enumerate(searches)}
-    outcomes, rounds = [None] * len(searches), 0
-    while pending:
-        rounds += 1
-        live = list(pending)
-        points = [(searched[r][0], pending[r]) for r in live]
-        values, rejected = _search_values(f, families, points)
-        for n, (r, value) in enumerate(zip(live, values)):
-            st = stats[searched[r][0]]
-            st["evaluations"] += 1
-            st["rejected"] += n in rejected
-            try:
-                pending[r] = searches[r].send(value)
-            except StopIteration as stop:
-                del pending[r]
-                outcomes[r] = stop.value
-
-    results = [
-        (float(val), fi, si, tuple(np.asarray(x, dtype=float)), family.name)
-        for (val, x), (fi, si, family, _) in zip(outcomes, searched)
-    ]
-    for fi, st in enumerate(stats):
-        accepted = st["evaluations"] > st["rejected"]
-        st["best_value"] = min(r[0] for r in results if r[1] == fi) if accepted else None
-    diagnostics = {
-        "families": stats,
-        "dropped_families": [st["name"] for st in stats if st["runs"] == 0],
-        "rounds": rounds,
-    }
-
-    best = min(results, key=lambda r: (r[0], r[1], r[2]))
-    best_val, best_fi, _, best_params, best_name = best
-
-    # rebuild and certify the best competitor with two independent evaluations
-    family = families[best_fi]
-    status = "NO-VIOLATION-WITHIN-BUDGET"
-    err = 0.0
-    cross = {}
-    competitor = None
+    best = min(range(searched), key=values.__getitem__)
+    best_fi, best_val = runs[best][0], values[best]
+    best_params = tuple(outcomes[best][1])
+    status, err, cross, competitor = "NO-VIOLATION-WITHIN-BUDGET", 0.0, {}, None
     if stats[best_fi]["best_value"] is not None:
-        competitor = family.generator(best_params)
-        e1 = surface_energy(competitor, f, tol=1e-11, order=15)
-        # e1 is in closed form where f has a quadratic form, e2 always adaptive
-        closed = isinstance(f, Density) and f.quadratic_form is not None
-        adaptive = replace(f, quadratic_form=None) if closed else f
-        e2 = surface_energy(competitor, adaptive, tol=1e-13, order=30)
-        best_val = e1.value
-        err = max(e1.error_estimate, e2.error_estimate, abs(e1.value - e2.value))
-        cross = {
-            "method_default_order": "closed-form" if closed else "adaptive",
-            "value_default_order": e1.value,
-            "value_doubled_order": e2.value,
-            "difference": abs(e1.value - e2.value),
-        }
-        ok_margin = best_val < reference_energy - 10.0 * err
-        # a certificate rests on converged quadrature only
-        ok_cert = abs(e1.value - e2.value) <= 1e-9 and e1.unconverged == e2.unconverged == 0
-        ok_compact = compact_deviation(
-            competitor,
-            make_elementary(i, j, nu_u, OrientedSquare(nu_u, side, (0, 0)), i_side=i_side),
-            margin=1e-3 * side,
-        )
-        if ok_margin and ok_cert and ok_compact:
-            status = "VIOLATION"
-
+        competitor = families[best_fi].generator(best_params)
+        status, best_val, err, cross = _certify(f, competitor, i, j, nu_u, side, i_side,
+                                                reference_energy)
     margin = reference_energy - best_val
     return EllipticityVerdict(
-        status=status,
-        best_energy=best_val,
-        reference_energy=reference_energy,
-        margin=margin,
-        normalized_margin=margin / side,
-        error_estimate=err,
-        budget_used=sum(st["evaluations"] for st in stats),
-        best_family=best_name,
-        best_params=best_params,
-        interface_length=side,
-        competitor=competitor if keep_competitor else None,
-        cross_check=cross,
-        diagnostics=diagnostics,
-    )
+        status=status, best_energy=best_val, reference_energy=reference_energy, margin=margin,
+        normalized_margin=margin / side, error_estimate=err, budget_used=len(evaluated),
+        best_family=families[best_fi].name, best_params=best_params, interface_length=side,
+        cross_check=cross, diagnostics=diagnostics,
+        competitor=competitor if keep_competitor else None)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ def render_svg(
     """
     if style not in ("default", "plain"):
         raise ValueError(f"unknown style {style!r}")
+    if width < 1:
+        raise ValueError(f"width must be at least 1 pixel, got {width}")
     dom = u.partition.domain
     lo, hi = dom.bbox
     span = hi - lo

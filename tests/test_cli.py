@@ -319,6 +319,16 @@ class TestRender:
         # one jump chord plus its normal tick
         assert svg.count("<line") == 2
 
+    @pytest.mark.parametrize("width", [-5, 0])
+    def test_rejects_width_below_one(self, width, elementary_json, tmp_path, capsys):
+        # an SVG of negative or zero size is an input error, and none is written
+        path, _ = elementary_json
+        out = tmp_path / "u.svg"
+        rc = main(["render", "--function", str(path), "--out", str(out), "--width", str(width)])
+        assert rc == 1
+        assert "width must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_jump_no_strokes(self, tmp_path):
         u = make_elementary((1, 0), (0, 0), (0, 1), OrientedSquare((0.0, 1.0), 1.0, (0, 0)))
         v = type(u)(u.partition, [u.pieces[0], u.pieces[0]])

@@ -62,6 +62,7 @@ from bdlab.ellipticity import (
     _compiled_round,
     _latin_hypercube,
     _nelder_mead,
+    _plan,
     _search_values,
     CompetitorFamily,
     EllipticityError,
@@ -531,6 +532,29 @@ class TestFalsify:
         # on their own square they are searched
         v = search(f, I_CE, J_CE, E2, families=families, budget=100)
         assert (v if search is falsify else v.verdict).budget_used == 100
+
+    @pytest.mark.parametrize("kind", ["plain", "layout"])
+    @pytest.mark.parametrize("bounds", ["reversed", "nan", "none"])
+    def test_rejects_malformed_bounds(self, kind, bounds):
+        # before any density call, for both kinds of family: plain families
+        # used to search reversed bounds to a NO-VIOLATION, reject every
+        # point of NaN bounds into one, and fail to unpack empty bounds
+        fam = default_families(I_CE, J_CE, E2)[0]
+        bad = {"reversed": tuple((hi, lo) for lo, hi in fam.bounds),
+               "nan": ((np.nan, np.nan),) + fam.bounds[1:], "none": ()}[bounds]
+        f = catalog_density("product:aniso1:eps=0.01")
+        calls = [0]
+
+        def evaluator(i, j, nu):
+            calls[0] += 1
+            return f.evaluator(i, j, nu)
+
+        counted = dataclasses.replace(f, evaluator=evaluator)
+        calls[0] = 0
+        with pytest.raises(EllipticityError, match="bounds"):
+            family = plain(fam, bad) if kind == "plain" else dataclasses.replace(fam, bounds=bad)
+            falsify(counted, I_CE, J_CE, E2, families=[family], budget=200)
+        assert calls[0] == 0
 
     def test_plain_family_raising_at_its_first_start_is_searched(self):
         # no competitor to compare: the search rejects that start as before
@@ -1534,6 +1558,32 @@ def sequential_search(f, i, j, nu, budget, seed):
         )
         out.append((float(res.fun), fi, si, tuple(res.x), res.nfev))
     return families, out
+
+
+class TestPlan:
+    """falsify's budget split: every family's runs, its suggestions first,
+    and as many runs of at least _MIN_RUN evaluations as the budget covers."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=4),
+        budget=st.integers(25, 5000),
+        seed=st.integers(0, 2**16),
+    )
+    def test_runs_fit_the_budget(self, picks, budget, seed):
+        defaults = default_families(I_CE, J_CE, E2)
+        families = [plain(defaults[k]) if is_plain else defaults[k] for k, is_plain in picks]
+        runs, per_run, searched = _plan(families, budget, seed)
+        assert per_run >= _MIN_RUN and 1 <= searched <= len(runs)
+        assert searched * per_run <= budget
+        # no run left out that the budget could cover
+        assert searched == len(runs) or (searched + 1) * per_run > budget
+        assert [fi for fi, _ in runs] == sorted(fi for fi, _ in runs)
+        for fi, fam in enumerate(families):
+            starts = [x for fk, x in runs if fk == fi]
+            assert len(starts) == len(fam.suggestions) + _RESTARTS
+            for start, suggestion in zip(starts, fam.suggestions):
+                assert tuple(start) == tuple(suggestion)
 
 
 class TestLockstepSearch:

@@ -67,18 +67,11 @@ def numpy_calls(run) -> int:
 
 def protocol(families) -> None:
     """falsify's search protocol at budget 2000 and seed 0 on a constant
-    objective: its runs (the suggestions, then the Latin-hypercube starts of
-    each family) with its per-run budget, every live run sent 1.0 each round
-    until all stop."""
-    runs = []
-    for fi, family in enumerate(families):
-        lo, hi = np.array(family.bounds).T
-        starts = lo + (hi - lo) * ellipticity._latin_hypercube(
-            0, fi, family.dim, ellipticity._RESTARTS)
-        runs += [(family, start) for start in (*family.suggestions, *starts)]
-    per_run = max(ellipticity._MIN_RUN, 2000 // len(runs))
-    searches = [ellipticity._nelder_mead(start, family.bounds, per_run)
-                for family, start in runs[: 2000 // per_run]]
+    objective: the runs of `ellipticity._plan`, every live run sent 1.0 each
+    round until all stop."""
+    runs, per_run, searched = ellipticity._plan(families, 2000, 0)
+    searches = [ellipticity._nelder_mead(start, families[fi].bounds, per_run)
+                for fi, start in runs[:searched]]
     for search in searches:
         next(search)
     while searches:
