@@ -775,7 +775,7 @@ def falsify(
     runs, per_run, searched = _plan(families, budget, seed)
     for fi, family in enumerate(families):
         if isinstance(family, LayoutFamily):
-            # the frame's second column is its normal, normalised once more
+            # frame column 1 is its normal; unit(unit(nu)) may move a bit
             if (family.side != side or np.linalg.norm(family.frame[:, 1] - nu_u) > 1e-12
                     or not all(map(np.array_equal, family.outer, outer))):
                 raise EllipticityError(f"{family.name}: built for another side, normal or jump")
@@ -792,7 +792,7 @@ def falsify(
     reference_energy = float(f(i, j, nu_u)) * side
     outcomes, evaluated, rejected, rounds = _lockstep(f, families, runs[:searched], per_run)
 
-    # runs searched, all runs, evaluations and rejections, per family
+    # per family: runs searched, all runs, evaluations, rejections
     run_family = np.array([fi for fi, _ in runs])
     counts = [np.bincount(fis, minlength=len(families)).tolist() for fis in (
         run_family[:searched], run_family, evaluated, evaluated[rejected])]
