@@ -40,7 +40,6 @@ from .functions import (
     FunctionError,
     InsertLayout,
     JumpArrays,
-    JumpSquareTopology,
     PiecewiseRigid,
     compact_deviation,
     jump_arrays,
@@ -55,6 +54,7 @@ from .geometry import (
     Polygon,
     clip_segment_params,
     edge_pair_interfaces,
+    edge_vertices,
     frame_from_normal,
     make_oriented_square,
     unit,
@@ -129,6 +129,18 @@ _NESTED = InsertLayout(
 def _check_side(side) -> None:
     if not 0 < side < np.inf:
         raise EllipticityError(f"side must be finite and positive, got {side!r}")
+
+
+def _jump_values(i, j):
+    """i and j as arrays; EllipticityError unless they are two distinct
+    finite planar points."""
+    i = np.asarray(i, dtype=float)
+    j = np.asarray(j, dtype=float)
+    if i.shape != (2,) or j.shape != (2,) or not np.isfinite([i, j]).all():
+        raise EllipticityError(f"i and j must be finite planar points, got {i} and {j}")
+    if np.array_equal(i, j):
+        raise EllipticityError("falsification needs i != j")
+    return i, j
 
 
 def counterexample1_competitor(lam: float) -> PiecewiseRigid:
@@ -327,7 +339,8 @@ def tiling_report(
 @dataclass(frozen=True)
 class CompetitorFamily:
     """Parametric family of compactly-deviating piecewise rigid competitors,
-    with a finite pair of bounds lo <= hi per parameter."""
+    with a finite pair of bounds lo <= hi per parameter and suggested
+    starts of as many finite entries."""
 
     name: str
     bounds: tuple
@@ -338,6 +351,8 @@ class CompetitorFamily:
         if not (len(self.bounds) and all(-np.inf < lo <= hi < np.inf for lo, hi in self.bounds)):
             raise EllipticityError(
                 f"{self.name}: bounds {self.bounds} must be one or more finite pairs lo <= hi")
+        if not all(np.shape(s) == (self.dim,) and np.isfinite(s).all() for s in self.suggestions):
+            raise EllipticityError(f"{self.name}: each suggestion needs {self.dim} finite entries")
 
     @property
     def dim(self) -> int:
@@ -346,14 +361,13 @@ class CompetitorFamily:
 
 @dataclass(frozen=True)
 class LayoutFamily(CompetitorFamily):
-    """A family whose generator is insert_competitor over an InsertLayout
-    with one cell topology, compiled into `topology`; its bounds, within
-    the layout's ranges at its side, are checked here, once.  `head`
-    holds what a search round gathers from the family: the head of its
-    layout's row tables, with its own values, then its bounds' lows and highs."""
+    """A family whose generator is insert_competitor over an InsertLayout,
+    which holds its cell topology; its bounds, within the layout's ranges
+    at its side, are checked here, once.  `head` holds what a search round
+    gathers from the family: the head of its layout's row tables, with its
+    own values, then its bounds' lows and highs."""
 
     layout: InsertLayout | None = None
-    topology: JumpSquareTopology | None = None
     side: float = 6.0  # of the square, turned by frame = frame_from_normal(nu)
     frame: np.ndarray | None = None
     outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
@@ -374,10 +388,10 @@ class LayoutFamily(CompetitorFamily):
 
 class JumpSquareBatch:
     """The index arrays of a round of layout-family points, which depend on
-    its composition alone: point k has the layout and topology
-    layouts[slots[k]], or neither for a negative slot (such points are left
-    out).  They are compiled once, and `jumps` gathers every vertex and
-    piece entry from one flat table per round: the head of each slot's
+    its composition alone: point k has the layout layouts[slots[k]], or
+    none for a negative slot (such points are left out).  They are compiled
+    once, from each layout's `interfaces`, and `jumps` gathers every vertex
+    and piece entry from one flat table per round: the head of each slot's
     family, the parameters of the points in order, their derived columns,
     then the negation of all of it.  `groups[s]` lists the points of slot s
     in order; vertices and interfaces run group after group and point
@@ -386,13 +400,14 @@ class JumpSquareBatch:
     def __init__(self, layouts, slots):
         slots = np.array(slots, dtype=int)
         self.groups = [np.flatnonzero(slots == s).tolist() for s in range(len(layouts))]
-        heads = np.cumsum([0] + [8 + 2 * layout.dim for layout, _ in layouts])
-        params = heads[-1] + np.cumsum([0] + [layouts[s][0].dim if s >= 0 else 0 for s in slots])
+        heads = np.cumsum([0] + [8 + 2 * layout.dim for layout in layouts])
+        params = heads[-1] + np.cumsum([0] + [layouts[s].dim if s >= 0 else 0 for s in slots])
         self.size = derived = params[-1]  # of the table before its derived columns
-        size = derived + sum(len(g) * len(lay.dx) for (lay, _), g in zip(layouts, self.groups))
+        size = derived + sum(len(g) * len(lay.dx) for lay, g in zip(layouts, self.groups))
         parts, vertex, ends = [], 0, []
-        for s, ((layout, top), group) in enumerate(zip(layouts, self.groups)):
+        for s, (layout, group) in enumerate(zip(layouts, self.groups)):
             m, h, dim, V = len(group), heads[s], layout.dim, len(layout.vertices)
+            top = layout.interfaces
             # each point's row table (InsertLayout) as indices into the table
             p = params[group][:, None] + np.arange(dim)
             d = derived + np.arange(m * len(layout.dx)).reshape(m, -1)
@@ -412,7 +427,9 @@ class JumpSquareBatch:
                 right_A=row[:, layout.A[top.right]].reshape(-1, 2, 2),
                 right_c=row[:, layout.c[top.right]].reshape(-1, 2),
                 owner=np.repeat(np.array(group, dtype=int), len(top.left))))
-            ends.append([(vertex + V * np.arange(m)[:, None] + e).ravel() for e in top.edges])
+            edges = (edge_vertices(layout.counts, top.right, top.right_edge)
+                     + edge_vertices(layout.counts, top.left, top.left_edge))
+            ends.append([(vertex + V * np.arange(m)[:, None] + e).ravel() for e in edges])
             vertex += m * V
         for name in parts[0]:
             setattr(self, name, np.concatenate([part[name] for part in parts]))
@@ -447,9 +464,9 @@ class JumpSquareBatch:
 
 @lru_cache(maxsize=16)
 def _compiled_round(layouts, slots) -> JumpSquareBatch:
-    """The JumpSquareBatch of a round's composition: the (layout, topology)
-    of its layout families in order, and each point's slot among them (-1 for
-    a plain family's).  Bounded: live runs change it a few times per call."""
+    """The JumpSquareBatch of a round's composition: the layouts of its
+    layout families in order, and each point's slot among them (-1 for a
+    plain family's).  Bounded: live runs change it a few times per call."""
     return JumpSquareBatch(layouts, slots)
 
 
@@ -475,21 +492,16 @@ class EllipticityVerdict(Report):
     competitor: PiecewiseRigid | None = None
 
 
-_TOPOLOGIES = {}  # insert layout -> its JumpSquareTopology, compiled on first use
-
-
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     """Built-in families, one insert layout each: square insert, thin
     rectangle, checkerboard, and two nested squares with independent rigid
     motions, authored at side 6 and rescaled by k = side / 6 (sizes times
     k, rotations over k) as PiecewiseAffine.scaled(k) rescales competitors.
-    A cell topology depends on the layout alone, not on i, j, nu, side or
-    i_side: it is compiled from the layout's row of halves on the side-6
-    square oriented by e2, and the families carry this call's values."""
+    The families carry this call's values; their cell topologies are their
+    layouts', which depend on none of them."""
     _check_side(side)
     k = side / 6.0
-    i = np.asarray(i, dtype=float)
-    j = np.asarray(j, dtype=float)
+    i, j = _jump_values(i, j)
     nu = np.array(nu, dtype=float)
     gap = float(np.linalg.norm(i - j))
     if gap == 0.0:
@@ -513,12 +525,7 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
             tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
             for start in suggestions
         )
-        if layout not in _TOPOLOGIES:
-            row = layout.insert_args([0.5] * layout.dim)
-            u = insert_competitor(np.zeros(2), np.ones(2), E2, *row)
-            _TOPOLOGIES[layout] = JumpSquareTopology(u.partition)
-        return LayoutFamily(name, bounds, generator, clipped, layout, _TOPOLOGIES[layout],
-                            side, R, outer)
+        return LayoutFamily(name, bounds, generator, clipped, layout, side, R, outer)
 
     size = (0.3 * k, 5.6 * k)
     return [
@@ -565,7 +572,7 @@ def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]
     sets, owners, rejected = [], [], set()
     if layouts:
         fams = [families[fi] for fi in layouts]
-        compiled = _compiled_round(tuple((fam.layout, fam.topology) for fam in fams), slots)
+        compiled = _compiled_round(tuple(fam.layout for fam in fams), slots)
         jumps, owner = compiled.jumps(fams, [x for (_, x), s in zip(points, slots) if s >= 0])
         sets, owners = [jumps], [owner]
     for k, s in enumerate(slots):
@@ -756,16 +763,14 @@ def falsify(
     """Derivative-free search for a competitor below the straight-interface
     energy: _plan the runs, search them in _lockstep, _certify the best.
     The budget caps the evaluations and must cover one run; the side must
-    be finite and positive.  Before any density evaluation, a layout family
-    must carry this call's side, outer pieces and normal, and a plain
-    family's competitor at its first start must live on this call's square."""
+    be finite and positive, and i and j distinct finite planar points.
+    Before any density evaluation, a layout family must carry this call's
+    side, outer pieces and normal, and a plain family's competitor at its
+    first start must live on this call's square."""
     if budget < _MIN_RUN:
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     _check_side(side)
-    i = np.asarray(i, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if np.array_equal(i, j):
-        raise EllipticityError("falsification needs i != j")
+    i, j = _jump_values(i, j)
     outer = _outer_pieces(i, j, i_side)
     nu_u = unit(nu)
     if families is None:

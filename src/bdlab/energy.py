@@ -559,27 +559,23 @@ def integration_by_parts_residual(
         G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi,
     ).value
 
-    # volume terms, cell by cell (clipped to a convex region if given)
-    vol_sym = 0.0
-    vol_grad = 0.0
+    # the volume terms, one integrand per cell clipped to the (convex) region
+    volume = 0.0
     for cell, piece in zip(u.partition.cells, u.pieces):
         sub = clip_polygon(cell, region)
         if sub is None:
             continue
         E = 0.5 * (piece.A + piece.A.T)
+        strained = np.any(E)
 
-        def f_grad(x):
-            vals = G(piece(x))
-            return np.einsum("nk,nk->n", vals, phi.grad(x))
+        def integrand(x):
+            y = piece(x)
+            out = np.einsum("nk,nk->n", G(y), phi.grad(x))
+            if strained:
+                out += np.einsum("nij,ij->n", G.jacobian(y), E) * phi.phi(x)
+            return out
 
-        vol_grad += integrate_polygon(f_grad, sub, tol=tol, order=volume_order).value
-        if np.any(E):
+        volume += integrate_polygon(integrand, sub, tol=tol, order=volume_order).value
 
-            def f_sym(x):
-                J = G.jacobian(piece(x))
-                return np.einsum("nij,ij->n", J, E) * phi.phi(x)
-
-            vol_sym += integrate_polygon(f_sym, sub, tol=tol, order=volume_order).value
-
-    return abs(jump_term + vol_sym + vol_grad)
+    return abs(jump_term + volume)
 

@@ -10,14 +10,15 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (
+    Interfaces,
     OrientedSquare,
     Polygon,
     PolygonalPartition,
-    edge_vertices,
     frame_from_normal,
     make_oriented_square,
     overlap_areas,
@@ -333,28 +334,6 @@ OUTER_CELLS = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x i
                         for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
 
 
-class JumpSquareTopology:
-    """The cell topology of jump_square at the origin with a hole (hw, -hh,
-    hh) filled by insert cells: the vertex counts of the cells and the
-    cell-edge pairs of the interfaces, read from the `Interfaces` of one
-    such partition; one whose outer cells lack a notch (eight vertices
-    each, those of OUTER_CELLS) raises FunctionError.  The pairs stand for
-    every side, normal, value and parameter row that keep them, as those of
-    an insert layout do, and for every cell that Polygon would accept: the
-    caller keeps its inputs in that range, as a layout family's bounds do."""
-
-    def __init__(self, partition: PolygonalPartition):
-        self.counts = tuple(len(c) for c in partition.cells)
-        if self.counts[:2] != (8, 8):
-            raise FunctionError("the outer cells of a jump square topology need their notches")
-        itf = partition.interfaces
-        self.right, self.right_edge = itf.right, itf.right_edge
-        self.left, self.left_edge = itf.left, itf.left_edge
-        counts = np.array(self.counts)
-        self.edges = (edge_vertices(counts, self.right, self.right_edge)
-                      + edge_vertices(counts, self.left, self.left_edge))
-
-
 class InsertLayout:
     """An insert layout declared as gathers: each parameter row (n, dim) at
     the side of the square has the table 0, 1, half and a sixth of the side,
@@ -369,7 +348,9 @@ class InsertLayout:
     low, high, size): a row whose values there lie in [low, high], times
     the side for a size, builds cells that Polygon accepts, no edge shorter
     than 5e-6 of the side, and an insert 0.01 of the side inside the square,
-    whatever its other (finite) columns."""
+    whatever its other (finite) columns.  `counts` holds the vertex counts
+    of the halves and the insert cells, and `interfaces` the cell topology
+    that every such row shares at every side, normal and value."""
 
     def __init__(self, columns, derived, cells, pieces, hw, hh, ranges):
         names = ["0", "1", "half", "sixth", "below1", "below2", "above1", "above2",
@@ -379,6 +360,7 @@ class InsertLayout:
         outer = [[("0", "half", "-half", hw, "-" + hw, hh, "-" + hh)[k] for k in vertex]
                  for vertex in OUTER_CELLS]
         self.dim, self.ranges = len(columns.split()), ranges
+        self.counts = (8, 8, *map(len, cells))
         self.dx, self.dy = np.array([[index[x] for x in pair] for pair in derived.values()],
                                     dtype=int).reshape(-1, 2).T
         self.vertices = np.array([[index[x] for x in vertex]
@@ -399,6 +381,15 @@ class InsertLayout:
         table = np.concatenate([base, 0.5 * (base[:, self.dx] * base[:, self.dy])], axis=1)
         table = np.concatenate([table, -table], axis=1)
         return tuple(table[:, k] for k in (self.vertices, self.A, self.c, self.hw, self.hh))
+
+    @cached_property
+    def interfaces(self) -> Interfaces:
+        """The Interfaces of jump_square at the layout's row of halves (side
+        6, nu = e2, i = 0, j = 1, i on the minus side), built on first use."""
+        cells, pieces, hw, hh = self.insert_args([0.5] * self.dim)
+        u = jump_square(np.zeros(2), np.ones(2), (0.0, 1.0), 6.0, i_side="minus",
+                        hole=(hw, -hh, hh), cells=cells, pieces=pieces)
+        return u.partition.interfaces
 
     def insert_args(self, params, side=6.0):
         """The insert's cells in frame coordinates, pieces, half width and

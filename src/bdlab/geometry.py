@@ -327,7 +327,7 @@ def edge_vertices(counts, cell, k):
 
 def edge_pair_interfaces(vertices, a_start, a_end, b_start, b_end):
     """(a, b, normal) arrays of the interfaces of given edge pairs: the one
-    interface arithmetic, of partitions and compiled topologies alike.
+    interface arithmetic, of partitions and compiled search rounds alike.
 
     Edge pair n runs from vertices[a_start[n]] to vertices[a_end[n]] on the
     right side and from vertices[b_start[n]] to vertices[b_end[n]] on the

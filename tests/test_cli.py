@@ -225,6 +225,16 @@ class TestUsage:
     def test_usage_errors_exit_1(self, argv):
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("command", ["falsify", "relax"])
+    @pytest.mark.parametrize("values", [("0", "1"), ("0,0,0", "1,1,1")])
+    def test_values_that_are_not_planar_exit_1(self, command, values, capsys):
+        # the parent died with an IndexError traceback, or NumPy's broadcast error
+        argv = [command, "--density", "isotropic:id", "--i", values[0], "--j", values[1],
+                "--nu", "0,1", "--seed", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "planar" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["--help"], ["falsify", "--help"]])
     def test_help_exits_0(self, argv, capsys):
         assert main(argv) == 0

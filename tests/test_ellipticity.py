@@ -30,12 +30,10 @@ from bdlab.fields import optimal_gbmc_field
 from bdlab.functions import (
     FunctionError,
     JumpArrays,
-    JumpSquareTopology,
     _outer_cells,
     _stacked,
     compact_deviation,
     constant_piece,
-    edge_vertices,
     jump_arrays,
     jump_square,
     make_elementary,
@@ -48,6 +46,7 @@ from bdlab.geometry import (
     Polygon,
     PolygonalPartition,
     edge_pair_interfaces,
+    edge_vertices,
     frame_from_normal,
     make_oriented_square,
     unit,
@@ -96,7 +95,7 @@ def _layout_jumps(requests):
     batches = [np.asarray(batch, dtype=float).reshape(-1, family.dim)
                for family, batch in requests]
     slots = tuple(s for s, P in enumerate(batches) for _ in range(len(P)))
-    compiled = _compiled_round(tuple((fam.layout, fam.topology) for fam in families), slots)
+    compiled = _compiled_round(tuple(fam.layout for fam in families), slots)
     return compiled.jumps(families, [P.ravel() for P in batches])
 
 
@@ -459,6 +458,22 @@ class TestFalsify:
         with pytest.raises(EllipticityError):
             falsify(f, E1, E1, E2, budget=10)
 
+    @pytest.mark.parametrize("i, j", [
+        ((0.0,), (1.0,)), ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 1.0), (I_CE, (1.0, 2.0, 3.0)),
+        ((np.nan, 0.0), J_CE), (I_CE, (np.inf, 2.0)),
+    ])
+    def test_rejects_values_that_are_not_finite_planar_points(self, i, j):
+        # the parent raised IndexError or NumPy's broadcast error on these,
+        # or searched NaN bounds
+        f = catalog_density("isotropic:id")
+        for search in (falsify, relaxation_estimate):
+            with pytest.raises(EllipticityError, match="planar"):
+                search(f, i, j, E2, budget=100)
+        with pytest.raises(EllipticityError, match="planar"):
+            bv_necessary_report(f, samples=10, triple=(i, j, E2), budget=100)
+        with pytest.raises(EllipticityError, match="planar"):
+            default_families(i, j, E2)
+
     @pytest.mark.parametrize("side", [np.nan, np.inf, -6.0, 0.0])
     def test_rejects_bad_side(self, side):
         # before any search, with the default families and without them
@@ -553,6 +568,28 @@ class TestFalsify:
         calls[0] = 0
         with pytest.raises(EllipticityError, match="bounds"):
             family = plain(fam, bad) if kind == "plain" else dataclasses.replace(fam, bounds=bad)
+            falsify(counted, I_CE, J_CE, E2, families=[family], budget=200)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("kind", ["plain", "layout"])
+    @pytest.mark.parametrize("start", [(2.0,), (2.0, 1.0), (np.nan, 0.0, 1.0, 1.0)])
+    def test_rejects_suggestions_that_do_not_fit_the_bounds(self, kind, start):
+        # before any density call: the parent broadcast (2.0,) to four
+        # entries and searched it, failed in NumPy on (2.0, 1.0), and
+        # searched from a NaN start
+        fam = default_families(I_CE, J_CE, E2)[0]
+        f = catalog_density("product:aniso1:eps=0.01")
+        calls = [0]
+
+        def evaluator(i, j, nu):
+            calls[0] += 1
+            return f.evaluator(i, j, nu)
+
+        counted = dataclasses.replace(f, evaluator=evaluator)
+        calls[0] = 0
+        with pytest.raises(EllipticityError, match="suggestion"):
+            family = (CompetitorFamily(fam.name, fam.bounds, fam.generator, (start,))
+                      if kind == "plain" else dataclasses.replace(fam, suggestions=(start,)))
             falsify(counted, I_CE, J_CE, E2, families=[family], budget=200)
         assert calls[0] == 0
 
@@ -937,18 +974,6 @@ class TestCompiledLayouts:
         with pytest.raises(EllipticityError):
             _layout_jumps([(fam, batch + [outside])])
 
-    def test_topology_needs_both_notches(self):
-        cell = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        pieces = [rigid_piece(1.0, (1.0, 1.0))]
-        u = jump_square(I_CE, J_CE, E2, 6.0, hole=(1.0, -1.0, 1.0), cells=[cell], pieces=pieces)
-        assert JumpSquareTopology(u.partition).counts == (8, 8, 4)
-        # without the upper notch the upper half loses three edges, and the
-        # outer cells no longer have the vertices of the gather
-        lower = jump_square(I_CE, J_CE, E2, 6.0, hole=(1.0, -1.0, 0.0),
-                            cells=[cell * [1.0, 0.5] - [0.0, 0.5]], pieces=pieces)
-        with pytest.raises(FunctionError):
-            JumpSquareTopology(lower.partition)
-
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
@@ -959,17 +984,20 @@ class TestCompiledLayouts:
     )
     def test_compiled_topology_matches_every_competitor(self, family, i_side, angle, side,
                                                         unit_params):
-        # compiled from one row at side 6 and nu = e2, the cell-edge pairs
-        # are those of every competitor the generator builds
+        # built from one row at side 6 and nu = e2, the layout's vertex
+        # counts and cell-edge pairs are those of every competitor the
+        # generator builds
         nu = np.array([np.cos(angle), np.sin(angle)])
         fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
         u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
-        assert tuple(len(c) for c in u.partition.cells) == fam.topology.counts
+        assert tuple(len(c) for c in u.partition.cells) == fam.layout.counts
         for name in ("right", "right_edge", "left", "left_edge"):
             want = getattr(u.partition.interfaces, name)
-            assert getattr(fam.topology, name).tolist() == want.tolist(), name
+            assert getattr(fam.layout.interfaces, name).tolist() == want.tolist(), name
 
     def test_default_families_builds_no_partition_after_its_first_call(self, monkeypatch):
+        # none in its first call either: the first round that uses a layout
+        # builds its one partition, once per process
         built = []
         init = PolygonalPartition.__init__
 
@@ -977,18 +1005,30 @@ class TestCompiledLayouts:
             built.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ellipticity, "_TOPOLOGIES", {})
+        families = default_families(I_CE, J_CE, E2)
+        for fam in families:  # as in a fresh process
+            monkeypatch.delitem(vars(fam.layout), "interfaces", raising=False)
         monkeypatch.setattr(PolygonalPartition, "__init__", counting)
         default_families(I_CE, J_CE, E2)
-        first = len(built)
-        assert 0 < first <= 4
         default_families((1.0, -2.0), (0.5, 3.0), unit([0.3, -0.7]), side=9.0, i_side="plus")
-        assert len(built) == first
+        assert built == []
+        requests = [(fam, [[0.5 * (lo + hi) for lo, hi in fam.bounds]]) for fam in families]
+        _compiled_round.cache_clear()
+        try:
+            for _ in range(2):
+                _layout_jumps(requests)
+                _compiled_round.cache_clear()
+                assert len(built) == len(families)
+        finally:
+            _compiled_round.cache_clear()
 
     def test_cli_import_compiles_no_topology(self):
         out = child_output("import bdlab.cli; from bdlab import ellipticity; "
-                           "print(len(ellipticity._TOPOLOGIES))")
-        assert out == "0"
+                           "from bdlab.functions import InsertLayout; "
+                           "layouts = [v for v in vars(ellipticity).values() "
+                           "if isinstance(v, InsertLayout)]; "
+                           "print(len(layouts), sum('interfaces' in vars(v) for v in layouts))")
+        assert out == "4 0"
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -1112,9 +1152,9 @@ class TestCompiledRound:
         built, compositions = [], []
 
         class Counting(ellipticity.JumpSquareBatch):
-            def __init__(self, topologies, slots):
-                built.append((topologies, slots))
-                super().__init__(topologies, slots)
+            def __init__(self, layouts, slots):
+                built.append((layouts, slots))
+                super().__init__(layouts, slots)
 
         search_values = ellipticity._search_values
 

@@ -312,7 +312,7 @@ class TestBatchedKernel:
         # differ by rounding noise, and the refinement would double per level
         fam = default_families((0, 0), (2, 2), (np.cos(2.746718806696573), np.sin(2.746718806696573)),
                                i_side="minus")[1]
-        compiled = _compiled_round(((fam.layout, fam.topology),), (0,))
+        compiled = _compiled_round((fam.layout,), (0,))
         jumps, _ = compiled.jumps([fam], [np.asarray(fam.suggestions[3], dtype=float)])
         f, calls = counted(catalog_density("isotropic:sqrt").evaluator, limit=100)
         res = integrate_jump_arrays(jumps, Density("sqrt", f), 1e-13, 30)

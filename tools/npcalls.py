@@ -1,24 +1,27 @@
-"""Count the NumPy calls of the family compile and of one search round.
+"""Count the NumPy calls of the default families, of a process's first
+search round and of one search round.
 
     PYTHONPATH=<checkout>/src python tools/npcalls.py
 
-The compile is a first and a second `default_families((0, 0), (2, 2), e2)`
-call in one process: the first pays what is compiled once per process, the
-second only what every call pays.  A round is one
-`ellipticity._search_values` call over those families at 40 and at 80
-points, dealt to the four families in turn and drawn inside their bounds
-from a fixed seed, with `isotropic:id` (integrated in closed form).  Each
-round is counted twice: whole, line kernel included, and its geometry
-alone, with the kernel entry the round calls (`jump_set_integrals`, or
+The families are a first and a second `default_families((0, 0), (2, 2),
+e2)` call in one process.  A round is one `ellipticity._search_values` call
+over those families at 40 and at 80 points, dealt to the four families in
+turn and drawn inside their bounds from a fixed seed, with `isotropic:id`
+(integrated in closed form).  The first round of the process, at 40
+points, pays what is compiled once per process and once per composition
+wherever a checkout compiles it: each layout's cell topology and the
+round's index arrays (a checkout that compiles the topologies in its first
+`default_families` call counts them there).  Every later round is counted
+after a first round of the same points, so those one-time costs stay out,
+and twice: whole, line kernel included, and its geometry alone, with the
+kernel entry the round calls (`jump_set_integrals`, or
 `integrate_jump_sets` where a checkout has no such entry) replaced by a
 stub that returns zero energies, so that count is that of building the jump
-sets.  Every count is taken after a first round of the same points, so
-what a round compiles once per composition stays out.  Last, the search
-protocol of a budget-2000 `falsify` over those families at seed 0 (40
-`_nelder_mead` runs of 50 evaluations each, driven in lockstep) is counted
-on a stub objective that gives every point the value 1.0, so the count is
-that of the generators alone.  A NumPy call is a C
-function of numpy that `sys.setprofile` reports as called ("c_call"):
+sets.  Last, the search protocol of a budget-2000 `falsify` over those
+families at seed 0 (40 `_nelder_mead` runs of 50 evaluations each, driven
+in lockstep) is counted on a stub objective that gives every point the
+value 1.0, so the count is that of the generators alone.  A NumPy call is a
+C function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
 profiler does not report ufunc calls, operators or numpy's dispatched
 functions such as `np.concatenate`, so the count is a lower bound, taken the
@@ -103,6 +106,8 @@ def main() -> int:
         return out
 
     batches = {n: points(n) for n in SIZES}
+    first = numpy_calls(lambda: ellipticity._search_values(f, families, batches[SIZES[0]]))
+    print(f"first round of the process, {SIZES[0]} points: {first} numpy calls")
 
     def round_calls(n):
         ellipticity._search_values(f, families, batches[n])  # one-time costs stay out
