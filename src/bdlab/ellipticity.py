@@ -273,13 +273,12 @@ def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str, ambient_side: float
     passed _check_tiling."""
     R = frame_from_normal(nu)
     inv_h = 1.0 / h
-    cells, pieces = [], []
-    for n in range(h):
-        xn = R @ np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h])
-        for cell, piece in zip(v.partition.cells, v.pieces):
-            cells.append(Polygon(xn + cell.vertices * inv_h))
-            A = h * piece.A
-            pieces.append(type(piece)(A, piece.b - A @ xn))
+    xs = np.array([R @ np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h]) for n in range(h)])
+    # each cell of v as one stack of its h copies, checked at once
+    copies = [Polygon.stack(xs[:, None] + cell.vertices * inv_h) for cell in v.partition.cells]
+    cells = [stack[n] for n in range(h) for stack in copies]
+    As = [h * piece.A for piece in v.pieces]
+    pieces = [type(piece)(A, piece.b - A @ xn) for xn in xs for piece, A in zip(v.pieces, As)]
     return jump_square(
         i, j, nu, ambient_side, i_side=i_side, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
     )
@@ -306,7 +305,7 @@ def tiling_report(
         # each tile's open part of the one jump set: one clip, one kernel call
         inv_h = 1.0 / h
         corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
-        tiles = [Polygon((corners + [-0.5 + n * inv_h, 0.0]) @ R.T) for n in range(h)]
+        tiles = Polygon.stack([(corners + [-0.5 + n * inv_h, 0.0]) @ R.T for n in range(h)])
         owner, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, tiles)
         inner = ~on_boundary
         rows = rows[inner]
@@ -505,7 +504,8 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     nu = np.array(nu, dtype=float)
     gap = float(np.linalg.norm(i - j))
     if gap == 0.0:
-        raise EllipticityError("falsification needs i != j")
+        raise EllipticityError(
+            f"|i - j| underflows to 0 for i = {i} and j = {j}; rescale the values")
     lam = gap / (2.0 * np.sqrt(2.0))
     lo = np.minimum(i, j) - gap
     hi = np.maximum(i, j) + gap

@@ -519,7 +519,11 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
         P = L**power
         out = np.zeros_like(x)
         for e in range(n):
-            rest = np.prod(np.delete(P, e, axis=1), axis=1)
+            # the product of the other columns, left to right as np.prod takes it
+            others = [k for k in range(n) if k != e]
+            rest = P[:, others[0]]
+            for k in others[1:]:
+                rest = rest * P[:, k]
             out += (power * L[:, e] ** (power - 1) * rest)[:, None] * N[e]
         return out / norm_const
 

@@ -90,6 +90,33 @@ def signed_area(vertices, rolled=None) -> float:
     return 0.5 * float(np.dot(v[:, 0], w[:, 1]) - np.dot(v[:, 1], w[:, 0]))
 
 
+def _checked_loops(v) -> np.ndarray:
+    """Polygon's checks on every loop of v, a (k, V, 2) float array, at once:
+    GeometryError unless each is a Polygon's vertex loop.  Returns the loops
+    rolled by one row along V; it and v are made read-only.  Each loop's
+    shoelace sum is a stacked matmul of its columns, the dot products of
+    signed_area bit for bit."""
+    if v.ndim != 3 or v.shape[2] != 2 or v.shape[1] < 3:
+        raise GeometryError("a polygon needs at least three planar vertices")
+    if not np.isfinite(v).all():
+        raise GeometryError("polygon vertices must be finite")
+    ext = (v.max(axis=1) - v.min(axis=1)).max(axis=1)
+    if (ext == 0.0).any():
+        raise GeometryError("polygon has zero extent")
+    w = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
+    d = v - w
+    # the gaps as np.linalg.norm takes them, without its Python overhead
+    if (np.sqrt((d * d).sum(axis=2)) < MATCH_TOL * ext[:, None]).any():
+        raise GeometryError("repeated consecutive vertices")
+    xy = (v[:, None, :, 0] @ w[:, :, 1, None])[:, 0, 0]
+    yx = (v[:, None, :, 1] @ w[:, :, 0, None])[:, 0, 0]
+    if (0.5 * (xy - yx) <= 0.0).any():
+        raise GeometryError("polygon must be counterclockwise with positive area")
+    v.setflags(write=False)
+    w.setflags(write=False)
+    return w
+
+
 class Polygon:
     """Simple counterclockwise polygon with at least three vertices; rolled
     is the vertex loop rolled by one row (vertex k + 1 in row k)."""
@@ -97,24 +124,23 @@ class Polygon:
     __slots__ = ("vertices", "rolled")
 
     def __init__(self, vertices):
-        v = np.array(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise GeometryError("a polygon needs at least three planar vertices")
-        if not np.all(np.isfinite(v)):
-            raise GeometryError("polygon vertices must be finite")
-        ext = float(np.max(np.ptp(v, axis=0)))
-        if ext == 0.0:
-            raise GeometryError("polygon has zero extent")
-        w = np.roll(v, -1, axis=0)
-        gaps = np.linalg.norm(v - w, axis=1)
-        if np.any(gaps < MATCH_TOL * ext):
-            raise GeometryError("repeated consecutive vertices")
-        if signed_area(v, w) <= 0.0:
-            raise GeometryError("polygon must be counterclockwise with positive area")
-        v.setflags(write=False)
-        w.setflags(write=False)
-        self.vertices = v
-        self.rolled = w
+        v = np.array(vertices, dtype=float)[None]
+        w = _checked_loops(v)
+        self.vertices = v[0]
+        self.rolled = w[0]
+
+    @staticmethod
+    def stack(loops) -> list["Polygon"]:
+        """One Polygon per loop of loops, (k, V, 2), all checked at once as
+        Polygon checks one."""
+        v = np.array(loops, dtype=float)
+        w = _checked_loops(v)
+        polys = []
+        for vk, wk in zip(v, w):
+            p = object.__new__(Polygon)
+            p.vertices, p.rolled = vk, wk
+            polys.append(p)
+        return polys
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -262,14 +288,6 @@ def _merge_intervals(intervals, tol):
     return [(lo, hi) for lo, hi in out]
 
 
-def _bbox_disjoint(cells1, cells2, tol: float) -> np.ndarray:
-    """(len(cells1), len(cells2)): whether the bounding boxes of two cells
-    are more than tol apart along some axis."""
-    lo1, hi1 = np.array([c.bbox for c in cells1]).transpose(1, 0, 2)[:, :, None]
-    lo2, hi2 = np.array([c.bbox for c in cells2]).transpose(1, 0, 2)[:, None]
-    return ((lo1 > hi2 + tol) | (lo2 > hi1 + tol)).any(axis=-1)
-
-
 def _overlap_span(off, Ua, La, dot_dir):
     """Arclength interval [lo, hi] of an edge (unit direction Ua, length La)
     covered by a collinear edge starting at offset `off` from its start,
@@ -379,7 +397,11 @@ def extract_interfaces(cells: list[Polygon], tol: float) -> Interfaces:
     cells, over the pairs ia < ib whose bounding boxes come within tol."""
     counts = np.array([len(c) for c in cells])
     vertices = np.concatenate([c.vertices for c in cells])
-    near = np.nonzero(np.triu(~_bbox_disjoint(cells, cells, tol), k=1))
+    # every cell's bounding box from one reduction over the stacked loops
+    first = np.cumsum(counts) - counts
+    lo, hi = np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
+    far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
+    near = np.nonzero(np.triu(~far, k=1))
     ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
     ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
     a, b, normal = edge_pair_interfaces(vertices, *ends)
@@ -545,6 +567,23 @@ def overlap_areas(subjects, others, pairs, tol=None) -> np.ndarray:
     return np.bincount(pair, weights=area, minlength=len(ia))
 
 
+def _drop_repeats(pts, eps) -> np.ndarray:
+    """The loop pts, (n, 2), without each point within eps of the last point
+    kept before it, then without the last point kept if it lies within eps
+    of the first: the duplicate points that clipping produces."""
+    keep = pts
+    # while every gap exceeds eps, the last point kept is the previous one
+    if not np.all(row_norms(pts[1:] - pts[:-1]) > eps):
+        kept = [pts[0]]
+        for p in pts[1:]:
+            if np.linalg.norm(p - kept[-1]) > eps:
+                kept.append(p)
+        keep = np.array(kept)
+    if np.linalg.norm(keep[0] - keep[-1]) <= eps:
+        keep = keep[:-1]
+    return keep
+
+
 def clip_polygon(cell: Polygon, region: Polygon) -> Polygon | None:
     """Cell clipped to a convex region (None if the overlap is negligible)."""
     tol = 1e-12 * max(cell.diameter, region.diameter)
@@ -553,16 +592,10 @@ def clip_polygon(cell: Polygon, region: Polygon) -> Polygon | None:
     pts = out[0, :n[0]]
     if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
         return None
-    # drop duplicate consecutive points produced by clipping
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > 1e-12 * region.diameter:
-            keep.append(p)
-    if np.linalg.norm(keep[0] - keep[-1]) <= 1e-12 * region.diameter:
-        keep.pop()
+    keep = _drop_repeats(pts, 1e-12 * region.diameter)
     if len(keep) < 3:
         return None
-    return Polygon(np.array(keep))
+    return Polygon(keep)
 
 
 def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> float:

@@ -262,6 +262,42 @@ class TestTiling:
         with pytest.raises(EllipticityError):
             tile_construction(v, I_CE, J_CE, E2, 0, i_side="minus")
 
+    @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
+    def test_construction_equals_the_former_per_copy_polygons(self, nu):
+        rotated = nu != (0.0, 1.0)
+        u = TestRotatedFrames()._rotated_insert(nu) if rotated else counterexample1_competitor(1.0)
+        v = u.scaled(1.0 / 6.0)
+        for h in range(1, 17):
+            got = tile_construction(v, I_CE, J_CE, nu, h, i_side="minus")
+            want = former_tile_construction(v, I_CE, J_CE, nu, h, i_side="minus")
+            assert len(got.partition.cells) == len(want.partition.cells)
+            for c, w in zip(got.partition.cells, want.partition.cells):
+                assert np.array_equal(c.vertices, w.vertices)
+                assert np.array_equal(c.rolled, w.rolled)
+            for p, q in zip(got.pieces, want.pieces, strict=True):
+                assert np.array_equal(p.A, q.A) and np.array_equal(p.b, q.b)
+            for name, value in vars(want.partition.interfaces).items():
+                assert np.array_equal(getattr(got.partition.interfaces, name), value), (h, name)
+            jumps = got.jump_segments()
+            for name, value in vars(want.jump_segments()).items():
+                assert np.array_equal(getattr(jumps, name), value), (h, name)
+
+
+def former_tile_construction(v, i, j, nu, h, i_side, ambient_side=3.0):
+    """The oracle: tile_construction with one Polygon per cell copy."""
+    nu = unit(nu)
+    R = frame_from_normal(nu)
+    inv_h = 1.0 / h
+    cells, pieces = [], []
+    for n in range(h):
+        xn = R @ np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h])
+        for cell, piece in zip(v.partition.cells, v.pieces):
+            cells.append(Polygon(xn + cell.vertices * inv_h))
+            A = h * piece.A
+            pieces.append(type(piece)(A, piece.b - A @ xn))
+    return jump_square(i, j, nu, ambient_side, i_side=i_side, hole=(0.5, 0.0, inv_h),
+                       cells=cells, pieces=pieces)
+
 
 class TestRotatedFrames:
     NU = np.array([0.6, 0.8])
@@ -473,6 +509,14 @@ class TestFalsify:
             bv_necessary_report(f, samples=10, triple=(i, j, E2), budget=100)
         with pytest.raises(EllipticityError, match="planar"):
             default_families(i, j, E2)
+
+    def test_names_a_difference_that_underflows(self):
+        # distinct values whose |i - j| squares to 0: the refusal says so
+        with pytest.raises(EllipticityError, match="underflows") as err:
+            default_families((0, 0), (1e-200, 0), (0, 1))
+        assert "i != j" not in str(err.value)
+        with pytest.raises(EllipticityError, match="i != j"):
+            default_families((1e-200, 0), (1e-200, 0), (0, 1))
 
     @pytest.mark.parametrize("side", [np.nan, np.inf, -6.0, 0.0])
     def test_rejects_bad_side(self, side):

@@ -57,6 +57,7 @@ from bdlab.geometry import (
     Polygon,
     PolygonalPartition,
     make_oriented_square,
+    row_norms,
     triangulate,
 )
 from bdlab.profiles import identity_profile, sin_profile
@@ -900,6 +901,27 @@ class TestBreadthFirstVolume:
         assert _tri_gauss(fn, tris, order).tolist() == want
 
 
+def former_bump_gradient(poly, power):
+    """The oracle: bump_from_polygon's gradient with each edge's product of
+    the other edges' factors taken by np.prod over np.delete."""
+    verts = poly.vertices
+    d = np.roll(verts, -1, axis=0) - verts
+    N = np.stack([-d[:, 1], d[:, 0]], axis=1) / row_norms(d)[:, None]
+    b = (N[:, None, :] @ verts[:, :, None])[:, 0, 0]
+    norm_const = float(np.prod((N @ poly.centroid - b) ** power))
+
+    def grad(x):
+        L = x @ N.T - b
+        P = L**power
+        out = np.zeros_like(x)
+        for e in range(len(verts)):
+            rest = np.prod(np.delete(P, e, axis=1), axis=1)
+            out += (power * L[:, e] ** (power - 1) * rest)[:, None] * N[e]
+        return out / norm_const
+
+    return grad
+
+
 class TestBump:
     def test_vanishes_on_boundary(self):
         poly = make_oriented_square(E2, 2.0)
@@ -928,6 +950,20 @@ class TestBump:
         poly = make_oriented_square(E2, 2.0)
         bump = bump_from_polygon(poly)
         assert float(bump.phi(poly.centroid)[0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("poly", [
+        make_oriented_square(E2, 2.0),
+        Polygon(np.c_[np.cos(np.arange(5) * 0.4 * np.pi), np.sin(np.arange(5) * 0.4 * np.pi)]),
+    ], ids=["square", "pentagon"])
+    def test_gradient_equals_the_former_delete_formula(self, poly, power):
+        bump = bump_from_polygon(poly, power=power)
+        rng = np.random.default_rng(power)
+        # random interior points: convex combinations of the vertices
+        w = rng.dirichlet(np.ones(len(poly)), size=500)
+        x = w @ poly.vertices
+        assert np.all(poly.contains(x) == 1)
+        assert np.array_equal(bump.grad(x), former_bump_gradient(poly, power)(x))
 
 
 class TestIntegrationByParts:

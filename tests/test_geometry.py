@@ -8,7 +8,7 @@ from bdlab.geometry import (
     GeometryError,
     Polygon,
     PolygonalPartition,
-    _bbox_disjoint,
+    _drop_repeats,
     _merge_intervals,
     _overlap_span,
     clip_polygon,
@@ -76,6 +76,47 @@ class TestPolygon:
         assert p.contains((1, 1)) == 1
         assert p.contains((2, 1)) == 0
         assert p.contains((3, 1)) == -1
+
+    GOOD = [[(0, 0), (2, 0), (2, 2), (0, 2)], [(0.5, -1), (3, 0.1), (1.2, 4), (-1e-9, 1e-9)],
+            [(100, 100), (100.5, 100), (100.5, 101), (100, 100.5)]]
+
+    @pytest.mark.parametrize("bad", [
+        [(0, 0), (0, 1), (1, 1), (1, 0)],  # clockwise
+        [(0, 0), (0, 0), (1, 0), (1, 1)],  # a repeated vertex
+        [(1, 1), (1, 1), (1, 1), (1, 1)],  # zero extent
+        [(0, 0), (1, 0), (1, np.nan), (0, 1)],  # not finite
+        [(0, 0), (1, 0), (1, 1), (0, np.inf)],
+    ])
+    def test_stack_raises_for_one_bad_loop(self, bad):
+        with pytest.raises(GeometryError) as alone:
+            Polygon(bad)
+        for at in range(len(self.GOOD) + 1):
+            loops = self.GOOD[:at] + [bad] + self.GOOD[at:]
+            with pytest.raises(GeometryError, match=str(alone.value)):
+                Polygon.stack(loops)
+
+    @pytest.mark.parametrize("loops", [np.zeros((2, 2, 2)), np.zeros((2, 4, 3)), np.zeros(8),
+                                       [[(0, 0), (1, 0)]]])
+    def test_stack_needs_three_planar_vertices(self, loops):
+        with pytest.raises(GeometryError, match="three planar"):
+            Polygon.stack(loops)
+
+    def test_stack_equals_one_polygon_per_loop(self):
+        rng = np.random.default_rng(5)
+        ang = np.sort(rng.uniform(0, 2 * np.pi, (20, 7)), axis=1)
+        heptagons = np.stack([np.cos(ang), np.sin(ang)], axis=2) * rng.uniform(1e-3, 1e3, (20, 1, 1))
+        for loops in (self.GOOD, heptagons):
+            got = Polygon.stack(loops)
+            assert len(got) == len(loops)
+            for p, loop in zip(got, loops):
+                want = Polygon(loop)
+                assert np.array_equal(p.vertices, want.vertices)
+                assert np.array_equal(p.rolled, want.rolled)
+                assert not p.vertices.flags.writeable and not p.rolled.flags.writeable
+        for loop in heptagons:
+            # the stacked shoelace sum is signed_area's
+            (p,) = Polygon.stack([loop])
+            assert p.area == signed_area(loop)
 
     def test_contains_broadcasts(self):
         p = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -403,6 +444,22 @@ class TestConvexClip:
                 got = _clip_outcome(clip_polygon, cell, region)
                 assert got == _clip_outcome(former_clip_polygon, cell, region)
 
+    def test_drop_repeats_equals_the_former_loop(self):
+        # loops with runs of near-duplicate points, within eps of the last
+        # point kept or of its neighbour, and loops closing on their start
+        rng = np.random.default_rng(11)
+        eps = 1e-12
+        for _ in range(400):
+            pts = [rng.uniform(-1, 1, 2)]
+            for _ in range(rng.integers(2, 12)):
+                step = rng.choice([0.0, 0.4, 0.9, 1.0, 1.1, 3.0]) * eps
+                pts.append(pts[-1] + step * unit(rng.normal(size=2)) if step < 3 * eps
+                           else rng.uniform(-1, 1, 2))
+            if rng.uniform() < 0.3:
+                pts.append(pts[0] + 0.5 * eps)
+            pts = np.array(pts)
+            assert np.array_equal(_drop_repeats(pts, eps), former_drop_repeats(pts, eps))
+
     @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
     def test_tile_pieces_equal_the_former_per_tile_clip(self, nu):
         from bdlab.ellipticity import (
@@ -679,6 +736,15 @@ def former_validate_partition(part):
     return defect, unmatched, overlaps, passed
 
 
+def _bbox_disjoint(cells1, cells2, tol: float) -> np.ndarray:
+    """The oracles' bounding-box test, cell by cell: (len(cells1),
+    len(cells2)), whether the bounding boxes of two cells are more than tol
+    apart along some axis."""
+    lo1, hi1 = np.array([c.bbox for c in cells1]).transpose(1, 0, 2)[:, :, None]
+    lo2, hi2 = np.array([c.bbox for c in cells2]).transpose(1, 0, 2)[:, None]
+    return ((lo1 > hi2 + tol) | (lo2 > hi1 + tol)).any(axis=-1)
+
+
 def former_cell_overlaps(cells, tol):
     """The oracle's edge matching: (ia, k, ib, l, lo, hi) per interface,
     edge l of cell ib covering [lo, hi] of edge k of cell ia, and the edge
@@ -795,21 +861,27 @@ def former_polygon_overlap_area(p1, p2, tol=None):
     return total
 
 
+def former_drop_repeats(pts, eps):
+    """The oracle: clip_polygon's duplicate-point pass, point after point."""
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if np.linalg.norm(p - keep[-1]) > eps:
+            keep.append(p)
+    if np.linalg.norm(keep[0] - keep[-1]) <= eps:
+        keep.pop()
+    return np.array(keep).reshape(-1, 2)
+
+
 def former_clip_polygon(cell, region):
     """The oracle: clip_polygon on the scalar clip."""
     tol = 1e-12 * max(cell.diameter, region.diameter)
     pts = former_convex_clip(cell.vertices, region.vertices, tol)
     if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
         return None
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > 1e-12 * region.diameter:
-            keep.append(p)
-    if np.linalg.norm(keep[0] - keep[-1]) <= 1e-12 * region.diameter:
-        keep.pop()
+    keep = former_drop_repeats(pts, 1e-12 * region.diameter)
     if len(keep) < 3:
         return None
-    return Polygon(np.array(keep))
+    return Polygon(keep)
 
 
 def former_compact_deviation(v, u, margin):

@@ -20,7 +20,14 @@ stub that returns zero energies, so that count is that of building the jump
 sets.  Last, the search protocol of a budget-2000 `falsify` over those
 families at seed 0 (40 `_nelder_mead` runs of 50 evaluations each, driven
 in lockstep) is counted on a stub objective that gives every point the
-value 1.0, so the count is that of the generators alone.  A NumPy call is a
+value 1.0, so the count is that of the generators alone.  Then the two
+checks of the `identities` path, each counted after a first identical call:
+one `tiling_report` of the square-insert competitor of counterexample 1
+rescaled to the unit square (anisotropic-normal density, h = 1..16), and
+one `integration_by_parts_residual` of a two-cell affine function drawn
+from a fixed seed on the side-2 square, with a two-profile prototype field
+and the power-2 bump of the square, at volume and line orders 8 and 15.  A
+NumPy call is a
 C function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
 profiler does not report ufunc calls, operators or numpy's dispatched
@@ -37,7 +44,12 @@ import types
 import numpy as np
 
 from bdlab import ellipticity
-from bdlab.densities import catalog_density
+from bdlab.densities import anisotropic_normal_density, catalog_density
+from bdlab.energy import bump_from_polygon, integration_by_parts_residual
+from bdlab.fields import prototype_field
+from bdlab.functions import AffinePiece, PiecewiseAffine
+from bdlab.geometry import Polygon, PolygonalPartition, make_oriented_square
+from bdlab.profiles import sin_profile
 
 SIZES = (40, 80)
 
@@ -125,7 +137,31 @@ def main() -> int:
     for n in SIZES:
         print(f"{n} points: {round_calls(n)} numpy calls")
     print(f"search protocol, budget 2000: {numpy_calls(lambda: protocol(families))} numpy calls")
+    for name, run in identities_checks():
+        run()
+        print(f"{name}: {numpy_calls(run)} numpy calls")
     return 0
+
+
+def identities_checks():
+    """(name, run) for the tiling report and the integration-by-parts
+    residual counted last."""
+    e2 = np.array([0.0, 1.0])
+    v = ellipticity.counterexample1_competitor(1.0).scaled(1.0 / 6.0)
+    f = anisotropic_normal_density(0.01)
+    dom = make_oriented_square(e2, 2.0)
+    rng = np.random.default_rng(0)
+    u = PiecewiseAffine(PolygonalPartition(
+        [Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)]), Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])],
+        dom), [AffinePiece(rng.normal(scale=0.6, size=(2, 2)), rng.normal(size=2)) for _ in range(2)])
+    G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
+    phi = bump_from_polygon(dom, power=2)
+    return [
+        ("tiling_report, h = 1..16", lambda: ellipticity.tiling_report(
+            v, np.zeros(2), np.array([2.0, 2.0]), e2, f, hs=range(1, 17), i_side="minus")),
+        ("integration_by_parts_residual, orders 8/15", lambda: integration_by_parts_residual(
+            u, G, phi, tol=1e-9, volume_order=8, line_order=15)),
+    ]
 
 
 if __name__ == "__main__":
