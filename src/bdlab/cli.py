@@ -47,6 +47,13 @@ def _vec(text: str) -> np.ndarray:
     return np.asarray([float(t) for t in text.split(",")], dtype=float)
 
 
+def _count(text: str) -> int:
+    """The argparse type of a count option: an integer of at least 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _write_report(report: dict, path: str | None):
     payload = json.dumps(jsonable(report), indent=2)
     if path:
@@ -284,7 +291,7 @@ _SEARCH_OPTIONS = (
 COMMANDS = {
     "density-check": Command(
         "sampled necessary-condition checks", "density-check", cmd_density_check,
-        (("--density", dict(required=True)), ("--samples", dict(type=int, default=10_000)),
+        (("--density", dict(required=True)), ("--samples", dict(type=_count, default=10_000)),
          ("--seed", dict(type=int, default=0))),
     ),
     "energy-eval": Command(
@@ -294,7 +301,7 @@ COMMANDS = {
     ),
     "fields-verify": Command(
         "conservativity checks for catalog fields", "fields-verify", cmd_fields_verify,
-        (("--samples", dict(type=int, default=150)), ("--seed", dict(type=int, default=0))),
+        (("--samples", dict(type=_count, default=150)), ("--seed", dict(type=int, default=0))),
     ),
     "falsify": Command(
         "competitor search against a density", "falsify", partial(cmd_search, falsify),
@@ -316,7 +323,7 @@ COMMANDS = {
     ),
     "ibp-check": Command(
         "integration-by-parts residual suite", "ibp-check", cmd_ibp_check,
-        (("--cases", dict(type=int, default=5)), ("--seed", dict(type=int, default=0))),
+        (("--cases", dict(type=_count, default=5)), ("--seed", dict(type=int, default=0))),
     ),
     "render": Command(
         "SVG drawing of a function JSON", None, cmd_render,

@@ -32,7 +32,6 @@ except ImportError:  # NumPy 1.x
 from .densities import Density, check_convexity_in_nu, check_subadditivity
 from .energy import (
     integrate_jump_arrays,
-    integrate_jump_sets,
     jump_set_integrals,
     surface_energy,
 )
@@ -62,6 +61,8 @@ from .geometry import (
 from .report import Report
 
 E2 = np.array([0.0, 1.0])
+# the side of the square a strip tiling fills outside its strip
+AMBIENT_SIDE = 3.0
 
 
 class EllipticityError(ValueError):
@@ -193,10 +194,10 @@ def _breakdown(u: PiecewiseRigid, f: Density, groups: dict) -> dict:
     if np.any(sum(masks.values()) != 1):
         raise EllipticityError("jump segment outside the breakdown groups")
     owner = np.argmax(np.array(list(masks.values())), axis=0)
-    results = integrate_jump_sets(jumps, owner, len(masks), f, 1e-12, 15)
-    out = {name: res.value for name, res in zip(masks, results)}
+    value, error, _, _ = jump_set_integrals(jumps, owner, len(masks), f, 1e-12, 15)
+    out = dict(zip(masks, value.tolist()))
     out["total"] = sum(out.values())
-    out["error_estimate"] = sum(res.error_estimate for res in results)
+    out["error_estimate"] = sum(error.tolist())
     return out
 
 
@@ -232,26 +233,18 @@ def ce2_energy_breakdown(lam: float = 1.0, eps: float = 1e-4) -> dict:
     return out
 
 
-def tile_construction(
-    v: PiecewiseRigid,
-    i,
-    j,
-    nu,
-    h: int,
-    i_side: str = "plus",
-    ambient_side: float = 3.0,
-) -> PiecewiseRigid:
+def tile_construction(v: PiecewiseRigid, i, j, nu, h: int, i_side: str = "plus") -> PiecewiseRigid:
     """Tile h scaled copies of v into the strip {0 < <x, nu> < 1/h}.
 
     v must live on the unit square oriented by nu and deviate compactly from
     the elementary (i, j) jump.  Outside the strip the output equals that
-    elementary jump on the side-`ambient_side` square; rigid pieces (Q, b)
+    elementary jump on the side-AMBIENT_SIDE square; rigid pieces (Q, b)
     become (hQ, b - hQ x_n) on the copy centered at x_n, so the output is
     again piecewise rigid with the same trace values.
     """
     nu = unit(nu)
     _check_tiling(v, i, j, nu, (h,), i_side)
-    return _tiled(v, i, j, nu, int(h), i_side, ambient_side)
+    return _tiled(v, i, j, nu, int(h), i_side)
 
 
 def _check_tiling(v: PiecewiseRigid, i, j, nu, hs, i_side: str) -> None:
@@ -268,7 +261,7 @@ def _check_tiling(v: PiecewiseRigid, i, j, nu, hs, i_side: str) -> None:
         raise EllipticityError("v must deviate compactly from the elementary jump")
 
 
-def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str, ambient_side: float):
+def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str):
     """tile_construction's output for a unit normal nu and an input that
     passed _check_tiling."""
     R = frame_from_normal(nu)
@@ -280,13 +273,12 @@ def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str, ambient_side: float
     As = [h * piece.A for piece in v.pieces]
     pieces = [type(piece)(A, piece.b - A @ xn) for xn in xs for piece, A in zip(v.pieces, As)]
     return jump_square(
-        i, j, nu, ambient_side, i_side=i_side, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
+        i, j, nu, AMBIENT_SIDE, i_side=i_side, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
     )
 
 
 def tiling_report(
-    v: PiecewiseRigid, i, j, nu, f: Density, hs=(1, 2, 4, 8),
-    i_side: str = "plus", ambient_side: float = 3.0,
+    v: PiecewiseRigid, i, j, nu, f: Density, hs=(1, 2, 4, 8), i_side: str = "plus",
 ) -> list[dict]:
     """Per-h bookkeeping: tile sum vs F(v), and the boundary mismatch term.
     The input is checked once, as tile_construction checks it, and each
@@ -301,7 +293,7 @@ def tiling_report(
     chord_density = float(f(plus_val, minus_val, nu))
     out = []
     for h in hs:
-        jumps = _tiled(v, i, j, nu, int(h), i_side, ambient_side).jump_segments()
+        jumps = _tiled(v, i, j, nu, int(h), i_side).jump_segments()
         # each tile's open part of the one jump set: one clip, one kernel call
         inv_h = 1.0 / h
         corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
@@ -311,11 +303,11 @@ def tiling_report(
         rows = rows[inner]
         L = jumps.t1[rows]
         pieces = jumps.take(rows, t0[inner] * L, t1[inner] * L)
-        energies = integrate_jump_sets(pieces, owner[inner], h, f, 1e-12, 15)
-        tiles_sum = sum(res.value for res in energies)
-        tiles_err = sum(res.error_estimate for res in energies)
+        energies, errors, _, _ = jump_set_integrals(pieces, owner[inner], h, f, 1e-12, 15)
+        tiles_sum = sum(energies.tolist())
+        tiles_err = sum(errors.tolist())
         total = integrate_jump_arrays(jumps, f, 1e-12, 15)
-        chord = chord_density * (ambient_side - 1.0)
+        chord = chord_density * (AMBIENT_SIDE - 1.0)
         out.append(
             {
                 "h": h,

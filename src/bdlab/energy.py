@@ -1,18 +1,20 @@
 """Surface energies along jump sets, and the identities that certify them.
 
 Energy, flux and the integration-by-parts jump term are all integrals over
-the jump set and share one kernel, `integrate_jump_arrays`: adaptive
-Gauss-Legendre with breakpoints at the roots of the affine jump components
-(where norms and truncations kink), refined breadth first so that each
-level of the refinement is one integrand call over every live interval;
-constant traces short-circuit to closed form.  A density with a quadratic
-form descriptor, f = sqrt((i - j)^T Q(nu) (i - j)) (`isotropic:id`,
-`product:aniso1`, `aniso2`, `frobenius`, `dalmot:abs`), has an elementary
-integral on every jump piece, which the kernel evaluates in closed form,
-with no density call, when there is no weight and no kinks.  Volume
-integrals use tensor Gauss rules on a triangulation, refined breadth first
-in the same way: each level is one integrand call over the children of
-every live triangle.
+the jump set and share one kernel with two entries: `jump_set_integrals`,
+the array core, integrates many jump sets at once and returns each result
+field as an array; `integrate_jump_arrays` integrates one set and returns a
+`QuadratureResult`.  The kernel is adaptive Gauss-Legendre with
+breakpoints at the roots of the affine jump components (where norms and
+truncations kink), refined breadth first so that each level of the
+refinement is one integrand call over every live interval; constant traces
+short-circuit to closed form.  A density with a quadratic form descriptor,
+f = sqrt((i - j)^T Q(nu) (i - j)) (`isotropic:id`, `product:aniso1`,
+`aniso2`, `frobenius`, `dalmot:abs`), has an elementary integral on every
+jump piece, which the kernel evaluates in closed form, with no density
+call, when there is no weight and no kinks.  Volume integrals use tensor
+Gauss rules on a triangulation, refined breadth first in the same way: each
+level is one integrand call over the children of every live triangle.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ _VOLUME_DEPTH = 10
 # live intervals of one refinement level; wider refinement is chasing
 # rounding noise near a singular point and would double every level
 _LINE_WIDTH = 4096
+# the Gauss order of jump_flux
+_FLUX_ORDER = 15
 
 
 def _accepted(coarse, fine, share, depth: int, max_depth: int):
@@ -112,18 +116,10 @@ def integrate_jump_arrays(
     jumps: JumpArrays, integrand, tol: float, order: int, kinks=None, weight=None
 ) -> QuadratureResult:
     """Integral of integrand(trace+, trace-, normal) * weight(x) over the
-    pieces of a jump set: `integrate_jump_sets` with every row in one set."""
+    pieces of a jump set: `jump_set_integrals` with every row in one set."""
     owner = np.zeros(len(jumps), dtype=int)
-    return integrate_jump_sets(jumps, owner, 1, integrand, tol, order, kinks, weight)[0]
-
-
-def integrate_jump_sets(
-    jumps: JumpArrays, owner, count: int, integrand, tol: float, order: int,
-    kinks=None, weight=None,
-) -> list[QuadratureResult]:
-    """The QuadratureResult of each of `count` jump sets, from `jump_set_integrals`."""
-    arrays = jump_set_integrals(jumps, owner, count, integrand, tol, order, kinks, weight)
-    return [QuadratureResult(*fields) for fields in zip(*(x.tolist() for x in arrays))]
+    arrays = jump_set_integrals(jumps, owner, 1, integrand, tol, order, kinks, weight)
+    return QuadratureResult(*(x.tolist()[0] for x in arrays))
 
 
 def jump_set_integrals(
@@ -347,15 +343,13 @@ def surface_energy(
     region: Polygon | None = None,
     tol: float = 1e-10,
     order: int = 15,
-    include_boundary: bool = True,
 ) -> QuadratureResult:
-    """Integral of f(trace+, trace-, normal) over the jump set clipped to region.
+    """Integral of f(trace+, trace-, normal) over the jump set clipped to
+    region, pieces along the region's boundary included.
 
     Constant traces give the closed form length * f(i, j, nu) with zero error.
-    `include_boundary=False` drops jump pieces lying along the region boundary
-    (used for open-region bookkeeping, e.g. per-tile energies).
     """
-    jumps = jump_pieces(u.jump_segments(), region, include_boundary)
+    jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
     return integrate_jump_arrays(jumps, f, tol, order)
 
 
@@ -364,11 +358,11 @@ def jump_flux(
     g: ConservativeField,
     region: Polygon | None = None,
     tol: float = 1e-10,
-    order: int = 15,
 ) -> QuadratureResult:
-    """Signed integral of <g(trace+) - g(trace-), normal> over the jump set."""
+    """Signed integral of <g(trace+) - g(trace-), normal> over the jump set,
+    at Gauss order _FLUX_ORDER."""
     jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
-    return integrate_jump_arrays(jumps, g.pairing, tol, order, kinks=g.trace_kinks)
+    return integrate_jump_arrays(jumps, g.pairing, tol, _FLUX_ORDER, kinks=g.trace_kinks)
 
 
 def divergence_identity_residual(

@@ -89,8 +89,8 @@ def sup_representation(family: FieldFamily, i, j, nu) -> float:
     return float(max(np.max(g.pairing(i, j, nu)) for g in family.fields))
 
 
-def family_density(family: FieldFamily, name: str | None = None):
-    """Density evaluating the family supremum pointwise (vectorized max)."""
+def family_density(family: FieldFamily):
+    """Density "sup[<family name>]", the family supremum pointwise (vectorized max)."""
     from .densities import Density
 
     def evaluator(i, j, nu):
@@ -98,17 +98,16 @@ def family_density(family: FieldFamily, name: str | None = None):
         return np.max(vals, axis=0)
 
     return Density(
-        name or f"sup[{family.name}]",
+        f"sup[{family.name}]",
         evaluator,
         bounded=all(g.bounded for g in family.fields),
         claimed_class="symmetric-jointly-convex",
     )
 
 
-def zero_field(dim: int = 2) -> ConservativeField:
+def zero_field() -> ConservativeField:
     return _axis_field(
-        np.eye(dim), np.zeros(dim), (zero_profile(),) * dim, name="zero", params={"dim": dim}
-    )
+        np.eye(2), np.zeros(2), (zero_profile(),) * 2, name="zero", params={"dim": 2})
 
 
 def _check_orthonormal(basis: np.ndarray, tol: float = 1e-12):
@@ -404,26 +403,27 @@ def biconvex_truncated_field(Z, M: float) -> ConservativeField:
     )
 
 
-def check_conservative(
-    g: ConservativeField, samples: int = 200, seed: int = 0,
-    step: float = 1e-5, box: float = 3.0, dim: int = 2,
-):
+_CHECK_STEP, _CHECK_BOX = 1e-5, 3.0
+
+
+def check_conservative(g: ConservativeField, samples: int = 200, seed: int = 0):
     """(max relative Jacobian asymmetry, max relative potential-gradient residual).
 
-    Central differences with the given step, normalized by 1 + the field
+    Central differences of step _CHECK_STEP at points drawn uniformly from
+    the planar box [-_CHECK_BOX, _CHECK_BOX]^2, normalized by 1 + the field
     magnitude over the sampled points.
     """
     rng = np.random.default_rng(seed)
-    w = rng.uniform(-box, box, size=(samples, dim))
+    w = rng.uniform(-_CHECK_BOX, _CHECK_BOX, size=(samples, 2))
     vals = g(w)
     scale = 1.0 + float(np.max(np.linalg.norm(vals, axis=-1)))
-    J = np.zeros((samples, dim, dim))
-    grad = np.zeros((samples, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = step
-        J[:, :, k] = (g(w + e) - g(w - e)) / (2 * step)
-        grad[:, k] = (g.potential(w + e) - g.potential(w - e)) / (2 * step)
+    J = np.zeros((samples, 2, 2))
+    grad = np.zeros((samples, 2))
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = _CHECK_STEP
+        J[:, :, k] = (g(w + e) - g(w - e)) / (2 * _CHECK_STEP)
+        grad[:, k] = (g.potential(w + e) - g.potential(w - e)) / (2 * _CHECK_STEP)
     asym = float(np.max(np.abs(J - np.swapaxes(J, 1, 2)))) / scale
     resid = float(np.max(np.linalg.norm(grad - vals, axis=-1))) / scale
     return asym, resid

@@ -204,9 +204,6 @@ class PiecewiseAffine:
     def dim(self) -> int:
         return self.pieces[0].b.shape[0]
 
-    def locate(self, x) -> tuple[int, bool]:
-        return self.partition.locate(x)
-
     def eval(self, x) -> np.ndarray:
         """Value at x (first containing cell). Raises outside the domain."""
         cell, _ = self.partition.locate(x)
@@ -270,10 +267,6 @@ class PiecewiseRigid(PiecewiseAffine):
     """Piecewise affine function whose every piece is an infinitesimal rigid motion."""
 
     rigid_only = True
-
-
-def total_jump_length(u: PiecewiseAffine) -> float:
-    return sum(u.jump_segments().t1.tolist())
 
 
 def jump_sides(i, j, i_side: str):

@@ -392,14 +392,21 @@ class Interfaces:
                           self.right_edge, self.left_edge)
 
 
+def _loops(polys):
+    """(vertices, counts, lo, hi): the vertex loops of the Polygons stacked
+    end to end, their lengths, and their bounding box corners, (k, 2), from
+    one reduction each; row_norms(hi - lo) is Polygon.diameter bit for bit."""
+    counts = np.array([len(p) for p in polys])
+    vertices = np.concatenate([p.vertices for p in polys])
+    first = np.cumsum(counts) - counts
+    lo, hi = np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
+    return vertices, counts, lo, hi
+
+
 def extract_interfaces(cells: list[Polygon], tol: float) -> Interfaces:
     """Match collinear opposite-orientation edge overlaps between distinct
     cells, over the pairs ia < ib whose bounding boxes come within tol."""
-    counts = np.array([len(c) for c in cells])
-    vertices = np.concatenate([c.vertices for c in cells])
-    # every cell's bounding box from one reduction over the stacked loops
-    first = np.cumsum(counts) - counts
-    lo, hi = np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
+    vertices, counts, lo, hi = _loops(cells)
     far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
     near = np.nonzero(np.triu(~far, k=1))
     ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
@@ -545,15 +552,14 @@ def overlap_areas(subjects, others, pairs, tol=None) -> np.ndarray:
     (MATCH_TOL times the larger diameter by default), is the clip's inside
     tolerance; bounding boxes more than tol apart give 0.0."""
     ia, ib = (np.asarray(x, dtype=int) for x in pairs)
+    _, _, lo1, hi1 = _loops(subjects)
+    _, _, lo2, hi2 = _loops(others)
     if tol is None:
-        diam1 = np.array([p.diameter for p in subjects])
-        diam2 = np.array([p.diameter for p in others])
-        tol = MATCH_TOL * np.maximum(diam1[ia], diam2[ib])
+        tol = MATCH_TOL * np.maximum(row_norms(hi1 - lo1)[ia], row_norms(hi2 - lo2)[ib])
     tol = np.broadcast_to(np.asarray(tol, dtype=float), ia.shape)
-    lo1, hi1 = np.array([p.bbox for p in subjects])[ia].transpose(1, 0, 2)
-    lo2, hi2 = np.array([p.bbox for p in others])[ib].transpose(1, 0, 2)
     gap = tol[:, None]
-    near = np.nonzero(~((lo1 > hi2 + gap) | (lo2 > hi1 + gap)).any(axis=1))[0]
+    far = (lo1[ia] > hi2[ib] + gap) | (lo2[ib] > hi1[ia] + gap)
+    near = np.nonzero(~far.any(axis=1))[0]
     if not len(near):
         return np.zeros(len(ia))
     # one row per (near pair, convex piece of its other cell)
@@ -654,21 +660,22 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def clip_segment_params(starts, ends, regions, tol: float | None = None):
+def clip_segment_params(starts, ends, regions):
     """The pieces inside each of the regions (Polygons) of the segments
     starts[k] -> ends[k], (n, 2) arrays: (owner, rows, t0, t1, on_boundary),
     where piece m covers [t0[m], t1[m]] of the parameter in [0, 1] of
     segment rows[m] inside regions[owner[m]], region after region, row after
     row in increasing t.  Segments are cut where they meet a region's edge
-    within tol (MATCH_TOL times the region's diameter by default); pieces no
-    longer than tol, or with their midpoint outside the region, are dropped.
+    within tol, MATCH_TOL times the region's diameter; pieces no longer
+    than tol, or with their midpoint outside the region, are dropped.
     on_boundary marks pieces along the region's boundary.  Every region
     gives the pieces of clipping against it alone, bit for bit."""
     a = _as_points(starts).reshape(-1, 2)
     b = _as_points(ends).reshape(-1, 2)
     d = b - a
     G = len(regions)
-    tol = MATCH_TOL * np.array([r.diameter for r in regions]) if tol is None else np.full(G, tol)
+    _, _, lo, hi = _loops(regions)
+    tol = MATCH_TOL * row_norms(hi - lo)
     L = row_norms(d)
     # every region's edges, padded by repeating its last one, which the
     # mask `edge` drops
@@ -679,10 +686,9 @@ def clip_segment_params(starts, ends, regions, tol: float | None = None):
     e_len = row_norms((Q - P).reshape(-1, 2)).reshape(G, E)
     # the (region, row) pairs whose bounding boxes come within tol: a segment
     # farther from a region has no piece in it
-    lo, hi = np.array([r.bbox for r in regions]).transpose(1, 0, 2)[..., None, :]
     gap = tol[:, None, None]
-    near = ~((np.minimum(a, b) > hi + gap) | (lo > np.maximum(a, b) + gap)).any(axis=2)
-    owner, rows = np.nonzero(near)
+    far = (np.minimum(a, b) > hi[:, None] + gap) | (lo[:, None] > np.maximum(a, b) + gap)
+    owner, rows = np.nonzero(~far.any(axis=2))
     P, Q, edge, e_len, tol = P[owner], Q[owner], edge[owner], e_len[owner], tol[owner, None]
     e = Q - P
     a, d, L = a[rows], d[rows], L[rows, None]

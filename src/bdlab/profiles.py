@@ -174,8 +174,8 @@ def sqrt_profile() -> SubadditiveProfile:
     return SubadditiveProfile("sqrt", lambda t: np.sqrt(np.abs(t)))
 
 
-def table_profile(ts, gs, name: str = "table") -> SubadditiveProfile:
-    """Piecewise-linear profile through (ts, gs); monotonicity is validated."""
+def table_profile(ts, gs) -> SubadditiveProfile:
+    """Piecewise-linear profile "table" through (ts, gs); monotonicity is validated."""
     ts = np.asarray(ts, dtype=float)
     gs = np.asarray(gs, dtype=float)
     if ts.ndim != 1 or ts.shape != gs.shape or ts.size < 2:
@@ -193,4 +193,4 @@ def table_profile(ts, gs, name: str = "table") -> SubadditiveProfile:
         t = np.asarray(t, dtype=float)
         return np.interp(t, ts, gs)  # constant extension beyond the last node
 
-    return SubadditiveProfile(name, value, bound=float(gs[-1]))
+    return SubadditiveProfile("table", value, bound=float(gs[-1]))

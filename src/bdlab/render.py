@@ -1,6 +1,6 @@
 """SVG rendering of piecewise functions: shaded cells, stroked jump set,
 normal ticks.  Stroke width and color encode the jump magnitude on a log
-scale above 1e-12."""
+scale above _JUMP_FLOOR = 1e-12."""
 
 from __future__ import annotations
 
@@ -12,16 +12,14 @@ _CELL_COLORS = (
     "#dbeafe", "#dcfce7", "#fef9c3", "#fde2e2", "#ede9fe",
     "#cffafe", "#fce7f3", "#ecfccb", "#fef3c7", "#e2e8f0",
 )
+_JUMP_FLOOR = 1e-12
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_svg(
-    u: PiecewiseAffine, width: int = 640, jump_floor: float = 1e-12,
-    style: str = "default",
-) -> str:
+def render_svg(u: PiecewiseAffine, width: int = 640, style: str = "default") -> str:
     """Standalone SVG drawing of the partition and the jump set of u.
 
     style "default" shades cells; "plain" draws outlines only.
@@ -62,12 +60,12 @@ def render_svg(
     jump = (jumps.plus_value0[:, None] + t * jumps.plus_slope[:, None]) - (
         jumps.minus_value0[:, None] + t * jumps.minus_slope[:, None])
     mags = np.max(np.linalg.norm(jump, axis=-1), axis=1).tolist()
-    top = max([m for m in mags if m > jump_floor], default=1.0)
+    top = max([m for m in mags if m > _JUMP_FLOOR], default=1.0)
     for a, b, normal, m in zip(jumps.a, jumps.b, jumps.normal, mags):
-        if m <= jump_floor:
+        if m <= _JUMP_FLOOR:
             continue
         # log-scaled width between 1 and 4 px
-        w = 1.0 + 3.0 * (np.log10(m / jump_floor) / np.log10(max(top / jump_floor, 10)))
+        w = 1.0 + 3.0 * (np.log10(m / _JUMP_FLOOR) / np.log10(max(top / _JUMP_FLOOR, 10)))
         w = float(np.clip(w, 0.75, 4.0))
         shade = int(200 - 140 * min(m / top, 1.0))
         color = f"rgb(200,{shade // 2},{shade // 2})"

@@ -225,6 +225,26 @@ class TestUsage:
     def test_usage_errors_exit_1(self, argv):
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("command, option, extra", [
+        ("density-check", "--samples", {"density": "frobenius"}),
+        ("fields-verify", "--samples", {}),
+        ("ibp-check", "--cases", {}),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_name_the_option(self, command, option, extra, value, capsys,
+                                              tmp_path):
+        # unchecked, such counts reached NumPy ("zero-size array", "negative
+        # dimensions") or max() of an empty sequence
+        want = f"argument {option}: expected an integer of at least 1, got '{value}'"
+        argv = [command, option, value] + [x for k, v in extra.items() for x in (f"--{k}", v)]
+        assert main(argv) == 1
+        assert want in capsys.readouterr().err
+        # a scenario goes through the same parser
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps({"mode": command, option[2:]: int(value), **extra}))
+        assert main(["run", str(sc)]) == 1
+        assert want in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["falsify", "relax"])
     @pytest.mark.parametrize("values", [("0", "1"), ("0,0,0", "1,1,1")])
     def test_values_that_are_not_planar_exit_1(self, command, values, capsys):

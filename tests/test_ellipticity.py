@@ -23,6 +23,7 @@ from bdlab.energy import (
     EnergyError,
     integrate_jump_arrays,
     jump_flux,
+    jump_pieces,
     surface_energy,
     symmetric_jump_measure,
 )
@@ -206,6 +207,17 @@ class TestTiling:
         for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8), i_side="minus"):
             assert rep["relative_defect"] < 1e-9, rep["h"]
 
+    def test_outer_chord_is_the_straight_jump_outside_the_unit_square(self):
+        # the side-3 ambient square leaves 3 - 1 = 2 of the straight jump
+        # outside v's unit square, with j on the plus side (i_side "minus")
+        v = self._small_competitor()
+        f = anisotropic_normal_density(0.01)
+        chord = float(f(J_CE, I_CE, E2)) * 2.0
+        for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 5), i_side="minus"):
+            assert rep["outer_chord_energy"] == chord, rep["h"]
+            assert rep["boundary_contribution"] == (
+                rep["total_energy"] - rep["tile_energy_sum"] - rep["outer_chord_energy"])
+
     # ids False and True: the axis frame and a rotated one; unit((1, 2)) is
     # not a fixed point of unit, so there a tiled function built on
     # unit(unit(nu)) would lie one bit off its tiles
@@ -229,7 +241,8 @@ class TestTiling:
                 c = np.array([-0.5 + n * inv_h, 0.0])
                 tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
                 tile = Polygon(tile)
-                tiles.append(surface_energy(u_h, f, region=tile, tol=1e-12, include_boundary=False))
+                tiles.append(integrate_jump_arrays(
+                    jump_pieces(u_h.jump_segments(), tile, False), f, 1e-12, 15))
             total = surface_energy(u_h, f, tol=1e-12)
             assert rep["tile_energy_sum"] == sum(t.value for t in tiles), h
             assert rep["total_energy"] == total.value
