@@ -54,6 +54,16 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of a tolerance option: a finite positive number."""
+    try:
+        if 0 < float(text) < np.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+
+
 def _write_report(report: dict, path: str | None):
     payload = json.dumps(jsonable(report), indent=2)
     if path:
@@ -297,7 +307,7 @@ COMMANDS = {
     "energy-eval": Command(
         "surface energy of a function JSON", "energy-eval", cmd_energy_eval,
         (("--function", dict(required=True)), ("--density", dict(required=True)),
-         ("--tol", dict(type=float, default=1e-10))),
+         ("--tol", dict(type=_tolerance, default=1e-10))),
     ),
     "fields-verify": Command(
         "conservativity checks for catalog fields", "fields-verify", cmd_fields_verify,

@@ -361,7 +361,7 @@ class LayoutFamily(CompetitorFamily):
     layout: InsertLayout | None = None
     side: float = 6.0  # of the square, turned by frame = frame_from_normal(nu)
     frame: np.ndarray | None = None
-    outer: tuple | None = None  # the pieces (A (2, d, d), c (2, d)) below and above the chord
+    outer: tuple | None = None  # the pieces (A (2, 2, 2), c (2, 2)) below and above the chord
     head: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -462,8 +462,8 @@ def _compiled_round(layouts, slots) -> JumpSquareBatch:
 
 
 def _outer_pieces(i, j, i_side):
-    """The pieces (A (2, d, d), c (2, d)) below and above the chord."""
-    return np.zeros((2, i.size, i.size)), np.array(jump_sides(i, j, i_side)[::-1])
+    """The pieces (A (2, 2, 2), c (2, 2)) below and above the chord."""
+    return np.zeros((2, 2, 2)), np.array(jump_sides(i, j, i_side)[::-1])
 
 
 @dataclass(frozen=True)
@@ -483,21 +483,27 @@ class EllipticityVerdict(Report):
     competitor: PiecewiseRigid | None = None
 
 
+# the least |i - j| whose square, which the closed form takes, is a normal float
+_MIN_GAP = np.sqrt(np.finfo(float).tiny)
+
+
 def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     """Built-in families, one insert layout each: square insert, thin
     rectangle, checkerboard, and two nested squares with independent rigid
     motions, authored at side 6 and rescaled by k = side / 6 (sizes times
     k, rotations over k) as PiecewiseAffine.scaled(k) rescales competitors.
-    The families carry this call's values; their cell topologies are their
-    layouts', which depend on none of them."""
+    The families carry this call's values, whose |i - j| must square to a
+    normal float; their cell topologies are their layouts', which depend
+    on none of them."""
     _check_side(side)
     k = side / 6.0
     i, j = _jump_values(i, j)
     nu = np.array(nu, dtype=float)
-    gap = float(np.linalg.norm(i - j))
-    if gap == 0.0:
-        raise EllipticityError(
-            f"|i - j| underflows to 0 for i = {i} and j = {j}; rescale the values")
+    with np.errstate(over="ignore"):
+        gap = float(np.linalg.norm(i - j))
+    if not _MIN_GAP <= gap < np.inf:
+        raise EllipticityError(f"|i - j| = {gap!r} for i = {i} and j = {j} underflows or "
+                               "overflows when squared; rescale the values")
     lam = gap / (2.0 * np.sqrt(2.0))
     lo = np.minimum(i, j) - gap
     hi = np.maximum(i, j) + gap
@@ -722,7 +728,7 @@ def _certify(f: Density, competitor, i, j, nu_u, side: float, i_side: str, refer
     """Status, energy, error and cross check of a competitor: its energy (in
     closed form for a quadratic form) against adaptive quadrature at doubled
     order.  VIOLATION needs a margin over ten errors, the two converged and
-    within 1e-9, and a compact deviation."""
+    within 1e-9 of the reference energy, and a compact deviation."""
     e1 = surface_energy(competitor, f, tol=1e-11, order=15)
     closed = isinstance(f, Density) and f.quadratic_form is not None
     adaptive = replace(f, quadratic_form=None) if closed else f
@@ -733,7 +739,7 @@ def _certify(f: Density, competitor, i, j, nu_u, side: float, i_side: str, refer
              "difference": abs(e1.value - e2.value)}
     ok_margin = e1.value < reference - 10.0 * err
     # a certificate rests on converged quadrature only
-    ok_cert = abs(e1.value - e2.value) <= 1e-9 and e1.unconverged == e2.unconverged == 0
+    ok_cert = abs(e1.value - e2.value) <= 1e-9 * reference and e1.unconverged == e2.unconverged == 0
     ref = make_elementary(i, j, nu_u, OrientedSquare(nu_u, side, (0, 0)), i_side=i_side)
     ok_compact = compact_deviation(competitor, ref, margin=1e-3 * side)
     status = "VIOLATION" if ok_margin and ok_cert and ok_compact else "NO-VIOLATION-WITHIN-BUDGET"

@@ -559,11 +559,11 @@ def integration_by_parts_residual(
 
     # the volume terms, one integrand per cell clipped to the (convex) region
     volume = 0.0
-    for cell, piece in zip(u.partition.cells, u.pieces):
+    for k, (cell, piece) in enumerate(zip(u.partition.cells, u.pieces)):
         sub = clip_polygon(cell, region)
         if sub is None:
             continue
-        E = 0.5 * (piece.A + piece.A.T)
+        E = u.symmetrized_gradient(k)
         strained = np.any(E)
 
         def integrand(x):

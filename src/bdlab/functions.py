@@ -52,8 +52,8 @@ class AffinePiece:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-            raise FunctionError("piece needs a square matrix and a matching vector")
+        if A.shape != (2, 2) or b.shape != (2,):
+            raise FunctionError("piece needs a 2 x 2 matrix and a 2-vector")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise FunctionError("piece entries must be finite")
         A.setflags(write=False)
@@ -69,14 +69,10 @@ class AffinePiece:
         x = np.asarray(x, dtype=float)
         return x @ self.A.T + self.b
 
-    def same_map(self, other: "AffinePiece") -> bool:
-        return np.array_equal(self.A, other.A) and np.array_equal(self.b, other.b)
-
     def to_json(self) -> dict:
-        A = self.A
-        if A.shape == (2, 2) and self.rigid:
-            return {"omega": float(A[0, 1]), "b": self.b.tolist()}
-        return {"A": A.tolist(), "b": self.b.tolist()}
+        if self.rigid:
+            return {"omega": float(self.A[0, 1]), "b": self.b.tolist()}
+        return {"A": self.A.tolist(), "b": self.b.tolist()}
 
     @staticmethod
     def from_json(data) -> "AffinePiece":
@@ -90,8 +86,7 @@ def rigid_piece(omega: float, b) -> AffinePiece:
 
 
 def constant_piece(value) -> AffinePiece:
-    value = np.asarray(value, dtype=float)
-    return AffinePiece(np.zeros((value.size, value.size)), value)
+    return AffinePiece(np.zeros((2, 2)), np.asarray(value, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -136,21 +131,22 @@ class JumpArrays:
 
 
 def jump_arrays(a, b, normal, left, right):
-    """The jump set across straight interfaces, one row per kept interface
-    with t0 = 0 and t1 its length, and the indices of the kept interfaces.
+    """The jump set across straight planar interfaces, one row per kept
+    interface with t0 = 0 and t1 its length, and the indices of the kept
+    interfaces.
 
     Interface n runs from a[n] to b[n] with the normal pointing into its
     left side; left = (A, c) and right stack the affine maps x -> A x + c on
-    either side.  An interface is dropped when its two maps are equal, or
-    when their traces agree at both ends and the midpoint (exact for affine
-    traces).  Row by row, the arithmetic is that of one interface at a time.
-
-    The agreement test runs on (dim, n) component arrays, probe by probe, so
-    every NumPy loop runs over the rows; with fewer than eight components
-    its norm adds the squares in order, as np.linalg.norm does.
+    either side.  An interface is kept exactly when its two affine traces
+    differ (!=) at its start, midpoint or end, so a NaN row is kept.  Equal
+    maps give equal traces bit for bit (-0.0 == 0.0), and distinct rigid
+    motions agree at one point at most along a line; distinct non-rigid maps
+    that agree only up to rounding leave a rounding-size jump, which a
+    1-homogeneous density charges about 1e-16 relative and isotropic:const,
+    normal:polytopeK and mild:g charge in full.  Row by row, the arithmetic
+    is that of one interface at a time.
     """
     (Al, cl), (Ar, cr) = left, right
-    n, dim = a.shape
     v = b - a
     L = row_norms(v)
     d = v / L[:, None]
@@ -158,20 +154,12 @@ def jump_arrays(a, b, normal, left, right):
     mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
     ps = (Al @ d[:, :, None])[..., 0]
     ms = (Ar @ d[:, :, None])[..., 0]
+    # the traces at the start, the midpoint and the end, component-major (2, n)
     P0, PS, M0, MS = pv0.T, ps.T, mv0.T, ms.T
-    probes = []
-    for t in (0.0, 0.5 * L, L):
-        p, m = P0 + t * PS, M0 + t * MS
-        abs_p, abs_m, diff = np.abs(p), np.abs(m), p - m
-        sq = diff * diff
-        hp, hm, s = abs_p[0], abs_m[0], sq[0]
-        for k in range(1, dim):
-            hp, hm, s = np.maximum(hp, abs_p[k]), np.maximum(hm, abs_m[k]), s + sq[k]
-        probes.append((hp, hm, np.sqrt(s)))
-    top_p, top_m, gap = (np.maximum(np.maximum(x, y), z) for x, y, z in zip(*probes))
-    agree = gap <= 1e-12 * (1.0 + (top_p + top_m))
-    same = np.all((Al == Ar).reshape(n, dim * dim), axis=1) & np.all(cl == cr, axis=1)
-    keep = np.flatnonzero(~(same | agree))
+    differ = P0 != M0
+    for t in (0.5 * L, L):
+        differ |= P0 + t * PS != M0 + t * MS
+    keep = np.flatnonzero(differ[0] | differ[1])
     jumps = JumpArrays(
         a[keep], b[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
         np.zeros(keep.size), L[keep],
@@ -179,9 +167,9 @@ def jump_arrays(a, b, normal, left, right):
     return jumps, keep
 
 
-def _stacked(pieces, d: int) -> tuple[np.ndarray, np.ndarray]:
-    A = np.array([p.A for p in pieces]).reshape(-1, d, d)
-    return A, np.array([p.b for p in pieces]).reshape(-1, d)
+def _stacked(pieces) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([p.A for p in pieces]).reshape(-1, 2, 2),
+            np.array([p.b for p in pieces]).reshape(-1, 2))
 
 
 class PiecewiseAffine:
@@ -200,10 +188,6 @@ class PiecewiseAffine:
         self.partition = partition
         self.pieces = pieces
 
-    @property
-    def dim(self) -> int:
-        return self.pieces[0].b.shape[0]
-
     def eval(self, x) -> np.ndarray:
         """Value at x (first containing cell). Raises outside the domain."""
         cell, _ = self.partition.locate(x)
@@ -216,15 +200,13 @@ class PiecewiseAffine:
         return 0.5 * (A + A.T)
 
     def jump_segments(self) -> JumpArrays:
-        """One row per interface whose adjacent pieces differ as maps.
-
-        Pieces with identical parameters are dropped; distinct pieces that
-        happen to coincide along the interface line are detected by trace
-        agreement at both endpoints and the midpoint (exact for affine
-        traces).
-        """
+        """One row per interface whose adjacent traces differ, by
+        jump_arrays' exact rule, which takes no tolerance: distinct non-rigid
+        pieces equal along an interface only up to rounding leave a
+        rounding-size jump, which isotropic:const, normal:polytopeK and mild:g
+        charge in full."""
         itf = self.partition.interfaces
-        A, c = _stacked(self.pieces, self.dim)
+        A, c = _stacked(self.pieces)
         jumps, _ = jump_arrays(
             itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]), (A[itf.right], c[itf.right])
         )
@@ -429,11 +411,9 @@ def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> 
         raise FunctionError("compared functions must share the same domain")
     area_tol = 1e-12 * dom_u.area
     # the (cell of v, cell of u) pairs whose maps differ
-    Av, bv = _stacked(v.pieces, v.dim)
-    Au, bu = _stacked(u.pieces, u.dim)
-    differ = np.ones((len(Av), len(Au)), dtype=bool)
-    if v.dim == u.dim:  # maps of different dimensions never agree
-        differ = ~((Av[:, None] == Au).all(axis=(2, 3)) & (bv[:, None] == bu).all(axis=2))
+    Av, bv = _stacked(v.pieces)
+    Au, bu = _stacked(u.pieces)
+    differ = ~((Av[:, None] == Au).all(axis=(2, 3)) & (bv[:, None] == bu).all(axis=2))
     ia, ib = np.nonzero(differ)
     area = overlap_areas(v.partition.cells, u.partition.cells, (ia, ib))
     deviating = sorted(set(ia[area > area_tol].tolist()))

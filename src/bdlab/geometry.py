@@ -490,7 +490,8 @@ def _clip_convex(subject, n, clip, m, tol):
     e = clip[rows, (np.arange(clip.shape[1]) + 1) % m[:, None]] - clip
     skip = np.arange(clip.shape[1]) >= m[:, None]  # no edge k: keep every vertex
     lo = -tol[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a near-parallel edge may overflow t, which the clip to [0, 1] settles
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for k in range(clip.shape[1]):
             A, ex, ey = clip[:, k, None], e[:, k, None, 0], e[:, k, None, 1]
             off = subject - A

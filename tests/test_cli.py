@@ -245,6 +245,20 @@ class TestUsage:
         assert main(["run", str(sc)]) == 1
         assert want in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+    def test_tolerance_must_be_finite_and_positive(self, value, capsys, tmp_path):
+        # unchecked, such a tolerance refines every interval to its cap and
+        # writes bare NaN or Infinity tokens into the report
+        want = f"argument --tol: expected a finite positive number, got '{value}'"
+        argv = ["energy-eval", "--function", "u.json", "--density", "frobenius", "--tol", value]
+        assert main(argv) == 1
+        assert want in capsys.readouterr().err
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps({"mode": "energy-eval", "function": "u.json",
+                                  "density": "frobenius", "tol": value}))
+        assert main(["run", str(sc)]) == 1
+        assert want in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["falsify", "relax"])
     @pytest.mark.parametrize("values", [("0", "1"), ("0,0,0", "1,1,1")])
     def test_values_that_are_not_planar_exit_1(self, command, values, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.stats import qmc
@@ -523,6 +523,36 @@ class TestFalsify:
         with pytest.raises(EllipticityError, match="planar"):
             default_families(i, j, E2)
 
+    @pytest.mark.parametrize("lam", [2.0**-40, 2.0**-20, 1e-6, 1.0, 1e3, 1e6, 2.0**40])
+    def test_counterexamples_certified_at_every_scale(self, lam):
+        # the closed form and the doubled-order quadrature differ by about
+        # 3e-16 relative, which is more than 1e-9 absolute at lam = 1e6
+        for f in (anisotropic_normal_density(0.01), anisotropic_trace_density(1e-4)):
+            at_one, v = (falsify(f, I_CE, np.full(2, 2.0 * s), E2, budget=600, seed=0,
+                                 keep_competitor=False) for s in (1.0, lam))
+            assert v.status == "VIOLATION"
+            assert v.cross_check["difference"] <= 1e-9 * v.reference_energy
+            # the same competitor, energy per lam to rounding
+            assert abs(v.best_energy / lam - at_one.best_energy) <= 1e-12 * at_one.best_energy
+
+    @pytest.mark.parametrize("i, j", [((0.0, 0.0), (1.4e-154, 0.0)), ((0.0, 0.0), (1e-160, 1e-160)),
+                                      ((1e-155, 0.0), (-1e-155, 0.0))])
+    def test_refuses_a_difference_whose_square_is_subnormal(self, i, j):
+        # the closed form squares the jump, and a subnormal square loses precision
+        with pytest.raises(EllipticityError, match="rescale the values"):
+            default_families(i, j, E2)
+        with pytest.raises(EllipticityError, match="rescale the values"):
+            falsify(catalog_density("isotropic:id"), i, j, E2, budget=100)
+        assert len(default_families((0.0, 0.0), (1.6e-154, 0.0), E2)) == 4
+
+    @pytest.mark.parametrize("i, j", [((0.0, 0.0), (1e155, 1e155)), ((1e308, 0.0), (-1e308, 0.0))])
+    def test_refuses_a_difference_whose_square_overflows(self, i, j):
+        # without a warning (RuntimeWarnings are errors here), before the
+        # infinite bounds reach a family
+        with pytest.raises(EllipticityError, match="rescale the values"):
+            default_families(i, j, E2)
+        assert len(default_families((0.0, 0.0), (1e153, 0.0), E2)) == 4
+
     def test_names_a_difference_that_underflows(self):
         # distinct values whose |i - j| squares to 0: the refusal says so
         with pytest.raises(EllipticityError, match="underflows") as err:
@@ -747,6 +777,50 @@ def widest(fam):
     return dataclasses.replace(fam, bounds=tuple(bounds))
 
 
+@st.composite
+def scaled_values(draw):
+    """(i, j, nu): |i| up to about 1e6 and |i - j| from 1e-15 to 1e6, in
+    absolute terms or relative to |i|, in a drawn direction."""
+    i = np.array(draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    i *= 10.0 ** draw(st.floats(-3.0, 6.0))
+    gap = 10.0 ** draw(st.floats(-15.0, 6.0))
+    if draw(st.booleans()):
+        gap *= np.linalg.norm(i)
+    gap_angle, nu_angle = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    j = i + gap * np.array([np.cos(gap_angle), np.sin(gap_angle)])
+    return i, j, np.array([np.cos(nu_angle), np.sin(nu_angle)])
+
+
+class TestScale:
+    """Verdicts and energies from small to large values.  isotropic:id and
+    frobenius are symmetric jointly convex, so no competitor beats the
+    straight interface, and a VIOLATION for them is false."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(values=scaled_values(), fid=st.sampled_from(["isotropic:id", "frobenius"]))
+    def test_no_violation_for_jointly_convex_densities(self, values, fid):
+        i, j, nu = values
+        try:
+            v = falsify(catalog_density(fid), i, j, nu, budget=100, seed=0, keep_competitor=False)
+        except EllipticityError:
+            # only where the values round together or their gap leaves the range
+            assert np.array_equal(i, j) or not 1.5e-154 < np.linalg.norm(i - j) < 1e154
+            return
+        assert v.status == "NO-VIOLATION-WITHIN-BUDGET"
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(values=scaled_values(), side=st.floats(0.01, 100.0),
+           fid=st.sampled_from([fid for fid in CATALOG_IDS
+                                if catalog_density(fid).quadratic_form is not None]))
+    def test_elementary_energy_is_side_times_density(self, values, side, fid):
+        i, j, nu = values
+        assume(not np.array_equal(i, j))
+        f = catalog_density(fid)
+        u = make_elementary(i, j, nu, OrientedSquare(nu, side, (0, 0)))
+        want = side * float(f(i, j, unit(nu)))
+        assert abs(surface_energy(u, f).value - want) <= 1e-12 * want
+
+
 class TestJumpSquareBuilder:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -759,6 +833,9 @@ class TestJumpSquareBuilder:
         side=st.one_of(st.just(6.0), st.floats(0.5, 50.0)),
         wide=st.booleans(),
     )
+    # a normal with a subnormal sine: a near-parallel clip edge overflows t
+    @example(family=0, i_side="plus", unit_params=[0.0] * 8, angle=2.2250738585072014e-308,
+             side=6.0, wide=False)
     def test_family_competitors_deviate_compactly(self, family, i_side, unit_params, angle,
                                                   side, wide):
         # every row in a layout family's bounds, up to the ends of the valid
@@ -871,8 +948,7 @@ class FormerTopology:
 
         a, b, normal = edge_pair_interfaces(W.reshape(-1, 2), *(offset(e, V) for e in self.edges))
         P = len(self.counts)
-        d = self.outer[0].b.size
-        A, c = _stacked([p for _, _, pieces in batch for p in self.outer + list(pieces)], d)
+        A, c = _stacked([p for _, _, pieces in batch for p in self.outer + list(pieces)])
         left, right = offset(self.left, P), offset(self.right, P)
         jumps, rows = jump_arrays(a, b, normal, (A[left], c[left]), (A[right], c[right]))
         owner = np.repeat(np.arange(len(batch)), len(self.left))[rows]

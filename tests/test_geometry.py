@@ -890,7 +890,8 @@ def former_compact_deviation(v, u, margin):
     area_tol = 1e-12 * u.partition.domain.area
     for cell, piece in zip(v.partition.cells, v.pieces):
         deviates = any(
-            not piece.same_map(upiece) and former_polygon_overlap_area(cell, ucell) > area_tol
+            not (np.array_equal(piece.A, upiece.A) and np.array_equal(piece.b, upiece.b))
+            and former_polygon_overlap_area(cell, ucell) > area_tol
             for ucell, upiece in zip(u.partition.cells, u.pieces)
         )
         if deviates and v.partition.domain.boundary_distance(cell.vertices).min() < margin:

@@ -21,7 +21,13 @@ single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
 - the tiling report for h = 1..16, and digests of each level's jump pieces
   inside each tile, with and without those along the tile boundary;
 - the jump flux of the catalog fields and integration-by-parts residuals;
-- the CLI reports of every report-writing command, without `wall_time_s`.
+- the CLI reports of every report-writing command, without `wall_time_s`;
+- last, the `falsify` status (or `EllipticityError`) of `isotropic:id` and
+  `frobenius` at nu = e2, budget 100, seed 0, at small and large values:
+  ten (i, j) probes of jumps from 1e-13 to 1e-4, and the grid i = (c, c),
+  j = i + r i for c in (1, 1e3, 1e6) and r in (1, 3) x 1e-16 .. 1e-13 and
+  1e-12.  Both densities are symmetric jointly convex, so a `VIOLATION`
+  there is false.
 
 It uses only public API, so it runs unchanged on checkouts that differ in
 their internals.  A run takes about ten seconds on one core.
@@ -41,10 +47,12 @@ import numpy as np
 from bdlab import cli
 from bdlab.densities import CATALOG_IDS, anisotropic_normal_density, catalog_density
 from bdlab.ellipticity import (
+    EllipticityError,
     ce1_energy_breakdown,
     ce2_energy_breakdown,
     counterexample1_competitor,
     default_families,
+    falsify,
     tile_construction,
     tiling_report,
 )
@@ -82,6 +90,13 @@ E2 = np.array([0.0, 1.0])
 ANGLES = (0.5 * np.pi, 0.3, 2.2, 4.0)  # normal angles, E2 first
 PER_FAMILY = 3  # seeded competitors per family, normal and i_side
 MARGINS = (0.006, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # compact_deviation margins
+# (i, j) of the certificate probes: jumps from 0 and from (1e6, 1e6), then
+# the grid j = i + r i at i = (c, c)
+SCALE_PROBES = [((0.0, 0.0), (g, g)) for g in (1e-12, 1e-13, 1e-6, 1e-11, 3e-12)] + [
+    ((0.0, 0.0), (g, 0.0)) for g in (1e-11, 1e-12, 1e-10)] + [
+    ((1e6, 1e6), (1e6 + g, 1e6 + g)) for g in (1e-6, 1e-4)] + [
+    ((c, c), (c + r * c, c + r * c)) for c in (1.0, 1e3, 1e6)
+    for r in (1e-16, 3e-16, 1e-15, 3e-15, 1e-14, 3e-14, 1e-13, 3e-13, 1e-12)]
 
 
 def emit(*parts) -> None:
@@ -225,6 +240,17 @@ def cli_reports(workdir: str) -> None:
         emit("cli", code, exact(report).replace(workdir, "<workdir>"))
 
 
+def certificates() -> None:
+    for fid in ("isotropic:id", "frobenius"):
+        f = catalog_density(fid)
+        for i, j in SCALE_PROBES:
+            try:
+                status = falsify(f, i, j, E2, budget=100, seed=0, keep_competitor=False).status
+            except EllipticityError:
+                status = "EllipticityError"
+            emit("certificate", fid, repr(i), repr(j), status)
+
+
 def main() -> int:
     jump_sets()
     breakdowns()
@@ -232,6 +258,7 @@ def main() -> int:
     ibp()
     with tempfile.TemporaryDirectory() as workdir:
         cli_reports(workdir)
+    certificates()
     return 0
 
 
