@@ -306,9 +306,14 @@ class TestDropTest:
         assert rows.sum() > 100
         assert (np.isin(np.flatnonzero(rows), got) == KINDS[name]).all()
 
-    def test_no_rows(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_rows(self, n):
+        # no interface at all, and n interfaces with the same map on both sides
         args, _ = drop_test_case(np.random.default_rng(0), 0)
         got, want = self.kept(args)
+        assert got.shape == want.shape == (0,)
+        (a, b, normal, left, _), _ = drop_test_case(np.random.default_rng(n), n)
+        got, want = self.kept((a, b, normal, left, left))
         assert got.shape == want.shape == (0,)
 
 
