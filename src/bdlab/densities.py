@@ -1,9 +1,13 @@
 """Surface densities f(i, j, nu) with structural metadata and sampled checks.
 
-Evaluators broadcast over leading axes: i, j, nu may be (..., d) arrays.
-Values on the diagonal i == j are defined as zero; they never enter surface
-energies.  Densities accept any nonzero nu; most catalog entries are
-positively 1-homogeneous, and the convexity check homogenizes the rest.
+Densities are planar: i, j, nu are (..., 2) arrays, and evaluators
+broadcast over the leading axes.  A density refuses any other last axis.
+Every evaluator and check computes on the two components element-wise (no
+reduction over the last axis, no BLAS product), so a row's value does not
+depend on the batch it is evaluated in.  Values on the diagonal i == j are
+defined as zero; they never enter surface energies.  Densities accept any
+nonzero nu; most catalog entries are positively 1-homogeneous, and the
+convexity check homogenizes the rest.
 """
 
 from __future__ import annotations
@@ -90,16 +94,20 @@ class Density:
         i = np.asarray(i, dtype=float)
         j = np.asarray(j, dtype=float)
         nu = np.asarray(nu, dtype=float)
+        if not i.shape[-1:] == j.shape[-1:] == nu.shape[-1:] == (2,):
+            raise DensityError(
+                f"densities are planar: i, j and nu need a last axis of length 2, "
+                f"got shapes {i.shape}, {j.shape} and {nu.shape}")
         out = np.asarray(self.evaluator(i, j, nu), dtype=float)
-        diag = np.all(i == j, axis=-1)
+        diag = (i[..., 0] == j[..., 0]) & (i[..., 1] == j[..., 1])
         if np.any(diag):
             out = np.where(diag, 0.0, out)
         return out
 
     def scaled(self, t: float) -> "Density":
         t = float(t)
-        if t <= 0:
-            raise DensityError("scale factor must be positive")
+        if not 0 < t < np.inf:
+            raise DensityError(f"scale factor must be finite and positive, got {t!r}")
         form = self.quadratic_form
         return replace(
             self,
@@ -110,11 +118,12 @@ class Density:
 
 
 def _norm(v):
-    return np.linalg.norm(v, axis=-1)
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
 
 
 def _dot(a, b):
-    return np.einsum("...k,...k->...", a, b)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def _norm2(nu):
@@ -211,7 +220,8 @@ def _axis_angle(v):
     The half-angle form is invariant under v -> -v, bit for bit.
     """
     n = _norm(v)
-    x, y = np.moveaxis(v / np.where(n > 0, n, 1.0)[..., None], -1, 0)
+    n = np.where(n > 0, n, 1.0)
+    x, y = v[..., 0] / n, v[..., 1] / n
     return 0.5 * np.arctan2(2.0 * x * y, x * x - y * y)
 
 
@@ -226,7 +236,8 @@ def density_dalmot(M: float = np.inf) -> Density:
     |<a, xi_1>| = M.  The objective is evaluated at those four angles, so
     the maximum is the supremum, not an estimate.  Untruncated, the
     supremum is the Frobenius norm of sym(a (.) nu), whose quadratic form
-    the density carries.
+    the density carries; there the kink width is 0 (NaN where |a|
+    overflows), so the two kink angles coincide and one of them is enough.
     """
     M = float(M)
     if not M > 0:
@@ -238,14 +249,21 @@ def density_dalmot(M: float = np.inf) -> Density:
         alpha, beta = _axis_angle(a), _axis_angle(nu)
         # |<a, xi_1>| = M at alpha +- arccos(M / |a|), when |a| > M
         width = np.arccos(np.divide(np.minimum(na, M), na, out=np.ones_like(na), where=na > 0))
-        phi = np.stack([0.5 * (alpha + beta), beta, alpha + width, alpha - width], axis=-1)
+        kinks = [alpha + width] if M == np.inf else [alpha + width, alpha - width]
+        phi = np.stack([0.5 * (alpha + beta), beta] + kinks)
         c, s = np.cos(phi), np.sin(phi)
+        a0, a1, nu0, nu1 = a[..., 0], a[..., 1], nu[..., 0], nu[..., 1]
         total = 0.0
         for xc, xs in ((c, s), (-s, c)):
-            along_a = a[..., :1] * xc + a[..., 1:] * xs
-            along_nu = nu[..., :1] * xc + nu[..., 1:] * xs
-            total = total + np.minimum(np.abs(along_a), M) ** 2 * along_nu**2
-        return np.sqrt(np.max(total, axis=-1))
+            along_a = np.abs(a0 * xc + a1 * xs)
+            along_nu = nu0 * xc + nu1 * xs
+            if M < np.inf:
+                along_a = np.minimum(along_a, M)
+            total = total + along_a**2 * along_nu**2
+        best = total[0]
+        for row in total[1:]:
+            best = np.maximum(best, row)
+        return np.sqrt(best)
 
     profile = "abs" if M == np.inf else f"eta[{M:g}]"
     return Density(
@@ -276,8 +294,16 @@ class SupportPolytope:
         object.__setattr__(self, "vertices", v)
 
     def support(self, x):
+        """max over vertices q of <x, q>, for (..., 2) points x, each vertex
+        contracted element-wise so that a row's value does not depend on its
+        batch."""
         x = np.asarray(x, dtype=float)
-        return np.max(x @ self.vertices.T, axis=-1)
+        x0, x1 = x[..., 0], x[..., 1]
+        (q0, q1), *rest = self.vertices
+        best = x0 * q0 + x1 * q1
+        for q0, q1 in rest:
+            best = np.maximum(best, x0 * q0 + x1 * q1)
+        return best
 
 
 def density_normal_only(K: SupportPolytope) -> Density:
@@ -304,7 +330,10 @@ def density_mild(g: Callable, name: str = "mild") -> Density:
     rng = np.random.default_rng(_MILD_SEED)
     w = rng.normal(scale=3.0, size=(_MILD_SAMPLES, 2))
     vals = np.asarray(g(w), dtype=float)
-    if np.max(np.abs(vals - np.asarray(g(-w), dtype=float))) > 1e-12:
+    flipped = np.asarray(g(-w), dtype=float)
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(flipped))):
+        raise DensityError("mild-dependence g must be finite on sampled points")
+    if np.max(np.abs(vals - flipped)) > 1e-12:
         raise DensityError("mild-dependence g must be even")
     if np.min(vals) <= 0 or np.max(vals) > 2.0 * np.min(vals) + 1e-12:
         raise DensityError(
@@ -331,7 +360,7 @@ def symmetry_violation(f: Density, samples: int = 10_000, seed: int = 0) -> floa
     i = rng.normal(scale=2.0, size=(samples, 2))
     j = rng.normal(scale=2.0, size=(samples, 2))
     nu = rng.normal(size=(samples, 2))
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    nu /= _norm(nu)[:, None]
     return float(np.max(np.abs(f(i, j, nu) - f(j, i, -nu))))
 
 
@@ -346,7 +375,7 @@ def check_subadditivity(f: Density, samples: int = 10_000, seed: int = 0, extra=
     j = rng.normal(scale=2.0, size=(samples, 2))
     k = rng.normal(scale=2.0, size=(samples, 2))
     rho = rng.normal(size=(samples, 2))
-    rho /= np.linalg.norm(rho, axis=1, keepdims=True)
+    rho /= _norm(rho)[:, None]
     viol = f(i, j, rho) - f(i, k, rho) - f(k, j, rho)
     worst = float(np.max(viol))
     for (ei, ej, ek, erho) in extra:
@@ -366,11 +395,11 @@ def check_convexity_in_nu(f: Density, samples: int = 10_000, seed: int = 0) -> f
     r2 = rng.normal(size=(samples, 2))
 
     def fhom(rho):
-        n = np.linalg.norm(rho, axis=-1, keepdims=True)
-        n = np.where(n == 0, 1.0, n)
         if f.one_homogeneous_in_nu:
             return f(i, j, rho)
-        return n[..., 0] * f(i, j, rho / n)
+        n = _norm(rho)
+        n = np.where(n == 0, 1.0, n)
+        return n * f(i, j, rho / n[:, None])
 
     mid = 0.5 * (r1 + r2)
     viol = fhom(mid) - 0.5 * fhom(r1) - 0.5 * fhom(r2)
@@ -400,7 +429,7 @@ def _split_id(spec_id: str) -> tuple[str, dict]:
 
 def _mild_g(w):
     w = np.asarray(w, dtype=float)
-    return 1.0 + 0.5 * np.minimum(np.linalg.norm(w, axis=-1), 1.0)
+    return 1.0 + 0.5 * np.minimum(_norm(w), 1.0)
 
 
 def _square_polytope() -> SupportPolytope:

@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bdlab import densities
 from bdlab.densities import (
     CATALOG_IDS,
     Density,
@@ -256,6 +257,17 @@ class TestMild:
                 lambda w: 1.0 + 1.5 * np.minimum(np.linalg.norm(np.asarray(w), axis=-1), 1.0)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_g_rejected(self, bad):
+        def partly(w):
+            # bad on the samples with a first component above 5, about 5 %
+            return np.where(w[..., 0] > 5.0, bad, 1.5)
+
+        with pytest.raises(DensityError, match="finite"):
+            density_mild(partly)
+        with pytest.raises(DensityError, match="finite"):
+            density_mild(lambda w: np.full(w.shape[:-1], bad))
+
 
 class TestChecks:
     def test_isotropic_id_subadditive(self):
@@ -435,3 +447,241 @@ class TestCatalog:
     def test_scaled(self):
         f = catalog_density("frobenius")
         assert f.scaled(3.0)(E1, ZERO, E2) == pytest.approx(3 / np.sqrt(2))
+
+    @pytest.mark.parametrize("fid", ["isotropic:sqrt", "normal:polytopeK", "dalmot:abs"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_scaled_refuses_a_factor_not_finite_and_positive(self, fid, t):
+        f = catalog_density(fid)
+        with pytest.raises(DensityError, match="finite and positive"):
+            f.scaled(t)
+
+
+# The evaluators and checks as they were before they computed on the two
+# planar components: reductions over the last axis, a BLAS product for the
+# support function and the four candidate angles of the sup over bases
+# stacked on a last axis.  The rewritten functions equal them bit for bit.
+
+
+def former_norm(v):
+    return np.linalg.norm(v, axis=-1)
+
+
+def former_dot(a, b):
+    return np.einsum("...k,...k->...", a, b)
+
+
+def former_call(evaluator, i, j, nu):
+    i, j, nu = (np.asarray(v, dtype=float) for v in (i, j, nu))
+    out = np.asarray(evaluator(i, j, nu), dtype=float)
+    diag = np.all(i == j, axis=-1)
+    if np.any(diag):
+        out = np.where(diag, 0.0, out)
+    return out
+
+
+def former_axis_angle(v):
+    n = former_norm(v)
+    x, y = np.moveaxis(v / np.where(n > 0, n, 1.0)[..., None], -1, 0)
+    return 0.5 * np.arctan2(2.0 * x * y, x * x - y * y)
+
+
+def former_dalmot_evaluator(M):
+    def evaluator(i, j, nu):
+        a, nu = np.broadcast_arrays(i - j, nu)
+        na = former_norm(a)
+        alpha, beta = former_axis_angle(a), former_axis_angle(nu)
+        width = np.arccos(np.divide(np.minimum(na, M), na, out=np.ones_like(na), where=na > 0))
+        phi = np.stack([0.5 * (alpha + beta), beta, alpha + width, alpha - width], axis=-1)
+        c, s = np.cos(phi), np.sin(phi)
+        total = 0.0
+        for xc, xs in ((c, s), (-s, c)):
+            along_a = a[..., :1] * xc + a[..., 1:] * xs
+            along_nu = nu[..., :1] * xc + nu[..., 1:] * xs
+            total = total + np.minimum(np.abs(along_a), M) ** 2 * along_nu**2
+        return np.sqrt(np.max(total, axis=-1))
+
+    return evaluator
+
+
+def former_support(vertices, x):
+    return np.max(np.asarray(x, dtype=float) @ vertices.T, axis=-1)
+
+
+def former_mild_g(w):
+    return 1.0 + 0.5 * np.minimum(np.linalg.norm(np.asarray(w, dtype=float), axis=-1), 1.0)
+
+
+def former_symmetry_violation(f, samples, seed):
+    rng = np.random.default_rng(seed)
+    i = rng.normal(scale=2.0, size=(samples, 2))
+    j = rng.normal(scale=2.0, size=(samples, 2))
+    nu = rng.normal(size=(samples, 2))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    return float(np.max(np.abs(f(i, j, nu) - f(j, i, -nu))))
+
+
+def former_check_subadditivity(f, samples, seed):
+    rng = np.random.default_rng(seed)
+    i = rng.normal(scale=2.0, size=(samples, 2))
+    j = rng.normal(scale=2.0, size=(samples, 2))
+    k = rng.normal(scale=2.0, size=(samples, 2))
+    rho = rng.normal(size=(samples, 2))
+    rho /= np.linalg.norm(rho, axis=1, keepdims=True)
+    return float(np.max(f(i, j, rho) - f(i, k, rho) - f(k, j, rho)))
+
+
+def former_check_convexity_in_nu(f, samples, seed):
+    rng = np.random.default_rng(seed)
+    i = rng.normal(scale=2.0, size=(samples, 2))
+    j = rng.normal(scale=2.0, size=(samples, 2))
+    r1 = rng.normal(size=(samples, 2))
+    r2 = rng.normal(size=(samples, 2))
+
+    def fhom(rho):
+        n = np.linalg.norm(rho, axis=-1, keepdims=True)
+        n = np.where(n == 0, 1.0, n)
+        if f.one_homogeneous_in_nu:
+            return f(i, j, rho)
+        return n[..., 0] * f(i, j, rho / n)
+
+    mid = 0.5 * (r1 + r2)
+    return float(np.max(fhom(mid) - 0.5 * fhom(r1) - 0.5 * fhom(r2)))
+
+
+# entries from 1e-300 to 1e300 in magnitude, zeros of either sign, NaN and +-inf
+ENTRY = (st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                   st.floats(-300.0, 300.0))
+         | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+SHAPES = st.sampled_from([(2,), (1, 2), (5, 2), (3, 4, 2)])
+
+
+@st.composite
+def planar_triples(draw):
+    """(i, j, nu) of one shape (2,), (n, 2) or (n, m, 2), with rows where
+    i == j and rows where one component of i and j agrees."""
+    shape = draw(SHAPES)
+    size = int(np.prod(shape))
+    i, j, nu = (np.array(draw(st.lists(ENTRY, min_size=size, max_size=size))).reshape(shape)
+                for _ in range(3))
+    rows = shape[:-1]
+    same = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(rows)),
+                                  max_size=int(np.prod(rows))))).reshape(rows)
+    j[same] = i[same]
+    k = draw(st.integers(0, 1))
+    one = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(rows)),
+                                 max_size=int(np.prod(rows))))).reshape(rows)
+    j[one, k] = i[one, k]
+    return i, j, nu
+
+
+def same_bits(a, b):
+    """Equal values and shapes; NaN equals NaN whatever its sign bit."""
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+
+
+SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+class TestComponentForm:
+    """The component-form evaluators and checks against their `former_*`
+    oracles, which reduce over the last axis."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(planar_triples())
+    @example((np.array([1e300, 1e300]), np.array([-1e300, 0.0]), np.array([0.0, -0.0])))
+    @example((np.array([np.inf, 1.0]), np.array([np.inf, 1.0]), np.array([np.nan, 1.0])))
+    def test_kernels_equal_the_former(self, triple):
+        i, j, nu = triple
+        with np.errstate(all="ignore"):
+            for got, want in (
+                (densities._norm(i), former_norm(i)),
+                (densities._dot(i, nu), former_dot(i, nu)),
+                (densities._axis_angle(i - j), former_axis_angle(i - j)),
+                (densities._mild_g(i), former_mild_g(i)),
+                (SupportPolytope(SQUARE).support(nu), former_support(SQUARE, nu)),
+            ):
+                assert same_bits(got, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(planar_triples())
+    def test_call_equals_the_former(self, triple):
+        i, j, nu = triple
+
+        def evaluator(i, j, nu):
+            return former_norm(i - j) * former_norm(nu)
+
+        with np.errstate(all="ignore"):
+            got = Density("probe", evaluator)(i, j, nu)
+            assert same_bits(got, former_call(evaluator, i, j, nu))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(planar_triples(), st.sampled_from([1.0, np.inf]))
+    @example((np.array([1e300, 1e300]), np.array([-1e300, 0.0]), np.array([1.0, 0.0])), np.inf)
+    def test_dalmot_equals_the_former(self, triple, M):
+        i, j, nu = triple
+        with np.errstate(all="ignore"):
+            got = density_dalmot(M)(i, j, nu)
+            assert same_bits(got, former_call(former_dalmot_evaluator(M), i, j, nu))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.sampled_from(CATALOG_IDS), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_checks_equal_the_former(self, fid, samples, seed):
+        f = catalog_density(fid)
+        assert symmetry_violation(f, samples, seed) == former_symmetry_violation(f, samples, seed)
+        assert check_subadditivity(f, samples, seed) == former_check_subadditivity(f, samples, seed)
+        assert (check_convexity_in_nu(f, samples, seed)
+                == former_check_convexity_in_nu(f, samples, seed))
+
+    def test_checks_at_the_benchmark_size_equal_the_former(self):
+        for fid in ("isotropic:id", "dalmot:abs", "frobenius:trunc:M=1", "mild:g"):
+            f = catalog_density(fid)
+            assert symmetry_violation(f) == former_symmetry_violation(f, 10_000, 0), fid
+            assert check_subadditivity(f) == former_check_subadditivity(f, 10_000, 0), fid
+            assert check_convexity_in_nu(f) == former_check_convexity_in_nu(f, 10_000, 0), fid
+
+    @pytest.mark.parametrize("fid", CATALOG_IDS)
+    def test_three_components_raise(self, fid):
+        f = catalog_density(fid)
+        v3, v2 = np.ones((4, 3)), np.ones((4, 2))
+        for args in ((v3, 0 * v3, v3), (v2, v2, v3), (v3[0], v2, v2), (1.0, 0.0, v2)):
+            with pytest.raises(DensityError, match="planar"):
+                f(*args)
+
+
+def batch_triples(seed, n=48):
+    """A random (n, 2) batch with magnitudes from 1e-3 to 1e3, i == j on
+    every fourth row and a shared first component on every fifth."""
+    rng = np.random.default_rng(seed)
+    i, j, nu = rng.normal(size=(3, n, 2)) * 10.0 ** rng.uniform(-3, 3, size=(3, n, 1))
+    j[::4] = i[::4]
+    j[1::5, 0] = i[1::5, 0]
+    return i, j, nu
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("fid", CATALOG_IDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_row_does_not_depend_on_the_batch(self, fid, seed):
+        f = catalog_density(fid)
+        i, j, nu = batch_triples(seed)
+        batch = f(i, j, nu)
+        rows = np.concatenate([f(i[k:k + 1], j[k:k + 1], nu[k:k + 1]) for k in range(len(i))])
+        singles = np.array([f(i[k], j[k], nu[k]) for k in range(len(i))])
+        assert batch.shape == (len(i),)
+        assert np.array_equal(batch, rows) and np.array_equal(batch, singles)
+        assert np.all(batch[::4] == 0.0)
+
+    def test_support_of_a_random_polygon(self):
+        # a BLAS product rounds a row by its batch: 1149 of these 5000
+        # normals got other bits in one batched call than one at a time
+        rng = np.random.default_rng(0)
+        ang = np.sort(rng.uniform(0.0, np.pi, size=7))
+        half = rng.uniform(0.5, 2.0, size=(7, 1)) * np.c_[np.cos(ang), np.sin(ang)]
+        K = SupportPolytope(np.concatenate([half, -half]))
+        nu = rng.normal(size=(5000, 2))
+        batch = K.support(nu)
+        assert np.array_equal(batch, [K.support(x) for x in nu])
+        assert np.array_equal(batch, [K.support(x[None])[0] for x in nu])
+        # the same maximum as the BLAS product, up to its rounding
+        want = former_support(K.vertices, nu)
+        assert np.max(np.abs(batch - want) / np.abs(want)) <= 4e-16

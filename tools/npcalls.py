@@ -26,7 +26,10 @@ one `tiling_report` of the square-insert competitor of counterexample 1
 rescaled to the unit square (anisotropic-normal density, h = 1..16), and
 one `integration_by_parts_residual` of a two-cell affine function drawn
 from a fixed seed on the side-2 square, with a two-profile prototype field
-and the power-2 bump of the square, at volume and line orders 8 and 15.  A
+and the power-2 bump of the square, at volume and line orders 8 and 15.  Last,
+one `density-check` pass (`symmetry_violation`, `check_subadditivity` and
+`check_convexity_in_nu` at 10 000 samples and seed 0) of `isotropic:id`
+and of `dalmot:abs`, each counted after a first identical pass.  A
 NumPy call is a
 C function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
@@ -44,7 +47,13 @@ import types
 import numpy as np
 
 from bdlab import ellipticity
-from bdlab.densities import anisotropic_normal_density, catalog_density
+from bdlab.densities import (
+    anisotropic_normal_density,
+    catalog_density,
+    check_convexity_in_nu,
+    check_subadditivity,
+    symmetry_violation,
+)
 from bdlab.energy import bump_from_polygon, integration_by_parts_residual
 from bdlab.fields import prototype_field
 from bdlab.functions import AffinePiece, PiecewiseAffine
@@ -137,10 +146,22 @@ def main() -> int:
     for n in SIZES:
         print(f"{n} points: {round_calls(n)} numpy calls")
     print(f"search protocol, budget 2000: {numpy_calls(lambda: protocol(families))} numpy calls")
-    for name, run in identities_checks():
+    for name, run in identities_checks() + density_checks():
         run()
         print(f"{name}: {numpy_calls(run)} numpy calls")
     return 0
+
+
+def density_checks():
+    """(name, run) for the density-check passes counted last."""
+
+    def check(f):
+        symmetry_violation(f, samples=10_000, seed=0)
+        check_subadditivity(f, samples=10_000, seed=0)
+        check_convexity_in_nu(f, samples=10_000, seed=0)
+
+    return [(f"density-check {fid}, 10000 samples", lambda f=catalog_density(fid): check(f))
+            for fid in ("isotropic:id", "dalmot:abs")]
 
 
 def identities_checks():
