@@ -283,8 +283,8 @@ class SupportPolytope:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise DensityError("polytope needs at least two vertices")
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
+            raise DensityError("polytope needs at least two planar vertices")
         for q in v:
             if not np.any(np.all(np.abs(v + q) < 1e-12, axis=1)):
                 raise DensityError("polytope vertex set must be origin-symmetric")

@@ -239,6 +239,12 @@ class TestNormalOnly:
         with pytest.raises(DensityError):
             SupportPolytope(np.array([[1, 0], [0, 1], [-1, 0]], dtype=float))
 
+    def test_non_planar_vertices_rejected(self):
+        cube = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+        for bad in (cube, np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])):
+            with pytest.raises(DensityError, match="planar"):
+                SupportPolytope(bad)
+
 
 class TestMild:
     def test_constant(self):
@@ -563,13 +569,14 @@ def planar_triples(draw):
     size = int(np.prod(shape))
     i, j, nu = (np.array(draw(st.lists(ENTRY, min_size=size, max_size=size))).reshape(shape)
                 for _ in range(3))
-    rows = shape[:-1]
-    same = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(rows)),
-                                  max_size=int(np.prod(rows))))).reshape(rows)
+    rows, n = shape[:-1], size // 2
+
+    def row_mask():
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(rows)
+
+    same = row_mask()
     j[same] = i[same]
-    k = draw(st.integers(0, 1))
-    one = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(rows)),
-                                 max_size=int(np.prod(rows))))).reshape(rows)
+    k, one = draw(st.integers(0, 1)), row_mask()
     j[one, k] = i[one, k]
     return i, j, nu
 
