@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import Density, form_pairing
+from .densities import Density
 from .fields import ConservativeField
 from .functions import JumpArrays, PiecewiseAffine, compact_deviation
 from .geometry import Polygon, clip_polygon, clip_segment_params, row_norms, triangulate
@@ -262,28 +262,34 @@ def _root_quadratic(jumps: JumpArrays, form) -> np.ndarray:
     (not (AC - B^2) / A^2, which cancels), q = A (s^2 + h^2) in s = t - t*,
     and the integral is sqrt(A) times that of sqrt(s^2 + h^2) over
     [t0 - t*, t1 - t*].  The interval is split at s = 0 and its negative
-    part reflected, since the integrand is even; `_same_sign` integrates
-    each part.  A = 0 (a constant jump) gives length * sqrt(C).  Element-wise
-    arithmetic only, so a row's value does not depend on its batch.
+    part reflected, since the integrand is even; one `_same_sign` call
+    integrates both parts, stacked.  A = 0 (a constant jump) gives length *
+    sqrt(C).  The arithmetic runs element-wise on x and y columns, that of
+    `form_pairing` for A, B and C, so a row's value does not depend on its
+    batch and is that of the (n, 2) rows bit for bit.
     """
-    a = jumps.plus_value0 - jumps.minus_value0
-    b = jumps.plus_slope - jumps.minus_slope
+    a0, a1 = (jumps.plus_value0 - jumps.minus_value0).T
+    b0, b1 = (jumps.plus_slope - jumps.minus_slope).T
     Q = np.asarray(form(jumps.normal), dtype=float)
-    A, B, C = form_pairing(Q, b, b), form_pairing(Q, a, b), form_pairing(Q, a, a)
+    q00, q01, q11 = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
+    A = q00 * (b0 * b0) + q01 * (b0 * b1 + b1 * b0) + q11 * (b1 * b1)
+    B = q00 * (a0 * b0) + q01 * (a0 * b1 + a1 * b0) + q11 * (a1 * b1)
+    C = q00 * (a0 * a0) + q01 * (a0 * a1 + a1 * a0) + q11 * (a1 * a1)
     L = jumps.t1 - jumps.t0
     sloped = A > 0
     t_root = np.divide(-B, A, out=np.zeros_like(A), where=sloped)
-    det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    h2 = det * np.divide(cross, A, out=np.zeros_like(A), where=sloped) ** 2
+    h = np.divide(a0 * b1 - a1 * b0, A, out=np.zeros_like(A), where=sloped)
+    h2 = (q00 * q11 - q01 * q01) * (h * h)
+    # the parts of [s0, s1] in s >= 0 and, reflected, in s <= 0, stacked:
+    # [lo, hi] is [s0, s1] then [-s1, -s0], and a part's length is L where
+    # it is the whole interval
     s0, s1 = jumps.t0 - t_root, jumps.t1 - t_root
-    # the parts of [s0, s1] in s >= 0 and, reflected, in s <= 0, with their
-    # lengths taken from L where a part is the whole interval
-    above = _same_sign(np.maximum(s0, 0.0), np.maximum(s1, 0.0),
-                       np.where(s0 >= 0.0, L, np.maximum(s1, 0.0)), h2)
-    below = _same_sign(np.maximum(-s1, 0.0), np.maximum(-s0, 0.0),
-                       np.where(s1 <= 0.0, L, np.maximum(-s0, 0.0)), h2)
-    return _finite(np.where(sloped, np.sqrt(A) * (above + below), L * np.sqrt(C)))
+    lo, hi = np.concatenate([s0, -s1]), np.concatenate([s1, -s0])
+    u0, u1 = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    parts = _same_sign(u0, u1, np.where(lo >= 0.0, np.concatenate([L, L]), u1),
+                       np.concatenate([h2, h2]))
+    n = len(L)
+    return _finite(np.where(sloped, np.sqrt(A) * (parts[:n] + parts[n:]), L * np.sqrt(C)))
 
 
 def _same_sign(u0, u1, L, h2):

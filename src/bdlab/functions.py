@@ -22,7 +22,6 @@ from .geometry import (
     frame_from_normal,
     make_oriented_square,
     overlap_areas,
-    row_norms,
     unit,
 )
 
@@ -143,27 +142,41 @@ def jump_arrays(a, b, normal, left, right):
     motions agree at one point at most along a line; distinct non-rigid maps
     that agree only up to rounding leave a rounding-size jump, which a
     1-homogeneous density charges about 1e-16 relative and isotropic:const,
-    normal:polytopeK and mild:g charge in full.  Row by row, the arithmetic
-    is that of one interface at a time.
+    normal:polytopeK and mild:g charge in full.
+
+    The arithmetic runs on x and y columns, element-wise, so a row's values
+    do not depend on its batch: L = sqrt(vx * vx + vy * vy) for v = b - a,
+    direction d = v / L, trace component r (A_r0 * ax + A_r1 * ay) + c_r and
+    slope component r A_r0 * dx + A_r1 * dy.  Stacked BLAS products, which
+    may round a row as fma(A_r0, ax, A_r1 * ay), give other last bits: a
+    trace component within 4 eps (|A_r0 ax| + |A_r1 ay| + |c_r|), a slope
+    component within 4 eps (|A_r0 dx| + |A_r1 dy|), L within 2 eps L and d
+    within 2 eps of this form's, and the same kept rows wherever the two
+    maps are equal or both rigid.
     """
-    (Al, cl), (Ar, cr) = left, right
-    v = b - a
-    L = row_norms(v)
-    d = v / L[:, None]
-    pv0 = (a[:, None, :] @ np.swapaxes(Al, 1, 2))[:, 0] + cl
-    mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
-    ps = (Al @ d[:, :, None])[..., 0]
-    ms = (Ar @ d[:, :, None])[..., 0]
+    # one column per row of the table: a, b, direction, normal, the plus
+    # value0 and slope, the minus value0 and slope (x and y each), and L
+    cols = np.empty((17, len(a)))
+    cols[0:2], cols[2:4], cols[6:8] = a.T, b.T, normal.T
+    ax, ay, bx, by = cols[0:4]
+    vx, vy = bx - ax, by - ay
+    L = np.sqrt(vx * vx + vy * vy, out=cols[16])
+    dx, dy = np.divide(vx, L, out=cols[4]), np.divide(vy, L, out=cols[5])
+    for k, (A, c) in ((8, left), (12, right)):
+        A00, A01, A10, A11 = A.reshape(-1, 4).T
+        cols[k] = (A00 * ax + A01 * ay) + c[:, 0]
+        cols[k + 1] = (A10 * ax + A11 * ay) + c[:, 1]
+        cols[k + 2] = A00 * dx + A01 * dy
+        cols[k + 3] = A10 * dx + A11 * dy
     # the traces at the start, the midpoint and the end, component-major (2, n)
-    P0, PS, M0, MS = pv0.T, ps.T, mv0.T, ms.T
+    P0, PS, M0, MS = cols[8:10], cols[10:12], cols[12:14], cols[14:16]
     differ = P0 != M0
     for t in (0.5 * L, L):
         differ |= P0 + t * PS != M0 + t * MS
     keep = np.flatnonzero(differ[0] | differ[1])
-    jumps = JumpArrays(
-        a[keep], b[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
-        np.zeros(keep.size), L[keep],
-    )
+    kept = cols.T[keep]
+    jumps = JumpArrays(*(kept[:, k:k + 2] for k in range(0, 16, 2)), np.zeros(keep.size),
+                       kept[:, 16])
     return jumps, keep
 
 

@@ -41,10 +41,19 @@ def _as_points(p) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
+    """v / np.linalg.norm(v) for a finite nonzero v; where that norm
+    underflows to 0 or overflows to inf, v is first scaled by the power of
+    two that brings its largest entry into [0.5, 1)."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise GeometryError("cannot normalize the zero vector")
+    if not np.isfinite(v).all():
+        raise GeometryError(f"cannot normalize a non-finite vector, got {v}")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if n == 0.0 or n == np.inf:
+        if not v.any():
+            raise GeometryError("cannot normalize the zero vector")
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+        n = float(np.linalg.norm(v))
     return v / n
 
 

@@ -269,6 +269,24 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "planar" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("nu", ["1e-300,1e-300", "1e300,1e300", "1,1"])
+    def test_normals_of_any_finite_size(self, nu, tmp_path):
+        # the parent refused the first as a zero vector and the second as
+        # |nu| = 0.0 after an overflow in the norm
+        out = tmp_path / "report.json"
+        argv = ["falsify", "--density", "isotropic:id", "--i", "0,0", "--j", "2,2",
+                "--nu", nu, "--budget", "40", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["results"]["status"] == "NO-VIOLATION-WITHIN-BUDGET"
+
+    @pytest.mark.parametrize("nu", ["nan,1", "0,0"])
+    def test_normals_without_a_direction_exit_1(self, nu, capsys):
+        argv = ["falsify", "--density", "isotropic:id", "--i", "0,0", "--j", "2,2",
+                "--nu", nu, "--budget", "40", "--seed", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "normalize" in err
+
     @pytest.mark.parametrize("argv", [["--help"], ["falsify", "--help"]])
     def test_help_exits_0(self, argv, capsys):
         assert main(argv) == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotropic
+from bdlab.densities import CATALOG_IDS, Density, catalog_density, density_isotropic, form_pairing
 from bdlab.ellipticity import (
     _compiled_round,
     ce1_energy_breakdown,
@@ -21,6 +21,9 @@ from bdlab.ellipticity import (
 from bdlab.energy import (
     _cuts,
     _duffy_rule,
+    _finite,
+    _root_quadratic,
+    _same_sign,
     _tri_gauss,
     EnergyError,
     bump_from_polygon,
@@ -682,6 +685,106 @@ class TestClosedForm:
         assert abs(surface_energy(u, scaled).value - want) <= 1e-13 * want
         assert surface_energy(u, scaled).value == pytest.approx(3.0 * surface_energy(u, f).value,
                                                                 rel=1e-14)
+
+
+def former_root_quadratic(jumps, form):
+    """_root_quadratic as it was written on (n, 2) rows, with form_pairing
+    and one _same_sign call for each part of the interval."""
+    a = jumps.plus_value0 - jumps.minus_value0
+    b = jumps.plus_slope - jumps.minus_slope
+    Q = np.asarray(form(jumps.normal), dtype=float)
+    A, B, C = form_pairing(Q, b, b), form_pairing(Q, a, b), form_pairing(Q, a, a)
+    L = jumps.t1 - jumps.t0
+    sloped = A > 0
+    t_root = np.divide(-B, A, out=np.zeros_like(A), where=sloped)
+    det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] ** 2
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    h2 = det * np.divide(cross, A, out=np.zeros_like(A), where=sloped) ** 2
+    s0, s1 = jumps.t0 - t_root, jumps.t1 - t_root
+    above = _same_sign(np.maximum(s0, 0.0), np.maximum(s1, 0.0),
+                       np.where(s0 >= 0.0, L, np.maximum(s1, 0.0)), h2)
+    below = _same_sign(np.maximum(-s1, 0.0), np.maximum(-s0, 0.0),
+                       np.where(s1 <= 0.0, L, np.maximum(-s0, 0.0)), h2)
+    return _finite(np.where(sloped, np.sqrt(A) * (above + below), L * np.sqrt(C)))
+
+
+ROOT_KINDS = ("constant", "root-inside", "root-outside", "root-at-t0", "root-at-t1", "parallel")
+
+
+def root_case(rng, n):
+    """n jump pieces for the closed form, and the kind of each row, an index
+    into ROOT_KINDS: a constant jump (A = 0); the root t* = -B / A of the
+    jump's quadratic inside [t0, t1] or outside it; a jump parallel to its
+    slope (h2 = 0) vanishing exactly at t0 or at t1, which are then powers
+    of two or 0, so that t* is exact; a parallel jump vanishing inside.
+    About half the rows start at t0 > 0 and about half of the others have
+    nonzero minus traces; jump values are scaled from 1e-150 to 1e150."""
+    kind = rng.integers(0, len(ROOT_KINDS), size=n)
+    rows = []
+    for k in kind:
+        name = ROOT_KINDS[k]
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        t0 = 0.0 if rng.random() < 0.5 else 2.0 ** rng.integers(-6, 6)
+        t1 = t0 + 2.0 ** rng.integers(-6, 6) * rng.integers(1, 9)
+        if name == "root-at-t1":
+            t1 = 2.0 ** rng.integers(-6, 6)
+            t0 = 0.0 if rng.random() < 0.5 else t1 / 2.0 ** rng.integers(1, 5)
+        root = {"root-at-t0": t0, "root-at-t1": t1,
+                "root-outside": rng.choice([t0, t1]) + rng.choice([-1, 1]) * (t1 - t0)
+                * 10.0 ** rng.uniform(0.0, 3.0)}.get(name, rng.uniform(t0, t1))
+        b = rng.normal(size=2) * scale / (1.0 + abs(root))
+        a = -root * b
+        if name in ("root-inside", "root-outside"):
+            a = a + np.array([-b[1], b[0]]) * rng.normal() * (1.0 + abs(root))
+        if name == "constant":
+            a, b = rng.normal(size=2) * scale, np.zeros(2)
+        minus = np.zeros((2, 2))
+        if name not in ("root-at-t0", "root-at-t1") and rng.random() < 0.5:
+            minus = rng.normal(size=(2, 2)) * scale
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        rows.append((np.cos(angle), np.sin(angle), *(minus[0] + a), *(minus[1] + b),
+                     *minus.ravel(), t0, t1))
+    x = np.array(rows, dtype=float).reshape(n, 12)
+    zeros = np.zeros((n, 2))
+    jumps = JumpArrays(zeros, zeros, zeros, x[:, 0:2], x[:, 2:4], x[:, 4:6], x[:, 6:8],
+                       x[:, 8:10], x[:, 10], x[:, 11])
+    return jumps, kind
+
+
+class TestRootQuadratic:
+    """The closed form on x and y columns, with one _same_sign call, gives
+    what the former form on (n, 2) rows gave, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), fid=st.sampled_from(FORM_IDS))
+    def test_equals_the_former_form(self, seed, n, fid):
+        jumps, _ = root_case(np.random.default_rng(seed), n)
+        form = catalog_density(fid).quadratic_form
+        assert _root_quadratic(jumps, form).tobytes() == former_root_quadratic(jumps, form).tobytes()
+
+    @pytest.mark.parametrize("fid", FORM_IDS)
+    def test_rows_of_each_kind(self, fid):
+        jumps, kind = root_case(np.random.default_rng(29), 3000)
+        assert (np.bincount(kind) > 400).all()
+        form = catalog_density(fid).quadratic_form
+        assert _root_quadratic(jumps, form).tobytes() == former_root_quadratic(jumps, form).tobytes()
+        # the jump of a root-at-end row vanishes exactly there
+        a = jumps.plus_value0 - jumps.minus_value0
+        b = jumps.plus_slope - jumps.minus_slope
+        for name, t in (("root-at-t0", jumps.t0), ("root-at-t1", jumps.t1)):
+            rows = kind == ROOT_KINDS.index(name)
+            assert (a[rows] + t[rows, None] * b[rows] == 0.0).all()
+
+    def test_family_competitors(self):
+        rng = np.random.default_rng(3)
+        for angle in rng.uniform(0.0, 2.0 * np.pi, 4):
+            for fam in default_families((0.0, 0.0), (2.0, 2.0), (np.cos(angle), np.sin(angle))):
+                lo, hi = np.array(fam.bounds).T
+                jumps = fam.generator(lo + rng.uniform(size=lo.size) * (hi - lo)).jump_segments()
+                for fid in FORM_IDS:
+                    form = catalog_density(fid).quadratic_form
+                    assert (_root_quadratic(jumps, form).tobytes()
+                            == former_root_quadratic(jumps, form).tobytes())
 
 
 def loop_measure(u, region=None):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from bdlab.ellipticity import default_families
 from bdlab.functions import (
     AffinePiece,
     FunctionError,
+    JumpArrays,
     PiecewiseAffine,
     PiecewiseRigid,
     compact_deviation,
@@ -139,22 +142,35 @@ class TestElementary:
 
 
 def jump_segments_by_interface(u):
-    """The jump rule one interface at a time: (a, normal, plus value0,
-    plus slope, minus value0, minus slope) per kept interface."""
+    """The jump rule one interface at a time, in Python floats, which round
+    each operation and fuse none: (a, normal, plus value0, plus slope,
+    minus value0, minus slope, direction, length) per kept interface."""
     out = []
     itf = u.partition.interfaces
     for a, b, normal, l, r in zip(itf.a, itf.b, itf.normal, itf.left, itf.right):
         left, right = u.pieces[l], u.pieces[r]
         if np.array_equal(left.A, right.A) and np.array_equal(left.b, right.b):
             continue
-        d, L = unit(b - a), float(np.linalg.norm(b - a))
-        pv0, mv0, ps, ms = left(a), right(a), left.A @ d, right.A @ d
+        (ax, ay), (bx, by) = a.tolist(), b.tolist()
+        vx, vy = bx - ax, by - ay
+        L = math.sqrt(vx * vx + vy * vy)
+        dx, dy = vx / L, vy / L
+
+        def value0(p):
+            (A0, A1), c = p.A.tolist(), p.b.tolist()
+            return np.array([(A0[0] * ax + A0[1] * ay) + c[0], (A1[0] * ax + A1[1] * ay) + c[1]])
+
+        def slope(p):
+            A0, A1 = p.A.tolist()
+            return np.array([A0[0] * dx + A0[1] * dy, A1[0] * dx + A1[1] * dy])
+
+        pv0, mv0, ps, ms = value0(left), value0(right), slope(left), slope(right)
         probes = np.array([0.0, 0.5 * L, L])
         plus = pv0 + probes[:, None] * ps
         minus = mv0 + probes[:, None] * ms
         if np.array_equal(plus, minus):
             continue
-        out.append((a, normal, pv0, ps, mv0, ms))
+        out.append((a, normal, pv0, ps, mv0, ms, (dx, dy), L))
     return out
 
 
@@ -173,7 +189,7 @@ class TestJumpSegments:
         assert len(got) == len(want) > 0
         for k, row in enumerate(want):
             fields = (got.a, got.normal, got.plus_value0, got.plus_slope,
-                      got.minus_value0, got.minus_slope)
+                      got.minus_value0, got.minus_slope, got.direction, got.t1)
             assert all(np.array_equal(x[k], y) for x, y in zip(fields, row))
 
     def test_identical_pieces_dropped(self):
@@ -205,10 +221,10 @@ class TestJumpSegments:
         assert len(u.jump_segments()) == 0
 
 
-def stacked_drop_test(a, b, left, right):
-    """The rows jump_arrays keeps, by comparing stacked (n, 3, 2) traces at
-    the start, the midpoint and the end with != and reducing over both
-    axes: the plain form of the rule."""
+def former_traces(a, b, left, right):
+    """(L, d, pv0, ps, mv0, ms) of jump_arrays as it was computed with
+    stacked BLAS products: row_norms, and four (n, 1, 2) @ (n, 2, 2)
+    matmuls."""
     (Al, cl), (Ar, cr) = left, right
     v = b - a
     L = row_norms(v)
@@ -217,6 +233,30 @@ def stacked_drop_test(a, b, left, right):
     mv0 = (a[:, None, :] @ np.swapaxes(Ar, 1, 2))[:, 0] + cr
     ps = (Al @ d[:, :, None])[..., 0]
     ms = (Ar @ d[:, :, None])[..., 0]
+    return L, d, pv0, ps, mv0, ms
+
+
+def former_jump_arrays(a, b, normal, left, right):
+    """jump_arrays on the stacked products of former_traces, with its exact
+    drop rule on the component-major (2, n) traces."""
+    L, d, pv0, ps, mv0, ms = former_traces(a, b, left, right)
+    P0, PS, M0, MS = pv0.T, ps.T, mv0.T, ms.T
+    differ = P0 != M0
+    for t in (0.5 * L, L):
+        differ |= P0 + t * PS != M0 + t * MS
+    keep = np.flatnonzero(differ[0] | differ[1])
+    jumps = JumpArrays(
+        a[keep], b[keep], d[keep], normal[keep], pv0[keep], ps[keep], mv0[keep], ms[keep],
+        np.zeros(keep.size), L[keep],
+    )
+    return jumps, keep
+
+
+def stacked_drop_test(a, b, left, right):
+    """The rows jump_arrays keeps, by comparing stacked (n, 3, 2) traces at
+    the start, the midpoint and the end with != and reducing over both
+    axes: the plain form of the rule, on former_traces."""
+    L, _, pv0, ps, mv0, ms = former_traces(a, b, left, right)
     probes = np.stack([np.zeros_like(L), 0.5 * L, L], axis=1)[..., None]
     plus = pv0[:, None, :] + probes * ps[:, None, :]
     minus = mv0[:, None, :] + probes * ms[:, None, :]
@@ -315,6 +355,80 @@ class TestDropTest:
         (a, b, normal, left, _), _ = drop_test_case(np.random.default_rng(n), n)
         got, want = self.kept((a, b, normal, left, left))
         assert got.shape == want.shape == (0,)
+
+
+# the kinds of former_case's rows
+FORMER_KINDS = ("distinct-affine", "distinct-rigid", "equal-maps", "nan-entry")
+
+
+def former_case(rng, n):
+    """Arguments of jump_arrays for n interfaces, coordinates, lengths and
+    map entries scaled from 1e-6 to 1e6, and the kind of each row, an index
+    into FORMER_KINDS: distinct affine maps, distinct rigid maps, one affine
+    map on both sides, and a NaN in an end point or a map."""
+    def scale():
+        return 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 1))
+
+    a = rng.normal(size=(n, 2)) * scale()
+    b = a + rng.normal(size=(n, 2)) * scale()
+    normal = rng.normal(size=(n, 2))
+    m = scale()
+    Al, Ar = (rng.normal(size=(n, 2, 2)) * m[:, :, None] for _ in range(2))
+    cl, cr = (rng.normal(size=(n, 2)) * scale() for _ in range(2))
+    kind = rng.integers(0, len(FORMER_KINDS), size=n)
+    for k in range(n):
+        if kind[k] == 1:
+            Al[k], Ar[k] = (skew2(w) for w in rng.normal(size=2) * m[k])
+        elif kind[k] == 2:
+            Ar[k], cr[k] = Al[k], cl[k]
+        elif kind[k] == 3:
+            M = (a, b, Al, cl, Ar, cr)[rng.integers(6)][k]
+            M.flat[rng.integers(M.size)] = np.nan
+    return (a, b, normal, (Al, cl), (Ar, cr)), kind
+
+
+def within(got, want, bound):
+    """got is want within bound, or NaN where want is."""
+    return bool(((np.abs(got - want) <= bound) | (np.isnan(got) & np.isnan(want))).all())
+
+
+class TestFormerForm:
+    """jump_arrays computes on x and y columns; its former stacked-product
+    form, former_jump_arrays, may round a row with an FMA.  The two agree
+    within the bound jump_arrays states."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_within_the_stated_bound(self, seed, n):
+        args, kind = former_case(np.random.default_rng(seed), n)
+        a, _, _, left, right = args
+        got, rows = jump_arrays(*args)
+        want, former_rows = former_jump_arrays(*args)
+        # equal or rigid maps on both sides, and NaN rows, keep the same rows
+        same = np.flatnonzero(kind != 0)
+        assert np.array_equal(np.isin(same, rows), np.isin(same, former_rows))
+        assert np.array_equal(np.isin(same, rows), kind[same] != 2)
+        common, i, j = np.intersect1d(rows, former_rows, return_indices=True)
+        got, want = got.take(i), want.take(j)
+        for name in ("a", "b", "normal", "t0"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        eps = np.finfo(float).eps
+        assert within(got.t1, want.t1, 2 * eps * want.t1)
+        assert within(got.direction, want.direction, 2 * eps)
+        for (A, c), value0, slope in ((left, "plus_value0", "plus_slope"),
+                                      (right, "minus_value0", "minus_slope")):
+            A, c = A[common], c[common]
+            for x, name, offset in ((a[common], value0, c), (want.direction, slope, 0.0)):
+                size = np.abs(A[:, :, 0] * x[:, :1]) + np.abs(A[:, :, 1] * x[:, 1:])
+                assert within(getattr(got, name), getattr(want, name),
+                              4 * eps * (size + np.abs(offset)))
+
+    def test_rows_of_each_kind(self):
+        args, kind = former_case(np.random.default_rng(29), 4000)
+        _, rows = jump_arrays(*args)
+        _, former_rows = former_jump_arrays(*args)
+        assert np.array_equal(rows, former_rows)
+        assert (np.bincount(kind) > 900).all()
 
 
 class TestFrameProduct:

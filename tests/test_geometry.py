@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdlab.geometry import (
@@ -60,6 +60,34 @@ class TestOrientedSquare:
             rho = rng.uniform(0.1, 5.0)
             sq = make_oriented_square((np.cos(phi), np.sin(phi)), rho)
             assert abs(sq.area - rho * rho) <= 1e-12 * rho * rho
+
+
+class TestUnit:
+    """unit normalises every finite nonzero vector, without a RuntimeWarning
+    (an error under this suite's filterwarnings), and refuses the others."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.lists(st.floats(-1e100, 1e100), min_size=2, max_size=2).filter(any))
+    def test_ordinary_vectors_divide_by_their_norm(self, v):
+        v = np.array(v)
+        assume(1e-150 < np.abs(v).max())
+        assert unit(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("v, want", [
+        ((1e-300, 1e-300), (np.sqrt(0.5), np.sqrt(0.5))), ((0.0, 1e-320), (0.0, 1.0)),
+        ((-5e-324, 0.0), (-1.0, 0.0)), ((1e300, 1e300), (np.sqrt(0.5), np.sqrt(0.5))),
+        ((1.7e308, -1.7e308), (np.sqrt(0.5), -np.sqrt(0.5))), ((3e200, 4e200), (0.6, 0.8)),
+    ])
+    def test_norms_that_underflow_or_overflow(self, v, want):
+        u = unit(v)
+        assert np.allclose(u, want, rtol=1e-15, atol=0.0)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("v", [(0.0, 0.0), (-0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0),
+                                   (1.0, -np.inf)])
+    def test_zero_and_non_finite_vectors_are_refused(self, v):
+        with pytest.raises(GeometryError):
+            unit(v)
 
 
 class TestPolygon:
