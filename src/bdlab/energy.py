@@ -272,9 +272,11 @@ def _root_quadratic(jumps: JumpArrays, form) -> np.ndarray:
     b0, b1 = (jumps.plus_slope - jumps.minus_slope).T
     Q = np.asarray(form(jumps.normal), dtype=float)
     q00, q01, q11 = Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 1]
-    A = q00 * (b0 * b0) + q01 * (b0 * b1 + b1 * b0) + q11 * (b1 * b1)
-    B = q00 * (a0 * b0) + q01 * (a0 * b1 + a1 * b0) + q11 * (a1 * b1)
-    C = q00 * (a0 * a0) + q01 * (a0 * a1 + a1 * a0) + q11 * (a1 * a1)
+
+    def pairing(x0, x1, y0, y1):
+        return q00 * (x0 * y0) + q01 * (x0 * y1 + x1 * y0) + q11 * (x1 * y1)
+
+    A, B, C = pairing(b0, b1, b0, b1), pairing(a0, a1, b0, b1), pairing(a0, a1, a0, a1)
     L = jumps.t1 - jumps.t0
     sloped = A > 0
     t_root = np.divide(-B, A, out=np.zeros_like(A), where=sloped)

@@ -154,8 +154,9 @@ def jump_arrays(a, b, normal, left, right):
     within 2 eps of this form's, and the same kept rows wherever the two
     maps are equal or both rigid.
     """
-    # one column per row of the table: a, b, direction, normal, the plus
-    # value0 and slope, the minus value0 and slope (x and y each), and L
+    # the columns of the jump set, one row of cols each: a, b, direction,
+    # normal, the plus value0 and slope, the minus value0 and slope (x and y
+    # each), then L
     cols = np.empty((17, len(a)))
     cols[0:2], cols[2:4], cols[6:8] = a.T, b.T, normal.T
     ax, ay, bx, by = cols[0:4]

@@ -31,6 +31,16 @@ single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
 
 It uses only public API, so it runs unchanged on checkouts that differ in
 their internals.  A run takes about ten seconds on one core.
+
+Byte identity holds for one BLAS kernel.  OpenBLAS picks a kernel for the
+host's CPU when it loads, and the BLAS products in bdlab (the frame turns
+among them) round differently with and without FMA: on a 2-core AVX-512
+Xeon one checkout's output changes in 1262 of its 3815 lines under
+`OPENBLAS_CORETYPE=Prescott` and in 741 under `Haswell`, against the
+default SkylakeX kernel.  The `certificate` lines and the `falsify`
+statuses stay; report fields such as the oblique `falsify`'s domain
+vertices and `error_estimate` move.  Compare parent and change on one host,
+with `OPENBLAS_CORETYPE` unset.
 """
 
 from __future__ import annotations

@@ -14,11 +14,15 @@ rest.  Floats print through repr, so a single changed bit shows.
 It calls `bdlab.cli.main` only, so it runs unchanged on checkouts that
 differ in their internals.  A run takes a few seconds on one core.
 
-Byte identity holds for one BLAS kernel: OpenBLAS picks a kernel for the
-host's CPU at start, and the stacked products in bdlab (the frame turns
-among them) round differently under kernels with and without FMA, which
-moves report fields such as an `error_estimate`.  Compare both checkouts
-on one host, with `OPENBLAS_CORETYPE` unset.
+Byte identity holds for one BLAS kernel.  OpenBLAS picks a kernel for the
+host's CPU when it loads, and the BLAS products in bdlab (the frame turns
+among them) round differently with and without FMA.  On a 2-core AVX-512
+Xeon, against the default SkylakeX kernel, `OPENBLAS_CORETYPE=Prescott`
+moves 30 lines (the error estimates of the repro and oblique `falsify`
+reports, and the oblique competitors' domain vertices) and `Haswell` 20
+(the error estimates of `repro-ce1` and the oblique `falsify`); no status
+moves.  Compare both checkouts on one host, with `OPENBLAS_CORETYPE`
+unset.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ import tempfile
 
 from bdlab import cli
 
-SEARCH = ["--i", "0,0", "--j", "2,2", "--seed"]
+FALSIFY = ["falsify", "--i", "0,0", "--j", "2,2"]
 RUNS = [[command, "--seed", str(seed)]
         for command in ("repro-ce1", "repro-ce2") for seed in range(10)] + [
-    ["falsify", "--density", "isotropic:id", "--nu", "0.6,0.8", "--budget", "2000",
-     *SEARCH, str(seed)] for seed in range(10)] + [
-    ["falsify", "--density", "dalmot:abs", "--nu", "0,1", "--budget", "100",
-     *SEARCH, str(seed)] for seed in range(40)]
+    FALSIFY + ["--density", "isotropic:id", "--nu", "0.6,0.8", "--budget", "2000",
+               "--seed", str(seed)] for seed in range(10)] + [
+    FALSIFY + ["--density", "dalmot:abs", "--nu", "0,1", "--budget", "100",
+               "--seed", str(seed)] for seed in range(40)]
 
 
 def main() -> int:
