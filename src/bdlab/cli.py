@@ -291,8 +291,9 @@ def _repro_options(eps: float) -> tuple:
 
 _SEARCH_OPTIONS = (
     ("--density", dict(required=True)),
-    ("--i", dict(required=True)),
-    ("--j", dict(required=True)),
+    ("--i", dict(required=True, help="the value below the chord, on the side -nu: x,y")),
+    ("--j", dict(required=True, help="the value on the side nu points into: x,y; the "
+                                      "straight interface costs f(j, i, nu) per unit length")),
     ("--nu", dict(required=True)),
     ("--budget", dict(type=int, default=2000)),
     ("--seed", dict(type=int, required=True)),

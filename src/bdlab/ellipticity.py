@@ -1,8 +1,9 @@
 """Ellipticity falsification by competitor search.
 
-A density f is tested against the reference energy f(i,j,nu) * L of the
-straight interface: competitors are piecewise rigid functions agreeing with
-the two-valued jump near the boundary of an oriented square.  Finding one
+A density f is tested against the reference energy f(j,i,nu) * L of the
+straight interface, i below it and j on the side nu points into:
+competitors are piecewise rigid functions agreeing with the two-valued
+jump near the boundary of an oriented square.  Finding one
 with lower energy certifies that f is not elliptic for rigid competitors;
 not finding one within budget is evidence, never proof.
 
@@ -42,7 +43,6 @@ from .functions import (
     PiecewiseRigid,
     compact_deviation,
     jump_arrays,
-    jump_sides,
     jump_square,
     make_elementary,
     same_domain,
@@ -82,14 +82,13 @@ def insert_competitor(
     half_width: float,
     half_height: float,
     side: float = 6.0,
-    i_side: str = "minus",
 ) -> PiecewiseRigid:
     """Piecewise rigid competitor: two-valued jump outside a rectangular
     insert carrying the given cells and pieces (frame coordinates)."""
     if not (0 < half_width < 0.5 * side and 0 < half_height < 0.5 * side):
         raise EllipticityError("insert must sit strictly inside the square")
     return jump_square(
-        i, j, unit(nu), side, i_side=i_side,
+        i, j, unit(nu), side,
         hole=(half_width, -half_height, half_height),
         cells=inner_cells_frame, pieces=inner_pieces,
     )
@@ -208,7 +207,7 @@ def ce1_energy_breakdown(lam: float = 1.0, eps: float = 0.01) -> dict:
     u = counterexample1_competitor(lam)
     f = anisotropic_normal_density(eps)
     out = _breakdown(u, f, {"parallel": _parallel, "perpendicular": _perpendicular})
-    out["straight"] = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
+    out["straight"] = float(f(np.array([2 * lam, 2 * lam]), np.zeros(2), E2)) * 6.0
     jumps = u.jump_segments()
     out["parallel_length"] = sum(jumps.t1[_parallel(jumps)].tolist())
     out["perpendicular_length"] = sum(jumps.t1[_perpendicular(jumps)].tolist())
@@ -228,12 +227,12 @@ def ce2_energy_breakdown(lam: float = 1.0, eps: float = 1e-4) -> dict:
         "perpendicular": _perpendicular,
     }
     out = _breakdown(counterexample2_competitor(lam, eps), f, groups)
-    out["straight"] = float(f(np.zeros(2), np.array([2 * lam, 2 * lam]), E2)) * 6.0
+    out["straight"] = float(f(np.array([2 * lam, 2 * lam]), np.zeros(2), E2)) * 6.0
     out["delta"] = delta
     return out
 
 
-def tile_construction(v: PiecewiseRigid, i, j, nu, h: int, i_side: str = "plus") -> PiecewiseRigid:
+def tile_construction(v: PiecewiseRigid, i, j, nu, h: int) -> PiecewiseRigid:
     """Tile h scaled copies of v into the strip {0 < <x, nu> < 1/h}.
 
     v must live on the unit square oriented by nu and deviate compactly from
@@ -243,11 +242,11 @@ def tile_construction(v: PiecewiseRigid, i, j, nu, h: int, i_side: str = "plus")
     again piecewise rigid with the same trace values.
     """
     nu = unit(nu)
-    _check_tiling(v, i, j, nu, (h,), i_side)
-    return _tiled(v, i, j, nu, int(h), i_side)
+    _check_tiling(v, i, j, nu, (h,))
+    return _tiled(v, i, j, nu, int(h))
 
 
-def _check_tiling(v: PiecewiseRigid, i, j, nu, hs, i_side: str) -> None:
+def _check_tiling(v: PiecewiseRigid, i, j, nu, hs) -> None:
     """Raise EllipticityError unless every h of hs is a positive integer and
     v lives on the centered unit square oriented by the unit normal nu,
     deviating compactly from the elementary (i, j) jump there."""
@@ -256,12 +255,12 @@ def _check_tiling(v: PiecewiseRigid, i, j, nu, hs, i_side: str) -> None:
     dom = v.partition.domain
     if abs(dom.area - 1.0) > 1e-9 or np.linalg.norm(dom.centroid) > 1e-9:
         raise EllipticityError("v must live on the centered unit square")
-    ref = make_elementary(i, j, nu, OrientedSquare(nu, 1.0, (0, 0)), i_side=i_side)
+    ref = make_elementary(i, j, nu, OrientedSquare(nu, 1.0, (0, 0)))
     if not compact_deviation(v, ref, margin=1e-9):
         raise EllipticityError("v must deviate compactly from the elementary jump")
 
 
-def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str):
+def _tiled(v: PiecewiseRigid, i, j, nu, h: int):
     """tile_construction's output for a unit normal nu and an input that
     passed _check_tiling."""
     R = frame_from_normal(nu)
@@ -273,27 +272,31 @@ def _tiled(v: PiecewiseRigid, i, j, nu, h: int, i_side: str):
     As = [h * piece.A for piece in v.pieces]
     pieces = [type(piece)(A, piece.b - A @ xn) for xn in xs for piece, A in zip(v.pieces, As)]
     return jump_square(
-        i, j, nu, AMBIENT_SIDE, i_side=i_side, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
+        i, j, nu, AMBIENT_SIDE, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
     )
 
 
 def tiling_report(
-    v: PiecewiseRigid, i, j, nu, f: Density, hs=(1, 2, 4, 8), i_side: str = "plus",
+    v: PiecewiseRigid, i, j, nu, f: Density, hs=(1, 2, 4, 8), i_side: str = "minus",
 ) -> list[dict]:
     """Per-h bookkeeping: tile sum vs F(v), and the boundary mismatch term.
     The input is checked once, as tile_construction checks it, and each
-    level's tiles share the one normal unit(nu) with its tiled function."""
+    level's tiles share the one normal unit(nu) with its tiled function.
+    i_side="plus" swaps i and j."""
+    if i_side not in ("plus", "minus"):
+        raise FunctionError("i_side must be 'plus' or 'minus'")
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
+    if i_side == "plus":
+        i, j = j, i
     nu = unit(nu)
     R = frame_from_normal(nu)
     base = surface_energy(v, f, tol=1e-12)
-    plus_val, minus_val = jump_sides(i, j, i_side)
-    _check_tiling(v, i, j, nu, hs, i_side)
-    chord_density = float(f(plus_val, minus_val, nu))
+    _check_tiling(v, i, j, nu, hs)
+    chord_density = float(f(j, i, nu))
     out = []
     for h in hs:
-        jumps = _tiled(v, i, j, nu, int(h), i_side).jump_segments()
+        jumps = _tiled(v, i, j, nu, int(h)).jump_segments()
         # each tile's open part of the one jump set: one clip, one kernel call
         inv_h = 1.0 / h
         corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
@@ -461,9 +464,9 @@ def _compiled_round(layouts, slots) -> JumpSquareBatch:
     return JumpSquareBatch(layouts, slots)
 
 
-def _outer_pieces(i, j, i_side):
+def _outer_pieces(i, j):
     """The pieces (A (2, 2, 2), c (2, 2)) below and above the chord."""
-    return np.zeros((2, 2, 2)), np.array(jump_sides(i, j, i_side)[::-1])
+    return np.zeros((2, 2, 2)), np.array([i, j])
 
 
 @dataclass(frozen=True)
@@ -487,7 +490,7 @@ class EllipticityVerdict(Report):
 _MIN_GAP = np.sqrt(np.finfo(float).tiny)
 
 
-def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
+def default_families(i, j, nu, side: float = 6.0):
     """Built-in families, one insert layout each: square insert, thin
     rectangle, checkerboard, and two nested squares with independent rigid
     motions, authored at side 6 and rescaled by k = side / 6 (sizes times
@@ -512,12 +515,12 @@ def default_families(i, j, nu, side: float = 6.0, i_side: str = "minus"):
     mid = 0.5 * (i + j)
     # the frame of the normal unit(nu) of every competitor insert_competitor builds
     R = frame_from_normal(unit(nu))
-    outer = _outer_pieces(i, j, i_side)
+    outer = _outer_pieces(i, j)
 
     def family(name, layout, bounds, suggestions):
         def generator(params):
             return insert_competitor(
-                i, j, nu, *layout.insert_args(params, side), side=side, i_side=i_side)
+                i, j, nu, *layout.insert_args(params, side), side=side)
 
         clipped = tuple(
             tuple(float(np.clip(p, *bound)) for p, bound in zip(start, bounds))
@@ -724,11 +727,18 @@ def _lockstep(f: Density, families, runs, per_run: int):
     return outcomes, np.array(evaluated, int), np.array(rejected, bool), rounds
 
 
-def _certify(f: Density, competitor, i, j, nu_u, side: float, i_side: str, reference: float):
+def _certify(f: Density, competitor, i, j, nu_u, side: float, reference: float):
     """Status, energy, error and cross check of a competitor: its energy (in
     closed form for a quadratic form) against adaptive quadrature at doubled
     order.  VIOLATION needs a margin over ten errors, the two converged and
-    within 1e-9 of the reference energy, and a compact deviation."""
+    within 1e-9 of the reference energy, and a compact deviation.  The
+    elementary jump, integrated as the competitor is, must give the
+    reference energy to 1e-9 relative (EllipticityError otherwise)."""
+    ref = make_elementary(i, j, nu_u, OrientedSquare(nu_u, side, (0, 0)))
+    straight = surface_energy(ref, f, tol=1e-11, order=15).value
+    if abs(straight - reference) > 1e-9 * abs(reference):
+        raise EllipticityError(f"the straight interface integrates to {straight!r}, "
+                               f"not to the reference energy {reference!r}")
     e1 = surface_energy(competitor, f, tol=1e-11, order=15)
     closed = isinstance(f, Density) and f.quadratic_form is not None
     adaptive = replace(f, quadratic_form=None) if closed else f
@@ -740,7 +750,6 @@ def _certify(f: Density, competitor, i, j, nu_u, side: float, i_side: str, refer
     ok_margin = e1.value < reference - 10.0 * err
     # a certificate rests on converged quadrature only
     ok_cert = abs(e1.value - e2.value) <= 1e-9 * reference and e1.unconverged == e2.unconverged == 0
-    ref = make_elementary(i, j, nu_u, OrientedSquare(nu_u, side, (0, 0)), i_side=i_side)
     ok_compact = compact_deviation(competitor, ref, margin=1e-3 * side)
     status = "VIOLATION" if ok_margin and ok_cert and ok_compact else "NO-VIOLATION-WITHIN-BUDGET"
     return status, e1.value, err, cross
@@ -755,11 +764,11 @@ def falsify(
     budget: int = 4000,
     seed: int = 0,
     side: float = 6.0,
-    i_side: str = "minus",
     keep_competitor: bool = True,
 ) -> EllipticityVerdict:
     """Derivative-free search for a competitor below the straight-interface
-    energy: _plan the runs, search them in _lockstep, _certify the best.
+    energy f(j, i, nu) * side, i below the chord and j on the side nu points
+    into: _plan the runs, search them in _lockstep, _certify the best.
     The budget caps the evaluations and must cover one run; the side must
     be finite and positive, and i and j distinct finite planar points.
     Before any density evaluation, a layout family must carry this call's
@@ -769,10 +778,10 @@ def falsify(
         raise EllipticityError(f"budget must be at least {_MIN_RUN} evaluations")
     _check_side(side)
     i, j = _jump_values(i, j)
-    outer = _outer_pieces(i, j, i_side)
+    outer = _outer_pieces(i, j)
     nu_u = unit(nu)
     if families is None:
-        families = default_families(i, j, nu, side=side, i_side=i_side)
+        families = default_families(i, j, nu, side=side)
     if not families:
         raise EllipticityError("need at least one competitor family")
     runs, per_run, searched = _plan(families, budget, seed)
@@ -792,7 +801,7 @@ def falsify(
         if not same_domain(u.partition.domain, make_oriented_square(nu_u, side)):
             raise EllipticityError(f"{family.name}: its competitors live on another square")
 
-    reference_energy = float(f(i, j, nu_u)) * side
+    reference_energy = float(f(j, i, nu_u)) * side
     outcomes, evaluated, rejected, rounds = _lockstep(f, families, runs[:searched], per_run)
 
     # per family: runs searched, all runs, evaluations, rejections
@@ -814,7 +823,7 @@ def falsify(
     status, err, cross, competitor = "NO-VIOLATION-WITHIN-BUDGET", 0.0, {}, None
     if stats[best_fi]["best_value"] is not None:
         competitor = families[best_fi].generator(best_params)
-        status, best_val, err, cross = _certify(f, competitor, i, j, nu_u, side, i_side,
+        status, best_val, err, cross = _certify(f, competitor, i, j, nu_u, side,
                                                 reference_energy)
     margin = reference_energy - best_val
     return EllipticityVerdict(
@@ -835,11 +844,12 @@ class RelaxationEstimate(Report):
 def relaxation_estimate(
     f: Density, i, j, nu, families=None, budget: int = 4000, seed: int = 0, **kw
 ) -> RelaxationEstimate:
-    """Upper bound min(f(i,j,nu), best normalized competitor energy) for the
-    relaxed density at the triple; elliptic densities return f(i,j,nu)."""
+    """Upper bound min(f(j,i,nu), best normalized competitor energy) for the
+    relaxed density at the triple, i below the chord as in falsify; elliptic
+    densities return f(j,i,nu)."""
     verdict = falsify(f, i, j, nu, families=families, budget=budget, seed=seed, **kw)
     nu_u = unit(nu)
-    fval = float(f(np.asarray(i, float), np.asarray(j, float), nu_u))
+    fval = float(f(np.asarray(j, float), np.asarray(i, float), nu_u))
     best_norm = verdict.best_energy / verdict.interface_length
     return RelaxationEstimate(min(fval, best_norm), fval, verdict)
 

@@ -72,9 +72,6 @@ class FieldFamily:
     def __len__(self):
         return len(self.fields)
 
-    def __or__(self, other: "FieldFamily") -> "FieldFamily":
-        return FieldFamily(self.fields + other.fields, f"{self.name}|{other.name}")
-
     def to_json(self) -> list:
         return jsonable(self.fields)
 
@@ -208,34 +205,25 @@ def prototype_field(basis, profiles, name: str = "prototype") -> ConservativeFie
 
 
 def map_unit_vectors(u, v) -> np.ndarray:
-    """Symmetric matrix with operator norm 1 mapping the unit vector u to v.
+    """Symmetric 2 x 2 matrix with operator norm 1 mapping the planar unit
+    vector u to v.
 
-    Composition of a rotation and a reflection; u = +/- v returns +/- identity.
+    A reflection; u = +/- v returns +/- identity.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.shape != (2,) or v.shape != (2,):
+        raise FieldError("map_unit_vectors needs planar vectors")
     for w in (u, v):
         if abs(np.linalg.norm(w) - 1.0) > 1e-12:
             raise FieldError("map_unit_vectors needs unit vectors")
-    d = u.shape[0]
     if np.linalg.norm(u - v) <= 1e-12:
-        return np.eye(d)
+        return np.eye(2)
     if np.linalg.norm(u + v) <= 1e-12:
-        return -np.eye(d)
-    if d == 2:
-        alpha = np.arctan2(u[1], u[0])
-        beta = np.arctan2(v[1], v[0])
-        gamma = alpha + beta
-        c, s = np.cos(gamma), np.sin(gamma)
-        return np.array([[c, s], [s, -c]])
-    xi1 = u
-    xi2 = v - (v @ u) * u
-    xi2 = xi2 / np.linalg.norm(xi2)
-    c = float(v @ u)
-    s = float(v @ xi2)
-    return c * (np.outer(xi1, xi1) - np.outer(xi2, xi2)) + s * (
-        np.outer(xi1, xi2) + np.outer(xi2, xi1)
-    )
+        return -np.eye(2)
+    gamma = np.arctan2(u[1], u[0]) + np.arctan2(v[1], v[0])
+    c, s = np.cos(gamma), np.sin(gamma)
+    return np.array([[c, s], [s, -c]])
 
 
 def _sym_eigenbasis(B: np.ndarray):

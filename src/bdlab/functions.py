@@ -265,20 +265,13 @@ class PiecewiseRigid(PiecewiseAffine):
     rigid_only = True
 
 
-def jump_sides(i, j, i_side: str):
-    """(plus value, minus value): i_side="plus" puts i on the side the normal
-    points into, i_side="minus" on the other."""
-    if i_side not in ("plus", "minus"):
-        raise FunctionError("i_side must be 'plus' or 'minus'")
-    return (i, j) if i_side == "plus" else (j, i)
-
-
 def jump_square(
-    i, j, nu, side: float, center=None, i_side: str = "plus",
-    hole=None, cells=(), pieces=(),
+    i, j, nu, side: float, center=None, hole=None, cells=(), pieces=(),
 ) -> PiecewiseRigid:
     """The two-valued jump across the mid-chord of the side-`side` square
-    oriented by the unit normal nu, changed only on a rectangular hole.
+    oriented by the unit normal nu, changed only on a rectangular hole: i
+    below the chord and j on the side nu points into, so a density f
+    charges the chord f(j, i, nu) per unit length.
 
     In frame coordinates (nu = e2) the two halves are {y < 0} and {y > 0};
     hole=(half_width, low, high) notches {|x| < half_width, low < y < high}
@@ -290,7 +283,6 @@ def jump_square(
     j = np.asarray(j, dtype=float)
     if np.array_equal(i, j):
         raise FunctionError("elementary jump needs two distinct values")
-    plus_val, minus_val = jump_sides(i, j, i_side)
     R = frame_from_normal(nu)
 
     def place(vertices):
@@ -302,7 +294,7 @@ def jump_square(
     inner = [c if isinstance(c, Polygon) else place(c) for c in cells]
     domain = make_oriented_square(nu, side, (0.0, 0.0) if center is None else center)
     part = PolygonalPartition([place(lower), place(upper)] + inner, domain)
-    outer = [constant_piece(minus_val), constant_piece(plus_val)]
+    outer = [constant_piece(i), constant_piece(j)]
     return PiecewiseRigid(part, outer + list(pieces))
 
 
@@ -374,9 +366,9 @@ class InsertLayout:
     @cached_property
     def interfaces(self) -> Interfaces:
         """The Interfaces of jump_square at the layout's row of halves (side
-        6, nu = e2, i = 0, j = 1, i on the minus side), built on first use."""
+        6, nu = e2, i = 0, j = 1), built on first use."""
         cells, pieces, hw, hh = self.insert_args([0.5] * self.dim)
-        u = jump_square(np.zeros(2), np.ones(2), (0.0, 1.0), 6.0, i_side="minus",
+        u = jump_square(np.zeros(2), np.ones(2), (0.0, 1.0), 6.0,
                         hole=(hw, -hh, hh), cells=cells, pieces=pieces)
         return u.partition.interfaces
 
@@ -390,19 +382,14 @@ class InsertLayout:
         return list(inner.reshape(len(pieces), -1, 2)), pieces, hw[0], hh[0]
 
 
-def make_elementary(
-    i, j, nu, square: OrientedSquare, i_side: str = "plus"
-) -> PiecewiseRigid:
-    """Two-valued jump across the mid-chord of an oriented square; nu must be
-    the square's normal (FunctionError otherwise).
-
-    With i_side="plus" the value i sits on the {<x-c, nu> > 0} half; the
-    counterexample constructions use i_side="minus".
-    """
+def make_elementary(i, j, nu, square: OrientedSquare) -> PiecewiseRigid:
+    """Two-valued jump across the mid-chord of an oriented square, i on the
+    {<x-c, nu> < 0} half and j on the other; nu must be the square's normal
+    (FunctionError otherwise)."""
     sq = square if isinstance(square, OrientedSquare) else OrientedSquare(*square)
     if np.linalg.norm(unit(nu) - sq.normal) > 1e-12:
         raise FunctionError("nu must be the square's normal")
-    return jump_square(i, j, sq.normal, sq.side, center=sq.center, i_side=i_side)
+    return jump_square(i, j, sq.normal, sq.side, center=sq.center)
 
 
 def same_domain(dom_v: Polygon, dom_u: Polygon) -> bool:

@@ -174,7 +174,7 @@ def test_criterion_05_divergence_identity():
         v_unit = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
         for h in (1, 2, 4, 8):
             cases.append(
-                (tile_construction(v_unit, I_CE, J_CE, E2, h, i_side="minus"), 3.0)
+                (tile_construction(v_unit, I_CE, J_CE, E2, h), 3.0)
             )
         # random nested-square competitors (side 6)
         fams = default_families(I_CE, J_CE, E2)
@@ -287,7 +287,7 @@ def test_criterion_09_tiling_bookkeeping():
     with criterion(9, "tiling energy bookkeeping"):
         v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
         f = anisotropic_normal_density(0.01)
-        reps = tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8), i_side="minus")
+        reps = tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8))
         for rep in reps:
             assert rep["relative_defect"] < 1e-9, rep["h"]
         bc = [r["boundary_contribution"] for r in reps]

@@ -2,17 +2,9 @@
 change of the API they use must fail here, not only in a benchmark run.
 Every workload is built at its smoke size and every step runs once."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-SPEC = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(SPEC)
-sys.modules[SPEC.name] = workloads  # its dataclasses look their module up there
-SPEC.loader.exec_module(workloads)
+import perfbench_workloads as workloads  # perfbench/workloads.py, loaded by conftest.py
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

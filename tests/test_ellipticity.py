@@ -27,7 +27,14 @@ from bdlab.energy import (
     surface_energy,
     symmetric_jump_measure,
 )
-from bdlab.fields import optimal_gbmc_field
+from bdlab.fields import (
+    FieldFamily,
+    catalog_fields,
+    family_density,
+    optimal_gbmc_field,
+    prototype_field,
+    zero_field,
+)
 from bdlab.functions import (
     FunctionError,
     JumpArrays,
@@ -41,6 +48,7 @@ from bdlab.functions import (
     rigid_piece,
 )
 from bdlab import ellipticity
+from bdlab.profiles import eta_profile
 from bdlab.geometry import (
     GeometryError,
     OrientedSquare,
@@ -85,6 +93,8 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 I_CE = np.zeros(2)
 J_CE = np.array([2.0, 2.0])
+# both orders of the two values, (below the chord, above it)
+ORDERS = ((J_CE, I_CE), (I_CE, J_CE))
 
 
 def _layout_jumps(requests):
@@ -147,9 +157,7 @@ class TestCounterexample1:
 
     def test_compact_deviation_margin(self):
         u = counterexample1_competitor(1.0)
-        ref = make_elementary(
-            I_CE, J_CE, E2, OrientedSquare(E2, 6.0, (0, 0)), i_side="minus"
-        )
+        ref = make_elementary(I_CE, J_CE, E2, OrientedSquare(E2, 6.0, (0, 0)))
         assert compact_deviation(u, ref, margin=1.9)
         assert not compact_deviation(u, ref, margin=2.1)
 
@@ -198,22 +206,22 @@ class TestTiling:
     def test_h1_energy_matches(self):
         v = self._small_competitor()
         f = catalog_density("frobenius")
-        rep = tiling_report(v, I_CE, J_CE, E2, f, hs=(1,), i_side="minus")[0]
+        rep = tiling_report(v, I_CE, J_CE, E2, f, hs=(1,))[0]
         assert rep["relative_defect"] < 1e-9
 
     def test_tile_sum_matches_for_all_h(self):
         v = self._small_competitor()
         f = anisotropic_normal_density(0.01)
-        for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8), i_side="minus"):
+        for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8)):
             assert rep["relative_defect"] < 1e-9, rep["h"]
 
     def test_outer_chord_is_the_straight_jump_outside_the_unit_square(self):
         # the side-3 ambient square leaves 3 - 1 = 2 of the straight jump
-        # outside v's unit square, with j on the plus side (i_side "minus")
+        # outside v's unit square, with j on the plus side
         v = self._small_competitor()
         f = anisotropic_normal_density(0.01)
         chord = float(f(J_CE, I_CE, E2)) * 2.0
-        for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 5), i_side="minus"):
+        for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 5)):
             assert rep["outer_chord_energy"] == chord, rep["h"]
             assert rep["boundary_contribution"] == (
                 rep["total_energy"] - rep["tile_energy_sum"] - rep["outer_chord_energy"])
@@ -232,9 +240,9 @@ class TestTiling:
         f = anisotropic_normal_density(0.01)
         R = frame_from_normal(unit(nu))
         base = surface_energy(v, f, tol=1e-12)
-        for rep in tiling_report(v, I_CE, J_CE, nu, f, hs=range(1, 7), i_side="minus"):
+        for rep in tiling_report(v, I_CE, J_CE, nu, f, hs=range(1, 7)):
             h = rep["h"]
-            u_h = tile_construction(v, I_CE, J_CE, nu, h, i_side="minus")
+            u_h = tile_construction(v, I_CE, J_CE, nu, h)
             inv_h = 1.0 / h
             tiles = []
             for n in range(h):
@@ -252,7 +260,7 @@ class TestTiling:
     def test_boundary_contribution_decays_like_1_over_h(self):
         v = self._small_competitor()
         f = catalog_density("isotropic:id")
-        reps = tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8), i_side="minus")
+        reps = tiling_report(v, I_CE, J_CE, E2, f, hs=(1, 2, 4, 8))
         bc = [r["boundary_contribution"] for r in reps]
         assert all(b > 0 for b in bc)
         for k in range(len(bc) - 1):
@@ -261,19 +269,19 @@ class TestTiling:
 
     def test_tiled_function_is_rigid_and_valid(self):
         v = self._small_competitor()
-        u2 = tile_construction(v, I_CE, J_CE, E2, 2, i_side="minus")
+        u2 = tile_construction(v, I_CE, J_CE, E2, 2)
         assert all(p.rigid for p in u2.pieces)
         assert validate_partition(u2.partition).passed
 
     def test_rejects_non_unit_domain(self):
         u = counterexample1_competitor(1.0)
         with pytest.raises(EllipticityError):
-            tile_construction(u, I_CE, J_CE, E2, 2, i_side="minus")
+            tile_construction(u, I_CE, J_CE, E2, 2)
 
     def test_rejects_bad_h(self):
         v = self._small_competitor()
         with pytest.raises(EllipticityError):
-            tile_construction(v, I_CE, J_CE, E2, 0, i_side="minus")
+            tile_construction(v, I_CE, J_CE, E2, 0)
 
     @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
     def test_construction_equals_the_former_per_copy_polygons(self, nu):
@@ -281,8 +289,8 @@ class TestTiling:
         u = TestRotatedFrames()._rotated_insert(nu) if rotated else counterexample1_competitor(1.0)
         v = u.scaled(1.0 / 6.0)
         for h in range(1, 17):
-            got = tile_construction(v, I_CE, J_CE, nu, h, i_side="minus")
-            want = former_tile_construction(v, I_CE, J_CE, nu, h, i_side="minus")
+            got = tile_construction(v, I_CE, J_CE, nu, h)
+            want = former_tile_construction(v, I_CE, J_CE, nu, h)
             assert len(got.partition.cells) == len(want.partition.cells)
             for c, w in zip(got.partition.cells, want.partition.cells):
                 assert np.array_equal(c.vertices, w.vertices)
@@ -296,7 +304,7 @@ class TestTiling:
                 assert np.array_equal(getattr(jumps, name), value), (h, name)
 
 
-def former_tile_construction(v, i, j, nu, h, i_side, ambient_side=3.0):
+def former_tile_construction(v, i, j, nu, h, ambient_side=3.0):
     """The oracle: tile_construction with one Polygon per cell copy."""
     nu = unit(nu)
     R = frame_from_normal(nu)
@@ -308,7 +316,7 @@ def former_tile_construction(v, i, j, nu, h, i_side, ambient_side=3.0):
             cells.append(Polygon(xn + cell.vertices * inv_h))
             A = h * piece.A
             pieces.append(type(piece)(A, piece.b - A @ xn))
-    return jump_square(i, j, nu, ambient_side, i_side=i_side, hole=(0.5, 0.0, inv_h),
+    return jump_square(i, j, nu, ambient_side, hole=(0.5, 0.0, inv_h),
                        cells=cells, pieces=pieces)
 
 
@@ -340,7 +348,7 @@ class TestRotatedFrames:
     def test_tiling_rotated(self):
         u = self._rotated_insert().scaled(1.0 / 6.0)
         f = catalog_density("frobenius")
-        reps = tiling_report(u, I_CE, J_CE, self.NU, f, hs=(1, 3), i_side="minus")
+        reps = tiling_report(u, I_CE, J_CE, self.NU, f, hs=(1, 3))
         for rep in reps:
             assert rep["relative_defect"] < 1e-9
 
@@ -474,9 +482,7 @@ class TestFalsify:
 
     def test_generated_competitors_deviate_compactly(self):
         fams = default_families(I_CE, J_CE, E2)
-        ref = make_elementary(
-            I_CE, J_CE, E2, OrientedSquare(E2, 6.0, (0, 0)), i_side="minus"
-        )
+        ref = make_elementary(I_CE, J_CE, E2, OrientedSquare(E2, 6.0, (0, 0)))
         rng = np.random.default_rng(3)
         for fam in fams:
             for _ in range(3):
@@ -575,16 +581,11 @@ class TestFalsify:
         with pytest.raises(EllipticityError):
             default_families(I_CE, J_CE, E2, side=side)
 
-    def test_rejects_bogus_i_side(self):
-        f = catalog_density("isotropic:id")
-        with pytest.raises(FunctionError):
-            falsify(f, I_CE, J_CE, E2, budget=60, i_side="bogus")
-
     @pytest.mark.parametrize("search", [falsify, relaxation_estimate])
     @pytest.mark.parametrize("built, call", [
         ({}, {"side": 3.0}),
         ({"nu": (0.6, 0.8)}, {}),
-        ({"i_side": "plus"}, {}),
+        ({"i": J_CE, "j": I_CE}, {}),
         ({"j": (3.0, 1.0)}, {}),
     ])
     def test_rejects_families_built_for_other_inputs(self, search, built, call):
@@ -598,7 +599,7 @@ class TestFalsify:
             return f.evaluator(i, j, nu)
 
         counted = dataclasses.replace(f, evaluator=evaluator)  # one call: the form check
-        own = {"i": I_CE, "j": J_CE, "nu": E2, "side": 6.0, "i_side": "minus"}
+        own = {"i": I_CE, "j": J_CE, "nu": E2, "side": 6.0}
         families = default_families(**{**own, **built})
         args = {**own, **call}
         calls[0] = 0
@@ -817,15 +818,82 @@ class TestScale:
         assume(not np.array_equal(i, j))
         f = catalog_density(fid)
         u = make_elementary(i, j, nu, OrientedSquare(nu, side, (0, 0)))
-        want = side * float(f(i, j, unit(nu)))
+        want = side * float(f(j, i, unit(nu)))
         assert abs(surface_energy(u, f).value - want) <= 1e-12 * want
+
+
+# sup[eta]: the zero field and a bounded prototype field; symmetric jointly
+# convex, and 0 where eta vanishes at the jump
+SUP_ETA = family_density(FieldFamily(
+    (zero_field(), prototype_field(np.eye(2), (eta_profile(1.0),) * 2)), "eta"))
+
+
+class TestOrientation:
+    """The value order is the one orientation: i below the chord, j on the
+    side nu points into, and the reference is the chord's own f(j, i, nu).
+    sup[catalog] and sup[eta] are symmetric jointly convex, so a VIOLATION
+    for them is false."""
+
+    def test_catalog_supremum(self):
+        # the former reference f(i, j, nu) * 6 was 8.4853, and the best
+        # competitor's 6.4002 certified a VIOLATION
+        f = family_density(catalog_fields())
+        v = falsify(f, (0, 0), (2, 2), E2, budget=25, seed=0)
+        assert v.status == "NO-VIOLATION-WITHIN-BUDGET"
+        assert v.reference_energy == 6.0 * float(f(J_CE, I_CE, E2))
+        assert v.best_energy > v.reference_energy
+
+    def test_eta_supremum(self):
+        # the former reference was 6.0 against a best energy of 0.15
+        v = falsify(SUP_ETA, (2, 2), (0, 0), E2, budget=25, seed=0)
+        assert v.status == "NO-VIOLATION-WITHIN-BUDGET"
+        assert v.reference_energy == 6.0 * float(SUP_ETA(I_CE, J_CE, E2)) == 0.0
+
+    def test_eta_relaxation(self):
+        r = relaxation_estimate(SUP_ETA, (2, 2), (0, 0), E2, budget=25, seed=0)
+        assert r.density_value == 0.0 and r.value == 0.0
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(i=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           j=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           angle=st.floats(0.0, 2.0 * np.pi), swap=st.booleans())
+    def test_no_violation_for_the_eta_supremum(self, i, j, angle, swap):
+        assume(np.linalg.norm(np.subtract(i, j)) >= 1e-3)
+        i, j = (j, i) if swap else (i, j)
+        nu = (np.cos(angle), np.sin(angle))
+        v = falsify(SUP_ETA, i, j, nu, budget=25, seed=0, keep_competitor=False)
+        assert v.status == "NO-VIOLATION-WITHIN-BUDGET"
+        assert v.reference_energy == 6.0 * float(SUP_ETA(np.array(j), np.array(i), unit(nu)))
+
+    @pytest.mark.parametrize("fid", CATALOG_IDS)
+    def test_catalog_densities_are_symmetric(self, fid):
+        # so the reference did not move for any catalog density
+        f = catalog_density(fid)
+        rng = np.random.default_rng(31)
+        for scale in (1e-3, 1.0, 1e3):
+            i, j, nu = scale * rng.normal(size=(3, 2000, 2))
+            nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+            assert f(j, i, nu).tobytes() == f(i, j, nu).tobytes(), scale
+
+    def test_certificate_checks_the_reference(self):
+        # a density whose one-row value is 1e-6 above its batched value: the
+        # straight interface no longer integrates to the reference energy
+        f = catalog_density("product:aniso1:eps=0.01")
+
+        def evaluator(i, j, nu):
+            return f.evaluator(i, j, nu) + (1e-6 if np.ndim(i) == 1 else 0.0)
+
+        with pytest.raises(EllipticityError, match="straight interface"):
+            falsify(dataclasses.replace(f, evaluator=evaluator), I_CE, J_CE, E2, budget=25)
+        assert falsify(f, I_CE, J_CE, E2, budget=25).reference_energy == 6.0 * float(
+            f(J_CE, I_CE, E2))
 
 
 class TestJumpSquareBuilder:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
-        i_side=st.sampled_from(("plus", "minus")),
+        values=st.sampled_from(ORDERS),
         # unit coordinates in the bounds, the ends of the bounds half the time
         unit_params=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
                              min_size=8, max_size=8),
@@ -834,21 +902,22 @@ class TestJumpSquareBuilder:
         wide=st.booleans(),
     )
     # a normal with a subnormal sine: a near-parallel clip edge overflows t
-    @example(family=0, i_side="plus", unit_params=[0.0] * 8, angle=2.2250738585072014e-308,
+    @example(family=0, values=ORDERS[0], unit_params=[0.0] * 8, angle=2.2250738585072014e-308,
              side=6.0, wide=False)
-    def test_family_competitors_deviate_compactly(self, family, i_side, unit_params, angle,
+    def test_family_competitors_deviate_compactly(self, family, values, unit_params, angle,
                                                   side, wide):
         # every row in a layout family's bounds, up to the ends of the valid
         # range, is a valid partition that changes the elementary jump on the
         # same square only a margin away from its boundary, and the compiled
         # topology gives its jump set
         nu = np.array([np.cos(angle), np.sin(angle)])
-        fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
+        fam = default_families(*values, nu, side=side)[family]
         fam = widest(fam) if wide else fam
-        params = [lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)]
+        # lo + 1.0 * (hi - lo) may round one bit above hi
+        params = [min(lo + t * (hi - lo), hi) for t, (lo, hi) in zip(unit_params, fam.bounds)]
         u = fam.generator(params)
         assert validate_partition(u.partition).passed
-        ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, side, (0, 0)), i_side=i_side)
+        ref = make_elementary(*values, nu, OrientedSquare(nu, side, (0, 0)))
         assert compact_deviation(u, ref, margin=0.01 * side * (1.0 - 1e-9))
         jumps, _ = _layout_jumps([(fam, [params])])
         general = u.jump_segments()
@@ -856,11 +925,6 @@ class TestJumpSquareBuilder:
             assert getattr(jumps, f.name).tobytes() == getattr(general, f.name).tobytes(), f.name
 
     def test_bogus_i_side_raises(self):
-        cells = [np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])]
-        with pytest.raises(FunctionError):
-            insert_competitor(
-                I_CE, J_CE, E2, cells, [rigid_piece(1.0, (1.0, 1.0))], 1.0, 1.0, i_side="bogus"
-            )
         v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
         with pytest.raises(FunctionError):
             tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side="bogus")
@@ -917,10 +981,10 @@ REJECTED = (GeometryError, FunctionError, EllipticityError)
 class FormerTopology:
     """JumpSquareTopology as it took (hole, cells, pieces) tuples."""
 
-    def __init__(self, i, j, nu, side, examples, i_side="plus"):
+    def __init__(self, i, j, nu, side, examples):
         tops = []
         for hole, cells, pieces in examples:
-            u = jump_square(i, j, nu, side, i_side=i_side, hole=hole, cells=cells, pieces=pieces)
+            u = jump_square(i, j, nu, side, hole=hole, cells=cells, pieces=pieces)
             itf = u.partition.interfaces
             pairs = [x.tolist() for x in (itf.right, itf.right_edge, itf.left, itf.left_edge)]
             tops.append((tuple(len(c) for c in u.partition.cells), pairs))
@@ -955,17 +1019,17 @@ class FormerTopology:
         return jumps, owner
 
 
-def former_family_jumps(index, i, j, nu, i_side, side=6.0):
+def former_family_jumps(index, i, j, nu, side=6.0):
     """The per-vector jump sets of default family `index`, its topology
     compiled from two examples of the default bounds."""
     layout = FORMER_LAYOUTS[index]
     nu = unit(nu)  # as default_families takes it
-    default = default_families(i, j, nu, side=side, i_side=i_side)[index].bounds
+    default = default_families(i, j, nu, side=side)[index].bounds
     examples = []
     for t in (1.0 / 3.0, 2.0 / 3.0):
         cells, pieces, hw, hh = layout(*(lo + t * (hi - lo) for lo, hi in default))
         examples.append(((hw, -hh, hh), cells, pieces))
-    topology = FormerTopology(i, j, nu, side, examples, i_side=i_side)
+    topology = FormerTopology(i, j, nu, side, examples)
 
     def jumps(batch):
         inputs = []
@@ -991,16 +1055,16 @@ class TestCompiledLayouts:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
-        i_side=st.sampled_from(("plus", "minus")),
+        values=st.sampled_from(ORDERS),
         angle=st.floats(0.0, 2.0 * np.pi),
         start=st.one_of(
             st.integers(0, 3),  # a family suggestion (modulo their number)
             st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
         ),
     )
-    def test_fast_energy_matches_general(self, family, i_side, angle, start):
+    def test_fast_energy_matches_general(self, family, values, angle, start):
         nu = np.array([np.cos(angle), np.sin(angle)])
-        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        fam = default_families(*values, nu)[family]
         if isinstance(start, int):
             params = fam.suggestions[start % len(fam.suggestions)]
         else:
@@ -1019,10 +1083,10 @@ class TestCompiledLayouts:
     def test_segments_match_jump_segments(self, family):
         # the topology is compiled at side 6 and nu = e2 only
         rng = np.random.default_rng([5, family])
-        for i_side in ("plus", "minus"):
+        for values in ORDERS:
             for _ in range(10):
                 side, nu = rng.uniform(2.5, 12.0), unit(rng.normal(size=2))
-                fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
+                fam = default_families(*values, nu, side=side)[family]
                 params = [rng.uniform(lo, hi) for lo, hi in fam.bounds]
                 jumps, owner = _layout_jumps([(fam, [params])])
                 general = fam.generator(params).jump_segments()
@@ -1085,14 +1149,14 @@ class TestCompiledLayouts:
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
-        i_side=st.sampled_from(("plus", "minus")),
+        values=st.sampled_from(ORDERS),
         angle=st.floats(0.0, 2.0 * np.pi),
         draws=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
                        min_size=1, max_size=6),
     )
-    def test_batch_matches_one_vector_at_a_time(self, family, i_side, angle, draws):
+    def test_batch_matches_one_vector_at_a_time(self, family, values, angle, draws):
         nu = np.array([np.cos(angle), np.sin(angle)])
-        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        fam = default_families(*values, nu)[family]
         batch = [[lo + t * (hi - lo) for t, (lo, hi) in zip(d, fam.bounds)] for d in draws]
         jumps, owner = _layout_jumps([(fam, batch)])
         assert np.all(np.diff(owner) >= 0)
@@ -1110,18 +1174,18 @@ class TestCompiledLayouts:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
-        i_side=st.sampled_from(("plus", "minus")),
+        values=st.sampled_from(ORDERS),
         angle=st.floats(0.0, 2.0 * np.pi),
         side=st.sampled_from((3.0, 6.0, 10.0)),
         unit_params=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
     )
-    def test_compiled_topology_matches_every_competitor(self, family, i_side, angle, side,
+    def test_compiled_topology_matches_every_competitor(self, family, values, angle, side,
                                                         unit_params):
         # built from one row at side 6 and nu = e2, the layout's vertex
         # counts and cell-edge pairs are those of every competitor the
         # generator builds
         nu = np.array([np.cos(angle), np.sin(angle)])
-        fam = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)[family]
+        fam = default_families(*values, nu, side=side)[family]
         u = fam.generator([lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)])
         assert tuple(len(c) for c in u.partition.cells) == fam.layout.counts
         for name in ("right", "right_edge", "left", "left_edge"):
@@ -1143,7 +1207,7 @@ class TestCompiledLayouts:
             monkeypatch.delitem(vars(fam.layout), "interfaces", raising=False)
         monkeypatch.setattr(PolygonalPartition, "__init__", counting)
         default_families(I_CE, J_CE, E2)
-        default_families((1.0, -2.0), (0.5, 3.0), unit([0.3, -0.7]), side=9.0, i_side="plus")
+        default_families((0.5, 3.0), (1.0, -2.0), unit([0.3, -0.7]), side=9.0)
         assert built == []
         requests = [(fam, [[0.5 * (lo + hi) for lo, hi in fam.bounds]]) for fam in families]
         _compiled_round.cache_clear()
@@ -1166,7 +1230,7 @@ class TestCompiledLayouts:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         family=st.integers(0, 3),
-        i_side=st.sampled_from(("plus", "minus")),
+        values=st.sampled_from(ORDERS),
         angle=st.floats(0.0, 2.0 * np.pi),
         draws=st.lists(
             st.one_of(
@@ -1180,9 +1244,9 @@ class TestCompiledLayouts:
             min_size=1, max_size=12,
         ),
     )
-    def test_batched_layouts_equal_the_per_vector_path(self, family, i_side, angle, draws):
+    def test_batched_layouts_equal_the_per_vector_path(self, family, values, angle, draws):
         nu = np.array([np.cos(angle), np.sin(angle)])
-        fam = default_families(I_CE, J_CE, nu, i_side=i_side)[family]
+        fam = default_families(*values, nu)[family]
         lo, hi = np.array(fam.bounds).T
         batch = []
         for d in draws:
@@ -1194,7 +1258,7 @@ class TestCompiledLayouts:
                 params = lo + np.array(d[:fam.dim]) * (hi - lo)
             batch.append(np.asarray(params, dtype=float))
         jumps, owner = _layout_jumps([(fam, batch)])
-        want, want_owner = former_family_jumps(family, I_CE, J_CE, nu, i_side)(batch)
+        want, want_owner = former_family_jumps(family, *values, nu)(batch)
         for f in dataclasses.fields(JumpArrays):
             got, ref = getattr(jumps, f.name), getattr(want, f.name)
             # bytes: sign bits too
@@ -1245,14 +1309,14 @@ class TestCompiledRound:
                       st.lists(st.integers(1, 12), min_size=4, max_size=4)),
             min_size=2, max_size=2),
         angle=st.floats(0.0, 2.0 * np.pi),
-        i_side=st.sampled_from(("plus", "minus")),
+        values=st.sampled_from(ORDERS),
         side=st.sampled_from((3.0, 6.0, 10.0)),
         fid=st.sampled_from(("isotropic:id", "frobenius:trunc:M=1")),
         seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_round_equals_the_general_path(self, rounds, angle, i_side, side, fid, seed):
+    def test_round_equals_the_general_path(self, rounds, angle, values, side, fid, seed):
         nu = np.array([np.cos(angle), np.sin(angle)])
-        families = default_families(I_CE, J_CE, nu, side=side, i_side=i_side)
+        families = default_families(*values, nu, side=side)
         f = catalog_density(fid)
         rng = np.random.default_rng(seed)
         # both rounds through one cache: a composition must never be served
@@ -1518,7 +1582,7 @@ class TestScaledFamilies:
         for side, angle in ((6.0, 0.5 * np.pi), (0.75, 2.2), (40.0, 4.0)):
             nu = np.array([np.cos(angle), np.sin(angle)])
             fam = widest(default_families(I_CE, J_CE, nu, side=side)[family])
-            ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, side, (0, 0)), i_side="minus")
+            ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, side, (0, 0)))
             checked = [column for column, *_ in fam.layout.ranges]
             for ends in itertools.product((0, 1), repeat=len(checked) + 1):
                 corner = [ends[checked.index(k)] if k in checked else ends[-1]

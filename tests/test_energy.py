@@ -314,8 +314,8 @@ class TestBatchedKernel:
     def test_wide_refinement_is_unconverged(self):
         # sqrt(|i - j|) where the jump vanishes: past depth 30 the halves
         # differ by rounding noise, and the refinement would double per level
-        fam = default_families((0, 0), (2, 2), (np.cos(2.746718806696573), np.sin(2.746718806696573)),
-                               i_side="minus")[1]
+        fam = default_families((0, 0), (2, 2),
+                               (np.cos(2.746718806696573), np.sin(2.746718806696573)))[1]
         compiled = _compiled_round((fam.layout,), (0,))
         jumps, _ = compiled.jumps([fam], [np.asarray(fam.suggestions[3], dtype=float)])
         f, calls = counted(catalog_density("isotropic:sqrt").evaluator, limit=100)
@@ -332,7 +332,7 @@ def width_cap_jumps() -> JumpArrays:
     """The rect-insert suggestion whose isotropic:sqrt energy at tol 1e-13,
     order 30 refines wider than the width cap."""
     nu = (np.cos(2.746718806696573), np.sin(2.746718806696573))
-    fam = default_families((0, 0), (2, 2), nu, i_side="minus")[1]
+    fam = default_families((0, 0), (2, 2), nu)[1]
     return fam.generator(fam.suggestions[3]).jump_segments()
 
 
@@ -482,7 +482,7 @@ class TestJumpFlux:
 
     def test_elementary_pairing(self):
         i, j = np.array([2.0, 0.0]), ZERO
-        u = elementary(i, j, E2, 1.0)
+        u = elementary(j, i, E2, 1.0)
         g = optimal_gbmc_field(i, j, E2, M=1.0, a=1.0)
         res = jump_flux(u, g)
         assert res.value == pytest.approx(float(g.pairing(i, j, E2)), abs=1e-12)
@@ -854,7 +854,7 @@ class TestRowLoops:
 class TestSymmetricJumpMeasure:
     def test_elementary(self):
         i, j = np.array([1.0, 2.0]), np.array([0.0, -1.0])
-        u = elementary(i, j, E2, 1.0)
+        u = elementary(j, i, E2, 1.0)
         want = 0.5 * (np.outer(i - j, E2) + np.outer(E2, i - j))
         assert np.allclose(symmetric_jump_measure(u), want, atol=1e-14)
 

@@ -134,17 +134,16 @@ class TestMapUnitVectors:
             assert abs(np.linalg.norm(B, 2) - 1.0) < 1e-10
             assert np.linalg.norm(B @ u - v) < 1e-10
 
-    def test_three_dimensional_plane_construction(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            B = map_unit_vectors(u, v)
-            assert np.array_equal(B, B.T)
-            assert np.linalg.norm(B, 2) < 1.0 + 1e-10
-            assert np.linalg.norm(B @ u - v) < 1e-10
+    @pytest.mark.parametrize("u, v", [
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        (E1, (0.0, 1.0, 0.0)),
+        ((1.0,), (1.0,)),
+        ([E1], [E2]),
+    ])
+    def test_refuses_non_planar_vectors(self, u, v):
+        with pytest.raises(FieldError, match="planar"):
+            map_unit_vectors(u, v)
 
 
 class TestGbmc:
@@ -466,7 +465,7 @@ class TestSupRepresentation:
         f2 = FieldFamily((optimal_gbmc_field(i, j, nu, M=0.5, a=1.0), zero_field()))
         d1 = family_density(f1)
         d2 = family_density(f2)
-        du = family_density(f1 | f2)
+        du = family_density(FieldFamily(f1.fields + f2.fields))
         rng = np.random.default_rng(14)
         ii = rng.normal(size=(200, 2))
         jj = rng.normal(size=(200, 2))

@@ -106,7 +106,7 @@ class TestSymmetrizedGradient:
 
 class TestElementary:
     def test_basic_jump(self):
-        u = make_elementary((1, 0), (0, 0), E2, OrientedSquare(E2, 1.0, (0, 0)))
+        u = make_elementary((0, 0), (1, 0), E2, OrientedSquare(E2, 1.0, (0, 0)))
         j = u.jump_segments()
         assert len(j) == 1
         assert j.t1[0] == pytest.approx(1.0, abs=1e-12)
@@ -123,7 +123,7 @@ class TestElementary:
         assert sum(u.jump_segments().t1.tolist()) == pytest.approx(6.0, abs=1e-12)
 
     def test_minus_side_swaps_traces(self):
-        u = make_elementary((1, 0), (0, 0), E2, OrientedSquare(E2, 1.0, (0, 0)), i_side="minus")
+        u = make_elementary((1, 0), (0, 0), E2, OrientedSquare(E2, 1.0, (0, 0)))
         j = u.jump_segments()
         assert np.allclose(plus(j, 0, 0.0), (0, 0))
         assert np.allclose(minus(j, 0, 0.0), (1, 0))
@@ -482,7 +482,7 @@ class TestCompactDeviation:
 
 class TestScaling:
     def test_values_preserved_lengths_scaled(self):
-        u = make_elementary((1, 0), (0, 0), E2, OrientedSquare(E2, 6.0, (0, 0)))
+        u = make_elementary((0, 0), (1, 0), E2, OrientedSquare(E2, 6.0, (0, 0)))
         v = u.scaled(1.0 / 6.0)
         assert v.partition.domain.area == pytest.approx(1.0, rel=1e-12)
         assert sum(v.jump_segments().t1.tolist()) == pytest.approx(1.0, abs=1e-12)

@@ -455,9 +455,8 @@ class TestConvexClip:
         from bdlab.functions import compact_deviation, make_elementary
         from bdlab.geometry import OrientedSquare
 
-        u, nu, i_side = case.draw(family_competitors())
-        ref = make_elementary((0.0, 0.0), (2.0, 2.0), nu, OrientedSquare(nu, 6.0, (0, 0)),
-                              i_side=i_side)
+        u, nu, values = case.draw(family_competitors())
+        ref = make_elementary(*values, nu, OrientedSquare(nu, 6.0, (0, 0)))
         for margin in (0.006, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             assert compact_deviation(u, ref, margin) == former_compact_deviation(u, ref, margin)
 
@@ -507,7 +506,7 @@ class TestConvexClip:
         v = u.scaled(1.0 / 6.0)
         R = frame_from_normal(unit(nu))
         for h in range(1, 17):
-            jumps = tile_construction(v, i, j, nu, h, i_side="minus").jump_segments()
+            jumps = tile_construction(v, i, j, nu, h).jump_segments()
             inv_h = 1.0 / h
             corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
             tiles = [Polygon((corners + [-0.5 + n * inv_h, 0.0]) @ R.T) for n in range(h)]
@@ -693,15 +692,18 @@ def grid_partitions(draw):
     return PolygonalPartition(cells, dom)
 
 
+# both orders of the values 0 and (2, 2), (below the chord, above it)
+ORDERS = (((2.0, 2.0), (0.0, 0.0)), ((0.0, 0.0), (2.0, 2.0)))
+
+
 @st.composite
 def competitor_partitions(draw):
     """The partition of a default-family competitor at a drawn normal."""
     from bdlab.ellipticity import default_families
 
     angle = draw(st.floats(0.0, 2.0 * np.pi))
-    i_side = draw(st.sampled_from(("plus", "minus")))
-    fam = default_families((0.0, 0.0), (2.0, 2.0), (np.cos(angle), np.sin(angle)),
-                           i_side=i_side)[draw(st.integers(0, 3))]
+    values = draw(st.sampled_from(ORDERS))
+    fam = default_families(*values, (np.cos(angle), np.sin(angle)))[draw(st.integers(0, 3))]
     unit_params = draw(st.lists(st.floats(0.0, 1.0), min_size=fam.dim, max_size=fam.dim))
     params = [lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)]
     return fam.generator(params).partition
@@ -821,18 +823,19 @@ def _turns_left(poly):
 
 @st.composite
 def family_competitors(draw):
-    """(function, normal, i_side): a default-family competitor at a drawn
-    normal and in-bounds parameters, on the side-6 square."""
+    """(function, normal, values): a default-family competitor at a drawn
+    normal, order of its values and in-bounds parameters, on the side-6
+    square."""
     from bdlab.ellipticity import default_families
 
     angle = draw(st.floats(0.0, 2.0 * np.pi))
     nu = np.array([np.cos(angle), np.sin(angle)])
-    i_side = draw(st.sampled_from(("plus", "minus")))
-    fams = default_families((0.0, 0.0), (2.0, 2.0), nu, i_side=i_side)
+    values = draw(st.sampled_from(ORDERS))
+    fams = default_families(*values, nu)
     fam = fams[draw(st.integers(0, len(fams) - 1))]
     unit_params = draw(st.lists(st.floats(0.0, 1.0), min_size=fam.dim, max_size=fam.dim))
     params = [lo + t * (hi - lo) for t, (lo, hi) in zip(unit_params, fam.bounds)]
-    return fam.generator(params), nu, i_side
+    return fam.generator(params), nu, values
 
 
 @st.composite

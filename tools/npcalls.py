@@ -179,7 +179,7 @@ def identities_checks():
     phi = bump_from_polygon(dom, power=2)
     return [
         ("tiling_report, h = 1..16", lambda: ellipticity.tiling_report(
-            v, np.zeros(2), np.array([2.0, 2.0]), e2, f, hs=range(1, 17), i_side="minus")),
+            v, np.zeros(2), np.array([2.0, 2.0]), e2, f, hs=range(1, 17))),
         ("integration_by_parts_residual, orders 8/15", lambda: integration_by_parts_residual(
             u, G, phi, tol=1e-9, volume_order=8, line_order=15)),
     ]

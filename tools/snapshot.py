@@ -11,8 +11,9 @@ single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
 - every JumpArrays field, the symmetric jump measure, the flipped jump
   normals, the surface energy of every catalog density, `locate` at jump
   midpoints and cell centroids and the SVG drawing in both styles, on
-  seeded competitors of the default families (several normals, both i_side
-  values);
+  seeded competitors of the default families (several normals, both value
+  orders: "plus" labels the one with (2, 2) below the chord and 0 above,
+  "minus" the other);
 - the cells and edges each interface of those competitors matches, and
   their `validate_partition` reports, whole and with the last cell removed;
 - the `compact_deviation` verdict of each of those competitors against its
@@ -27,7 +28,12 @@ single changed bit (a -0.0 for a 0.0 included) shows.  It covers:
   ten (i, j) probes of jumps from 1e-13 to 1e-4, and the grid i = (c, c),
   j = i + r i for c in (1, 1e3, 1e6) and r in (1, 3) x 1e-16 .. 1e-13 and
   1e-12.  Both densities are symmetric jointly convex, so a `VIOLATION`
-  there is false.
+  there is false;
+- then the `falsify` verdicts (budget 25, seed 0, nu = e2) of the
+  supremum densities of the catalog fields and of the zero and an eta
+  prototype field, at both orders of 0 and (2, 2), with `relax`'s density
+  value: symmetric jointly convex, so a `VIOLATION` is false there too,
+  and each reference energy is 6 f(j, i, nu).
 
 It uses only public API, so it runs unchanged on checkouts that differ in
 their internals.  A run takes about ten seconds on one core.
@@ -63,6 +69,7 @@ from bdlab.ellipticity import (
     counterexample1_competitor,
     default_families,
     falsify,
+    relaxation_estimate,
     tile_construction,
     tiling_report,
 )
@@ -74,7 +81,13 @@ from bdlab.energy import (
     surface_energy,
     symmetric_jump_measure,
 )
-from bdlab.fields import catalog_fields, prototype_field
+from bdlab.fields import (
+    FieldFamily,
+    catalog_fields,
+    family_density,
+    prototype_field,
+    zero_field,
+)
 from bdlab.functions import (
     AffinePiece,
     JumpArrays,
@@ -91,14 +104,16 @@ from bdlab.geometry import (
     make_oriented_square,
     validate_partition,
 )
-from bdlab.profiles import sin_profile
+from bdlab.profiles import eta_profile, sin_profile
 from bdlab.render import render_svg
 
 I_CE = np.zeros(2)
 J_CE = np.array([2.0, 2.0])
 E2 = np.array([0.0, 1.0])
 ANGLES = (0.5 * np.pi, 0.3, 2.2, 4.0)  # normal angles, E2 first
-PER_FAMILY = 3  # seeded competitors per family, normal and i_side
+PER_FAMILY = 3  # seeded competitors per family, normal and value order
+# the value orders (below the chord, above it), labelled by the side of I_CE
+ORDERS = (("plus", (J_CE, I_CE)), ("minus", (I_CE, J_CE)))
 MARGINS = (0.006, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # compact_deviation margins
 # (i, j) of the certificate probes: jumps from 0 and from (1e6, 1e6), then
 # the grid j = i + r i at i = (c, c)
@@ -128,13 +143,13 @@ def quad(res) -> str:
 
 
 def competitors(rng):
-    """(label, function, normal, i_side) for seeded in-bounds parameters of
+    """(label, function, normal, values) for seeded in-bounds parameters of
     every default family; parameter vectors a generator rejects are
     skipped."""
     for angle in ANGLES:
         nu = np.array([np.cos(angle), np.sin(angle)])
-        for i_side in ("plus", "minus"):
-            for fam in default_families(I_CE, J_CE, nu, i_side=i_side):
+        for order, values in ORDERS:
+            for fam in default_families(*values, nu):
                 kept = 0
                 while kept < PER_FAMILY:
                     params = tuple(float(rng.uniform(lo, hi)) for lo, hi in fam.bounds)
@@ -144,13 +159,13 @@ def competitors(rng):
                         emit("rejected", fam.name, repr(params))
                         continue
                     kept += 1
-                    yield f"{fam.name}/{angle!r}/{i_side}/{kept}", u, nu, i_side
+                    yield f"{fam.name}/{angle!r}/{order}/{kept}", u, nu, values
 
 
 def jump_sets() -> None:
     densities = [(fid, catalog_density(fid)) for fid in CATALOG_IDS]
     fields = catalog_fields(I_CE, J_CE, E2).fields
-    for label, u, nu, i_side in competitors(np.random.default_rng(20201)):
+    for label, u, nu, values in competitors(np.random.default_rng(20201)):
         jumps = u.jump_segments()
         for f in dataclasses.fields(JumpArrays):
             emit("jumps", label, f.name, digest(getattr(jumps, f.name)))
@@ -160,7 +175,7 @@ def jump_sets() -> None:
         emit("validate", label, exact(validate_partition(part).to_json()))
         rest = PolygonalPartition(part.cells[:-1], part.domain)
         emit("validate-rest", label, exact(validate_partition(rest).to_json()))
-        ref = make_elementary(I_CE, J_CE, nu, OrientedSquare(nu, 6.0, (0, 0)), i_side=i_side)
+        ref = make_elementary(*values, nu, OrientedSquare(nu, 6.0, (0, 0)))
         emit("compact", label, [compact_deviation(u, ref, m) for m in MARGINS])
         emit("measure", label, digest(symmetric_jump_measure(u)))
         emit("flipped", label, digest(u.flipped().jump_segments().normal))
@@ -185,11 +200,11 @@ def breakdowns() -> None:
 def tiling() -> None:
     v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
     f = anisotropic_normal_density(0.01)
-    for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 17), i_side="minus"):
+    for rep in tiling_report(v, I_CE, J_CE, E2, f, hs=range(1, 17)):
         emit("tiling", exact(rep))
     R = frame_from_normal(E2)
     for h in range(1, 17):
-        jumps = tile_construction(v, I_CE, J_CE, E2, h, i_side="minus").jump_segments()
+        jumps = tile_construction(v, I_CE, J_CE, E2, h).jump_segments()
         inv_h = 1.0 / h
         for include_boundary in (False, True):
             pieces = []
@@ -261,6 +276,17 @@ def certificates() -> None:
             emit("certificate", fid, repr(i), repr(j), status)
 
 
+def orientation() -> None:
+    eta = prototype_field(np.eye(2), (eta_profile(1.0),) * 2)
+    for f in (family_density(catalog_fields()),
+              family_density(FieldFamily((zero_field(), eta), "eta"))):
+        for order, (i, j) in ORDERS:
+            v = falsify(f, i, j, E2, budget=25, seed=0, keep_competitor=False)
+            r = relaxation_estimate(f, i, j, E2, budget=25, seed=0, keep_competitor=False)
+            emit("orientation", f.name, order, v.status, repr(v.best_energy),
+                 repr(v.reference_energy), repr(r.density_value))
+
+
 def main() -> int:
     jump_sets()
     breakdowns()
@@ -269,6 +295,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         cli_reports(workdir)
     certificates()
+    orientation()
     return 0
 
 
