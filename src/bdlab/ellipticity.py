@@ -50,7 +50,6 @@ from .functions import (
 from .geometry import (
     GeometryError,
     OrientedSquare,
-    Polygon,
     clip_segment_params,
     edge_pair_interfaces,
     edge_vertices,
@@ -266,14 +265,12 @@ def _tiled(v: PiecewiseRigid, i, j, nu, h: int):
     R = frame_from_normal(nu)
     inv_h = 1.0 / h
     xs = np.array([R @ np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h]) for n in range(h)])
-    # each cell of v as one stack of its h copies, checked at once
-    copies = [Polygon.stack(xs[:, None] + cell.vertices * inv_h) for cell in v.partition.cells]
-    cells = [stack[n] for n in range(h) for stack in copies]
+    # v's stack of cells copied h times, copy after copy, each shifted by its centre
+    cells = ((xs[:, None] + v.partition.vertices * inv_h).reshape(-1, 2),
+             np.tile(v.partition.counts, h))
     As = [h * piece.A for piece in v.pieces]
     pieces = [type(piece)(A, piece.b - A @ xn) for xn in xs for piece, A in zip(v.pieces, As)]
-    return jump_square(
-        i, j, nu, AMBIENT_SIDE, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces
-    )
+    return jump_square(i, j, nu, AMBIENT_SIDE, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces)
 
 
 def tiling_report(
@@ -300,7 +297,8 @@ def tiling_report(
         # each tile's open part of the one jump set: one clip, one kernel call
         inv_h = 1.0 / h
         corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
-        tiles = Polygon.stack([(corners + [-0.5 + n * inv_h, 0.0]) @ R.T for n in range(h)])
+        tiles = (np.concatenate([(corners + [-0.5 + n * inv_h, 0.0]) @ R.T for n in range(h)]),
+                 np.full(h, 4))
         owner, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, tiles)
         inner = ~on_boundary
         rows = rows[inner]

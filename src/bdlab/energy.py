@@ -532,15 +532,9 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
     return TestFunction(phi, grad, poly)
 
 
-def integration_by_parts_residual(
-    u: PiecewiseAffine,
-    G: ConservativeField,
-    phi: TestFunction,
-    region: Polygon | None = None,
-    tol: float = 1e-9,
-    volume_order: int = 8,
-    line_order: int = 15,
-) -> float:
+def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi: TestFunction,
+                                  region: Polygon | None = None, tol: float = 1e-9,
+                                  volume_order: int = 8, line_order: int = 15) -> float:
     """Residual of the three-term identity
 
         int_{J_u} <G(u+) - G(u-), nu> phi dH
@@ -567,8 +561,8 @@ def integration_by_parts_residual(
 
     # the volume terms, one integrand per cell clipped to the (convex) region
     volume = 0.0
-    for k, (cell, piece) in enumerate(zip(u.partition.cells, u.pieces)):
-        sub = clip_polygon(cell, region)
+    cells = clip_polygon((u.partition.vertices, u.partition.counts), region)
+    for k, (sub, piece) in enumerate(zip(cells, u.pieces)):
         if sub is None:
             continue
         E = u.symmetrized_gradient(k)

@@ -186,21 +186,22 @@ def _stacked(pieces) -> tuple[np.ndarray, np.ndarray]:
             np.array([p.b for p in pieces]).reshape(-1, 2))
 
 
+@dataclass(frozen=True, eq=False)
 class PiecewiseAffine:
-    """Function equal to one affine map on each cell of a polygonal partition."""
+    """Function equal to one affine map on each cell of a polygonal partition.
+    It is read-only, so its jump set is built once, on first use."""
 
+    partition: PolygonalPartition
+    pieces: tuple
     rigid_only = False
 
-    def __init__(self, partition: PolygonalPartition, pieces):
-        pieces = tuple(pieces)
-        if len(pieces) != len(partition.cells):
-            raise FunctionError(
-                f"{len(pieces)} pieces for {len(partition.cells)} cells"
-            )
+    def __post_init__(self):
+        pieces = tuple(self.pieces)
+        if len(pieces) != len(self.partition):
+            raise FunctionError(f"{len(pieces)} pieces for {len(self.partition)} cells")
         if self.rigid_only and not all(p.rigid for p in pieces):
             raise FunctionError("all pieces of a piecewise rigid function must be skew")
-        self.partition = partition
-        self.pieces = pieces
+        object.__setattr__(self, "pieces", pieces)
 
     def eval(self, x) -> np.ndarray:
         """Value at x (first containing cell). Raises outside the domain."""
@@ -218,19 +219,21 @@ class PiecewiseAffine:
         jump_arrays' exact rule, which takes no tolerance: distinct non-rigid
         pieces equal along an interface only up to rounding leave a
         rounding-size jump, which isotropic:const, normal:polytopeK and mild:g
-        charge in full."""
+        charge in full.  Every call returns the one read-only JumpArrays."""
+        return self._jumps
+
+    @cached_property
+    def _jumps(self) -> JumpArrays:
         itf = self.partition.interfaces
         A, c = _stacked(self.pieces)
-        jumps, _ = jump_arrays(
-            itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]), (A[itf.right], c[itf.right])
-        )
+        jumps, _ = jump_arrays(itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]),
+                               (A[itf.right], c[itf.right]))
+        for x in vars(jumps).values():
+            x.setflags(write=False)
         return jumps
 
     def flipped(self) -> "PiecewiseAffine":
-        out = type(self).__new__(type(self))
-        out.partition = self.partition.flipped()
-        out.pieces = self.pieces
-        return out
+        return type(self)(self.partition.flipped(), self.pieces)
 
     def scaled(self, s: float) -> "PiecewiseAffine":
         """Rescale the geometry by s > 0 keeping all trace values.
@@ -240,25 +243,20 @@ class PiecewiseAffine:
         """
         if not s > 0:
             raise FunctionError("scale factor must be positive")
-        cells = [Polygon(c.vertices * s) for c in self.partition.cells]
-        domain = Polygon(self.partition.domain.vertices * s)
-        part = PolygonalPartition(cells, domain)
-        pieces = [AffinePiece(p.A / s, p.b) for p in self.pieces]
-        return type(self)(part, pieces)
+        p = self.partition
+        part = PolygonalPartition((p.vertices * s, p.counts), Polygon(p.domain.vertices * s))
+        return type(self)(part, [AffinePiece(q.A / s, q.b) for q in self.pieces])
 
     def to_json(self) -> dict:
-        return {
-            "partition": self.partition.to_json(),
-            "pieces": [p.to_json() for p in self.pieces],
-        }
+        return {"partition": self.partition.to_json(), "pieces": [p.to_json() for p in self.pieces]}
 
     @classmethod
     def from_json(cls, data) -> "PiecewiseAffine":
-        part = PolygonalPartition.from_json(data["partition"])
-        pieces = [AffinePiece.from_json(p) for p in data["pieces"]]
-        return cls(part, pieces)
+        return cls(PolygonalPartition.from_json(data["partition"]),
+                   [AffinePiece.from_json(p) for p in data["pieces"]])
 
 
+@dataclass(frozen=True, eq=False)  # so that every attribute is frozen, not only the fields
 class PiecewiseRigid(PiecewiseAffine):
     """Piecewise affine function whose every piece is an infinitesimal rigid motion."""
 
@@ -276,8 +274,9 @@ def jump_square(
     In frame coordinates (nu = e2) the two halves are {y < 0} and {y > 0};
     hole=(half_width, low, high) notches {|x| < half_width, low < y < high}
     out of them, and `cells` with `pieces` fill it: vertex arrays in frame
-    coordinates, or Polygons already in place.  center=None keeps the square
-    at the origin.
+    coordinates, each turned into place on its own, or one ragged stack
+    (vertices, counts) already in place.  center=None keeps the square at
+    the origin.
     """
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
@@ -288,12 +287,15 @@ def jump_square(
     def place(vertices):
         v = np.asarray(vertices, dtype=float) @ R.T
         # no zero shift at the origin: it would turn -0.0 coordinates into 0.0
-        return Polygon(v if center is None else v + center)
+        return v if center is None else v + center
 
-    lower, upper = _outer_cells(side, hole)
-    inner = [c if isinstance(c, Polygon) else place(c) for c in cells]
+    if not (isinstance(cells, tuple) and len(cells) == 2 and np.ndim(cells[1]) == 1):
+        cells = [place(c) for c in cells]
+        cells = np.concatenate(cells or [np.zeros((0, 2))]), [len(c) for c in cells]
+    outer = [place(c) for c in _outer_cells(side, hole)]
+    stack = np.concatenate([*outer, cells[0]]), np.array([*map(len, outer), *cells[1]])
     domain = make_oriented_square(nu, side, (0.0, 0.0) if center is None else center)
-    part = PolygonalPartition([place(lower), place(upper)] + inner, domain)
+    part = PolygonalPartition(stack, domain)
     outer = [constant_piece(i), constant_piece(j)]
     return PiecewiseRigid(part, outer + list(pieces))
 
@@ -406,20 +408,16 @@ def compact_deviation(v: PiecewiseAffine, u: PiecewiseAffine, margin: float) -> 
     Deviation is decided exactly: a cell of v deviates iff some cell of u
     overlapping it (in area) carries a different affine map.
     """
-    dom_v = v.partition.domain
-    dom_u = u.partition.domain
-    if not same_domain(dom_v, dom_u):
+    pv, pu = v.partition, u.partition
+    if not same_domain(pv.domain, pu.domain):
         raise FunctionError("compared functions must share the same domain")
-    area_tol = 1e-12 * dom_u.area
+    area_tol = 1e-12 * pu.domain.area
     # the (cell of v, cell of u) pairs whose maps differ
     Av, bv = _stacked(v.pieces)
     Au, bu = _stacked(u.pieces)
     differ = ~((Av[:, None] == Au).all(axis=(2, 3)) & (bv[:, None] == bu).all(axis=2))
     ia, ib = np.nonzero(differ)
-    area = overlap_areas(v.partition.cells, u.partition.cells, (ia, ib))
-    deviating = sorted(set(ia[area > area_tol].tolist()))
-    if not deviating:
-        return True
-    cells = v.partition.cells
-    dist = dom_v.boundary_distance(np.concatenate([cells[k].vertices for k in deviating]))
-    return bool(dist.min() >= margin)
+    area = overlap_areas((pv.vertices, pv.counts), (pu.vertices, pu.counts), (ia, ib))
+    deviating = np.repeat(np.bincount(ia[area > area_tol], minlength=len(pv)) > 0, pv.counts)
+    return not deviating.any() or bool(
+        pv.domain.boundary_distance(pv.vertices[deviating]).min() >= margin)

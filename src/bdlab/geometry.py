@@ -1,10 +1,13 @@
 """Planar polygonal geometry: oriented squares, partitions, interface extraction.
 
-Polygons are counterclockwise vertex loops.  A partition is a finite list of
-polygonal cells covering a convex domain; the interfaces between cells are
-recovered by matching collinear, opposite-orientation edge overlaps, so cells
-may be authored with unequal edge subdivisions (T-junctions are fine).  They
-are arrays (`Interfaces`) from one arithmetic, `edge_pair_interfaces`.
+Polygons are counterclockwise vertex loops.  A partition's polygonal cells
+cover a convex domain as one ragged stack of loops, (vertices, counts): the
+loops end to end, (sum of counts, 2), and their vertex counts.  The kernels
+take a stack of loops as such a pair or as a sequence of Polygons.  The
+interfaces between cells are recovered by matching collinear,
+opposite-orientation edge overlaps, so cells may be authored with unequal
+edge subdivisions (T-junctions are fine).  They are arrays (`Interfaces`)
+from one arithmetic, `edge_pair_interfaces`.
 
 Coordinates are plain float64; two points coincide when their distance is
 below 1e-9 times the domain diameter.
@@ -12,6 +15,7 @@ below 1e-9 times the domain diameter.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,31 +103,79 @@ def signed_area(vertices, rolled=None) -> float:
     return 0.5 * float(np.dot(v[:, 0], w[:, 1]) - np.dot(v[:, 1], w[:, 0]))
 
 
-def _checked_loops(v) -> np.ndarray:
-    """Polygon's checks on every loop of v, a (k, V, 2) float array, at once:
-    GeometryError unless each is a Polygon's vertex loop.  Returns the loops
-    rolled by one row along V; it and v are made read-only.  Each loop's
-    shoelace sum is a stacked matmul of its columns, the dot products of
-    signed_area bit for bit."""
-    if v.ndim != 3 or v.shape[2] != 2 or v.shape[1] < 3:
+def _following(counts) -> np.ndarray:
+    """The row of the vertex after each vertex in a ragged stack of loops
+    with the integer vertex counts: the next, or the first after the last."""
+    stop = np.cumsum(counts)
+    following = np.arange(1, counts.sum() + 1)
+    following[stop - 1] = stop - counts
+    return following
+
+
+def _boxes(vertices, counts):
+    """(lo, hi): the bounding box corners, (k, 2), of the loops of a ragged
+    stack; row_norms(hi - lo) is Polygon.diameter bit for bit."""
+    first = np.cumsum(counts) - counts
+    return np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
+
+
+def _checked_loops(v, counts) -> np.ndarray:
+    """Polygon's checks on each loop of the ragged stack (v, counts): the
+    GeometryError of the first check some loop fails, if any.  Returns the
+    loops rolled by one row; it, v and counts are made read-only.  The
+    shoelace sums are a stacked matmul per loop length, signed_area's dot
+    products."""
+    if v.ndim != 2 or v.shape[1] != 2 or (counts < 3).any() or counts.sum() != len(v):
         raise GeometryError("a polygon needs at least three planar vertices")
     if not np.isfinite(v).all():
         raise GeometryError("polygon vertices must be finite")
-    ext = (v.max(axis=1) - v.min(axis=1)).max(axis=1)
+    lo, hi = _boxes(v, counts)
+    ext = (hi - lo).max(axis=1)
     if (ext == 0.0).any():
         raise GeometryError("polygon has zero extent")
-    w = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
+    w = v[_following(counts)]
     d = v - w
     # the gaps as np.linalg.norm takes them, without its Python overhead
-    if (np.sqrt((d * d).sum(axis=2)) < MATCH_TOL * ext[:, None]).any():
+    if (np.sqrt((d * d).sum(axis=1)) < MATCH_TOL * np.repeat(ext, counts)).any():
         raise GeometryError("repeated consecutive vertices")
-    xy = (v[:, None, :, 0] @ w[:, :, 1, None])[:, 0, 0]
-    yx = (v[:, None, :, 1] @ w[:, :, 0, None])[:, 0, 0]
-    if (0.5 * (xy - yx) <= 0.0).any():
-        raise GeometryError("polygon must be counterclockwise with positive area")
-    v.setflags(write=False)
-    w.setflags(write=False)
+    for n in set(counts.tolist()):
+        rows = (np.cumsum(counts) - counts)[counts == n, None] + np.arange(n)
+        a, b = v[rows], w[rows]
+        xy = (a[:, None, :, 0] @ b[:, :, 1, None])[:, 0, 0]
+        yx = (a[:, None, :, 1] @ b[:, :, 0, None])[:, 0, 0]
+        if (0.5 * (xy - yx) <= 0.0).any():
+            raise GeometryError("polygon must be counterclockwise with positive area")
+    for x in (v, w, counts):
+        x.setflags(write=False)
     return w
+
+
+def _views(vertices, counts) -> list["Polygon"]:
+    """Unchecked Polygons viewing the loops of a ragged stack."""
+    rolled = vertices[_following(counts)]
+    rolled.setflags(write=False)
+    stops = np.cumsum(counts)[:-1]
+    polys = [object.__new__(Polygon) for _ in counts]
+    for p, v, w in zip(polys, np.split(vertices, stops), np.split(rolled, stops)):
+        p.vertices, p.rolled = v, w
+    return polys
+
+
+def _ragged(loops):
+    """(vertices, counts): a stack of loops, given as that ragged stack or
+    as a sequence of Polygons, whose loops it stacks end to end."""
+    if isinstance(loops, tuple) and len(loops) == 2 and not isinstance(loops[0], Polygon):
+        return np.asarray(loops[0], dtype=float), np.asarray(loops[1], dtype=int)
+    loops = list(loops)
+    return (np.concatenate([p.vertices for p in loops] or [np.zeros((0, 2))]),
+            np.array([len(p) for p in loops], dtype=int))
+
+
+def _padded(vertices, counts, rows=slice(None)):
+    """(loops, their counts): the given loops of a ragged stack (all by
+    default), each padded with copies of its last vertex to the longest."""
+    first, n = (np.cumsum(counts) - counts)[rows], counts[rows]
+    return vertices[first[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)], n
 
 
 class Polygon:
@@ -133,23 +185,8 @@ class Polygon:
     __slots__ = ("vertices", "rolled")
 
     def __init__(self, vertices):
-        v = np.array(vertices, dtype=float)[None]
-        w = _checked_loops(v)
-        self.vertices = v[0]
-        self.rolled = w[0]
-
-    @staticmethod
-    def stack(loops) -> list["Polygon"]:
-        """One Polygon per loop of loops, (k, V, 2), all checked at once as
-        Polygon checks one."""
-        v = np.array(loops, dtype=float)
-        w = _checked_loops(v)
-        polys = []
-        for vk, wk in zip(v, w):
-            p = object.__new__(Polygon)
-            p.vertices, p.rolled = vk, wk
-            polys.append(p)
-        return polys
+        self.vertices = np.array(vertices, dtype=float)
+        self.rolled = _checked_loops(self.vertices, np.array(self.vertices.shape[:1]))
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -163,8 +200,7 @@ class Polygon:
 
     @property
     def diameter(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
+        lo, hi = self.bbox
         return float(np.linalg.norm(hi - lo))
 
     @property
@@ -205,7 +241,7 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
     verts = np.array(poly.vertices)
     idx = list(range(len(verts)))
     scale = poly.diameter
-    area_tol = 1e-14 * scale * scale
+    area_tol, eps = 1e-14 * scale * scale, 1e-12 * scale * scale
     tris: list[np.ndarray] = []
 
     def tri_area(a, b, c):
@@ -225,26 +261,19 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
         if guard > 10 * len(verts) ** 2:
             raise GeometryError("triangulation failed (polygon may be non-simple)")
         n = len(idx)
-        clipped = False
         for k in range(n):
             i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
             a, b, c = verts[i0], verts[i1], verts[i2]
             A = tri_area(a, b, c)
-            if abs(A) <= area_tol:
-                # collinear vertex: drop it without emitting a triangle
-                idx.pop(k)
-                clipped = True
-                break
-            if A < 0.0:
-                continue  # reflex corner, not an ear
-            eps = 1e-12 * scale * scale
-            if any(point_in_tri(verts[j], a, b, c, eps) for j in idx if j not in (i0, i1, i2)):
-                continue
-            tris.append(np.array([a, b, c]))
+            # a collinear vertex goes without a triangle; a reflex corner is no ear
+            if not abs(A) <= area_tol:
+                if A < 0.0 or any(point_in_tri(verts[j], a, b, c, eps)
+                                  for j in idx if j not in (i0, i1, i2)):
+                    continue
+                tris.append(np.array([a, b, c]))
             idx.pop(k)
-            clipped = True
             break
-        if not clipped:
+        else:
             raise GeometryError("no ear found (polygon may be non-simple)")
     a, b, c = (verts[i] for i in idx)
     if abs(tri_area(a, b, c)) > area_tol:
@@ -285,12 +314,10 @@ def make_oriented_square(nu, rho: float, center=(0.0, 0.0)) -> Polygon:
 
 
 def _merge_intervals(intervals, tol):
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    out = [list(intervals[0])]
-    for lo, hi in intervals[1:]:
-        if lo <= out[-1][1] + tol:
+    """The union of the intervals (lo, hi), gaps up to tol closed, in order."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + tol:
             out[-1][1] = max(out[-1][1], hi)
         else:
             out.append([lo, hi])
@@ -311,11 +338,8 @@ def _edge_lengths(vertices, counts):
     """(first, d, L): the first row of each vertex loop stacked in vertices
     with the integer array of counts, and the direction vectors and lengths
     of all edges (edge k of a loop runs from its vertex k to k + 1)."""
-    first = np.cumsum(counts) - counts
-    following = np.arange(1, len(vertices) + 1)
-    following[first + counts - 1] = first
-    d = vertices[following] - vertices
-    return first, d, np.linalg.norm(d, axis=1)
+    d = vertices[_following(counts)] - vertices
+    return np.cumsum(counts) - counts, d, np.linalg.norm(d, axis=1)
 
 
 def _match_edges(vertices, counts, pairs, tol: float):
@@ -401,21 +425,11 @@ class Interfaces:
                           self.right_edge, self.left_edge)
 
 
-def _loops(polys):
-    """(vertices, counts, lo, hi): the vertex loops of the Polygons stacked
-    end to end, their lengths, and their bounding box corners, (k, 2), from
-    one reduction each; row_norms(hi - lo) is Polygon.diameter bit for bit."""
-    counts = np.array([len(p) for p in polys])
-    vertices = np.concatenate([p.vertices for p in polys])
-    first = np.cumsum(counts) - counts
-    lo, hi = np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
-    return vertices, counts, lo, hi
-
-
-def extract_interfaces(cells: list[Polygon], tol: float) -> Interfaces:
+def extract_interfaces(vertices, counts, tol: float) -> Interfaces:
     """Match collinear opposite-orientation edge overlaps between distinct
-    cells, over the pairs ia < ib whose bounding boxes come within tol."""
-    vertices, counts, lo, hi = _loops(cells)
+    loops of the ragged stack (vertices, counts), over the pairs ia < ib
+    whose bounding boxes come within tol."""
+    lo, hi = _boxes(vertices, counts)
     far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
     near = np.nonzero(np.triu(~far, k=1))
     ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
@@ -425,20 +439,30 @@ def extract_interfaces(cells: list[Polygon], tol: float) -> Interfaces:
 
 
 class PolygonalPartition:
-    """Finite polygonal partition of a convex planar domain."""
+    """Finite polygonal partition of a convex planar domain.  Its cells are
+    one read-only ragged stack, `vertices` and `counts`, given as such a
+    stack or as Polygons, and checked loop by loop as Polygon checks one."""
 
-    __slots__ = ("cells", "domain", "interfaces", "tol")
+    __slots__ = ("vertices", "counts", "domain", "interfaces", "tol")
 
-    def __init__(self, cells, domain: Polygon, tol: float | None = None):
-        self.cells = tuple(cells)
-        if not self.cells:
+    def __init__(self, cells, domain: Polygon):
+        vertices, counts = _ragged(cells)
+        if not len(counts):
             raise GeometryError("partition needs at least one cell")
+        self.vertices = np.array(vertices, dtype=float)
+        self.counts = np.array(counts, dtype=int)
+        _checked_loops(self.vertices, self.counts)
         self.domain = domain
-        self.tol = MATCH_TOL * domain.diameter if tol is None else tol
-        self.interfaces = extract_interfaces(list(self.cells), self.tol)
+        self.tol = MATCH_TOL * domain.diameter
+        self.interfaces = extract_interfaces(self.vertices, self.counts, self.tol)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.counts)
+
+    @property
+    def cells(self) -> tuple[Polygon, ...]:
+        """The cells as Polygons viewing the stack, built on each call."""
+        return tuple(_views(self.vertices, self.counts))
 
     @property
     def area_defect(self) -> float:
@@ -460,37 +484,23 @@ class PolygonalPartition:
 
     def flipped(self) -> "PolygonalPartition":
         """Same cells with every interface orientation reversed."""
-        part = PolygonalPartition.__new__(PolygonalPartition)
-        part.cells = self.cells
-        part.domain = self.domain
-        part.tol = self.tol
+        part = copy.copy(self)
         part.interfaces = self.interfaces.flipped()
         return part
 
     def to_json(self) -> dict:
-        return {
-            "cells": [c.to_json() for c in self.cells],
-            "domain": self.domain.to_json(),
-        }
+        return {"cells": [c.to_json() for c in self.cells], "domain": self.domain.to_json()}
 
     @staticmethod
     def from_json(data) -> "PolygonalPartition":
-        cells = [Polygon.from_json(c) for c in data["cells"]]
-        return PolygonalPartition(cells, Polygon.from_json(data["domain"]))
-
-
-def _stack(loops):
-    """(stacked, counts): vertex loops, (k, 2) arrays, each padded with
-    copies of its last vertex to the longest: (len(loops), max k, 2), and
-    the integer array of the k."""
-    counts = np.array([len(v) for v in loops])
-    col = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
-    return np.concatenate(loops)[np.cumsum(counts)[:, None] - counts[:, None] + col], counts
+        loops = [np.asarray(c, dtype=float) for c in data["cells"]]
+        return PolygonalPartition((np.concatenate(loops), np.array([len(c) for c in loops])),
+                                  Polygon.from_json(data["domain"]))
 
 
 def _clip_convex(subject, n, clip, m, tol):
     """Sutherland-Hodgman clip of every subject loop (the first n[r] rows of
-    subject[r], padded as `_stack` pads) against its convex counterclockwise
+    subject[r], padded as `_padded` pads) against its convex counterclockwise
     clip loop (the first m[r] rows of clip[r]), all rows at once: (out,
     counts), padded the same way.  A point is inside an edge's half plane
     when its cross product with the edge is at least -tol[r]; each row is
@@ -555,15 +565,16 @@ def _convex_pieces(poly: Polygon) -> list[np.ndarray]:
 
 
 def overlap_areas(subjects, others, pairs, tol=None) -> np.ndarray:
-    """Intersection areas of subjects[ia] and others[ib] for the pairs (ia,
-    ib) of index arrays.  Each subject is clipped against the convex pieces
-    of the other (see `_convex_pieces`), every (pair, piece) at once, and a
-    pair's areas add up in piece order.  tol, one number or one per pair
-    (MATCH_TOL times the larger diameter by default), is the clip's inside
-    tolerance; bounding boxes more than tol apart give 0.0."""
+    """Intersection areas of subjects[ia] and others[ib], two stacks of loops,
+    for the pairs (ia, ib) of index arrays.  Each subject is clipped against
+    the convex pieces of the other (see `_convex_pieces`), every (pair,
+    piece) at once, and a pair's areas add up in piece order.  tol, one
+    number or one per pair (MATCH_TOL times the larger diameter by default),
+    is the clip's inside tolerance; bounding boxes more than tol apart give
+    0.0."""
     ia, ib = (np.asarray(x, dtype=int) for x in pairs)
-    _, _, lo1, hi1 = _loops(subjects)
-    _, _, lo2, hi2 = _loops(others)
+    (v1, n1), (v2, n2) = _ragged(subjects), _ragged(others)
+    (lo1, hi1), (lo2, hi2) = _boxes(v1, n1), _boxes(v2, n2)
     if tol is None:
         tol = MATCH_TOL * np.maximum(row_norms(hi1 - lo1)[ia], row_norms(hi2 - lo2)[ib])
     tol = np.broadcast_to(np.asarray(tol, dtype=float), ia.shape)
@@ -574,11 +585,12 @@ def overlap_areas(subjects, others, pairs, tol=None) -> np.ndarray:
         return np.zeros(len(ia))
     # one row per (near pair, convex piece of its other cell)
     met = ib[near].tolist()
-    pieces = {b: _convex_pieces(others[b]) for b in set(met)}
+    cells = _views(v2, n2)
+    pieces = {b: _convex_pieces(cells[b]) for b in set(met)}
     pair = np.repeat(near, [len(pieces[b]) for b in met])
-    S, ns = _stack([subjects[a].vertices for a in ia[pair].tolist()])
-    C, mc = _stack([loop for b in met for loop in pieces[b]])
-    out, n = _clip_convex(S, ns, C, mc, tol[pair])
+    loops = [loop for b in met for loop in pieces[b]]
+    C, mc = _padded(np.concatenate(loops), np.array([len(c) for c in loops]))
+    out, n = _clip_convex(*_padded(v1, n1, ia[pair]), C, mc, tol[pair])
     area = np.where(n >= 3, np.abs(_loop_areas(out, n)), 0.0)
     return np.bincount(pair, weights=area, minlength=len(ia))
 
@@ -587,31 +599,34 @@ def _drop_repeats(pts, eps) -> np.ndarray:
     """The loop pts, (n, 2), without each point within eps of the last point
     kept before it, then without the last point kept if it lies within eps
     of the first: the duplicate points that clipping produces."""
-    keep = pts
-    # while every gap exceeds eps, the last point kept is the previous one
-    if not np.all(row_norms(pts[1:] - pts[:-1]) > eps):
-        kept = [pts[0]]
-        for p in pts[1:]:
-            if np.linalg.norm(p - kept[-1]) > eps:
-                kept.append(p)
-        keep = np.array(kept)
-    if np.linalg.norm(keep[0] - keep[-1]) <= eps:
-        keep = keep[:-1]
-    return keep
+    # the distance between every two points, as np.linalg.norm takes it
+    dist = row_norms((pts[:, None] - pts).reshape(-1, 2)).reshape(len(pts), -1).tolist()
+    kept = [0]
+    for k in range(1, len(pts)):
+        if dist[k][kept[-1]] > eps:
+            kept.append(k)
+    if dist[0][kept[-1]] <= eps:
+        kept.pop()
+    return pts[kept]
 
 
-def clip_polygon(cell: Polygon, region: Polygon) -> Polygon | None:
-    """Cell clipped to a convex region (None if the overlap is negligible)."""
-    tol = 1e-12 * max(cell.diameter, region.diameter)
-    out, n = _clip_convex(cell.vertices[None], np.array([len(cell)]),
-                          region.vertices[None], np.array([len(region)]), np.array([tol]))
-    pts = out[0, :n[0]]
-    if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
-        return None
-    keep = _drop_repeats(pts, 1e-12 * region.diameter)
-    if len(keep) < 3:
-        return None
-    return Polygon(keep)
+def clip_polygon(cells, region: Polygon) -> list[Polygon | None]:
+    """Each cell of a stack of loops clipped to a convex region, all in one
+    `_clip_convex` call: a Polygon per cell, None where the overlap is
+    negligible."""
+    vertices, counts = _ragged(cells)
+    lo, hi = _boxes(vertices, counts)
+    tol = 1e-12 * np.maximum(row_norms(hi - lo), region.diameter)
+    clip = np.broadcast_to(region.vertices, (len(counts), *region.vertices.shape))
+    out, n = _clip_convex(*_padded(vertices, counts), clip, np.full(len(counts), len(region)), tol)
+
+    def kept(pts):
+        if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
+            return None
+        pts = _drop_repeats(pts, 1e-12 * region.diameter)
+        return Polygon(pts) if len(pts) >= 3 else None
+
+    return [kept(out[r, :m]) for r, m in enumerate(n.tolist())]
 
 
 def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> float:
@@ -632,35 +647,31 @@ class PartitionReport(Report):
 def validate_partition(part: PolygonalPartition) -> PartitionReport:
     """Report area defect, unmatched edge portions, and overlapping cell pairs."""
     tol = part.tol
-    n = len(part.cells)
-    counts = np.array([len(c) for c in part.cells] + [len(part.domain)])
+    n = len(part)
+    counts = np.append(part.counts, len(part.domain))
     # the domain loop reversed runs the other way along every cell edge on
     # the boundary, as a neighbouring cell's edge does inside
-    vertices = np.concatenate([c.vertices for c in part.cells] + [part.domain.vertices[::-1]])
+    vertices = np.concatenate([part.vertices, part.domain.vertices[::-1]])
     pairs = np.nonzero(np.arange(n)[:, None] != np.arange(n + 1))
     ia, k, _, _, lo, hi = _match_edges(vertices, counts, pairs, tol)
     first, _, L = _edge_lengths(vertices, counts)
     covered = [[] for _ in range(first[n])]
     for e, s, t in zip((first[ia] + k).tolist(), lo.tolist(), hi.tolist()):
         covered[e].append((s, t))
-    unmatched = []
-    for ci in range(n):
-        for ei in range(counts[ci]):
-            e = first[ci] + ei
-            gap = float(L[e] - sum(hi - lo for lo, hi in _merge_intervals(covered[e], tol)))
-            if gap > 10 * tol:
-                unmatched.append((ci, ei, gap))
+    gaps = [float(L[e] - sum(hi - lo for lo, hi in _merge_intervals(c, tol)))
+            for e, c in enumerate(covered)]
+    unmatched = [(ci, ei, gap) for ci in range(n)
+                 for ei, gap in enumerate(gaps[first[ci]:first[ci + 1]]) if gap > 10 * tol]
 
     area_tol = max(tol * part.domain.diameter, 1e-12 * part.domain.area)
     ci, cj = np.nonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
-    area = overlap_areas(part.cells, part.cells, (ci, cj), tol)
+    cells = (part.vertices, part.counts)
+    area = overlap_areas(cells, cells, (ci, cj), tol)
     hit = area > area_tol
     overlaps = list(zip(ci[hit].tolist(), cj[hit].tolist(), area[hit].tolist()))
 
     defect = part.area_defect
-    passed = (
-        defect <= 1e-9 * part.domain.area and not unmatched and not overlaps
-    )
+    passed = defect <= 1e-9 * part.domain.area and not unmatched and not overlaps
     return PartitionReport(defect, unmatched, overlaps, passed)
 
 
@@ -671,29 +682,27 @@ def row_norms(v) -> np.ndarray:
 
 
 def clip_segment_params(starts, ends, regions):
-    """The pieces inside each of the regions (Polygons) of the segments
-    starts[k] -> ends[k], (n, 2) arrays: (owner, rows, t0, t1, on_boundary),
-    where piece m covers [t0[m], t1[m]] of the parameter in [0, 1] of
-    segment rows[m] inside regions[owner[m]], region after region, row after
-    row in increasing t.  Segments are cut where they meet a region's edge
-    within tol, MATCH_TOL times the region's diameter; pieces no longer
-    than tol, or with their midpoint outside the region, are dropped.
-    on_boundary marks pieces along the region's boundary.  Every region
-    gives the pieces of clipping against it alone, bit for bit."""
+    """The pieces inside each of the regions (a stack of loops) of the
+    segments starts[k] -> ends[k], (n, 2) arrays: (owner, rows, t0, t1,
+    on_boundary), where piece m covers [t0[m], t1[m]] of the parameter in
+    [0, 1] of segment rows[m] inside regions[owner[m]], region after
+    region, row after row in increasing t.  Segments are cut where they
+    meet a region's edge within tol, MATCH_TOL times the region's diameter;
+    pieces no longer than tol, or with their midpoint outside the region,
+    are dropped.  on_boundary marks pieces along the region's boundary.
+    Every region gives the pieces of clipping against it alone, bit for bit."""
     a = _as_points(starts).reshape(-1, 2)
     b = _as_points(ends).reshape(-1, 2)
     d = b - a
-    G = len(regions)
-    _, _, lo, hi = _loops(regions)
+    vertices, counts = _ragged(regions)
+    lo, hi = _boxes(vertices, counts)
     tol = MATCH_TOL * row_norms(hi - lo)
     L = row_norms(d)
     # every region's edges, padded by repeating its last one, which the
     # mask `edge` drops
-    P, counts = _stack([r.vertices for r in regions])
-    Q = _stack([r.rolled for r in regions])[0]
-    E = P.shape[1]
-    edge = np.arange(E) < counts[:, None]
-    e_len = row_norms((Q - P).reshape(-1, 2)).reshape(G, E)
+    P, Q = (_padded(x, counts)[0] for x in (vertices, vertices[_following(counts)]))
+    edge = np.arange(P.shape[1]) < counts[:, None]
+    e_len = row_norms((Q - P).reshape(-1, 2)).reshape(P.shape[:2])
     # the (region, row) pairs whose bounding boxes come within tol: a segment
     # farther from a region has no piece in it
     gap = tol[:, None, None]

@@ -305,7 +305,8 @@ class TestTiling:
 
 
 def former_tile_construction(v, i, j, nu, h, ambient_side=3.0):
-    """The oracle: tile_construction with one Polygon per cell copy."""
+    """The oracle: tile_construction with one Polygon per cell copy, handed
+    to jump_square as one stack in place."""
     nu = unit(nu)
     R = frame_from_normal(nu)
     inv_h = 1.0 / h
@@ -316,8 +317,9 @@ def former_tile_construction(v, i, j, nu, h, ambient_side=3.0):
             cells.append(Polygon(xn + cell.vertices * inv_h))
             A = h * piece.A
             pieces.append(type(piece)(A, piece.b - A @ xn))
+    stack = np.concatenate([c.vertices for c in cells]), np.array([len(c) for c in cells])
     return jump_square(i, j, nu, ambient_side, hole=(0.5, 0.0, inv_h),
-                       cells=cells, pieces=pieces)
+                       cells=stack, pieces=pieces)
 
 
 class TestRotatedFrames:

@@ -511,3 +511,42 @@ class TestJson:
     def test_rigid_piece_serializes_omega(self):
         p = rigid_piece(0.25, (1, 2))
         assert p.to_json() == {"omega": 0.25, "b": [1.0, 2.0]}
+
+
+class TestOneJumpSet:
+    """A PiecewiseAffine is read-only, and builds its jump set once."""
+
+    def test_one_jump_arrays_call_per_function(self, monkeypatch):
+        import bdlab.functions as functions
+        from bdlab.ellipticity import counterexample1_competitor
+        from bdlab.energy import jump_flux
+        from bdlab.fields import catalog_fields
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return jump_arrays(*args)
+
+        monkeypatch.setattr(functions, "jump_arrays", counted)
+        u = counterexample1_competitor(1.0)
+        fields = catalog_fields(np.zeros(2), np.full(2, 2.0), E2).fields
+        assert len(fields) == 8
+        for n, v in enumerate((u, u.flipped(), u.scaled(0.5)), start=1):
+            flux = [jump_flux(v, g, tol=1e-12).value for g in fields]
+            assert len(calls) == n
+            assert [jump_flux(v, g, tol=1e-12).value for g in fields] == flux
+            assert v.jump_segments() is v.jump_segments()
+        assert len(calls) == 3
+
+    def test_function_and_its_arrays_refuse_writes(self):
+        u = make_elementary((0.0, 0.0), (1.0, 2.0), E2, OrientedSquare(E2, 2.0, (0.0, 0.0)))
+        for name, value in (("partition", u.partition), ("pieces", ()), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(u, name, value)
+        jumps = u.jump_segments()
+        arrays = [getattr(jumps, name) for name in vars(jumps)]
+        arrays += [u.partition.vertices, u.partition.counts] + [p.A for p in u.pieces]
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0

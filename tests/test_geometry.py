@@ -8,6 +8,7 @@ from bdlab.geometry import (
     GeometryError,
     Polygon,
     PolygonalPartition,
+    _checked_loops,
     _drop_repeats,
     _merge_intervals,
     _overlap_span,
@@ -23,6 +24,13 @@ from bdlab.geometry import (
     unit,
     validate_partition,
 )
+
+
+def ragged(loops):
+    """(vertices, counts): the vertex loops, Polygons or arrays, stacked end
+    to end."""
+    loops = [np.asarray(getattr(v, "vertices", v), dtype=float) for v in loops]
+    return np.concatenate(loops), np.array([len(v) for v in loops])
 
 
 def _vertex_set_match(poly, expected, tol=1e-12):
@@ -106,7 +114,8 @@ class TestPolygon:
         assert p.contains((3, 1)) == -1
 
     GOOD = [[(0, 0), (2, 0), (2, 2), (0, 2)], [(0.5, -1), (3, 0.1), (1.2, 4), (-1e-9, 1e-9)],
-            [(100, 100), (100.5, 100), (100.5, 101), (100, 100.5)]]
+            [(3, 0), (4, 1), (3, 2)],
+            [(100, 100), (100.5, 100), (101, 100.5), (100.5, 101), (100, 100.5)]]
 
     @pytest.mark.parametrize("bad", [
         [(0, 0), (0, 1), (1, 1), (1, 0)],  # clockwise
@@ -121,30 +130,84 @@ class TestPolygon:
         for at in range(len(self.GOOD) + 1):
             loops = self.GOOD[:at] + [bad] + self.GOOD[at:]
             with pytest.raises(GeometryError, match=str(alone.value)):
-                Polygon.stack(loops)
+                _checked_loops(*ragged(loops))
 
-    @pytest.mark.parametrize("loops", [np.zeros((2, 2, 2)), np.zeros((2, 4, 3)), np.zeros(8),
-                                       [[(0, 0), (1, 0)]]])
+    @pytest.mark.parametrize("loops", [
+        (np.zeros((4, 2)), [2, 2]), (np.zeros((8, 3)), [4, 4]), (np.zeros(8), [8]),
+        (np.zeros((2, 2)), [2]), (np.ones((7, 2)), [3, 3]), (np.zeros((2, 4, 2)), [4, 4])])
     def test_stack_needs_three_planar_vertices(self, loops):
+        # (vertices, counts): too few vertices, not planar, counts that miss
         with pytest.raises(GeometryError, match="three planar"):
-            Polygon.stack(loops)
+            _checked_loops(loops[0], np.array(loops[1]))
 
     def test_stack_equals_one_polygon_per_loop(self):
         rng = np.random.default_rng(5)
         ang = np.sort(rng.uniform(0, 2 * np.pi, (20, 7)), axis=1)
         heptagons = np.stack([np.cos(ang), np.sin(ang)], axis=2) * rng.uniform(1e-3, 1e3, (20, 1, 1))
-        for loops in (self.GOOD, heptagons):
-            got = Polygon.stack(loops)
-            assert len(got) == len(loops)
-            for p, loop in zip(got, loops):
+        for loops in (self.GOOD, list(heptagons), self.GOOD + list(heptagons)):
+            vertices, counts = ragged(loops)
+            rolled = _checked_loops(vertices, counts)
+            assert not vertices.flags.writeable and not rolled.flags.writeable
+            dom = make_oriented_square((0.0, 1.0), 1.0)
+            cells = PolygonalPartition((vertices, counts), dom).cells
+            assert len(cells) == len(loops)
+            stop = np.cumsum(counts)
+            for p, loop, a, b in zip(cells, loops, stop - counts, stop):
                 want = Polygon(loop)
+                assert np.array_equal(rolled[a:b], want.rolled)
                 assert np.array_equal(p.vertices, want.vertices)
                 assert np.array_equal(p.rolled, want.rolled)
                 assert not p.vertices.flags.writeable and not p.rolled.flags.writeable
-        for loop in heptagons:
-            # the stacked shoelace sum is signed_area's
-            (p,) = Polygon.stack([loop])
-            assert p.area == signed_area(loop)
+                # a view's area is signed_area's dot products
+                assert p.area == signed_area(loop) == want.area
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        good=st.lists(st.tuples(st.integers(3, 9), st.sampled_from((1e-3, 1.0, 1e3)),
+                                st.booleans()), max_size=6),
+        scale=st.sampled_from((1e-3, 1.0, 1e3)),
+        phase=st.floats(0.0, 2.0 * np.pi),
+        kind=st.sampled_from(("none", "repeated", "clockwise", "zero", "nan", "inf", "-inf")),
+        at=st.integers(0, 6),
+        n=st.integers(3, 9),
+        k=st.integers(0, 8),
+    )
+    def test_stack_check_raises_as_one_polygon_per_loop(self, good, scale, phase, kind, at, n,
+                                                        k):
+        # good regular polygons of mixed lengths and sizes, some with a
+        # vertex 1e-4 of an edge from the next (repeated at the largest
+        # size's tolerance, not at their own), and one bad loop of n
+        # vertices among them, checked by the stack and alone by Polygon
+        def ngon(m, size, c):
+            t = phase + 2.0 * np.pi * np.arange(m) / m
+            return c + size * np.c_[np.cos(t), np.sin(t)]
+
+        loops = []
+        for g, (m, size, split) in enumerate(good):
+            v = ngon(m, size, (3e3 * g, 0.0))
+            loops.append(np.insert(v, 1, v[0] + 1e-4 * (v[1] - v[0]), axis=0) if split else v)
+        bad = ngon(n, scale, (-3e3, 1.0))
+        k %= n
+        if kind == "repeated":
+            bad = np.insert(bad, k, bad[k], axis=0)
+        elif kind == "clockwise":
+            bad = bad[::-1]
+        elif kind == "zero":
+            bad = np.broadcast_to(bad[k], bad.shape)
+        elif kind != "none":
+            bad = bad.copy()
+            bad[k, k % 2] = float(kind)
+        loops.insert(min(at, len(loops)), bad)
+        vertices, counts = ragged(loops)
+        if kind == "none":
+            rolled = _checked_loops(vertices, counts)
+            assert rolled.tobytes() == np.concatenate([Polygon(v).rolled for v in loops]).tobytes()
+            return
+        with pytest.raises(GeometryError) as alone:
+            Polygon(bad)
+        with pytest.raises(GeometryError) as stacked:
+            _checked_loops(vertices, counts)
+        assert str(stacked.value) == str(alone.value)
 
     def test_contains_broadcasts(self):
         p = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -346,7 +409,7 @@ class TestPartition:
                         or np.any(cells[ib].bbox[0] > cells[ia].bbox[1] + tol))
                 for k, l, _, _ in zip(*former_edge_overlaps(edges[ia], edges[ib], tol))
             ]
-            assert edge_pairs(extract_interfaces(cells, tol)) == want
+            assert edge_pairs(extract_interfaces(*ragged(cells), tol)) == want
 
     def test_locate(self):
         part = _chord_partition()
@@ -376,12 +439,18 @@ class TestClipping:
 
     def test_clip_polygon(self):
         region = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-        sub = clip_polygon(Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), region)
+        # overlapping, the region itself, far away, sharing only an edge
+        cells = [Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), region,
+                 Polygon([(5, 5), (6, 5), (6, 6), (5, 6)]),
+                 Polygon([(2, 0), (3, 0), (3, 2), (2, 2)])]
+        sub, whole, far, edge = clip_polygon(cells, region)
         assert sub.area == pytest.approx(1.0, abs=1e-12)
-        assert clip_polygon(region, region).area == pytest.approx(4.0, abs=1e-12)
-        assert clip_polygon(Polygon([(5, 5), (6, 5), (6, 6), (5, 6)]), region) is None
-        # sharing only an edge leaves no area
-        assert clip_polygon(Polygon([(2, 0), (3, 0), (3, 2), (2, 2)]), region) is None
+        assert whole.area == pytest.approx(4.0, abs=1e-12)
+        assert far is None and edge is None
+        for cell, got in zip(cells, clip_polygon(ragged(cells), region)):
+            (alone,) = clip_polygon([cell], region)
+            assert (got is None) == (alone is None)
+            assert got is None or got.vertices.tobytes() == alone.vertices.tobytes()
 
     def test_segment_clip(self):
         poly = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -463,13 +532,18 @@ class TestConvexClip:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(case=st.data())
     def test_clip_polygon_equals_the_former_clip(self, case):
-        # a clip that leaves a degenerate loop raises in Polygon on both
+        # a clip that leaves a degenerate loop raises in Polygon on both; the
+        # batch of all cells gives each cell's clip alone where none raises
         part, moved = case.draw(overlapping_cell_sets())
         regions = [c for c in moved if _turns_left(c)] + [part.domain]
-        for cell in part.cells:
-            for region in regions:
-                got = _clip_outcome(clip_polygon, cell, region)
-                assert got == _clip_outcome(former_clip_polygon, cell, region)
+        for region in regions:
+            want = [_clip_outcome(former_clip_polygon, cell, region) for cell in part.cells]
+            got = [_clip_outcome(lambda c, r: clip_polygon([c], r)[0], cell, region)
+                   for cell in part.cells]
+            assert got == want
+            if not any(isinstance(w, str) for w in want):
+                batch = clip_polygon((part.vertices, part.counts), region)
+                assert [None if p is None else p.vertices.tobytes() for p in batch] == want
 
     def test_drop_repeats_equals_the_former_loop(self):
         # loops with runs of near-duplicate points, within eps of the last
@@ -608,13 +682,40 @@ class TestInterfaceArrays:
         part = case.draw(st.one_of(grid_partitions(), competitor_partitions()))
         cells = list(part.cells)
         itf = part.interfaces
-        want = former_extract_interfaces(cells, part.tol)
+        want = former_interface_loop(cells, part.tol)
         assert len(itf) == len(want)
         # bit for bit, in the same order
         for name, col in zip(("a", "b", "left", "right", "normal"), zip(*want)):
             got = getattr(itf, name)
             assert got.tobytes() == np.array(col, dtype=got.dtype).tobytes(), name
         assert edge_pairs(itf) == former_interface_edges(cells, part.tol)
+
+    def test_stack_equals_the_former_per_polygon_path(self):
+        # the competitors of tools/snapshot.py: every default family at its
+        # four normals and both value orders, three seeded rows each
+        rng = np.random.default_rng(20201)
+        from bdlab.ellipticity import default_families
+
+        checked = 0
+        for angle in (0.5 * np.pi, 0.3, 2.2, 4.0):
+            nu = np.array([np.cos(angle), np.sin(angle)])
+            for values in ORDERS:
+                for fam in default_families(*values, nu):
+                    kept = 0
+                    while kept < 3:
+                        params = tuple(float(rng.uniform(lo, hi)) for lo, hi in fam.bounds)
+                        try:
+                            part = fam.generator(params).partition
+                        except (GeometryError, ValueError):
+                            continue
+                        kept += 1
+                        want = former_extract_interfaces(part.cells, part.tol)
+                        for name, value in vars(want).items():
+                            got = getattr(part.interfaces, name)
+                            assert got.dtype == value.dtype, name
+                            assert got.tobytes() == value.tobytes(), name
+                        checked += 1
+        assert checked == 96
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(case=st.data())
@@ -642,7 +743,8 @@ class TestInterfaceArrays:
         back = part.flipped().flipped()
         for name in ("a", "b", "normal", "left", "right", "left_edge", "right_edge"):
             assert getattr(back.interfaces, name).tobytes() == getattr(itf, name).tobytes()
-        assert back.cells is part.cells and back.tol == part.tol
+        assert back.vertices is part.vertices and back.counts is part.counts
+        assert back.tol == part.tol
         probes = np.concatenate([0.5 * (itf.a + itf.b), [c.centroid for c in part.cells]])
         assert [part.flipped().locate(x) for x in probes] == [part.locate(x) for x in probes]
 
@@ -788,7 +890,7 @@ def former_cell_overlaps(cells, tol):
     return out, edges
 
 
-def former_extract_interfaces(cells, tol):
+def former_interface_loop(cells, tol):
     """The oracle: extract_interfaces one overlap at a time, as it was before
     it returned arrays.  (a, b, left, right, normal) per interface."""
     overlaps, edges = former_cell_overlaps(cells, tol)
@@ -799,6 +901,23 @@ def former_extract_interfaces(cells, tol):
         n = np.array([u1[1], -u1[0]])
         out.append((Pa[k] + lo * u1, Pa[k] + hi * u1, ib, ia, n))
     return out
+
+
+def former_extract_interfaces(cells, tol):
+    """The oracle: extract_interfaces as it took one Polygon per cell,
+    stacking their loops and taking their boxes on each call."""
+    from bdlab.geometry import Interfaces, _match_edges, edge_pair_interfaces, edge_vertices
+
+    counts = np.array([len(p) for p in cells])
+    vertices = np.concatenate([p.vertices for p in cells])
+    first = np.cumsum(counts) - counts
+    lo, hi = np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
+    far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
+    near = np.nonzero(np.triu(~far, k=1))
+    ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
+    ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
+    a, b, normal = edge_pair_interfaces(vertices, *ends)
+    return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)
 
 
 def former_interface_edges(cells, tol):

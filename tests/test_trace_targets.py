@@ -37,9 +37,8 @@ def test_counters_read_real_outputs():
     spans = _spans()
     tracer = spans.Tracer()
     u = counterexample1_competitor(1.0)
-    cells = list(u.partition.cells)
+    args = (u.partition.vertices, u.partition.counts, u.partition.tol)
     spans.COUNTERS["PiecewiseAffine.jump_segments"](tracer, (u,), u.jump_segments())
-    spans.COUNTERS["extract_interfaces"](
-        tracer, (cells, u.partition.tol), extract_interfaces(cells, u.partition.tol))
+    spans.COUNTERS["extract_interfaces"](tracer, args, extract_interfaces(*args))
     assert tracer.counts["functions.segments"] == 8
     assert tracer.counts["geometry.interfaces"] == 8
