@@ -39,8 +39,8 @@ class EnergyError(ValueError):
 @dataclass(frozen=True)
 class QuadratureResult(Report):
     """A quadrature value with its error estimate; `unconverged` counts the
-    parts accepted only because they reached a cap: the depth cap, or for
-    line quadrature the width cap of a refinement level."""
+    parts accepted only because they reached a cap: the depth cap or the
+    width cap of a refinement level."""
 
     value: float
     error_estimate: float
@@ -61,6 +61,10 @@ def _leggauss(order: int):
 _ROUNDING_FLOOR = 8 * np.finfo(float).eps
 _LINE_DEPTH = 48
 _VOLUME_DEPTH = 10
+# integrand points of one volume refinement level; a level that would
+# evaluate more chases an integrand the rule cannot resolve (a field that
+# oscillates faster than the triangles shrink) and would quadruple every level
+_VOLUME_WIDTH = 2**18
 # live intervals of one refinement level; wider refinement is chasing
 # rounding noise near a singular point and would double every level
 _LINE_WIDTH = 4096
@@ -426,9 +430,11 @@ def _duffy_rule(order: int):
 def _tri_gauss(fn, tris: np.ndarray, order: int) -> np.ndarray:
     """The rule on each triangle of tris (k, 3, 2), in one call of fn."""
     pts, wts = _duffy_rule(order)
-    a, b, c = tris[:, 0, None], tris[:, 1, None], tris[:, 2, None]
-    phys = a + pts[:, :1] * (b - a) + pts[:, 1:] * (c - a)
-    ab, ac = (b - a)[:, 0], (c - a)[:, 0]
+    # a + u (b - a) + v (c - a) at every node, one coordinate column at a time
+    ab, ac = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    phys = np.empty((len(tris), len(pts), 2))
+    for k in range(2):
+        phys[..., k] = tris[:, 0, k, None] + pts[:, 0] * ab[:, k, None] + pts[:, 1] * ac[:, k, None]
     jac = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
     vals = np.asarray(fn(phys.reshape(-1, 2)), dtype=float).reshape(len(tris), 1, -1)
     # wts @ vals, triangle by triangle: a stacked matmul keeps the rounding
@@ -449,7 +455,10 @@ def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
 
     A triangle's share of tol is quartered with each split into its four
     midpoint children, down to depth 10 (see `_accepted`); each level is one
-    call of fn.  A non-finite integrand value raises EnergyError.
+    call of fn.  A level whose rules would take more than 2**18 points is
+    not evaluated: the triangles it would refine are accepted as they stand.
+    Parts accepted by either cap count as `unconverged`.  A non-finite
+    integrand value raises EnergyError.
     """
     parts = np.array(triangulate(poly))
     ntri = len(parts)
@@ -466,6 +475,10 @@ def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
         fine = _sum_children(r, 4)
         r = r.reshape(-1, 4)
         e, ok, capped = _accepted(coarse, fine, share, depth, _VOLUME_DEPTH)
+        # the width cap: the next level rules on 16 children of each refined
+        # triangle, order**2 points each
+        if 16 * np.count_nonzero(~ok) * order**2 > _VOLUME_WIDTH:
+            e, ok, capped = _accepted(coarse, fine, share, _VOLUME_DEPTH, _VOLUME_DEPTH)
         unconverged += int(np.count_nonzero(capped))
         levels.append((fine, e, ok))
         if ok.all():
@@ -481,10 +494,11 @@ def integrate_polygon(fn, poly: Polygon, tol: float = 1e-9, order: int = 8):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """C^1 bump vanishing on the boundary of its polygon."""
+    """C^1 bump vanishing on the boundary of its polygon: `phi(x)`, and
+    `log_grad(x)`, the pair (phi, grad phi / phi) at (n, 2) points."""
 
     phi: Callable
-    grad: Callable
+    log_grad: Callable
     polygon: Polygon
 
 
@@ -493,11 +507,13 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
 
     phi = prod_e ell_e(x)^power with ell_e the inward signed edge offsets;
     requires a convex polygon so that phi > 0 inside and = 0 on the boundary.
+    Its gradient is phi * power * sum_e N_e / ell_e with N_e the inward unit
+    normals, so `log_grad` takes both from one set of offsets; where an
+    offset is 0, phi and its gradient vanish and the quotient reads 0.
     """
     if power < 2:
         raise EnergyError("power >= 2 keeps the bump C^1")
     verts = poly.vertices
-    n = verts.shape[0]
     d = np.roll(verts, -1, axis=0) - verts
     N = np.stack([-d[:, 1], d[:, 0]], axis=1) / row_norms(d)[:, None]  # inward for ccw
     # each offset N[k] @ verts[k] as a dot product, as row_norms takes it
@@ -508,28 +524,35 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
         raise EnergyError("bump construction needs a convex polygon")
     norm_const = float(np.prod(ells_c**power))
 
-    def ells(x):
-        return x @ N.T - b  # (n_pts, n_edges)
+    def offsets(x):
+        """(phi, L) at the (n, 2) points x, L the (n, edges) edge offsets."""
+        L = np.atleast_2d(np.asarray(x, dtype=float)) @ N.T - b
+        P = L**power
+        # the columns' product, left to right as np.prod takes it
+        prod = P[:, 0]
+        for e in range(1, len(N)):
+            prod = prod * P[:, e]
+        return prod / norm_const, L
 
     def phi(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.prod(ells(x) ** power, axis=1) / norm_const
+        return offsets(x)[0]
 
-    def grad(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        L = ells(x)
-        P = L**power
-        out = np.zeros_like(x)
-        for e in range(n):
-            # the product of the other columns, left to right as np.prod takes it
-            others = [k for k in range(n) if k != e]
-            rest = P[:, others[0]]
-            for k in others[1:]:
-                rest = rest * P[:, k]
-            out += (power * L[:, e] ** (power - 1) * rest)[:, None] * N[e]
-        return out / norm_const
+    def log_grad(x):
+        weight, L = offsets(x)
+        # sum_e N_e power / L_e, column by column; a zero offset gives inf or
+        # NaN on a row where phi is 0
+        v = np.empty((len(L), 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = power / L
+            for k in range(2):
+                np.multiply(inv[:, 0], N[0, k], out=v[:, k])
+                for e in range(1, len(N)):
+                    v[:, k] += inv[:, e] * N[e, k]
+        if not weight.all():
+            v[weight == 0.0] = 0.0
+        return weight, v
 
-    return TestFunction(phi, grad, poly)
+    return TestFunction(phi, log_grad, poly)
 
 
 def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi: TestFunction,
@@ -541,12 +564,15 @@ def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi:
       + int (grad G(u) : e(u)) phi dx
       + int <G(u), grad phi> dx  =  0
 
-    for a conservative field G with an analytic Jacobian and a bump phi
-    vanishing on the boundary of the region, which must lie inside u's
-    (convex) domain.  The residual is pure quadrature error.
+    for a conservative field G with a strain term and a bump phi vanishing
+    on the boundary of the region, which must lie inside u's (convex)
+    domain.  The two volume terms are one integrand per cell,
+    phi * G.strain(u, e(u), grad phi / phi).  The residual is pure
+    quadrature error; a quadrature that leaves parts unconverged at a cap
+    raises EnergyError.
     """
-    if G.jacobian is None:
-        raise EnergyError("integration by parts needs a field with a Jacobian")
+    if G.strain is None:
+        raise EnergyError("integration by parts needs a field with a strain term")
     domain = u.partition.domain
     region = region if region is not None else domain
     if np.any(domain.contains(region.vertices) < 0):
@@ -557,7 +583,8 @@ def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi:
     jump_term = integrate_jump_arrays(
         jump_pieces(u.jump_segments(), region, include_boundary=True),
         G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi,
-    ).value
+    )
+    unconverged = jump_term.unconverged
 
     # the volume terms, one integrand per cell clipped to the (convex) region
     volume = 0.0
@@ -566,16 +593,16 @@ def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi:
         if sub is None:
             continue
         E = u.symmetrized_gradient(k)
-        strained = np.any(E)
 
         def integrand(x):
-            y = piece(x)
-            out = np.einsum("nk,nk->n", G(y), phi.grad(x))
-            if strained:
-                out += np.einsum("nij,ij->n", G.jacobian(y), E) * phi.phi(x)
-            return out
+            weight, v = phi.log_grad(x)
+            return weight * G.strain(piece(x), E, v)
 
-        volume += integrate_polygon(integrand, sub, tol=tol, order=volume_order).value
+        res = integrate_polygon(integrand, sub, tol=tol, order=volume_order)
+        volume += res.value
+        unconverged += res.unconverged
 
-    return abs(jump_term + volume)
-
+    if unconverged:
+        raise EnergyError(f"integration by parts left {unconverged} quadrature parts "
+                          "unconverged at a cap")
+    return abs(jump_term.value + volume)

@@ -3,8 +3,8 @@
 These fields realize surface densities as suprema of linear evaluations
 f(i,j,nu) = sup_h <g_h(i) - g_h(j), nu>, the certificate of symmetric joint
 convexity.  Every constructor returns the field together with its potential
-(so conservativity is by construction) and, where cheap, an analytic
-Jacobian.  Evaluators broadcast over leading axes.
+(so conservativity is by construction) and the strain term that integration
+by parts reads.  Evaluators broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -30,12 +30,17 @@ class ConservativeField:
     traces value0 + t * slope to the (n, K) parameters t where the composed
     field kinks, NaN where a profile argument is constant along a trace;
     quadrature inserts them as exact breakpoints.
+
+    `strain`, when set, maps (w, E, v) to <g(w), v> + grad g(w) : E at the
+    (n, d) points w, for one symmetric (d, d) matrix E and (n, d) vectors v:
+    the volume integrand of integration by parts over the bump phi, at
+    E = e(u) and v = grad phi / phi.
     """
 
     name: str
     func: Callable
     potential: Callable
-    jacobian: Callable | None = None
+    strain: Callable | None = None
     bound: float = np.inf
     params: dict = field(default_factory=dict, repr=False)
     trace_kinks: Callable | None = None
@@ -136,14 +141,15 @@ def _axis_field(
     # einsum adds element-wise products (no BLAS): a matrix product's rounding
     # of one row depends on how many rows the call holds
     def args(w):
-        y = np.einsum("...l,kl->...k", w, basis)  # (..., d) coordinates in the basis
-        return scales * (y - shifts)
+        # (d, ...) coordinates in the basis, one contiguous row per addend
+        y = np.einsum("...l,kl->k...", w, basis)
+        return (scales * (y.T - shifts)).T
 
     def func(w):
         a = args(w)
         vals = np.stack(
             [
-                profiles[k].value(a[..., k]) if active[k] else np.zeros(a.shape[:-1])
+                profiles[k].value(a[k]) if active[k] else np.zeros(a.shape[1:])
                 for k in range(d)
             ],
             axis=-1,
@@ -152,21 +158,27 @@ def _axis_field(
 
     def potential(w):
         a = args(w)
-        out = np.zeros(a.shape[:-1])
+        out = np.zeros(a.shape[1:])
         for k in range(d):
             if active[k]:
-                out = out + coeffs[k] / scales[k] * profiles[k].primitive(a[..., k])
+                out = out + coeffs[k] / scales[k] * profiles[k].primitive(a[k])
         return out
 
-    def jacobian(w):
+    def strain(w, E, v):
+        # one set of basis coordinates for both terms, and no (n, d, d) array:
+        # sum_k coeffs_k (p_k(a_k) <xi_k, v> + scale_k p_k'(a_k) xi_k^T E xi_k)
         a = args(w)
-        out = np.zeros(a.shape[:-1] + (d, d))
+        ek = scales * np.einsum("kl,lm,km->k", basis, E, basis)
+        out = np.zeros(a.shape[1:])
         for k in range(d):
             if active[k]:
-                dk = coeffs[k] * scales[k] * profiles[k].deriv(a[..., k])
-                out = out + dk[..., None, None] * np.einsum(
-                    "i,j->ij", basis[k], basis[k]
-                )
+                term = v[..., 0] * basis[k, 0]
+                for m in range(1, d):
+                    term += v[..., m] * basis[k, m]
+                term *= profiles[k].value(a[k])
+                if ek[k] != 0.0:
+                    term += ek[k] * profiles[k].deriv(a[k])
+                out += coeffs[k] * term
         return out
 
     # coordinate ks[m] kinks where its profile argument is cs[m]
@@ -183,7 +195,7 @@ def _axis_field(
             return np.divide(cs - a0, da, out=np.full(da.shape, np.nan), where=da != 0.0)
 
     return ConservativeField(
-        name, func, potential, jacobian=jacobian, bound=bound, params=params or {},
+        name, func, potential, strain=strain, bound=bound, params=params or {},
         trace_kinks=trace_kinks,
     )
 

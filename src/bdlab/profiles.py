@@ -2,7 +2,7 @@
 
 ScalarProfile bundles a function of one variable with its primitive (fixed by
 F(0)=0) and derivative, which lets vector fields built from them carry
-analytic potentials and Jacobians.
+analytic potentials and strain terms.
 """
 
 from __future__ import annotations

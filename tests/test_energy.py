@@ -19,6 +19,7 @@ from bdlab.ellipticity import (
     default_families,
 )
 from bdlab.energy import (
+    _VOLUME_WIDTH,
     _cuts,
     _duffy_rule,
     _finite,
@@ -26,6 +27,7 @@ from bdlab.energy import (
     _same_sign,
     _tri_gauss,
     EnergyError,
+    QuadratureResult,
     bump_from_polygon,
     divergence_identity_residual,
     integrate_jump_arrays,
@@ -39,6 +41,7 @@ from bdlab.energy import (
 )
 from bdlab.fields import (
     ConservativeField,
+    _axis_field,
     biconvex_truncated_field,
     catalog_fields,
     optimal_gbmc_field,
@@ -58,11 +61,12 @@ from bdlab.geometry import (
     OrientedSquare,
     Polygon,
     PolygonalPartition,
+    clip_polygon,
     make_oriented_square,
     row_norms,
     triangulate,
 )
-from bdlab.profiles import identity_profile, sin_profile
+from bdlab.profiles import eta_profile, identity_profile, sin_profile, tau_profile
 from bdlab import render
 
 E1 = np.array([1.0, 0.0])
@@ -892,6 +896,18 @@ class TestVolumeQuadrature:
         assert res.segments_evaluated == 2
         assert res.value == pytest.approx(0.63, abs=2e-3)
 
+    def test_a_level_wider_than_the_cap_is_accepted_as_it_stands(self):
+        # sin(3000 x) is far beyond the rule's resolution at every level: the
+        # 512 triangles of the fifth level would refine into children taking
+        # 2**19 points at order 8, so they are accepted as unconverged
+        poly = make_oriented_square(E2, 2.0)
+        widths = []
+        res = integrate_polygon(lambda x: (widths.append(len(x)), np.sin(3000.0 * x[:, 0]))[1],
+                                poly, tol=1e-9, order=8)
+        assert res.unconverged == 512
+        assert widths == [640, 2048, 8192, 32768, 131072]
+        assert max(widths) <= _VOLUME_WIDTH
+
     def test_non_finite_integrand_raises_at_once(self):
         poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         fn, calls = counted(lambda x: np.full(len(x), np.nan), limit=1000)
@@ -946,11 +962,18 @@ L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 
 
 def _ibp_integrand():
-    """The volume integrand <G(u), grad phi> of an integration by parts."""
+    """The volume integrand of an integration by parts, as
+    integration_by_parts_residual forms it on one cell."""
     G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
     phi = bump_from_polygon(make_oriented_square(E2, 2.0), power=3)
     piece = AffinePiece(np.array([[0.3, -0.8], [0.5, 0.1]]), np.array([0.2, -0.4]))
-    return lambda x: np.einsum("nk,nk->n", G(piece(x)), phi.grad(x))
+    E = 0.5 * (piece.A + piece.A.T)
+
+    def integrand(x):
+        weight, v = phi.log_grad(x)
+        return weight * G.strain(piece(x), E, v)
+
+    return integrand
 
 
 VOLUME_CASES = [
@@ -1007,8 +1030,9 @@ class TestBreadthFirstVolume:
 
 
 def former_bump_gradient(poly, power):
-    """The oracle: bump_from_polygon's gradient with each edge's product of
-    the other edges' factors taken by np.prod over np.delete."""
+    """The oracle: bump_from_polygon's former gradient, each edge's product
+    of the other edges' factors taken by np.prod over np.delete.  Returns
+    (gradient, the absolute sum of its edge addends), both (n, 2)."""
     verts = poly.vertices
     d = np.roll(verts, -1, axis=0) - verts
     N = np.stack([-d[:, 1], d[:, 0]], axis=1) / row_norms(d)[:, None]
@@ -1019,12 +1043,94 @@ def former_bump_gradient(poly, power):
         L = x @ N.T - b
         P = L**power
         out = np.zeros_like(x)
+        size = np.zeros_like(x)
         for e in range(len(verts)):
             rest = np.prod(np.delete(P, e, axis=1), axis=1)
-            out += (power * L[:, e] ** (power - 1) * rest)[:, None] * N[e]
-        return out / norm_const
+            addend = (power * L[:, e] ** (power - 1) * rest)[:, None] * N[e]
+            out += addend
+            size += np.abs(addend)
+        return out / norm_const, size / norm_const
 
     return grad
+
+
+def former_axis_jacobian(basis, coeffs, profiles, shifts, scales):
+    """The oracle: the former `ConservativeField.jacobian` of an axis field,
+    an (n, 2, 2) sum of outer products.  Returns the Jacobian, the absolute
+    sum of its addends, and the (n, 2) absolute sum of the field's addends."""
+    active = (coeffs != 0.0) & (scales != 0.0)
+
+    def jacobian(w):
+        a = scales * (np.einsum("...l,kl->...k", w, basis) - shifts)
+        out = np.zeros(a.shape[:-1] + (2, 2))
+        size = np.zeros(a.shape[:-1] + (2, 2))
+        g_size = np.zeros(a.shape[:-1] + (2,))
+        for k in range(2):
+            if active[k]:
+                dk = coeffs[k] * scales[k] * profiles[k].deriv(a[..., k])
+                addend = dk[..., None, None] * np.einsum("i,j->ij", basis[k], basis[k])
+                out = out + addend
+                size += np.abs(addend)
+                g_size += np.abs(coeffs[k] * profiles[k].value(a[..., k]))[..., None] * np.abs(
+                    basis[k])
+        return out, size, g_size
+
+    return jacobian
+
+
+def former_volume_integrand(G, jacobian, bump, grad, piece, x):
+    """The oracle: the IBP volume integrand as it was formed before the
+    one-pass form, <G(y), grad phi> + (grad G(y) : e(u)) phi at y = u(x),
+    from the field's values, an (n, 2, 2) Jacobian and the bump's gradient
+    summed edge by edge.  Returns (value, the absolute sum of the addends
+    that the value adds up)."""
+    E = 0.5 * (piece.A + piece.A.T)
+    y = piece(x)
+    dphi, dphi_size = grad(x)
+    J, J_size, g_size = jacobian(y)
+    phi = bump.phi(x)
+    out = np.einsum("nk,nk->n", G(y), dphi)
+    out += np.einsum("nij,ij->n", J, E) * phi
+    size = np.einsum("nk,nk->n", g_size, dphi_size) + np.einsum(
+        "nij,ij->n", J_size, np.abs(E)) * np.abs(phi)
+    return out, size
+
+
+# the stated per-point bound of the one-pass volume integrand against the
+# former form, in units of the absolute sum of the former form's addends
+# (3 eps is the largest seen in 3000 random examples), plus the smallest
+# normal number for addends that underflow
+VOLUME_INTEGRAND_BOUND = 16 * np.finfo(float).eps
+UNDERFLOW = np.finfo(float).tiny
+
+PENTAGON = Polygon(np.c_[np.cos(np.arange(5) * 0.4 * np.pi), np.sin(np.arange(5) * 0.4 * np.pi)])
+
+
+@st.composite
+def axis_fields(draw):
+    """(field, former Jacobian) of a random axis field: an orthonormal basis,
+    possibly a reflection, shifts, scales and coefficients, one profile per
+    addend, and possibly one inactive addend (zero coefficient or scale)."""
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    c, s = np.cos(angle), np.sin(angle)
+    basis = np.array([[c, s], [-s, c]] if draw(st.booleans()) else [[c, s], [s, -c]])
+    value = st.floats(-2.0, 2.0)
+    coeffs = np.array([draw(value), draw(value)])
+    shifts = np.array([draw(value), draw(value)])
+    scales = np.array([draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+                       for _ in range(2)])
+    inactive = draw(st.sampled_from([None, (0, "coeff"), (1, "coeff"), (0, "scale"),
+                                     (1, "scale")]))
+    if inactive is not None:
+        (coeffs if inactive[1] == "coeff" else scales)[inactive[0]] = 0.0
+    profile = st.one_of(
+        st.builds(sin_profile, st.floats(0.1, 2.0), st.floats(0.2, 5.0)),
+        st.builds(eta_profile, st.floats(0.2, 2.0)),
+        st.builds(tau_profile, st.floats(0.2, 2.0)),
+    )
+    profiles = (draw(profile), draw(profile))
+    G = _axis_field(basis, coeffs, profiles, shifts=shifts, scales=scales)
+    return G, former_axis_jacobian(basis, coeffs, profiles, shifts, scales)
 
 
 class TestBump:
@@ -1049,7 +1155,8 @@ class TestBump:
                     (bump.phi(x + [0, h])[0] - bump.phi(x - [0, h])[0]) / (2 * h),
                 ]
             )
-            assert np.allclose(bump.grad(x)[0], gfd, atol=1e-8)
+            weight, v = bump.log_grad(x)
+            assert np.allclose(weight[0] * v[0], gfd, atol=1e-8)
 
     def test_normalized_at_centroid(self):
         poly = make_oriented_square(E2, 2.0)
@@ -1057,18 +1164,82 @@ class TestBump:
         assert float(bump.phi(poly.centroid)[0]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("power", [2, 3])
-    @pytest.mark.parametrize("poly", [
-        make_oriented_square(E2, 2.0),
-        Polygon(np.c_[np.cos(np.arange(5) * 0.4 * np.pi), np.sin(np.arange(5) * 0.4 * np.pi)]),
-    ], ids=["square", "pentagon"])
+    @pytest.mark.parametrize("poly", [make_oriented_square(E2, 2.0), PENTAGON],
+                             ids=["square", "pentagon"])
     def test_gradient_equals_the_former_delete_formula(self, poly, power):
+        # phi * log_grad equals the former edge-by-edge gradient within the
+        # stated bound of the absolute sum of its edge addends
         bump = bump_from_polygon(poly, power=power)
         rng = np.random.default_rng(power)
         # random interior points: convex combinations of the vertices
         w = rng.dirichlet(np.ones(len(poly)), size=500)
         x = w @ poly.vertices
         assert np.all(poly.contains(x) == 1)
-        assert np.array_equal(bump.grad(x), former_bump_gradient(poly, power)(x))
+        weight, v = bump.log_grad(x)
+        assert np.array_equal(weight, bump.phi(x))
+        want, size = former_bump_gradient(poly, power)(x)
+        err = np.abs(weight[:, None] * v - want)
+        assert np.all(err <= VOLUME_INTEGRAND_BOUND * size + UNDERFLOW)
+
+    def test_log_grad_reads_zero_on_an_edge_line(self):
+        poly = make_oriented_square(E2, 2.0)
+        bump = bump_from_polygon(poly, power=2)
+        weight, v = bump.log_grad(np.array([[-1.0, 0.3], [1.0, 1.0], [0.2, 0.1]]))
+        assert weight[:2].tolist() == [0.0, 0.0] and v[:2].tolist() == [[0.0, 0.0]] * 2
+        assert np.all(np.isfinite(v)) and weight[2] > 0.0
+
+
+class TestOnePassVolumeIntegrand:
+    """The volume integrand phi * G.strain(u, e(u), grad phi / phi) against
+    the former form, `former_volume_integrand`."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(field=axis_fields(), A=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           b=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+           poly=st.sampled_from([make_oriented_square(E2, 2.0), PENTAGON]),
+           power=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_within_the_stated_bound_of_the_former(self, field, A, b, poly, power, seed):
+        G, jacobian = field
+        piece = AffinePiece(np.reshape(A, (2, 2)), b)
+        bump = bump_from_polygon(poly, power=power)
+        # interior points: convex combinations of the vertices
+        x = np.random.default_rng(seed).dirichlet(np.ones(len(poly)), size=64) @ poly.vertices
+        weight, v = bump.log_grad(x)
+        got = weight * G.strain(piece(x), 0.5 * (piece.A + piece.A.T), v)
+        want, size = former_volume_integrand(G, jacobian, bump, former_bump_gradient(poly, power),
+                                             piece, x)
+        assert np.all(np.abs(got - want) <= VOLUME_INTEGRAND_BOUND * size + UNDERFLOW)
+
+    def test_workload_residuals_within_1e_15_of_the_former(self):
+        # the 32 integration-by-parts residuals of the identities benchmark at
+        # seed 0 against those of the former integrand, on the same inputs
+        from perfbench import workloads
+
+        run = workloads.build("identities", 0, False, ".")[1].run
+        inputs = dict(zip(run.__code__.co_freevars, (c.cell_contents for c in run.__closure__)))
+        G = inputs["G"]
+        assert G.name == "prototype"
+        profiles = (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0))
+        jacobian = former_axis_jacobian(np.eye(2), np.ones(2), profiles, np.zeros(2), np.ones(2))
+        # the oracle's parameters are the field's: equal traces of the Jacobian
+        assert np.allclose(G.strain(np.eye(2), np.eye(2), np.zeros((2, 2))),
+                           np.einsum("nii->n", jacobian(np.eye(2))[0]), rtol=1e-15, atol=0.0)
+        dom = make_oriented_square(E2, 2.0)
+        grads = [former_bump_gradient(dom, power) for power in (2, 3)]
+        rows = run()
+        assert len(rows) == 32
+        for k, b, vo, got in rows:
+            u, bump = inputs["functions"][k], inputs["bumps"][b]
+            jump = integrate_jump_arrays(jump_pieces(u.jump_segments(), dom, True), G.pairing,
+                                         1e-9, {8: 15, 16: 30}[vo], kinks=G.trace_kinks,
+                                         weight=bump.phi).value
+            volume = 0.0
+            for sub, piece in zip(clip_polygon((u.partition.vertices, u.partition.counts), dom),
+                                  u.pieces):
+                volume += integrate_polygon(
+                    lambda x: former_volume_integrand(G, jacobian, bump, grads[b], piece, x)[0],
+                    sub, tol=1e-9, order=vo).value
+            assert abs(got - abs(jump + volume)) <= 1e-15
 
 
 class TestIntegrationByParts:
@@ -1106,12 +1277,30 @@ class TestIntegrationByParts:
         res = integration_by_parts_residual(u, G, phi, tol=1e-10)
         assert res < 1e-8
 
-    def test_requires_field_jacobian(self):
+    def test_requires_field_strain(self):
         u = elementary((1, 1), (0, 0), E2, 2.0)
         G = biconvex_truncated_field(np.eye(2), M=5.0)
         phi = bump_from_polygon(u.partition.domain, power=2)
-        with pytest.raises(EnergyError):
-            integration_by_parts_residual(u, dataclasses.replace(G, jacobian=None), phi)
+        with pytest.raises(EnergyError, match="strain"):
+            integration_by_parts_residual(u, dataclasses.replace(G, strain=None), phi)
+
+    def test_unconverged_volume_quadrature_raises(self):
+        # a field at frequency 3000 trips the volume width cap at once
+        dom = make_oriented_square(E2, 2.0)
+        u = PiecewiseAffine(PolygonalPartition([dom], dom),
+                            [AffinePiece(np.diag([1.0, -1.0]), (0.1, -0.2))])
+        G = prototype_field(np.eye(2), (sin_profile(1.0, 3000.0),) * 2)
+        with pytest.raises(EnergyError, match="512 quadrature parts unconverged"):
+            integration_by_parts_residual(u, G, bump_from_polygon(dom), tol=1e-9, volume_order=8)
+
+    def test_unconverged_jump_term_raises(self):
+        u = elementary((1, 1), (0, 0), E2, 2.0)
+        G = biconvex_truncated_field(np.eye(2), M=5.0)
+        phi = bump_from_polygon(u.partition.domain, power=2)
+        capped = mock.patch("bdlab.energy.integrate_jump_arrays",
+                            return_value=QuadratureResult(0.0, 1.0, 1, unconverged=1))
+        with capped, pytest.raises(EnergyError, match="1 quadrature parts unconverged"):
+            integration_by_parts_residual(u, G, phi, tol=1e-10)
 
     def test_requires_vanishing_phi(self):
         dom = make_oriented_square(E2, 2.0)

@@ -65,12 +65,41 @@ class TestPrototype:
         assert np.allclose(g(w), 0)
         assert g.potential(w) == 0
 
-    def test_sin_jacobian_symmetric(self):
+    def test_sin_strain_term(self):
+        # grad g(w) = diag(cos w): the strain term reads its diagonal, reads
+        # E through its symmetric part, and adds the pairing with v
         g = prototype_field(np.eye(2), (sin_profile(1, 1), sin_profile(1, 1)))
-        w = np.array([0.3, -0.8])
-        J = g.jacobian(w)
-        assert np.array_equal(J, J.T)
-        assert np.allclose(np.diag(J), np.cos(w))
+        w = np.array([[0.3, -0.8]])
+        zero = np.zeros((1, 2))
+        for k in range(2):
+            E = np.zeros((2, 2))
+            E[k, k] = 1.0
+            assert g.strain(w, E, zero)[0] == pytest.approx(np.cos(w[0, k]), rel=1e-15)
+        E = np.array([[0.4, 1.3], [-0.7, 0.2]])
+        assert np.array_equal(g.strain(w, E, zero), g.strain(w, 0.5 * (E + E.T), zero))
+        assert g.strain(w, E, zero)[0] == pytest.approx(0.4 * np.cos(0.3) + 0.2 * np.cos(-0.8))
+        v = np.array([[0.6, -1.1]])
+        assert g.strain(w, 0 * E, v)[0] == pytest.approx(float(g(w[0]) @ v[0]), rel=1e-15)
+
+    @pytest.mark.parametrize("make", [
+        lambda: prototype_field(np.eye(2), (sin_profile(1, 2), sin_profile(0.5, 3))),
+        lambda: optimal_gbmc_field((0.3, -0.2), (1.4, 0.9), (0.6, 0.8), M=2.0, a=0.7),
+        lambda: dalmot_field((0.6, 0.3), (0.2, -0.1), (1.0, -1.0),
+                             (sin_profile(1, 1.5), sin_profile(0.8, 2))),
+    ], ids=["sine", "gbmc", "dalmot"])
+    def test_strain_matches_finite_differences(self, make):
+        # <g(w), v> + grad g(w) : E against central differences of g
+        g = make()
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-2.0, 2.0, size=(200, 2))
+        v = rng.normal(size=(200, 2))
+        E = rng.normal(size=(2, 2))
+        E = 0.5 * (E + E.T)
+        h = 1e-6
+        strain = sum(E[i, k] * (g(w + h * E_k)[:, i] - g(w - h * E_k)[:, i]) / (2 * h)
+                     for k, E_k in enumerate(np.eye(2)) for i in range(2))
+        want = np.einsum("nk,nk->n", g(w), v) + strain
+        assert np.allclose(g.strain(w, E, v), want, atol=1e-7)
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(FieldError):
@@ -315,8 +344,13 @@ class TestNormalOnly:
         assert rel(g(w), np.minimum(h * a, 1.0)[:, None] * q) < 1e-14
         prim = np.sign(y) * np.where(a <= 1.0 / h, 0.5 * h * a * a, a - 0.5 / h)
         assert rel(g.potential(w), prim) < 1e-14
+        # the strain term contracts the Jacobian h sign(y) q q^T with E, and
+        # adds the pairing with v
         jac = np.where(a < 1.0 / h, h * np.sign(y), 0.0)[:, None, None] * np.outer(q, q)
-        assert rel(g.jacobian(w), jac) < 1e-14
+        E = np.array([[0.8, -0.3], [-0.3, 1.7]])
+        v = np.random.default_rng(13).normal(size=w.shape)
+        assert rel(g.strain(w, E, 0 * v), np.einsum("nij,ij->n", jac, E)) < 1e-14
+        assert rel(g.strain(w, 0 * E, v), np.einsum("nk,nk->n", g(w), v)) < 1e-14
         assert g.bound == pytest.approx(np.linalg.norm(q), rel=1e-14) and g.bounded
         v0, slope = np.array([0.2, 0.9]), np.array([-0.5, 0.8])
         a0, da = float((v0 - p) @ q), float(slope @ q)
