@@ -25,11 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-try:  # the ufunc that np.clip dispatches to, without its Python layers
-    from numpy._core.umath import clip as _clip
-except ImportError:  # NumPy 1.x
-    from numpy.core.umath import clip as _clip
-
 from .densities import Density, check_convexity_in_nu, check_subadditivity
 from .energy import (
     integrate_jump_arrays,
@@ -572,13 +567,14 @@ def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]
     if layouts:
         fams = [families[fi] for fi in layouts]
         compiled = _compiled_round(tuple(fam.layout for fam in fams), slots)
-        jumps, owner = compiled.jumps(fams, [x for (_, x), s in zip(points, slots) if s >= 0])
+        flat = [v for (_, x), s in zip(points, slots) if s >= 0 for v in x]
+        jumps, owner = compiled.jumps(fams, [flat])
         sets, owners = [jumps], [owner]
     for k, s in enumerate(slots):
         if s >= 0:
             continue
         try:
-            jumps = families[points[k][0]].generator(points[k][1]).jump_segments()
+            jumps = families[points[k][0]].generator(np.array(points[k][1])).jump_segments()
         except _REJECTED:
             rejected.add(k)
             continue
@@ -590,10 +586,6 @@ def _search_values(f: Density, families, points) -> tuple[list[float], set[int]]
     value = jump_set_integrals(jumps, np.concatenate(owners), len(points), f,
                                _SEARCH_TOL, _SEARCH_ORDER)[0].tolist()
     return [_SENTINEL if k in rejected else v for k, v in enumerate(value)], rejected
-
-
-class _Exhausted(Exception):
-    """A Nelder-Mead run asked for an evaluation beyond its budget."""
 
 
 def _latin_hypercube(seed: int, family_index: int, d: int, n: int) -> np.ndarray:
@@ -608,10 +600,24 @@ def _latin_hypercube(seed: int, family_index: int, d: int, n: int) -> np.ndarray
     return (perms.T - samples) / n
 
 
+def _clipped(x, lower, upper) -> tuple:
+    """x clipped to [lower, upper] element by element by np.clip's rule for
+    array bounds: a NaN stays, and a bound replaces x unless x is strictly
+    inside it, which fixes the sign of a clipped zero."""
+    return tuple([t if (t := v if v > lo or v != v else lo) < hi or t != t else hi
+                  for v, lo, hi in zip(x, lower, upper)])
+
+
+def _ordered(sim, fsim):
+    """The simplex and its values in the order of NumPy's default argsort."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[k] for k in ind], [fsim[k] for k in ind]
+
+
 def _nelder_mead(x0, bounds, maxfev: int):
-    """Bounded Nelder-Mead as a generator: it yields a copy of each point
-    to evaluate, is sent that point's value, and returns (min(fsim),
-    sim[0]).
+    """Bounded Nelder-Mead as a generator: it yields each point to evaluate,
+    a tuple of floats, is sent that point's value, and returns (min(fsim),
+    sim[0]), sim[0] an array.
 
     Step for step this is scipy 1.17's bounded Nelder-Mead with maxfev,
     xatol 1e-9 and fatol 1e-12: the start clipped to the bounds, the
@@ -619,75 +625,68 @@ def _nelder_mead(x0, bounds, maxfev: int):
     into them, the coefficients 1, 2, 0.5, 0.5, every trial point clipped,
     an argsort after every step, and a step abandoned where it asks for an
     evaluation beyond maxfev.  The caller evaluates the points, so the
-    points of many runs can be evaluated together.
+    points of many runs can be evaluated together.  The simplex is a list
+    of rows and the arithmetic is on Python floats, element by element as
+    NumPy takes it (the centroid adds the rows in order from the first), so
+    the argsort is a step's one NumPy call.
     """
-    lower = np.array([float(lo) for lo, _ in bounds])
-    upper = np.array([float(hi) for _, hi in bounds])
-    x0 = _clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
-    N = x0.size
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
+    lower = [float(lo) for lo, _ in bounds]
+    upper = [float(hi) for _, hi in bounds]
+    x0 = _clipped(np.asarray(x0, dtype=float).ravel().tolist(), lower, upper)
+    N = len(x0)
+    sim = [x0]
     for k in range(N):
-        y = x0.copy()
+        y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    sim = _clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full(N + 1, np.inf)
-    calls = 0
-
-    def evaluate(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _Exhausted
-        calls += 1
-        return (yield x.copy())
-
-    def ordered(sim, fsim):
-        ind = fsim.argsort()
-        return sim.take(ind, 0), fsim.take(ind, 0)
-
-    try:
-        for k in range(N + 1):
-            fsim[k] = yield from evaluate(sim[k])
-    except _Exhausted:
-        pass
-    sim, fsim = ordered(sim, fsim)
-    sim, fsim = ordered(sim, fsim)
+        sim.append(y)
+    sim = [_clipped([2 * hi - v if v > hi else v for v, hi in zip(y, upper)], lower, upper)
+           for y in sim]
+    fsim = [np.inf] * (N + 1)
+    calls = min(N + 1, maxfev)
+    for k in range(calls):
+        fsim[k] = yield sim[k]
+    sim, fsim = _ordered(sim, fsim)
+    sim, fsim = _ordered(sim, fsim)
     while calls < maxfev:
-        try:  # the values first: cheaper, and false at almost every step
-            if (np.abs(fsim[0] - fsim[1:]).max() <= 1e-12
-                    and np.abs(sim[1:] - sim[0]).max() <= 1e-9):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = _clip(2 * xbar - sim[-1], lower, upper)
-            fxr = yield from evaluate(xr)
-            if fxr < fsim[0]:
-                # expansion
-                xe = _clip(3 * xbar - 2 * sim[-1], lower, upper)
-                fxe = yield from evaluate(xe)
+        best, worst, f0 = sim[0], sim[-1], fsim[0]
+        # the values first: cheaper, and false at almost every step
+        if (all(abs(f0 - f) <= 1e-12 for f in fsim[1:])
+                and all(abs(v - b) <= 1e-9 for y in sim[1:] for v, b in zip(y, best))):
+            break
+        xbar = best
+        for y in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, y)]
+        xbar = [a / N for a in xbar]
+        xr = _clipped([2 * a - w for a, w in zip(xbar, worst)], lower, upper)
+        calls += 1
+        fxr = yield xr
+        if fxr < f0:
+            if calls < maxfev:  # expansion
+                xe = _clipped([3 * a - 2 * w for a, w in zip(xbar, worst)], lower, upper)
+                calls += 1
+                fxe = yield xe
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                # outside contraction if xr improves on the worst, else inside
-                if fxr < fsim[-1]:
-                    xc = _clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
-                    fxc = yield from evaluate(xc)
-                    shrink = not fxc <= fxr
-                else:
-                    xc = _clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
-                    fxc = yield from evaluate(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for k in range(1, N + 1):
-                        sim[k] = _clip(sim[0] + 0.5 * (sim[k] - sim[0]), lower, upper)
-                        fsim[k] = yield from evaluate(sim[k])
-        except _Exhausted:
-            pass
-        sim, fsim = ordered(sim, fsim)
-    return np.min(fsim), sim[0]
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif calls < maxfev:
+            # outside contraction if xr improves on the worst, else inside
+            outside = fxr < fsim[-1]
+            xc = _clipped([1.5 * a - 0.5 * w if outside else 0.5 * a + 0.5 * w
+                           for a, w in zip(xbar, worst)], lower, upper)
+            calls += 1
+            fxc = yield xc
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink
+                for k in range(1, N + 1):
+                    sim[k] = _clipped([b + 0.5 * (v - b) for v, b in zip(sim[k], best)],
+                                      lower, upper)
+                    if calls == maxfev:
+                        break
+                    calls += 1
+                    fsim[k] = yield sim[k]
+        sim, fsim = _ordered(sim, fsim)
+    return np.min(fsim), np.array(sim[0])
 
 
 def _plan(families, budget: int, seed: int):

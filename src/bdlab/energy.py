@@ -502,22 +502,33 @@ class TestFunction:
     polygon: Polygon
 
 
+def _edge_lines(poly: Polygon):
+    """(N, b, d) of a counterclockwise polygon: its inward unit edge normals,
+    the offsets that make N[e] @ x - b[e] the signed distance of x from the
+    line of edge e, and the edge vectors."""
+    verts = poly.vertices
+    d = np.roll(verts, -1, axis=0) - verts
+    N = np.stack([-d[:, 1], d[:, 0]], axis=1) / row_norms(d)[:, None]
+    # each offset N[k] @ verts[k] as a dot product, as row_norms takes it
+    return N, (N[:, None, :] @ verts[:, :, None])[:, 0, 0], d
+
+
 def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
     """Polynomial bump: normalized product of edge line functions to a power.
 
     phi = prod_e ell_e(x)^power with ell_e the inward signed edge offsets;
-    requires a convex polygon so that phi > 0 inside and = 0 on the boundary.
+    requires a convex polygon so that phi > 0 inside and = 0 on the boundary
+    (a right turn of the vertex loop raises EnergyError).
     Its gradient is phi * power * sum_e N_e / ell_e with N_e the inward unit
     normals, so `log_grad` takes both from one set of offsets; where an
     offset is 0, phi and its gradient vanish and the quotient reads 0.
     """
     if power < 2:
         raise EnergyError("power >= 2 keeps the bump C^1")
-    verts = poly.vertices
-    d = np.roll(verts, -1, axis=0) - verts
-    N = np.stack([-d[:, 1], d[:, 0]], axis=1) / row_norms(d)[:, None]  # inward for ccw
-    # each offset N[k] @ verts[k] as a dot product, as row_norms takes it
-    b = (N[:, None, :] @ verts[:, :, None])[:, 0, 0]
+    N, b, d = _edge_lines(poly)
+    following = np.roll(d, -1, axis=0)
+    if np.any(d[:, 0] * following[:, 1] - d[:, 1] * following[:, 0] < 0.0):
+        raise EnergyError("bump construction needs a convex polygon")
     center = poly.centroid
     ells_c = N @ center - b
     if np.any(ells_c <= 0):
@@ -566,7 +577,9 @@ def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi:
 
     for a conservative field G with a strain term and a bump phi vanishing
     on the boundary of the region, which must lie inside u's (convex)
-    domain.  The two volume terms are one integrand per cell,
+    domain: every edge of the region must lie on the line of an edge of the
+    bump's polygon, to 1e-12 times its diameter, where phi is zero (and
+    EnergyError otherwise).  The two volume terms are one integrand per cell,
     phi * G.strain(u, e(u), grad phi / phi).  The residual is pure
     quadrature error; a quadrature that leaves parts unconverged at a cap
     raises EnergyError.
@@ -577,7 +590,10 @@ def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi:
     region = region if region is not None else domain
     if np.any(domain.contains(region.vertices) < 0):
         raise EnergyError("the region must lie inside the function's domain")
-    if np.any(np.abs(phi.phi(region.vertices)) > 1e-12):
+    N, b, _ = _edge_lines(phi.polygon)
+    on = np.abs(region.vertices @ N.T - b) <= 1e-12 * phi.polygon.diameter
+    # edge k runs from vertex k to vertex k + 1: both on one line
+    if not (on & np.roll(on, -1, axis=0)).any(axis=1).all():
         raise EnergyError("test function must vanish on the region boundary")
 
     jump_term = integrate_jump_arrays(

@@ -1634,17 +1634,125 @@ def scipy_nelder_mead(fun, x0, bounds, maxfev):
 
 
 def driven_nelder_mead(fun, x0, bounds, maxfev):
-    """_nelder_mead driven one point at a time: (fun, x, points)."""
+    """_nelder_mead driven one point at a time, each yielded tuple read as
+    an array: (fun, x, points)."""
     points = []
     search = _nelder_mead(x0, bounds, maxfev)
-    x = next(search)
+    x = np.array(next(search))
     try:
         while True:
-            points.append(x.copy())
-            x = search.send(fun(x))
+            points.append(x)
+            x = np.array(search.send(fun(x)))
     except StopIteration as stop:
         fval, xbest = stop.value
     return fval, xbest, points
+
+
+class Exhausted(Exception):
+    """A former_nelder_mead run asked for an evaluation beyond its budget."""
+
+
+def former_nelder_mead(x0, bounds, maxfev: int):
+    """The oracle: _nelder_mead as it was on NumPy arrays, one array
+    operation per step and np.clip on every trial point, yielding a copy of
+    each point (an array) and returning (min(fsim), sim[0])."""
+    lower = np.array([float(lo) for lo, _ in bounds])
+    upper = np.array([float(hi) for _, hi in bounds])
+    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
+    N = x0.size
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(N + 1, np.inf)
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise Exhausted
+        calls += 1
+        return (yield x.copy())
+
+    def ordered(sim, fsim):
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = yield from evaluate(sim[k])
+    except Exhausted:
+        pass
+    sim, fsim = ordered(sim, fsim)
+    sim, fsim = ordered(sim, fsim)
+    while calls < maxfev:
+        try:
+            if (np.abs(fsim[0] - fsim[1:]).max() <= 1e-12
+                    and np.abs(sim[1:] - sim[0]).max() <= 1e-9):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = np.clip(2 * xbar - sim[-1], lower, upper)
+            fxr = yield from evaluate(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+                fxe = yield from evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                    fxc = yield from evaluate(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                    fxc = yield from evaluate(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for k in range(1, N + 1):
+                        sim[k] = np.clip(sim[0] + 0.5 * (sim[k] - sim[0]), lower, upper)
+                        fsim[k] = yield from evaluate(sim[k])
+        except Exhausted:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return np.min(fsim), sim[0]
+
+
+@st.composite
+def nelder_mead_cases(draw):
+    """(start, bounds, maxfev, objective): N from 1 to 9, each coordinate's
+    bounds random or at a signed zero and its start inside, outside, on a
+    bound or at +-0.0, and a smooth, rounded (tied), sentinel-walled or
+    inf-valued objective of the point."""
+    N = draw(st.integers(1, 9))
+    start, bounds = [], []
+    for _ in range(N):
+        lo = draw(st.sampled_from([0.0, -0.0, None]))
+        lo = draw(st.floats(-5.0, 5.0)) if lo is None else lo
+        hi = lo + draw(st.sampled_from([0.0, 1e-6, 1.0]) | st.floats(0.0, 8.0))
+        kind = draw(st.sampled_from(["inside", "below", "above", "lo", "hi", "+0", "-0"]))
+        start.append({"inside": lambda: draw(st.floats(lo, hi)),
+                      "below": lambda: lo - draw(st.floats(0.0, 4.0)),
+                      "above": lambda: hi + draw(st.floats(0.0, 4.0)),
+                      "lo": lambda: lo, "hi": lambda: hi,
+                      "+0": lambda: 0.0, "-0": lambda: -0.0}[kind]())
+        bounds.append((lo, hi))
+    maxfev = draw(st.integers(1, 300))
+    target = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=N, max_size=N)))
+    wall = draw(st.floats(-5.0, 5.0))
+    smooth = lambda x: float(np.sum((x - target) ** 2))
+    objective = draw(st.sampled_from([
+        smooth,
+        lambda x: round(smooth(x), 1),
+        lambda x: _SENTINEL if x[0] < wall else smooth(x),
+        lambda x: np.inf if x[-1] > wall else smooth(x),
+    ]))
+    return start, tuple(bounds), maxfev, objective
 
 
 def rosenbrock(x):
@@ -1738,6 +1846,54 @@ class TestNelderMead:
         assert (P == 0.0).any(axis=0).all()
         assert (np.signbit(P) & (P == 0.0)).any() and (~np.signbit(P) & (P == 0.0)).any()
         assert (P == 1.0).any() and (P[:, 1] == low).any()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=nelder_mead_cases())
+    @example(case=((-0.0, -0.0), ((0.0, 1.0), (-0.0, 1.0)), 60,
+                   lambda x: float(np.sum((x - (2.0, -1.0)) ** 2))))
+    @example(case=((1.0,), ((-5.0, 5.0),), 300, step))
+    def test_equals_the_former_driver(self, case):
+        # every yielded point in the same bytes, the signs of zero included,
+        # and the same returned value and point
+        start, bounds, maxfev, objective = case
+        new, old = _nelder_mead(start, bounds, maxfev), former_nelder_mead(start, bounds, maxfev)
+        # In one dimension the former clipped its initial simplex in NumPy's
+        # loop for constant bounds, which breaks a tie of two zeros the other
+        # way; in a box from -0.0 to +0.0 every point is a zero, and there
+        # the values are compared, not the signs.
+        (lo, hi), *rest = bounds
+        same = np.array_equal if not rest and lo == hi == 0.0 else (
+            lambda a, b: a.tobytes() == b.tobytes())
+        # the former's inf - inf in its stopping test is a NaN, not an error
+        with np.errstate(invalid="ignore"):
+            got, want = next(new), next(old)
+            while True:
+                assert type(got) is tuple and same(np.array(got), want)
+                value = objective(want)
+                try:
+                    got = new.send(value)
+                except StopIteration as stop:
+                    got = stop.value
+                try:
+                    want = old.send(value)
+                except StopIteration as stop:
+                    want = stop.value
+                    break
+        (got_f, got_x), (want_f, want_x) = got, want
+        assert type(got_f) is type(want_f) and got_f.tobytes() == want_f.tobytes()
+        assert type(got_x) is np.ndarray and same(got_x, want_x)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_one_sign_rule_for_zero_bounds(self, N):
+        # in the box from -0.0 to +0.0 the initial simplex takes the upper
+        # bound's zero, whatever the dimension; equal values then stop it
+        search = _nelder_mead((0.0,) * N, ((-0.0, 0.0),) * N, 3 * N)
+        points = [next(search)]
+        with pytest.raises(StopIteration):
+            while True:
+                points.append(search.send(1.0))
+        assert len(points) == N + 1
+        assert all(x == 0.0 and not np.signbit(x) for p in points for x in p)
 
 
 def child_output(code: str) -> str:

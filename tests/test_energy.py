@@ -1181,6 +1181,15 @@ class TestBump:
         err = np.abs(weight[:, None] * v - want)
         assert np.all(err <= VOLUME_INTEGRAND_BOUND * size + UNDERFLOW)
 
+    def test_non_convex_polygon_raises(self):
+        # an L-shape: its centroid sees every edge line from inside, but the
+        # bump of its edge lines would vanish inside it, along the notch
+        ell = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        with pytest.raises(EnergyError, match="convex"):
+            bump_from_polygon(ell)
+        # a straight turn is convex
+        bump_from_polygon(Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]))
+
     def test_log_grad_reads_zero_on_an_edge_line(self):
         poly = make_oriented_square(E2, 2.0)
         bump = bump_from_polygon(poly, power=2)
@@ -1310,6 +1319,24 @@ class TestIntegrationByParts:
         bad_phi = bump_from_polygon(small, power=2)  # does not vanish on dom boundary
         with pytest.raises(EnergyError):
             integration_by_parts_residual(u, G, bad_phi, region=dom)
+
+    def test_region_edge_off_the_bump_lines_raises(self):
+        # the triangle's vertices are corners of the bump's square, where the
+        # bump vanishes, but its hypotenuse crosses the bump's support: it
+        # gave a residual of 0.197 that was not quadrature error
+        dom = make_oriented_square(E2, 2.0)
+        u = PiecewiseAffine(PolygonalPartition([dom], dom),
+                            [AffinePiece([[0.5, 0.2], [0.1, -0.3]], (0.0, 0.1))])
+        G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
+        phi = bump_from_polygon(dom, power=2)
+        triangle = Polygon([(-1, -1), (1, -1), (-1, 1)])
+        assert np.all(phi.phi(triangle.vertices) == 0.0)
+        with pytest.raises(EnergyError, match="vanish"):
+            integration_by_parts_residual(u, G, phi, region=triangle)
+        # the square's own edges, in any rotation of its vertex loop, pass
+        turned = Polygon(dom.vertices @ np.array([[0.0, -1.0], [1.0, 0.0]]).T)
+        for region in (dom, turned, Polygon(np.roll(dom.vertices, 1, axis=0))):
+            assert integration_by_parts_residual(u, G, phi, region=region, tol=1e-10) < 1e-8
 
     def _rotated_insert(self):
         # a side-6 square insert rotated by 4.25 rad: its domain's inradius is

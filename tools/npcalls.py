@@ -20,7 +20,9 @@ stub that returns zero energies, so that count is that of building the jump
 sets.  Last, the search protocol of a budget-2000 `falsify` over those
 families at seed 0 (40 `_nelder_mead` runs of 50 evaluations each, driven
 in lockstep) is counted on a stub objective that gives every point the
-value 1.0, so the count is that of the generators alone.  Then the two
+value 1.0.  That count is the generators' own NumPy calls: the argsort that
+orders each simplex and whatever else a checkout's generators do in NumPy
+(none of the round's calls are in it).  Then the two
 checks of the `identities` path, each counted after a first identical call:
 one `tiling_report` of the square-insert competitor of counterexample 1
 rescaled to the unit square (anisotropic-normal density, h = 1..16), and
