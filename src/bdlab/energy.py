@@ -518,7 +518,8 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
 
     phi = prod_e ell_e(x)^power with ell_e the inward signed edge offsets;
     requires a convex polygon so that phi > 0 inside and = 0 on the boundary
-    (a right turn of the vertex loop raises EnergyError).
+    (a vertex loop that turns right, or more than once around, raises
+    EnergyError).
     Its gradient is phi * power * sum_e N_e / ell_e with N_e the inward unit
     normals, so `log_grad` takes both from one set of offsets; where an
     offset is 0, phi and its gradient vanish and the quotient reads 0.
@@ -527,7 +528,9 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
         raise EnergyError("power >= 2 keeps the bump C^1")
     N, b, d = _edge_lines(poly)
     following = np.roll(d, -1, axis=0)
-    if np.any(d[:, 0] * following[:, 1] - d[:, 1] * following[:, 0] < 0.0):
+    turns = np.arctan2(d[:, 0] * following[:, 1] - d[:, 1] * following[:, 0],
+                       (d * following).sum(axis=1))
+    if np.any(turns < 0.0) or abs(turns.sum() - 2.0 * np.pi) > 1e-9:
         raise EnergyError("bump construction needs a convex polygon")
     center = poly.centroid
     ells_c = N @ center - b

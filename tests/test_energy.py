@@ -1183,10 +1183,14 @@ class TestBump:
 
     def test_non_convex_polygon_raises(self):
         # an L-shape: its centroid sees every edge line from inside, but the
-        # bump of its edge lines would vanish inside it, along the notch
+        # bump of its edge lines would vanish inside it, along the notch's edges
         ell = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         with pytest.raises(EnergyError, match="convex"):
             bump_from_polygon(ell)
+        # a pentagram turns left at every vertex, but twice around
+        a = np.pi / 2 + 0.8 * np.pi * np.arange(5)
+        with pytest.raises(EnergyError, match="convex"):
+            bump_from_polygon(Polygon(np.stack([np.cos(a), np.sin(a)], axis=1)))
         # a straight turn is convex
         bump_from_polygon(Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]))
 
