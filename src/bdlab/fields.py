@@ -35,6 +35,11 @@ class ConservativeField:
     (n, d) points w, for one symmetric (d, d) matrix E and (n, d) vectors v:
     the volume integrand of integration by parts over the bump phi, at
     E = e(u) and v = grad phi / phi.
+
+    `interval_mean`, when set, maps the (n, d) arrays value0, slope and the
+    (n,) arrays t0, t1 to the (n, d) means of g along each affine trace
+    value0 + t * slope over [t0, t1], exact where no `trace_kinks` parameter
+    lies inside (t0, t1): `jump_flux` integrates in closed form with it.
     """
 
     name: str
@@ -44,6 +49,7 @@ class ConservativeField:
     bound: float = np.inf
     params: dict = field(default_factory=dict, repr=False)
     trace_kinks: Callable | None = None
+    interval_mean: Callable | None = None
 
     @property
     def bounded(self) -> bool:
@@ -125,7 +131,10 @@ def _axis_field(
     """Shared kernel: g(w) = sum_k coeffs_k * p_k(scale_k (<w, xi_k> - shift_k)) xi_k.
 
     Potential: sum_k coeffs_k / scale_k * P_k(scale_k (<w, xi_k> - shift_k)).
-    Zero coefficients mask their addend entirely.
+    Zero coefficients mask their addend entirely.  The profile arguments are
+    affine along an affine trace, so when every active profile has a `mean`
+    the field's mean along a trace is sum_k coeffs_k mean_k(a_k(t0),
+    a_k(t1)) xi_k between kinks (`interval_mean`).
     """
     basis = np.asarray(basis, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -194,9 +203,23 @@ def _axis_field(
         with np.errstate(over="ignore"):  # a near-constant trace gives +-inf
             return np.divide(cs - a0, da, out=np.full(da.shape, np.nan), where=da != 0.0)
 
+    def interval_mean(value0, slope, t0, t1):
+        # the profile arguments at both ends of each interval: (d, 2, n)
+        t = np.stack([t0, t1])[..., None]
+        a = args(value0 + t * slope)
+        vals = np.stack(
+            [
+                profiles[k].mean(a[k, 0], a[k, 1]) if active[k] else np.zeros(a.shape[2:])
+                for k in range(d)
+            ],
+            axis=-1,
+        )
+        return np.einsum("...k,kl->...l", coeffs * vals, basis)
+
+    has_means = all(p.mean is not None for k, p in enumerate(profiles) if active[k])
     return ConservativeField(
         name, func, potential, strain=strain, bound=bound, params=params or {},
-        trace_kinks=trace_kinks,
+        trace_kinks=trace_kinks, interval_mean=interval_mean if has_means else None,
     )
 
 

@@ -124,7 +124,8 @@ def _checked_loops(v, counts) -> np.ndarray:
     GeometryError of the first check some loop fails, if any.  Returns the
     loops rolled by one row; it, v and counts are made read-only.  The
     shoelace sums are a stacked matmul per loop length, signed_area's dot
-    products."""
+    products.  Last, a loop's turns (each in (-pi, pi]) must add up to once
+    around: a self-intersecting loop such as a pentagram winds twice."""
     if v.ndim != 2 or v.shape[1] != 2 or (counts < 3).any() or counts.sum() != len(v):
         raise GeometryError("a polygon needs at least three planar vertices")
     if not np.isfinite(v).all():
@@ -133,18 +134,28 @@ def _checked_loops(v, counts) -> np.ndarray:
     ext = (hi - lo).max(axis=1)
     if (ext == 0.0).any():
         raise GeometryError("polygon has zero extent")
-    w = v[_following(counts)]
+    following = _following(counts)
+    w = v[following]
     d = v - w
     # the gaps as np.linalg.norm takes them, without its Python overhead
     if (np.sqrt((d * d).sum(axis=1)) < MATCH_TOL * np.repeat(ext, counts)).any():
         raise GeometryError("repeated consecutive vertices")
+    first = np.cumsum(counts) - counts
     for n in set(counts.tolist()):
-        rows = (np.cumsum(counts) - counts)[counts == n, None] + np.arange(n)
+        rows = first[counts == n, None] + np.arange(n)
         a, b = v[rows], w[rows]
         xy = (a[:, None, :, 0] @ b[:, :, 1, None])[:, 0, 0]
         yx = (a[:, None, :, 1] @ b[:, :, 0, None])[:, 0, 0]
         if (0.5 * (xy - yx) <= 0.0).any():
             raise GeometryError("polygon must be counterclockwise with positive area")
+    # the turn from each edge to the next, the argument of their quotient as
+    # complex numbers; a loop's turns add up to 2 pi times its winding
+    # number, so any bound strictly between the multiples tells once around
+    z = d.view(complex)[:, 0]
+    q = z[following] * z.conj()
+    turned = np.add.reduceat(np.arctan2(q.imag, q.real), first).tolist()
+    if any(abs(t - 2.0 * np.pi) > np.pi for t in turned):
+        raise GeometryError("polygon must be simple: its vertex loop winds more than once")
     for x in (v, w, counts):
         x.setflags(write=False)
     return w

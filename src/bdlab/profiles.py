@@ -23,7 +23,8 @@ class ScalarProfile:
 
     `kinks` lists the argument values where the derivative jumps; quadrature
     uses them as exact breakpoints when the profile is composed with affine
-    traces.
+    traces.  `mean(x0, x1)`, when set, is the exact mean of the profile over
+    each interval [x0, x1] (either order) with no kink inside, element-wise.
     """
 
     name: str
@@ -32,6 +33,7 @@ class ScalarProfile:
     deriv: Callable
     bound: float = np.inf
     kinks: tuple = ()
+    mean: Callable | None = None
 
     @property
     def bounded(self) -> bool:
@@ -39,6 +41,15 @@ class ScalarProfile:
 
     def __call__(self, t):
         return self.value(np.asarray(t, dtype=float))
+
+
+def _midpoint(value):
+    """The mean over [x0, x1] of a profile that is linear between its kinks:
+    its value at the midpoint.  A kink that rounding puts just inside an
+    end moves it to second order only; the trapezoid (p(x0) + p(x1)) / 2
+    would take that end's value from the wrong side, weighted by the whole
+    interval."""
+    return lambda x0, x1: value(0.5 * (x0 + x1))
 
 
 def eta_profile(M: float) -> ScalarProfile:
@@ -58,7 +69,8 @@ def eta_profile(M: float) -> ScalarProfile:
         return np.where(np.abs(t) < M, np.sign(t), 0.0)
 
     return ScalarProfile(
-        f"eta[{M:g}]", value, primitive, deriv, bound=M, kinks=(-M, 0.0, M)
+        f"eta[{M:g}]", value, primitive, deriv, bound=M, kinks=(-M, 0.0, M),
+        mean=_midpoint(value),
     )
 
 
@@ -79,7 +91,8 @@ def tau_profile(M: float) -> ScalarProfile:
         return np.where(np.abs(t) < M, 1.0, 0.0)
 
     return ScalarProfile(
-        f"tau[{M:g}]", value, primitive, deriv, bound=M, kinks=(-M, M)
+        f"tau[{M:g}]", value, primitive, deriv, bound=M, kinks=(-M, M),
+        mean=_midpoint(value),
     )
 
 
@@ -87,32 +100,39 @@ def abs_profile() -> ScalarProfile:
     """t -> |t| (unbounded; fields require a truncated stand-in)."""
     return ScalarProfile(
         "abs",
-        lambda t: np.abs(t),
+        np.abs,
         lambda t: 0.5 * t * np.abs(t),
         lambda t: np.sign(t),
         kinks=(0.0,),
+        mean=_midpoint(np.abs),
     )
 
 
 def sin_profile(amplitude: float = 1.0, frequency: float = 1.0) -> ScalarProfile:
     a, w = float(amplitude), float(frequency)
+
+    def mean(x0, x1):
+        # (cos(w x0) - cos(w x1)) / (w (x1 - x0)) as a product around the
+        # midpoint m and half-width h, which does not cancel as h -> 0
+        wh = w * (0.5 * (x1 - x0))
+        ratio = np.divide(np.sin(wh), wh, out=np.ones_like(wh), where=wh != 0.0)
+        return a * np.sin(w * (0.5 * (x0 + x1))) * ratio
+
     return ScalarProfile(
         f"sin[{a:g},{w:g}]",
         lambda t: a * np.sin(w * t),
         lambda t: a * (1.0 - np.cos(w * t)) / w,
         lambda t: a * w * np.cos(w * t),
         bound=abs(a),
+        mean=mean,
     )
 
 
 def zero_profile() -> ScalarProfile:
-    return ScalarProfile(
-        "zero",
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        bound=0.0,
-    )
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    return ScalarProfile("zero", zero, zero, zero, bound=0.0, mean=lambda x0, x1: zero(x0))
 
 
 _GRID = np.geomspace(1e-6, 1e6, 241)

@@ -98,6 +98,12 @@ class TestUnit:
             unit(v)
 
 
+# a star pentagon: every turn is left, but the loop winds twice around and
+# its shoelace area (1.469) counts the inner pentagon twice
+PENTAGRAM = np.stack([np.cos(np.pi / 2 + 0.8 * np.pi * np.arange(5)),
+                      np.sin(np.pi / 2 + 0.8 * np.pi * np.arange(5))], axis=1)
+
+
 class TestPolygon:
     def test_rejects_clockwise(self):
         with pytest.raises(GeometryError):
@@ -106,6 +112,21 @@ class TestPolygon:
     def test_rejects_repeated_vertices(self):
         with pytest.raises(GeometryError):
             Polygon([(0, 0), (0, 0), (1, 0), (1, 1)])
+
+    def test_rejects_a_loop_that_winds_more_than_once(self):
+        assert signed_area(PENTAGRAM) > 0.0
+        with pytest.raises(GeometryError, match="winds more than once"):
+            Polygon(PENTAGRAM)
+        # as a cell of a partition, built from its ragged stack
+        dom = make_oriented_square((0.0, 1.0), 4.0)
+        with pytest.raises(GeometryError, match="winds more than once"):
+            PolygonalPartition(ragged([dom.vertices, PENTAGRAM]), dom)
+        # a region (or domain, or bump polygon) is a Polygon, so it cannot be one
+        with pytest.raises(GeometryError, match="winds more than once"):
+            Polygon.from_json(PENTAGRAM.tolist())
+        # simple loops that turn right somewhere, or go straight on, pass
+        Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
 
     def test_contains(self):
         p = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -123,6 +144,7 @@ class TestPolygon:
         [(1, 1), (1, 1), (1, 1), (1, 1)],  # zero extent
         [(0, 0), (1, 0), (1, np.nan), (0, 1)],  # not finite
         [(0, 0), (1, 0), (1, 1), (0, np.inf)],
+        PENTAGRAM,  # winds twice around
     ])
     def test_stack_raises_for_one_bad_loop(self, bad):
         with pytest.raises(GeometryError) as alone:
@@ -167,7 +189,8 @@ class TestPolygon:
                                 st.booleans()), max_size=6),
         scale=st.sampled_from((1e-3, 1.0, 1e3)),
         phase=st.floats(0.0, 2.0 * np.pi),
-        kind=st.sampled_from(("none", "repeated", "clockwise", "zero", "nan", "inf", "-inf")),
+        kind=st.sampled_from(("none", "repeated", "clockwise", "zero", "nan", "inf", "-inf",
+                              "twice")),
         at=st.integers(0, 6),
         n=st.integers(3, 9),
         k=st.integers(0, 8),
@@ -178,6 +201,7 @@ class TestPolygon:
         # vertex 1e-4 of an edge from the next (repeated at the largest
         # size's tolerance, not at their own), and one bad loop of n
         # vertices among them, checked by the stack and alone by Polygon
+        # (a loop that goes twice around may fail an earlier check first)
         def ngon(m, size, c):
             t = phase + 2.0 * np.pi * np.arange(m) / m
             return c + size * np.c_[np.cos(t), np.sin(t)]
@@ -188,7 +212,10 @@ class TestPolygon:
             loops.append(np.insert(v, 1, v[0] + 1e-4 * (v[1] - v[0]), axis=0) if split else v)
         bad = ngon(n, scale, (-3e3, 1.0))
         k %= n
-        if kind == "repeated":
+        if kind == "twice":
+            # every second vertex: twice around (a star, or an n/2-gon twice)
+            bad = bad[np.arange(0, 2 * n, 2) % n]
+        elif kind == "repeated":
             bad = np.insert(bad, k, bad[k], axis=0)
         elif kind == "clockwise":
             bad = bad[::-1]

@@ -22,11 +22,12 @@ families at seed 0 (40 `_nelder_mead` runs of 50 evaluations each, driven
 in lockstep) is counted on a stub objective that gives every point the
 value 1.0.  That count is the generators' own NumPy calls: the argsort that
 orders each simplex and whatever else a checkout's generators do in NumPy
-(none of the round's calls are in it).  Then the two
+(none of the round's calls are in it).  Then the three
 checks of the `identities` path, each counted after a first identical call:
-one `tiling_report` of the square-insert competitor of counterexample 1
-rescaled to the unit square (anisotropic-normal density, h = 1..16), and
-one `integration_by_parts_residual` of a two-cell affine function drawn
+the `jump_flux` (tol 1e-12) of each of the 8 `catalog_fields` over the
+square-insert competitor of counterexample 1, one `tiling_report` of that
+competitor rescaled to the unit square (anisotropic-normal density, h =
+1..16), and one `integration_by_parts_residual` of a two-cell affine function drawn
 from a fixed seed on the side-2 square, with a two-profile prototype field
 and the power-2 bump of the square, at volume and line orders 8 and 15.  Last,
 one `density-check` pass (`symmetry_violation`, `check_subadditivity` and
@@ -56,8 +57,8 @@ from bdlab.densities import (
     check_subadditivity,
     symmetry_violation,
 )
-from bdlab.energy import bump_from_polygon, integration_by_parts_residual
-from bdlab.fields import prototype_field
+from bdlab.energy import bump_from_polygon, integration_by_parts_residual, jump_flux
+from bdlab.fields import catalog_fields, prototype_field
 from bdlab.functions import AffinePiece, PiecewiseAffine
 from bdlab.geometry import Polygon, PolygonalPartition, make_oriented_square
 from bdlab.profiles import sin_profile
@@ -167,10 +168,12 @@ def density_checks():
 
 
 def identities_checks():
-    """(name, run) for the tiling report and the integration-by-parts
-    residual counted last."""
+    """(name, run) for the jump flux, the tiling report and the
+    integration-by-parts residual counted last."""
     e2 = np.array([0.0, 1.0])
-    v = ellipticity.counterexample1_competitor(1.0).scaled(1.0 / 6.0)
+    ce1 = ellipticity.counterexample1_competitor(1.0)
+    fields = catalog_fields().fields
+    v = ce1.scaled(1.0 / 6.0)
     f = anisotropic_normal_density(0.01)
     dom = make_oriented_square(e2, 2.0)
     rng = np.random.default_rng(0)
@@ -180,6 +183,8 @@ def identities_checks():
     G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
     phi = bump_from_polygon(dom, power=2)
     return [
+        ("jump_flux of the 8 catalog fields", lambda: [jump_flux(ce1, g, tol=1e-12)
+                                                      for g in fields]),
         ("tiling_report, h = 1..16", lambda: ellipticity.tiling_report(
             v, np.zeros(2), np.array([2.0, 2.0]), e2, f, hs=range(1, 17))),
         ("integration_by_parts_residual, orders 8/15", lambda: integration_by_parts_residual(
