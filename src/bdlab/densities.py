@@ -214,55 +214,60 @@ def density_biconvex_frobenius() -> Density:
                    quadratic_form=_frobenius_form)
 
 
-def _axis_angle(v):
-    """Angle of the line through v, in (-pi/2, pi/2]; 0 for v = 0.
-
-    The half-angle form is invariant under v -> -v, bit for bit.
-    """
-    n = _norm(v)
-    n = np.where(n > 0, n, 1.0)
-    x, y = v[..., 0] / n, v[..., 1] / n
-    return 0.5 * np.arctan2(2.0 * x * y, x * x - y * y)
+def _unit(x, y):
+    """(x, y) / |(x, y)| over the whole float range, 0 at 0: scaled by the larger entry first."""
+    m = np.maximum(np.maximum(np.abs(x), np.abs(y)), 5e-324)  # 0 / 5e-324 = 0
+    x, y = x / m, y / m
+    n = np.sqrt(np.maximum(x * x + y * y, 1.0))  # 1 <= |(x, y)| <= sqrt(2) unless 0
+    return x / n, y / n
 
 
 def density_dalmot(M: float = np.inf) -> Density:
     """Supremum over planar orthonormal bases of the truncated per-axis norm.
 
-    f(i,j,nu) = sup_phi sqrt(sum_k eta(<a, xi_k>)^2 <nu, xi_k>^2) with a = i - j,
-    eta(t) = min(|t|, M), xi_1 = (cos phi, sin phi) and xi_2 = xi_1^perp;
-    M = inf is the abs profile.  The objective has period pi/2, and on each
-    piece of the angle range (no, one or both terms truncated) it peaks at
-    the eigenbasis of sym(a (.) nu), at xi_1 along nu, or at a kink
-    |<a, xi_1>| = M.  The objective is evaluated at those four angles, so
-    the maximum is the supremum, not an estimate.  Untruncated, the
-    supremum is the Frobenius norm of sym(a (.) nu), whose quadratic form
-    the density carries; there the kink width is 0 (NaN where |a|
-    overflows), so the two kink angles coincide and one of them is enough.
+    f(i,j,nu) = sup sqrt(sum_k eta(<a, xi_k>)^2 <nu, xi_k>^2) with a = i - j,
+    eta(t) = min(|t|, M) and xi_2 = xi_1^perp; M = inf is the abs profile.
+    On each piece of the range of xi_1 (no, one or both terms truncated) the
+    objective peaks at the eigenbasis of sym(a (.) nu), at xi_1 along nu or
+    at a kink |<a, xi_1>| = M, so its maximum over those four bases is the
+    supremum.  They come from the unit vectors a^, nu^ with no angles: the
+    bisector xi_1 = a^ + s nu^, s = sign(<a^, nu^>) (no cancellation), and
+    xi_1 = R(+-w) a^, cos w = min(|a|, M) / |a|, where w = 0 for M = inf (NaN
+    where |a| overflows): one kink.  f(i, j, nu) == f(j, i, -nu) bit for bit
+    (each term is a product of two factors that flip sign with (a, nu)); the
+    angle form gives the same values to 8 eps where no square over- or
+    underflows (DALMOT_BOUND in the tests).  Untruncated, f is the Frobenius
+    norm of sym(a (.) nu), whose quadratic form the density carries.
     """
     M = float(M)
     if not M > 0:
         raise DensityError("truncation level M must be positive")
 
+    def eta(t):
+        return t if M == np.inf else np.minimum(t, M)
+
     def evaluator(i, j, nu):
         a, nu = np.broadcast_arrays(i - j, nu)
+        a0, a1, n0, n1 = a[..., 0], a[..., 1], nu[..., 0], nu[..., 1]
+        (u0, u1), (v0, v1) = _unit(a0, a1), _unit(n0, n1)
+        # the eigenbasis, with |a^ + s nu^|^2 = 2 + 2 |<a^, nu^>| (f = 0 where a or nu is 0)
+        dot = u0 * v0 + u1 * v1
+        s, nb = np.where(dot >= 0, 1.0, -1.0), np.sqrt(2.0 + 2.0 * np.abs(dot))
+        c, d = (u0 + s * v0) / nb, (u1 + s * v1) / nb
+        best = ((eta(np.abs(a0 * c + a1 * d)) * (n0 * c + n1 * d)) ** 2
+                + (eta(np.abs(a1 * c - a0 * d)) * (n1 * c - n0 * d)) ** 2)
+        # xi_1 along nu, where <nu, xi_2> = 0
+        best = np.maximum(best, (eta(np.abs(a0 * v0 + a1 * v1)) * (n0 * v0 + n1 * v1)) ** 2)
+        # the kinks R(+-w) a^: |<a, xi_1>| = eta(|a|) and |<a, xi_2>| = eta(|a| sin w)
         na = _norm(a)
-        alpha, beta = _axis_angle(a), _axis_angle(nu)
-        # |<a, xi_1>| = M at alpha +- arccos(M / |a|), when |a| > M
-        width = np.arccos(np.divide(np.minimum(na, M), na, out=np.ones_like(na), where=na > 0))
-        kinks = [alpha + width] if M == np.inf else [alpha + width, alpha - width]
-        phi = np.stack([0.5 * (alpha + beta), beta] + kinks)
-        c, s = np.cos(phi), np.sin(phi)
-        a0, a1, nu0, nu1 = a[..., 0], a[..., 1], nu[..., 0], nu[..., 1]
-        total = 0.0
-        for xc, xs in ((c, s), (-s, c)):
-            along_a = np.abs(a0 * xc + a1 * xs)
-            along_nu = nu0 * xc + nu1 * xs
-            if M < np.inf:
-                along_a = np.minimum(along_a, M)
-            total = total + along_a**2 * along_nu**2
-        best = total[0]
-        for row in total[1:]:
-            best = np.maximum(best, row)
+        cw = np.divide(eta(na), na, out=np.ones_like(na), where=na > 0)
+        sw = np.sqrt((1.0 - cw) * (1.0 + cw))
+        p, q = n0 * u0 + n1 * u1, n1 * u0 - n0 * u1  # <nu, a^>, <nu, a^perp>
+        cp, sq, cq, sp = cw * p, sw * q, cw * q, sw * p
+        along_1, along_2 = eta(na), eta(na * sw)
+        best = np.maximum(best, (along_1 * (cp - sq)) ** 2 + (along_2 * (cq + sp)) ** 2)
+        if M < np.inf:
+            best = np.maximum(best, (along_1 * (cp + sq)) ** 2 + (along_2 * (cq - sp)) ** 2)
         return np.sqrt(best)
 
     profile = "abs" if M == np.inf else f"eta[{M:g}]"
@@ -354,46 +359,25 @@ def density_mild(g: Callable, name: str = "mild") -> Density:
     )
 
 
-def symmetry_violation(f: Density, samples: int = 10_000, seed: int = 0) -> float:
-    """max |f(i,j,nu) - f(j,i,-nu)| over random triples."""
-    rng = np.random.default_rng(seed)
-    i = rng.normal(scale=2.0, size=(samples, 2))
-    j = rng.normal(scale=2.0, size=(samples, 2))
-    nu = rng.normal(size=(samples, 2))
-    nu /= _norm(nu)[:, None]
+def _draw(samples: int, seed: int):
+    """i, j, k, r1, r2 = 2 z[0], 2 z[1], 2 z[2], z[2], z[3], z the standard normals (4, samples, 2)
+    of default_rng(seed): bit for bit three rng.normal(scale=2.0) draws and one rng.normal()."""
+    z = np.random.default_rng(seed).standard_normal((4, samples, 2))
+    return (*(2.0 * z[:3]), z[2], z[3])
+
+
+def _symmetry(f, i, j, k, r1, r2):
+    nu = r1 / _norm(r1)[:, None]
     return float(np.max(np.abs(f(i, j, nu) - f(j, i, -nu))))
 
 
-def check_subadditivity(f: Density, samples: int = 10_000, seed: int = 0, extra=()) -> float:
-    """max over sampled (i,j,k,rho) of f(i,j,rho) - f(i,k,rho) - f(k,j,rho).
-
-    Nonpositive (within tolerance) is necessary for ellipticity.  `extra`
-    supplies additional (i, j, k, rho) probes to include.
-    """
-    rng = np.random.default_rng(seed)
-    i = rng.normal(scale=2.0, size=(samples, 2))
-    j = rng.normal(scale=2.0, size=(samples, 2))
-    k = rng.normal(scale=2.0, size=(samples, 2))
-    rho = rng.normal(size=(samples, 2))
-    rho /= _norm(rho)[:, None]
-    viol = f(i, j, rho) - f(i, k, rho) - f(k, j, rho)
-    worst = float(np.max(viol))
-    for (ei, ej, ek, erho) in extra:
-        ei, ej, ek, erho = (np.asarray(v, dtype=float) for v in (ei, ej, ek, erho))
-        worst = max(
-            worst, float(f(ei, ej, erho) - f(ei, ek, erho) - f(ek, ej, erho))
-        )
-    return worst
+def _subadditivity(f, i, j, k, r1, r2, extra=()):
+    rho = r2 / _norm(r2)[:, None]
+    return max([float(np.max(f(i, j, rho) - f(i, k, rho) - f(k, j, rho)))]
+               + [float(f(a, b, r) - f(a, c, r) - f(c, b, r)) for a, b, c, r in extra])
 
 
-def check_convexity_in_nu(f: Density, samples: int = 10_000, seed: int = 0) -> float:
-    """max midpoint-convexity violation of the 1-homogeneous extension in nu."""
-    rng = np.random.default_rng(seed)
-    i = rng.normal(scale=2.0, size=(samples, 2))
-    j = rng.normal(scale=2.0, size=(samples, 2))
-    r1 = rng.normal(size=(samples, 2))
-    r2 = rng.normal(size=(samples, 2))
-
+def _convexity(f, i, j, k, r1, r2):
     def fhom(rho):
         if f.one_homogeneous_in_nu:
             return f(i, j, rho)
@@ -401,9 +385,30 @@ def check_convexity_in_nu(f: Density, samples: int = 10_000, seed: int = 0) -> f
         n = np.where(n == 0, 1.0, n)
         return n * f(i, j, rho / n[:, None])
 
-    mid = 0.5 * (r1 + r2)
-    viol = fhom(mid) - 0.5 * fhom(r1) - 0.5 * fhom(r2)
-    return float(np.max(viol))
+    return float(np.max(fhom(0.5 * (r1 + r2)) - 0.5 * fhom(r1) - 0.5 * fhom(r2)))
+
+
+def symmetry_violation(f: Density, samples: int = 10_000, seed: int = 0) -> float:
+    """max |f(i,j,nu) - f(j,i,-nu)| over random triples."""
+    return _symmetry(f, *_draw(samples, seed))
+
+
+def check_subadditivity(f: Density, samples: int = 10_000, seed: int = 0, extra=()) -> float:
+    """max over sampled (i,j,k,rho), and over the (i, j, k, rho) probes in
+    `extra`, of f(i,j,rho) - f(i,k,rho) - f(k,j,rho); nonpositive (within
+    tolerance) is necessary for ellipticity."""
+    return _subadditivity(f, *_draw(samples, seed), extra)
+
+
+def check_convexity_in_nu(f: Density, samples: int = 10_000, seed: int = 0) -> float:
+    """max midpoint-convexity violation of the 1-homogeneous extension in nu."""
+    return _convexity(f, *_draw(samples, seed))
+
+
+def sampled_violations(f: Density, samples: int = 10_000, seed: int = 0, extra=()):
+    """The values of the three checks above, from one draw."""
+    drawn = _draw(samples, seed)
+    return _symmetry(f, *drawn), _subadditivity(f, *drawn, extra), _convexity(f, *drawn)
 
 
 def _parse_params(chunk: str) -> dict:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densities import Density, check_convexity_in_nu, check_subadditivity
+from .densities import Density, sampled_violations
 from .energy import (
     integrate_jump_arrays,
     jump_set_integrals,
@@ -853,6 +853,7 @@ def relaxation_estimate(
 
 @dataclass(frozen=True)
 class NecessaryReport(Report):
+    symmetry_violation: float
     subadditivity_violation: float
     convexity_violation: float
     passes_necessary: bool
@@ -868,10 +869,9 @@ def bv_necessary_report(
     budget: int = 0,
     extra_subadditivity=(),
 ) -> NecessaryReport:
-    """Bundle the sampled necessary checks; optionally attach a falsification
-    verdict at a triple to expose the necessary-pass/falsified separation."""
-    sub = check_subadditivity(f, samples=samples, seed=seed, extra=extra_subadditivity)
-    conv = check_convexity_in_nu(f, samples=samples, seed=seed)
+    """Bundle the sampled necessary checks, drawn once; optionally attach a
+    falsification verdict at a triple to expose the necessary-pass/falsified separation."""
+    sym, sub, conv = sampled_violations(f, samples, seed, extra_subadditivity)
     passes = sub <= 1e-10 and conv <= 1e-10
     verdict = None
     label = "necessary-pass" if passes else "necessary-fail"
@@ -882,4 +882,4 @@ def bv_necessary_report(
             label = "BV-type-necessary-pass / BD-falsified"
         elif passes:
             label = "necessary-pass / no violation found"
-    return NecessaryReport(sub, conv, passes, label, verdict)
+    return NecessaryReport(sym, sub, conv, passes, label, verdict)

@@ -9,6 +9,13 @@ import pytest
 
 from bdlab import cli
 from bdlab.cli import main
+from bdlab.densities import (
+    CATALOG_IDS,
+    catalog_density,
+    check_convexity_in_nu,
+    check_subadditivity,
+    symmetry_violation,
+)
 from bdlab.functions import AffinePiece, PiecewiseAffine, constant_piece, make_elementary
 from bdlab.geometry import OrientedSquare, Polygon, PolygonalPartition, make_oriented_square
 from bdlab.render import render_svg
@@ -111,6 +118,43 @@ class TestDensityCheck:
         rep = json.loads(out.read_text())
         assert rep["results"]["passes_necessary"]
         assert rep["results"]["subadditivity_violation"] <= 1e-10
+
+
+class CountingRng:
+    """A numpy Generator whose method calls are appended, by name, to `calls`."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestOneDraw:
+    @pytest.mark.parametrize("fid", CATALOG_IDS)
+    @pytest.mark.parametrize("samples, seed", [(1, 0), (37, 5), (2000, 2**32 - 1)])
+    def test_one_seeded_draw_gives_the_three_checks(self, fid, samples, seed, tmp_path,
+                                                    monkeypatch):
+        calls, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args, **kw: CountingRng(default_rng(*args, **kw), calls))
+        out = tmp_path / "check.json"
+        assert main(["density-check", "--density", fid, "--samples", str(samples),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        # mild:g draws its own test points when it is built
+        assert calls == ["normal"] * (fid == "mild:g") + ["standard_normal"]
+        monkeypatch.undo()
+        got = json.loads(out.read_text())["results"]
+        f = catalog_density(fid)
+        assert got["symmetry_violation"] == symmetry_violation(f, samples, seed)
+        assert got["subadditivity_violation"] == check_subadditivity(f, samples, seed)
+        assert got["convexity_violation"] == check_convexity_in_nu(f, samples, seed)
 
 
 class TestFieldsVerify:

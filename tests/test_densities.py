@@ -465,7 +465,9 @@ class TestCatalog:
 # The evaluators and checks as they were before they computed on the two
 # planar components: reductions over the last axis, a BLAS product for the
 # support function and the four candidate angles of the sup over bases
-# stacked on a last axis.  The rewritten functions equal them bit for bit.
+# stacked on a last axis.  The rewritten functions equal them bit for bit,
+# except the sup over bases, which builds its candidate bases from unit
+# vectors instead of angles and equals its oracle to DALMOT_BOUND.
 
 
 def former_norm(v):
@@ -554,20 +556,25 @@ def former_check_convexity_in_nu(f, samples, seed):
     return float(np.max(fhom(mid) - 0.5 * fhom(r1) - 0.5 * fhom(r2)))
 
 
-# entries from 1e-300 to 1e300 in magnitude, zeros of either sign, NaN and +-inf
-ENTRY = (st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
-                   st.floats(-300.0, 300.0))
-         | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+def entries(exponent):
+    """Entries of magnitude 10**e, e drawn from [-exponent, exponent], zeros
+    of either sign, NaN and +-inf."""
+    return (st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                      st.floats(-exponent, exponent))
+            | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+
+
+ENTRY = entries(300.0)
 SHAPES = st.sampled_from([(2,), (1, 2), (5, 2), (3, 4, 2)])
 
 
 @st.composite
-def planar_triples(draw):
+def planar_triples(draw, entry=ENTRY):
     """(i, j, nu) of one shape (2,), (n, 2) or (n, m, 2), with rows where
     i == j and rows where one component of i and j agrees."""
     shape = draw(SHAPES)
     size = int(np.prod(shape))
-    i, j, nu = (np.array(draw(st.lists(ENTRY, min_size=size, max_size=size))).reshape(shape)
+    i, j, nu = (np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
                 for _ in range(3))
     rows, n = shape[:-1], size // 2
 
@@ -588,6 +595,22 @@ def same_bits(a, b):
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
+# the sup over bases against its angle-form oracle, relative, where the
+# oracle is finite and nonzero
+DALMOT_BOUND = 8 * np.finfo(float).eps
+# entries for which no square in either form over- or underflows: |i - j|
+# from about 1e-66 (two entries one ulp apart at 1e-50) and |nu| up to 1e50
+IN_RANGE = entries(50.0)
+
+
+def dalmot_close(got, want):
+    """got equals want where want is 0, NaN or +-inf, and is within
+    DALMOT_BOUND of it, relative, elsewhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    exact = ~np.isfinite(want) | (want == 0)
+    return (same_bits(got[exact], want[exact])
+            and bool(np.all(np.abs(got - want)[~exact] <= DALMOT_BOUND * want[~exact])))
+
 
 class TestComponentForm:
     """The component-form evaluators and checks against their `former_*`
@@ -603,7 +626,6 @@ class TestComponentForm:
             for got, want in (
                 (densities._norm(i), former_norm(i)),
                 (densities._dot(i, nu), former_dot(i, nu)),
-                (densities._axis_angle(i - j), former_axis_angle(i - j)),
                 (densities._mild_g(i), former_mild_g(i)),
                 (SupportPolytope(SQUARE).support(nu), former_support(SQUARE, nu)),
             ):
@@ -622,13 +644,62 @@ class TestComponentForm:
             assert same_bits(got, former_call(evaluator, i, j, nu))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(planar_triples(), st.sampled_from([1.0, np.inf]))
-    @example((np.array([1e300, 1e300]), np.array([-1e300, 0.0]), np.array([1.0, 0.0])), np.inf)
+    @given(planar_triples(IN_RANGE), st.sampled_from([1.0, np.inf]))
     def test_dalmot_equals_the_former(self, triple, M):
+        # to DALMOT_BOUND where neither form over- or underflows; the probes
+        # out of that range are test_dalmot_out_of_range_probes
         i, j, nu = triple
         with np.errstate(all="ignore"):
             got = density_dalmot(M)(i, j, nu)
+            assert dalmot_close(got, former_call(former_dalmot_evaluator(M), i, j, nu))
+
+    @pytest.mark.parametrize("M", [1.0, np.inf])
+    @pytest.mark.parametrize("turn", [0.0, np.pi / 2, 1e-9, 1.0])
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 1.0, 1.2, np.sqrt(2.0), 1.0 + 1e-15, 1e6])
+    def test_dalmot_adversarial_triples(self, r, turn, M):
+        # |a| = 0, 1e-8, at the truncation level of M = 1, between it and
+        # sqrt(2), where both terms saturate, just above the level and far
+        # above it; nu along a, across a, 1e-9 off a and 1 radian off it, in
+        # random directions and at random scales (at |a| = 1.2 and 1 radian
+        # the two kinks give different values)
+        rng = np.random.default_rng(int(1e6 * r + 10 * turn))
+        t = rng.uniform(0.0, 2.0 * np.pi, 500)
+        a = r * np.c_[np.cos(t), np.sin(t)]
+        scale = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-2.0, 2.0, 500)
+        nu = scale[:, None] * np.c_[np.cos(t + turn), np.sin(t + turn)]
+        f = density_dalmot(M)
+        got = f(a, ZERO, nu)
+        assert dalmot_close(got, former_call(former_dalmot_evaluator(M), a, ZERO, nu))
+        assert same_bits(got, f(ZERO, a, -nu))
+
+    @pytest.mark.parametrize("M, i, j, nu, want", [
+        (np.inf, (1e155, 1e155), (0.0, 0.0), E2, np.nan),
+        (np.inf, (1e300, 1e300), (0.0, 0.0), E2, np.nan),
+        (np.inf, (1e300, 1e300), (-1e300, 0.0), E1, np.nan),
+        (1.0, (1e155, 1e155), (0.0, 0.0), E2, 1.0),
+        (1.0, (1e300, 1e300), (0.0, 0.0), E2, 1.0),
+        (np.inf, (1e-160, 0.0), (0.0, 0.0), E2, 7.0710284513028335e-161),
+        (1.0, (1e-160, 1e-160), (0.0, 0.0), E2, 1.224738053942158e-160),
+        (np.inf, (1e-200, 0.0), (0.0, 0.0), E2, 0.0),
+        (1.0, (1e-200, 0.0), (0.0, 0.0), E2, 0.0),
+    ])
+    def test_dalmot_out_of_range_probes(self, M, i, j, nu, want):
+        # |i - j|^2 overflows (NaN untruncated, M at M = 1) or underflows
+        # (the rounded values of both forms)
+        i, j = np.array(i), np.array(j)
+        with np.errstate(all="ignore"):
+            got = density_dalmot(M)(i, j, nu)
             assert same_bits(got, former_call(former_dalmot_evaluator(M), i, j, nu))
+        assert same_bits(got, np.float64(want))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(planar_triples(), st.sampled_from([1.0, np.inf]))
+    @example((np.array([1e300, 1e300]), np.array([-1e300, 0.0]), np.array([1.0, 0.0])), np.inf)
+    def test_dalmot_symmetric_bit_for_bit(self, triple, M):
+        i, j, nu = triple
+        f = density_dalmot(M)
+        with np.errstate(all="ignore"):
+            assert same_bits(f(i, j, nu), f(j, i, -nu))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.sampled_from(CATALOG_IDS), st.integers(1, 60), st.integers(0, 2**32 - 1))

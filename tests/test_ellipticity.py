@@ -18,6 +18,9 @@ from bdlab.densities import (
     anisotropic_normal_density,
     anisotropic_trace_density,
     catalog_density,
+    check_convexity_in_nu,
+    check_subadditivity,
+    symmetry_violation,
 )
 from bdlab.energy import (
     EnergyError,
@@ -2099,6 +2102,10 @@ class TestRelaxation:
         assert r_large.value <= r_small.value + 1e-12
 
 
+QUAD = Density(
+    "quad", lambda i, j, nu: np.linalg.norm(i - j, axis=-1) ** 2 * np.linalg.norm(nu, axis=-1))
+
+
 class TestReportJson:
     def test_verdict_key_order(self):
         fields = dict(
@@ -2117,13 +2124,27 @@ class TestReportJson:
         assert full["competitor"] == u.to_json()
 
     def test_necessary_report_leaves_out_missing_verdict(self):
-        rep = NecessaryReport(0.0, 0.0, True, "necessary-pass").to_json()
+        rep = NecessaryReport(0.0, 0.0, 0.0, True, "necessary-pass").to_json()
         assert list(rep) == [
-            "subadditivity_violation", "convexity_violation", "passes_necessary", "label"
+            "symmetry_violation", "subadditivity_violation", "convexity_violation",
+            "passes_necessary", "label",
         ]
 
 
 class TestNecessaryReport:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.sampled_from(CATALOG_IDS + ("quad",)), st.integers(1, 60),
+           st.integers(0, 2**32 - 1))
+    def test_one_draw_equals_the_three_checks(self, fid, samples, seed):
+        # bit for bit, with extra subadditivity probes (the first decides the
+        # maximum for the quadratic density)
+        f = QUAD if fid == "quad" else catalog_density(fid)
+        extra = [(2 * E1, np.zeros(2), E1, E2), (E1, -E1, E2, unit(np.array([1.0, 2.0])))]
+        rep = bv_necessary_report(f, samples, seed, extra_subadditivity=extra)
+        assert rep.symmetry_violation == symmetry_violation(f, samples, seed)
+        assert rep.subadditivity_violation == check_subadditivity(f, samples, seed, extra)
+        assert rep.convexity_violation == check_convexity_in_nu(f, samples, seed)
+
     def test_counterexample_density_separation(self):
         f = catalog_density("product:aniso1:eps=0.01")
         rep = bv_necessary_report(

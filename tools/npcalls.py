@@ -30,10 +30,11 @@ competitor rescaled to the unit square (anisotropic-normal density, h =
 1..16), and one `integration_by_parts_residual` of a two-cell affine function drawn
 from a fixed seed on the side-2 square, with a two-profile prototype field
 and the power-2 bump of the square, at volume and line orders 8 and 15.  Last,
-one `density-check` pass (`symmetry_violation`, `check_subadditivity` and
-`check_convexity_in_nu` at 10 000 samples and seed 0) of `isotropic:id`
-and of `dalmot:abs`, each counted after a first identical pass.  A
-NumPy call is a
+one `density-check` of `isotropic:id` and of `dalmot:abs` at 10 000
+samples and seed 0, as the CLI runs it (`cli.cmd_density_check`: the
+catalog lookup, which builds the density, and one report of the sampled
+checks, with the symmetry check wherever the checkout takes it), each
+counted after a first identical run.  A NumPy call is a
 C function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
 profiler does not report ufunc calls, operators or numpy's dispatched
@@ -49,14 +50,8 @@ import types
 
 import numpy as np
 
-from bdlab import ellipticity
-from bdlab.densities import (
-    anisotropic_normal_density,
-    catalog_density,
-    check_convexity_in_nu,
-    check_subadditivity,
-    symmetry_violation,
-)
+from bdlab import cli, ellipticity
+from bdlab.densities import anisotropic_normal_density, catalog_density
 from bdlab.energy import bump_from_polygon, integration_by_parts_residual, jump_flux
 from bdlab.fields import catalog_fields, prototype_field
 from bdlab.functions import AffinePiece, PiecewiseAffine
@@ -156,14 +151,10 @@ def main() -> int:
 
 
 def density_checks():
-    """(name, run) for the density-check passes counted last."""
-
-    def check(f):
-        symmetry_violation(f, samples=10_000, seed=0)
-        check_subadditivity(f, samples=10_000, seed=0)
-        check_convexity_in_nu(f, samples=10_000, seed=0)
-
-    return [(f"density-check {fid}, 10000 samples", lambda f=catalog_density(fid): check(f))
+    """(name, run) for the density-check runs counted last."""
+    return [(f"density-check {fid}, 10000 samples",
+             lambda fid=fid: cli.cmd_density_check(
+                 types.SimpleNamespace(density=fid, samples=10_000, seed=0)))
             for fid in ("isotropic:id", "dalmot:abs")]
 
 
