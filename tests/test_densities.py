@@ -556,12 +556,15 @@ def former_check_convexity_in_nu(f, samples, seed):
     return float(np.max(fhom(mid) - 0.5 * fhom(r1) - 0.5 * fhom(r2)))
 
 
+def magnitudes(exponent):
+    """Entries +-10**e, e drawn from [-exponent, exponent]."""
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                     st.floats(-exponent, exponent))
+
+
 def entries(exponent):
-    """Entries of magnitude 10**e, e drawn from [-exponent, exponent], zeros
-    of either sign, NaN and +-inf."""
-    return (st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
-                      st.floats(-exponent, exponent))
-            | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+    """magnitudes(exponent), zeros of either sign, NaN and +-inf."""
+    return magnitudes(exponent) | st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
 
 
 ENTRY = entries(300.0)
@@ -598,9 +601,24 @@ SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 # the sup over bases against its angle-form oracle, relative, where the
 # oracle is finite and nonzero
 DALMOT_BOUND = 8 * np.finfo(float).eps
-# entries for which no square in either form over- or underflows: |i - j|
-# from about 1e-66 (two entries one ulp apart at 1e-50) and |nu| up to 1e50
+# entries whose rows are all in dalmot_in_range: |i - j| from about 1e-66
+# (two entries one ulp apart at 1e-50) and |nu| up to 1e50
 IN_RANGE = entries(50.0)
+
+
+def dalmot_in_range(a, nu, M):
+    """Rows where no square in either form over- or underflows: finite a and
+    nu, |a| and |nu| each 0 or in [1e-150, 1e150], and min(|a|, M) |nu| 0 or
+    in [1e-140, 1e140] (the squares stay below 1e300 and an underflowed
+    term is below 1e-20 of the largest)."""
+    A, N = np.hypot(a[..., 0], a[..., 1]), np.hypot(nu[..., 0], nu[..., 1])
+    P = np.minimum(A, M) * N
+
+    def zero_or_within(x, bound):
+        return (x == 0) | ((x >= 1.0 / bound) & (x <= bound))
+
+    return (np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(nu), axis=-1)
+            & zero_or_within(A, 1e150) & zero_or_within(N, 1e150) & zero_or_within(P, 1e140))
 
 
 def dalmot_close(got, want):
@@ -644,14 +662,30 @@ class TestComponentForm:
             assert same_bits(got, former_call(evaluator, i, j, nu))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(planar_triples(IN_RANGE), st.sampled_from([1.0, np.inf]))
-    def test_dalmot_equals_the_former(self, triple, M):
-        # to DALMOT_BOUND where neither form over- or underflows; the probes
-        # out of that range are test_dalmot_out_of_range_probes
-        i, j, nu = triple
+    @given(planar_triples(), planar_triples(magnitudes(300.0)), planar_triples(IN_RANGE),
+           st.sampled_from([1.0, np.inf]))
+    @example((np.array([1e300, 1e300]), np.array([-1e300, 0.0]), np.array([1.0, 0.0])),
+             (np.array([1e200, 1.0]), np.array([0.0, 0.0]), np.array([0.6, 0.8])),
+             (np.array([1.2, 0.0]), np.array([0.0, 0.0]), np.array([0.6, 0.8])), 1.0)
+    def test_dalmot_equals_the_former(self, triple, finite_triple, in_range_triple, M):
+        # to DALMOT_BOUND on the rows in range; out of it the former squares
+        # <a, xi> and <nu, xi> apart and turns 0 * inf into NaN, so a finite
+        # nonzero value must only stay finite and nonzero (the fixed probes
+        # are test_dalmot_out_of_range_probes)
+        for i, j, nu in (triple, finite_triple, in_range_triple):
+            with np.errstate(all="ignore"):
+                got = density_dalmot(M)(i, j, nu)
+                want = former_call(former_dalmot_evaluator(M), i, j, nu)
+                rows = dalmot_in_range(i - j, nu, M)
+            assert dalmot_close(got[rows], want[rows])
+            kept = np.isfinite(want) & (want != 0)
+            assert np.all(np.isfinite(got[kept]) & (got[kept] != 0))
+        i, j, nu = in_range_triple
         with np.errstate(all="ignore"):
-            got = density_dalmot(M)(i, j, nu)
-            assert dalmot_close(got, former_call(former_dalmot_evaluator(M), i, j, nu))
+            a = i - j
+            rows = dalmot_in_range(a, nu, M)
+        finite = np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(nu), axis=-1)
+        assert np.all(rows[finite])
 
     @pytest.mark.parametrize("M", [1.0, np.inf])
     @pytest.mark.parametrize("turn", [0.0, np.pi / 2, 1e-9, 1.0])
