@@ -26,7 +26,6 @@ from .functions import (
     constant_piece,
     jump_square,
     make_elementary,
-    rigid_piece,
     skew2,
 )
 from .profiles import (
@@ -37,7 +36,6 @@ from .profiles import (
     eta_profile,
     identity_profile,
     sqrt_profile,
-    table_profile,
     tau_profile,
     truncated_profile,
 )
@@ -74,7 +72,6 @@ from .fields import (
     optimal_gbmc_field,
     optimal_gbmc_params,
     prototype_field,
-    sup_representation,
     zero_field,
 )
 from .energy import (

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .densities import anisotropic_normal_density, anisotropic_trace_density, catalog_density
 from .ellipticity import (
+    NECESSARY_TOL,
     bv_necessary_report,
     ce1_energy_breakdown,
     ce2_energy_breakdown,
@@ -93,7 +94,7 @@ def cmd_density_check(args):
         "subadditivity_violation": rep.subadditivity_violation,
         "convexity_violation": rep.convexity_violation,
         "passes_necessary": rep.passes_necessary,
-        "tolerance": 1e-10,
+        "tolerance": NECESSARY_TOL,
     }, 0
 
 

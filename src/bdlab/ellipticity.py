@@ -57,6 +57,8 @@ from .report import Report
 E2 = np.array([0.0, 1.0])
 # the side of the square a strip tiling fills outside its strip
 AMBIENT_SIDE = 3.0
+# the largest sampled violation of each necessary check that still passes
+NECESSARY_TOL = 1e-10
 
 
 class EllipticityError(ValueError):
@@ -869,10 +871,11 @@ def bv_necessary_report(
     budget: int = 0,
     extra_subadditivity=(),
 ) -> NecessaryReport:
-    """Bundle the sampled necessary checks, drawn once; optionally attach a
+    """Bundle the sampled necessary checks, drawn once; it passes when all
+    three violations are at most NECESSARY_TOL.  Optionally attach a
     falsification verdict at a triple to expose the necessary-pass/falsified separation."""
     sym, sub, conv = sampled_violations(f, samples, seed, extra_subadditivity)
-    passes = sub <= 1e-10 and conv <= 1e-10
+    passes = all(v <= NECESSARY_TOL for v in (sym, sub, conv))
     verdict = None
     label = "necessary-pass" if passes else "necessary-fail"
     if triple is not None and budget > 0:

@@ -19,8 +19,8 @@ breakpoints the field's mean along each trace is exact, so `jump_flux`
 integrates with `_mean_flux`, with zero error and its `tol` unused.
 Volume integrals use tensor Gauss rules on a triangulation, refined breadth
 first in the same way: each level is one integrand call over the children
-of every live triangle.  Integration by parts on the default region, the
-domain, takes the jump set and the cells as they are, unclipped.
+of every live triangle.  Everything integrates over the whole domain:
+integration by parts takes the jump set and the cells as they are.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .densities import Density
 from .fields import ConservativeField
 from .functions import JumpArrays, PiecewiseAffine, compact_deviation
-from .geometry import Polygon, clip_polygon, clip_segment_params, row_norms, triangulate
+from .geometry import Polygon, row_norms, triangulate
 from .report import Report
 
 
@@ -344,37 +344,24 @@ def _sum_children(x, children: int):
     return out
 
 
-def jump_pieces(jumps: JumpArrays, region: Polygon | None, include_boundary: bool) -> JumpArrays:
-    """The pieces of a jump set inside the region."""
-    if region is None:
-        return jumps
-    _, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, [region])
-    if not include_boundary:
-        rows, t0, t1 = rows[~on_boundary], t0[~on_boundary], t1[~on_boundary]
-    L = jumps.t1[rows]
-    return jumps.take(rows, t0 * L, t1 * L)
-
-
 def surface_energy(
     u: PiecewiseAffine,
     f,
-    region: Polygon | None = None,
+    *,
     tol: float = 1e-10,
     order: int = 15,
 ) -> QuadratureResult:
-    """Integral of f(trace+, trace-, normal) over the jump set clipped to
-    region, pieces along the region's boundary included.
+    """Integral of f(trace+, trace-, normal) over the jump set.
 
     Constant traces give the closed form length * f(i, j, nu) with zero error.
     """
-    jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
-    return integrate_jump_arrays(jumps, f, tol, order)
+    return integrate_jump_arrays(u.jump_segments(), f, tol, order)
 
 
 def jump_flux(
     u: PiecewiseAffine,
     g: ConservativeField,
-    region: Polygon | None = None,
+    *,
     tol: float = 1e-10,
 ) -> QuadratureResult:
     """Signed integral of <g(trace+) - g(trace-), normal> over the jump set.
@@ -386,7 +373,7 @@ def jump_flux(
     with zero error and `tol` unused.  Any other field goes through the
     adaptive kernel at Gauss order _FLUX_ORDER and tolerance `tol`.
     """
-    jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
+    jumps = u.jump_segments()
     if g.interval_mean is not None:
         return _mean_flux(jumps, g)
     return integrate_jump_arrays(jumps, g.pairing, tol, _FLUX_ORDER, kinks=g.trace_kinks)
@@ -420,7 +407,7 @@ def divergence_identity_residual(
     v: PiecewiseAffine,
     u_ref: PiecewiseAffine,
     g: ConservativeField,
-    region: Polygon | None = None,
+    *,
     tol: float = 1e-10,
     margin: float | None = None,
 ) -> float:
@@ -434,14 +421,14 @@ def divergence_identity_residual(
         margin = 1e-6 * v.partition.domain.diameter
     if not compact_deviation(v, u_ref, margin):
         raise EnergyError("deviation is not compactly contained in the domain")
-    a = jump_flux(v, g, region, tol)
-    b = jump_flux(u_ref, g, region, tol)
+    a = jump_flux(v, g, tol=tol)
+    b = jump_flux(u_ref, g, tol=tol)
     return abs(a.value - b.value)
 
 
-def symmetric_jump_measure(u: PiecewiseAffine, region: Polygon | None = None) -> np.ndarray:
+def symmetric_jump_measure(u: PiecewiseAffine) -> np.ndarray:
     """Matrix integral of jump (.) normal over the jump set (midpoint-exact)."""
-    j = jump_pieces(u.jump_segments(), region, include_boundary=True)
+    j = u.jump_segments()
     t = 0.5 * (j.t0 + j.t1)[:, None]
     jm = (j.plus_value0 + t * j.plus_slope) - (j.minus_value0 + t * j.minus_slope)
     terms = (j.t1 - j.t0)[:, None, None] * 0.5 * (
@@ -609,7 +596,7 @@ def bump_from_polygon(poly: Polygon, power: int = 2) -> TestFunction:
 
 
 def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi: TestFunction,
-                                  region: Polygon | None = None, tol: float = 1e-9,
+                                  *, tol: float = 1e-9,
                                   volume_order: int = 8, line_order: int = 15) -> float:
     """Residual of the three-term identity
 
@@ -617,57 +604,43 @@ def integration_by_parts_residual(u: PiecewiseAffine, G: ConservativeField, phi:
       + int (grad G(u) : e(u)) phi dx
       + int <G(u), grad phi> dx  =  0
 
-    for a conservative field G with a strain term and a bump phi vanishing
-    on the boundary of the region, which must lie inside u's (convex)
-    domain: every edge of the region must lie on the line of an edge of the
-    bump's polygon, to 1e-12 times its diameter, where phi is zero (and
-    EnergyError otherwise).  The default region is the domain, which a
-    partition that passes `validate_partition` tiles: the jump set and the
-    cells are integrated as they are, with no clipping, and cells whose
-    areas miss the domain's by more than 1e-9 of it raise EnergyError (an
-    overlap that a gap of equal area hides is `validate_partition`'s to
-    find); any other region clips both to it.  The two volume terms are one integrand per cell,
-    phi * G.strain(u, e(u), grad phi / phi).  The residual is pure
-    quadrature error; a quadrature that leaves parts unconverged at a cap
-    raises EnergyError.
+    on u's (convex) domain, for a conservative field G with a strain term
+    and a bump phi vanishing on the domain's boundary: every edge of the
+    domain must lie on the line of an edge of the bump's polygon, to 1e-12
+    times its diameter, where phi is zero (and EnergyError otherwise).  The
+    jump set and the cells are integrated as they are, unclipped, so the
+    cells must tile the domain: cells whose areas miss the domain's by more
+    than 1e-9 of it raise EnergyError (an overlap that a gap of equal area
+    hides is `validate_partition`'s to find).  The two volume terms are one
+    integrand per cell, phi * G.strain(u, e(u), grad phi / phi).  The
+    residual is pure quadrature error; a quadrature that leaves parts
+    unconverged at a cap raises EnergyError.
     """
     if G.strain is None:
         raise EnergyError("integration by parts needs a field with a strain term")
-    part = u.partition
-    if region is None:
-        # a partition that tiles its domain: the jump set and the cells as they are
-        jumps, cells, boundary = u.jump_segments(), part.cells, part.domain
-        if abs(sum(c.area for c in cells) - boundary.area) > 1e-9 * boundary.area:
-            raise EnergyError("the cells must tile the domain; pass a region to clip them")
-    else:
-        if np.any(part.domain.contains(region.vertices) < 0):
-            raise EnergyError("the region must lie inside the function's domain")
-        jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
-        # each cell clipped to the (convex) region
-        cells = clip_polygon((part.vertices, part.counts), region)
-        boundary = region
+    domain = u.partition.domain
+    if u.partition.area_defect > 1e-9 * domain.area:
+        raise EnergyError("the cells must tile the domain")
     N, b, _ = _edge_lines(phi.polygon)
-    on = np.abs(boundary.vertices @ N.T - b) <= 1e-12 * phi.polygon.diameter
+    on = np.abs(domain.vertices @ N.T - b) <= 1e-12 * phi.polygon.diameter
     # edge k runs from vertex k to vertex k + 1: both on one line
     if not (on & np.roll(on, -1, axis=0)).any(axis=1).all():
-        raise EnergyError("test function must vanish on the region boundary")
+        raise EnergyError("test function must vanish on the domain boundary")
 
     jump_term = integrate_jump_arrays(
-        jumps, G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi)
+        u.jump_segments(), G.pairing, tol, line_order, kinks=G.trace_kinks, weight=phi.phi)
     unconverged = jump_term.unconverged
 
     # the volume terms, one integrand per cell
     volume = 0.0
-    for k, (sub, piece) in enumerate(zip(cells, u.pieces)):
-        if sub is None:
-            continue
+    for k, (cell, piece) in enumerate(zip(u.partition.cells, u.pieces)):
         E = u.symmetrized_gradient(k)
 
         def integrand(x):
             weight, v = phi.log_grad(x)
             return weight * G.strain(piece(x), E, v)
 
-        res = integrate_polygon(integrand, sub, tol=tol, order=volume_order)
+        res = integrate_polygon(integrand, cell, tol=tol, order=volume_order)
         volume += res.value
         unconverged += res.unconverged
 

@@ -87,16 +87,6 @@ class FieldFamily:
         return jsonable(self.fields)
 
 
-def sup_representation(family: FieldFamily, i, j, nu) -> float:
-    """max over the family of <g(i) - g(j), nu>.
-
-    Can be negative for small families; include the zero field to clamp at 0.
-    """
-    if not isinstance(family, FieldFamily):
-        family = FieldFamily(tuple(family))
-    return float(max(np.max(g.pairing(i, j, nu)) for g in family.fields))
-
-
 def family_density(family: FieldFamily):
     """Density "sup[<family name>]", the family supremum pointwise (vectorized max)."""
     from .densities import Density

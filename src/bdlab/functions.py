@@ -80,10 +80,6 @@ class AffinePiece:
         return AffinePiece(np.asarray(data["A"], dtype=float), np.asarray(data["b"], dtype=float))
 
 
-def rigid_piece(omega: float, b) -> AffinePiece:
-    return AffinePiece(skew2(omega), np.asarray(b, dtype=float))
-
-
 def constant_piece(value) -> AffinePiece:
     return AffinePiece(np.zeros((2, 2)), np.asarray(value, dtype=float))
 

@@ -7,7 +7,8 @@ take a stack of loops as such a pair or as a sequence of Polygons.  The
 interfaces between cells are recovered by matching collinear,
 opposite-orientation edge overlaps, so cells may be authored with unequal
 edge subdivisions (T-junctions are fine).  They are arrays (`Interfaces`)
-from one arithmetic, `edge_pair_interfaces`.
+from one arithmetic, `edge_pair_interfaces`.  Clipping gives intersection
+areas (`overlap_areas`) and segments cut to regions (`clip_segment_params`).
 
 Coordinates are plain float64; two points coincide when their distance is
 below 1e-9 times the domain diameter.
@@ -515,7 +516,8 @@ def _clip_convex(subject, n, clip, m, tol):
     clip loop (the first m[r] rows of clip[r]), all rows at once: (out,
     counts), padded the same way.  A point is inside an edge's half plane
     when its cross product with the edge is at least -tol[r]; each row is
-    the arithmetic of clipping that pair alone, vertex by vertex."""
+    the arithmetic of clipping that pair alone, vertex by vertex.  Duplicate
+    points that clipping makes stay: `overlap_areas` reads only areas."""
     rows = np.arange(len(subject))[:, None]
     e = clip[rows, (np.arange(clip.shape[1]) + 1) % m[:, None]] - clip
     skip = np.arange(clip.shape[1]) >= m[:, None]  # no edge k: keep every vertex
@@ -604,40 +606,6 @@ def overlap_areas(subjects, others, pairs, tol=None) -> np.ndarray:
     out, n = _clip_convex(*_padded(v1, n1, ia[pair]), C, mc, tol[pair])
     area = np.where(n >= 3, np.abs(_loop_areas(out, n)), 0.0)
     return np.bincount(pair, weights=area, minlength=len(ia))
-
-
-def _drop_repeats(pts, eps) -> np.ndarray:
-    """The loop pts, (n, 2), without each point within eps of the last point
-    kept before it, then without the last point kept if it lies within eps
-    of the first: the duplicate points that clipping produces."""
-    # the distance between every two points, as np.linalg.norm takes it
-    dist = row_norms((pts[:, None] - pts).reshape(-1, 2)).reshape(len(pts), -1).tolist()
-    kept = [0]
-    for k in range(1, len(pts)):
-        if dist[k][kept[-1]] > eps:
-            kept.append(k)
-    if dist[0][kept[-1]] <= eps:
-        kept.pop()
-    return pts[kept]
-
-
-def clip_polygon(cells, region: Polygon) -> list[Polygon | None]:
-    """Each cell of a stack of loops clipped to a convex region, all in one
-    `_clip_convex` call: a Polygon per cell, None where the overlap is
-    negligible."""
-    vertices, counts = _ragged(cells)
-    lo, hi = _boxes(vertices, counts)
-    tol = 1e-12 * np.maximum(row_norms(hi - lo), region.diameter)
-    clip = np.broadcast_to(region.vertices, (len(counts), *region.vertices.shape))
-    out, n = _clip_convex(*_padded(vertices, counts), clip, np.full(len(counts), len(region)), tol)
-
-    def kept(pts):
-        if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
-            return None
-        pts = _drop_repeats(pts, 1e-12 * region.diameter)
-        return Polygon(pts) if len(pts) >= 3 else None
-
-    return [kept(out[r, :m]) for r, m in enumerate(n.tolist())]
 
 
 def polygon_overlap_area(p1: Polygon, p2: Polygon, tol: float | None = None) -> float:

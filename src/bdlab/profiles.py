@@ -192,25 +192,3 @@ def truncated_profile(a: float, M: float) -> SubadditiveProfile:
 
 def sqrt_profile() -> SubadditiveProfile:
     return SubadditiveProfile("sqrt", lambda t: np.sqrt(np.abs(t)))
-
-
-def table_profile(ts, gs) -> SubadditiveProfile:
-    """Piecewise-linear profile "table" through (ts, gs); monotonicity is validated."""
-    ts = np.asarray(ts, dtype=float)
-    gs = np.asarray(gs, dtype=float)
-    if ts.ndim != 1 or ts.shape != gs.shape or ts.size < 2:
-        raise ProfileError("table needs matching 1d arrays with >= 2 nodes")
-    if np.any(np.diff(ts) <= 0) or ts[0] < 0:
-        raise ProfileError("table abscissae must be increasing and nonnegative")
-    if np.any(gs < 0) or np.any(np.diff(gs) < 0):
-        raise ProfileError("table values must be nonnegative and nondecreasing")
-    pos = ts > 0
-    ratio = gs[pos] / ts[pos]
-    if np.any(np.diff(ratio) > 1e-12 * (1.0 + ratio[:-1])):
-        raise ProfileError("table violates: g(t)/t nonincreasing")
-
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, ts, gs)  # constant extension beyond the last node
-
-    return SubadditiveProfile("table", value, bound=float(gs[-1]))

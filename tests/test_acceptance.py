@@ -242,19 +242,6 @@ def test_criterion_06_integration_by_parts():
         assert worst_ratio <= 0.1
 
 
-def test_ibp_default_region_is_the_domain_bit_for_bit():
-    # the default region integrates the jump set and the cells unclipped;
-    # on these axis-aligned fixtures that is the domain's clip, bit for bit
-    dom, fixtures = _ibp_fixtures()
-    G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
-    for u in fixtures:
-        for phi in (bump_from_polygon(dom, power=p) for p in (2, 3)):
-            for vo, lo in ((8, 15), (16, 30)):
-                args = dict(tol=1e-9, volume_order=vo, line_order=lo)
-                assert (integration_by_parts_residual(u, G, phi, **args)
-                        == integration_by_parts_residual(u, G, phi, region=dom, **args))
-
-
 def test_criterion_07_dalmot_consistency():
     with criterion(7, "sup-over-bases consistency"):
         f = catalog_density("dalmot:abs")

@@ -118,6 +118,8 @@ class TestDensityCheck:
         rep = json.loads(out.read_text())
         assert rep["results"]["passes_necessary"]
         assert rep["results"]["subadditivity_violation"] <= 1e-10
+        # the threshold bv_necessary_report applies, not a copy of it
+        assert rep["results"]["tolerance"] == cli.NECESSARY_TOL
 
 
 class CountingRng:

@@ -23,12 +23,10 @@ from bdlab.densities import (
     symmetry_violation,
 )
 from bdlab.profiles import (
-    ProfileError,
     constant_profile,
     eta_profile,
     identity_profile,
     sqrt_profile,
-    table_profile,
     truncated_profile,
 )
 
@@ -44,13 +42,6 @@ def frobenius_oracle(a, b):
 
 
 class TestProfiles:
-    def test_table_profile_validation(self):
-        table_profile([0, 1, 2], [0, 1, 1.5])
-        with pytest.raises(ProfileError):
-            table_profile([0, 1, 2], [0, 1, 0.5])  # not increasing
-        with pytest.raises(ProfileError):
-            table_profile([0, 1, 2], [0, 1, 3])  # g/t increasing
-
     def test_sqrt_and_identity_pass(self):
         sqrt_profile()
         identity_profile()

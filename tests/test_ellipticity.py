@@ -26,7 +26,6 @@ from bdlab.energy import (
     EnergyError,
     integrate_jump_arrays,
     jump_flux,
-    jump_pieces,
     surface_energy,
     symmetric_jump_measure,
 )
@@ -39,6 +38,7 @@ from bdlab.fields import (
     zero_field,
 )
 from bdlab.functions import (
+    AffinePiece,
     FunctionError,
     JumpArrays,
     _outer_cells,
@@ -48,7 +48,7 @@ from bdlab.functions import (
     jump_arrays,
     jump_square,
     make_elementary,
-    rigid_piece,
+    skew2,
 )
 from bdlab import ellipticity
 from bdlab.profiles import eta_profile
@@ -57,6 +57,7 @@ from bdlab.geometry import (
     OrientedSquare,
     Polygon,
     PolygonalPartition,
+    clip_segment_params,
     edge_pair_interfaces,
     edge_vertices,
     frame_from_normal,
@@ -78,6 +79,7 @@ from bdlab.ellipticity import (
     CompetitorFamily,
     EllipticityError,
     EllipticityVerdict,
+    NECESSARY_TOL,
     NecessaryReport,
     bv_necessary_report,
     ce1_energy_breakdown,
@@ -235,8 +237,9 @@ class TestTiling:
     @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)],
                              ids=["False", "True", "unit-not-idempotent"])
     def test_report_equals_per_tile_energies(self, nu):
-        # the former bookkeeping: one surface_energy per tile and one for
-        # the whole tiled function
+        # the former bookkeeping: each tile's open part of the jump set
+        # clipped and integrated alone, and one surface_energy for the whole
+        # tiled function
         rotated = nu != (0.0, 1.0)
         u = TestRotatedFrames()._rotated_insert(nu) if rotated else counterexample1_competitor(1.0)
         v = u.scaled(1.0 / 6.0)
@@ -246,14 +249,18 @@ class TestTiling:
         for rep in tiling_report(v, I_CE, J_CE, nu, f, hs=range(1, 7)):
             h = rep["h"]
             u_h = tile_construction(v, I_CE, J_CE, nu, h)
+            jumps = u_h.jump_segments()
             inv_h = 1.0 / h
             tiles = []
             for n in range(h):
                 c = np.array([-0.5 + n * inv_h, 0.0])
                 tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
-                tile = Polygon(tile)
+                _, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b,
+                                                                   [Polygon(tile)])
+                inner = ~on_boundary
+                L = jumps.t1[rows[inner]]
                 tiles.append(integrate_jump_arrays(
-                    jump_pieces(u_h.jump_segments(), tile, False), f, 1e-12, 15))
+                    jumps.take(rows[inner], t0[inner] * L, t1[inner] * L), f, 1e-12, 15))
             total = surface_energy(u_h, f, tol=1e-12)
             assert rep["tile_energy_sum"] == sum(t.value for t in tiles), h
             assert rep["total_energy"] == total.value
@@ -330,11 +337,9 @@ class TestRotatedFrames:
 
     def _rotated_insert(self, nu=NU):
         from bdlab.ellipticity import insert_competitor
-        from bdlab.functions import rigid_piece
-
         cells = [np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])]
         return insert_competitor(
-            I_CE, J_CE, nu, cells, [rigid_piece(0.7, (0.3, 0.2))],
+            I_CE, J_CE, nu, cells, [AffinePiece(skew2(0.7), (0.3, 0.2))],
             half_width=1.0, half_height=1.0,
         )
 
@@ -946,12 +951,12 @@ def former_centered_square(h):
 
 def former_square_layout(s, omega, b1, b2):
     h = 0.5 * s
-    return [former_centered_square(h)], [rigid_piece(omega, (b1, b2))], h, h
+    return [former_centered_square(h)], [AffinePiece(skew2(omega), (b1, b2))], h, h
 
 
 def former_rect_layout(delta, omega, b1, b2):
     cells = [np.array([[-1, -delta], [1, -delta], [1, delta], [-1, delta]])]
-    return cells, [rigid_piece(omega, (b1, b2))], 1.0, delta
+    return cells, [AffinePiece(skew2(omega), (b1, b2))], 1.0, delta
 
 
 def former_checker_layout(s, v1, v2, w1, w2):
@@ -973,7 +978,7 @@ def former_nested_layout(s1, frac, om1, b11, b12, om2, b21, b22):
         np.array([outer_sq[k], outer_sq[(k + 1) % 4], inner_sq[(k + 1) % 4], inner_sq[k]])
         for k in range(4)
     ]
-    pieces = [rigid_piece(om2, (b21, b22))] + [rigid_piece(om1, (b11, b12))] * 4
+    pieces = [AffinePiece(skew2(om2), (b21, b22))] + [AffinePiece(skew2(om1), (b11, b12))] * 4
     return cells, pieces, h1, h1
 
 
@@ -2175,3 +2180,18 @@ class TestNecessaryReport:
         )
         assert not rep.passes_necessary
         assert rep.subadditivity_violation >= 2.0
+
+    def test_asymmetric_density_fails(self):
+        # subadditive and convex in nu, but f(i, j, nu) != f(j, i, -nu): the
+        # symmetry check alone fails it
+        f = Density(
+            "asym",
+            lambda i, j, nu: np.linalg.norm(i - j, axis=-1)
+            * (np.linalg.norm(nu, axis=-1) + 0.5 * nu[..., 0]),
+        )
+        rep = bv_necessary_report(f, samples=10_000, seed=0)
+        assert rep.subadditivity_violation <= NECESSARY_TOL
+        assert rep.convexity_violation <= NECESSARY_TOL
+        assert rep.symmetry_violation > 11.0
+        assert not rep.passes_necessary
+        assert rep.label == "necessary-fail"

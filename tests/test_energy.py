@@ -35,7 +35,6 @@ from bdlab.energy import (
     integrate_polygon,
     integration_by_parts_residual,
     jump_flux,
-    jump_pieces,
     jump_set_integrals,
     surface_energy,
     symmetric_jump_measure,
@@ -56,14 +55,14 @@ from bdlab.functions import (
     PiecewiseRigid,
     constant_piece,
     make_elementary,
-    rigid_piece,
+    skew2,
 )
 from bdlab.geometry import (
     GeometryError,
     OrientedSquare,
     Polygon,
     PolygonalPartition,
-    clip_polygon,
+    clip_segment_params,
     frame_from_normal,
     make_oriented_square,
     row_norms,
@@ -78,7 +77,7 @@ from bdlab.profiles import (
     tau_profile,
     zero_profile,
 )
-from bdlab import energy, render
+from bdlab import render
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -104,6 +103,15 @@ def counted(fn, limit):
 
 def elementary(i=(1.0, 0.0), j=(0.0, 0.0), nu=E2, side=1.0):
     return make_elementary(i, j, nu, OrientedSquare(np.asarray(nu, float), side, (0, 0)))
+
+
+def clipped(jumps, regions):
+    """The pieces of a jump set inside each of the regions, boundary pieces
+    included, and their owners: `tiling_report`'s cut of a jump set to its
+    tiles."""
+    owner, rows, t0, t1, _ = clip_segment_params(jumps.a, jumps.b, regions)
+    L = jumps.t1[rows]
+    return jumps.take(rows, t0 * L, t1 * L), owner
 
 
 @st.composite
@@ -174,14 +182,17 @@ class TestSurfaceEnergy:
         assert res.segments_evaluated == 0
 
     def test_additivity_over_disjoint_regions(self):
+        # the pieces in each half, integrated in one kernel call, as
+        # tiling_report integrates its tiles
         u = elementary((2, 1), (0, 0), E2, 4.0)
         f = catalog_density("frobenius")
         left = Polygon([(-2, -2), (0, -2), (0, 2), (-2, 2)])
         right = Polygon([(0, -2), (2, -2), (2, 2), (0, 2)])
         whole = surface_energy(u, f).value
-        assert surface_energy(u, f, left).value + surface_energy(
-            u, f, right
-        ).value == pytest.approx(whole, abs=1e-10)
+        pieces, owner = clipped(u.jump_segments(), [left, right])
+        halves = jump_set_integrals(pieces, owner, 2, f, 1e-10, 15)[0]
+        assert halves.tolist() == [pytest.approx(0.5 * whole, abs=1e-10)] * 2
+        assert halves.sum() == pytest.approx(whole, abs=1e-10)
 
     def test_affine_traces_against_closed_form(self):
         # inner rotational piece against constant zero: |jump| integrates to
@@ -190,7 +201,7 @@ class TestSurfaceEnergy:
         bottom = Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)])
         top = Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])
         part = PolygonalPartition([bottom, top], dom)
-        u = PiecewiseRigid(part, [rigid_piece(1.0, (1.0, 1.0)), constant_piece((0, 0))])
+        u = PiecewiseRigid(part, [AffinePiece(skew2(1.0), (1.0, 1.0)), constant_piece((0, 0))])
         f = density_isotropic(identity_profile())
         # traces on the chord y=0: bottom piece value (1, 1 - t... ) compute:
         # a(x) = (x2 + 1, -x1 + 1); on y=0 with x1 = t - 1 in [0,2]:
@@ -312,7 +323,7 @@ class TestBatchedKernel:
             [Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)]), Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])],
             dom,
         )
-        u = PiecewiseRigid(part, [rigid_piece(1.0, (1.0, 1.0)), constant_piece((0, 0))])
+        u = PiecewiseRigid(part, [AffinePiece(skew2(1.0), (1.0, 1.0)), constant_piece((0, 0))])
 
         def step(i, j, nu):
             return 1.0 + (np.linalg.norm(i - j, axis=-1) > 1.5)
@@ -412,8 +423,7 @@ class TestJumpSets:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(u=family_competitors(), field=st.integers(0, 7), clip=st.booleans())
     def test_breakpoints_match_the_row_loop(self, u, field, clip):
-        region = CLIP if clip else None
-        jumps = jump_pieces(u.jump_segments(), region, include_boundary=True)
+        jumps = clipped(u.jump_segments(), [CLIP])[0] if clip else u.jump_segments()
         rows = np.arange(len(jumps))
         for kinks in (None, catalog_fields().fields[field].trace_kinks):
             lo, hi, intervals = _cuts(jumps, rows, kinks)
@@ -530,7 +540,7 @@ class TestJumpFlux:
             [Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)]), Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])],
             dom,
         )
-        affine = PiecewiseRigid(part, [rigid_piece(1.0, (0, 0)), constant_piece((0, 0))])
+        affine = PiecewiseRigid(part, [AffinePiece(skew2(1.0), (0, 0)), constant_piece((0, 0))])
         with pytest.raises(EnergyError):
             jump_flux(affine, nan_field)
 
@@ -802,11 +812,11 @@ class TestRootQuadratic:
                             == former_root_quadratic(jumps, form).tobytes())
 
 
-def loop_measure(u, region=None):
+def loop_measure(u):
     """symmetric_jump_measure one row at a time, as it was written before it
     was vectorised."""
     out = np.zeros((2, 2))
-    j = jump_pieces(u.jump_segments(), region, include_boundary=True)
+    j = u.jump_segments()
     for k, (t0, t1) in enumerate(zip(j.t0.tolist(), j.t1.tolist())):
         t = 0.5 * (t0 + t1)
         jm = (j.plus_value0[k] + t * j.plus_slope[k]) - (j.minus_value0[k] + t * j.minus_slope[k])
@@ -846,15 +856,13 @@ class TestRowLoops:
     """The jump-set consumers give what their per-row loops gave, bit for bit."""
 
     @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(u=family_competitors(), clip=st.booleans())
-    def test_measure_and_magnitudes(self, u, clip):
-        region = CLIP if clip else None
-        assert symmetric_jump_measure(u, region).tobytes() == loop_measure(u, region).tobytes()
+    @given(u=family_competitors())
+    def test_measure_and_magnitudes(self, u):
+        assert symmetric_jump_measure(u).tobytes() == loop_measure(u).tobytes()
         assert render_magnitudes(u).tobytes() == loop_magnitudes(u.jump_segments()).tobytes()
 
-    @pytest.mark.parametrize("region", [None, CLIP])
     @pytest.mark.parametrize("jumps", [0, 1])
-    def test_no_jump_and_signed_zeros(self, region, jumps):
+    def test_no_jump_and_signed_zeros(self, jumps):
         dom = make_oriented_square(E2, 2.0)
         u = PiecewiseRigid(PolygonalPartition([dom], dom), [constant_piece((1, 2))])
         if jumps:
@@ -862,7 +870,7 @@ class TestRowLoops:
             # loop's 0.0 + (-0.0) gives 0.0
             u = elementary((0.0, 0.0), (1.0, 0.0), E2, 2.0)
         assert len(u.jump_segments()) == jumps
-        assert symmetric_jump_measure(u, region).tobytes() == loop_measure(u, region).tobytes()
+        assert symmetric_jump_measure(u).tobytes() == loop_measure(u).tobytes()
         assert render_magnitudes(u).tobytes() == loop_magnitudes(u.jump_segments()).tobytes()
 
 
@@ -1259,24 +1267,14 @@ class TestOnePassVolumeIntegrand:
         assert len(rows) == 32
         for k, b, vo, got in rows:
             u, bump = inputs["functions"][k], inputs["bumps"][b]
-            jump = integrate_jump_arrays(jump_pieces(u.jump_segments(), dom, True), G.pairing,
-                                         1e-9, {8: 15, 16: 30}[vo], kinks=G.trace_kinks,
-                                         weight=bump.phi).value
+            jump = integrate_jump_arrays(u.jump_segments(), G.pairing, 1e-9, {8: 15, 16: 30}[vo],
+                                         kinks=G.trace_kinks, weight=bump.phi).value
             volume = 0.0
-            for sub, piece in zip(clip_polygon((u.partition.vertices, u.partition.counts), dom),
-                                  u.pieces):
+            for cell, piece in zip(u.partition.cells, u.pieces):
                 volume += integrate_polygon(
                     lambda x: former_volume_integrand(G, jacobian, bump, grads[b], piece, x)[0],
-                    sub, tol=1e-9, order=vo).value
+                    cell, tol=1e-9, order=vo).value
             assert abs(got - abs(jump + volume)) <= 1e-15
-
-
-# the default region against the domain given as the region: clipping the
-# jump set to an oblique domain moves an end of an interface that ends on
-# the domain's boundary by rounding (t0 = 4.6e-16 instead of 0), and the
-# residual with it; the worst of 1000 random one- and two-cell partitions of
-# oblique squares was 5.0e-16 (axis-aligned ones agree bit for bit)
-IBP_REGION_BOUND = 8 * np.finfo(float).eps
 
 
 class TestIntegrationByParts:
@@ -1346,63 +1344,27 @@ class TestIntegrationByParts:
         G = biconvex_truncated_field(np.eye(2), M=5.0)
         bad_phi = bump_from_polygon(small, power=2)  # does not vanish on dom boundary
         with pytest.raises(EnergyError):
-            integration_by_parts_residual(u, G, bad_phi, region=dom)
+            integration_by_parts_residual(u, G, bad_phi)
 
     def test_region_edge_off_the_bump_lines_raises(self):
-        # the triangle's vertices are corners of the bump's square, where the
-        # bump vanishes, but its hypotenuse crosses the bump's support: it
-        # gave a residual of 0.197 that was not quadrature error
-        dom = make_oriented_square(E2, 2.0)
-        u = PiecewiseAffine(PolygonalPartition([dom], dom),
-                            [AffinePiece([[0.5, 0.2], [0.1, -0.3]], (0.0, 0.1))])
+        # a triangle domain: its vertices are corners of the bump's square,
+        # where the bump vanishes, but its hypotenuse crosses the bump's
+        # support, so the identity does not hold there (clipped to such a
+        # triangle, it gave a residual of 0.197 that was not quadrature error)
+        square = make_oriented_square(E2, 2.0)
+        A = [[0.5, 0.2], [0.1, -0.3]]
         G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
-        phi = bump_from_polygon(dom, power=2)
+        phi = bump_from_polygon(square, power=2)
         triangle = Polygon([(-1, -1), (1, -1), (-1, 1)])
         assert np.all(phi.phi(triangle.vertices) == 0.0)
+        u = PiecewiseAffine(PolygonalPartition([triangle], triangle), [AffinePiece(A, (0.0, 0.1))])
         with pytest.raises(EnergyError, match="vanish"):
-            integration_by_parts_residual(u, G, phi, region=triangle)
+            integration_by_parts_residual(u, G, phi)
         # the square's own edges, in any rotation of its vertex loop, pass
-        turned = Polygon(dom.vertices @ np.array([[0.0, -1.0], [1.0, 0.0]]).T)
-        for region in (dom, turned, Polygon(np.roll(dom.vertices, 1, axis=0))):
-            assert integration_by_parts_residual(u, G, phi, region=region, tol=1e-10) < 1e-8
-
-    def _rotated_insert(self):
-        # a side-6 square insert rotated by 4.25 rad: its domain's inradius is
-        # 3, and the corners of [-2.5, 2.5]^2 are 3.54 from the centre
-        nu = np.array([np.cos(4.25), np.sin(4.25)])
-        fam = default_families((0, 0), (2, 2), nu)[0]
-        return fam.generator(fam.suggestions[0])
-
-    def test_region_outside_the_domain_raises(self):
-        u = self._rotated_insert()
-        region = Polygon([(-2.5, -2.5), (2.5, -2.5), (2.5, 2.5), (-2.5, 2.5)])
-        G = biconvex_truncated_field(np.eye(2), M=5.0)
-        with pytest.raises(EnergyError, match="inside"):
-            integration_by_parts_residual(u, G, bump_from_polygon(region), region=region)
-
-    def test_default_region_skips_the_clipping(self):
-        dom = make_oriented_square(E2, 2.0)
-        halves = ([(-1, -1), (1, -1), (1, 0), (-1, 0)], [(-1, 0), (1, 0), (1, 1), (-1, 1)])
-        u = PiecewiseAffine(PolygonalPartition([Polygon(h) for h in halves], dom), [
-            AffinePiece([[0.5, 0.2], [0.1, -0.3]], (0.0, 0.1)),
-            AffinePiece([[-0.2, 0.4], [0.3, 0.2]], (0.5, -0.2))])
-        G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
-        phi = bump_from_polygon(dom, power=2)
-        spies = [mock.patch(f"bdlab.energy.{name}", wraps=getattr(energy, name))
-                 for name in ("jump_pieces", "clip_polygon")]
-        contains = mock.patch.object(Polygon, "contains", autospec=True, side_effect=Polygon.contains)
-        with spies[0] as pieces, spies[1] as clip, contains as inside:
-            default = integration_by_parts_residual(u, G, phi, tol=1e-10)
-            assert not (pieces.called or clip.called or inside.called)
-            clipped = integration_by_parts_residual(u, G, phi, region=dom, tol=1e-10)
-            assert pieces.called and clip.called and inside.called
-        assert default == clipped < 1e-8
-        # a region strictly inside still clips, with its own bump
-        inner = make_oriented_square(E2, 1.0)
-        with spies[1] as clip:
-            res = integration_by_parts_residual(u, G, bump_from_polygon(inner), region=inner,
-                                                tol=1e-10)
-            assert clip.call_count == 1 and res < 1e-8
+        turned = Polygon(square.vertices @ np.array([[0.0, -1.0], [1.0, 0.0]]).T)
+        for dom in (square, turned, Polygon(np.roll(square.vertices, 1, axis=0))):
+            u = PiecewiseAffine(PolygonalPartition([dom], dom), [AffinePiece(A, (0.0, 0.1))])
+            assert integration_by_parts_residual(u, G, phi, tol=1e-10) < 1e-8
 
     def test_default_region_needs_cells_that_tile_the_domain(self):
         # a cell that leaves the domain: unclipped, the bump (positive again
@@ -1416,41 +1378,50 @@ class TestIntegrationByParts:
         phi = bump_from_polygon(dom)
         with pytest.raises(EnergyError, match="tile"):
             integration_by_parts_residual(u, G, phi, tol=1e-10)
-        assert integration_by_parts_residual(u, G, phi, region=dom, tol=1e-10) < 1e-8
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(angle=st.floats(0.0, 2.0 * np.pi), side=st.floats(0.5, 4.0),
-           centre=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
-           split=st.one_of(st.none(), st.floats(-0.8, 0.8)), power=st.sampled_from([2, 3]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_default_region_equals_the_domain(self, angle, side, centre, split, power, seed):
-        # one cell, or two split at a drawn offset, of an oblique square
-        R = frame_from_normal((np.cos(angle), np.sin(angle)))
-
-        def square(loop):
-            return Polygon(np.array(loop, dtype=float) * (0.5 * side) @ R.T + centre)
-
-        dom = square([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-        cells = [dom] if split is None else [
-            square([(-1, -1), (1, -1), (1, split), (-1, split)]),
-            square([(-1, split), (1, split), (1, 1), (-1, 1)])]
-        rng = np.random.default_rng(seed)
-        u = PiecewiseAffine(PolygonalPartition(cells, dom), [
-            AffinePiece(rng.normal(scale=0.6, size=(2, 2)), rng.normal(size=2)) for _ in cells])
-        G = prototype_field(np.eye(2), (sin_profile(0.9, 3.0), sin_profile(0.7, 4.0)))
-        phi = bump_from_polygon(dom, power=power)
-        default = integration_by_parts_residual(u, G, phi, tol=1e-9)
-        clipped = integration_by_parts_residual(u, G, phi, region=dom, tol=1e-9)
-        assert abs(default - clipped) <= IBP_REGION_BOUND
 
     def test_region_equal_to_the_domain_passes(self):
-        u = self._rotated_insert()
-        dom = u.partition.domain
+        # a side-6 square insert rotated by 4.25 rad, integrated on its
+        # oblique domain
+        nu = np.array([np.cos(4.25), np.sin(4.25)])
+        fam = default_families((0, 0), (2, 2), nu)[0]
+        u = fam.generator(fam.suggestions[0])
         G = biconvex_truncated_field(np.eye(2), M=5.0)
-        phi = bump_from_polygon(dom)
-        res = integration_by_parts_residual(u, G, phi, region=dom, tol=1e-10)
-        assert res < 1e-8
-        assert res == integration_by_parts_residual(u, G, phi, tol=1e-10)
+        phi = bump_from_polygon(u.partition.domain)
+        assert integration_by_parts_residual(u, G, phi, tol=1e-10) < 1e-8
+
+
+def _old_region_calls():
+    """Each energy function with a polygon where its `region` argument was,
+    and with its options given by keyword."""
+    u = elementary((1, 1), (0, 0), E2, 2.0)
+    dom = u.partition.domain
+    f, g = catalog_density("isotropic:id"), catalog_fields().fields[0]
+    G = biconvex_truncated_field(np.eye(2), M=5.0)
+    phi = bump_from_polygon(dom, power=2)
+    return {
+        "surface_energy": (lambda: surface_energy(u, f, dom),
+                           lambda: surface_energy(u, f, tol=1e-10, order=15)),
+        "jump_flux": (lambda: jump_flux(u, g, dom), lambda: jump_flux(u, g, tol=1e-10)),
+        "symmetric_jump_measure": (lambda: symmetric_jump_measure(u, dom),
+                                   lambda: symmetric_jump_measure(u)),
+        "divergence_identity_residual": (
+            lambda: divergence_identity_residual(u, u, g, dom),
+            lambda: divergence_identity_residual(u, u, g, tol=1e-10, margin=1e-6)),
+        "integration_by_parts_residual": (
+            lambda: integration_by_parts_residual(u, G, phi, dom),
+            lambda: integration_by_parts_residual(u, G, phi, tol=1e-9, volume_order=8,
+                                                  line_order=15)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_old_region_calls()))
+def test_a_positional_region_raises(name):
+    # the options are keyword-only: a polygon passed where the region was
+    # cannot bind to tol and be ignored
+    positional, keywords = _old_region_calls()[name]
+    with pytest.raises(TypeError):
+        positional()
+    keywords()
 
 
 # the closed-form flux against the quadrature at tol 1e-13, absolute: that

@@ -21,7 +21,6 @@ from bdlab.fields import (
     optimal_gbmc_field,
     optimal_gbmc_params,
     prototype_field,
-    sup_representation,
     zero_field,
 )
 from bdlab.profiles import abs_profile, eta_profile, sin_profile, zero_profile
@@ -455,7 +454,7 @@ class TestBiconvexTruncated:
 class TestSupRepresentation:
     def test_zero_family(self):
         fam = FieldFamily((zero_field(),))
-        assert sup_representation(fam, E1, ZERO, E2) == 0.0
+        assert float(family_density(fam)(E1, ZERO, E2)) == 0.0
 
     def test_optimal_plus_random_attains_exactly(self):
         rng = np.random.default_rng(13)
@@ -472,7 +471,7 @@ class TestSupRepresentation:
                 gbmc_field(map_unit_vectors(u, v), mu, rng.normal(size=2), M=1.0, a=1.0)
             )
         fam = FieldFamily(tuple(members))
-        assert sup_representation(fam, i, j, nu) == pytest.approx(
+        assert float(family_density(fam)(i, j, nu)) == pytest.approx(
             theta_Ma(1.0, 1.0, i, j, nu), abs=1e-10
         )
 
@@ -485,7 +484,7 @@ class TestSupRepresentation:
             for q in K.vertices
         ]
         fam = FieldFamily(tuple(members))
-        got = sup_representation(fam, i, j, nu)
+        got = float(family_density(fam)(i, j, nu))
         assert got <= float(psi(i, j, nu)) + 1e-12
         assert got >= float(psi(i, j, nu)) - 1e-6
 

@@ -16,7 +16,6 @@ from bdlab.functions import (
     constant_piece,
     jump_arrays,
     make_elementary,
-    rigid_piece,
     skew2,
 )
 from bdlab.geometry import (
@@ -48,22 +47,22 @@ def _single_piece(piece, side=2.0):
 
 class TestEval:
     def test_constant_piece(self):
-        u = _single_piece(rigid_piece(0.0, (1.0, 2.0)), side=2.0)
+        u = _single_piece(AffinePiece(skew2(0.0), (1.0, 2.0)), side=2.0)
         assert np.allclose(u.eval((0.3, 0.7)), (1.0, 2.0))
 
     def test_rotational_piece_bottom_edge(self):
         # piece omega=1, b=(1,1): value at (t,-1) is (0, 1-t)
-        u = _single_piece(rigid_piece(1.0, (1.0, 1.0)), side=2.0)
+        u = _single_piece(AffinePiece(skew2(1.0), (1.0, 1.0)), side=2.0)
         assert np.allclose(u.eval((0.0, -1.0)), (0.0, 1.0), atol=1e-14)
         assert np.allclose(u.eval((0.5, -1.0)), (0.0, 0.5), atol=1e-14)
 
     def test_rotational_piece_top_edge(self):
         # value at (t,1) is (2, 1-t)
-        u = _single_piece(rigid_piece(1.0, (1.0, 1.0)), side=2.0)
+        u = _single_piece(AffinePiece(skew2(1.0), (1.0, 1.0)), side=2.0)
         assert np.allclose(u.eval((0.0, 1.0)), (2.0, 1.0), atol=1e-14)
 
     def test_outside_domain_raises(self):
-        u = _single_piece(rigid_piece(0.0, (1.0, 2.0)))
+        u = _single_piece(AffinePiece(skew2(0.0), (1.0, 2.0)))
         with pytest.raises(Exception):
             u.eval((10.0, 10.0))
 
@@ -82,7 +81,7 @@ class TestSymmetrizedGradient:
     def test_rigid_piece_is_exactly_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            u = _single_piece(rigid_piece(rng.normal(), rng.normal(size=2)))
+            u = _single_piece(AffinePiece(skew2(rng.normal()), rng.normal(size=2)))
             assert np.array_equal(u.symmetrized_gradient(0), np.zeros((2, 2)))
 
     def test_identity(self):
@@ -197,13 +196,13 @@ class TestJumpSegments:
         bottom = Polygon([(-1, -1), (1, -1), (1, 0), (-1, 0)])
         top = Polygon([(-1, 0), (1, 0), (1, 1), (-1, 1)])
         part = PolygonalPartition([bottom, top], dom)
-        u = PiecewiseRigid(part, [rigid_piece(0.5, (1, 2))] * 2)
+        u = PiecewiseRigid(part, [AffinePiece(skew2(0.5), (1, 2))] * 2)
         jumps = u.jump_segments()
         assert len(jumps) == 0
         assert jumps.a.shape == jumps.plus_slope.shape == (0, 2)
 
     def test_no_interfaces_give_empty_rows(self):
-        jumps = _single_piece(rigid_piece(1.0, (1.0, 1.0))).jump_segments()
+        jumps = _single_piece(AffinePiece(skew2(1.0), (1.0, 1.0))).jump_segments()
         assert len(jumps) == 0
         assert jumps.b.shape == jumps.minus_value0.shape == (0, 2)
 
@@ -489,7 +488,7 @@ class TestScaling:
         assert np.allclose(plus(v.jump_segments(), 0, 0.1), (1, 0))
 
     def test_rigid_scaling_stays_rigid(self):
-        u = _single_piece(rigid_piece(1.0, (1.0, 1.0)))
+        u = _single_piece(AffinePiece(skew2(1.0), (1.0, 1.0)))
         v = u.scaled(0.5)
         assert isinstance(v, PiecewiseRigid)
         assert v.pieces[0].rigid
@@ -509,7 +508,7 @@ class TestJson:
             assert np.array_equal(c1.vertices, c2.vertices)
 
     def test_rigid_piece_serializes_omega(self):
-        p = rigid_piece(0.25, (1, 2))
+        p = AffinePiece(skew2(0.25), (1, 2))
         assert p.to_json() == {"omega": 0.25, "b": [1.0, 2.0]}
 
 

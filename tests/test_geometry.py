@@ -9,10 +9,8 @@ from bdlab.geometry import (
     Polygon,
     PolygonalPartition,
     _checked_loops,
-    _drop_repeats,
     _merge_intervals,
     _overlap_span,
-    clip_polygon,
     clip_segment_params,
     extract_interfaces,
     frame_from_normal,
@@ -464,21 +462,6 @@ class TestClipping:
         c = Polygon([(5, 5), (6, 5), (6, 6), (5, 6)])
         assert polygon_overlap_area(a, c) == 0.0
 
-    def test_clip_polygon(self):
-        region = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-        # overlapping, the region itself, far away, sharing only an edge
-        cells = [Polygon([(1, 1), (3, 1), (3, 3), (1, 3)]), region,
-                 Polygon([(5, 5), (6, 5), (6, 6), (5, 6)]),
-                 Polygon([(2, 0), (3, 0), (3, 2), (2, 2)])]
-        sub, whole, far, edge = clip_polygon(cells, region)
-        assert sub.area == pytest.approx(1.0, abs=1e-12)
-        assert whole.area == pytest.approx(4.0, abs=1e-12)
-        assert far is None and edge is None
-        for cell, got in zip(cells, clip_polygon(ragged(cells), region)):
-            (alone,) = clip_polygon([cell], region)
-            assert (got is None) == (alone is None)
-            assert got is None or got.vertices.tobytes() == alone.vertices.tobytes()
-
     def test_segment_clip(self):
         poly = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
         owner, rows, t0, t1, on_b = clip_segment_params([(-1, 1)], [(3, 1)], [poly])
@@ -556,38 +539,6 @@ class TestConvexClip:
         for margin in (0.006, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             assert compact_deviation(u, ref, margin) == former_compact_deviation(u, ref, margin)
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(case=st.data())
-    def test_clip_polygon_equals_the_former_clip(self, case):
-        # a clip that leaves a degenerate loop raises in Polygon on both; the
-        # batch of all cells gives each cell's clip alone where none raises
-        part, moved = case.draw(overlapping_cell_sets())
-        regions = [c for c in moved if _turns_left(c)] + [part.domain]
-        for region in regions:
-            want = [_clip_outcome(former_clip_polygon, cell, region) for cell in part.cells]
-            got = [_clip_outcome(lambda c, r: clip_polygon([c], r)[0], cell, region)
-                   for cell in part.cells]
-            assert got == want
-            if not any(isinstance(w, str) for w in want):
-                batch = clip_polygon((part.vertices, part.counts), region)
-                assert [None if p is None else p.vertices.tobytes() for p in batch] == want
-
-    def test_drop_repeats_equals_the_former_loop(self):
-        # loops with runs of near-duplicate points, within eps of the last
-        # point kept or of its neighbour, and loops closing on their start
-        rng = np.random.default_rng(11)
-        eps = 1e-12
-        for _ in range(400):
-            pts = [rng.uniform(-1, 1, 2)]
-            for _ in range(rng.integers(2, 12)):
-                step = rng.choice([0.0, 0.4, 0.9, 1.0, 1.1, 3.0]) * eps
-                pts.append(pts[-1] + step * unit(rng.normal(size=2)) if step < 3 * eps
-                           else rng.uniform(-1, 1, 2))
-            if rng.uniform() < 0.3:
-                pts.append(pts[0] + 0.5 * eps)
-            pts = np.array(pts)
-            assert np.array_equal(_drop_repeats(pts, eps), former_drop_repeats(pts, eps))
-
     @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
     def test_tile_pieces_equal_the_former_per_tile_clip(self, nu):
         from bdlab.ellipticity import (
@@ -595,14 +546,14 @@ class TestConvexClip:
             insert_competitor,
             tile_construction,
         )
-        from bdlab.functions import rigid_piece
+        from bdlab.functions import AffinePiece, skew2
 
         i, j = (0.0, 0.0), (2.0, 2.0)
         if nu == (0.0, 1.0):
             u = counterexample1_competitor(1.0)
         else:
             cells = [np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])]
-            u = insert_competitor(i, j, nu, cells, [rigid_piece(0.7, (0.3, 0.2))],
+            u = insert_competitor(i, j, nu, cells, [AffinePiece(skew2(0.7), (0.3, 0.2))],
                                   half_width=1.0, half_height=1.0)
         v = u.scaled(1.0 / 6.0)
         R = frame_from_normal(unit(nu))
@@ -952,21 +903,6 @@ def former_interface_edges(cells, tol):
     return [o[:4] for o in former_cell_overlaps(cells, tol)[0]]
 
 
-def _clip_outcome(clip, cell, region):
-    """The clipped vertices' bytes, None, or the GeometryError message."""
-    try:
-        out = clip(cell, region)
-    except GeometryError as err:
-        return str(err)
-    return None if out is None else out.vertices.tobytes()
-
-
-def _turns_left(poly):
-    d = np.roll(poly.vertices, -1, axis=0) - poly.vertices
-    dn = np.roll(d, -1, axis=0)
-    return bool(np.all(d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0] > 0.0))
-
-
 @st.composite
 def family_competitors(draw):
     """(function, normal, values): a default-family competitor at a drawn
@@ -1036,29 +972,6 @@ def former_polygon_overlap_area(p1, p2, tol=None):
             if len(clipped) >= 3:
                 total += abs(signed_area(clipped))
     return total
-
-
-def former_drop_repeats(pts, eps):
-    """The oracle: clip_polygon's duplicate-point pass, point after point."""
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > eps:
-            keep.append(p)
-    if np.linalg.norm(keep[0] - keep[-1]) <= eps:
-        keep.pop()
-    return np.array(keep).reshape(-1, 2)
-
-
-def former_clip_polygon(cell, region):
-    """The oracle: clip_polygon on the scalar clip."""
-    tol = 1e-12 * max(cell.diameter, region.diameter)
-    pts = former_convex_clip(cell.vertices, region.vertices, tol)
-    if len(pts) < 3 or abs(signed_area(pts)) < 1e-14 * region.area:
-        return None
-    keep = former_drop_repeats(pts, 1e-12 * region.diameter)
-    if len(keep) < 3:
-        return None
-    return Polygon(keep)
 
 
 def former_compact_deviation(v, u, margin):

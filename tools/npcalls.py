@@ -37,10 +37,15 @@ checks, with the symmetry check wherever the checkout takes it), each
 counted after a first identical run.  A NumPy call is a
 C function of numpy that `sys.setprofile` reports as called ("c_call"):
 numpy's module-level builtins and the methods of ndarrays and ufuncs.  The
-profiler does not report ufunc calls, operators or numpy's dispatched
-functions such as `np.concatenate`, so the count is a lower bound, taken the
-same way on any checkout whose `_search_values(f, families, points)` has
-this signature.
+profiler does not see numpy.random, which is Cython, so while it counts,
+`np.random.default_rng` is replaced by a wrapper that counts each call and
+returns a generator whose method calls (`standard_normal`, `random`, ...)
+count one each; `np.random.SeedSequence` and its `spawn` stay uncounted.
+The profiler does not report ufunc calls, operators or numpy's dispatched
+functions such as `np.concatenate` either, so the count is a lower bound,
+taken the same way on any checkout whose `_search_values(f, families,
+points)` has this signature and which calls `np.random.default_rng` through
+the `numpy.random` module.
 """
 
 from __future__ import annotations
@@ -70,20 +75,51 @@ def _numpy_owned(fn) -> bool:
     return module.split(".")[0] == "numpy"
 
 
+class _CountedGenerator:
+    """A numpy.random.Generator whose method calls each call tick() first."""
+
+    def __init__(self, rng, tick):
+        self._rng, self._tick = rng, tick
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kw):
+            self._tick()
+            return attr(*args, **kw)
+
+        return counted
+
+
 def numpy_calls(run) -> int:
-    """The NumPy C calls that run() makes."""
+    """The NumPy C calls that run() makes, `np.random.default_rng` and the
+    methods of the generators it returns included."""
     count = 0
 
-    def profile(frame, event, arg):
+    def tick():
         nonlocal count
-        if event == "c_call" and _numpy_owned(arg):
-            count += 1
+        count += 1
 
+    def profile(frame, event, arg):
+        if event == "c_call" and _numpy_owned(arg):
+            tick()
+
+    # numpy.random is Cython, whose calls the profiler does not report
+    default_rng = np.random.default_rng
+
+    def counted_rng(*args, **kw):
+        tick()
+        return _CountedGenerator(default_rng(*args, **kw), tick)
+
+    np.random.default_rng = counted_rng
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
+        np.random.default_rng = default_rng
     return count
 
 

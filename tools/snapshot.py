@@ -77,7 +77,6 @@ from bdlab.energy import (
     bump_from_polygon,
     integration_by_parts_residual,
     jump_flux,
-    jump_pieces,
     surface_energy,
     symmetric_jump_measure,
 )
@@ -100,6 +99,7 @@ from bdlab.geometry import (
     OrientedSquare,
     Polygon,
     PolygonalPartition,
+    clip_segment_params,
     frame_from_normal,
     make_oriented_square,
     validate_partition,
@@ -211,7 +211,12 @@ def tiling() -> None:
             for n in range(h):
                 c = np.array([-0.5 + n * inv_h, 0.0])
                 tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
-                pieces.append(jump_pieces(jumps, Polygon(tile), include_boundary))
+                _, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b,
+                                                                   [Polygon(tile)])
+                if not include_boundary:
+                    rows, t0, t1 = rows[~on_boundary], t0[~on_boundary], t1[~on_boundary]
+                L = jumps.t1[rows]
+                pieces.append(jumps.take(rows, t0 * L, t1 * L))
             level = JumpArrays.concatenate(pieces)
             for fld in dataclasses.fields(JumpArrays):
                 emit("tile-pieces", h, include_boundary, fld.name,
