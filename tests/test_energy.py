@@ -1419,7 +1419,7 @@ def test_a_positional_region_raises(name):
     # the options are keyword-only: a polygon passed where the region was
     # cannot bind to tol and be ignored
     positional, keywords = _old_region_calls()[name]
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="positional argument"):
         positional()
     keywords()
 
