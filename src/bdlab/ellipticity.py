@@ -26,12 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import Density, sampled_violations
-from .energy import (
-    integrate_jump_arrays,
-    jump_set_integrals,
-    surface_energy,
-)
+from .energy import jump_set_integrals, surface_energy
 from .functions import (
+    AffinePiece,
     FunctionError,
     InsertLayout,
     JumpArrays,
@@ -40,16 +37,18 @@ from .functions import (
     jump_arrays,
     jump_square,
     make_elementary,
+    outer_cells,
     same_domain,
 )
 from .geometry import (
+    MATCH_TOL,
     GeometryError,
     OrientedSquare,
-    clip_segment_params,
     edge_pair_interfaces,
     edge_vertices,
     frame_from_normal,
     make_oriented_square,
+    matched_interfaces,
     unit,
 )
 from .report import Report
@@ -231,51 +230,117 @@ def ce2_energy_breakdown(lam: float = 1.0, eps: float = 1e-4) -> dict:
 def tile_construction(v: PiecewiseRigid, i, j, nu, h: int) -> PiecewiseRigid:
     """Tile h scaled copies of v into the strip {0 < <x, nu> < 1/h}.
 
-    v must live on the unit square oriented by nu and deviate compactly from
-    the elementary (i, j) jump.  Outside the strip the output equals that
-    elementary jump on the side-AMBIENT_SIDE square; rigid pieces (Q, b)
-    become (hQ, b - hQ x_n) on the copy centered at x_n, so the output is
-    again piecewise rigid with the same trace values.
+    v must be piecewise rigid on the unit square oriented by nu and deviate
+    compactly from the elementary (i, j) jump.  Outside the strip the output
+    equals that elementary jump on the side-AMBIENT_SIDE square; rigid
+    pieces (Q, b) become (hQ, b - hQ x_n) on the copy centered at x_n, so
+    the output is again piecewise rigid with the same trace values.  The
+    cells and pieces are _tiling's, which tiling_report builds from; here
+    jump_square checks and matches them as one partition.
     """
     nu = unit(nu)
-    _check_tiling(v, i, j, nu, (h,))
-    return _tiled(v, i, j, nu, int(h))
+    (h,) = _check_tiling(v, i, j, nu, (h,))
+    vertices, counts, A, c, _, _ = _tiling(v, i, j, nu, (h,))
+    return jump_square(i, j, nu, AMBIENT_SIDE, hole=(0.5, 0.0, 1.0 / h),
+                       cells=(vertices[counts[0] + counts[1]:], counts[2:]),
+                       pieces=map(AffinePiece, A[2:], c[2:]))
 
 
-def _check_tiling(v: PiecewiseRigid, i, j, nu, hs) -> None:
-    """Raise EllipticityError unless every h of hs is a positive integer and
-    v lives on the centered unit square oriented by the unit normal nu,
-    deviating compactly from the elementary (i, j) jump there."""
-    if any(h < 1 or int(h) != h for h in hs):
+def _check_tiling(v: PiecewiseRigid, i, j, nu, hs) -> list[int]:
+    """Every h of hs as an int.  Raises EllipticityError unless each is a
+    positive integer and v is piecewise rigid on the centered unit square
+    oriented by the unit normal nu, deviating compactly from the elementary
+    (i, j) jump there."""
+    try:
+        counted = all(h >= 1 and int(h) == h for h in hs)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, and what is no number
+        counted = False
+    if not counted:
         raise EllipticityError("tile count h must be a positive integer")
+    if not all(p.rigid for p in v.pieces):
+        raise EllipticityError("v must be piecewise rigid")
     dom = v.partition.domain
     if abs(dom.area - 1.0) > 1e-9 or np.linalg.norm(dom.centroid) > 1e-9:
         raise EllipticityError("v must live on the centered unit square")
     ref = make_elementary(i, j, nu, OrientedSquare(nu, 1.0, (0, 0)))
     if not compact_deviation(v, ref, margin=1e-9):
         raise EllipticityError("v must deviate compactly from the elementary jump")
+    return [int(h) for h in hs]
 
 
-def _tiled(v: PiecewiseRigid, i, j, nu, h: int):
-    """tile_construction's output for a unit normal nu and an input that
-    passed _check_tiling."""
-    R = frame_from_normal(nu)
-    inv_h = 1.0 / h
-    xs = np.array([R @ np.array([-0.5 + (n + 0.5) * inv_h, 0.5 * inv_h]) for n in range(h)])
-    # v's stack of cells copied h times, copy after copy, each shifted by its centre
-    cells = ((xs[:, None] + v.partition.vertices * inv_h).reshape(-1, 2),
-             np.tile(v.partition.counts, h))
-    As = [h * piece.A for piece in v.pieces]
-    pieces = [type(piece)(A, piece.b - A @ xn) for xn in xs for piece, A in zip(v.pieces, As)]
-    return jump_square(i, j, nu, AMBIENT_SIDE, hole=(0.5, 0.0, inv_h), cells=cells, pieces=pieces)
+def _tiling(v: PiecewiseRigid, i, j, nu, hs, tol: float = 0.0):
+    """tile_construction(v, i, j, nu, h)'s cells for each h of hs, level
+    after level, as one ragged stack (vertices, counts): jump_square's outer
+    halves, then the h copies of v's cells scaled by 1/h about their centres
+    x_n.  Also their pieces (A, c), (hA, b - hA x_n) on a copy for v's (A,
+    b), which keeps A skew exactly; each cell's copy, numbered across the
+    levels (-1 for a half); and the edge pairs (ia, k, ib, l) that can meet
+    at the tolerance tol: v's interfaces in each copy, and the edges near
+    v's square's boundary against a half's or the next copy's, as v's cells
+    lie in its square."""
+    R, part, P = frame_from_normal(nu), v.partition, len(v.pieces)
+    vA, vb = np.array([p.A for p in v.pieces]), np.array([p.b for p in v.pieces])
+    itf = part.interfaces
+    if (itf.right > itf.left).any():  # a flipped partition's, seen from the other side
+        itf = itf.flipped()
+    cell = np.repeat(np.arange(P), part.counts)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(part.counts) - part.counts, part.counts)
+    near = part.domain.boundary_distance(part.vertices) <= 2 * max(hs) * tol
+    on = near & near[edge_vertices(part.counts, cell, k)[1]]
+    loops, counts, A, c, copy, pairs = [], [], [], [], [], []
+    for h in hs:
+        inv_h, first = 1.0 / h, len(counts)
+        x = np.stack([-0.5 + (np.arange(h) + 0.5) * inv_h, np.full(h, 0.5 * inv_h)], axis=1)
+        xs = (R @ x[:, :, None])[..., 0]  # one matrix-vector product per copy
+        hA = np.broadcast_to(h * vA, (h, *vA.shape))
+        halves = [np.array(x, dtype=float) @ R.T
+                  for x in outer_cells(AMBIENT_SIDE, (0.5, 0.0, inv_h))]
+        loops += [*halves, (xs[:, None] + part.vertices * inv_h).reshape(-1, 2)]
+        counts += [len(x) for x in halves] + part.counts.tolist() * h
+        A += [np.zeros((2, 2, 2)), hA.reshape(-1, 2, 2)]
+        c += [[i, j], (vb - (hA @ xs[:, None, :, None])[..., 0]).reshape(-1, 2)]
+        copy += [-1, -1] + np.repeat(np.arange(h) + max(copy, default=-1) + 1, P).tolist()
+        # a copy's own interfaces; then any two edges of the halves (group
+        # -1) and of the copies (group n) near the boundary but not of one
+        # cell, one copy or copies further apart
+        cells = first + 2 + P * np.arange(h)[:, None]
+        pairs.append([x.ravel() for x in np.broadcast_arrays(
+            cells + itf.right, itf.right_edge, cells + itf.left, itf.left_edge)])
+        ec = np.concatenate([np.repeat([first, first + 1], counts[first:first + 2]),
+                             (cells + cell[on]).ravel()])
+        ek = np.concatenate([*map(np.arange, counts[first:first + 2]), np.tile(k[on], h)])
+        g = (ec - first - 2) // P
+        a, b = np.nonzero(np.triu((g[:, None] < 0) & (ec[:, None] != ec) | (g == g[:, None] + 1),
+                                  1))
+        pairs.append((ec[a], ek[a], ec[b], ek[b]))
+    return (np.concatenate(loops), np.array(counts), np.concatenate(A), np.concatenate(c),
+            np.array(copy), [np.concatenate(x) for x in zip(*pairs)])
+
+
+def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
+    """(jumps, level, tile): tile_construction(v, i, j, nu, h)'s jump set
+    row for row for each h of hs, level after level, each row's level, and
+    its tile, the copy that holds both its cells (-1 for none)."""
+    tol = MATCH_TOL * make_oriented_square(nu, AMBIENT_SIDE).diameter
+    vertices, counts, A, c, copy, pairs = _tiling(v, i, j, nu, hs, tol)
+    itf = matched_interfaces(vertices, counts, pairs, tol)
+    jumps, keep = jump_arrays(itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]),
+                              (A[itf.right], c[itf.right]))
+    left, right = copy[itf.left[keep]], copy[itf.right[keep]]
+    level = np.repeat(np.arange(len(hs)), [2 + h * len(v.pieces) for h in hs])
+    return jumps, level[itf.right[keep]], np.where(left == right, left, -1)
 
 
 def tiling_report(
     v: PiecewiseRigid, i, j, nu, f: Density, hs=(1, 2, 4, 8), i_side: str = "minus",
 ) -> list[dict]:
     """Per-h bookkeeping: tile sum vs F(v), and the boundary mismatch term.
-    The input is checked once, as tile_construction checks it, and each
-    level's tiles share the one normal unit(nu) with its tiled function.
+    The input is checked once, as tile_construction checks it, and every h
+    is reported as an int.  Each level's jump set is tile_construction's
+    row for row, all levels built at once from v's cells, pieces and
+    interfaces (_tiled_jumps) on the one normal unit(nu); tile n of a level
+    holds the rows whose two cells lie in copy n, its jump set inside the
+    open tile.  One kernel call integrates all tiles and one all levels.
     i_side="plus" swaps i and j."""
     if i_side not in ("plus", "minus"):
         raise FunctionError("i_side must be 'plus' or 'minus'")
@@ -284,38 +349,31 @@ def tiling_report(
     if i_side == "plus":
         i, j = j, i
     nu = unit(nu)
-    R = frame_from_normal(nu)
+    hs = _check_tiling(v, i, j, nu, hs)
     base = surface_energy(v, f, tol=1e-12)
-    _check_tiling(v, i, j, nu, hs)
-    chord_density = float(f(j, i, nu))
+    if not hs:
+        return []
+    jumps, level, tile = _tiled_jumps(v, i, j, nu, hs)
+    inside = np.flatnonzero(tile >= 0)
+    energies, errors, _, _ = jump_set_integrals(jumps.take(inside), tile[inside], sum(hs), f,
+                                                1e-12, 15)
+    totals, total_errors, _, _ = jump_set_integrals(jumps, level, len(hs), f, 1e-12, 15)
+    energies, errors = energies.tolist(), errors.tolist()
+    chord = float(f(j, i, nu)) * (AMBIENT_SIDE - 1.0)
     out = []
-    for h in hs:
-        jumps = _tiled(v, i, j, nu, int(h)).jump_segments()
-        # each tile's open part of the one jump set: one clip, one kernel call
-        inv_h = 1.0 / h
-        corners = np.array([[0.0, 0.0], [inv_h, 0.0], [inv_h, inv_h], [0.0, inv_h]])
-        tiles = (np.concatenate([(corners + [-0.5 + n * inv_h, 0.0]) @ R.T for n in range(h)]),
-                 np.full(h, 4))
-        owner, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b, tiles)
-        inner = ~on_boundary
-        rows = rows[inner]
-        L = jumps.t1[rows]
-        pieces = jumps.take(rows, t0[inner] * L, t1[inner] * L)
-        energies, errors, _, _ = jump_set_integrals(pieces, owner[inner], h, f, 1e-12, 15)
-        tiles_sum = sum(energies.tolist())
-        tiles_err = sum(errors.tolist())
-        total = integrate_jump_arrays(jumps, f, 1e-12, 15)
-        chord = chord_density * (AMBIENT_SIDE - 1.0)
+    for h, stop, total, total_err in zip(hs, np.cumsum(hs).tolist(), totals.tolist(),
+                                         total_errors.tolist()):
+        tiles_sum = sum(energies[stop - h:stop])
         out.append(
             {
                 "h": h,
                 "tile_energy_sum": tiles_sum,
                 "reference_energy": base.value,
                 "relative_defect": abs(tiles_sum - base.value) / base.value,
-                "total_energy": total.value,
+                "total_energy": total,
                 "outer_chord_energy": chord,
-                "boundary_contribution": total.value - tiles_sum - chord,
-                "error_estimate": tiles_err + total.error_estimate + base.error_estimate,
+                "boundary_contribution": total - tiles_sum - chord,
+                "error_estimate": sum(errors[stop - h:stop]) + total_err + base.error_estimate,
             }
         )
     return out

@@ -288,7 +288,7 @@ def jump_square(
     if not (isinstance(cells, tuple) and len(cells) == 2 and np.ndim(cells[1]) == 1):
         cells = [place(c) for c in cells]
         cells = np.concatenate(cells or [np.zeros((0, 2))]), [len(c) for c in cells]
-    outer = [place(c) for c in _outer_cells(side, hole)]
+    outer = [place(c) for c in outer_cells(side, hole)]
     stack = np.concatenate([*outer, cells[0]]), np.array([*map(len, outer), *cells[1]])
     domain = make_oriented_square(nu, side, (0.0, 0.0) if center is None else center)
     part = PolygonalPartition(stack, domain)
@@ -296,7 +296,7 @@ def jump_square(
     return PiecewiseRigid(part, outer + list(pieces))
 
 
-def _outer_cells(side: float, hole):
+def outer_cells(side: float, hole):
     """jump_square's lower and upper halves in frame coordinates."""
     s = 0.5 * side
     hw, low, high = (0.0, 0.0, 0.0) if hole is None else hole
@@ -307,10 +307,10 @@ def _outer_cells(side: float, hole):
     return lower, upper
 
 
-# _outer_cells(side, (hw, -hh, hh)), two cells of 8 vertices, as indices into
+# outer_cells(side, (hw, -hh, hh)), two cells of 8 vertices, as indices into
 # (0, s, -s, hw, -hw, hh, -hh), s = side / 2, read off where those all differ
 OUTER_CELLS = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x in vertex]
-                        for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
+                        for vertex in sum(outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
 
 
 class InsertLayout:

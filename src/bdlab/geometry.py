@@ -357,18 +357,21 @@ def _edge_lengths(vertices, counts):
 def _match_edges(vertices, counts, pairs, tol: float):
     """Collinear antiparallel edge overlaps between pairs (ia, ib) of index
     arrays into the vertex loops stacked in vertices with the integer array
-    of counts.  Every candidate (edge k of ia, edge l of ib) is listed in
-    (pair, k, l) order and tested at once.  Returns arrays ia, k, ib, l, lo,
-    hi, one entry per overlap longer than tol in that order: edge l of ib
-    runs the other way along the arclength interval [lo, hi] of edge k of
-    ia."""
+    of counts, every candidate (edge k of ia, edge l of ib) listed in (pair,
+    k, l) order, or between given edge pairs (ia, k, ib, l), all tested at
+    once.  Returns arrays ia, k, ib, l, lo, hi, one entry per overlap longer
+    than tol in that order: edge l of ib runs the other way along the
+    arclength interval [lo, hi] of edge k of ia."""
     first, d, L = _edge_lengths(vertices, counts)
     u = d / L[:, None]
-    ia, ib = pairs
-    size = counts[ia] * counts[ib]
-    pair = np.repeat(np.arange(len(ia)), size)
-    ia, ib = ia[pair], ib[pair]
-    k, l = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size), counts[ib])
+    if len(pairs) == 2:
+        ia, ib = pairs
+        size = counts[ia] * counts[ib]
+        pair = np.repeat(np.arange(len(ia)), size)
+        k, l = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size),
+                         counts[ib][pair])
+        pairs = ia[pair], k, ib[pair], l
+    ia, k, ib, l = pairs
     ea, eb = first[ia] + k, first[ib] + l
     (ux, uy), (dx, dy) = u[ea].T, d[eb].T
     ox, oy = (vertices[eb] - vertices[ea]).T
@@ -445,6 +448,19 @@ def extract_interfaces(vertices, counts, tol: float) -> Interfaces:
     far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
     near = np.nonzero(np.triu(~far, k=1))
     ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
+    ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
+    a, b, normal = edge_pair_interfaces(vertices, *ends)
+    return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)
+
+
+def matched_interfaces(vertices, counts, pairs, tol: float) -> Interfaces:
+    """extract_interfaces' rows, in its order, of the ragged stack (vertices,
+    counts), its loops checked as PolygonalPartition checks them, when the
+    only edges that can meet are the given pairs (ia, k, ib, l), ia < ib."""
+    _checked_loops(vertices, counts)
+    ia, k, ib, l, _, _ = _match_edges(vertices, counts, pairs, tol)
+    order = np.lexsort((l, k, ib, ia))
+    ia, k, ib, l = ia[order], k[order], ib[order], l[order]
     ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
     a, b, normal = edge_pair_interfaces(vertices, *ends)
     return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -41,13 +42,13 @@ from bdlab.functions import (
     AffinePiece,
     FunctionError,
     JumpArrays,
-    _outer_cells,
     _stacked,
     compact_deviation,
     constant_piece,
     jump_arrays,
     jump_square,
     make_elementary,
+    outer_cells,
     skew2,
 )
 from bdlab import ellipticity
@@ -237,35 +238,97 @@ class TestTiling:
     @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)],
                              ids=["False", "True", "unit-not-idempotent"])
     def test_report_equals_per_tile_energies(self, nu):
-        # the former bookkeeping: each tile's open part of the jump set
-        # clipped and integrated alone, and one surface_energy for the whole
-        # tiled function
+        # each tile is tile_construction's rows whose two cells lie in one
+        # copy, integrated alone, bit for bit; the former clip of the jump
+        # set to each tile gives the same sum within 1e-14 relative (it cut
+        # some rows at t0 of about 1e-14 instead of 0)
         rotated = nu != (0.0, 1.0)
         u = TestRotatedFrames()._rotated_insert(nu) if rotated else counterexample1_competitor(1.0)
         v = u.scaled(1.0 / 6.0)
         f = anisotropic_normal_density(0.01)
         R = frame_from_normal(unit(nu))
         base = surface_energy(v, f, tol=1e-12)
+        P = len(v.pieces)
         for rep in tiling_report(v, I_CE, J_CE, nu, f, hs=range(1, 7)):
             h = rep["h"]
             u_h = tile_construction(v, I_CE, J_CE, nu, h)
             jumps = u_h.jump_segments()
+            itf = u_h.partition.interfaces
+            A, c = _stacked(u_h.pieces)
+            _, keep = jump_arrays(itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]),
+                                  (A[itf.right], c[itf.right]))
+            # cells 0 and 1 are the outer halves, then P cells per copy
+            left, right = (itf.left[keep] - 2) // P, (itf.right[keep] - 2) // P
+            tiles, former = [], []
             inv_h = 1.0 / h
-            tiles = []
             for n in range(h):
-                c = np.array([-0.5 + n * inv_h, 0.0])
-                tile = np.array([c, c + [inv_h, 0], c + [inv_h, inv_h], c + [0, inv_h]]) @ R.T
+                rows = np.flatnonzero((left == n) & (right == n) & (itf.right[keep] >= 2))
+                tiles.append(integrate_jump_arrays(jumps.take(rows), f, 1e-12, 15))
+                cn = np.array([-0.5 + n * inv_h, 0.0])
+                tile = np.array([cn, cn + [inv_h, 0], cn + [inv_h, inv_h], cn + [0, inv_h]]) @ R.T
                 _, rows, t0, t1, on_boundary = clip_segment_params(jumps.a, jumps.b,
                                                                    [Polygon(tile)])
                 inner = ~on_boundary
                 L = jumps.t1[rows[inner]]
-                tiles.append(integrate_jump_arrays(
-                    jumps.take(rows[inner], t0[inner] * L, t1[inner] * L), f, 1e-12, 15))
+                former.append(integrate_jump_arrays(
+                    jumps.take(rows[inner], t0[inner] * L, t1[inner] * L), f, 1e-12, 15).value)
             total = surface_energy(u_h, f, tol=1e-12)
             assert rep["tile_energy_sum"] == sum(t.value for t in tiles), h
+            assert abs(rep["tile_energy_sum"] - sum(former)) <= 1e-14 * sum(former), h
             assert rep["total_energy"] == total.value
             err = sum(t.error_estimate for t in tiles) + total.error_estimate + base.error_estimate
             assert rep["error_estimate"] == err
+
+    def test_more_competitors(self):
+        # CE2 and a seeded competitor of each default family, at the CE triple
+        rng = np.random.default_rng(37)
+        comps = [counterexample2_competitor(1.0, 1e-4)]
+        for fam in default_families(I_CE, J_CE, E2):
+            lo, hi = np.array(fam.bounds).T
+            comps.append(fam.generator(lo + rng.random(fam.dim) * (hi - lo)))
+        f = anisotropic_normal_density(0.01)
+        for u in comps:
+            for rep in tiling_report(u.scaled(1.0 / 6.0), I_CE, J_CE, E2, f, hs=range(1, 9)):
+                assert rep["relative_defect"] < 1e-9, rep["h"]
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), "2", 2.5, 0, -1])
+    def test_rejects_non_integer_h(self, h):
+        v = self._small_competitor()
+        f = catalog_density("frobenius")
+        with pytest.raises(EllipticityError):
+            tiling_report(v, I_CE, J_CE, E2, f, hs=(h,))
+        with pytest.raises(EllipticityError):
+            tile_construction(v, I_CE, J_CE, E2, h)
+
+    def test_integral_h_is_reported_as_int(self):
+        v = self._small_competitor()
+        f = catalog_density("frobenius")
+        want = tiling_report(v, I_CE, J_CE, E2, f, hs=(2,))
+        for h in (2.0, np.int64(2), np.float64(2.0)):
+            got = tiling_report(v, I_CE, J_CE, E2, f, hs=(h,))
+            assert got == want and type(got[0]["h"]) is int
+            json.dumps(got)
+
+    @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
+    def test_levels_equal_tile_construction_rows(self, nu):
+        comps = [("rot", TestRotatedFrames()._rotated_insert(nu))]
+        if nu == (0.0, 1.0):
+            comps += [("ce1", counterexample1_competitor(1.0)),
+                      ("ce2", counterexample2_competitor(1.0, 1e-4))]
+        rng = np.random.default_rng(0)
+        for fam in default_families(I_CE, J_CE, nu):
+            lo, hi = np.array(fam.bounds).T
+            comps.append((fam.name, fam.generator(lo + rng.random(fam.dim) * (hi - lo))))
+        hs = list(range(1, 33))
+        for name, u in comps:
+            v = u.scaled(1.0 / 6.0)
+            jumps, level, _ = ellipticity._tiled_jumps(v, I_CE, J_CE, unit(nu), hs)
+            for k, h in enumerate(hs):
+                want = tile_construction(v, I_CE, J_CE, nu, h).jump_segments()
+                rows = np.flatnonzero(level == k)
+                for fld, w in vars(want).items():
+                    g = getattr(jumps, fld)[rows]
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, h, fld)
 
     def test_boundary_contribution_decays_like_1_over_h(self):
         v = self._small_competitor()
@@ -1011,7 +1074,7 @@ class FormerTopology:
     def jumps(self, batch):
         frames = []
         for hole, cells, _ in batch:
-            frame = list(_outer_cells(self.side, hole)) + list(cells)
+            frame = list(outer_cells(self.side, hole)) + list(cells)
             assert tuple(len(c) for c in frame) == self.counts
             frames.append(np.concatenate([np.asarray(c, dtype=float) @ self.frame.T for c in frame]))
         V = sum(self.counts)
@@ -1456,7 +1519,7 @@ def batched_nested_layout(P, side):
 BATCHED_LAYOUTS = (batched_square_layout, batched_rect_layout, batched_checker_layout,
                    batched_nested_layout)
 BATCHED_OUTER = np.array([[(0.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0).index(x) for x in vertex]
-                          for vertex in sum(_outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
+                          for vertex in sum(outer_cells(2.0, (3.0, -5.0, 5.0)), [])])
 
 
 def batched_cells(vertices, hw, hh, side):

@@ -107,8 +107,8 @@ def elementary(i=(1.0, 0.0), j=(0.0, 0.0), nu=E2, side=1.0):
 
 def clipped(jumps, regions):
     """The pieces of a jump set inside each of the regions, boundary pieces
-    included, and their owners: `tiling_report`'s cut of a jump set to its
-    tiles."""
+    included, and their owners: a jump set cut to regions with
+    `clip_segment_params` and `JumpArrays.take`."""
     owner, rows, t0, t1, _ = clip_segment_params(jumps.a, jumps.b, regions)
     L = jumps.t1[rows]
     return jumps.take(rows, t0 * L, t1 * L), owner
