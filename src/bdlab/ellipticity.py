@@ -304,15 +304,15 @@ def _tiling(v: PiecewiseRigid, i, j, nu, hs, tol: float = 0.0):
         # -1) and of the copies (group n) near the boundary but not of one
         # cell, one copy or copies further apart
         cells = first + 2 + P * np.arange(h)[:, None]
-        pairs.append([x.ravel() for x in np.broadcast_arrays(
-            cells + itf.right, itf.right_edge, cells + itf.left, itf.left_edge)])
+        known = [x.ravel() for x in np.broadcast_arrays(
+            cells + itf.right, itf.right_edge, cells + itf.left, itf.left_edge)]
         ec = np.concatenate([np.repeat([first, first + 1], counts[first:first + 2]),
                              (cells + cell[on]).ravel()])
         ek = np.concatenate([*map(np.arange, counts[first:first + 2]), np.tile(k[on], h)])
         g = (ec - first - 2) // P
         a, b = np.nonzero(np.triu((g[:, None] < 0) & (ec[:, None] != ec) | (g == g[:, None] + 1),
                                   1))
-        pairs.append((ec[a], ek[a], ec[b], ek[b]))
+        pairs.append([np.concatenate(x) for x in zip(known, (ec[a], ek[a], ec[b], ek[b]))])
     return (np.concatenate(loops), np.array(counts), np.concatenate(A), np.concatenate(c),
             np.array(copy), [np.concatenate(x) for x in zip(*pairs)])
 

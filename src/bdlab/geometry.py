@@ -456,9 +456,12 @@ def extract_interfaces(vertices, counts, tol: float) -> Interfaces:
 def matched_interfaces(vertices, counts, pairs, tol: float) -> Interfaces:
     """extract_interfaces' rows, in its order, of the ragged stack (vertices,
     counts), its loops checked as PolygonalPartition checks them, when the
-    only edges that can meet are the given pairs (ia, k, ib, l), ia < ib."""
+    only edges that can meet are the given pairs (ia, k, ib, l), ia < ib,
+    tested 4096 at a time, which bounds the memory the test takes."""
     _checked_loops(vertices, counts)
-    ia, k, ib, l, _, _ = _match_edges(vertices, counts, pairs, tol)
+    matched = [_match_edges(vertices, counts, [x[n:n + 4096] for x in pairs], tol)[:4]
+               for n in range(0, len(pairs[0]), 4096)]
+    ia, k, ib, l = (np.concatenate(x) for x in zip(*matched))
     order = np.lexsort((l, k, ib, ia))
     ia, k, ib, l = ia[order], k[order], ib[order], l[order]
     ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
