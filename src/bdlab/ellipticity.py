@@ -46,6 +46,7 @@ from .geometry import (
     OrientedSquare,
     edge_pair_interfaces,
     edge_vertices,
+    extract_interfaces,
     frame_from_normal,
     make_oriented_square,
     matched_interfaces,
@@ -234,13 +235,11 @@ def tile_construction(v: PiecewiseRigid, i, j, nu, h: int) -> PiecewiseRigid:
     compactly from the elementary (i, j) jump.  Outside the strip the output
     equals that elementary jump on the side-AMBIENT_SIDE square; rigid
     pieces (Q, b) become (hQ, b - hQ x_n) on the copy centered at x_n, so
-    the output is again piecewise rigid with the same trace values.  The
-    cells and pieces are _tiling's, which tiling_report builds from; here
-    jump_square checks and matches them as one partition.
+    the output is again piecewise rigid with the same trace values.
     """
     nu = unit(nu)
     (h,) = _check_tiling(v, i, j, nu, (h,))
-    vertices, counts, A, c, _, _ = _tiling(v, i, j, nu, (h,))
+    vertices, counts, A, c = _tiling(v, i, j, nu, (h,))
     return jump_square(i, j, nu, AMBIENT_SIDE, hole=(0.5, 0.0, 1.0 / h),
                        cells=(vertices[counts[0] + counts[1]:], counts[2:]),
                        pieces=map(AffinePiece, A[2:], c[2:]))
@@ -268,28 +267,16 @@ def _check_tiling(v: PiecewiseRigid, i, j, nu, hs) -> list[int]:
     return [int(h) for h in hs]
 
 
-def _tiling(v: PiecewiseRigid, i, j, nu, hs, tol: float = 0.0):
-    """tile_construction(v, i, j, nu, h)'s cells for each h of hs, level
-    after level, as one ragged stack (vertices, counts): jump_square's outer
-    halves, then the h copies of v's cells scaled by 1/h about their centres
-    x_n.  Also their pieces (A, c), (hA, b - hA x_n) on a copy for v's (A,
-    b), which keeps A skew exactly; each cell's copy, numbered across the
-    levels (-1 for a half); and the edge pairs (ia, k, ib, l) that can meet
-    at the tolerance tol: v's interfaces in each copy, and the edges near
-    v's square's boundary against a half's or the next copy's, as v's cells
-    lie in its square."""
-    R, part, P = frame_from_normal(nu), v.partition, len(v.pieces)
+def _tiling(v: PiecewiseRigid, i, j, nu, hs):
+    """tile_construction(v, i, j, nu, h)'s cells, a ragged stack (vertices,
+    counts), and pieces (A, c) for each h of hs, level after level: the two
+    outer halves, then the h copies of v's loops (Polygon's checks hold for
+    them as for v's) and its pieces (hA, b - hA x_n), which keep A skew."""
+    R, part = frame_from_normal(nu), v.partition
     vA, vb = np.array([p.A for p in v.pieces]), np.array([p.b for p in v.pieces])
-    itf = part.interfaces
-    if (itf.right > itf.left).any():  # a flipped partition's, seen from the other side
-        itf = itf.flipped()
-    cell = np.repeat(np.arange(P), part.counts)
-    k = np.arange(len(cell)) - np.repeat(np.cumsum(part.counts) - part.counts, part.counts)
-    near = part.domain.boundary_distance(part.vertices) <= 2 * max(hs) * tol
-    on = near & near[edge_vertices(part.counts, cell, k)[1]]
-    loops, counts, A, c, copy, pairs = [], [], [], [], [], []
+    loops, counts, A, c = [], [], [], []
     for h in hs:
-        inv_h, first = 1.0 / h, len(counts)
+        inv_h = 1.0 / h
         x = np.stack([-0.5 + (np.arange(h) + 0.5) * inv_h, np.full(h, 0.5 * inv_h)], axis=1)
         xs = (R @ x[:, :, None])[..., 0]  # one matrix-vector product per copy
         hA = np.broadcast_to(h * vA, (h, *vA.shape))
@@ -299,36 +286,64 @@ def _tiling(v: PiecewiseRigid, i, j, nu, hs, tol: float = 0.0):
         counts += [len(x) for x in halves] + part.counts.tolist() * h
         A += [np.zeros((2, 2, 2)), hA.reshape(-1, 2, 2)]
         c += [[i, j], (vb - (hA @ xs[:, None, :, None])[..., 0]).reshape(-1, 2)]
-        copy += [-1, -1] + np.repeat(np.arange(h) + max(copy, default=-1) + 1, P).tolist()
-        # a copy's own interfaces; then any two edges of the halves (group
-        # -1) and of the copies (group n) near the boundary but not of one
-        # cell, one copy or copies further apart
-        cells = first + 2 + P * np.arange(h)[:, None]
-        known = [x.ravel() for x in np.broadcast_arrays(
-            cells + itf.right, itf.right_edge, cells + itf.left, itf.left_edge)]
-        ec = np.concatenate([np.repeat([first, first + 1], counts[first:first + 2]),
-                             (cells + cell[on]).ravel()])
-        ek = np.concatenate([*map(np.arange, counts[first:first + 2]), np.tile(k[on], h)])
-        g = (ec - first - 2) // P
-        a, b = np.nonzero(np.triu((g[:, None] < 0) & (ec[:, None] != ec) | (g == g[:, None] + 1),
-                                  1))
-        pairs.append([np.concatenate(x) for x in zip(known, (ec[a], ek[a], ec[b], ek[b]))])
-    return (np.concatenate(loops), np.array(counts), np.concatenate(A), np.concatenate(c),
-            np.array(copy), [np.concatenate(x) for x in zip(*pairs)])
+    return np.concatenate(loops), np.array(counts), np.concatenate(A), np.concatenate(c)
+
+
+def _grid(a, b):
+    """(ia, k, ib, l): every edge of a against every edge of b, row by row;
+    a and b are (cells, edges), a (rows, m or 1) and an (m,) array."""
+    (ca, ka), (cb, kb) = a, b
+    ca, cb = ca + 0 * ka, cb + 0 * kb  # a cell per edge
+    return (np.repeat(ca, len(kb), axis=1).ravel(), np.tile(np.repeat(ka, len(kb)), len(ca)),
+            np.tile(cb, len(ka)).ravel(), np.tile(kb, len(ca) * len(ka)))
 
 
 def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
     """(jumps, level, tile): tile_construction(v, i, j, nu, h)'s jump set
     row for row for each h of hs, level after level, each row's level, and
-    its tile, the copy that holds both its cells (-1 for none)."""
+    its tile, the copy that holds both its cells (-1 for none; the copies
+    numbered across the levels)."""
     tol = MATCH_TOL * make_oriented_square(nu, AMBIENT_SIDE).diameter
-    vertices, counts, A, c, copy, pairs = _tiling(v, i, j, nu, hs, tol)
+    vertices, counts, A, c = _tiling(v, i, j, nu, hs)
+    part, P, loose, hs = v.partition, len(v.pieces), 2 * max(hs) * tol, np.array(hs)
+    # The edge pairs that can meet.  A level's tolerance is h tol in v's
+    # units, so a copy's own pairs are among v's collinear within 2 max(hs)
+    # tol that overlap at all.  An edge that meets one across a side of its
+    # copy has a vertex within 2 h tol of that side; each is paired with the
+    # upper half once.
+    own = extract_interfaces(part.vertices, part.counts, loose, span=0.0)
+    cell = np.repeat(np.arange(P), part.counts)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(part.counts) - part.counts, part.counts)
+    d = np.abs(part.vertices @ frame_from_normal(nu) @ [[0, 0, 1, 1], [1, 1, 0, 0]]
+               + [0.5, -0.5, 0.5, -0.5]) <= 2 * loose
+    bottom, top, left, right = (d | d[edge_vertices(part.counts, cell, k)[1]]).T
+    sizes = 2 + P * hs
+    first = np.cumsum(sizes) - sizes  # each level's lower half, then its upper half
+    level, last = np.repeat(np.arange(len(hs)), hs), np.cumsum(hs) - 1  # each copy's, each level's
+    base = first[level] + 2 + P * (np.arange(len(level)) - (last - hs + 1)[level])
+
+    def at(side, n=slice(None)):  # the edges on a side of copies n
+        return base[n, None] + cell[side], k[side]
+
+    lower, upper = np.arange(counts[0]), np.arange(counts[1])
+    n = np.setdiff1d(np.arange(len(base)), last)  # the copies with a next one
+    pairs = [((base[:, None] + own.right).ravel(), np.tile(own.right_edge, len(base)),
+              (base[:, None] + own.left).ravel(), np.tile(own.left_edge, len(base))),
+             _grid((first[:, None], lower), (first[:, None] + 1, upper)),
+             _grid((first[level, None], lower), at(bottom)),
+             _grid((first[level, None] + 1, upper), at(top)),
+             _grid((first[:, None] + 1, upper), at(left & ~top, last - hs + 1)),
+             _grid((first[:, None] + 1, upper), at(right & ~top & ~left, last)),
+             _grid(at(right, n), at(left, n + 1))]
+    pairs = [np.concatenate(x) for x in zip(*pairs)]
     itf = matched_interfaces(vertices, counts, pairs, tol)
     jumps, keep = jump_arrays(itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]),
                               (A[itf.right], c[itf.right]))
+    copy = np.full(len(counts), -1)
+    copy[base[:, None] + np.arange(P)] = np.arange(len(base))[:, None]
     left, right = copy[itf.left[keep]], copy[itf.right[keep]]
-    level = np.repeat(np.arange(len(hs)), [2 + h * len(v.pieces) for h in hs])
-    return jumps, level[itf.right[keep]], np.where(left == right, left, -1)
+    return (jumps, np.repeat(np.arange(len(hs)), sizes)[itf.right[keep]],
+            np.where(left == right, left, -1))
 
 
 def tiling_report(

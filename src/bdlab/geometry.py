@@ -354,24 +354,25 @@ def _edge_lengths(vertices, counts):
     return np.cumsum(counts) - counts, d, np.linalg.norm(d, axis=1)
 
 
-def _match_edges(vertices, counts, pairs, tol: float):
-    """Collinear antiparallel edge overlaps between pairs (ia, ib) of index
-    arrays into the vertex loops stacked in vertices with the integer array
-    of counts, every candidate (edge k of ia, edge l of ib) listed in (pair,
-    k, l) order, or between given edge pairs (ia, k, ib, l), all tested at
-    once.  Returns arrays ia, k, ib, l, lo, hi, one entry per overlap longer
-    than tol in that order: edge l of ib runs the other way along the
-    arclength interval [lo, hi] of edge k of ia."""
+def _edge_pairs(counts, ia, ib):
+    """(ia, k, ib, l): every edge k of loop ia against every edge l of loop
+    ib for the pairs (ia, ib) of index arrays, in (pair, k, l) order."""
+    size = counts[ia] * counts[ib]
+    pair = np.repeat(np.arange(len(ia)), size)
+    ia, ib = ia[pair], ib[pair]
+    k, l = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size), counts[ib])
+    return ia, k, ib, l
+
+
+def _match_edges(vertices, counts, ia, k, ib, l, tol: float, span: float | None = None):
+    """Collinear antiparallel edge overlaps among the candidates (edge k of
+    loop ia, edge l of loop ib), index arrays into the vertex loops stacked
+    in vertices with the integer array of counts, all tested at once.
+    Returns arrays ia, k, ib, l, lo, hi, one entry per overlap longer than
+    span (tol by default) in the given order: edge l of ib runs the other
+    way along the arclength interval [lo, hi] of edge k of ia."""
     first, d, L = _edge_lengths(vertices, counts)
     u = d / L[:, None]
-    if len(pairs) == 2:
-        ia, ib = pairs
-        size = counts[ia] * counts[ib]
-        pair = np.repeat(np.arange(len(ia)), size)
-        k, l = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size),
-                         counts[ib][pair])
-        pairs = ia[pair], k, ib[pair], l
-    ia, k, ib, l = pairs
     ea, eb = first[ia] + k, first[ib] + l
     (ux, uy), (dx, dy) = u[ea].T, d[eb].T
     ox, oy = (vertices[eb] - vertices[ea]).T
@@ -379,7 +380,7 @@ def _match_edges(vertices, counts, pairs, tol: float):
     dot_dir = ux * dx + uy * dy
     lo, hi = _overlap_span((ox, oy), (ux, uy), L[ea], dot_dir)
     kept = ((np.abs(ux * dy - uy * dx) <= tol) & (dot_dir < 0.0)
-            & (np.abs(ux * oy - uy * ox) <= tol) & (hi - lo > tol))
+            & (np.abs(ux * oy - uy * ox) <= tol) & (hi - lo > (tol if span is None else span)))
     return ia[kept], k[kept], ib[kept], l[kept], lo[kept], hi[kept]
 
 
@@ -440,27 +441,22 @@ class Interfaces:
                           self.right_edge, self.left_edge)
 
 
-def extract_interfaces(vertices, counts, tol: float) -> Interfaces:
-    """Match collinear opposite-orientation edge overlaps between distinct
-    loops of the ragged stack (vertices, counts), over the pairs ia < ib
-    whose bounding boxes come within tol."""
+def extract_interfaces(vertices, counts, tol: float, span: float | None = None) -> Interfaces:
+    """Match collinear opposite-orientation edge overlaps longer than span
+    (tol by default) between distinct loops of the ragged stack (vertices,
+    counts), over the pairs ia < ib whose bounding boxes come within tol."""
     lo, hi = _boxes(vertices, counts)
     far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
-    near = np.nonzero(np.triu(~far, k=1))
-    ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
-    ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
-    a, b, normal = edge_pair_interfaces(vertices, *ends)
-    return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)
+    pairs = _edge_pairs(counts, *np.nonzero(np.triu(~far, k=1)))
+    return matched_interfaces(vertices, counts, pairs, tol, span)
 
 
-def matched_interfaces(vertices, counts, pairs, tol: float) -> Interfaces:
-    """extract_interfaces' rows, in its order, of the ragged stack (vertices,
-    counts), its loops checked as PolygonalPartition checks them, when the
-    only edges that can meet are the given pairs (ia, k, ib, l), ia < ib,
-    tested 4096 at a time, which bounds the memory the test takes."""
-    _checked_loops(vertices, counts)
-    matched = [_match_edges(vertices, counts, [x[n:n + 4096] for x in pairs], tol)[:4]
-               for n in range(0, len(pairs[0]), 4096)]
+def matched_interfaces(vertices, counts, pairs, tol: float, span: float | None = None):
+    """extract_interfaces' rows, in its order (ia, ib, k, l), when the only
+    edges that can meet are the pairs (ia, k, ib, l), ia < ib, tested 4096
+    at a time, which bounds the memory taken."""
+    matched = [_match_edges(vertices, counts, *(x[n:n + 4096] for x in pairs), tol, span)[:4]
+               for n in range(0, len(pairs[0]) or 1, 4096)]
     ia, k, ib, l = (np.concatenate(x) for x in zip(*matched))
     order = np.lexsort((l, k, ib, ia))
     ia, k, ib, l = ia[order], k[order], ib[order], l[order]
@@ -651,7 +647,7 @@ def validate_partition(part: PolygonalPartition) -> PartitionReport:
     # the boundary, as a neighbouring cell's edge does inside
     vertices = np.concatenate([part.vertices, part.domain.vertices[::-1]])
     pairs = np.nonzero(np.arange(n)[:, None] != np.arange(n + 1))
-    ia, k, _, _, lo, hi = _match_edges(vertices, counts, pairs, tol)
+    ia, k, _, _, lo, hi = _match_edges(vertices, counts, *_edge_pairs(counts, *pairs), tol)
     first, _, L = _edge_lengths(vertices, counts)
     covered = [[] for _ in range(first[n])]
     for e, s, t in zip((first[ia] + k).tolist(), lo.tolist(), hi.tolist()):

@@ -309,8 +309,32 @@ class TestTiling:
             assert got == want and type(got[0]["h"]) is int
             json.dumps(got)
 
+    @staticmethod
+    def _assert_levels_equal(v, nu, hs, monkeypatch, name=""):
+        # every level's matched edge pairs and jump rows are tile_construction's
+        matched = []
+        match = ellipticity.matched_interfaces
+        monkeypatch.setattr(ellipticity, "matched_interfaces",
+                            lambda *args: matched.append(match(*args)) or matched[-1])
+        jumps, level, _ = ellipticity._tiled_jumps(v, I_CE, J_CE, unit(nu), hs)
+        (itf,) = matched
+        first = 0
+        for k, h in enumerate(hs):
+            u = tile_construction(v, I_CE, J_CE, nu, h)
+            rows = (itf.right >= first) & (itf.right < first + len(u.pieces))
+            got = np.stack([itf.right[rows] - first, itf.right_edge[rows],
+                            itf.left[rows] - first, itf.left_edge[rows]])
+            want = u.partition.interfaces
+            assert np.array_equal(got, [want.right, want.right_edge, want.left, want.left_edge]), (
+                name, h)
+            first += len(u.pieces)
+            rows = np.flatnonzero(level == k)
+            for fld, w in vars(u.jump_segments()).items():
+                g = getattr(jumps, fld)[rows]
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, h, fld)
+
     @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
-    def test_levels_equal_tile_construction_rows(self, nu):
+    def test_levels_equal_tile_construction_rows(self, nu, monkeypatch):
         comps = [("rot", TestRotatedFrames()._rotated_insert(nu))]
         if nu == (0.0, 1.0):
             comps += [("ce1", counterexample1_competitor(1.0)),
@@ -319,16 +343,24 @@ class TestTiling:
         for fam in default_families(I_CE, J_CE, nu):
             lo, hi = np.array(fam.bounds).T
             comps.append((fam.name, fam.generator(lo + rng.random(fam.dim) * (hi - lo))))
-        hs = list(range(1, 33))
         for name, u in comps:
-            v = u.scaled(1.0 / 6.0)
-            jumps, level, _ = ellipticity._tiled_jumps(v, I_CE, J_CE, unit(nu), hs)
-            for k, h in enumerate(hs):
-                want = tile_construction(v, I_CE, J_CE, nu, h).jump_segments()
-                rows = np.flatnonzero(level == k)
-                for fld, w in vars(want).items():
-                    g = getattr(jumps, fld)[rows]
-                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, h, fld)
+            with monkeypatch.context() as m:
+                self._assert_levels_equal(u.scaled(1.0 / 6.0), nu, list(range(1, 33)), m, name)
+
+    def test_edges_too_far_apart_for_v_meet_in_the_copies(self, monkeypatch):
+        # the insert's bottom edge 3e-9 above the notch below it: too far to
+        # meet at v's tolerance (sqrt(2) 1e-9), near enough at each level's
+        # (3 sqrt(2) 1e-9 against a gap of 3e-9 / h)
+        u = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
+        vertices = u.partition.vertices.copy()
+        vertices[16:18, 1] += 3e-9
+        v = dataclasses.replace(u, partition=PolygonalPartition(
+            (vertices, u.partition.counts), u.partition.domain))
+        assert len(v.partition.interfaces) == len(u.partition.interfaces) - 1
+        for h in (1, 16):
+            assert (len(tile_construction(v, I_CE, J_CE, E2, h).partition.interfaces)
+                    == len(tile_construction(u, I_CE, J_CE, E2, h).partition.interfaces))
+        self._assert_levels_equal(v, E2, list(range(1, 17)), monkeypatch)
 
     def test_boundary_contribution_decays_like_1_over_h(self):
         v = self._small_competitor()

@@ -884,7 +884,8 @@ def former_interface_loop(cells, tol):
 def former_extract_interfaces(cells, tol):
     """The oracle: extract_interfaces as it took one Polygon per cell,
     stacking their loops and taking their boxes on each call."""
-    from bdlab.geometry import Interfaces, _match_edges, edge_pair_interfaces, edge_vertices
+    from bdlab.geometry import (Interfaces, _edge_pairs, _match_edges, edge_pair_interfaces,
+                                edge_vertices)
 
     counts = np.array([len(p) for p in cells])
     vertices = np.concatenate([p.vertices for p in cells])
@@ -892,7 +893,7 @@ def former_extract_interfaces(cells, tol):
     lo, hi = np.minimum.reduceat(vertices, first), np.maximum.reduceat(vertices, first)
     far = ((lo[:, None] > hi + tol) | (lo > hi[:, None] + tol)).any(axis=-1)
     near = np.nonzero(np.triu(~far, k=1))
-    ia, k, ib, l, _, _ = _match_edges(vertices, counts, near, tol)
+    ia, k, ib, l, _, _ = _match_edges(vertices, counts, *_edge_pairs(counts, *near), tol)
     ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)
     a, b, normal = edge_pair_interfaces(vertices, *ends)
     return Interfaces(a, b, normal, left=ib, right=ia, left_edge=l, right_edge=k)
