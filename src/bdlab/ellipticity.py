@@ -250,6 +250,7 @@ def _check_tiling(v: PiecewiseRigid, i, j, nu, hs) -> list[int]:
     positive integer and v is piecewise rigid on the centered unit square
     oriented by the unit normal nu, deviating compactly from the elementary
     (i, j) jump there."""
+    hs = list(hs)  # read twice
     try:
         counted = all(h >= 1 and int(h) == h for h in hs)
     except (TypeError, ValueError, OverflowError):  # NaN, inf, and what is no number
@@ -326,7 +327,7 @@ def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
         return base[n, None] + cell[side], k[side]
 
     lower, upper = np.arange(counts[0]), np.arange(counts[1])
-    n = np.setdiff1d(np.arange(len(base)), last)  # the copies with a next one
+    n = np.delete(np.arange(len(base)), last)  # the copies with a next one
     pairs = [((base[:, None] + own.right).ravel(), np.tile(own.right_edge, len(base)),
               (base[:, None] + own.left).ravel(), np.tile(own.left_edge, len(base))),
              _grid((first[:, None], lower), (first[:, None] + 1, upper)),

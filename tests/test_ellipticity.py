@@ -308,6 +308,7 @@ class TestTiling:
             got = tiling_report(v, I_CE, J_CE, E2, f, hs=(h,))
             assert got == want and type(got[0]["h"]) is int
             json.dumps(got)
+        assert tiling_report(v, I_CE, J_CE, E2, f, hs=iter([2])) == want
 
     @staticmethod
     def _assert_levels_equal(v, nu, hs, monkeypatch, name=""):
