@@ -348,6 +348,17 @@ class TestTiling:
             with monkeypatch.context() as m:
                 self._assert_levels_equal(u.scaled(1.0 / 6.0), nu, list(range(1, 33)), m, name)
 
+    @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8), (1.0, 2.0)])
+    def test_levels_equal_tile_construction_rows_across_seeds(self, nu, monkeypatch):
+        rng = np.random.default_rng(37)
+        for fam in default_families(I_CE, J_CE, nu):
+            lo, hi = np.array(fam.bounds).T
+            for seed in range(10):
+                u = fam.generator(lo + rng.random(fam.dim) * (hi - lo))
+                with monkeypatch.context() as m:
+                    self._assert_levels_equal(u.scaled(1.0 / 6.0), nu, list(range(1, 9)), m,
+                                              (fam.name, seed))
+
     def test_edges_too_far_apart_for_v_meet_in_the_copies(self, monkeypatch):
         # the insert's bottom edge 3e-9 above the notch below it: too far to
         # meet at v's tolerance (sqrt(2) 1e-9), near enough at each level's
