@@ -310,8 +310,8 @@ def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
     # The edge pairs that can meet.  A level's tolerance is h tol in v's
     # units, so a copy's own pairs are among v's collinear within 2 max(hs)
     # tol that overlap at all.  An edge that meets one across a side of its
-    # copy has a vertex within 2 h tol of that side; each is paired with the
-    # upper half once.
+    # copy has a vertex within 2 h tol of that side (taken within 4 max(hs)
+    # tol); each is paired with the upper half once.
     own = extract_interfaces(part.vertices, part.counts, loose, span=0.0)
     cell = np.repeat(np.arange(P), part.counts)
     k = np.arange(len(cell)) - np.repeat(np.cumsum(part.counts) - part.counts, part.counts)
@@ -342,9 +342,9 @@ def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
                               (A[itf.right], c[itf.right]))
     copy = np.full(len(counts), -1)
     copy[base[:, None] + np.arange(P)] = np.arange(len(base))[:, None]
-    left, right = copy[itf.left[keep]], copy[itf.right[keep]]
+    copy_left, copy_right = copy[itf.left[keep]], copy[itf.right[keep]]
     return (jumps, np.repeat(np.arange(len(hs)), sizes)[itf.right[keep]],
-            np.where(left == right, left, -1))
+            np.where(copy_left == copy_right, copy_left, -1))
 
 
 def tiling_report(
