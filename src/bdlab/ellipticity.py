@@ -290,28 +290,23 @@ def _tiling(v: PiecewiseRigid, i, j, nu, hs):
     return np.concatenate(loops), np.array(counts), np.concatenate(A), np.concatenate(c)
 
 
-def _grid(a, b):
-    """(ia, k, ib, l): every edge of a against every edge of b, row by row;
-    a and b are (cells, edges), a (rows, m or 1) and an (m,) array."""
-    (ca, ka), (cb, kb) = a, b
-    ca, cb = ca + 0 * ka, cb + 0 * kb  # a cell per edge
-    return (np.repeat(ca, len(kb), axis=1).ravel(), np.tile(np.repeat(ka, len(kb)), len(ca)),
-            np.tile(cb, len(ka)).ravel(), np.tile(kb, len(ca) * len(ka)))
-
-
 def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
     """(jumps, level, tile): tile_construction(v, i, j, nu, h)'s jump set
     row for row for each h of hs, level after level, each row's level, and
     its tile, the copy that holds both its cells (-1 for none; the copies
-    numbered across the levels)."""
+    numbered across the levels).  One matched_interfaces call tests the
+    edge pairs that can meet, (cell, edge, cell, edge) patterns taken once
+    from v and offset by copy."""
     tol = MATCH_TOL * make_oriented_square(nu, AMBIENT_SIDE).diameter
     vertices, counts, A, c = _tiling(v, i, j, nu, hs)
     part, P, loose, hs = v.partition, len(v.pieces), 2 * max(hs) * tol, np.array(hs)
-    # The edge pairs that can meet.  A level's tolerance is h tol in v's
-    # units, so a copy's own pairs are among v's collinear within 2 max(hs)
-    # tol that overlap at all.  An edge that meets one across a side of its
-    # copy has a vertex within 2 h tol of that side (taken within 4 max(hs)
-    # tol); each is paired with the upper half once.
+    # A level's tolerance is h tol in v's units, so a copy's own pairs are
+    # among v's collinear within 2 max(hs) tol that overlap at all.  An edge
+    # that meets one across a side of its copy has a vertex within 2 h tol
+    # of that side (taken within 4 max(hs) tol), and each side faces one
+    # neighbour: the lower half's edge 2 under the strip, the upper half's
+    # edges 1, 2 and 3 around the hole, or the next copy.  Along the chord
+    # the lower half's edge 2 meets the upper half's edges 0 and 4.
     own = extract_interfaces(part.vertices, part.counts, loose, span=0.0)
     cell = np.repeat(np.arange(P), part.counts)
     k = np.arange(len(cell)) - np.repeat(np.cumsum(part.counts) - part.counts, part.counts)
@@ -321,21 +316,25 @@ def _tiled_jumps(v: PiecewiseRigid, i, j, nu, hs):
     sizes = 2 + P * hs
     first = np.cumsum(sizes) - sizes  # each level's lower half, then its upper half
     level, last = np.repeat(np.arange(len(hs)), hs), np.cumsum(hs) - 1  # each copy's, each level's
-    base = first[level] + 2 + P * (np.arange(len(level)) - (last - hs + 1)[level])
+    start = first[level] + 2  # each copy's level's first copy
+    base = start + P * (np.arange(len(level)) - (last - hs + 1)[level])
 
-    def at(side, n=slice(None)):  # the edges on a side of copies n
-        return base[n, None] + cell[side], k[side]
+    def facing(half, edge, side):  # a half's edge against the copy edges on a side
+        n = np.flatnonzero(side)
+        return np.full(len(n), half), np.full(len(n), edge), cell[n], k[n]
 
-    lower, upper = np.arange(counts[0]), np.arange(counts[1])
-    n = np.delete(np.arange(len(base)), last)  # the copies with a next one
-    pairs = [((base[:, None] + own.right).ravel(), np.tile(own.right_edge, len(base)),
-              (base[:, None] + own.left).ravel(), np.tile(own.left_edge, len(base))),
-             _grid((first[:, None], lower), (first[:, None] + 1, upper)),
-             _grid((first[level, None], lower), at(bottom)),
-             _grid((first[level, None] + 1, upper), at(top)),
-             _grid((first[:, None] + 1, upper), at(left & ~top, last - hs + 1)),
-             _grid((first[:, None] + 1, upper), at(right & ~top & ~left, last)),
-             _grid(at(right, n), at(left, n + 1))]
+    def tiled(pattern, n):  # the pattern's rows at copies n, cell -2 their lower half, -1 upper
+        ca, ka, cb, kb = (np.concatenate(x) for x in zip(*pattern))
+        ca, cb = (np.where(x < 0, start[n, None], base[n, None]) + x for x in (ca, cb))
+        return ca.ravel(), np.tile(ka, len(n)), cb.ravel(), np.tile(kb, len(n))
+
+    r, l = np.nonzero(right[:, None] & left)  # a copy's right edges against the next copy's left
+    copies = np.arange(len(base))
+    pairs = [tiled([(own.right, own.right_edge, own.left, own.left_edge),
+                    facing(-2, 2, bottom), facing(-1, 2, top)], copies),
+             tiled([facing(-1, 1, left), ([-2, -2], [2, 2], [-1, -1], [0, 4])], last - hs + 1),
+             tiled([facing(-1, 3, right)], last),
+             tiled([(cell[r], k[r], cell[l] + P, k[l])], np.delete(copies, last))]
     pairs = [np.concatenate(x) for x in zip(*pairs)]
     itf = matched_interfaces(vertices, counts, pairs, tol)
     jumps, keep = jump_arrays(itf.a, itf.b, itf.normal, (A[itf.left], c[itf.left]),
@@ -357,13 +356,9 @@ def tiling_report(
     interfaces (_tiled_jumps) on the one normal unit(nu); tile n of a level
     holds the rows whose two cells lie in copy n, its jump set inside the
     open tile.  One kernel call integrates all tiles and one all levels.
-    i_side="plus" swaps i and j."""
-    if i_side not in ("plus", "minus"):
-        raise FunctionError("i_side must be 'plus' or 'minus'")
-    i = np.asarray(i, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if i_side == "plus":
-        i, j = j, i
+    i_side is "minus", i below the chord; pass (j, i) for the other order."""
+    if i_side != "minus":
+        raise FunctionError("i_side must be 'minus'; pass (j, i) for the other order")
     nu = unit(nu)
     hs = _check_tiling(v, i, j, nu, hs)
     base = surface_energy(v, f, tol=1e-12)

@@ -453,11 +453,9 @@ def extract_interfaces(vertices, counts, tol: float, span: float | None = None) 
 
 def matched_interfaces(vertices, counts, pairs, tol: float, span: float | None = None):
     """extract_interfaces' rows, in its order (ia, ib, k, l), when the only
-    edges that can meet are the pairs (ia, k, ib, l), ia < ib, tested 4096
-    at a time, which bounds the memory taken."""
-    matched = [_match_edges(vertices, counts, *(x[n:n + 4096] for x in pairs), tol, span)[:4]
-               for n in range(0, len(pairs[0]) or 1, 4096)]
-    ia, k, ib, l = (np.concatenate(x) for x in zip(*matched))
+    edges that can meet are the pairs (ia, k, ib, l), ia < ib, all tested
+    in one pass."""
+    ia, k, ib, l = _match_edges(vertices, counts, *pairs, tol, span)[:4]
     order = np.lexsort((l, k, ib, ia))
     ia, k, ib, l = ia[order], k[order], ib[order], l[order]
     ends = edge_vertices(counts, ia, k) + edge_vertices(counts, ib, l)

@@ -42,6 +42,7 @@ from bdlab.functions import (
     AffinePiece,
     FunctionError,
     JumpArrays,
+    PiecewiseRigid,
     _stacked,
     compact_deviation,
     constant_piece,
@@ -373,6 +374,36 @@ class TestTiling:
             assert (len(tile_construction(v, I_CE, J_CE, E2, h).partition.interfaces)
                     == len(tile_construction(u, I_CE, J_CE, E2, h).partition.interfaces))
         self._assert_levels_equal(v, E2, list(range(1, 17)), monkeypatch)
+
+    @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.6, 0.8)])
+    def test_levels_equal_tile_construction_rows_on_seams_off_the_chord(self, nu, monkeypatch):
+        # three constant cells: the lower half split at x = 0.2, the upper
+        # cell with a vertex at (-0.5, 0.3) on its left side, and the right
+        # side 3e-9 inside the square, so a copy's right side meets the next
+        # copy's two left edges, the hole's side or nothing at v's tolerance
+        R = frame_from_normal(unit(nu))
+        x = 0.5 - 3e-9
+        cells = [[(-0.5, -0.5), (0.2, -0.5), (0.2, 0.0), (-0.5, 0.0)],
+                 [(0.2, -0.5), (x, -0.5), (x, 0.0), (0.2, 0.0)],
+                 [(-0.5, 0.0), (x, 0.0), (x, 0.5), (-0.5, 0.5), (-0.5, 0.3)]]
+        part = PolygonalPartition((np.concatenate(cells) @ R.T, [len(c) for c in cells]),
+                                  make_oriented_square(unit(nu), 1.0))
+        v = PiecewiseRigid(part, map(constant_piece, (I_CE, I_CE, J_CE)))
+        assert len(tile_construction(v, I_CE, J_CE, nu, 16).partition.interfaces) == 148
+        self._assert_levels_equal(v, nu, list(range(1, 17)), monkeypatch)
+
+    def test_candidates_face_one_neighbour_per_side(self, monkeypatch):
+        # each copy side is offered one edge of a half or the next copy's
+        # side, not every edge of both halves: CE1 / 6 at h = 1..16 gives
+        # 6448 edge pairs, against 11 712 when whole halves were offered
+        offered = []
+        match = ellipticity.matched_interfaces
+        monkeypatch.setattr(ellipticity, "matched_interfaces",
+                            lambda v, c, pairs, tol: offered.append(len(pairs[0]))
+                            or match(v, c, pairs, tol))
+        tiling_report(self._small_competitor(), I_CE, J_CE, E2,
+                      anisotropic_normal_density(0.01), hs=range(1, 17))
+        assert len(offered) == 1 and offered[0] <= 6448
 
     def test_boundary_contribution_decays_like_1_over_h(self):
         v = self._small_competitor()
@@ -1042,9 +1073,11 @@ class TestJumpSquareBuilder:
             assert getattr(jumps, f.name).tobytes() == getattr(general, f.name).tobytes(), f.name
 
     def test_bogus_i_side_raises(self):
+        # "minus" is the one order: pass (j, i) for the former "plus"
         v = counterexample1_competitor(1.0).scaled(1.0 / 6.0)
-        with pytest.raises(FunctionError):
-            tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side="bogus")
+        for i_side in ("bogus", "plus"):
+            with pytest.raises(FunctionError):
+                tiling_report(v, I_CE, J_CE, E2, catalog_density("isotropic:id"), i_side=i_side)
 
 
 # The per-vector insert layouts, the tuple-batch topology compiled from two
