@@ -379,8 +379,9 @@ class TestTiling:
     def test_levels_equal_tile_construction_rows_on_seams_off_the_chord(self, nu, monkeypatch):
         # three constant cells: the lower half split at x = 0.2, the upper
         # cell with a vertex at (-0.5, 0.3) on its left side, and the right
-        # side 3e-9 inside the square, so a copy's right side meets the next
-        # copy's two left edges, the hole's side or nothing at v's tolerance
+        # side 3e-9 inside the square, so each seam between copies splits
+        # off the chord and its two sides lie 3e-9 / h apart: within every
+        # level's tolerance (3 sqrt(2) 1e-9), not within v's (sqrt(2) 1e-9)
         R = frame_from_normal(unit(nu))
         x = 0.5 - 3e-9
         cells = [[(-0.5, -0.5), (0.2, -0.5), (0.2, 0.0), (-0.5, 0.0)],

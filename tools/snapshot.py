@@ -41,12 +41,13 @@ their internals.  A run takes about ten seconds on one core.
 Byte identity holds for one BLAS kernel.  OpenBLAS picks a kernel for the
 host's CPU when it loads, and the BLAS products in bdlab (the frame turns
 among them) round differently with and without FMA: on a 2-core AVX-512
-Xeon one checkout's output changes in 1262 of its 3815 lines under
-`OPENBLAS_CORETYPE=Prescott` and in 741 under `Haswell`, against the
-default SkylakeX kernel.  The `certificate` lines and the `falsify`
-statuses stay; report fields such as the oblique `falsify`'s domain
-vertices and `error_estimate` move.  Compare parent and change on one host,
-with `OPENBLAS_CORETYPE` unset.
+Xeon one checkout's output changes in 1132 of its 3819 lines with
+`OPENBLAS_CORETYPE=Prescott` set for the run's process and in 588 with
+`Haswell`, against the default SkylakeX kernel.  The 74 `certificate`
+lines and the `falsify` statuses stay; energies, jump digests and report
+fields such as the oblique `falsify`'s domain vertices and
+`error_estimate` move.  Compare parent and change on one host, with
+`OPENBLAS_CORETYPE` unset.
 """
 
 from __future__ import annotations
